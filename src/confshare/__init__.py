@@ -17,8 +17,8 @@ from .blocks import (AttentionParams, BlockParams, ConvParams,
 from .checkpoint import load_checkpoint, save_checkpoint
 from .configio import parse_config_file, parse_config_text, serialize_config
 from .encoder import BoundModel, EvalCounter, bind_model, encoder_forward
-from .lowrank import (LowRankLinearParams, LowRankSpec, SvdResult, fold_sigma,
-                      lowrank_forward, lowrank_param_count, svd_truncate)
+from .lowrank import (LowRankFactors, LowRankSpec, SvdResult, fold_sigma,
+                      lowrank_param_count, svd_truncate)
 from .presets import Preset, all_presets, preset, preset_names
 from .sharing import (BoundSchedule, ParameterStore, SharingPlan,
                       bind_parameters, physical_group_counts, repeat_plan,

@@ -11,7 +11,7 @@ Everything here is deliberately small and deterministic:
   fixtures are reproducible across platforms and implementations.
 
 The op set is exactly what a conformer block needs: matmul (2-d, and
-3-d batched for attention heads), layer norm, softmax, swish/sigmoid/glu,
+3-d batched for attention heads), layer norm, softmax, swish/glu,
 a depthwise temporal convolution, plus reshape/transpose/gather plumbing.
 """
 
@@ -114,11 +114,6 @@ class track_allocations:
         return False
 
 
-def _check_finite(arr: np.ndarray, op: str):
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"{op} produced non-finite values")
-
-
 class Tensor:
     """A dense float64 array plus an optional backward rule.
 
@@ -137,7 +132,8 @@ class Tensor:
         if not arr.flags["C_CONTIGUOUS"]:
             # ascontiguousarray would promote 0-d scalars to shape (1,)
             arr = np.ascontiguousarray(arr)
-        _check_finite(arr, op or "tensor")
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteError(f"{op or 'tensor'} produced non-finite values")
         if _alloc_trace is not None:
             _alloc_trace.append(arr.shape)
         self.data = arr
@@ -191,7 +187,6 @@ def as_tensor(x) -> Tensor:
 
 
 def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...], backward) -> Tensor:
-    _check_finite(data, op)
     rg = any(p.requires_grad for p in parents)
     if rg:
         return Tensor(data, requires_grad=True, op=op, parents=parents, backward=backward)
@@ -381,17 +376,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    s = _sigmoid(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * s * (1.0 - s))
-
-    return _result(s, "sigmoid", (a,), bw)
-
-
 def swish(a: Tensor) -> Tensor:
     """x * sigmoid(x)."""
     a = as_tensor(a)
@@ -424,17 +408,6 @@ def glu(a: Tensor) -> Tensor:
             a.accumulate_grad(np.concatenate((gu, gv), axis=-1))
 
     return _result(out, "glu", (a,), bw)
-
-
-_ACTIVATIONS = {"swish": swish, "glu": glu, "sigmoid": sigmoid}
-
-
-def activation(a: Tensor, kind: str) -> Tensor:
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}; expected one of {sorted(_ACTIVATIONS)}")
-    return fn(a)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
@@ -573,30 +546,37 @@ def cross_entropy_mean(logits: Tensor, labels: np.ndarray) -> Tensor:
     return _result(np.asarray(out), "cross_entropy_mean", (logits,), bw)
 
 
-def finite_diff_grad(f, theta: np.ndarray, eps: float) -> np.ndarray:
-    """Central finite differences of a scalar function, coordinate by coordinate.
+def finite_diff_grad(loss, theta: np.ndarray, eps: float, coords=None) -> np.ndarray:
+    """Central finite differences of a scalar loss with respect to ``theta``.
 
-    ``f`` maps an ndarray shaped like ``theta`` to a float. The input is
-    never mutated. Raises ``NonFiniteError`` if an evaluation is non-finite.
+    ``loss`` takes no arguments and reads ``theta``, which is perturbed in
+    place one coordinate at a time and restored after each, also when an
+    evaluation raises. ``coords`` lists flat indices to difference; the
+    result then holds one entry per index. By default every coordinate is
+    differenced and the result is shaped like ``theta``. Raises
+    ``NonFiniteError`` if an evaluation is non-finite.
     """
     if eps <= 0:
         raise ValueError("finite_diff_grad: eps must be positive")
-    theta = np.asarray(theta, dtype=np.float64)
-    grad = np.zeros_like(theta)
-    work = theta.copy()
-    flat = work.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
+    if not (isinstance(theta, np.ndarray) and theta.flags.c_contiguous
+            and theta.flags.writeable):
+        raise ValueError("finite_diff_grad: theta must be a writeable C-contiguous array")
+    flat = theta.reshape(-1)
+    indices = range(flat.size) if coords is None else coords
+    grad = np.zeros(len(indices))
+    for j, i in enumerate(indices):
         orig = flat[i]
-        flat[i] = orig + eps
-        fp = float(f(work))
-        flat[i] = orig - eps
-        fm = float(f(work))
-        flat[i] = orig
+        try:
+            flat[i] = orig + eps
+            fp = float(loss())
+            flat[i] = orig - eps
+            fm = float(loss())
+        finally:
+            flat[i] = orig
         if not (math.isfinite(fp) and math.isfinite(fm)):
             raise NonFiniteError("finite_diff_grad: non-finite function evaluation")
-        gflat[i] = (fp - fm) / (2.0 * eps)
-    return grad
+        grad[j] = (fp - fm) / (2.0 * eps)
+    return grad.reshape(theta.shape) if coords is None else grad
 
 
 def relative_error(a: np.ndarray, b: np.ndarray, zero_floor: float = 0.0) -> float:

@@ -196,7 +196,8 @@ def conformer_block(x: Tensor, p: BlockParams) -> Tensor:
 MODULE_TYPES = ("ff_start", "attention", "conv", "ff_end")
 
 # init kinds: "matrix" draws uniform +-sqrt(6/(fan_in+fan_out)),
-# "zeros"/"ones" are what they say.
+# "zeros"/"ones" are what they say; "rel_table" is the encoder-level
+# relative-position table, a matrix with fan (d, d).
 _FF_TENSORS = (
     ("ln.gamma", "misc_small", "ones"),
     ("ln.beta", "misc_small", "zeros"),
@@ -282,8 +283,11 @@ def init_tensor(shape: tuple[int, ...], kind: str, rng: Rng) -> Tensor:
         data = np.ones(shape)
     elif kind == "zeros":
         data = np.zeros(shape)
-    elif kind == "matrix":
-        if len(shape) == 2:
+    elif kind in ("matrix", "rel_table"):
+        if kind == "rel_table":
+            # fan taken as (d, d): the table rows act as positional keys.
+            fan_in = fan_out = shape[1]
+        elif len(shape) == 2:
             fan_in, fan_out = shape
         else:
             fan_in = fan_out = shape[0]
@@ -294,67 +298,41 @@ def init_tensor(shape: tuple[int, ...], kind: str, rng: Rng) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-def init_rel_table(config: ModelConfig, rng: Rng) -> Tensor:
-    # fan taken as (d, d): the table rows act as positional keys.
-    bound = math.sqrt(6.0 / (2 * config.d))
-    return Tensor(rng.uniform(-bound, bound, (config.rel_table_len, config.d)),
-                  requires_grad=True)
+def assemble_block(tensors_by_module: dict[str, dict[str, Tensor]],
+                   config: ModelConfig, rel_emb: Tensor) -> BlockParams:
+    """One block's parameter views from its tensors, keyed by module and
+    then by inventory name (``final_ln.*`` travels with ``ff_end``)."""
+    def feed_forward_params(t):
+        def weight(stem):
+            if f"{stem}.w" in t:
+                return t[f"{stem}.w"]
+            return LowRankFactors(t[f"{stem}.u"], t[f"{stem}.v"])
 
-
-def assemble_module_params(module: str, tensors: dict, config: ModelConfig,
-              rel_emb: Tensor | None = None):
-    def weight(stem):
-        if f"{stem}.w" in tensors:
-            return tensors[f"{stem}.w"]
-        return LowRankFactors(tensors[f"{stem}.u"], tensors[f"{stem}.v"])
-
-    if module in ("ff_start", "ff_end"):
         return FeedForwardParams(
-            ln_gamma=tensors["ln.gamma"], ln_beta=tensors["ln.beta"],
-            w1=weight("linear1"), b1=tensors["linear1.b"],
-            w2=weight("linear2"), b2=tensors["linear2.b"])
-    if module == "attention":
-        return AttentionParams(
+            ln_gamma=t["ln.gamma"], ln_beta=t["ln.beta"],
+            w1=weight("linear1"), b1=t["linear1.b"],
+            w2=weight("linear2"), b2=t["linear2.b"])
+
+    a = tensors_by_module["attention"]
+    c = tensors_by_module["conv"]
+    ff_end = tensors_by_module["ff_end"]
+    return BlockParams(
+        ff_start=feed_forward_params(tensors_by_module["ff_start"]),
+        attn=AttentionParams(
             heads=config.heads,
-            ln_gamma=tensors["ln.gamma"], ln_beta=tensors["ln.beta"],
-            wq=tensors["query.w"], bq=tensors["query.b"],
-            wk=tensors["key.w"], bk=tensors["key.b"],
-            wv=tensors["value.w"], bv=tensors["value.b"],
-            wpost=tensors["post.w"], bpost=tensors["post.b"],
-            wpos_query=tensors["pos_query.w"], bpos_query=tensors["pos_query.b"],
-            rel_emb=rel_emb)
-    if module == "conv":
-        return ConvParams(
-            ln_gamma=tensors["ln.gamma"], ln_beta=tensors["ln.beta"],
-            wpre=tensors["pre.w"], bpre=tensors["pre.b"],
-            kdepth=tensors["depth.k"],
-            norm_gamma=tensors["norm.gamma"], norm_beta=tensors["norm.beta"],
-            wpost=tensors["post.w"], bpost=tensors["post.b"])
-    raise ValueError(f"unknown module {module!r}")
-
-
-def init_module_params(config: ModelConfig, module: str, rng: Rng,
-                       rel_emb: Tensor | None = None, lowrank_k: int | None = None):
-    """Standalone module parameters for tests and single-block use."""
-    tensors = {}
-    for name, _sub, shape, kind in module_tensor_specs(config, module, lowrank_k):
-        tensors[name] = init_tensor(shape, kind, rng.derive(f"{module}.{name}"))
-    if module == "attention" and rel_emb is None:
-        rel_emb = init_rel_table(config, rng.derive("rel_table"))
-    return assemble_module_params(module, tensors, config, rel_emb)
-
-
-def init_block_params(config: ModelConfig, rng: Rng,
-                      lowrank_k: int | None = None) -> BlockParams:
-    ff_start = init_module_params(config, "ff_start", rng, lowrank_k=lowrank_k)
-    attn = init_module_params(config, "attention", rng)
-    conv = init_module_params(config, "conv", rng)
-    ff_end = init_module_params(config, "ff_end", rng, lowrank_k=lowrank_k)
-    # ff_end's spec list includes the final layer norm; pull it back out.
-    tensors = {}
-    for name, _sub, shape, kind in module_tensor_specs(config, "ff_end", lowrank_k):
-        if name.startswith("final_ln."):
-            tensors[name] = init_tensor(shape, kind, rng.derive(f"block.{name}"))
-    return BlockParams(ff_start=ff_start, attn=attn, conv=conv, ff_end=ff_end,
-                       final_ln_gamma=tensors["final_ln.gamma"],
-                       final_ln_beta=tensors["final_ln.beta"])
+            ln_gamma=a["ln.gamma"], ln_beta=a["ln.beta"],
+            wq=a["query.w"], bq=a["query.b"],
+            wk=a["key.w"], bk=a["key.b"],
+            wv=a["value.w"], bv=a["value.b"],
+            wpost=a["post.w"], bpost=a["post.b"],
+            wpos_query=a["pos_query.w"], bpos_query=a["pos_query.b"],
+            rel_emb=rel_emb),
+        conv=ConvParams(
+            ln_gamma=c["ln.gamma"], ln_beta=c["ln.beta"],
+            wpre=c["pre.w"], bpre=c["pre.b"],
+            kdepth=c["depth.k"],
+            norm_gamma=c["norm.gamma"], norm_beta=c["norm.beta"],
+            wpost=c["post.w"], bpost=c["post.b"]),
+        ff_end=feed_forward_params(ff_end),
+        final_ln_gamma=ff_end["final_ln.gamma"],
+        final_ln_beta=ff_end["final_ln.beta"])

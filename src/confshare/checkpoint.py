@@ -17,14 +17,24 @@ Round-trips are bit-exact.
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 import numpy as np
 
 from .autodiff import Tensor
 from .configio import ConfigError, parse_config_text, serialize_config
 from .encoder import BoundModel
-from .sharing import Key, ParameterStore, schedule_keys
+from .sharing import (Key, ParameterStore, key_str, parameter_layout,
+                      schedule_keys)
 
 FORMAT_TAG = "confshare-checkpoint-v1"
+
+
+def _describe(entry) -> str:
+    if entry is None:
+        return "nothing"
+    key, dims = entry
+    return f"{key_str(key)}|{'x'.join(map(str, dims))}"
 
 
 def _manifest(model: BoundModel) -> str:
@@ -32,8 +42,7 @@ def _manifest(model: BoundModel) -> str:
     lines.append(serialize_config(model.config, model.plan).rstrip("\n"))
     payload = 0
     for key, tensor in model.store.items():
-        shape = "x".join(map(str, tensor.shape))
-        lines.append(f"tensor = {key[0]}|{key[1]}|{key[2]}|{shape}")
+        lines.append(f"tensor = {_describe((key, tensor.shape))}")
         payload += tensor.size * 8
     lines.append(f"payload_bytes = {payload}")
     return "\n".join(lines) + "\n"
@@ -82,6 +91,11 @@ def load_checkpoint(path) -> BoundModel:
         raise ConfigError(f"{path}: manifest is missing the seed")
 
     config, plan = parse_config_text("\n".join(config_lines))
+    layout = [(key, shape) for key, shape, _kind in parameter_layout(config, plan)]
+    for i, (listed, needed) in enumerate(zip_longest(tensor_keys, layout)):
+        if listed != needed:
+            raise ConfigError(f"{path}: tensor {i} is {_describe(listed)}, but the "
+                              f"manifest's config and plan need {_describe(needed)}")
     tensors: dict[Key, Tensor] = {}
     offset = 0
     for key, dims in tensor_keys:

@@ -107,9 +107,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     config, plan, _ = _resolve_flags(args)
-    model = bind_model(config, plan, args.seed)
     spec = ToyTaskSpec(feature_dim=config.input_dim, num_classes=config.num_classes,
                        frames=args.frames, batch=args.batch)
+    model = bind_model(config, plan, args.seed)
     batch = generate_toy_batch(spec, args.seed, 0)
     report = gradcheck_model(model, batch, eps=args.eps, tol=args.tol,
                              samples_per_tensor=args.samples)

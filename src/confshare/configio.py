@@ -45,8 +45,9 @@ _MODEL_INT_KEYS = {"d", "heads", "kernel_width", "input_dim", "num_classes",
 _PLAN_VECTORS = ("i_ff_start", "i_attention", "i_conv", "i_ff_end")
 
 
-def _parse_assignments(text: str) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _parse_assignments(text: str) -> dict[str, tuple[int, str]]:
+    """Each key with its line number and value."""
+    out: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -58,17 +59,26 @@ def _parse_assignments(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: key {key!r} is missing its section")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        out[key] = value
+        out[key] = (lineno, value)
     return out
 
 
-def _int_vector(value: str, key: str) -> tuple[int, ...]:
+def _number(kind, value: str, key: str, lineno: int):
+    try:
+        return kind(value)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"line {lineno}: {key}: expected {noun}, got {value!r}") from None
+
+
+def _int_vector(value: str, key: str, lineno: int) -> tuple[int, ...]:
     if not value:
         return ()
     try:
         return tuple(int(part.strip()) for part in value.split(","))
     except ValueError:
-        raise ConfigError(f"{key}: expected comma-separated integers, got {value!r}") from None
+        raise ConfigError(f"line {lineno}: {key}: expected comma-separated integers, "
+                          f"got {value!r}") from None
 
 
 def _bool(value: str, key: str) -> bool:
@@ -82,20 +92,20 @@ def parse_config_text(text: str) -> tuple[ModelConfig, SharingPlan]:
     pairs = _parse_assignments(text)
     model: dict[str, object] = dict(_MODEL_DEFAULTS)
     plan_kwargs: dict[str, object] = {}
-    for key, value in pairs.items():
+    for key, (lineno, value) in pairs.items():
         section, _, name = key.partition(".")
         if section == "model":
             if name in _MODEL_INT_KEYS:
-                model[name] = int(value)
+                model[name] = _number(int, value, key, lineno)
             elif name == "e":
-                model[name] = float(value)
+                model[name] = _number(float, value, key, lineno)
             else:
                 raise ConfigError(f"unknown model key {name!r}")
         elif section == "plan":
             if name == "v":
-                plan_kwargs["v"] = int(value)
+                plan_kwargs["v"] = _number(int, value, key, lineno)
             elif name in _PLAN_VECTORS:
-                plan_kwargs[name] = _int_vector(value, key)
+                plan_kwargs[name] = _int_vector(value, key, lineno)
             elif name == "unshared":
                 subs = []
                 for item in filter(None, (s.strip() for s in value.split(","))):
@@ -108,7 +118,7 @@ def parse_config_text(text: str) -> tuple[ModelConfig, SharingPlan]:
             elif name == "share_misc_small":
                 plan_kwargs["share_misc_small"] = _bool(value, key)
             elif name == "lowrank_k":
-                plan_kwargs["lowrank"] = LowRankSpec(k=int(value))
+                plan_kwargs["lowrank"] = LowRankSpec(k=_number(int, value, key, lineno))
             else:
                 raise ConfigError(f"unknown plan key {name!r}")
         else:

@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .autodiff import Tensor, add, as_tensor, matmul
-from .blocks import (BlockParams, ModelConfig, assemble_module_params,
-                     conformer_block)
-from .sharing import (FRONTEND_B, FRONTEND_W, HEAD_B, HEAD_W, MODULE_TYPES,
-                      REL_TABLE, BoundSchedule, ParameterStore, SharingPlan,
+from .blocks import BlockParams, ModelConfig, assemble_block, conformer_block
+from .sharing import (FRONTEND_B, FRONTEND_W, HEAD_B, HEAD_W, REL_TABLE,
+                      BoundSchedule, ParameterStore, SharingPlan,
                       bind_parameters)
 
 
@@ -38,21 +37,10 @@ class BoundModel:
         views alias store tensors, so in-place updates stay visible)."""
         if self._blocks is None:
             rel = self.store[REL_TABLE] if len(self.schedule) > 0 else None
-            blocks = []
-            for entry in self.schedule.entries:
-                parts = {}
-                final = {}
-                for module in MODULE_TYPES:
-                    tensors = {name: self.store[key] for name, key in entry[module].items()}
-                    if module == "ff_end":
-                        final = {n: tensors[n] for n in ("final_ln.gamma", "final_ln.beta")}
-                    parts[module] = assemble_module_params(module, tensors, self.config, rel)
-                blocks.append(BlockParams(
-                    ff_start=parts["ff_start"], attn=parts["attention"],
-                    conv=parts["conv"], ff_end=parts["ff_end"],
-                    final_ln_gamma=final["final_ln.gamma"],
-                    final_ln_beta=final["final_ln.beta"]))
-            self._blocks = blocks
+            self._blocks = [
+                assemble_block({module: {name: self.store[key] for name, key in binding.items()}
+                                for module, binding in entry.items()}, self.config, rel)
+                for entry in self.schedule.entries]
         return self._blocks
 
     def parameters(self):

@@ -1,7 +1,8 @@
 """Low-rank factorized linear layers and a small-matrix SVD oracle.
 
 A dense weight M (m x n) is replaced by factors U (m x k) and V (n x k)
-applied as (x @ U) @ V^T, which never materializes the m x n product and
+applied as (x @ U) @ V^T (``blocks.apply_linear`` on a ``LowRankFactors``
+pair), which never materializes the m x n product and
 cuts the weight count from m*n to k*(m+n). Factors are trained from
 scratch; ``svd_truncate`` (one-sided Jacobi) exists for property tests and
 for compressing an existing dense matrix.
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Rng, ShapeError, Tensor, add, matmul
+from .autodiff import ShapeError, Tensor
 
 
 @dataclass(frozen=True)
@@ -33,13 +34,6 @@ class LowRankFactors:
 
     u: Tensor  # (m, k)
     v: Tensor  # (n, k)
-
-
-@dataclass
-class LowRankLinearParams:
-    u: Tensor  # (m, k)
-    v: Tensor  # (n, k)
-    b: Tensor  # (n,)
 
 
 @dataclass
@@ -64,29 +58,6 @@ def check_rank_reduces(m: int, n: int, k: int):
         raise ValueError(
             f"rank {k} does not reduce a {m}x{n} matrix: "
             f"{k}*({m}+{n})={k * (m + n)} >= {m * n}")
-
-
-def init_lowrank_linear(m: int, n: int, k: int, rng: Rng) -> LowRankLinearParams:
-    """Fan-based uniform init on (m,k) and (n,k); zero bias. Rejects
-    ranks with k*(m+n) >= m*n since those would grow the layer."""
-    check_rank_reduces(m, n, k)
-    bu = np.sqrt(6.0 / (m + k))
-    bv = np.sqrt(6.0 / (n + k))
-    u = Tensor(rng.uniform(-bu, bu, (m, k)), requires_grad=True)
-    v = Tensor(rng.uniform(-bv, bv, (n, k)), requires_grad=True)
-    b = Tensor(np.zeros(n), requires_grad=True)
-    return LowRankLinearParams(u, v, b)
-
-
-def lowrank_forward(x: Tensor, p: LowRankLinearParams) -> Tensor:
-    """(x @ U) @ V^T + b, associated left to right."""
-    m, k = p.u.shape
-    n, kv = p.v.shape
-    if kv != k:
-        raise ShapeError(f"factor ranks differ: U is {p.u.shape}, V is {p.v.shape}")
-    if x.shape[-1] != m:
-        raise ShapeError(f"lowrank_forward: input {x.shape} does not match U {p.u.shape}")
-    return add(matmul(matmul(x, p.u), p.v, transpose_b=True), p.b)
 
 
 _MAX_SWEEPS = 64

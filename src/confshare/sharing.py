@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .autodiff import Rng, Tensor
-from .blocks import (MODULE_TYPES, ModelConfig, init_rel_table, init_tensor,
-                     module_tensor_specs)
+from .blocks import MODULE_TYPES, ModelConfig, init_tensor, module_tensor_specs
 from .lowrank import LowRankSpec, check_rank_reduces
 
 SUBCOMPONENTS: dict[str, tuple[str, ...]] = {
@@ -261,13 +260,13 @@ def schedule_keys(config: ModelConfig, plan: SharingPlan) -> BoundSchedule:
     return BoundSchedule(entries)
 
 
-def bind_parameters(config: ModelConfig, plan: SharingPlan,
-                    seed: int) -> tuple[ParameterStore, BoundSchedule]:
-    """Allocate exactly one tensor per distinct key and lay out the schedule.
+def parameter_layout(config: ModelConfig,
+                     plan: SharingPlan) -> list[tuple[Key, tuple[int, ...], str]]:
+    """(key, shape, init kind) of every physical tensor, in binding order.
 
-    Each tensor is initialized from its own SplitMix64 stream derived from
-    (seed, key), so the result is independent of allocation order and
-    bit-identical across runs.
+    This is the store's layout and the checkpoint manifest's tensor list.
+    Invalid plans, and low ranks that would not shrink the feed-forward
+    weights, are refused.
     """
     violations = validate_plan(plan)
     if violations:
@@ -276,22 +275,29 @@ def bind_parameters(config: ModelConfig, plan: SharingPlan,
     if k is not None:
         check_rank_reduces(config.d, config.ffn_width, k)
 
-    base = Rng(seed)
-    tensors: dict[Key, Tensor] = {}
-
-    def alloc(key: Key, shape, kind):
-        tensors[key] = init_tensor(shape, kind, base.derive(key_str(key)))
-
-    alloc(FRONTEND_W, (config.input_dim, config.d), "matrix")
-    alloc(FRONTEND_B, (config.d,), "zeros")
+    layout = [(FRONTEND_W, (config.input_dim, config.d), "matrix"),
+              (FRONTEND_B, (config.d,), "zeros")]
     counts = physical_group_counts(plan)
     for module in MODULE_TYPES:
         for name, sub, shape, kind in module_tensor_specs(config, module, k):
             for group in range(1, counts[(module, sub)] + 1):
-                alloc((module, name, group), shape, kind)
+                layout.append(((module, name, group), shape, kind))
     if plan.v > 0:
-        tensors[REL_TABLE] = init_rel_table(config, base.derive(key_str(REL_TABLE)))
-    alloc(HEAD_W, (config.d, config.num_classes), "matrix")
-    alloc(HEAD_B, (config.num_classes,), "zeros")
+        layout.append((REL_TABLE, (config.rel_table_len, config.d), "rel_table"))
+    layout.append((HEAD_W, (config.d, config.num_classes), "matrix"))
+    layout.append((HEAD_B, (config.num_classes,), "zeros"))
+    return layout
 
+
+def bind_parameters(config: ModelConfig, plan: SharingPlan,
+                    seed: int) -> tuple[ParameterStore, BoundSchedule]:
+    """Allocate exactly one tensor per distinct key and lay out the schedule.
+
+    Each tensor is initialized from its own SplitMix64 stream derived from
+    (seed, key), so the result is independent of allocation order and
+    bit-identical across runs.
+    """
+    base = Rng(seed)
+    tensors = {key: init_tensor(shape, kind, base.derive(key_str(key)))
+               for key, shape, kind in parameter_layout(config, plan)}
     return ParameterStore(tensors=tensors, seed=seed), schedule_keys(config, plan)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (NonFiniteError, Rng, Tensor, add, backward,
-                       cross_entropy_mean, fnv1a64, mix64, relative_error,
-                       scale, zero_grads)
+                       cross_entropy_mean, finite_diff_grad, fnv1a64, mix64,
+                       relative_error, scale, zero_grads)
 from .encoder import BoundModel, encoder_forward
 from .sharing import Key
 
@@ -31,6 +31,12 @@ class ToyTaskSpec:
     frames: int = 32
     batch: int = 4
     noise: float = 0.3  # prototypes live in [-1, 1], so this is 0.3x their scale
+
+    def __post_init__(self):
+        if self.frames < 1:
+            raise ValueError(f"frames must be positive, got {self.frames}")
+        if self.batch < 1:
+            raise ValueError(f"batch must be positive, got {self.batch}")
 
 
 def task_prototypes(spec: ToyTaskSpec, seed: int) -> np.ndarray:
@@ -139,6 +145,8 @@ def train_steps(model: BoundModel, spec: ToyTaskSpec, opt: OptimizerState,
     Identical (model seed, task seed) runs produce bit-identical reports.
     A non-finite loss aborts with the offending step index.
     """
+    if steps < 1:
+        raise ValueError(f"steps must be positive, got {steps}")
     if model.config.num_classes != spec.num_classes:
         raise ValueError(f"model emits {model.config.num_classes} classes but the "
                          f"task has {spec.num_classes}")
@@ -206,6 +214,8 @@ def gradcheck_model(model: BoundModel, batch: tuple[np.ndarray, np.ndarray],
     a thousand times below the floor, while any genuinely wrong gradient
     lands orders of magnitude above it).
     """
+    if samples_per_tensor < 1:
+        raise ValueError(f"samples per tensor must be positive, got {samples_per_tensor}")
     features, labels = batch
 
     def loss_value() -> float:
@@ -221,17 +231,7 @@ def gradcheck_model(model: BoundModel, batch: tuple[np.ndarray, np.ndarray],
         analytic = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
         rng = Rng(model.store.seed).derive(f"gradcheck.{key}")
         coords = sorted({int(i) for i in rng.integers(tensor.size, (samples_per_tensor,))})
-        worst = 0.0
-        flat = tensor.data.reshape(-1)
-        for idx in coords:
-            orig = flat[idx]
-            flat[idx] = orig + eps
-            fp = loss_value()
-            flat[idx] = orig - eps
-            fm = loss_value()
-            flat[idx] = orig
-            fd = (fp - fm) / (2.0 * eps)
-            worst = max(worst, relative_error(analytic.reshape(-1)[idx], fd,
-                                              zero_floor=zero_floor))
+        fd = finite_diff_grad(loss_value, tensor.data, eps, coords)
+        worst = relative_error(analytic.reshape(-1)[coords], fd, zero_floor=zero_floor)
         entries.append(GradcheckEntry(key=key, max_rel_err=worst, checked=len(coords)))
     return GradcheckReport(entries=tuple(entries), tol=tol)

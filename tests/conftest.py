@@ -1,7 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from confshare.autodiff import Rng, Tensor, backward, mul, relative_error, sum_all
+from confshare.autodiff import (Rng, Tensor, backward, finite_diff_grad, mul,
+                                relative_error, sum_all)
+from confshare.encoder import bind_model
+from confshare.lowrank import LowRankSpec
+from confshare.sharing import repeat_plan
 
 
 @pytest.fixture
@@ -13,27 +19,13 @@ def rand_tensor(rng: Rng, shape, requires_grad=False, scale=1.0) -> Tensor:
     return Tensor(rng.uniform(-scale, scale, shape), requires_grad=requires_grad)
 
 
-def weighted_sum_loss(out: Tensor, rng: Rng) -> Tensor:
-    """Scalar loss with a generic fixed cotangent."""
-    c = Tensor(rng.uniform(-1.0, 1.0, out.shape))
-    return sum_all(mul(out, c))
-
-
-def fd_tensor_grad(tensor: Tensor, loss_value, eps=1e-4) -> np.ndarray:
-    """Full-coordinate central differences for one parameter tensor,
-    evaluated by temporarily editing the tensor's data in place."""
-    grad = np.zeros_like(tensor.data)
-    flat = tensor.data.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = loss_value()
-        flat[i] = orig - eps
-        fm = loss_value()
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * eps)
-    return grad
+def bound_block(config, seed, lowrank_k=None):
+    """The parameters of one standalone block: the only virtual layer of
+    a bound one-layer plan."""
+    plan = repeat_plan(1, 1)
+    if lowrank_k is not None:
+        plan = replace(plan, lowrank=LowRankSpec(k=lowrank_k))
+    return bind_model(config, plan, seed).virtual_blocks()[0]
 
 
 def assert_params_match_fd(named_tensors, make_loss, tol=1e-5, eps=1e-4,
@@ -48,7 +40,7 @@ def assert_params_match_fd(named_tensors, make_loss, tol=1e-5, eps=1e-4,
     failures = {}
     for name, tensor in named_tensors.items():
         analytic = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-        fd = fd_tensor_grad(tensor, lambda: make_loss().item(), eps=eps)
+        fd = finite_diff_grad(lambda: make_loss().item(), tensor.data, eps)
         err = relative_error(analytic, fd, zero_floor=zero_floor)
         if err >= tol:
             failures[name] = err

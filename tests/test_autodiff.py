@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from confshare.autodiff import (NonFiniteError, Rng, ShapeError, Tape, Tensor,
-                                activation, add, backward, depthwise_conv1d,
+                                add, backward, depthwise_conv1d,
                                 finite_diff_grad, glu, layer_norm, matmul,
-                                mul, relative_error, scale, sigmoid, softmax,
-                                sum_all, swish, zero_grads)
-from conftest import assert_params_match_fd, fd_tensor_grad, rand_tensor
+                                mul, relative_error, scale, softmax, sum_all,
+                                swish, zero_grads)
+from conftest import assert_params_match_fd, bound_block, rand_tensor
 
 
 class TestRng:
@@ -185,20 +185,15 @@ class TestActivations:
         with pytest.raises(ShapeError, match="even"):
             glu(Tensor([1.0, 2.0, 3.0]))
 
-    def test_activation_dispatch(self):
-        assert activation(Tensor([0.0]), "sigmoid").data[0] == 0.5
-        with pytest.raises(ValueError, match="unknown activation"):
-            activation(Tensor([0.0]), "relu")
-
-    @pytest.mark.parametrize("kind,shape", [("swish", (4, 3)), ("sigmoid", (4, 3)),
-                                            ("glu", (4, 6))])
-    def test_gradients(self, rng, kind, shape):
+    @pytest.mark.parametrize("op,shape", [pytest.param(swish, (4, 3), id="swish-shape0"),
+                                          pytest.param(glu, (4, 6), id="glu-shape2")])
+    def test_gradients(self, rng, op, shape):
         x = rand_tensor(rng, shape, requires_grad=True, scale=2.0)
-        out_shape = shape if kind != "glu" else (shape[0], shape[1] // 2)
+        out_shape = shape if op is not glu else (shape[0], shape[1] // 2)
         c = Tensor(rng.uniform(-1, 1, out_shape))
 
         def make_loss():
-            return sum_all(mul(activation(x, kind), c))
+            return sum_all(mul(op(x), c))
 
         assert_params_match_fd({"x": x}, make_loss)
 
@@ -281,10 +276,10 @@ class TestBackward:
 
     def test_shared_block_repeated_three_times_matches_fd(self, rng):
         # tiny block so full-coordinate differences stay fast
-        from confshare.blocks import ModelConfig, conformer_block, init_block_params
+        from confshare.blocks import ModelConfig, conformer_block
 
         cfg = ModelConfig(d=4, e=2, heads=2, kernel_width=3, t_max=16)
-        params = init_block_params(cfg, Rng(5))
+        params = bound_block(cfg, 5)
         x = Tensor(rng.uniform(-1, 1, (5, 4)))
         c = Tensor(rng.uniform(-1, 1, (5, 4)))
 
@@ -326,16 +321,17 @@ class TestTape:
 
 class TestFiniteDiff:
     def test_quadratic(self):
-        grad = finite_diff_grad(lambda t: float(t[0] ** 2), np.array([3.0]), eps=1e-4)
+        theta = np.array([3.0])
+        grad = finite_diff_grad(lambda: float(theta[0] ** 2), theta, eps=1e-4)
         assert abs(grad[0] - 6.0) < 1e-7
 
     def test_constant(self):
-        grad = finite_diff_grad(lambda t: 5.0, np.zeros(4), eps=1e-4)
+        grad = finite_diff_grad(lambda: 5.0, np.zeros(4), eps=1e-4)
         assert np.max(np.abs(grad)) < 1e-10
 
     def test_rejects_non_finite_evaluation(self):
         with pytest.raises(NonFiniteError):
-            finite_diff_grad(lambda t: math.inf, np.zeros(2), eps=1e-4)
+            finite_diff_grad(lambda: math.inf, np.zeros(2), eps=1e-4)
 
     def test_two_parameter_slice_cross_check(self, rng):
         w = rand_tensor(rng, (2,), requires_grad=True)
@@ -345,16 +341,42 @@ class TestFiniteDiff:
             return sum_all(mul(swish(mul(w, x)), x))
 
         backward(loss_tensor())
-
-        def f(theta):
-            old = w.data.copy()
-            w.data[...] = theta
-            val = loss_tensor().item()
-            w.data[...] = old
-            return val
-
-        fd = finite_diff_grad(f, w.data.copy(), eps=1e-4)
+        before = w.data.copy()
+        fd = finite_diff_grad(lambda: loss_tensor().item(), w.data, eps=1e-4)
         assert relative_error(w.grad, fd) < 1e-5
+        assert w.data.tobytes() == before.tobytes()
+
+    def test_coordinate_subset_in_given_order(self):
+        theta = np.array([[1.0, 2.0], [3.0, 4.0]])
+        weights = np.array([[1.0, 10.0], [100.0, 1000.0]])
+        grad = finite_diff_grad(lambda: float((weights * theta).sum()), theta,
+                                eps=1e-3, coords=[3, 1])
+        assert grad.shape == (2,)
+        assert np.allclose(grad, [1000.0, 10.0], rtol=1e-9)
+
+    def test_restores_coordinate_when_evaluation_raises(self):
+        theta = np.array([0.5, -0.25])
+
+        def loss():
+            if theta[1] != -0.25:
+                raise NonFiniteError("perturbed evaluation failed")
+            return float(theta.sum())
+
+        with pytest.raises(NonFiniteError, match="perturbed"):
+            finite_diff_grad(loss, theta, eps=1e-4)
+        assert theta.tolist() == [0.5, -0.25]
+
+    def test_rejects_array_it_cannot_perturb_in_place(self):
+        frozen = np.zeros(3)
+        frozen.flags.writeable = False
+        for theta in (np.zeros((2, 3)).T, frozen):
+            with pytest.raises(ValueError, match="writeable C-contiguous"):
+                finite_diff_grad(lambda: 0.0, theta, eps=1e-4)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-4])
+    def test_rejects_non_positive_eps(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            finite_diff_grad(lambda: 0.0, np.zeros(2), eps=eps)
 
 
 class TestDeterminismAndFiniteness:

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from confshare.autodiff import Rng, ShapeError, Tensor, mul, sum_all
+from confshare.autodiff import ShapeError, Tensor, mul, sum_all
 from confshare.blocks import (LN_EPS, ModelConfig, attention, conformer_block,
-                              conv_module, feed_forward, init_block_params,
-                              init_module_params, layer_norm)
-from conftest import assert_params_match_fd, rand_tensor
+                              conv_module, feed_forward, layer_norm)
+from conftest import assert_params_match_fd, bound_block, rand_tensor
 
 
 def _cfg(**kw):
@@ -30,7 +29,7 @@ class TestModelConfig:
 class TestFeedForward:
     def test_residual_passthrough_when_projection_zero(self, rng):
         cfg = _cfg()
-        p = init_module_params(cfg, "ff_start", Rng(1))
+        p = bound_block(cfg, 1).ff_start
         p.w2.data[...] = 0.0
         p.b2.data[...] = 0.0
         x = rand_tensor(rng, (4, 8))
@@ -39,7 +38,7 @@ class TestFeedForward:
 
     def test_shape_contract(self, rng):
         cfg = _cfg(d=8, e=4)
-        p = init_module_params(cfg, "ff_start", Rng(1))
+        p = bound_block(cfg, 1).ff_start
         assert p.w1.shape == (8, 32)
         assert p.w2.shape == (32, 8)
         out = feed_forward(rand_tensor(rng, (5, 8)), p)
@@ -47,7 +46,7 @@ class TestFeedForward:
 
     def test_gradients(self, rng):
         cfg = _cfg(d=6, e=4, heads=2)
-        p = init_module_params(cfg, "ff_start", Rng(2))
+        p = bound_block(cfg, 2).ff_start
         x = rand_tensor(rng, (4, 6), requires_grad=True)
         c = Tensor(rng.uniform(-1, 1, (4, 6)))
 
@@ -61,7 +60,7 @@ class TestFeedForward:
 
 class TestAttention:
     def test_residual_passthrough_when_post_zero(self, rng):
-        p = init_module_params(_cfg(), "attention", Rng(3))
+        p = bound_block(_cfg(), 3).attn
         p.wpost.data[...] = 0.0
         x = rand_tensor(rng, (5, 8))
         out = attention(x, p)
@@ -69,7 +68,7 @@ class TestAttention:
 
     def test_single_timestep_closed_form(self, rng):
         cfg = _cfg()
-        p = init_module_params(cfg, "attention", Rng(4))
+        p = bound_block(cfg, 4).attn
         x = rng.uniform(-1, 1, (1, 8))
         out = attention(Tensor(x), p)
         # closed form: one key means the attention weight is exactly 1,
@@ -82,13 +81,13 @@ class TestAttention:
         assert np.max(np.abs(out.data - expected)) < 1e-12
 
     def test_rejects_sequences_beyond_t_max(self, rng):
-        p = init_module_params(_cfg(t_max=4), "attention", Rng(5))
+        p = bound_block(_cfg(t_max=4), 5).attn
         with pytest.raises(ShapeError, match="t_max"):
             attention(rand_tensor(rng, (5, 8)), p)
 
     def test_gradients(self, rng):
         cfg = _cfg(d=8, heads=2, t_max=8)
-        p = init_module_params(cfg, "attention", Rng(6))
+        p = bound_block(cfg, 6).attn
         x = rand_tensor(rng, (4, 8), requires_grad=True)
         c = Tensor(rng.uniform(-1, 1, (4, 8)))
 
@@ -105,7 +104,7 @@ class TestAttention:
 
 class TestConvModule:
     def test_residual_passthrough_when_post_zero(self, rng):
-        p = init_module_params(_cfg(d=10, heads=2), "conv", Rng(7))
+        p = bound_block(_cfg(d=10, heads=2), 7).conv
         p.wpost.data[...] = 0.0
         x = rand_tensor(rng, (6, 10))
         out = conv_module(x, p)
@@ -113,7 +112,7 @@ class TestConvModule:
 
     def test_stage_shapes(self):
         cfg = _cfg(d=10, heads=2)
-        p = init_module_params(cfg, "conv", Rng(8))
+        p = bound_block(cfg, 8).conv
         # documented intermediates: 6x20 after the pre-projection, 6x10 after glu
         assert p.wpre.shape == (10, 20)
         assert p.kdepth.shape == (3, 10)
@@ -122,7 +121,7 @@ class TestConvModule:
 
     def test_gradients(self, rng):
         cfg = _cfg(d=6, heads=2, kernel_width=3)
-        p = init_module_params(cfg, "conv", Rng(9))
+        p = bound_block(cfg, 9).conv
         x = rand_tensor(rng, (6, 6), requires_grad=True)
         c = Tensor(rng.uniform(-1, 1, (6, 6)))
 
@@ -132,13 +131,15 @@ class TestConvModule:
         named = {"x": x, "ln_gamma": p.ln_gamma, "wpre": p.wpre, "bpre": p.bpre,
                  "kdepth": p.kdepth, "norm_gamma": p.norm_gamma,
                  "norm_beta": p.norm_beta, "wpost": p.wpost, "bpost": p.bpost}
-        assert_params_match_fd(named, make_loss)
+        # smaller step: at eps=1e-4 the O(eps^2) truncation error on
+        # norm_gamma (smallest entry 2.1e-5) reaches 1.3e-5 relative
+        assert_params_match_fd(named, make_loss, eps=3e-5)
 
 
 class TestConformerBlock:
     def test_all_projections_zero_reduces_to_final_norm(self, rng):
         cfg = _cfg()
-        p = init_block_params(cfg, Rng(10))
+        p = bound_block(cfg, 10)
         for t in (p.ff_start.w2, p.ff_start.b2, p.attn.wpost, p.attn.bpost,
                   p.conv.wpost, p.conv.bpost, p.ff_end.w2, p.ff_end.b2):
             t.data[...] = 0.0
@@ -149,7 +150,7 @@ class TestConformerBlock:
 
     def test_equals_manual_composition_bitwise(self, rng):
         cfg = _cfg()
-        p = init_block_params(cfg, Rng(11))
+        p = bound_block(cfg, 11)
         x = rand_tensor(rng, (5, 8))
         manual = layer_norm(
             feed_forward(conv_module(attention(feed_forward(x, p.ff_start), p.attn),
@@ -161,13 +162,13 @@ class TestConformerBlock:
     def test_shape_preservation(self, rng):
         for d, heads in ((8, 2), (12, 4)):
             cfg = _cfg(d=d, heads=heads)
-            p = init_block_params(cfg, Rng(12))
+            p = bound_block(cfg, 12)
             out = conformer_block(rand_tensor(rng, (7, d)), p)
             assert out.shape == (7, d)
 
     def test_full_block_gradients(self, rng):
         cfg = _cfg(d=8, heads=2, kernel_width=3)
-        p = init_block_params(cfg, Rng(13))
+        p = bound_block(cfg, 13)
         x = rand_tensor(rng, (4, 8))
         c = Tensor(rng.uniform(-1, 1, (4, 8)))
 
@@ -191,7 +192,7 @@ class TestConformerBlock:
 
     def test_lowrank_block_gradients(self, rng):
         cfg = _cfg(d=8, heads=2, kernel_width=3)
-        p = init_block_params(cfg, Rng(14), lowrank_k=3)
+        p = bound_block(cfg, 14, lowrank_k=3)
         x = rand_tensor(rng, (4, 8))
         c = Tensor(rng.uniform(-1, 1, (4, 8)))
 

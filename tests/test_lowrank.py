@@ -1,63 +1,66 @@
 import numpy as np
 import pytest
 
-from confshare.autodiff import Rng, Tensor, mul, relative_error, sum_all, track_allocations
-from confshare.lowrank import (LowRankLinearParams, LowRankSpec, fold_sigma,
-                               init_lowrank_linear, lowrank_forward,
-                               lowrank_param_count, svd_truncate)
-from conftest import assert_params_match_fd, rand_tensor
+from confshare.autodiff import Tensor, mul, sum_all, track_allocations
+from confshare.blocks import apply_linear, init_tensor
+from confshare.lowrank import (LowRankFactors, LowRankSpec, check_rank_reduces,
+                               fold_sigma, lowrank_param_count, svd_truncate)
+from conftest import assert_params_match_fd
 
 
-def _raw_params(u, v, b):
-    return LowRankLinearParams(Tensor(u), Tensor(v), Tensor(b))
+def _factored_linear(m, n, k, rng):
+    """Trainable (m, k) and (n, k) factors with the block init, and a zero bias."""
+    check_rank_reduces(m, n, k)
+    w = LowRankFactors(init_tensor((m, k), "matrix", rng), init_tensor((n, k), "matrix", rng))
+    return w, init_tensor((n,), "zeros", rng)
 
 
 class TestLowRankForward:
     def test_zero_input_returns_bias_rows(self, rng):
-        p = init_lowrank_linear(6, 4, 2, rng)
-        p.b.data[...] = rng.uniform(-1, 1, (4,))
-        out = lowrank_forward(Tensor(np.zeros((3, 6))), p)
+        w, b = _factored_linear(6, 4, 2, rng)
+        b.data[...] = rng.uniform(-1, 1, (4,))
+        out = apply_linear(Tensor(np.zeros((3, 6))), w, b)
         for row in out.data:
-            assert np.array_equal(row, p.b.data)
+            assert np.array_equal(row, b.data)
 
     def test_full_rank_embedding_equals_dense(self, rng):
         # U = M with V = I reconstructs x @ M + b exactly; built raw since
-        # the constructor (rightly) refuses non-reducing ranks.
+        # check_rank_reduces (rightly) refuses non-reducing ranks.
         m = rng.uniform(-1, 1, (5, 3))
         b = rng.uniform(-1, 1, (3,))
         x = rng.uniform(-1, 1, (4, 5))
-        p = _raw_params(m, np.eye(3), b)
-        out = lowrank_forward(Tensor(x), p)
+        w = LowRankFactors(Tensor(m), Tensor(np.eye(3)))
+        out = apply_linear(Tensor(x), w, Tensor(b))
         assert np.max(np.abs(out.data - (x @ m + b))) < 1e-12
 
     def test_against_dense_materialization_oracle(self, rng):
         m, n, k = 12, 7, 3
-        p = init_lowrank_linear(m, n, k, rng)
-        p.b.data[...] = rng.uniform(-1, 1, (n,))
+        w, b = _factored_linear(m, n, k, rng)
+        b.data[...] = rng.uniform(-1, 1, (n,))
         x = rng.uniform(-1, 1, (9, m))
-        dense = p.u.data @ p.v.data.T  # oracle forms the m x n product
-        out = lowrank_forward(Tensor(x), p)
-        assert np.max(np.abs(out.data - (x @ dense + p.b.data))) < 1e-12
+        dense = w.u.data @ w.v.data.T  # oracle forms the m x n product
+        out = apply_linear(Tensor(x), w, b)
+        assert np.max(np.abs(out.data - (x @ dense + b.data))) < 1e-12
 
     def test_never_materializes_dense_product(self, rng):
         m, n, k, T = 40, 30, 3, 5
-        p = init_lowrank_linear(m, n, k, rng)
+        w, b = _factored_linear(m, n, k, rng)
         x = Tensor(rng.uniform(-1, 1, (T, m)))
         with track_allocations() as shapes:
-            lowrank_forward(x, p)
+            apply_linear(x, w, b)
         assert (m, n) not in shapes
         total = sum(int(np.prod(s)) for s in shapes)
         assert total <= T * k + 2 * T * n
 
     def test_gradients(self, rng):
-        p = init_lowrank_linear(6, 5, 2, rng)
+        w, b = _factored_linear(6, 5, 2, rng)
         x = Tensor(rng.uniform(-1, 1, (4, 6)))
         c = Tensor(rng.uniform(-1, 1, (4, 5)))
 
         def make_loss():
-            return sum_all(mul(lowrank_forward(x, p), c))
+            return sum_all(mul(apply_linear(x, w, b), c))
 
-        assert_params_match_fd({"u": p.u, "v": p.v, "b": p.b}, make_loss)
+        assert_params_match_fd({"u": w.u, "v": w.v, "b": b}, make_loss)
 
 
 class TestParamCount:
@@ -65,12 +68,12 @@ class TestParamCount:
         assert lowrank_param_count(100, 100, 10, with_bias=True) == 2100
         assert 100 * 100 + 100 == 10100  # dense comparison point
 
-    def test_boundary_rank_rejected(self, rng):
+    def test_boundary_rank_rejected(self):
         m, n = 8, 5
         k = min(m, n)
         assert lowrank_param_count(m, n, k, with_bias=False) >= m * n
         with pytest.raises(ValueError, match="does not reduce"):
-            init_lowrank_linear(m, n, k, rng)
+            check_rank_reduces(m, n, k)
 
     def test_published_feedforward_shape(self):
         # d=144 with expansion 4: dense 144x576 weight plus bias vs rank 50

@@ -102,6 +102,7 @@ class TestConfigGrammar:
         ("model.d 144", "expected 'section.key = value'"),
         ("d = 144", "missing its section"),
         ("model.unknown = 3", "unknown model key"),
+        ("model.d = abc", r"line 13: model\.d: expected an integer, got 'abc'"),
         ("plan.i_conv = 1,x", "comma-separated integers"),
         ("plan.share_misc_small = yes", "true or false"),
         ("train.lr = 1", "unknown section"),
@@ -164,6 +165,37 @@ class TestCheckpoints:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(ConfigError, match="payload"):
+            load_checkpoint(path)
+
+
+    @staticmethod
+    def _rewrite_manifest(path, edit):
+        """Apply ``edit`` to the manifest's tensor lines and payload."""
+        head, _, tail = path.read_bytes().partition(b"payload_bytes = ")
+        payload = tail.partition(b"\n")[2]
+        lines, payload = edit(head.decode("utf-8").splitlines(), payload)
+        path.write_bytes("\n".join(lines).encode("utf-8") + b"\n"
+                         + f"payload_bytes = {len(payload)}\n".encode("utf-8") + payload)
+
+    def test_dropped_tensor_rejected(self, tmp_path):
+        p = preset("SL0-small")
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(bind_model(p.config, p.plan, seed=1), path)
+        n_classes = p.config.num_classes
+        self._rewrite_manifest(path, lambda lines, payload: (
+            [l for l in lines if not l.startswith("tensor = encoder|head.b|")],
+            payload[:-8 * n_classes]))
+        with pytest.raises(ConfigError, match=r"need encoder\|head\.b\|1"):
+            load_checkpoint(path)
+
+    def test_swapped_shape_rejected(self, tmp_path):
+        p = preset("SL0-small")
+        assert (p.config.d, p.config.num_classes) == (16, 8)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(bind_model(p.config, p.plan, seed=1), path)
+        self._rewrite_manifest(path, lambda lines, payload: (
+            [l.replace("head.w|1|16x8", "head.w|1|8x16") for l in lines], payload))
+        with pytest.raises(ConfigError, match=r"encoder\|head\.w\|1\|8x16, .*16x8"):
             load_checkpoint(path)
 
 
@@ -244,6 +276,25 @@ class TestCli:
         assert run_cli("gradcheck", "--preset", "SL0-small", "--seed", "3",
                        "--samples", "2", "--frames", "4") == 0
         assert "gradcheck passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command,flags,message", [
+        ("gradcheck", ("--samples", "0"), "samples per tensor must be positive"),
+        ("gradcheck", ("--samples", "-3"), "samples per tensor must be positive"),
+        ("gradcheck", ("--eps", "0"), "eps must be positive"),
+        ("gradcheck", ("--batch", "0"), "batch must be positive"),
+        ("gradcheck", ("--frames", "0"), "frames must be positive"),
+        ("train", ("--steps", "0"), "steps must be positive"),
+        ("train", ("--steps", "-2"), "steps must be positive"),
+    ])
+    def test_non_positive_counts_rejected(self, command, flags, message, tmp_path, capsys):
+        out = tmp_path / "r.txt"
+        extra = ("--out", str(out)) if command == "train" else ()
+        assert run_cli(command, "--preset", "SL0-small", *flags, *extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert not out.exists()
 
     def test_train_deterministic_reports(self, tmp_path):
         out1 = tmp_path / "a.report"

@@ -95,25 +95,6 @@ class Rng:
         return out.reshape(shape) if shape else int(out[0])
 
 
-# Optional allocation trace, enabled by tests that assert an op never
-# materializes a large intermediate. A list of shapes or None.
-_alloc_trace: list[tuple[int, ...]] | None = None
-
-
-class track_allocations:
-    """Context manager recording the shape of every tensor created."""
-
-    def __enter__(self):
-        global _alloc_trace
-        _alloc_trace = []
-        return _alloc_trace
-
-    def __exit__(self, *exc):
-        global _alloc_trace
-        _alloc_trace = None
-        return False
-
-
 class Tensor:
     """A dense float64 array plus an optional backward rule.
 
@@ -134,8 +115,6 @@ class Tensor:
             arr = np.ascontiguousarray(arr)
         if not np.all(np.isfinite(arr)):
             raise NonFiniteError(f"{op or 'tensor'} produced non-finite values")
-        if _alloc_trace is not None:
-            _alloc_trace.append(arr.shape)
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
@@ -166,20 +145,6 @@ class Tensor:
     def __repr__(self):
         tag = self.op or ("leaf" if not self._parents else "node")
         return f"Tensor(shape={self.shape}, op={tag!r}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; the named functions below are the primary API.
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, s):
-        if isinstance(s, (int, float)):
-            return scale(self, float(s))
-        return mul(self, s)
-
-    __rmul__ = __mul__
 
 
 def as_tensor(x) -> Tensor:
@@ -367,13 +332,9 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # stable on both tails
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # stable on both tails: exp(-|x|) never overflows
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def swish(a: Tensor) -> Tensor:
@@ -503,7 +464,7 @@ def rel_position_gather(full: Tensor, t_max: int) -> Tensor:
     out[h, t, s] = full[h, t, s - t + t_max - 1].
     """
     full = as_tensor(full)
-    H, T, L = full.shape
+    _, T, L = full.shape
     if L != 2 * t_max - 1:
         raise ShapeError(f"rel_position_gather: table has {L} offsets, expected {2 * t_max - 1}")
     if T > t_max:
@@ -514,9 +475,9 @@ def rel_position_gather(full: Tensor, t_max: int) -> Tensor:
 
     def bw(g):
         if full.requires_grad:
+            # (t, s) -> (t, s - t + t_max - 1) is injective: no index repeats
             gf = np.zeros_like(full.data)
-            for h in range(H):
-                np.add.at(gf[h], (rows, cols), g[h])
+            gf[:, rows, cols] = g
             full.accumulate_grad(gf)
 
     return _result(out, "rel_position_gather", (full,), bw)

@@ -45,8 +45,9 @@ class ModelConfig:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"model dim must be positive, got {self.d}")
-        if self.e <= 0:
-            raise ValueError(f"feed-forward expansion must be positive, got {self.e}")
+        if not (math.isfinite(self.e) and self.e > 0):
+            raise ValueError(f"feed-forward expansion must be positive and finite, "
+                             f"got {self.e}")
         if self.heads < 1 or self.d % self.heads != 0:
             raise ValueError(f"heads must divide d: d={self.d}, heads={self.heads}")
         if self.kernel_width < 1 or self.kernel_width % 2 == 0:
@@ -195,67 +196,50 @@ def conformer_block(x: Tensor, p: BlockParams) -> Tensor:
 
 MODULE_TYPES = ("ff_start", "attention", "conv", "ff_end")
 
-# init kinds: "matrix" draws uniform +-sqrt(6/(fan_in+fan_out)),
+# Each row is (name, sub-component, shape, init kind). Shapes are written
+# in the symbols d (model dim), n (feed-forward width), w (conv kernel
+# width) and 2d. Init kinds: "matrix" draws uniform +-sqrt(6/(fan_in+fan_out)),
 # "zeros"/"ones" are what they say; "rel_table" is the encoder-level
 # relative-position table, a matrix with fan (d, d).
 _FF_TENSORS = (
-    ("ln.gamma", "misc_small", "ones"),
-    ("ln.beta", "misc_small", "zeros"),
-    ("linear1.w", "linear1", "matrix"),
-    ("linear1.b", "linear1", "zeros"),
-    ("linear2.w", "linear2", "matrix"),
-    ("linear2.b", "linear2", "zeros"),
+    ("ln.gamma", "misc_small", ("d",), "ones"),
+    ("ln.beta", "misc_small", ("d",), "zeros"),
+    ("linear1.w", "linear1", ("d", "n"), "matrix"),
+    ("linear1.b", "linear1", ("n",), "zeros"),
+    ("linear2.w", "linear2", ("n", "d"), "matrix"),
+    ("linear2.b", "linear2", ("d",), "zeros"),
 )
 _ATTN_TENSORS = (
-    ("ln.gamma", "misc_small", "ones"),
-    ("ln.beta", "misc_small", "zeros"),
-    ("query.w", "query", "matrix"),
-    ("query.b", "query", "zeros"),
-    ("key.w", "key", "matrix"),
-    ("key.b", "key", "zeros"),
-    ("value.w", "value", "matrix"),
-    ("value.b", "value", "zeros"),
-    ("post.w", "post", "matrix"),
-    ("post.b", "post", "zeros"),
-    ("pos_query.w", "pos_query", "matrix"),
-    ("pos_query.b", "pos_query", "zeros"),
+    ("ln.gamma", "misc_small", ("d",), "ones"),
+    ("ln.beta", "misc_small", ("d",), "zeros"),
+    ("query.w", "query", ("d", "d"), "matrix"),
+    ("query.b", "query", ("d",), "zeros"),
+    ("key.w", "key", ("d", "d"), "matrix"),
+    ("key.b", "key", ("d",), "zeros"),
+    ("value.w", "value", ("d", "d"), "matrix"),
+    ("value.b", "value", ("d",), "zeros"),
+    ("post.w", "post", ("d", "d"), "matrix"),
+    ("post.b", "post", ("d",), "zeros"),
+    ("pos_query.w", "pos_query", ("d", "d"), "matrix"),
+    ("pos_query.b", "pos_query", ("d",), "zeros"),
 )
 _CONV_TENSORS = (
-    ("ln.gamma", "misc_small", "ones"),
-    ("ln.beta", "misc_small", "zeros"),
-    ("pre.w", "pre_conv", "matrix"),
-    ("pre.b", "pre_conv", "zeros"),
-    ("depth.k", "depth_conv", "matrix"),
-    ("norm.gamma", "misc_small", "ones"),
-    ("norm.beta", "misc_small", "zeros"),
-    ("post.w", "post_conv", "matrix"),
-    ("post.b", "post_conv", "zeros"),
+    ("ln.gamma", "misc_small", ("d",), "ones"),
+    ("ln.beta", "misc_small", ("d",), "zeros"),
+    ("pre.w", "pre_conv", ("d", "2d"), "matrix"),
+    ("pre.b", "pre_conv", ("2d",), "zeros"),
+    ("depth.k", "depth_conv", ("w", "d"), "matrix"),
+    ("norm.gamma", "misc_small", ("d",), "ones"),
+    ("norm.beta", "misc_small", ("d",), "zeros"),
+    ("post.w", "post_conv", ("d", "d"), "matrix"),
+    ("post.b", "post_conv", ("d",), "zeros"),
 )
 # The final layer norm caps the whole block; it travels with ff_end's
 # misc-small group so that unsharing misc weights covers it too.
 _FF_END_EXTRA = (
-    ("final_ln.gamma", "misc_small", "ones"),
-    ("final_ln.beta", "misc_small", "zeros"),
+    ("final_ln.gamma", "misc_small", ("d",), "ones"),
+    ("final_ln.beta", "misc_small", ("d",), "zeros"),
 )
-
-
-def _tensor_shape(config: ModelConfig, module: str, name: str) -> tuple[int, ...]:
-    d, n, w = config.d, config.ffn_width, config.kernel_width
-    if name in ("ln.gamma", "ln.beta", "norm.gamma", "norm.beta",
-                "final_ln.gamma", "final_ln.beta"):
-        return (d,)
-    table = {
-        "linear1.w": (d, n), "linear1.b": (n,),
-        "linear2.w": (n, d), "linear2.b": (d,),
-        "query.w": (d, d), "query.b": (d,),
-        "key.w": (d, d), "key.b": (d,),
-        "value.w": (d, d), "value.b": (d,),
-        "post.w": (d, d), "post.b": (d,),
-        "pos_query.w": (d, d), "pos_query.b": (d,),
-        "pre.w": (d, 2 * d), "pre.b": (2 * d,),
-        "depth.k": (w, d),
-    }
-    return table[name]
 
 
 def module_tensor_specs(config: ModelConfig, module: str,
@@ -265,17 +249,19 @@ def module_tensor_specs(config: ModelConfig, module: str,
     ``lowrank_k`` replaces each feed-forward weight matrix by its two
     factors; biases stay dense.
     """
-    base = {"ff_start": _FF_TENSORS, "attention": _ATTN_TENSORS,
+    rows = {"ff_start": _FF_TENSORS, "attention": _ATTN_TENSORS,
             "conv": _CONV_TENSORS, "ff_end": _FF_TENSORS + _FF_END_EXTRA}[module]
-    ff_module = module in ("ff_start", "ff_end")
-    for name, sub, kind in base:
-        if ff_module and lowrank_k is not None and name in ("linear1.w", "linear2.w"):
-            m, n = _tensor_shape(config, module, name)
+    dims = {"d": config.d, "n": config.ffn_width, "w": config.kernel_width,
+            "2d": 2 * config.d}
+    for name, sub, symbols, kind in rows:
+        shape = tuple(dims[s] for s in symbols)
+        if lowrank_k is not None and name in ("linear1.w", "linear2.w"):
+            m, n = shape
             stem = name[:-2]
             yield f"{stem}.u", sub, (m, lowrank_k), "matrix"
             yield f"{stem}.v", sub, (n, lowrank_k), "matrix"
         else:
-            yield name, sub, _tensor_shape(config, module, name), kind
+            yield name, sub, shape, kind
 
 
 def init_tensor(shape: tuple[int, ...], kind: str, rng: Rng) -> Tensor:

@@ -24,8 +24,7 @@ import numpy as np
 from .autodiff import Tensor
 from .configio import ConfigError, parse_config_text, serialize_config
 from .encoder import BoundModel
-from .sharing import (Key, ParameterStore, key_str, parameter_layout,
-                      schedule_keys)
+from .sharing import Key, ParameterStore, key_str, parameter_layout
 
 FORMAT_TAG = "confshare-checkpoint-v1"
 
@@ -56,6 +55,13 @@ def save_checkpoint(model: BoundModel, path):
             fh.write(tensor.data.astype("<f8").tobytes())
 
 
+def _int(value: str, what: str, where: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"{where}: {what}: expected an integer, got {value!r}") from None
+
+
 def load_checkpoint(path) -> BoundModel:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -63,7 +69,9 @@ def load_checkpoint(path) -> BoundModel:
     if not sep:
         raise ConfigError(f"{path}: not a checkpoint (missing payload_bytes)")
     count_line, _, payload = tail.partition(b"\n")
-    expected = int(count_line)
+    head_lines = head.decode("utf-8").splitlines()
+    expected = _int(count_line.decode("utf-8", "replace"), "payload_bytes",
+                    f"{path}: line {len(head_lines) + 1}")
     if len(payload) != expected:
         raise ConfigError(f"{path}: payload is {len(payload)} bytes, "
                           f"manifest promises {expected}")
@@ -71,26 +79,35 @@ def load_checkpoint(path) -> BoundModel:
     seed = None
     config_lines = []
     tensor_keys: list[tuple[Key, tuple[int, ...]]] = []
-    for raw in head.decode("utf-8").splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        key, _, value = (part.strip() for part in line.partition("="))
+    for lineno, raw in enumerate(head_lines, start=1):
+        where = f"{path}: line {lineno}"
+        key, _, value = (part.strip() for part in raw.partition("="))
         if key == "format":
             if value != FORMAT_TAG:
-                raise ConfigError(f"{path}: unsupported format {value!r}")
+                raise ConfigError(f"{where}: unsupported format {value!r}")
         elif key == "seed":
-            seed = int(value)
+            seed = _int(value, "seed", where)
         elif key == "tensor":
-            module, name, group, shape = value.split("|")
-            dims = tuple(int(x) for x in shape.split("x"))
-            tensor_keys.append(((module, name, int(group)), dims))
+            fields = value.split("|")
+            if len(fields) != 4:
+                raise ConfigError(f"{where}: expected tensor = module|name|group|shape, "
+                                  f"got {value!r}")
+            module, name, group, shape = fields
+            dims = tuple(_int(x, "tensor shape", where) for x in shape.split("x"))
+            tensor_keys.append(((module, name, _int(group, "tensor group", where)), dims))
         else:
-            config_lines.append(line)
+            config_lines.append(raw)
+            continue
+        # a blank in place of each manifest line keeps config errors at
+        # their line number in the file
+        config_lines.append("")
     if seed is None:
         raise ConfigError(f"{path}: manifest is missing the seed")
 
-    config, plan = parse_config_text("\n".join(config_lines))
+    try:
+        config, plan = parse_config_text("\n".join(config_lines))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     layout = [(key, shape) for key, shape, _kind in parameter_layout(config, plan)]
     for i, (listed, needed) in enumerate(zip_longest(tensor_keys, layout)):
         if listed != needed:
@@ -108,6 +125,5 @@ def load_checkpoint(path) -> BoundModel:
         raise ConfigError(f"{path}: tensor list covers {offset} bytes, "
                           f"payload has {expected}")
 
-    store = ParameterStore(tensors=tensors, seed=seed)
-    return BoundModel(config=config, plan=plan, store=store,
-                      schedule=schedule_keys(config, plan))
+    return BoundModel(config=config, plan=plan,
+                      store=ParameterStore(tensors=tensors, seed=seed))

@@ -19,18 +19,18 @@ Chosen over a nested format for diff-friendliness.
     plan.i_conv = 1,2,3,4,5,6,7,8,9,10,11,12
     plan.i_ff_end = 1,1,1,2,2,2,3,3,3,4,4,4
     plan.unshared = attention.key          # optional
-    plan.share_misc_small = true           # optional, default true
     plan.lowrank_k = 50                    # optional, absent means dense
 
 `serialize_config` always emits keys in the order above, so round-trips
-are byte-stable.
+are byte-stable. One older plan key is still read, so that earlier files
+load to an equal plan (see ``parse_config_text``).
 """
 
 from __future__ import annotations
 
 from .blocks import ModelConfig
 from .lowrank import LowRankSpec
-from .sharing import SharingPlan
+from .sharing import ALL_MISC_SMALL, SharingPlan
 
 
 class ConfigError(ValueError):
@@ -81,17 +81,18 @@ def _int_vector(value: str, key: str, lineno: int) -> tuple[int, ...]:
                           f"got {value!r}") from None
 
 
-def _bool(value: str, key: str) -> bool:
+def _bool(value: str, key: str, lineno: int) -> bool:
     lowered = value.lower()
     if lowered in ("true", "false"):
         return lowered == "true"
-    raise ConfigError(f"{key}: expected true or false, got {value!r}")
+    raise ConfigError(f"line {lineno}: {key}: expected true or false, got {value!r}")
 
 
 def parse_config_text(text: str) -> tuple[ModelConfig, SharingPlan]:
     pairs = _parse_assignments(text)
     model: dict[str, object] = dict(_MODEL_DEFAULTS)
     plan_kwargs: dict[str, object] = {}
+    unshared: set[tuple[str, str]] = set()
     for key, (lineno, value) in pairs.items():
         section, _, name = key.partition(".")
         if section == "model":
@@ -100,29 +101,30 @@ def parse_config_text(text: str) -> tuple[ModelConfig, SharingPlan]:
             elif name == "e":
                 model[name] = _number(float, value, key, lineno)
             else:
-                raise ConfigError(f"unknown model key {name!r}")
+                raise ConfigError(f"line {lineno}: unknown model key {name!r}")
         elif section == "plan":
             if name == "v":
                 plan_kwargs["v"] = _number(int, value, key, lineno)
             elif name in _PLAN_VECTORS:
                 plan_kwargs[name] = _int_vector(value, key, lineno)
             elif name == "unshared":
-                subs = []
                 for item in filter(None, (s.strip() for s in value.split(","))):
                     mod, dot, sub = item.partition(".")
                     if not dot or not mod or not sub:
-                        raise ConfigError(f"plan.unshared: expected module.sub_component, "
-                                          f"got {item!r}")
-                    subs.append((mod, sub))
-                plan_kwargs["unshared"] = frozenset(subs)
+                        raise ConfigError(f"line {lineno}: plan.unshared: expected "
+                                          f"module.sub_component, got {item!r}")
+                    unshared.add((mod, sub))
             elif name == "share_misc_small":
-                plan_kwargs["share_misc_small"] = _bool(value, key)
+                # The older spelling of unsharing every <module>.misc_small.
+                if not _bool(value, key, lineno):
+                    unshared |= ALL_MISC_SMALL
             elif name == "lowrank_k":
                 plan_kwargs["lowrank"] = LowRankSpec(k=_number(int, value, key, lineno))
             else:
-                raise ConfigError(f"unknown plan key {name!r}")
+                raise ConfigError(f"line {lineno}: unknown plan key {name!r}")
         else:
-            raise ConfigError(f"unknown section {section!r} (expected model or plan)")
+            raise ConfigError(f"line {lineno}: unknown section {section!r} "
+                              f"(expected model or plan)")
 
     missing = [k for k in _MODEL_REQUIRED if k not in model]
     if missing:
@@ -135,7 +137,7 @@ def parse_config_text(text: str) -> tuple[ModelConfig, SharingPlan]:
         config = ModelConfig(**model)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return config, SharingPlan(**plan_kwargs)
+    return config, SharingPlan(unshared=frozenset(unshared), **plan_kwargs)
 
 
 def parse_config_file(path) -> tuple[ModelConfig, SharingPlan]:
@@ -161,8 +163,6 @@ def serialize_config(config: ModelConfig, plan: SharingPlan) -> str:
     if plan.unshared:
         subs = ",".join(f"{m}.{s}" for m, s in sorted(plan.unshared))
         lines.append(f"plan.unshared = {subs}")
-    if not plan.share_misc_small:
-        lines.append("plan.share_misc_small = false")
     if plan.lowrank is not None:
         lines.append(f"plan.lowrank_k = {plan.lowrank.k}")
     return "\n".join(lines) + "\n"

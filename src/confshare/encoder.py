@@ -14,7 +14,7 @@ from .autodiff import Tensor, add, as_tensor, matmul
 from .blocks import BlockParams, ModelConfig, assemble_block, conformer_block
 from .sharing import (FRONTEND_B, FRONTEND_W, HEAD_B, HEAD_W, REL_TABLE,
                       BoundSchedule, ParameterStore, SharingPlan,
-                      bind_parameters)
+                      bind_parameters, schedule_keys)
 
 
 @dataclass
@@ -26,11 +26,17 @@ class EvalCounter:
 
 @dataclass
 class BoundModel:
+    """A store of physical tensors read through the schedule that
+    (config, plan) lays out."""
+
     config: ModelConfig
     plan: SharingPlan
     store: ParameterStore
-    schedule: BoundSchedule
+    schedule: BoundSchedule = field(init=False, repr=False)
     _blocks: list[BlockParams] | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        self.schedule = schedule_keys(self.config, self.plan)
 
     def virtual_blocks(self) -> list[BlockParams]:
         """Materialize one BlockParams view per virtual layer (cached;
@@ -48,8 +54,7 @@ class BoundModel:
 
 
 def bind_model(config: ModelConfig, plan: SharingPlan, seed: int) -> BoundModel:
-    store, schedule = bind_parameters(config, plan, seed)
-    return BoundModel(config=config, plan=plan, store=store, schedule=schedule)
+    return BoundModel(config=config, plan=plan, store=bind_parameters(config, plan, seed))
 
 
 def encoder_forward(features, model: BoundModel,

@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 from .accounting import CalibratedDefaults, calibrate
 from .blocks import ModelConfig
 from .lowrank import LowRankSpec
-from .sharing import SharingPlan, repeat_plan, unshare_module, unshare_subcomponent
+from .sharing import (ALL_MISC_SMALL, SharingPlan, repeat_plan, unshare_module,
+                      unshare_subcomponent)
 
 SMALL_SUFFIX = "-small"
 SMALL_DIM = 16
@@ -48,13 +49,11 @@ def calibrated_defaults() -> CalibratedDefaults:
     return calibrate()
 
 
-def calibrated_config(d: int | None = None,
-                      external_params: int = EXTERNAL_DECODER_PARAMS,
-                      num_classes: int = 8) -> ModelConfig:
+def calibrated_config(d: int | None = None) -> ModelConfig:
     cal = calibrated_defaults()
     return ModelConfig(d=d if d is not None else cal.d, e=cal.e, heads=cal.heads,
-                       kernel_width=cal.kernel_width, num_classes=num_classes,
-                       t_max=cal.t_max, external_params=external_params)
+                       kernel_width=cal.kernel_width, t_max=cal.t_max,
+                       external_params=EXTERNAL_DECODER_PARAMS)
 
 
 def _sl5() -> SharingPlan:
@@ -124,7 +123,7 @@ def _builders():
                note=f"sub-component-unsharing sweep row {name}: SL5 base with "
                     f"{sub[0]}.{sub[1]} unshared",
                published=published)
-    define("SC10", lambda: replace(_sl5(), share_misc_small=False),
+    define("SC10", lambda: replace(_sl5(), unshared=ALL_MISC_SMALL),
            note="sub-component-unsharing sweep row SC10: SL5 base with all "
                 "misc small weights (norms) per virtual layer",
            published=5_360_000)

@@ -5,7 +5,8 @@ virtual layer count). Entry i names the physical group that virtual layer
 i's module binds to, so ``[1, 1, 1, 2, 2, 2]`` is two physical groups each
 applied three times, and ``[1, 2, 3, 4]`` is plain unshared stacking.
 Sub-component overrides carve individual weights out of their module's
-vector and give them one group per virtual layer instead.
+vector and give them one group per virtual layer instead; that is the
+only per-weight sharing decision a plan makes.
 
 Constraints on every index vector: length V, minimum entry 1, maximum
 entry at most V, and canonical labeling (ids are 1..G in first-occurrence
@@ -29,6 +30,10 @@ SUBCOMPONENTS: dict[str, tuple[str, ...]] = {
 }
 
 SubComponentId = tuple[str, str]  # (module, name)
+
+# Every layer norm of a block: unsharing these is sweep row SC10.
+ALL_MISC_SMALL: frozenset[SubComponentId] = frozenset(
+    (module, "misc_small") for module in SUBCOMPONENTS)
 
 _INDEX_FIELDS = {
     "ff_start": "i_ff_start",
@@ -54,16 +59,10 @@ class SharingPlan:
     i_conv: tuple[int, ...]
     i_ff_end: tuple[int, ...]
     unshared: frozenset[SubComponentId] = field(default_factory=frozenset)
-    share_misc_small: bool = True
     lowrank: LowRankSpec | None = None
 
     def index_vector(self, module: str) -> tuple[int, ...]:
         return getattr(self, _INDEX_FIELDS[module])
-
-    def is_unshared(self, module: str, name: str) -> bool:
-        if name == "misc_small" and not self.share_misc_small:
-            return True
-        return (module, name) in self.unshared
 
 
 def _is_canonical(vec) -> bool:
@@ -164,21 +163,17 @@ def unshare_subcomponent(plan: SharingPlan, sub: SubComponentId) -> SharingPlan:
     return replace(plan, unshared=plan.unshared | {sub})
 
 
-def physical_group_counts(plan: SharingPlan) -> dict[SubComponentId, int]:
-    """Distinct physical groups per (module, sub-component), overrides applied."""
-    counts = {}
-    for module in MODULE_TYPES:
-        module_groups = len(set(plan.index_vector(module)))
-        for name in SUBCOMPONENTS[module]:
-            counts[(module, name)] = plan.v if plan.is_unshared(module, name) else module_groups
-    return counts
-
-
 def subcomponent_group_ids(plan: SharingPlan, module: str, name: str) -> tuple[int, ...]:
     """The group id every virtual layer binds for one sub-component."""
-    if plan.is_unshared(module, name):
+    if (module, name) in plan.unshared:
         return tuple(range(1, plan.v + 1))
     return plan.index_vector(module)
+
+
+def physical_group_counts(plan: SharingPlan) -> dict[SubComponentId, int]:
+    """Distinct physical groups per (module, sub-component), overrides applied."""
+    return {(module, name): len(set(subcomponent_group_ids(plan, module, name)))
+            for module in MODULE_TYPES for name in SUBCOMPONENTS[module]}
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +224,6 @@ class ParameterStore:
     def total_scalars(self) -> int:
         return sum(t.size for t in self.tensors.values())
 
-    def gradients(self) -> dict[Key, object]:
-        return {k: t.grad for k, t in self.tensors.items() if t.grad is not None}
-
 
 @dataclass
 class BoundSchedule:
@@ -247,17 +239,12 @@ class BoundSchedule:
 def schedule_keys(config: ModelConfig, plan: SharingPlan) -> BoundSchedule:
     """Pure key layout of a plan; no tensors involved."""
     k = plan.lowrank.k if plan.lowrank is not None else None
-    entries = []
-    for i in range(plan.v):
-        entry: dict[str, dict[str, Key]] = {}
-        for module in MODULE_TYPES:
-            binding = {}
-            for name, sub, _shape, _kind in module_tensor_specs(config, module, k):
-                group = subcomponent_group_ids(plan, module, sub)[i]
-                binding[name] = (module, name, group)
-            entry[module] = binding
-        entries.append(entry)
-    return BoundSchedule(entries)
+    columns = {module: [(name, subcomponent_group_ids(plan, module, sub))
+                        for name, sub, _shape, _kind in module_tensor_specs(config, module, k)]
+               for module in MODULE_TYPES}
+    return BoundSchedule([{module: {name: (module, name, groups[i]) for name, groups in column}
+                           for module, column in columns.items()}
+                          for i in range(plan.v)])
 
 
 def parameter_layout(config: ModelConfig,
@@ -289,9 +276,8 @@ def parameter_layout(config: ModelConfig,
     return layout
 
 
-def bind_parameters(config: ModelConfig, plan: SharingPlan,
-                    seed: int) -> tuple[ParameterStore, BoundSchedule]:
-    """Allocate exactly one tensor per distinct key and lay out the schedule.
+def bind_parameters(config: ModelConfig, plan: SharingPlan, seed: int) -> ParameterStore:
+    """Allocate exactly one tensor per distinct key.
 
     Each tensor is initialized from its own SplitMix64 stream derived from
     (seed, key), so the result is independent of allocation order and
@@ -300,4 +286,4 @@ def bind_parameters(config: ModelConfig, plan: SharingPlan,
     base = Rng(seed)
     tensors = {key: init_tensor(shape, kind, base.derive(key_str(key)))
                for key, shape, kind in parameter_layout(config, plan)}
-    return ParameterStore(tensors=tensors, seed=seed), schedule_keys(config, plan)
+    return ParameterStore(tensors=tensors, seed=seed)

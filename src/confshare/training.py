@@ -16,6 +16,7 @@ import numpy as np
 from .autodiff import (NonFiniteError, Rng, Tensor, add, backward,
                        cross_entropy_mean, finite_diff_grad, fnv1a64, mix64,
                        relative_error, scale, zero_grads)
+from .configio import serialize_config
 from .encoder import BoundModel, encoder_forward
 from .sharing import Key
 
@@ -108,22 +109,9 @@ class TrainReport:
 
 
 def model_digest(model: BoundModel, seed: int) -> str:
-    """Opaque fingerprint of (config, plan, seed) for report headers.
-
-    Built from explicitly ordered fields: frozenset reprs depend on the
-    per-process hash seed and must not leak into anything byte-compared.
-    """
-    plan = model.plan
-    unshared = ",".join(f"{m}.{s}" for m, s in sorted(plan.unshared))
-    k = plan.lowrank.k if plan.lowrank is not None else "none"
-    text = "|".join([
-        repr(model.config),
-        f"v:{plan.v}",
-        f"ffs:{plan.i_ff_start}", f"att:{plan.i_attention}",
-        f"conv:{plan.i_conv}", f"ffe:{plan.i_ff_end}",
-        f"unshared:{unshared}", f"misc:{plan.share_misc_small}", f"k:{k}",
-        f"seed:{seed}",
-    ])
+    """Opaque fingerprint of (config, plan, seed) for report headers: a
+    hash of the canonical config text plus the seed."""
+    text = f"{serialize_config(model.config, model.plan)}seed = {seed}\n"
     return f"{mix64(fnv1a64(text)):016x}"
 
 
@@ -201,16 +189,15 @@ class GradcheckReport:
 def gradcheck_model(model: BoundModel, batch: tuple[np.ndarray, np.ndarray],
                     eps: float = 1e-4, tol: float = 1e-5,
                     samples_per_tensor: int = 8,
-                    keys: list[Key] | None = None,
-                    zero_floor: float = 1e-9) -> GradcheckReport:
+                    keys: list[Key] | None = None) -> GradcheckReport:
     """Backward gradients vs central finite differences on a seeded
     coordinate subset of every physical tensor (or the given slice of
     keys). An empty slice passes vacuously.
 
-    ``zero_floor`` treats coordinates where both sides are below 1e-9 as
-    agreeing at zero: the attention key bias is softmax-shift invariant,
-    so its true gradient is exactly zero and a finite difference there
-    only measures float64 rounding noise (about 1e-12 at this loss scale,
+    Coordinates where both sides are below 1e-9 count as agreeing at
+    zero: the attention key bias is softmax-shift invariant, so its true
+    gradient is exactly zero and a finite difference there only
+    measures float64 rounding noise (about 1e-12 at this loss scale,
     a thousand times below the floor, while any genuinely wrong gradient
     lands orders of magnitude above it).
     """
@@ -232,6 +219,6 @@ def gradcheck_model(model: BoundModel, batch: tuple[np.ndarray, np.ndarray],
         rng = Rng(model.store.seed).derive(f"gradcheck.{key}")
         coords = sorted({int(i) for i in rng.integers(tensor.size, (samples_per_tensor,))})
         fd = finite_diff_grad(loss_value, tensor.data, eps, coords)
-        worst = relative_error(analytic.reshape(-1)[coords], fd, zero_floor=zero_floor)
+        worst = relative_error(analytic.reshape(-1)[coords], fd, zero_floor=1e-9)
         entries.append(GradcheckEntry(key=key, max_rel_err=worst, checked=len(coords)))
     return GradcheckReport(entries=tuple(entries), tol=tol)

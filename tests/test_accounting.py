@@ -10,8 +10,8 @@ from confshare.accounting import (BLOCK_PCT_TARGETS, SizeBudget, calibrate,
 from confshare.blocks import ModelConfig
 from confshare.lowrank import LowRankSpec, lowrank_param_count
 from confshare.presets import calibrated_config, calibrated_defaults
-from confshare.sharing import (SharingPlan, bind_parameters, repeat_plan,
-                               unshare_module, unshare_subcomponent)
+from confshare.sharing import (ALL_MISC_SMALL, SharingPlan, bind_parameters,
+                               repeat_plan, unshare_module, unshare_subcomponent)
 
 
 def _cfg(**kw):
@@ -43,7 +43,7 @@ class TestCountParams:
         for sub in (("ff_start", "linear1"), ("conv", "depth_conv"),
                     ("ff_end", "misc_small")):
             plan = (unshare_subcomponent(base, sub) if sub[1] != "misc_small"
-                    else replace(base, share_misc_small=False))
+                    else replace(base, unshared=ALL_MISC_SMALL))
             delta = count_params(cfg, plan).grand_total - report.grand_total
             if sub[1] == "misc_small":
                 expected = sum((6 - 3) * sizes[(m, "misc_small")]
@@ -57,9 +57,9 @@ class TestCountParams:
         for plan in (repeat_plan(2, 3),
                      unshare_module(repeat_plan(4, 3), "conv"),
                      replace(repeat_plan(2, 2), lowrank=LowRankSpec(k=3)),
-                     replace(repeat_plan(2, 2), share_misc_small=False)):
+                     replace(repeat_plan(2, 2), unshared=ALL_MISC_SMALL)):
             report = count_params(cfg, plan)
-            store, _ = bind_parameters(cfg, plan, seed=0)
+            store = bind_parameters(cfg, plan, seed=0)
             assert report.encoder_total == store.total_scalars()
 
     def test_lowrank_changes_only_ff_linear_rows(self):

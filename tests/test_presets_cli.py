@@ -1,4 +1,6 @@
 import os
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from confshare.configio import (ConfigError, parse_config_text,
 from confshare.encoder import bind_model, encoder_forward
 from confshare.presets import (all_presets, calibrated_defaults, preset,
                                preset_names)
-from confshare.sharing import physical_group_counts, validate_plan
+from confshare.sharing import ALL_MISC_SMALL, physical_group_counts, validate_plan
 from confshare.autodiff import Rng, Tensor
 
 
@@ -56,7 +58,7 @@ class TestPresets:
 
     def test_sc10_unshares_misc(self):
         p = preset("SC10")
-        assert not p.plan.share_misc_small
+        assert p.plan.unshared == ALL_MISC_SMALL
         assert physical_group_counts(p.plan)[("conv", "misc_small")] == 12
 
     def test_unknown_name_lists_suggestions(self):
@@ -85,12 +87,18 @@ class TestConfigGrammar:
         assert serialize_config(config, plan) == text
 
     def test_round_trip_lowrank_and_misc(self):
-        from dataclasses import replace
         p = preset("LRS2")
-        plan = replace(p.plan, share_misc_small=False)
+        plan = replace(p.plan, unshared=ALL_MISC_SMALL)
         text = serialize_config(p.config, plan)
         config2, plan2 = parse_config_text(text)
         assert plan2 == plan
+        assert "share_misc_small" not in text
+
+    @pytest.mark.parametrize("value,name", [("false", "SC10"), ("true", "SL5")])
+    def test_older_share_misc_small_key(self, value, name):
+        sl5 = preset("SL5")
+        text = serialize_config(sl5.config, sl5.plan) + f"plan.share_misc_small = {value}\n"
+        assert parse_config_text(text)[1] == preset(name).plan
 
     def test_comments_and_blank_lines(self):
         p = preset("SL3")
@@ -103,9 +111,16 @@ class TestConfigGrammar:
         ("d = 144", "missing its section"),
         ("model.unknown = 3", "unknown model key"),
         ("model.d = abc", r"line 13: model\.d: expected an integer, got 'abc'"),
+        ("model.e = inf", "expansion must be positive and finite, got inf"),
+        ("model.e = nan", "expansion must be positive and finite, got nan"),
         ("plan.i_conv = 1,x", "comma-separated integers"),
         ("plan.share_misc_small = yes", "true or false"),
         ("train.lr = 1", "unknown section"),
+        ("model.e2 = 3", "line 14: unknown model key"),
+        ("plan.v2 = 1", "line 14: unknown plan key"),
+        ("plan.unshared = conv", r"line 14: plan\.unshared: expected module\.sub_component"),
+        ("plan.share_misc_small = no", r"line 14: plan\.share_misc_small: expected true or false"),
+        ("exp.lr = 1", "line 14: unknown section"),
     ])
     def test_parse_errors(self, line, message):
         p = preset("SL3")
@@ -198,6 +213,36 @@ class TestCheckpoints:
         with pytest.raises(ConfigError, match=r"encoder\|head\.w\|1\|8x16, .*16x8"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("tensor = encoder|head.b|1|8\n", "tensor = encoder|head.b|8\n",
+         r"expected tensor = module\|name\|group\|shape, got 'encoder\|head\.b\|8'"),
+        ("seed = 1\n", "seed = x1\n", "seed: expected an integer, got 'x1'"),
+        ("|80x16\n", "|80xq\n", "tensor shape: expected an integer, got 'q'"),
+        ("model.d = 16\n", "model.d = x6\n", r"model\.d: expected an integer, got 'x6'"),
+        ("payload_bytes = ", "payload_bytes = 12z", "payload_bytes: expected an integer"),
+    ])
+    def test_malformed_manifest_line_rejected(self, old, new, message, tmp_path):
+        p = preset("SL0-small")
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(bind_model(p.config, p.plan, seed=1), path)
+        blob = path.read_bytes()
+        lineno = blob[:blob.index(old.encode())].count(b"\n") + 1
+        path.write_bytes(blob.replace(old.encode(), new.encode(), 1))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: line {lineno}: {message}"):
+            load_checkpoint(path)
+
+    def test_loads_share_misc_small_checkpoint(self, tmp_path):
+        # The manifest line SC10 was saved with before plan.unshared took it.
+        p = preset("SC10-small")
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(bind_model(p.config, p.plan, seed=17), path)
+        blob = path.read_bytes()
+        line = (b"plan.unshared = attention.misc_small,conv.misc_small,"
+                b"ff_end.misc_small,ff_start.misc_small\n")
+        assert line in blob
+        path.write_bytes(blob.replace(line, b"plan.share_misc_small = false\n", 1))
+        assert load_checkpoint(path).plan == p.plan
+
 
 class TestCli:
     def test_describe_preset(self, capsys):
@@ -234,6 +279,18 @@ class TestCli:
         path.write_text(serialize_config(p.config, p.plan))
         assert run_cli("describe", str(path)) == 0
         assert "grand_total" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("e", ["inf", "nan"])
+    def test_describe_non_finite_e_fails(self, e, tmp_path, capsys):
+        p = preset("SL2")
+        path = tmp_path / "plan.conf"
+        path.write_text(serialize_config(p.config, p.plan).replace(
+            f"model.e = {p.config.e!r}", f"model.e = {e}"))
+        assert run_cli("describe", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
     def test_describe_unknown_preset_fails(self, capsys):
         assert run_cli("describe", "SL9") == 1

@@ -5,8 +5,8 @@ from confshare.autodiff import Rng, Tensor, backward, zero_grads
 from confshare.blocks import ModelConfig
 from confshare.encoder import BoundModel, EvalCounter, bind_model, encoder_forward
 from confshare.lowrank import LowRankSpec
-from confshare.sharing import (ParameterStore, SharingPlan, bind_parameters,
-                               canonicalize, canonicalize_plan,
+from confshare.sharing import (ALL_MISC_SMALL, ParameterStore, SharingPlan,
+                               bind_parameters, canonicalize, canonicalize_plan,
                                physical_group_counts, repeat_plan,
                                schedule_keys, unshare_module,
                                unshare_subcomponent, validate_plan)
@@ -91,8 +91,7 @@ class TestRepeatPlan:
                 plan = repeat_plan(n, r)
                 assert plan.v == n * r
                 counts = physical_group_counts(plan)
-                assert all(counts[(m, s)] == n for (m, s) in counts
-                           if s != "misc_small" or plan.share_misc_small)
+                assert all(count == n for count in counts.values())
 
 
 class TestUnshare:
@@ -124,7 +123,7 @@ class TestUnshare:
         assert physical_group_counts(plan)[("conv", "depth_conv")] == 12
 
     def test_unshare_misc_small_everywhere(self):
-        plan = replace(repeat_plan(4, 3), share_misc_small=False)
+        plan = replace(repeat_plan(4, 3), unshared=ALL_MISC_SMALL)
         counts = physical_group_counts(plan)
         for module in ("ff_start", "attention", "conv", "ff_end"):
             assert counts[(module, "misc_small")] == 12
@@ -158,8 +157,9 @@ class TestCanonicalization:
 class TestBinding:
     def test_sl5_store_group_counts(self):
         cfg = _cfg()
-        store, schedule = bind_parameters(cfg, repeat_plan(4, 3), seed=1)
-        assert len(schedule) == 12
+        model = bind_model(cfg, repeat_plan(4, 3), seed=1)
+        store = model.store
+        assert len(model.schedule) == 12
         groups = {g for (m, n, g) in store.keys() if m == "attention" and n == "query.w"}
         assert groups == {1, 2, 3, 4}
         groups = {g for (m, n, g) in store.keys() if m == "conv" and n == "depth.k"}
@@ -167,9 +167,9 @@ class TestBinding:
 
     def test_trivial_plan_matches_single_block_store(self):
         cfg = _cfg()
-        store_a, _ = bind_parameters(cfg, repeat_plan(1, 1), seed=9)
+        store_a = bind_parameters(cfg, repeat_plan(1, 1), seed=9)
         plan_b = _plan_with_vectors(1)
-        store_b, _ = bind_parameters(cfg, plan_b, seed=9)
+        store_b = bind_parameters(cfg, plan_b, seed=9)
         assert list(store_a.keys()) == list(store_b.keys())
         for key in store_a.keys():
             assert np.array_equal(store_a[key].data, store_b[key].data)
@@ -177,8 +177,8 @@ class TestBinding:
     def test_same_seed_bit_identical(self):
         cfg = _cfg()
         plan = unshare_subcomponent(repeat_plan(2, 3), ("attention", "key"))
-        store_a, _ = bind_parameters(cfg, plan, seed=123)
-        store_b, _ = bind_parameters(cfg, plan, seed=123)
+        store_a = bind_parameters(cfg, plan, seed=123)
+        store_b = bind_parameters(cfg, plan, seed=123)
         for key in store_a.keys():
             assert store_a[key].data.tobytes() == store_b[key].data.tobytes()
 
@@ -190,7 +190,7 @@ class TestBinding:
     def test_lowrank_binding_replaces_ff_linears(self):
         cfg = _cfg(d=8, e=4)
         plan = replace(repeat_plan(2, 1), lowrank=LowRankSpec(k=3))
-        store, _ = bind_parameters(cfg, plan, seed=4)
+        store = bind_parameters(cfg, plan, seed=4)
         names = {n for (m, n, g) in store.keys() if m == "ff_start"}
         assert "linear1.u" in names and "linear1.v" in names
         assert "linear1.w" not in names
@@ -206,11 +206,11 @@ class TestBinding:
     def test_unshared_subcomponent_gets_per_layer_groups(self):
         cfg = _cfg()
         plan = unshare_subcomponent(repeat_plan(2, 2), ("attention", "key"))
-        store, schedule = bind_parameters(cfg, plan, seed=2)
-        key_groups = {g for (m, n, g) in store.keys() if n == "key.w"}
+        model = bind_model(cfg, plan, seed=2)
+        key_groups = {g for (m, n, g) in model.store.keys() if n == "key.w"}
         assert key_groups == {1, 2, 3, 4}
         # virtual layer 2 (index 1) binds module group 1 but key group 2
-        entry = schedule.entries[1]["attention"]
+        entry = model.schedule.entries[1]["attention"]
         assert entry["query.w"] == ("attention", "query.w", 1)
         assert entry["key.w"] == ("attention", "key.w", 2)
 

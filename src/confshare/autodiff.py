@@ -10,9 +10,10 @@ Everything here is deliberately small and deterministic:
 * ``Rng`` is a counter-based SplitMix64 stream (documented below) so
   fixtures are reproducible across platforms and implementations.
 
-The op set is exactly what a conformer block needs: matmul (2-d, and
-3-d batched for attention heads), layer norm, softmax, swish/glu,
-a depthwise temporal convolution, plus reshape/transpose/gather plumbing.
+The op set is exactly what a conformer block needs: matmul (2-d with an
+optional fused bias, and 3-d batched for attention heads), layer norm,
+softmax, swish/glu, a depthwise temporal convolution, plus
+reshape/transpose/slice/gather plumbing.
 """
 
 from __future__ import annotations
@@ -192,10 +193,12 @@ class Tape:
 def backward(loss: Tensor) -> Tape:
     """Reverse-mode sweep from a scalar loss.
 
-    Populates ``.grad`` on every tensor with ``requires_grad`` reachable
+    Populates ``.grad`` on every leaf with ``requires_grad`` reachable
     from ``loss``; a leaf used several times receives the sum of its
-    per-use contributions, accumulated in reverse tape order. Returns the
-    tape for instrumentation.
+    per-use contributions, accumulated in reverse tape order. Interior
+    gradients are dropped as soon as their node has passed them on, so
+    after the sweep only leaves carry ``.grad``. Returns the tape for
+    instrumentation.
     """
     if loss.shape != ():
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -205,6 +208,7 @@ def backward(loss: Tensor) -> Tape:
         if node._backward is None or node.grad is None:
             continue
         node._backward(node.grad)
+        node.grad = None
     return tape
 
 
@@ -217,11 +221,14 @@ def zero_grads(tensors):
 # ops
 
 
-def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
+def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
+           bias: Tensor | None = None) -> Tensor:
     """Matrix product. 2-d x 2-d, or 3-d x 3-d batched over the leading axis.
 
     ``transpose_b=True`` computes ``a @ swap(b)`` without materializing the
     transpose (used for attention scores and low-rank V factors).
+    ``bias`` (2-d operands only) is a vector added to every row of the
+    product in place, so a linear layer is one tape node.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != b.ndim or a.ndim not in (2, 3):
@@ -232,8 +239,18 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
                          f"{' (transposed)' if transpose_b else ''}")
     bd = np.swapaxes(b.data, -1, -2) if transpose_b else b.data
     out = a.data @ bd
+    parents = (a, b)
+    if bias is not None:
+        bias = as_tensor(bias)
+        if a.ndim != 2 or bias.shape != out.shape[1:]:
+            raise ShapeError(f"matmul: bias {bias.shape} does not fit product "
+                             f"{out.shape} (2-d operands only)")
+        out += bias.data
+        parents = (a, b, bias)
 
     def bw(g):
+        if bias is not None and bias.requires_grad:
+            bias.accumulate_grad(g.sum(axis=0))
         if not transpose_b:
             if a.requires_grad:
                 a.accumulate_grad(g @ np.swapaxes(b.data, -1, -2))
@@ -246,26 +263,21 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
             if b.requires_grad:
                 b.accumulate_grad(np.swapaxes(g, -1, -2) @ a.data)
 
-    return _result(out, "matmul", (a, b), bw)
+    return _result(out, "matmul", parents, bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; b may broadcast over leading axes (bias add)."""
+    """Elementwise sum of two same-shaped tensors."""
     a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
-        if b.ndim > a.ndim or a.shape[a.ndim - b.ndim:] != b.shape:
-            raise ShapeError(f"add: incompatible shapes {a.shape} + {b.shape}")
+        raise ShapeError(f"add: incompatible shapes {a.shape} + {b.shape}")
     out = a.data + b.data
 
     def bw(g):
         if a.requires_grad:
             a.accumulate_grad(g)
         if b.requires_grad:
-            if b.shape == a.shape:
-                b.accumulate_grad(g)
-            else:
-                axes = tuple(range(a.ndim - b.ndim))
-                b.accumulate_grad(g.sum(axis=axes))
+            b.accumulate_grad(g)
 
     return _result(out, "add", (a, b), bw)
 
@@ -456,26 +468,41 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
     return _result(out, "depthwise_conv1d", (x, kernel), bw)
 
 
-def rel_position_gather(full: Tensor, t_max: int) -> Tensor:
+def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
+    """Rows ``start:stop`` of a 2-d tensor, as a view of its data."""
+    a = as_tensor(a)
+    if a.ndim != 2 or not 0 <= start < stop <= a.shape[0]:
+        raise ShapeError(f"slice_rows: rows [{start}, {stop}) of {a.shape}")
+    out = a.data[start:stop]
+
+    def bw(g):
+        if a.requires_grad:
+            ga = np.zeros_like(a.data)
+            ga[start:stop] = g
+            a.accumulate_grad(ga)
+
+    return _result(out, "slice_rows", (a,), bw)
+
+
+def rel_position_gather(full: Tensor) -> Tensor:
     """Pick relative-offset positional scores out of a dense table product.
 
-    full is (H, T, 2*t_max - 1) where column c holds the score for key
-    offset c - (t_max - 1) relative to the query. Returns (H, T, T) with
-    out[h, t, s] = full[h, t, s - t + t_max - 1].
+    full is (H, T, 2T - 1) where column c holds the score for key offset
+    c - (T - 1) relative to the query. Returns (H, T, T) with
+    out[h, t, s] = full[h, t, s - t + T - 1].
     """
     full = as_tensor(full)
-    _, T, L = full.shape
-    if L != 2 * t_max - 1:
-        raise ShapeError(f"rel_position_gather: table has {L} offsets, expected {2 * t_max - 1}")
-    if T > t_max:
-        raise ShapeError(f"rel_position_gather: T={T} exceeds t_max={t_max}")
+    if full.ndim != 3 or full.shape[2] != 2 * full.shape[1] - 1:
+        raise ShapeError(f"rel_position_gather: expected (H, T, 2T - 1) scores, "
+                         f"got {full.shape}")
+    T = full.shape[1]
     rows = np.arange(T)[:, None]
-    cols = (np.arange(T)[None, :] - np.arange(T)[:, None]) + (t_max - 1)
+    cols = (np.arange(T)[None, :] - np.arange(T)[:, None]) + (T - 1)
     out = full.data[:, rows, cols]
 
     def bw(g):
         if full.requires_grad:
-            # (t, s) -> (t, s - t + t_max - 1) is injective: no index repeats
+            # (t, s) -> (t, s - t + T - 1) is injective: no index repeats
             gf = np.zeros_like(full.data)
             gf[:, rows, cols] = g
             full.accumulate_grad(gf)

@@ -18,10 +18,18 @@ import numpy as np
 
 from .autodiff import (Rng, ShapeError, Tensor, add, depthwise_conv1d, glu,
                        layer_norm, matmul, rel_position_gather, reshape,
-                       scale, softmax, swish, transpose)
+                       scale, slice_rows, softmax, swish, transpose)
 from .lowrank import LowRankFactors
 
 LN_EPS = 1e-6
+
+
+class ModelConfigError(ValueError):
+    """A ``ModelConfig`` field is out of range; ``field`` names it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -44,20 +52,26 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.d < 1:
-            raise ValueError(f"model dim must be positive, got {self.d}")
+            raise ModelConfigError("d", f"model dim must be positive, got {self.d}")
         if not (math.isfinite(self.e) and self.e > 0):
-            raise ValueError(f"feed-forward expansion must be positive and finite, "
-                             f"got {self.e}")
+            raise ModelConfigError("e", f"feed-forward expansion must be positive and "
+                                        f"finite, got {self.e}")
         if self.heads < 1 or self.d % self.heads != 0:
-            raise ValueError(f"heads must divide d: d={self.d}, heads={self.heads}")
+            raise ModelConfigError("heads", f"heads must divide d: d={self.d}, "
+                                            f"heads={self.heads}")
         if self.kernel_width < 1 or self.kernel_width % 2 == 0:
-            raise ValueError(f"kernel width must be odd, got {self.kernel_width}")
+            raise ModelConfigError("kernel_width", f"kernel width must be odd, "
+                                                   f"got {self.kernel_width}")
+        if self.input_dim < 1:
+            raise ModelConfigError("input_dim", f"input_dim must be positive, "
+                                                f"got {self.input_dim}")
         if self.num_classes < 1:
-            raise ValueError(f"num_classes must be positive, got {self.num_classes}")
+            raise ModelConfigError("num_classes", f"num_classes must be positive, "
+                                                  f"got {self.num_classes}")
         if self.t_max < 1:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+            raise ModelConfigError("t_max", f"t_max must be positive, got {self.t_max}")
         if self.external_params < 0:
-            raise ValueError("external_params must be non-negative")
+            raise ModelConfigError("external_params", "external_params must be non-negative")
 
     @property
     def ffn_width(self) -> int:
@@ -121,8 +135,8 @@ class BlockParams:
 
 def apply_linear(x: Tensor, w: Tensor | LowRankFactors, b: Tensor) -> Tensor:
     if isinstance(w, LowRankFactors):
-        return add(matmul(matmul(x, w.u), w.v, transpose_b=True), b)
-    return add(matmul(x, w), b)
+        return matmul(matmul(x, w.u), w.v, transpose_b=True, bias=b)
+    return matmul(x, w, bias=b)
 
 
 def feed_forward(x: Tensor, p: FeedForwardParams) -> Tensor:
@@ -139,43 +153,44 @@ def attention(x: Tensor, p: AttentionParams) -> Tensor:
     positional-query projection of frame t dotted with the table row for
     offset s - t. The table rows double as positional keys, so there is a
     single pos-query projection and no separate positional key matrix.
+    Only the 2T - 1 rows a length-T input can reach enter the product.
     """
     T, d = x.shape
     H = p.heads
     dh = d // H
-    L = p.rel_emb.shape[0]
-    t_max = (L + 1) // 2
+    t_max = (p.rel_emb.shape[0] + 1) // 2
     if T > t_max:
         raise ShapeError(f"attention: sequence length {T} exceeds t_max {t_max}")
 
     xn = layer_norm(x, p.ln_gamma, p.ln_beta, LN_EPS)
-    q = add(matmul(xn, p.wq), p.bq)
-    k = add(matmul(xn, p.wk), p.bk)
-    v = add(matmul(xn, p.wv), p.bv)
-    pq = add(matmul(xn, p.wpos_query), p.bpos_query)
+    q = matmul(xn, p.wq, bias=p.bq)
+    k = matmul(xn, p.wk, bias=p.bk)
+    v = matmul(xn, p.wv, bias=p.bv)
+    pq = matmul(xn, p.wpos_query, bias=p.bpos_query)
 
     def split_heads(t: Tensor, rows: int) -> Tensor:
         return transpose(reshape(t, (rows, H, dh)), (1, 0, 2))
 
     q3, k3, v3, pq3 = (split_heads(t, T) for t in (q, k, v, pq))
-    rel3 = split_heads(p.rel_emb, L)
+    # table row t_max - 1 + o holds offset o; offsets -(T-1) .. T-1 are reachable
+    rel3 = split_heads(slice_rows(p.rel_emb, t_max - T, t_max + T - 1), 2 * T - 1)
 
     content = matmul(q3, k3, transpose_b=True)          # (H, T, T)
-    pos_full = matmul(pq3, rel3, transpose_b=True)      # (H, T, L)
-    pos = rel_position_gather(pos_full, t_max)          # (H, T, T)
+    pos_full = matmul(pq3, rel3, transpose_b=True)      # (H, T, 2T - 1)
+    pos = rel_position_gather(pos_full)                 # (H, T, T)
     weights = softmax(scale(add(content, pos), 1.0 / math.sqrt(dh)))
     ctx = matmul(weights, v3)                           # (H, T, dh)
     merged = reshape(transpose(ctx, (1, 0, 2)), (T, d))
-    return add(x, add(matmul(merged, p.wpost), p.bpost))
+    return add(x, matmul(merged, p.wpost, bias=p.bpost))
 
 
 def conv_module(x: Tensor, p: ConvParams) -> Tensor:
     """x + Wpost . swish(LN(depthwise(glu(Wpre . LN(x) + bpre)))) + bpost."""
     xn = layer_norm(x, p.ln_gamma, p.ln_beta, LN_EPS)
-    gated = glu(add(matmul(xn, p.wpre), p.bpre))
+    gated = glu(matmul(xn, p.wpre, bias=p.bpre))
     conv = depthwise_conv1d(gated, p.kdepth)
     normed = layer_norm(conv, p.norm_gamma, p.norm_beta, LN_EPS)
-    return add(x, add(matmul(swish(normed), p.wpost), p.bpost))
+    return add(x, matmul(swish(normed), p.wpost, bias=p.bpost))
 
 
 def conformer_block(x: Tensor, p: BlockParams) -> Tensor:

@@ -65,11 +65,23 @@ def _int(value: str, what: str, where: str) -> int:
 def load_checkpoint(path) -> BoundModel:
     with open(path, "rb") as fh:
         blob = fh.read()
-    head, sep, tail = blob.partition(b"payload_bytes = ")
-    if not sep:
+    marker = b"payload_bytes = "
+    at = blob.find(marker)
+    if at < 0:
         raise ConfigError(f"{path}: not a checkpoint (missing payload_bytes)")
-    count_line, _, payload = tail.partition(b"\n")
-    head_lines = head.decode("utf-8").splitlines()
+    head = blob[:at]
+    end = blob.find(b"\n", at)
+    if end < 0:
+        end = len(blob)
+    count_line = blob[at + len(marker):end]
+    # a view, not a copy: the payload is most of the file
+    payload = memoryview(blob)[end + 1:]
+    try:
+        head_lines = head.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = head[:exc.start].count(b"\n") + 1
+        raise ConfigError(f"{path}: line {lineno}: not UTF-8 text "
+                          f"(byte {head[exc.start]:#04x})") from None
     expected = _int(count_line.decode("utf-8", "replace"), "payload_bytes",
                     f"{path}: line {len(head_lines) + 1}")
     if len(payload) != expected:
@@ -108,7 +120,10 @@ def load_checkpoint(path) -> BoundModel:
         config, plan = parse_config_text("\n".join(config_lines))
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    layout = [(key, shape) for key, shape, _kind in parameter_layout(config, plan)]
+    try:
+        layout = [(key, shape) for key, shape, _kind in parameter_layout(config, plan)]
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     for i, (listed, needed) in enumerate(zip_longest(tensor_keys, layout)):
         if listed != needed:
             raise ConfigError(f"{path}: tensor {i} is {_describe(listed)}, but the "

@@ -14,7 +14,7 @@ from dataclasses import replace
 from .accounting import SizeBudget, count_params, fit_dim_to_budget, report_table
 from .checkpoint import save_checkpoint
 from .configio import parse_config_file, serialize_config
-from .encoder import bind_model
+from .encoder import bind_model, check_frames
 from .presets import calibrated_defaults, preset
 from .sharing import validate_plan
 from .training import (OptimizerState, ToyTaskSpec, generate_toy_batch,
@@ -109,6 +109,7 @@ def _cmd_gradcheck(args) -> int:
     config, plan, _ = _resolve_flags(args)
     spec = ToyTaskSpec(feature_dim=config.input_dim, num_classes=config.num_classes,
                        frames=args.frames, batch=args.batch)
+    check_frames(config, spec.frames)
     model = bind_model(config, plan, args.seed)
     batch = generate_toy_batch(spec, args.seed, 0)
     report = gradcheck_model(model, batch, eps=args.eps, tol=args.tol,
@@ -124,8 +125,9 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_train(args) -> int:
     config, plan, _ = _resolve_flags(args)
-    model = bind_model(config, plan, args.seed)
     spec = ToyTaskSpec(feature_dim=config.input_dim, num_classes=config.num_classes)
+    check_frames(config, spec.frames)
+    model = bind_model(config, plan, args.seed)
     report = train_steps(model, spec, OptimizerState(), args.steps, args.seed)
     text = serialize_report(report)
     if args.out:

@@ -28,7 +28,7 @@ load to an equal plan (see ``parse_config_text``).
 
 from __future__ import annotations
 
-from .blocks import ModelConfig
+from .blocks import ModelConfig, ModelConfigError
 from .lowrank import LowRankSpec
 from .sharing import ALL_MISC_SMALL, SharingPlan
 
@@ -119,7 +119,11 @@ def parse_config_text(text: str) -> tuple[ModelConfig, SharingPlan]:
                 if not _bool(value, key, lineno):
                     unshared |= ALL_MISC_SMALL
             elif name == "lowrank_k":
-                plan_kwargs["lowrank"] = LowRankSpec(k=_number(int, value, key, lineno))
+                k = _number(int, value, key, lineno)
+                try:
+                    plan_kwargs["lowrank"] = LowRankSpec(k=k)
+                except ValueError as exc:
+                    raise ConfigError(f"line {lineno}: {key}: {exc}") from None
             else:
                 raise ConfigError(f"line {lineno}: unknown plan key {name!r}")
         else:
@@ -135,8 +139,10 @@ def parse_config_text(text: str) -> tuple[ModelConfig, SharingPlan]:
 
     try:
         config = ModelConfig(**model)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    except ModelConfigError as exc:
+        key = f"model.{exc.field}"
+        # an out-of-range field was set in the text: defaults are valid
+        raise ConfigError(f"line {pairs[key][0]}: {key}: {exc}") from None
     return config, SharingPlan(unshared=frozenset(unshared), **plan_kwargs)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .autodiff import Tensor, add, as_tensor, matmul
+from .autodiff import Tensor, as_tensor, matmul
 from .blocks import BlockParams, ModelConfig, assemble_block, conformer_block
 from .sharing import (FRONTEND_B, FRONTEND_W, HEAD_B, HEAD_W, REL_TABLE,
                       BoundSchedule, ParameterStore, SharingPlan,
@@ -57,6 +57,12 @@ def bind_model(config: ModelConfig, plan: SharingPlan, seed: int) -> BoundModel:
     return BoundModel(config=config, plan=plan, store=bind_parameters(config, plan, seed))
 
 
+def check_frames(config: ModelConfig, frames: int):
+    """Reject inputs longer than the relative-position table reaches."""
+    if frames > config.t_max:
+        raise ValueError(f"{frames} frames exceed the model's t_max of {config.t_max}")
+
+
 def encoder_forward(features, model: BoundModel,
                     counter: EvalCounter | None = None) -> Tensor:
     """(T, input_dim) features -> (T, num_classes) logits.
@@ -68,9 +74,10 @@ def encoder_forward(features, model: BoundModel,
     x = as_tensor(features)
     if x.ndim != 2 or x.shape[1] != model.config.input_dim:
         raise ValueError(f"expected (T, {model.config.input_dim}) features, got {x.shape}")
-    x = add(matmul(x, model.store[FRONTEND_W]), model.store[FRONTEND_B])
+    check_frames(model.config, x.shape[0])
+    x = matmul(x, model.store[FRONTEND_W], bias=model.store[FRONTEND_B])
     for params in model.virtual_blocks():
         x = conformer_block(x, params)
         if counter is not None:
             counter.block_evals += 1
-    return add(matmul(x, model.store[HEAD_W]), model.store[HEAD_B])
+    return matmul(x, model.store[HEAD_W], bias=model.store[HEAD_B])

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from confshare.accounting import (SizeBudget, count_params, fit_dim_to_budget)
-from confshare.autodiff import Rng, Tensor, add, matmul
+from confshare.autodiff import Rng, Tensor, matmul
 from confshare.blocks import ModelConfig, conformer_block
 from confshare.checkpoint import load_checkpoint, save_checkpoint
 from confshare.cli import main as cli_main
@@ -55,10 +55,10 @@ def test_02_virtual_composition_bitwise():
     x = Tensor(Rng(2).uniform(-1, 1, (6, cfg.input_dim)))
     logits = encoder_forward(x, model)
     block = model.virtual_blocks()[0]
-    h = add(matmul(x, model.store[FRONTEND_W]), model.store[FRONTEND_B])
+    h = matmul(x, model.store[FRONTEND_W], bias=model.store[FRONTEND_B])
     for _ in range(3):
         h = conformer_block(h, block)
-    manual = add(matmul(h, model.store[HEAD_W]), model.store[HEAD_B])
+    manual = matmul(h, model.store[HEAD_W], bias=model.store[HEAD_B])
     bitwise = np.array_equal(logits.data, manual.data)
 
     counter = EvalCounter()

@@ -88,16 +88,37 @@ class TestMatmul:
         for h in range(3):
             assert np.array_equal(out.data[h], a[h] @ b[h])
 
-    @pytest.mark.parametrize("transpose_b", [False, True])
-    def test_gradients(self, rng, transpose_b):
+    @pytest.mark.parametrize("transpose_b,with_bias", [
+        pytest.param(False, False, id="False"), pytest.param(True, False, id="True"),
+        pytest.param(False, True, id="bias-False"), pytest.param(True, True, id="bias-True")])
+    def test_gradients(self, rng, transpose_b, with_bias):
         a = rand_tensor(rng, (4, 3), requires_grad=True)
         b = rand_tensor(rng, (5, 3) if transpose_b else (3, 5), requires_grad=True)
         c = Tensor(rng.uniform(-1, 1, (4, 5)))
+        named = {"a": a, "b": b}
+        if with_bias:
+            named["bias"] = rand_tensor(rng, (5,), requires_grad=True)
 
         def make_loss():
-            return sum_all(mul(matmul(a, b, transpose_b=transpose_b), c))
+            return sum_all(mul(matmul(a, b, transpose_b=transpose_b,
+                                      bias=named.get("bias")), c))
 
-        assert_params_match_fd({"a": a, "b": b}, make_loss)
+        assert_params_match_fd(named, make_loss)
+
+    def test_bias_adds_to_every_row(self, rng):
+        a = rand_tensor(rng, (4, 3))
+        b = rand_tensor(rng, (3, 5))
+        bias = rand_tensor(rng, (5,))
+        out = matmul(a, b, bias=bias)
+        assert out.data.tobytes() == (a.data @ b.data + bias.data).tobytes()
+
+    def test_bias_needs_2d_operands_and_matching_width(self, rng):
+        with pytest.raises(ShapeError, match="bias"):
+            matmul(rand_tensor(rng, (2, 4, 3)), rand_tensor(rng, (2, 3, 5)),
+                   bias=rand_tensor(rng, (5,)))
+        with pytest.raises(ShapeError, match="bias"):
+            matmul(rand_tensor(rng, (4, 3)), rand_tensor(rng, (3, 5)),
+                   bias=rand_tensor(rng, (4,)))
 
 
 class TestLayerNorm:
@@ -269,6 +290,18 @@ class TestBackward:
 
         backward(add(sum_all(matmul(w, a)), sum_all(matmul(b, w))))
         assert np.array_equal(w.grad, grad_f + grad_g)
+
+    def test_only_leaves_keep_gradients(self, rng):
+        from confshare.blocks import ModelConfig, conformer_block
+
+        params = bound_block(ModelConfig(d=4, e=2, heads=2, kernel_width=3, t_max=8), 1)
+        x = rand_tensor(rng, (3, 4), requires_grad=True)
+        tape = backward(sum_all(conformer_block(x, params)))
+        interior = [n for n in tape.nodes if n._parents]
+        leaves = [n for n in tape.nodes if not n._parents and n.requires_grad]
+        assert interior and leaves
+        assert all(n.grad is None for n in interior)
+        assert all(n.grad is not None and n.grad.shape == n.shape for n in leaves)
 
     def test_rejects_non_scalar_loss(self, rng):
         with pytest.raises(ShapeError, match="scalar"):

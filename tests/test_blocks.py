@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from confshare.autodiff import ShapeError, Tensor, mul, sum_all
+from confshare.autodiff import ShapeError, Tensor, backward, mul, sum_all
 from confshare.blocks import (LN_EPS, ModelConfig, attention, conformer_block,
                               conv_module, feed_forward, layer_norm)
 from conftest import assert_params_match_fd, bound_block, rand_tensor
@@ -100,6 +100,60 @@ class TestAttention:
                  "wpos_query": p.wpos_query, "bpos_query": p.bpos_query,
                  "rel_emb": p.rel_emb}
         assert_params_match_fd(named, make_loss)
+
+
+    def test_against_table_lookup_oracle(self, rng):
+        # pos[t, s] reads table row t_max - 1 + (s - t), per head
+        cfg = _cfg(t_max=16)
+        p = bound_block(cfg, 10).attn
+        for w in (p.bq, p.bk, p.bv, p.bpos_query, p.bpost):
+            w.data[...] = rng.uniform(-1, 1, w.shape)
+        T, H, dh = 5, cfg.heads, cfg.d // cfg.heads
+        x = rng.uniform(-1, 1, (T, cfg.d))
+        mu = x.mean(axis=-1, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+        xn = p.ln_gamma.data * (x - mu) / np.sqrt(var + LN_EPS) + p.ln_beta.data
+        q, k, v, pq = (xn @ w.data + b.data for w, b in ((p.wq, p.bq), (p.wk, p.bk),
+                                                         (p.wv, p.bv),
+                                                         (p.wpos_query, p.bpos_query)))
+        ctx = np.zeros((T, cfg.d))
+        for h in range(H):
+            cols = slice(h * dh, (h + 1) * dh)
+            scores = np.zeros((T, T))
+            for t in range(T):
+                for u in range(T):
+                    row = p.rel_emb.data[cfg.t_max - 1 + u - t, cols]
+                    scores[t, u] = q[t, cols] @ k[u, cols] + pq[t, cols] @ row
+            e = np.exp(scores / np.sqrt(dh))
+            ctx[:, cols] = (e / e.sum(axis=1, keepdims=True)) @ v[:, cols]
+        expected = x + ctx @ p.wpost.data + p.bpost.data
+        out = attention(Tensor(x), p)
+        assert np.max(np.abs(out.data - expected)) < 1e-12
+
+    def test_only_reachable_offsets_enter_the_product(self, rng):
+        cfg = _cfg(t_max=16)
+        p = bound_block(cfg, 8).attn
+        T = 5
+        tape = backward(sum_all(attention(rand_tensor(rng, (T, 8)), p)))
+        assert max(n.shape[2] for n in tape.nodes if n.op and n.ndim == 3) == 2 * T - 1
+        grad = p.rel_emb.grad
+        window = slice(cfg.t_max - T, cfg.t_max + T - 1)
+        outside = np.delete(grad, np.arange(cfg.rel_table_len)[window], axis=0)
+        assert outside.shape == (cfg.rel_table_len - (2 * T - 1), 8)
+        assert np.all(outside == 0.0)
+        assert np.all(np.any(grad[window] != 0.0, axis=1))
+
+    def test_gradients_at_t_max(self, rng):
+        cfg = _cfg(d=8, heads=2, t_max=4)
+        p = bound_block(cfg, 9).attn
+        x = rand_tensor(rng, (cfg.t_max, 8), requires_grad=True)
+        c = Tensor(rng.uniform(-1, 1, (cfg.t_max, 8)))
+
+        def make_loss():
+            return sum_all(mul(attention(x, p), c))
+
+        assert_params_match_fd({"x": x, "wpos_query": p.wpos_query, "rel_emb": p.rel_emb},
+                               make_loss)
 
 
 class TestConvModule:

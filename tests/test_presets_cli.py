@@ -121,6 +121,13 @@ class TestConfigGrammar:
         ("plan.unshared = conv", r"line 14: plan\.unshared: expected module\.sub_component"),
         ("plan.share_misc_small = no", r"line 14: plan\.share_misc_small: expected true or false"),
         ("exp.lr = 1", "line 14: unknown section"),
+        ("model.e = inf", r"^line 13: model\.e: feed-forward expansion must be positive"),
+        ("model.heads = 5", r"^line 13: model\.heads: heads must divide d: d=144, heads=5"),
+        ("model.d = 146", r"^line 2: model\.heads: heads must divide d: d=146, heads=4"),
+        ("model.kernel_width = 4", r"^line 13: model\.kernel_width: kernel width must be odd"),
+        ("model.t_max = 0", r"^line 13: model\.t_max: t_max must be positive"),
+        ("model.input_dim = 0", r"^line 13: model\.input_dim: input_dim must be positive"),
+        ("plan.lowrank_k = 0", r"^line 14: plan\.lowrank_k: low-rank k must be >= 1"),
     ])
     def test_parse_errors(self, line, message):
         p = preset("SL3")
@@ -229,6 +236,27 @@ class TestCheckpoints:
         lineno = blob[:blob.index(old.encode())].count(b"\n") + 1
         path.write_bytes(blob.replace(old.encode(), new.encode(), 1))
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: line {lineno}: {message}"):
+            load_checkpoint(path)
+
+    def test_non_utf8_manifest_rejected(self, tmp_path):
+        p = preset("SL0-small")
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(bind_model(p.config, p.plan, seed=1), path)
+        blob = path.read_bytes()
+        lineno = blob[:blob.index(b"seed = 1\n")].count(b"\n") + 1
+        path.write_bytes(blob.replace(b"seed = 1\n", b"seed = 1\xff\n", 1))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: line {lineno}: "
+                                              f"not UTF-8 text"):
+            load_checkpoint(path)
+
+    def test_invalid_plan_rejected(self, tmp_path):
+        p = preset("SL0-small")
+        assert p.plan.v == 1
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(bind_model(p.config, p.plan, seed=1), path)
+        path.write_bytes(path.read_bytes().replace(b"plan.i_conv = 1\n",
+                                                   b"plan.i_conv = 2\n", 1))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: invalid sharing plan:"):
             load_checkpoint(path)
 
     def test_loads_share_misc_small_checkpoint(self, tmp_path):
@@ -352,6 +380,26 @@ class TestCli:
         assert captured.err.splitlines() == [captured.err.strip()]
         assert captured.err.startswith("error: ") and message in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,t_max,flags,frames", [
+        ("gradcheck", 256, ("--frames", "300"), 300),
+        ("train", 16, ("--steps", "1"), 32),  # the toy task's 32 frames
+    ])
+    def test_frames_beyond_t_max_rejected_before_binding(self, command, t_max, flags, frames,
+                                                         monkeypatch, tmp_path, capsys):
+        import confshare.cli
+
+        def never(*args):
+            raise AssertionError("bound a model for an input it cannot take")
+
+        monkeypatch.setattr(confshare.cli, "bind_model", never)
+        p = preset("SL0-small")
+        path = tmp_path / "m.conf"
+        path.write_text(serialize_config(replace(p.config, t_max=t_max), p.plan))
+        assert run_cli(command, "--config", str(path), *flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {frames} frames exceed the model's t_max of {t_max}\n"
 
     def test_train_deterministic_reports(self, tmp_path):
         out1 = tmp_path / "a.report"

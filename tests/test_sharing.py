@@ -5,7 +5,7 @@ from confshare.autodiff import Rng, Tensor, backward, zero_grads
 from confshare.blocks import ModelConfig
 from confshare.encoder import BoundModel, EvalCounter, bind_model, encoder_forward
 from confshare.lowrank import LowRankSpec
-from confshare.sharing import (ALL_MISC_SMALL, ParameterStore, SharingPlan,
+from confshare.sharing import (ALL_MISC_SMALL, FRONTEND_W, ParameterStore, SharingPlan,
                                bind_parameters, canonicalize, canonicalize_plan,
                                physical_group_counts, repeat_plan,
                                schedule_keys, unshare_module,
@@ -224,9 +224,9 @@ class TestReferentialSharing:
 
         def layer_outputs():
             from confshare.blocks import conformer_block
-            from confshare.autodiff import Tensor, add, matmul
+            from confshare.autodiff import Tensor, matmul
             from confshare.sharing import FRONTEND_B, FRONTEND_W
-            h = add(matmul(Tensor(x), model.store[FRONTEND_W]), model.store[FRONTEND_B])
+            h = matmul(Tensor(x), model.store[FRONTEND_W], bias=model.store[FRONTEND_B])
             outs = []
             for params in model.virtual_blocks():
                 h = conformer_block(h, params)
@@ -302,7 +302,7 @@ class TestReferentialSharing:
 
 class TestEncoderComposition:
     def test_repeat_schedule_equals_manual_self_composition(self):
-        from confshare.autodiff import Tensor, add, matmul
+        from confshare.autodiff import Tensor, matmul
         from confshare.blocks import conformer_block
         from confshare.sharing import FRONTEND_B, FRONTEND_W, HEAD_B, HEAD_W
 
@@ -313,13 +313,13 @@ class TestEncoderComposition:
         logits = encoder_forward(x, model)
 
         block = model.virtual_blocks()[0]
-        h = add(matmul(x, model.store[FRONTEND_W]), model.store[FRONTEND_B])
+        h = matmul(x, model.store[FRONTEND_W], bias=model.store[FRONTEND_B])
         h = conformer_block(conformer_block(h, block), block)
-        manual = add(matmul(h, model.store[HEAD_W]), model.store[HEAD_B])
+        manual = matmul(h, model.store[HEAD_W], bias=model.store[HEAD_B])
         assert np.array_equal(logits.data, manual.data)
 
     def test_empty_schedule_is_head_of_frontend(self):
-        from confshare.autodiff import Tensor, add, matmul
+        from confshare.autodiff import Tensor, matmul
         from confshare.sharing import FRONTEND_B, FRONTEND_W, HEAD_B, HEAD_W
 
         cfg = _cfg()
@@ -328,8 +328,8 @@ class TestEncoderComposition:
         rng = Rng(4)
         x = Tensor(rng.uniform(-1, 1, (3, cfg.input_dim)))
         logits = encoder_forward(x, model)
-        h = add(matmul(x, model.store[FRONTEND_W]), model.store[FRONTEND_B])
-        manual = add(matmul(h, model.store[HEAD_W]), model.store[HEAD_B])
+        h = matmul(x, model.store[FRONTEND_W], bias=model.store[FRONTEND_B])
+        manual = matmul(h, model.store[HEAD_W], bias=model.store[HEAD_B])
         assert np.array_equal(logits.data, manual.data)
 
     def test_sl5_schedule_runs_twelve_block_evaluations(self):
@@ -339,6 +339,14 @@ class TestEncoderComposition:
         x = Rng(5).uniform(-1, 1, (4, cfg.input_dim))
         encoder_forward(Tensor(x), model, counter)
         assert counter.block_evals == 12
+
+    def test_rejects_frames_beyond_t_max_before_compute(self):
+        cfg = _cfg(t_max=4)
+        model = bind_model(cfg, repeat_plan(1, 1), seed=1)
+        # a frontend projection would fail on the missing weight
+        del model.store.tensors[FRONTEND_W]
+        with pytest.raises(ValueError, match="5 frames exceed the model's t_max of 4"):
+            encoder_forward(Tensor(np.zeros((5, cfg.input_dim))), model)
 
     def test_unbound_schedule_raises(self):
         cfg = _cfg()

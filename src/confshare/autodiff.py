@@ -114,7 +114,7 @@ class Tensor:
         if not arr.flags["C_CONTIGUOUS"]:
             # ascontiguousarray would promote 0-d scalars to shape (1,)
             arr = np.ascontiguousarray(arr)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError(f"{op or 'tensor'} produced non-finite values")
         self.data = arr
         self.requires_grad = requires_grad
@@ -140,8 +140,12 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # g + 0.0 into a fresh buffer shaped like the data, in one pass:
+            # the same bytes as zero-filling and adding (-0.0 + 0.0 = +0.0),
+            # and an array also where numpy hands a 0-d g over as a scalar
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def __repr__(self):
         tag = self.op or ("leaf" if not self._parents else "node")
@@ -153,9 +157,9 @@ def as_tensor(x) -> Tensor:
 
 
 def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...], backward) -> Tensor:
-    rg = any(p.requires_grad for p in parents)
-    if rg:
-        return Tensor(data, requires_grad=True, op=op, parents=parents, backward=backward)
+    for p in parents:
+        if p.requires_grad:
+            return Tensor(data, requires_grad=True, op=op, parents=parents, backward=backward)
     return Tensor(data, op=op)
 
 
@@ -333,7 +337,9 @@ def reshape(a: Tensor, shape) -> Tensor:
 def transpose(a: Tensor, axes) -> Tensor:
     a = as_tensor(a)
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
+    inv = [0] * len(axes)
+    for i, ax in enumerate(axes):
+        inv[ax] = i
     out = np.ascontiguousarray(a.data.transpose(axes))
 
     def bw(g):
@@ -344,9 +350,15 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # stable on both tails: exp(-|x|) never overflows
-    ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    # stable on both tails: exp(-|x|) never overflows; the numerator is 1
+    # for x >= 0 and exp(x) below, over the shared denominator 1 + exp(-|x|)
+    ex = np.abs(x, out=np.empty_like(x))  # an array also for 0-d x
+    np.negative(ex, out=ex)
+    np.exp(ex, out=ex)
+    num = np.where(x >= 0, 1.0, ex)
+    ex += 1.0
+    num /= ex
+    return num
 
 
 def swish(a: Tensor) -> Tensor:
@@ -357,7 +369,7 @@ def swish(a: Tensor) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            a.accumulate_grad(g * (s + a.data * s * (1.0 - s)))
+            a.accumulate_grad(g * (s + out * (1.0 - s)))
 
     return _result(out, "swish", (a,), bw)
 
@@ -393,9 +405,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
                          f"got {gamma.shape} and {beta.shape}")
     if eps <= 0:
         raise ValueError("layer_norm: eps must be positive")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # sum then divide, as ndarray.mean does, without its per-call overhead
+    mu = x.data.sum(axis=-1, keepdims=True) / d
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = gamma.data * xhat + beta.data
@@ -409,8 +422,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
             beta.accumulate_grad(g.sum(axis=axes))
         if x.requires_grad:
             gh = g * gamma.data
-            m1 = gh.mean(axis=-1, keepdims=True)
-            m2 = (gh * xhat).mean(axis=-1, keepdims=True)
+            m1 = gh.sum(axis=-1, keepdims=True) / d
+            m2 = (gh * xhat).sum(axis=-1, keepdims=True) / d
             x.accumulate_grad(inv * (gh - m1 - xhat * m2))
 
     return _result(out, "layer_norm", (x, gamma, beta), bw)
@@ -544,8 +557,8 @@ def finite_diff_grad(loss, theta: np.ndarray, eps: float, coords=None) -> np.nda
     differenced and the result is shaped like ``theta``. Raises
     ``NonFiniteError`` if an evaluation is non-finite.
     """
-    if eps <= 0:
-        raise ValueError("finite_diff_grad: eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"finite_diff_grad: eps must be positive and finite, got {eps}")
     if not (isinstance(theta, np.ndarray) and theta.flags.c_contiguous
             and theta.flags.writeable):
         raise ValueError("finite_diff_grad: theta must be a writeable C-contiguous array")

@@ -11,14 +11,18 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .accounting import SizeBudget, count_params, fit_dim_to_budget, report_table
+from .autodiff import NonFiniteError
 from .checkpoint import save_checkpoint
 from .configio import parse_config_file, serialize_config
 from .encoder import bind_model, check_frames
 from .presets import calibrated_defaults, preset
 from .sharing import validate_plan
-from .training import (OptimizerState, ToyTaskSpec, generate_toy_batch,
-                       gradcheck_model, serialize_report, train_steps)
+from .training import (OptimizerState, ToyTaskSpec, _check_eps_and_tol,
+                       generate_toy_batch, gradcheck_model, serialize_report,
+                       train_steps)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -110,6 +114,7 @@ def _cmd_gradcheck(args) -> int:
     spec = ToyTaskSpec(feature_dim=config.input_dim, num_classes=config.num_classes,
                        frames=args.frames, batch=args.batch)
     check_frames(config, spec.frames)
+    _check_eps_and_tol(args.eps, args.tol)
     model = bind_model(config, plan, args.seed)
     batch = generate_toy_batch(spec, args.seed, 0)
     report = gradcheck_model(model, batch, eps=args.eps, tol=args.tol,
@@ -167,8 +172,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
+        # every op checks its result and raises NonFiniteError, reported
+        # below; numpy's overflow warnings would only repeat it
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
+    except (ValueError, OSError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -8,6 +8,7 @@ to push gradients through every shared and low-rank path, deterministically.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -200,7 +201,13 @@ def gradcheck_model(model: BoundModel, batch: tuple[np.ndarray, np.ndarray],
     measures float64 rounding noise (about 1e-12 at this loss scale,
     a thousand times below the floor, while any genuinely wrong gradient
     lands orders of magnitude above it).
+
+    Only the one analytic pass records a tape: the finite-difference
+    evaluations run with ``requires_grad`` cleared on every store tensor,
+    so their ops keep no parents and no backward closures. Each tensor's
+    flag is restored afterwards, also when an evaluation raises.
     """
+    _check_eps_and_tol(eps, tol)
     if samples_per_tensor < 1:
         raise ValueError(f"samples per tensor must be positive, got {samples_per_tensor}")
     features, labels = batch
@@ -213,12 +220,27 @@ def gradcheck_model(model: BoundModel, batch: tuple[np.ndarray, np.ndarray],
 
     selected = list(model.store.keys()) if keys is None else list(keys)
     entries = []
-    for key in selected:
-        tensor = model.store[key]
-        analytic = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-        rng = Rng(model.store.seed).derive(f"gradcheck.{key}")
-        coords = sorted({int(i) for i in rng.integers(tensor.size, (samples_per_tensor,))})
-        fd = finite_diff_grad(loss_value, tensor.data, eps, coords)
-        worst = relative_error(analytic.reshape(-1)[coords], fd, zero_floor=1e-9)
-        entries.append(GradcheckEntry(key=key, max_rel_err=worst, checked=len(coords)))
+    tracked = [(t, t.requires_grad) for t in model.parameters()]
+    try:
+        for t, _ in tracked:
+            t.requires_grad = False
+        for key in selected:
+            tensor = model.store[key]
+            analytic = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
+            rng = Rng(model.store.seed).derive(f"gradcheck.{key}")
+            coords = sorted({int(i) for i in rng.integers(tensor.size, (samples_per_tensor,))})
+            fd = finite_diff_grad(loss_value, tensor.data, eps, coords)
+            worst = relative_error(analytic.reshape(-1)[coords], fd, zero_floor=1e-9)
+            entries.append(GradcheckEntry(key=key, max_rel_err=worst, checked=len(coords)))
+    finally:
+        for t, requires_grad in tracked:
+            t.requires_grad = requires_grad
     return GradcheckReport(entries=tuple(entries), tol=tol)
+
+
+def _check_eps_and_tol(eps: float, tol: float):
+    """Reject a finite-difference step or tolerance that is not a
+    positive finite number (a NaN tolerance would fail every key)."""
+    for name, value in (("eps", eps), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")

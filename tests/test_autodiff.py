@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from confshare.autodiff import (NonFiniteError, Rng, ShapeError, Tape, Tensor,
-                                add, backward, depthwise_conv1d,
+                                _sigmoid, add, backward, depthwise_conv1d,
                                 finite_diff_grad, glu, layer_norm, matmul,
                                 mul, relative_error, scale, softmax, sum_all,
                                 swish, zero_grads)
@@ -202,6 +202,17 @@ class TestActivations:
         assert expected == 0.7310585786300049
         assert abs(swish(Tensor([1.0])).data[0] - expected) < 1e-15
 
+    def test_sigmoid_matches_two_branch_formula_bytewise(self, rng):
+        def two_branch(x):
+            ex = np.exp(-np.abs(x))
+            return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+
+        edges = np.array([0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300])
+        wide = rng.uniform(-40.0, 40.0, (7, 9))
+        for x in (edges, wide, wide[:, 4:], np.array(-3.5)):
+            assert _sigmoid(x).tobytes() == two_branch(x).tobytes()
+        assert isinstance(_sigmoid(np.array(-3.5)), np.ndarray)
+
     def test_glu_rejects_odd_extent(self):
         with pytest.raises(ShapeError, match="even"):
             glu(Tensor([1.0, 2.0, 3.0]))
@@ -302,6 +313,26 @@ class TestBackward:
         assert interior and leaves
         assert all(n.grad is None for n in interior)
         assert all(n.grad is not None and n.grad.shape == n.shape for n in leaves)
+
+    def test_first_negative_zero_contribution_stored_as_positive_zero(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        w.accumulate_grad(np.array([-0.0, 2.0, -0.0]))
+        assert w.grad.tolist() == [0.0, 2.0, 0.0]
+        assert not np.signbit(w.grad).any()
+
+    def test_add_leaves_distinct_gradient_buffers(self, rng):
+        a = rand_tensor(rng, (2, 3), requires_grad=True)
+        b = rand_tensor(rng, (2, 3), requires_grad=True)
+        backward(sum_all(add(a, b)))
+        assert np.array_equal(a.grad, np.ones((2, 3)))
+        assert np.array_equal(b.grad, np.ones((2, 3)))
+        assert not np.shares_memory(a.grad, b.grad)
+
+    def test_scalar_leaf_gradient_is_an_array(self):
+        w = Tensor(2.0, requires_grad=True)
+        backward(scale(add(w, w), 3.0))
+        assert isinstance(w.grad, np.ndarray) and w.grad.shape == ()
+        assert float(w.grad) == 6.0
 
     def test_rejects_non_scalar_loss(self, rng):
         with pytest.raises(ShapeError, match="scalar"):
@@ -410,6 +441,18 @@ class TestFiniteDiff:
     def test_rejects_non_positive_eps(self, eps):
         with pytest.raises(ValueError, match="eps must be positive"):
             finite_diff_grad(lambda: 0.0, np.zeros(2), eps=eps)
+
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_rejects_non_finite_eps(self, eps):
+        theta = np.zeros(2)
+
+        def never():
+            raise AssertionError("evaluated with a non-finite step")
+
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            finite_diff_grad(never, theta, eps=eps)
+        assert theta.tolist() == [0.0, 0.0]
 
 
 class TestDeterminismAndFiniteness:

@@ -1,5 +1,6 @@
 import os
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -400,6 +401,32 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {frames} frames exceed the model's t_max of {t_max}\n"
+
+    @pytest.mark.parametrize("flag,value,shown", [
+        ("eps", "nan", "nan"), ("eps", "inf", "inf"), ("eps", "0", "0.0"),
+        ("tol", "nan", "nan"), ("tol", "-1", "-1.0")])
+    def test_bad_eps_or_tol_rejected_before_binding(self, flag, value, shown,
+                                                    monkeypatch, capsys):
+        import confshare.cli
+
+        def never(*args):
+            raise AssertionError("bound a model for a check that cannot run")
+
+        monkeypatch.setattr(confshare.cli, "bind_model", never)
+        assert run_cli("gradcheck", "--preset", "SL0-small", f"--{flag}", value) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be positive and finite, got {shown}\n"
+
+    def test_non_finite_evaluation_is_one_error_line(self, capsys):
+        # a step of 1e300 passes validation, then overflows a perturbed forward
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("gradcheck", "--preset", "SL0-small", "--eps", "1e300") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: matmul produced non-finite values\n"
+        assert caught == []
 
     def test_train_deterministic_reports(self, tmp_path):
         out1 = tmp_path / "a.report"

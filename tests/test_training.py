@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+import confshare.training
 from confshare.blocks import ModelConfig
 from confshare.encoder import bind_model
 from confshare.lowrank import LowRankSpec
 from confshare.sharing import repeat_plan
 from confshare.training import (OptimizerState, ToyTaskSpec, TrainingError,
-                                TrainReport, generate_toy_batch,
+                                TrainReport, batch_loss, generate_toy_batch,
                                 gradcheck_model, serialize_report,
                                 task_prototypes, train_steps)
 from dataclasses import replace
@@ -157,6 +160,56 @@ class TestGradcheckModel:
         report = gradcheck_model(model, self._batch(model.config),
                                  samples_per_tensor=2)
         assert {e.key for e in report.entries} == set(model.store.keys())
+
+    def test_finite_difference_evaluations_keep_no_tape(self, monkeypatch):
+        losses = []
+
+        def recording_batch_loss(*args):
+            losses.append(batch_loss(*args))
+            return losses[-1]
+
+        monkeypatch.setattr(confshare.training, "batch_loss", recording_batch_loss)
+        model = bind_model(_cfg(), repeat_plan(1, 1), seed=1)
+        keys = list(model.store.keys())[:3]
+        report = gradcheck_model(model, self._batch(model.config),
+                                 samples_per_tensor=2, keys=keys)
+        analytic, *evaluations = losses
+        assert analytic._parents and analytic.requires_grad
+        assert len(evaluations) == 2 * sum(e.checked for e in report.entries)
+        assert all(not t._parents and t._backward is None and not t.requires_grad
+                   for t in evaluations)
+        assert all(t.requires_grad for t in model.parameters())
+
+    def test_restores_requires_grad_when_an_evaluation_raises(self, monkeypatch):
+        calls = []
+
+        def failing_batch_loss(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise FloatingPointError("evaluation failed")
+            return batch_loss(*args)
+
+        monkeypatch.setattr(confshare.training, "batch_loss", failing_batch_loss)
+        model = bind_model(_cfg(), repeat_plan(1, 1), seed=1)
+        frozen = model.store[list(model.store.keys())[0]]
+        frozen.requires_grad = False
+        before = {key: t.requires_grad for key, t in model.store.items()}
+        with pytest.raises(FloatingPointError, match="evaluation failed"):
+            gradcheck_model(model, self._batch(model.config))
+        assert {key: t.requires_grad for key, t in model.store.items()} == before
+        assert not frozen.requires_grad
+
+    @pytest.mark.parametrize("name,value", [
+        ("eps", math.nan), ("eps", math.inf), ("eps", 0.0), ("eps", -1e-4),
+        ("tol", math.nan), ("tol", math.inf), ("tol", 0.0), ("tol", -1.0)])
+    def test_rejects_bad_eps_or_tol_before_any_compute(self, name, value, monkeypatch):
+        def never(*args):
+            raise AssertionError("computed a loss for a check that cannot run")
+
+        monkeypatch.setattr(confshare.training, "batch_loss", never)
+        model = bind_model(_cfg(), repeat_plan(1, 1), seed=1)
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            gradcheck_model(model, self._batch(model.config), **{name: value})
 
 
 class TestLossTrend:

@@ -12,8 +12,11 @@ Everything here is deliberately small and deterministic:
 
 The op set is exactly what a conformer block needs: matmul (2-d with an
 optional fused bias, and 3-d batched for attention heads), layer norm,
-softmax, swish/glu, a depthwise temporal convolution, plus
-reshape/transpose/slice/gather plumbing.
+softmax, swish/glu, a depthwise temporal convolution that pads each
+utterance of a packed batch on its own, plus reshape/transpose plumbing,
+``slice_rows``/``concat_rows`` along the leading axis (to take one
+utterance's heads out of a packed batch and join them back) and the
+relative-position gather.
 """
 
 from __future__ import annotations
@@ -444,47 +447,53 @@ def softmax(x: Tensor) -> Tensor:
     return _result(p, "softmax", (x,), bw)
 
 
-def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
+def depthwise_conv1d(x: Tensor, kernel: Tensor, frames: int | None = None) -> Tensor:
     """Per-channel temporal convolution with same zero padding.
 
-    x is (T, d), kernel is (w, d) with w odd;
-    out[t, c] = sum_j kernel[j, c] * x[t + j - (w-1)/2, c].
+    x is (B·T, d), the rows of B utterances of ``frames`` = T frames each
+    (by default one utterance of all rows); kernel is (w, d) with w odd.
+    Each utterance is padded on its own, so no frame sees another's:
+    out[b·T + t, c] = sum_j kernel[j, c] * x[b·T + t + j - (w-1)/2, c],
+    where terms outside 0 <= t + j - (w-1)/2 < T are zero.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 2 or kernel.ndim != 2:
         raise ShapeError(f"depthwise_conv1d expects 2d operands, got {x.shape}, {kernel.shape}")
-    T, d = x.shape
+    rows, d = x.shape
     w, dk = kernel.shape
     if dk != d:
         raise ShapeError(f"depthwise_conv1d: channel mismatch {x.shape} vs {kernel.shape}")
     if w % 2 == 0:
         raise ShapeError(f"depthwise_conv1d: kernel width must be odd, got {w}")
+    T = rows if frames is None else frames
+    B = utterance_count(rows, T)
     half = (w - 1) // 2
-    xp = np.zeros((T + w - 1, d))
-    xp[half:half + T] = x.data
-    out = np.zeros((T, d))
+    xp = np.zeros((B, T + w - 1, d))
+    xp[:, half:half + T] = x.data.reshape(B, T, d)
+    out = np.zeros((B, T, d))
     for j in range(w):
-        out += kernel.data[j] * xp[j:j + T]
+        out += kernel.data[j] * xp[:, j:j + T]
 
     def bw(g):
+        g = g.reshape(B, T, d)
         if kernel.requires_grad:
             gk = np.empty_like(kernel.data)
             for j in range(w):
-                gk[j] = (g * xp[j:j + T]).sum(axis=0)
+                gk[j] = (g * xp[:, j:j + T]).reshape(rows, d).sum(axis=0)
             kernel.accumulate_grad(gk)
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             for j in range(w):
-                gxp[j:j + T] += g * kernel.data[j]
-            x.accumulate_grad(gxp[half:half + T])
+                gxp[:, j:j + T] += g * kernel.data[j]
+            x.accumulate_grad(gxp[:, half:half + T].reshape(rows, d))
 
-    return _result(out, "depthwise_conv1d", (x, kernel), bw)
+    return _result(out.reshape(rows, d), "depthwise_conv1d", (x, kernel), bw)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    """Rows ``start:stop`` of a 2-d tensor, as a view of its data."""
+    """Entries ``start:stop`` along the leading axis, as a view of the data."""
     a = as_tensor(a)
-    if a.ndim != 2 or not 0 <= start < stop <= a.shape[0]:
+    if a.ndim < 1 or not 0 <= start < stop <= a.shape[0]:
         raise ShapeError(f"slice_rows: rows [{start}, {stop}) of {a.shape}")
     out = a.data[start:stop]
 
@@ -495,6 +504,29 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
             a.accumulate_grad(ga)
 
     return _result(out, "slice_rows", (a,), bw)
+
+
+def concat_rows(parts) -> Tensor:
+    """Join tensors along the leading axis; the other axes must agree."""
+    parts = [as_tensor(p) for p in parts]
+    if not parts or any(p.ndim < 1 or p.shape[1:] != parts[0].shape[1:] for p in parts):
+        raise ShapeError(f"concat_rows: cannot join {[p.shape for p in parts]}")
+    out = np.concatenate([p.data for p in parts])
+    bounds = np.cumsum([0] + [p.shape[0] for p in parts])
+
+    def bw(g):
+        for p, start, stop in zip(parts, bounds[:-1], bounds[1:]):
+            if p.requires_grad:
+                p.accumulate_grad(g[start:stop])
+
+    return _result(out, "concat_rows", tuple(parts), bw)
+
+
+def utterance_count(rows: int, frames: int) -> int:
+    """How many utterances of ``frames`` frames each ``rows`` packed rows hold."""
+    if frames < 1 or rows < frames or rows % frames != 0:
+        raise ShapeError(f"{rows} rows are not whole utterances of {frames} frames")
+    return rows // frames
 
 
 def rel_position_gather(full: Tensor) -> Tensor:
@@ -555,7 +587,10 @@ def finite_diff_grad(loss, theta: np.ndarray, eps: float, coords=None) -> np.nda
     evaluation raises. ``coords`` lists flat indices to difference; the
     result then holds one entry per index. By default every coordinate is
     differenced and the result is shaped like ``theta``. Raises
-    ``NonFiniteError`` if an evaluation is non-finite.
+    ``ValueError`` before any evaluation if ``theta ± eps`` rounds back to
+    ``theta`` at a coordinate it differences (the difference would be 0
+    whatever the gradient), and ``NonFiniteError`` if an evaluation is
+    non-finite.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"finite_diff_grad: eps must be positive and finite, got {eps}")
@@ -564,6 +599,11 @@ def finite_diff_grad(loss, theta: np.ndarray, eps: float, coords=None) -> np.nda
         raise ValueError("finite_diff_grad: theta must be a writeable C-contiguous array")
     flat = theta.reshape(-1)
     indices = range(flat.size) if coords is None else coords
+    for i in indices:
+        value = float(flat[i])
+        if value + eps == value or value - eps == value:
+            raise ValueError(f"finite_diff_grad: a step of {eps} rounds away at "
+                             f"coordinate {i}: {value!r} +- {eps} == {value!r}")
     grad = np.zeros(len(indices))
     for j, i in enumerate(indices):
         orig = flat[i]

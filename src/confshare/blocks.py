@@ -1,12 +1,19 @@
 """The four conformer modules and their composition into one block.
 
-A block maps a (T, d) sequence to (T, d) as
+A block maps (B·T, d) rows to (B·T, d) as
 
     half-step feed-forward -> relative-position self-attention
     -> convolution module -> half-step feed-forward -> final layer norm
 
-with a residual connection around every module. Feed-forward linears may
-be dense tensors or ``LowRankFactors`` pairs; everything else is dense.
+with a residual connection around every module. The rows are B
+utterances of ``frames`` = T frames each, packed utterance after
+utterance; by default all rows are one utterance. Every frame-wise op
+(linears, layer norms, activations, residual adds) runs once over all
+rows. Only the two ops that look across frames see the utterance
+boundaries: attention scores each utterance's frames against its own,
+and the depthwise convolution pads each utterance on its own.
+Feed-forward linears may be dense tensors or ``LowRankFactors`` pairs;
+everything else is dense.
 """
 
 from __future__ import annotations
@@ -16,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Rng, ShapeError, Tensor, add, depthwise_conv1d, glu,
-                       layer_norm, matmul, rel_position_gather, reshape,
-                       scale, slice_rows, softmax, swish, transpose)
+from .autodiff import (Rng, ShapeError, Tensor, add, concat_rows,
+                       depthwise_conv1d, glu, layer_norm, matmul,
+                       rel_position_gather, reshape, scale, slice_rows,
+                       softmax, swish, transpose, utterance_count)
 from .lowrank import LowRankFactors
 
 LN_EPS = 1e-6
@@ -146,7 +154,7 @@ def feed_forward(x: Tensor, p: FeedForwardParams) -> Tensor:
     return add(x, scale(apply_linear(hidden, p.w2, p.b2), 0.5))
 
 
-def attention(x: Tensor, p: AttentionParams) -> Tensor:
+def attention(x: Tensor, p: AttentionParams, frames: int | None = None) -> Tensor:
     """Multi-head self-attention with learned relative-position scores.
 
     Per head: softmax((q k^T + pos) / sqrt(d/h)) v, where pos[t, s] is the
@@ -154,8 +162,15 @@ def attention(x: Tensor, p: AttentionParams) -> Tensor:
     offset s - t. The table rows double as positional keys, so there is a
     single pos-query projection and no separate positional key matrix.
     Only the 2T - 1 rows a length-T input can reach enter the product.
+
+    ``x`` holds utterances of ``frames`` = T frames each (default: one).
+    The projections run once over all rows; the scores, softmax and
+    context run per utterance on that utterance's (H, T, ·) heads, so no
+    frame attends to another utterance's.
     """
-    T, d = x.shape
+    rows, d = x.shape
+    T = rows if frames is None else frames
+    B = utterance_count(rows, T)
     H = p.heads
     dh = d // H
     t_max = (p.rel_emb.shape[0] + 1) // 2
@@ -168,35 +183,52 @@ def attention(x: Tensor, p: AttentionParams) -> Tensor:
     v = matmul(xn, p.wv, bias=p.bv)
     pq = matmul(xn, p.wpos_query, bias=p.bpos_query)
 
-    def split_heads(t: Tensor, rows: int) -> Tensor:
-        return transpose(reshape(t, (rows, H, dh)), (1, 0, 2))
+    def split_heads(t: Tensor, utts: int, n: int) -> Tensor:
+        # (utts·n, d) -> (utts·H, n, dh): each utterance's H heads in turn
+        if utts == 1:
+            return transpose(reshape(t, (n, H, dh)), (1, 0, 2))
+        return reshape(transpose(reshape(t, (utts, n, H, dh)), (0, 2, 1, 3)),
+                       (utts * H, n, dh))
 
-    q3, k3, v3, pq3 = (split_heads(t, T) for t in (q, k, v, pq))
+    def utterance(t: Tensor, b: int) -> Tensor:
+        return t if B == 1 else slice_rows(t, b * H, (b + 1) * H)
+
+    q3, k3, v3, pq3 = (split_heads(t, B, T) for t in (q, k, v, pq))
     # table row t_max - 1 + o holds offset o; offsets -(T-1) .. T-1 are reachable
-    rel3 = split_heads(slice_rows(p.rel_emb, t_max - T, t_max + T - 1), 2 * T - 1)
+    rel3 = split_heads(slice_rows(p.rel_emb, t_max - T, t_max + T - 1), 1, 2 * T - 1)
 
-    content = matmul(q3, k3, transpose_b=True)          # (H, T, T)
-    pos_full = matmul(pq3, rel3, transpose_b=True)      # (H, T, 2T - 1)
-    pos = rel_position_gather(pos_full)                 # (H, T, T)
-    weights = softmax(scale(add(content, pos), 1.0 / math.sqrt(dh)))
-    ctx = matmul(weights, v3)                           # (H, T, dh)
-    merged = reshape(transpose(ctx, (1, 0, 2)), (T, d))
+    contexts = []
+    for b in range(B):
+        qb, kb, vb, pqb = (utterance(t, b) for t in (q3, k3, v3, pq3))
+        content = matmul(qb, kb, transpose_b=True)          # (H, T, T)
+        pos_full = matmul(pqb, rel3, transpose_b=True)      # (H, T, 2T - 1)
+        pos = rel_position_gather(pos_full)                 # (H, T, T)
+        weights = softmax(scale(add(content, pos), 1.0 / math.sqrt(dh)))
+        contexts.append(matmul(weights, vb))                # (H, T, dh)
+    if B == 1:
+        merged = reshape(transpose(contexts[0], (1, 0, 2)), (T, d))
+    else:
+        ctx = reshape(concat_rows(contexts), (B, H, T, dh))
+        merged = reshape(transpose(ctx, (0, 2, 1, 3)), (rows, d))
     return add(x, matmul(merged, p.wpost, bias=p.bpost))
 
 
-def conv_module(x: Tensor, p: ConvParams) -> Tensor:
-    """x + Wpost . swish(LN(depthwise(glu(Wpre . LN(x) + bpre)))) + bpost."""
+def conv_module(x: Tensor, p: ConvParams, frames: int | None = None) -> Tensor:
+    """x + Wpost . swish(LN(depthwise(glu(Wpre . LN(x) + bpre)))) + bpost,
+    with the depthwise convolution padding each utterance of ``frames``
+    frames on its own (default: all rows are one utterance)."""
     xn = layer_norm(x, p.ln_gamma, p.ln_beta, LN_EPS)
     gated = glu(matmul(xn, p.wpre, bias=p.bpre))
-    conv = depthwise_conv1d(gated, p.kdepth)
+    conv = depthwise_conv1d(gated, p.kdepth, frames)
     normed = layer_norm(conv, p.norm_gamma, p.norm_beta, LN_EPS)
     return add(x, matmul(swish(normed), p.wpost, bias=p.bpost))
 
 
-def conformer_block(x: Tensor, p: BlockParams) -> Tensor:
+def conformer_block(x: Tensor, p: BlockParams, frames: int | None = None) -> Tensor:
+    """One block over utterances of ``frames`` frames each (default: one)."""
     y = feed_forward(x, p.ff_start)
-    y = attention(y, p.attn)
-    y = conv_module(y, p.conv)
+    y = attention(y, p.attn, frames)
+    y = conv_module(y, p.conv, frames)
     y = feed_forward(y, p.ff_end)
     return layer_norm(y, p.final_ln_gamma, p.final_ln_beta, LN_EPS)
 

@@ -4,13 +4,18 @@ The forward pass is literal iterated composition: virtual layer i applies
 ``conformer_block`` with whatever physical tensors its schedule entry
 binds, so repeated groups re-enter the same weights and gradients
 accumulate across uses.
+
+A batch of B equal-length utterances runs as one pass: the (B, T, F)
+features are packed into B·T rows, utterance after utterance, and every
+block is told the utterance length T, so only attention and the
+depthwise convolution see where one utterance ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .autodiff import Tensor, as_tensor, matmul
+from .autodiff import Tensor, as_tensor, matmul, reshape
 from .blocks import BlockParams, ModelConfig, assemble_block, conformer_block
 from .sharing import (FRONTEND_B, FRONTEND_W, HEAD_B, HEAD_W, REL_TABLE,
                       BoundSchedule, ParameterStore, SharingPlan,
@@ -65,19 +70,25 @@ def check_frames(config: ModelConfig, frames: int):
 
 def encoder_forward(features, model: BoundModel,
                     counter: EvalCounter | None = None) -> Tensor:
-    """(T, input_dim) features -> (T, num_classes) logits.
+    """(T, input_dim) features -> (T, num_classes) logits, or a batch of
+    (B, T, input_dim) features -> (B·T, num_classes) logits, packed
+    utterance after utterance (row b·T + t is frame t of utterance b).
 
     Projects to the model dim, applies the virtual layers in schedule
     order, then projects to class logits. An empty schedule degenerates to
-    head(frontend(x)).
+    head(frontend(x)). Utterances never see each other's frames.
     """
     x = as_tensor(features)
-    if x.ndim != 2 or x.shape[1] != model.config.input_dim:
-        raise ValueError(f"expected (T, {model.config.input_dim}) features, got {x.shape}")
-    check_frames(model.config, x.shape[0])
+    if x.ndim not in (2, 3) or x.shape[-1] != model.config.input_dim:
+        raise ValueError(f"expected (T, {model.config.input_dim}) or "
+                         f"(B, T, {model.config.input_dim}) features, got {x.shape}")
+    frames = x.shape[-2]
+    check_frames(model.config, frames)
+    if x.ndim == 3:
+        x = reshape(x, (x.shape[0] * frames, x.shape[2]))
     x = matmul(x, model.store[FRONTEND_W], bias=model.store[FRONTEND_B])
     for params in model.virtual_blocks():
-        x = conformer_block(x, params)
+        x = conformer_block(x, params, frames)
         if counter is not None:
             counter.block_evals += 1
     return matmul(x, model.store[HEAD_W], bias=model.store[HEAD_B])

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (NonFiniteError, Rng, Tensor, add, backward,
+from .autodiff import (NonFiniteError, Rng, ShapeError, Tensor, backward,
                        cross_entropy_mean, finite_diff_grad, fnv1a64, mix64,
-                       relative_error, scale, zero_grads)
+                       relative_error, zero_grads)
 from .configio import serialize_config
 from .encoder import BoundModel, encoder_forward
 from .sharing import Key
@@ -118,13 +118,17 @@ def model_digest(model: BoundModel, seed: int) -> str:
 
 def batch_loss(model: BoundModel, features: np.ndarray,
                labels: np.ndarray) -> Tensor:
-    """Mean framewise cross entropy over a batch of utterances."""
-    total = None
-    for b in range(features.shape[0]):
-        loss = cross_entropy_mean(encoder_forward(Tensor(features[b]), model),
-                                  labels[b])
-        total = loss if total is None else add(total, loss)
-    return scale(total, 1.0 / features.shape[0])
+    """Mean framewise cross entropy over a batch of equal-length
+    utterances: (B, T, F) features against (B, T) labels, run as one
+    packed forward pass."""
+    features = np.asarray(features)
+    labels = np.asarray(labels)
+    if features.ndim != 3 or labels.shape != features.shape[:2]:
+        raise ShapeError(f"batch_loss: features {features.shape} and labels "
+                         f"{labels.shape} do not pair up; expected (B, T, F) "
+                         f"features and (B, T) labels")
+    logits = encoder_forward(features, model)
+    return cross_entropy_mean(logits, labels.reshape(-1))
 
 
 def train_steps(model: BoundModel, spec: ToyTaskSpec, opt: OptimizerState,

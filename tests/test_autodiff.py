@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from confshare.autodiff import (NonFiniteError, Rng, ShapeError, Tape, Tensor,
-                                _sigmoid, add, backward, depthwise_conv1d,
-                                finite_diff_grad, glu, layer_norm, matmul,
-                                mul, relative_error, scale, softmax, sum_all,
-                                swish, zero_grads)
+                                _sigmoid, add, backward, concat_rows,
+                                depthwise_conv1d, finite_diff_grad, glu,
+                                layer_norm, matmul, mul, relative_error,
+                                scale, slice_rows, softmax, sum_all, swish,
+                                zero_grads)
 from conftest import assert_params_match_fd, bound_block, rand_tensor
 
 
@@ -261,6 +262,28 @@ class TestDepthwiseConv:
         out = depthwise_conv1d(Tensor(x), Tensor(k))
         assert np.max(np.abs(out.data - expected)) < 1e-12
 
+    @pytest.mark.parametrize("w", [3, 9])  # 9 reaches past both ends of T = 3
+    def test_pads_each_utterance_on_its_own(self, rng, w):
+        B, T, d = 4, 3, 2
+        x = rand_tensor(rng, (B * T, d), requires_grad=True)
+        k = rand_tensor(rng, (w, d), requires_grad=True)
+        c = rng.uniform(-1, 1, (B * T, d))
+        packed = depthwise_conv1d(x, k, frames=T)
+        backward(sum_all(mul(packed, Tensor(c))))
+        gx, gk = x.grad, k.grad
+        x.grad = k.grad = None
+        parts = [depthwise_conv1d(Tensor(x.data[b * T:(b + 1) * T], requires_grad=True), k)
+                 for b in range(B)]
+        assert packed.data.tobytes() == np.concatenate([p.data for p in parts]).tobytes()
+        for b, part in enumerate(parts):
+            backward(sum_all(mul(part, Tensor(c[b * T:(b + 1) * T]))))
+            assert np.array_equal(gx[b * T:(b + 1) * T], part._parents[0].grad)
+        assert np.max(np.abs(gk - k.grad)) < 1e-14
+
+    def test_rejects_rows_that_are_not_whole_utterances(self):
+        with pytest.raises(ShapeError, match="7 rows are not whole utterances of 3 frames"):
+            depthwise_conv1d(Tensor(np.ones((7, 2))), Tensor(np.ones((3, 2))), frames=3)
+
     def test_rejects_even_width(self):
         with pytest.raises(ShapeError, match="odd"):
             depthwise_conv1d(Tensor(np.ones((4, 2))), Tensor(np.ones((2, 2))))
@@ -333,6 +356,19 @@ class TestBackward:
         backward(scale(add(w, w), 3.0))
         assert isinstance(w.grad, np.ndarray) and w.grad.shape == ()
         assert float(w.grad) == 6.0
+
+    def test_slice_and_concat_rows_route_gradients(self, rng):
+        a = rand_tensor(rng, (4, 2, 3), requires_grad=True)
+        c = rng.uniform(-1, 1, (4, 2, 3))
+        swapped = concat_rows([slice_rows(a, 2, 4), slice_rows(a, 0, 2)])
+        assert swapped.data.tobytes() == np.concatenate([a.data[2:], a.data[:2]]).tobytes()
+        backward(sum_all(mul(swapped, Tensor(c))))
+        assert np.array_equal(a.grad, np.concatenate([c[2:], c[:2]]))
+
+    @pytest.mark.parametrize("parts", [[], [(2, 3), (2, 4)], [(2, 3), ()]])
+    def test_concat_rows_rejects_parts_that_do_not_stack(self, parts):
+        with pytest.raises(ShapeError, match="concat_rows"):
+            concat_rows([Tensor(np.zeros(shape)) for shape in parts])
 
     def test_rejects_non_scalar_loss(self, rng):
         with pytest.raises(ShapeError, match="scalar"):
@@ -453,6 +489,22 @@ class TestFiniteDiff:
         with pytest.raises(ValueError, match="eps must be positive and finite"):
             finite_diff_grad(never, theta, eps=eps)
         assert theta.tolist() == [0.0, 0.0]
+
+
+    def test_rejects_step_that_rounds_away_before_evaluating(self):
+        theta = np.array([0.0, 1.0, 0.5])
+
+        def never():
+            raise AssertionError("evaluated with a step that rounds away")
+
+        with pytest.raises(ValueError, match="a step of 1e-300 rounds away at coordinate 1: "
+                                             r"1\.0 \+- 1e-300 == 1\.0"):
+            finite_diff_grad(never, theta, eps=1e-300)
+        with pytest.raises(ValueError, match="coordinate 2"):
+            finite_diff_grad(never, theta, eps=1e-17, coords=[0, 2])
+        # at 0.0 the same step is representable, so it is taken
+        assert finite_diff_grad(lambda: float(theta[0]), theta, 1e-300, coords=[0]) == [1.0]
+        assert theta.tolist() == [0.0, 1.0, 0.5]
 
 
 class TestDeterminismAndFiniteness:

@@ -143,6 +143,21 @@ class TestAttention:
         assert np.all(outside == 0.0)
         assert np.all(np.any(grad[window] != 0.0, axis=1))
 
+    def test_one_utterance_takes_no_packing_nodes(self, rng):
+        p = bound_block(_cfg(), 8).attn
+        tape = backward(sum_all(attention(rand_tensor(rng, (5, 8)), p)))
+        ops = [n.op for n in tape.nodes]
+        assert ops.count("slice_rows") == 1  # the rel-table window
+        assert "concat_rows" not in ops
+
+    def test_packed_utterances_match_separate_calls(self, rng):
+        p = bound_block(_cfg(), 8).attn
+        x = rng.uniform(-1, 1, (3 * 5, 8))
+        packed = attention(Tensor(x), p, frames=5)
+        for b in range(3):
+            alone = attention(Tensor(x[b * 5:(b + 1) * 5]), p)
+            assert np.max(np.abs(packed.data[b * 5:(b + 1) * 5] - alone.data)) < 1e-14
+
     def test_gradients_at_t_max(self, rng):
         cfg = _cfg(d=8, heads=2, t_max=4)
         p = bound_block(cfg, 9).attn

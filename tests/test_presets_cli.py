@@ -428,6 +428,14 @@ class TestCli:
         assert captured.err == "error: matmul produced non-finite values\n"
         assert caught == []
 
+    def test_step_that_rounds_away_is_one_error_line(self, capsys):
+        # theta +- 1e-300 == theta for every nonzero weight: no key is reported
+        assert run_cli("gradcheck", "--preset", "SL0-small", "--eps", "1e-300") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: finite_diff_grad: a step of 1e-300 rounds away at "
+                            r"coordinate \d+: \S+ \+- 1e-300 == \S+\n", captured.err)
+
     def test_train_deterministic_reports(self, tmp_path):
         out1 = tmp_path / "a.report"
         out2 = tmp_path / "b.report"

@@ -348,6 +348,30 @@ class TestEncoderComposition:
         with pytest.raises(ValueError, match="5 frames exceed the model's t_max of 4"):
             encoder_forward(Tensor(np.zeros((5, cfg.input_dim))), model)
 
+    @pytest.mark.parametrize("kernel_width", [3, 11])  # 11 reaches past T = 4
+    def test_utterances_do_not_see_each_other(self, kernel_width):
+        cfg = _cfg(kernel_width=kernel_width)
+        model = bind_model(cfg, repeat_plan(2, 1), seed=6)
+        B, T = 3, 4
+        features = Rng(7).uniform(-1, 1, (B, T, cfg.input_dim))
+        logits = encoder_forward(features, model)
+        assert logits.shape == (B * T, cfg.num_classes)
+        perturbed = features.copy()
+        perturbed[0] += Rng(8).uniform(-1, 1, (T, cfg.input_dim))
+        moved = encoder_forward(perturbed, model)
+        assert np.all(moved.data[:T] != logits.data[:T])
+        assert moved.data[T:].tobytes() == logits.data[T:].tobytes()
+
+    def test_t_max_applies_per_utterance(self):
+        cfg = _cfg(t_max=4)
+        model = bind_model(cfg, repeat_plan(1, 1), seed=1)
+        logits = encoder_forward(np.zeros((3, 4, cfg.input_dim)), model)
+        assert logits.shape == (12, cfg.num_classes)
+        # a frontend projection would fail on the missing weight
+        del model.store.tensors[FRONTEND_W]
+        with pytest.raises(ValueError, match="5 frames exceed the model's t_max of 4"):
+            encoder_forward(np.zeros((2, 5, cfg.input_dim)), model)
+
     def test_unbound_schedule_raises(self):
         cfg = _cfg()
         model = bind_model(cfg, repeat_plan(2, 1), seed=1)

@@ -1,11 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import confshare.training
+from confshare.autodiff import (ShapeError, add, backward, cross_entropy_mean,
+                                scale, zero_grads)
 from confshare.blocks import ModelConfig
-from confshare.encoder import bind_model
+from confshare.encoder import bind_model, encoder_forward
 from confshare.lowrank import LowRankSpec
 from confshare.sharing import repeat_plan
 from confshare.training import (OptimizerState, ToyTaskSpec, TrainingError,
@@ -19,6 +22,16 @@ def _cfg(**kw):
     base = dict(d=8, e=2, heads=2, kernel_width=3, t_max=64)
     base.update(kw)
     return ModelConfig(**base)
+
+
+def _per_utterance_loss(model, features, labels):
+    """The mean of per-utterance mean losses, one encoder pass per
+    utterance: the composition a packed batch must reproduce."""
+    total = None
+    for b in range(features.shape[0]):
+        loss = cross_entropy_mean(encoder_forward(features[b], model), labels[b])
+        total = loss if total is None else add(total, loss)
+    return scale(total, 1.0 / features.shape[0])
 
 
 class TestToyBatch:
@@ -108,6 +121,60 @@ class TestTrainSteps:
             step, loss = line.split("\t")
             assert int(step) == i
             float(loss)
+
+    @pytest.mark.parametrize("case", ["toy", "lowrank"])
+    def test_batched_loss_and_gradients_match_per_utterance_composition(self, case):
+        if case == "toy":  # the acceptance-10 model and task
+            model = bind_model(ModelConfig(d=32, e=7.25, heads=4, kernel_width=11),
+                               repeat_plan(2, 3), seed=11)
+            features, labels = generate_toy_batch(ToyTaskSpec(), 11, 0)
+        else:  # the acceptance-04 low-rank model and batch
+            model = bind_model(ModelConfig(d=16, e=7.25, heads=4, kernel_width=11),
+                               replace(repeat_plan(2, 2), lowrank=LowRankSpec(k=4)), seed=5)
+            features, labels = generate_toy_batch(ToyTaskSpec(frames=6, batch=2), 3, 0)
+        zero_grads(model.parameters())
+        reference = _per_utterance_loss(model, features, labels)
+        backward(reference)
+        expected = {key: t.grad for key, t in model.store.items()}
+        zero_grads(model.parameters())
+        loss = batch_loss(model, features, labels)
+        backward(loss)
+        assert abs(loss.item() - reference.item()) <= 1e-12 * abs(reference.item())
+        # The sums over frames run in another order, so entries formed by
+        # cancellation differ by rounding relative to the tensor's scale.
+        for key, t in model.store.items():
+            diff = np.max(np.abs(t.grad - expected[key]))
+            if key[1] == "key.b":  # softmax-invariant: both are rounding noise
+                assert diff <= 1e-15, key
+            else:
+                assert diff <= 1e-12 * np.max(np.abs(expected[key])), key
+
+    @pytest.mark.parametrize("labels_of", [np.transpose, np.ravel,
+                                           lambda l: l[:, :-1], lambda l: l[None]],
+                             ids=["transposed", "flat", "short", "extra-axis"])
+    def test_batch_loss_rejects_labels_that_do_not_pair_with_frames(self, labels_of,
+                                                                     monkeypatch):
+        def never(*args):
+            raise AssertionError("ran the encoder on unpaired labels")
+
+        monkeypatch.setattr(confshare.training, "encoder_forward", never)
+        model = bind_model(_cfg(), repeat_plan(1, 1), seed=1)
+        features, labels = generate_toy_batch(ToyTaskSpec(frames=4, batch=2), 1, 0)
+        bad = labels_of(labels)
+        with pytest.raises(ShapeError, match=rf"\(2, 4, 80\).*{re.escape(str(bad.shape))}"):
+            batch_loss(model, features, bad)
+
+    def test_label_row_b_labels_utterance_b_when_batch_equals_frames(self):
+        # With B = T a transposed label array has the right shape, so no
+        # check can refuse it; row b must still pair with utterance b.
+        model = bind_model(_cfg(), repeat_plan(1, 2), seed=2)
+        features, labels = generate_toy_batch(ToyTaskSpec(frames=4, batch=4), 2, 0)
+        for rows in (labels, labels.T):
+            loss = batch_loss(model, features, rows).item()
+            reference = _per_utterance_loss(model, features, rows).item()
+            assert abs(loss - reference) <= 1e-12 * reference
+        assert batch_loss(model, features, labels).item() != \
+            batch_loss(model, features, labels.T).item()
 
     def test_shared_and_clone_have_identical_first_loss_then_diverge(self):
         cfg = _cfg()

@@ -3,8 +3,11 @@
 Everything here is deliberately small and deterministic:
 
 * all values are 64-bit floats in row-major (C) order;
-* gradients accumulate sequentially in reverse tape order, so repeated
-  runs with identical inputs produce bit-identical gradients;
+* each op's backward rule is a pure function of the output gradient
+  that returns one gradient per parent, in the order of its parents;
+  ``backward`` alone stores them, on parents with ``requires_grad``,
+  sequentially in reverse tape order and within a node in parent order,
+  so repeated runs with identical inputs produce bit-identical gradients;
 * every op validates that its output is finite and raises
   ``NonFiniteError`` otherwise;
 * ``Rng`` is a counter-based SplitMix64 stream (documented below) so
@@ -103,7 +106,9 @@ class Tensor:
     """A dense float64 array plus an optional backward rule.
 
     Leaves are created directly from data; op results carry references to
-    their parents and a closure that routes the output gradient to them.
+    their parents and a backward rule that maps the output gradient to a
+    tuple of gradients, one per parent in the same order, which
+    ``backward`` stores.
     Tensors are immutable after creation except for the gradient buffer
     (and, between forward passes, in-place parameter updates by an
     optimizer, which is the single-writer case).
@@ -200,12 +205,16 @@ class Tape:
 def backward(loss: Tensor) -> Tape:
     """Reverse-mode sweep from a scalar loss.
 
-    Populates ``.grad`` on every leaf with ``requires_grad`` reachable
-    from ``loss``; a leaf used several times receives the sum of its
-    per-use contributions, accumulated in reverse tape order. Interior
-    gradients are dropped as soon as their node has passed them on, so
-    after the sweep only leaves carry ``.grad``. Returns the tape for
-    instrumentation.
+    Walks the tape in reverse, calls each node's rule on its gradient and
+    adds the returned gradients to the parents that have
+    ``requires_grad``, in parent order; this is the only place gradients
+    are stored. A rule that returns more or fewer gradients than its node
+    has parents raises ``ValueError``. Every leaf with ``requires_grad``
+    reachable from ``loss`` gets ``.grad``; a leaf used several times
+    receives the sum of its per-use contributions, accumulated in reverse
+    tape order. Interior gradients are dropped as soon as their node has
+    passed them on, so after the sweep only leaves carry ``.grad``.
+    Returns the tape for instrumentation.
     """
     if loss.shape != ():
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -214,7 +223,9 @@ def backward(loss: Tensor) -> Tape:
     for node in reversed(tape.nodes):
         if node._backward is None or node.grad is None:
             continue
-        node._backward(node.grad)
+        for parent, grad in zip(node._parents, node._backward(node.grad), strict=True):
+            if parent.requires_grad:
+                parent.accumulate_grad(grad)
         node.grad = None
     return tape
 
@@ -237,7 +248,6 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
     ``bias`` (2-d operands only) is a vector added to every row of the
     product in place, so a linear layer is one tape node.
     """
-    a, b = as_tensor(a), as_tensor(b)
     if a.ndim != b.ndim or a.ndim not in (2, 3):
         raise ShapeError(f"matmul supports 2d@2d or 3d@3d, got {a.shape} @ {b.shape}")
     b_eff_inner = b.shape[-1] if transpose_b else b.shape[-2]
@@ -248,108 +258,56 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
     out = a.data @ bd
     parents = (a, b)
     if bias is not None:
-        bias = as_tensor(bias)
         if a.ndim != 2 or bias.shape != out.shape[1:]:
             raise ShapeError(f"matmul: bias {bias.shape} does not fit product "
                              f"{out.shape} (2-d operands only)")
         out += bias.data
         parents = (a, b, bias)
 
-    def bw(g):
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=0))
-        if not transpose_b:
-            if a.requires_grad:
-                a.accumulate_grad(g @ np.swapaxes(b.data, -1, -2))
-            if b.requires_grad:
-                b.accumulate_grad(np.swapaxes(a.data, -1, -2) @ g)
-        else:
+    def rule(g):
+        if transpose_b:
             # out = a @ b^T  =>  d_a = g @ b,  d_b = g^T @ a
-            if a.requires_grad:
-                a.accumulate_grad(g @ b.data)
-            if b.requires_grad:
-                b.accumulate_grad(np.swapaxes(g, -1, -2) @ a.data)
+            grads = (g @ b.data, np.swapaxes(g, -1, -2) @ a.data)
+        else:
+            grads = (g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g)
+        return grads if bias is None else (*grads, g.sum(axis=0))
 
-    return _result(out, "matmul", parents, bw)
+    return _result(out, "matmul", parents, rule)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two same-shaped tensors."""
-    a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"add: incompatible shapes {a.shape} + {b.shape}")
-    out = a.data + b.data
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g)
-        if b.requires_grad:
-            b.accumulate_grad(g)
-
-    return _result(out, "add", (a, b), bw)
+    return _result(a.data + b.data, "add", (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} * {b.shape}")
-    out = a.data * b.data
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * b.data)
-        if b.requires_grad:
-            b.accumulate_grad(g * a.data)
-
-    return _result(out, "mul", (a, b), bw)
+    return _result(a.data * b.data, "mul", (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    a = as_tensor(a)
-    out = a.data * s
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * s)
-
-    return _result(out, "scale", (a,), bw)
+    return _result(a.data * s, "scale", (a,), lambda g: (g * s,))
 
 
 def sum_all(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.sum()
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.full_like(a.data, float(g)))
-
-    return _result(np.asarray(out), "sum", (a,), bw)
+    return _result(np.asarray(a.data.sum()), "sum", (a,),
+                   lambda g: (np.full_like(a.data, float(g)),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.reshape(shape)
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g.reshape(a.shape))
-
-    return _result(out, "reshape", (a,), bw)
+    return _result(a.data.reshape(shape), "reshape", (a,), lambda g: (g.reshape(a.shape),))
 
 
 def transpose(a: Tensor, axes) -> Tensor:
-    a = as_tensor(a)
     axes = tuple(axes)
     inv = [0] * len(axes)
     for i, ax in enumerate(axes):
         inv[ax] = i
     out = np.ascontiguousarray(a.data.transpose(axes))
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g.transpose(inv))
-
-    return _result(out, "transpose", (a,), bw)
+    return _result(out, "transpose", (a,), lambda g: (g.transpose(inv),))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -366,20 +324,13 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def swish(a: Tensor) -> Tensor:
     """x * sigmoid(x)."""
-    a = as_tensor(a)
     s = _sigmoid(a.data)
     out = a.data * s
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * (s + out * (1.0 - s)))
-
-    return _result(out, "swish", (a,), bw)
+    return _result(out, "swish", (a,), lambda g: (g * (s + out * (1.0 - s)),))
 
 
 def glu(a: Tensor) -> Tensor:
     """Gated linear unit over the last axis: split halves (u, v), u * sigmoid(v)."""
-    a = as_tensor(a)
     last = a.shape[-1]
     if last % 2 != 0:
         raise ShapeError(f"glu requires an even last extent, got {a.shape}")
@@ -387,21 +338,13 @@ def glu(a: Tensor) -> Tensor:
     u = a.data[..., :n]
     v = a.data[..., n:]
     s = _sigmoid(v)
-    out = u * s
-
-    def bw(g):
-        if a.requires_grad:
-            gu = g * s
-            gv = g * u * s * (1.0 - s)
-            a.accumulate_grad(np.concatenate((gu, gv), axis=-1))
-
-    return _result(out, "glu", (a,), bw)
+    return _result(u * s, "glu", (a,),
+                   lambda g: (np.concatenate((g * s, g * u * s * (1.0 - s)), axis=-1),))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalize the last axis to zero mean / unit population variance,
     then scale and shift: gamma * (x - mean) / sqrt(var + eps) + beta."""
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm: gamma/beta must be shape ({d},), "
@@ -416,35 +359,23 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     xhat = xc * inv
     out = gamma.data * xhat + beta.data
 
-    def bw(g):
-        if gamma.requires_grad:
-            axes = tuple(range(g.ndim - 1))
-            gamma.accumulate_grad((g * xhat).sum(axis=axes))
-        if beta.requires_grad:
-            axes = tuple(range(g.ndim - 1))
-            beta.accumulate_grad(g.sum(axis=axes))
-        if x.requires_grad:
-            gh = g * gamma.data
-            m1 = gh.sum(axis=-1, keepdims=True) / d
-            m2 = (gh * xhat).sum(axis=-1, keepdims=True) / d
-            x.accumulate_grad(inv * (gh - m1 - xhat * m2))
+    def rule(g):
+        gh = g * gamma.data
+        m1 = gh.sum(axis=-1, keepdims=True) / d
+        m2 = (gh * xhat).sum(axis=-1, keepdims=True) / d
+        axes = tuple(range(g.ndim - 1))
+        return inv * (gh - m1 - xhat * m2), (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
-    return _result(out, "layer_norm", (x, gamma, beta), bw)
+    return _result(out, "layer_norm", (x, gamma, beta), rule)
 
 
 def softmax(x: Tensor) -> Tensor:
     """Max-subtracted softmax over the last axis; rows sum to one."""
-    x = as_tensor(x)
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     ex = np.exp(shifted)
     p = ex / ex.sum(axis=-1, keepdims=True)
-
-    def bw(g):
-        if x.requires_grad:
-            inner = (g * p).sum(axis=-1, keepdims=True)
-            x.accumulate_grad(p * (g - inner))
-
-    return _result(p, "softmax", (x,), bw)
+    return _result(p, "softmax", (x,),
+                   lambda g: (p * (g - (g * p).sum(axis=-1, keepdims=True)),))
 
 
 def depthwise_conv1d(x: Tensor, kernel: Tensor, frames: int | None = None) -> Tensor:
@@ -456,7 +387,6 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, frames: int | None = None) -> Te
     out[b·T + t, c] = sum_j kernel[j, c] * x[b·T + t + j - (w-1)/2, c],
     where terms outside 0 <= t + j - (w-1)/2 < T are zero.
     """
-    x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 2 or kernel.ndim != 2:
         raise ShapeError(f"depthwise_conv1d expects 2d operands, got {x.shape}, {kernel.shape}")
     rows, d = x.shape
@@ -474,52 +404,39 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, frames: int | None = None) -> Te
     for j in range(w):
         out += kernel.data[j] * xp[:, j:j + T]
 
-    def bw(g):
+    def rule(g):
         g = g.reshape(B, T, d)
-        if kernel.requires_grad:
-            gk = np.empty_like(kernel.data)
-            for j in range(w):
-                gk[j] = (g * xp[:, j:j + T]).reshape(rows, d).sum(axis=0)
-            kernel.accumulate_grad(gk)
-        if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for j in range(w):
-                gxp[:, j:j + T] += g * kernel.data[j]
-            x.accumulate_grad(gxp[:, half:half + T].reshape(rows, d))
+        gxp = np.zeros_like(xp)
+        gk = np.empty_like(kernel.data)
+        for j in range(w):
+            gxp[:, j:j + T] += g * kernel.data[j]
+            gk[j] = (g * xp[:, j:j + T]).reshape(rows, d).sum(axis=0)
+        return gxp[:, half:half + T].reshape(rows, d), gk
 
-    return _result(out.reshape(rows, d), "depthwise_conv1d", (x, kernel), bw)
+    return _result(out.reshape(rows, d), "depthwise_conv1d", (x, kernel), rule)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     """Entries ``start:stop`` along the leading axis, as a view of the data."""
-    a = as_tensor(a)
     if a.ndim < 1 or not 0 <= start < stop <= a.shape[0]:
         raise ShapeError(f"slice_rows: rows [{start}, {stop}) of {a.shape}")
-    out = a.data[start:stop]
 
-    def bw(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            ga[start:stop] = g
-            a.accumulate_grad(ga)
+    def rule(g):
+        ga = np.zeros_like(a.data)
+        ga[start:stop] = g
+        return (ga,)
 
-    return _result(out, "slice_rows", (a,), bw)
+    return _result(a.data[start:stop], "slice_rows", (a,), rule)
 
 
 def concat_rows(parts) -> Tensor:
     """Join tensors along the leading axis; the other axes must agree."""
-    parts = [as_tensor(p) for p in parts]
+    parts = tuple(parts)
     if not parts or any(p.ndim < 1 or p.shape[1:] != parts[0].shape[1:] for p in parts):
         raise ShapeError(f"concat_rows: cannot join {[p.shape for p in parts]}")
     out = np.concatenate([p.data for p in parts])
-    bounds = np.cumsum([0] + [p.shape[0] for p in parts])
-
-    def bw(g):
-        for p, start, stop in zip(parts, bounds[:-1], bounds[1:]):
-            if p.requires_grad:
-                p.accumulate_grad(g[start:stop])
-
-    return _result(out, "concat_rows", tuple(parts), bw)
+    splits = np.cumsum([p.shape[0] for p in parts[:-1]])
+    return _result(out, "concat_rows", parts, lambda g: np.split(g, splits))
 
 
 def utterance_count(rows: int, frames: int) -> int:
@@ -536,28 +453,24 @@ def rel_position_gather(full: Tensor) -> Tensor:
     c - (T - 1) relative to the query. Returns (H, T, T) with
     out[h, t, s] = full[h, t, s - t + T - 1].
     """
-    full = as_tensor(full)
     if full.ndim != 3 or full.shape[2] != 2 * full.shape[1] - 1:
         raise ShapeError(f"rel_position_gather: expected (H, T, 2T - 1) scores, "
                          f"got {full.shape}")
     T = full.shape[1]
     rows = np.arange(T)[:, None]
     cols = (np.arange(T)[None, :] - np.arange(T)[:, None]) + (T - 1)
-    out = full.data[:, rows, cols]
 
-    def bw(g):
-        if full.requires_grad:
-            # (t, s) -> (t, s - t + T - 1) is injective: no index repeats
-            gf = np.zeros_like(full.data)
-            gf[:, rows, cols] = g
-            full.accumulate_grad(gf)
+    def rule(g):
+        # (t, s) -> (t, s - t + T - 1) is injective: no index repeats
+        gf = np.zeros_like(full.data)
+        gf[:, rows, cols] = g
+        return (gf,)
 
-    return _result(out, "rel_position_gather", (full,), bw)
+    return _result(full.data[:, rows, cols], "rel_position_gather", (full,), rule)
 
 
 def cross_entropy_mean(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean framewise cross entropy of (T, K) logits against integer labels."""
-    logits = as_tensor(logits)
     labels = np.asarray(labels, dtype=np.int64)
     T, K = logits.shape
     if labels.shape != (T,):
@@ -569,14 +482,13 @@ def cross_entropy_mean(logits: Tensor, labels: np.ndarray) -> Tensor:
     ll = logits.data[np.arange(T), labels] - lse
     out = -ll.mean()
 
-    def bw(g):
-        if logits.requires_grad:
-            p = np.exp(shifted)
-            p /= p.sum(axis=-1, keepdims=True)
-            p[np.arange(T), labels] -= 1.0
-            logits.accumulate_grad(float(g) * p / T)
+    def rule(g):
+        p = np.exp(shifted)
+        p /= p.sum(axis=-1, keepdims=True)
+        p[np.arange(T), labels] -= 1.0
+        return (float(g) * p / T,)
 
-    return _result(np.asarray(out), "cross_entropy_mean", (logits,), bw)
+    return _result(np.asarray(out), "cross_entropy_mean", (logits,), rule)
 
 
 def finite_diff_grad(loss, theta: np.ndarray, eps: float, coords=None) -> np.ndarray:

@@ -22,7 +22,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .autodiff import Tensor
-from .configio import ConfigError, parse_config_text, serialize_config
+from .configio import ConfigError, decode_text, parse_config_text, serialize_config
 from .encoder import BoundModel
 from .sharing import Key, ParameterStore, key_str, parameter_layout
 
@@ -76,12 +76,7 @@ def load_checkpoint(path) -> BoundModel:
     count_line = blob[at + len(marker):end]
     # a view, not a copy: the payload is most of the file
     payload = memoryview(blob)[end + 1:]
-    try:
-        head_lines = head.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        lineno = head[:exc.start].count(b"\n") + 1
-        raise ConfigError(f"{path}: line {lineno}: not UTF-8 text "
-                          f"(byte {head[exc.start]:#04x})") from None
+    head_lines = decode_text(head, path).splitlines()
     expected = _int(count_line.decode("utf-8", "replace"), "payload_bytes",
                     f"{path}: line {len(head_lines) + 1}")
     if len(payload) != expected:

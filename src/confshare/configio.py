@@ -146,9 +146,24 @@ def parse_config_text(text: str) -> tuple[ModelConfig, SharingPlan]:
     return config, SharingPlan(unshared=frozenset(unshared), **plan_kwargs)
 
 
+def decode_text(blob: bytes, path) -> str:
+    """``blob`` as UTF-8 text; a byte that is not UTF-8 is a ``ConfigError``
+    naming ``path``, the line and the byte."""
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = blob[:exc.start].count(b"\n") + 1
+        raise ConfigError(f"{path}: line {lineno}: not UTF-8 text "
+                          f"(byte {blob[exc.start]:#04x})") from None
+
+
 def parse_config_file(path) -> tuple[ModelConfig, SharingPlan]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    with open(path, "rb") as fh:
+        text = decode_text(fh.read(), path)
+    try:
+        return parse_config_text(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def serialize_config(config: ModelConfig, plan: SharingPlan) -> str:

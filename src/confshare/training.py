@@ -208,7 +208,7 @@ def gradcheck_model(model: BoundModel, batch: tuple[np.ndarray, np.ndarray],
 
     Only the one analytic pass records a tape: the finite-difference
     evaluations run with ``requires_grad`` cleared on every store tensor,
-    so their ops keep no parents and no backward closures. Each tensor's
+    so their ops keep no parents and no backward rules. Each tensor's
     flag is restored afterwards, also when an evaluation raises.
     """
     _check_eps_and_tol(eps, tol)

@@ -370,6 +370,43 @@ class TestBackward:
         with pytest.raises(ShapeError, match="concat_rows"):
             concat_rows([Tensor(np.zeros(shape)) for shape in parts])
 
+    @pytest.mark.parametrize("op,shapes,constant", [
+        pytest.param(matmul, [(3, 4), (4, 5)], (0,), id="matmul"),
+        pytest.param(lambda a, b: matmul(a, b, transpose_b=True), [(3, 4), (5, 4)], (1,),
+                     id="matmul-transpose_b"),
+        pytest.param(lambda a, b, c: matmul(a, b, bias=c), [(3, 4), (4, 5), (5,)], (2,),
+                     id="matmul-bias"),
+        pytest.param(add, [(2, 3), (2, 3)], (1,), id="add"),
+        pytest.param(mul, [(2, 3), (2, 3)], (0,), id="mul"),
+        pytest.param(layer_norm, [(3, 4), (4,), (4,)], (1, 2), id="layer_norm-gamma-beta"),
+        pytest.param(depthwise_conv1d, [(5, 3), (3, 3)], (1,), id="conv-kernel"),
+        pytest.param(depthwise_conv1d, [(5, 3), (3, 3)], (0,), id="conv-input"),
+        pytest.param(lambda a, b: concat_rows([a, b]), [(2, 3), (1, 3)], (0,),
+                     id="concat_rows"),
+    ])
+    def test_constant_operands_receive_no_gradient(self, op, shapes, constant):
+        def run(constant):
+            rng = Rng(7)
+            operands = [Tensor(rng.uniform(-1, 1, shape), requires_grad=i not in constant)
+                        for i, shape in enumerate(shapes)]
+            out = op(*operands)
+            backward(sum_all(mul(out, Tensor(rng.uniform(-1, 1, out.shape)))))
+            return operands
+
+        for i, (every, some) in enumerate(zip(run(()), run(constant))):
+            if i in constant:
+                assert some.grad is None
+            else:
+                assert some.grad.tobytes() == every.grad.tobytes()
+
+    def test_rule_returning_too_few_gradients_raises(self):
+        a = Tensor(np.ones(2), requires_grad=True)
+        b = Tensor(np.ones(2), requires_grad=True)
+        node = Tensor(a.data + b.data, requires_grad=True, op="add", parents=(a, b),
+                      backward=lambda g: (g,))
+        with pytest.raises(ValueError, match=r"zip\(\)"):
+            backward(sum_all(node))
+
     def test_rejects_non_scalar_loss(self, rng):
         with pytest.raises(ShapeError, match="scalar"):
             backward(rand_tensor(rng, (2,), requires_grad=True))

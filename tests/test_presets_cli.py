@@ -321,6 +321,21 @@ class TestCli:
         assert captured.err.splitlines() == [captured.err.strip()]
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("args", [("describe",), ("validate", "--config")],
+                             ids=["describe", "validate"])
+    @pytest.mark.parametrize("content,message", [
+        pytest.param(b"model.d = 1\xff\n", "line 1: not UTF-8 text (byte 0xff)", id="non-utf8"),
+        pytest.param(b"model.d = 8\nmodel.depth = 2\n", "line 2: unknown model key 'depth'",
+                     id="unknown-key"),
+    ])
+    def test_config_file_errors_name_the_file(self, args, content, message, tmp_path, capsys):
+        path = tmp_path / "bad.conf"
+        path.write_bytes(content)
+        assert run_cli(*args, str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {message}\n"
+
     def test_describe_unknown_preset_fails(self, capsys):
         assert run_cli("describe", "SL9") == 1
         assert "valid names" in capsys.readouterr().err

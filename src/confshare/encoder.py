@@ -15,10 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .autodiff import Tensor, as_tensor, matmul, reshape
 from .blocks import BlockParams, ModelConfig, assemble_block, conformer_block
 from .sharing import (FRONTEND_B, FRONTEND_W, HEAD_B, HEAD_W, REL_TABLE,
-                      BoundSchedule, ParameterStore, SharingPlan,
+                      BoundSchedule, Key, ParameterStore, SharingPlan,
                       bind_parameters, schedule_keys)
 
 
@@ -78,17 +80,64 @@ def encoder_forward(features, model: BoundModel,
     order, then projects to class logits. An empty schedule degenerates to
     head(frontend(x)). Utterances never see each other's frames.
     """
+    x, frames = pack_features(features, model.config)
+    return encode_from(x, model, frames, counter=counter)
+
+
+def pack_features(features, config: ModelConfig) -> tuple[Tensor, int]:
+    """Validated features as packed (B·T, input_dim) rows, and T."""
     x = as_tensor(features)
-    if x.ndim not in (2, 3) or x.shape[-1] != model.config.input_dim:
-        raise ValueError(f"expected (T, {model.config.input_dim}) or "
-                         f"(B, T, {model.config.input_dim}) features, got {x.shape}")
+    if x.ndim not in (2, 3) or x.shape[-1] != config.input_dim:
+        raise ValueError(f"expected (T, {config.input_dim}) or "
+                         f"(B, T, {config.input_dim}) features, got {x.shape}")
     frames = x.shape[-2]
-    check_frames(model.config, frames)
+    check_frames(config, frames)
     if x.ndim == 3:
         x = reshape(x, (x.shape[0] * frames, x.shape[2]))
-    x = matmul(x, model.store[FRONTEND_W], bias=model.store[FRONTEND_B])
-    for params in model.virtual_blocks():
-        x = conformer_block(x, params, frames)
-        if counter is not None:
-            counter.block_evals += 1
-    return matmul(x, model.store[HEAD_W], bias=model.store[HEAD_B])
+    return x, frames
+
+
+def encode_from(x: Tensor, model: BoundModel, frames: int, start: int = 0,
+                counter: EvalCounter | None = None,
+                inputs: list[np.ndarray] | None = None) -> Tensor:
+    """Logits from ``x``, the packed rows that enter stage ``start``.
+
+    The encoder is V + 2 stages in order: stage 0 is the frontend
+    projection, stage i + 1 is virtual layer i, and stage V + 1 is the
+    head. Every stage before ``start`` is skipped. When ``inputs`` is a
+    list, the input array of every stage that runs is appended to it, so
+    a pass from stage 0 leaves ``inputs[s]`` = the input of stage s.
+    """
+    layers = model.virtual_blocks()
+    for stage in range(start, len(layers) + 2):
+        if inputs is not None:
+            inputs.append(x.data)
+        if stage == 0:
+            x = matmul(x, model.store[FRONTEND_W], bias=model.store[FRONTEND_B])
+        elif stage <= len(layers):
+            x = conformer_block(x, layers[stage - 1], frames)
+            if counter is not None:
+                counter.block_evals += 1
+        else:
+            x = matmul(x, model.store[HEAD_W], bias=model.store[HEAD_B])
+    return x
+
+
+def first_stages(model: BoundModel) -> dict[Key, int]:
+    """The first ``encode_from`` stage that reads each store key.
+
+    A frontend key is read at stage 0, the relative-position table by
+    every virtual layer (so at stage 1), a block key at the stage of the
+    first virtual layer whose schedule entry binds it, and a head key
+    only at stage V + 1. Stages before a key's own compute the same
+    bytes whatever that key holds.
+    """
+    stages = {FRONTEND_W: 0, FRONTEND_B: 0}
+    if len(model.schedule) > 0:
+        stages[REL_TABLE] = 1
+    for stage, entry in enumerate(model.schedule.entries, start=1):
+        for binding in entry.values():
+            for key in binding.values():
+                stages.setdefault(key, stage)
+    stages[HEAD_W] = stages[HEAD_B] = len(model.schedule) + 1
+    return stages

@@ -18,8 +18,9 @@ from .autodiff import (NonFiniteError, Rng, ShapeError, Tensor, backward,
                        cross_entropy_mean, finite_diff_grad, fnv1a64, mix64,
                        relative_error, zero_grads)
 from .configio import serialize_config
-from .encoder import BoundModel, encoder_forward
-from .sharing import Key
+from .encoder import (BoundModel, encode_from, encoder_forward, first_stages,
+                      pack_features)
+from .sharing import Key, key_str
 
 
 class TrainingError(RuntimeError):
@@ -121,14 +122,19 @@ def batch_loss(model: BoundModel, features: np.ndarray,
     """Mean framewise cross entropy over a batch of equal-length
     utterances: (B, T, F) features against (B, T) labels, run as one
     packed forward pass."""
+    features, labels = _check_batch(features, labels)
+    logits = encoder_forward(features, model)
+    return cross_entropy_mean(logits, labels.reshape(-1))
+
+
+def _check_batch(features, labels) -> tuple[np.ndarray, np.ndarray]:
     features = np.asarray(features)
     labels = np.asarray(labels)
     if features.ndim != 3 or labels.shape != features.shape[:2]:
         raise ShapeError(f"batch_loss: features {features.shape} and labels "
                          f"{labels.shape} do not pair up; expected (B, T, F) "
                          f"features and (B, T) labels")
-    logits = encoder_forward(features, model)
-    return cross_entropy_mean(logits, labels.reshape(-1))
+    return features, labels
 
 
 def train_steps(model: BoundModel, spec: ToyTaskSpec, opt: OptimizerState,
@@ -197,7 +203,8 @@ def gradcheck_model(model: BoundModel, batch: tuple[np.ndarray, np.ndarray],
                     keys: list[Key] | None = None) -> GradcheckReport:
     """Backward gradients vs central finite differences on a seeded
     coordinate subset of every physical tensor (or the given slice of
-    keys). An empty slice passes vacuously.
+    keys). An empty slice passes vacuously; a key the store does not
+    hold is rejected before anything is computed.
 
     Coordinates where both sides are below 1e-9 count as agreeing at
     zero: the attention key bias is softmax-shift invariant, so its true
@@ -210,19 +217,33 @@ def gradcheck_model(model: BoundModel, batch: tuple[np.ndarray, np.ndarray],
     evaluations run with ``requires_grad`` cleared on every store tensor,
     so their ops keep no parents and no backward rules. Each tensor's
     flag is restored afterwards, also when an evaluation raises.
+
+    The analytic pass also keeps the input of every encoder stage, and
+    each evaluation for a key restarts from the input of the first stage
+    that reads that key (``encoder.first_stages``): a head key runs only
+    the head, a key of a block first applied at virtual layer j runs
+    layers j..V−1 and the head, and a frontend key runs the whole pass.
+    The skipped stages do not read the perturbed key, and the same ops on
+    the same bytes give the same bytes with or without a tape, so every
+    loss equals the full ``batch_loss`` bit for bit.
     """
     _check_eps_and_tol(eps, tol)
     if samples_per_tensor < 1:
         raise ValueError(f"samples per tensor must be positive, got {samples_per_tensor}")
-    features, labels = batch
-
-    def loss_value() -> float:
-        return batch_loss(model, features, labels).item()
+    selected = list(model.store.keys()) if keys is None else list(keys)
+    unknown = [key_str(key) for key in selected if key not in model.store]
+    if unknown:
+        raise ValueError(f"gradcheck_model: the store has no tensor for key "
+                         f"{', '.join(unknown)}")
+    features, labels = _check_batch(*batch)
+    x, frames = pack_features(features, model.config)
+    targets = labels.reshape(-1)
 
     zero_grads(model.parameters())
-    backward(batch_loss(model, features, labels))
+    inputs: list[np.ndarray] = []
+    backward(_loss_from(model, x, frames, targets, 0, inputs))
+    stages = first_stages(model)
 
-    selected = list(model.store.keys()) if keys is None else list(keys)
     entries = []
     tracked = [(t, t.requires_grad) for t in model.parameters()]
     try:
@@ -230,16 +251,26 @@ def gradcheck_model(model: BoundModel, batch: tuple[np.ndarray, np.ndarray],
             t.requires_grad = False
         for key in selected:
             tensor = model.store[key]
+            start = stages[key]
             analytic = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
             rng = Rng(model.store.seed).derive(f"gradcheck.{key}")
             coords = sorted({int(i) for i in rng.integers(tensor.size, (samples_per_tensor,))})
-            fd = finite_diff_grad(loss_value, tensor.data, eps, coords)
+            fd = finite_diff_grad(
+                lambda: _loss_from(model, Tensor(inputs[start]), frames, targets, start).item(),
+                tensor.data, eps, coords)
             worst = relative_error(analytic.reshape(-1)[coords], fd, zero_floor=1e-9)
             entries.append(GradcheckEntry(key=key, max_rel_err=worst, checked=len(coords)))
     finally:
         for t, requires_grad in tracked:
             t.requires_grad = requires_grad
     return GradcheckReport(entries=tuple(entries), tol=tol)
+
+
+def _loss_from(model: BoundModel, x: Tensor, frames: int, targets: np.ndarray,
+               start: int, inputs: list[np.ndarray] | None = None) -> Tensor:
+    """The batch loss computed from ``x``, the input of encoder stage
+    ``start`` (see ``encoder.encode_from``)."""
+    return cross_entropy_mean(encode_from(x, model, frames, start, inputs=inputs), targets)
 
 
 def _check_eps_and_tol(eps: float, tol: float):

@@ -4,17 +4,22 @@ import re
 import numpy as np
 import pytest
 
+import confshare.encoder
 import confshare.training
-from confshare.autodiff import (ShapeError, add, backward, cross_entropy_mean,
-                                scale, zero_grads)
-from confshare.blocks import ModelConfig
-from confshare.encoder import bind_model, encoder_forward
+from confshare.autodiff import (ShapeError, Tensor, add, backward,
+                                cross_entropy_mean, scale, zero_grads)
+from confshare.blocks import ModelConfig, conformer_block
+from confshare.encoder import (bind_model, encoder_forward, first_stages,
+                               pack_features)
 from confshare.lowrank import LowRankSpec
-from confshare.sharing import repeat_plan
+from confshare.sharing import (FRONTEND_B, FRONTEND_W, HEAD_B, HEAD_W, REL_TABLE,
+                               SharingPlan, repeat_plan, unshare_module,
+                               unshare_subcomponent)
 from confshare.training import (OptimizerState, ToyTaskSpec, TrainingError,
                                 TrainReport, batch_loss, generate_toy_batch,
                                 gradcheck_model, serialize_report,
                                 task_prototypes, train_steps)
+from confshare.training import _loss_from as loss_from
 from dataclasses import replace
 
 
@@ -231,11 +236,11 @@ class TestGradcheckModel:
     def test_finite_difference_evaluations_keep_no_tape(self, monkeypatch):
         losses = []
 
-        def recording_batch_loss(*args):
-            losses.append(batch_loss(*args))
+        def recording_loss_from(*args):
+            losses.append(loss_from(*args))
             return losses[-1]
 
-        monkeypatch.setattr(confshare.training, "batch_loss", recording_batch_loss)
+        monkeypatch.setattr(confshare.training, "_loss_from", recording_loss_from)
         model = bind_model(_cfg(), repeat_plan(1, 1), seed=1)
         keys = list(model.store.keys())[:3]
         report = gradcheck_model(model, self._batch(model.config),
@@ -250,13 +255,13 @@ class TestGradcheckModel:
     def test_restores_requires_grad_when_an_evaluation_raises(self, monkeypatch):
         calls = []
 
-        def failing_batch_loss(*args):
+        def failing_loss_from(*args):
             calls.append(None)
             if len(calls) == 3:
                 raise FloatingPointError("evaluation failed")
-            return batch_loss(*args)
+            return loss_from(*args)
 
-        monkeypatch.setattr(confshare.training, "batch_loss", failing_batch_loss)
+        monkeypatch.setattr(confshare.training, "_loss_from", failing_loss_from)
         model = bind_model(_cfg(), repeat_plan(1, 1), seed=1)
         frozen = model.store[list(model.store.keys())[0]]
         frozen.requires_grad = False
@@ -273,10 +278,115 @@ class TestGradcheckModel:
         def never(*args):
             raise AssertionError("computed a loss for a check that cannot run")
 
-        monkeypatch.setattr(confshare.training, "batch_loss", never)
+        monkeypatch.setattr(confshare.training, "_loss_from", never)
         model = bind_model(_cfg(), repeat_plan(1, 1), seed=1)
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
             gradcheck_model(model, self._batch(model.config), **{name: value})
+
+    def test_rejects_unknown_keys_before_any_compute(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("computed a loss for a key the store lacks")
+
+        monkeypatch.setattr(confshare.training, "_loss_from", never)
+        model = bind_model(_cfg(), repeat_plan(1, 1), seed=1)
+        keys = [("ff_start", "linear1.w", 1), ("conv", "depth.k", 3)]
+        with pytest.raises(ValueError, match=r"no tensor for key conv\|depth\.k\|3$"):
+            gradcheck_model(model, self._batch(model.config), keys=keys)
+
+
+class TestRestartStage:
+    """Each finite-difference evaluation restarts at the first encoder
+    stage that reads the perturbed key; the skipped stages must not
+    depend on it."""
+
+    PLANS = {
+        "repeat": repeat_plan(2, 3),
+        "conv-unshared": unshare_module(repeat_plan(2, 3), "conv"),
+        "key-unshared": unshare_subcomponent(repeat_plan(2, 3), ("attention", "key")),
+        "lowrank": replace(repeat_plan(2, 2), lowrank=LowRankSpec(k=2)),
+        "empty": SharingPlan(v=0, i_ff_start=(), i_attention=(), i_conv=(), i_ff_end=()),
+    }
+
+    def _batch(self, cfg):
+        spec = ToyTaskSpec(feature_dim=cfg.input_dim, num_classes=cfg.num_classes,
+                           frames=4, batch=2)
+        return generate_toy_batch(spec, 5, 0)
+
+    @staticmethod
+    def _stage_inputs(model, features, labels):
+        x, frames = pack_features(features, model.config)
+        inputs = []
+        loss_from(model, x, frames, labels.reshape(-1), 0, inputs)
+        return inputs, frames
+
+    @staticmethod
+    def _loss_at(model, inputs, frames, labels, start):
+        return loss_from(model, Tensor(inputs[start]), frames, labels.reshape(-1), start).item()
+
+    @pytest.mark.parametrize("plan", PLANS.values(), ids=PLANS.keys())
+    def test_restart_gives_the_full_loss_bit_for_bit(self, plan):
+        model = bind_model(_cfg(), plan, seed=7)
+        features, labels = self._batch(model.config)
+        inputs, frames = self._stage_inputs(model, features, labels)
+        stages = first_stages(model)
+        assert set(stages) == set(model.store.keys())
+        assert len(inputs) == plan.v + 2
+        for key, tensor in model.store.items():
+            flat = tensor.data.reshape(-1)
+            i = flat.size // 2
+            original = flat[i]
+            try:
+                flat[i] = original + 1e-3
+                full = batch_loss(model, features, labels).item()
+                assert self._loss_at(model, inputs, frames, labels, stages[key]) == full, key
+            finally:
+                flat[i] = original
+
+    def test_stages_follow_the_schedule(self):
+        model = bind_model(_cfg(), repeat_plan(2, 3), seed=7)
+        stages = first_stages(model)
+        assert stages[FRONTEND_W] == stages[FRONTEND_B] == 0
+        assert stages[REL_TABLE] == 1
+        assert stages[("ff_start", "linear1.w", 1)] == 1
+        assert stages[("conv", "depth.k", 2)] == 4
+        assert stages[HEAD_W] == stages[HEAD_B] == 7
+        unshared = first_stages(bind_model(_cfg(), self.PLANS["key-unshared"], seed=7))
+        assert [unshared[("attention", "key.w", g)] for g in range(1, 7)] == [1, 2, 3, 4, 5, 6]
+        assert unshared[("attention", "query.w", 2)] == 4
+
+    def test_restarting_one_stage_late_misses_the_perturbation(self):
+        model = bind_model(_cfg(), repeat_plan(2, 3), seed=7)
+        features, labels = self._batch(model.config)
+        inputs, frames = self._stage_inputs(model, features, labels)
+        key = ("ff_start", "linear1.w", 2)
+        start = first_stages(model)[key]
+        flat = model.store[key].data.reshape(-1)
+        original = flat[0]
+        try:
+            flat[0] = original + 1e-3
+            full = batch_loss(model, features, labels).item()
+            assert self._loss_at(model, inputs, frames, labels, start) == full
+            assert self._loss_at(model, inputs, frames, labels, start + 1) != full
+        finally:
+            flat[0] = original
+
+    @pytest.mark.parametrize("key,blocks", [(HEAD_W, 0), (HEAD_B, 0),
+                                            (("conv", "depth.k", 2), 3),
+                                            (("ff_end", "linear2.b", 1), 6),
+                                            (REL_TABLE, 6), (FRONTEND_W, 6)])
+    def test_blocks_run_per_evaluation(self, key, blocks, monkeypatch):
+        calls = []
+
+        def counting_block(*args):
+            calls.append(None)
+            return conformer_block(*args)
+
+        monkeypatch.setattr(confshare.encoder, "conformer_block", counting_block)
+        model = bind_model(_cfg(), repeat_plan(2, 3), seed=7)
+        report = gradcheck_model(model, self._batch(model.config),
+                                 samples_per_tensor=2, keys=[key])
+        evaluations = 2 * report.entries[0].checked
+        assert len(calls) == 6 + evaluations * blocks
 
 
 class TestLossTrend:

@@ -18,13 +18,20 @@ optional fused bias, and 3-d batched for attention heads), layer norm,
 softmax, swish/glu, a depthwise temporal convolution that pads each
 utterance of a packed batch on its own, plus reshape/transpose plumbing,
 ``slice_rows``/``concat_rows`` along the leading axis (to take one
-utterance's heads out of a packed batch and join them back) and the
-relative-position gather.
+utterance's heads out of a packed batch and join them back) and
+``attention_weights``, which turns content scores and relative-position
+scores into softmax weights as one node.
+
+A rule keeps only the arrays it reads and cannot get from its parents'
+data or its own output: swish recomputes its sigmoid from the input,
+layer norm keeps one mean and one inverse deviation per row, and
+``attention_weights`` keeps only its weights.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -202,6 +209,17 @@ class Tape:
         return cls(order)
 
 
+class RowRange(NamedTuple):
+    """A rule result for rows ``start:stop`` of a parent, zero elsewhere:
+    ``backward`` adds ``grad`` into those rows of the parent's gradient
+    (zero-filled once, on first use) instead of adding a parent-sized
+    array that is mostly zeros."""
+
+    start: int
+    stop: int
+    grad: np.ndarray
+
+
 def backward(loss: Tensor) -> Tape:
     """Reverse-mode sweep from a scalar loss.
 
@@ -214,6 +232,16 @@ def backward(loss: Tensor) -> Tape:
     receives the sum of its per-use contributions, accumulated in reverse
     tape order. Interior gradients are dropped as soon as their node has
     passed them on, so after the sweep only leaves carry ``.grad``.
+
+    An interior node's first gradient is taken over, not copied, when
+    nothing else can write to it: a writeable C-contiguous array of the
+    node's shape that the rule returned for no other parent. Rules are
+    linear in their gradient, so the only difference from a copy
+    (``g + 0.0``) is that an interior zero may keep a minus sign; leaves
+    always store the copy, which turns -0.0 into +0.0, so leaf bytes are
+    those of copying everywhere. A ``RowRange`` result is added into its
+    rows only.
+
     Returns the tape for instrumentation.
     """
     if loss.shape != ():
@@ -223,11 +251,31 @@ def backward(loss: Tensor) -> Tape:
     for node in reversed(tape.nodes):
         if node._backward is None or node.grad is None:
             continue
-        for parent, grad in zip(node._parents, node._backward(node.grad), strict=True):
-            if parent.requires_grad:
-                parent.accumulate_grad(grad)
+        grads = node._backward(node.grad)
         node.grad = None
+        for parent, grad in zip(node._parents, grads, strict=True):
+            if not parent.requires_grad:
+                continue
+            if type(grad) is RowRange:
+                if parent.grad is None:
+                    parent.grad = np.zeros_like(parent.data)
+                parent.grad[grad.start:grad.stop] += grad.grad
+            elif parent.grad is None and _can_take_over(parent, grad, grads):
+                parent.grad = grad
+            else:
+                parent.accumulate_grad(grad)
     return tape
+
+
+def _can_take_over(parent: Tensor, grad, grads) -> bool:
+    """Whether ``parent``, which holds no gradient yet, may keep ``grad``
+    (one of the rule results ``grads``) as its gradient buffer and add
+    into it later without changing any other array: only an interior
+    node may, and only an owned array of its shape."""
+    if parent._backward is None or type(grad) is not np.ndarray or grad.shape != parent.data.shape:
+        return False
+    flags = grad.flags
+    return flags.writeable and flags.c_contiguous and sum(g is grad for g in grads) == 1
 
 
 def zero_grads(tensors):
@@ -323,10 +371,18 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def swish(a: Tensor) -> Tensor:
-    """x * sigmoid(x)."""
-    s = _sigmoid(a.data)
-    out = a.data * s
-    return _result(out, "swish", (a,), lambda g: (g * (s + out * (1.0 - s)),))
+    """x * sigmoid(x). The rule recomputes the sigmoid from x."""
+    out = a.data * _sigmoid(a.data)
+
+    def rule(g):
+        s = _sigmoid(a.data)
+        ds = np.subtract(1.0, s)
+        ds *= out
+        ds += s
+        ds *= g  # g * (s + out * (1 - s))
+        return (ds,)
+
+    return _result(out, "swish", (a,), rule)
 
 
 def glu(a: Tensor) -> Tensor:
@@ -353,29 +409,67 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
         raise ValueError("layer_norm: eps must be positive")
     # sum then divide, as ndarray.mean does, without its per-call overhead
     mu = x.data.sum(axis=-1, keepdims=True) / d
-    xc = x.data - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    xhat = x.data - mu
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = gamma.data * xhat + beta.data
+    xhat *= inv
+    out = gamma.data * xhat
+    out += beta.data
 
     def rule(g):
+        # rebuild xhat from the per-row mu and inv: the same bytes as above
+        xhat = x.data - mu
+        xhat *= inv
         gh = g * gamma.data
         m1 = gh.sum(axis=-1, keepdims=True) / d
         m2 = (gh * xhat).sum(axis=-1, keepdims=True) / d
         axes = tuple(range(g.ndim - 1))
-        return inv * (gh - m1 - xhat * m2), (g * xhat).sum(axis=axes), g.sum(axis=axes)
+        ggamma = (g * xhat).sum(axis=axes)
+        gh -= m1
+        xhat *= m2
+        gh -= xhat
+        gh *= inv  # inv * (gh - m1 - xhat * m2)
+        return gh, ggamma, g.sum(axis=axes)
 
     return _result(out, "layer_norm", (x, gamma, beta), rule)
 
 
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Max-subtracted softmax over the last axis, computed in z's memory."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
+def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The input gradient of a softmax with output p: p * (g - sum(g * p))."""
+    gx = g - (g * p).sum(axis=-1, keepdims=True)
+    gx *= p
+    return gx
+
+
 def softmax(x: Tensor) -> Tensor:
     """Max-subtracted softmax over the last axis; rows sum to one."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    p = ex / ex.sum(axis=-1, keepdims=True)
-    return _result(p, "softmax", (x,),
-                   lambda g: (p * (g - (g * p).sum(axis=-1, keepdims=True)),))
+    p = _softmax(x.data.copy())
+    return _result(p, "softmax", (x,), lambda g: (_softmax_grad(p, g),))
+
+
+def _skew(full: np.ndarray) -> np.ndarray:
+    """The (H, T, T) view out[h, t, s] = full[h, t, s - t + T - 1] of a
+    C-contiguous (H, T, 2T - 1) array, with no index arrays.
+
+    In the (H, T·(2T−1)) flattening, out[h, t, s] is element
+    (T − 1) + t·(2T − 2) + s of row h (the skew of Huang et al. 2018,
+    arXiv:1809.04281, over a 2T − 1 window), so a fixed offset and
+    strides address it. Writing through the view writes those entries
+    of ``full``; (t, s) -> s - t + T - 1 is injective, so none is
+    written twice.
+    """
+    H, T, W = full.shape
+    step = full.itemsize
+    return np.ndarray((H, T, T), dtype=full.dtype, buffer=full, offset=(T - 1) * step,
+                      strides=(T * W * step, (W - 1) * step, step))
 
 
 def depthwise_conv1d(x: Tensor, kernel: Tensor, frames: int | None = None) -> Tensor:
@@ -417,16 +511,12 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, frames: int | None = None) -> Te
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    """Entries ``start:stop`` along the leading axis, as a view of the data."""
+    """Entries ``start:stop`` along the leading axis, as a view of the data.
+    Its rule hands ``backward`` a ``RowRange``, not a parent-sized array."""
     if a.ndim < 1 or not 0 <= start < stop <= a.shape[0]:
         raise ShapeError(f"slice_rows: rows [{start}, {stop}) of {a.shape}")
-
-    def rule(g):
-        ga = np.zeros_like(a.data)
-        ga[start:stop] = g
-        return (ga,)
-
-    return _result(a.data[start:stop], "slice_rows", (a,), rule)
+    return _result(a.data[start:stop], "slice_rows", (a,),
+                   lambda g: (RowRange(start, stop, g),))
 
 
 def concat_rows(parts) -> Tensor:
@@ -446,27 +536,32 @@ def utterance_count(rows: int, frames: int) -> int:
     return rows // frames
 
 
-def rel_position_gather(full: Tensor) -> Tensor:
-    """Pick relative-offset positional scores out of a dense table product.
+def attention_weights(content: Tensor, pos_full: Tensor, scale: float) -> Tensor:
+    """softmax((content + skew(pos_full)) * scale) over the last axis.
 
-    full is (H, T, 2T - 1) where column c holds the score for key offset
-    c - (T - 1) relative to the query. Returns (H, T, T) with
-    out[h, t, s] = full[h, t, s - t + T - 1].
+    content is (H, T, T) query-key scores. pos_full is (H, T, 2T - 1)
+    positional scores where column c holds the score for key offset
+    c - (T - 1) relative to the query, and skew(pos_full)[h, t, s] =
+    pos_full[h, t, s - t + T - 1] (a strided view, see ``_skew``). One
+    node, which keeps only the weights; its rule writes the positional
+    gradient into a zeroed (H, T, 2T - 1) array through the same view.
     """
-    if full.ndim != 3 or full.shape[2] != 2 * full.shape[1] - 1:
-        raise ShapeError(f"rel_position_gather: expected (H, T, 2T - 1) scores, "
-                         f"got {full.shape}")
-    T = full.shape[1]
-    rows = np.arange(T)[:, None]
-    cols = (np.arange(T)[None, :] - np.arange(T)[:, None]) + (T - 1)
+    if (pos_full.ndim != 3 or pos_full.shape[2] != 2 * pos_full.shape[1] - 1
+            or content.shape != pos_full.shape[:2] + (pos_full.shape[1],)):
+        raise ShapeError(f"attention_weights: expected (H, T, T) and (H, T, 2T - 1) "
+                         f"scores, got {content.shape} and {pos_full.shape}")
+    z = content.data + _skew(pos_full.data)
+    z *= scale
+    p = _softmax(z)
 
     def rule(g):
-        # (t, s) -> (t, s - t + T - 1) is injective: no index repeats
-        gf = np.zeros_like(full.data)
-        gf[:, rows, cols] = g
-        return (gf,)
+        gz = _softmax_grad(p, g)
+        gz *= scale
+        gfull = np.zeros_like(pos_full.data)
+        _skew(gfull)[...] = gz
+        return gz, gfull
 
-    return _result(full.data[:, rows, cols], "rel_position_gather", (full,), rule)
+    return _result(p, "attention_weights", (content, pos_full), rule)
 
 
 def cross_entropy_mean(logits: Tensor, labels: np.ndarray) -> Tensor:

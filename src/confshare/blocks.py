@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Rng, ShapeError, Tensor, add, concat_rows,
-                       depthwise_conv1d, glu, layer_norm, matmul,
-                       rel_position_gather, reshape, scale, slice_rows,
-                       softmax, swish, transpose, utterance_count)
+from .autodiff import (Rng, ShapeError, Tensor, add, attention_weights,
+                       concat_rows, depthwise_conv1d, glu, layer_norm, matmul,
+                       reshape, scale, slice_rows, swish, transpose,
+                       utterance_count)
 from .lowrank import LowRankFactors
 
 LN_EPS = 1e-6
@@ -166,7 +166,11 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None) -> Tenso
     ``x`` holds utterances of ``frames`` = T frames each (default: one).
     The projections run once over all rows; the scores, softmax and
     context run per utterance on that utterance's (H, T, ·) heads, so no
-    frame attends to another utterance's.
+    frame attends to another utterance's. Per utterance the tape holds
+    the content scores (H, T, T), the positional product (H, T, 2T − 1)
+    and one ``attention_weights`` node, which adds the two through a
+    strided view, scales, takes the softmax and keeps only the (H, T, T)
+    weights.
     """
     rows, d = x.shape
     T = rows if frames is None else frames
@@ -202,8 +206,7 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None) -> Tenso
         qb, kb, vb, pqb = (utterance(t, b) for t in (q3, k3, v3, pq3))
         content = matmul(qb, kb, transpose_b=True)          # (H, T, T)
         pos_full = matmul(pqb, rel3, transpose_b=True)      # (H, T, 2T - 1)
-        pos = rel_position_gather(pos_full)                 # (H, T, T)
-        weights = softmax(scale(add(content, pos), 1.0 / math.sqrt(dh)))
+        weights = attention_weights(content, pos_full, 1.0 / math.sqrt(dh))
         contexts.append(matmul(weights, vb))                # (H, T, dh)
     if B == 1:
         merged = reshape(transpose(contexts[0], (1, 0, 2)), (T, d))

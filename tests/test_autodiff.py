@@ -1,11 +1,14 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 
-from confshare.autodiff import (NonFiniteError, Rng, ShapeError, Tape, Tensor,
-                                _sigmoid, add, backward, concat_rows,
+from confshare.autodiff import (NonFiniteError, Rng, RowRange, ShapeError, Tape,
+                                Tensor, _sigmoid, _skew, add, attention_weights,
+                                backward, concat_rows, cross_entropy_mean,
                                 depthwise_conv1d, finite_diff_grad, glu,
                                 layer_norm, matmul, mul, relative_error,
                                 scale, slice_rows, softmax, sum_all, swish,
@@ -188,6 +191,70 @@ class TestSoftmax:
         assert_params_match_fd({"x": x}, make_loss)
 
 
+def gather_oracle(full: Tensor) -> Tensor:
+    """out[h, t, s] = full[h, t, s - t + T - 1] by index arrays, as a tape
+    node whose rule scatters the gradient back through the same indices."""
+    T = full.shape[1]
+    rows = np.arange(T)[:, None]
+    cols = np.arange(T)[None, :] - np.arange(T)[:, None] + (T - 1)
+
+    def rule(g):
+        gf = np.zeros_like(full.data)
+        gf[:, rows, cols] = g
+        return (gf,)
+
+    return Tensor(full.data[:, rows, cols], requires_grad=full.requires_grad,
+                  op="gather", parents=(full,), backward=rule)
+
+
+class TestAttentionWeights:
+    @pytest.mark.parametrize("T", [1, 2, 3, 5, 16, 128])
+    def test_skew_equals_index_gather(self, T):
+        full = Tensor(Rng(T).uniform(-1, 1, (3, T, 2 * T - 1)))
+        assert _skew(full.data).tobytes() == gather_oracle(full).data.tobytes()
+        # writing through the view is the oracle's scatter
+        g = Rng(T + 1).uniform(-1, 1, (3, T, T))
+        scattered = np.zeros(full.shape)
+        _skew(scattered)[...] = g
+        assert scattered.tobytes() == gather_oracle(full)._backward(g)[0].tobytes()
+
+    @pytest.mark.parametrize("T", [1, 2, 5, 16])
+    def test_bytes_equal_the_unfused_ops(self, T):
+        def run(fused):
+            rng = Rng(40 + T)
+            content = Tensor(rng.uniform(-3, 3, (2, T, T)), requires_grad=True)
+            pos_full = Tensor(rng.uniform(-3, 3, (2, T, 2 * T - 1)), requires_grad=True)
+            c = Tensor(rng.uniform(-1, 1, (2, T, T)))
+            s = 1.0 / math.sqrt(5)
+            if fused:
+                out = attention_weights(content, pos_full, s)
+            else:
+                out = softmax(scale(add(content, gather_oracle(pos_full)), s))
+            backward(sum_all(mul(out, c)))
+            return out.data.tobytes(), content.grad.tobytes(), pos_full.grad.tobytes()
+
+        assert run(fused=True) == run(fused=False)
+
+    def test_gradients(self, rng):
+        T = 4
+        content = rand_tensor(rng, (2, T, T), requires_grad=True, scale=2.0)
+        pos_full = rand_tensor(rng, (2, T, 2 * T - 1), requires_grad=True, scale=2.0)
+        c = Tensor(rng.uniform(-1, 1, (2, T, T)))
+
+        def make_loss():
+            return sum_all(mul(attention_weights(content, pos_full, 0.5), c))
+
+        assert_params_match_fd({"content": content, "pos_full": pos_full}, make_loss)
+
+    @pytest.mark.parametrize("content,pos_full", [((2, 3, 3), (2, 3, 6)),
+                                                  ((2, 3, 3), (2, 4, 7)),
+                                                  ((2, 3, 4), (2, 3, 5)),
+                                                  ((3, 3), (3, 5))])
+    def test_rejects_scores_that_do_not_pair_up(self, content, pos_full):
+        with pytest.raises(ShapeError, match="attention_weights"):
+            attention_weights(Tensor(np.zeros(content)), Tensor(np.zeros(pos_full)), 1.0)
+
+
 class TestActivations:
     def test_swish_zero(self):
         assert swish(Tensor([0.0])).data[0] == 0.0
@@ -357,6 +424,98 @@ class TestBackward:
         assert isinstance(w.grad, np.ndarray) and w.grad.shape == ()
         assert float(w.grad) == 6.0
 
+    def test_leaf_first_gradient_from_backward_is_positive_zero(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        backward(sum_all(mul(w, Tensor(np.array([-0.0, 2.0, -0.0])))))
+        assert w.grad.tolist() == [0.0, 2.0, 0.0]
+        assert not np.signbit(w.grad).any()
+
+    @pytest.mark.parametrize("handed,taken", [
+        pytest.param(lambda h: (h,), True, id="owned"),
+        pytest.param(lambda h: (h.T.copy().T,), False, id="not-contiguous"),
+        pytest.param(lambda h: (np.broadcast_to(h[0], h.shape),), False, id="read-only"),
+    ])
+    def test_interior_first_gradient_is_taken_over_only_when_owned(self, handed, taken):
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        y = mul(x, Tensor(np.full((2, 2), 3.0)))
+        seen = []
+        rule = y._backward
+        y._backward = lambda g: (seen.append(g), rule(g))[1]
+        grads = handed(np.array([[2.0, -1.0], [0.5, 4.0]]))
+        top = Tensor(y.data, requires_grad=True, op="identity", parents=(y,),
+                     backward=lambda g: grads)
+        backward(sum_all(top))
+        assert (seen[0] is grads[0]) == taken
+        assert np.array_equal(x.grad, 3.0 * grads[0])
+
+    def test_add_of_two_interior_nodes_reused_later(self):
+        # integer data, so every gradient is exact; add's rule hands the same
+        # array to a and b before their later uses add to either
+        x = Tensor(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), requires_grad=True)
+        u, v, c, d1, d2 = (Tensor(np.arange(6.0).reshape(2, 3) + k) for k in (1, -2, 3, -1, 2))
+        a, b = mul(x, u), mul(x, v)
+        loss = add(add(sum_all(mul(add(a, b), c)), sum_all(mul(a, d1))), sum_all(mul(b, d2)))
+        tape = backward(loss)
+        expected = (c.data + d1.data) * u.data + (c.data + d2.data) * v.data
+        assert np.array_equal(x.grad, expected)
+        self._assert_leaf_gradients_own_their_memory(tape)
+
+    def test_add_of_an_interior_node_to_itself(self):
+        x = Tensor(np.array([[1.0, -2.0], [3.0, 0.5]]), requires_grad=True)
+        u, c, d = (Tensor(np.array([[2.0, 1.0], [-1.0, 3.0]]) * k) for k in (1, 2, -1))
+        y = mul(x, u)
+        tape = backward(add(sum_all(mul(add(y, y), c)), sum_all(mul(y, d))))
+        assert np.array_equal(x.grad, (2.0 * c.data + d.data) * u.data)
+        self._assert_leaf_gradients_own_their_memory(tape)
+
+    def test_concat_rows_of_one_part_twice(self):
+        x = Tensor(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), requires_grad=True)
+        u = Tensor(np.array([[1.0, -1.0, 2.0], [0.5, 3.0, -2.0]]))
+        c = Tensor(np.arange(12.0).reshape(4, 3) - 5.0)
+        y = mul(x, u)
+        tape = backward(add(sum_all(mul(concat_rows([y, y]), c)), sum_all(y)))
+        assert np.array_equal(x.grad, (c.data[:2] + c.data[2:] + 1.0) * u.data)
+        self._assert_leaf_gradients_own_their_memory(tape)
+
+    def test_block_leaf_gradients_own_their_memory(self, rng):
+        from confshare.blocks import ModelConfig, conformer_block
+
+        params = bound_block(ModelConfig(d=8, e=2, heads=2, kernel_width=3, t_max=8), 3)
+        x = rand_tensor(rng, (2 * 5, 8), requires_grad=True)
+        tape = backward(sum_all(conformer_block(x, params, frames=5)))
+        self._assert_leaf_gradients_own_their_memory(tape)
+
+    @staticmethod
+    def _assert_leaf_gradients_own_their_memory(tape):
+        grads = [n.grad for n in tape.nodes if n.grad is not None]
+        assert grads and all(not n._parents for n in tape.nodes if n.grad is not None)
+        for i, g in enumerate(grads):
+            assert not any(np.shares_memory(g, other) for other in grads[i + 1:])
+            assert not any(np.shares_memory(g, n.data) for n in tape.nodes)
+
+    def test_slice_rows_rule_returns_only_its_rows(self, rng):
+        a = rand_tensor(rng, (5, 2), requires_grad=True)
+        g = np.ones((2, 2))
+        (rows,) = slice_rows(a, 1, 3)._backward(g)
+        assert isinstance(rows, RowRange)
+        assert (rows.start, rows.stop) == (1, 3) and rows.grad is g
+
+    def test_slices_of_an_interior_node_add_into_their_rows(self):
+        x = Tensor(np.arange(8.0).reshape(4, 2) - 3.0, requires_grad=True)
+        u = Tensor(np.array([[1.0, 2.0], [-1.0, 0.5], [3.0, 1.0], [2.0, -2.0]]))
+        c1 = Tensor(np.array([[2.0, -1.0]]))
+        c2 = Tensor(np.array([[1.0, 1.0], [-3.0, 4.0]]))
+        d = Tensor(np.full((4, 2), 0.5))
+        y = mul(x, u)
+        # the whole-tensor use is traced last, so backward reaches it first
+        # and the slices add into a gradient that is already there
+        backward(add(sum_all(mul(y, d)), add(sum_all(mul(slice_rows(y, 0, 1), c1)),
+                                             sum_all(mul(slice_rows(y, 2, 4), c2)))))
+        upstream = d.data.copy()
+        upstream[0:1] += c1.data
+        upstream[2:4] += c2.data  # row 1 is in no slice
+        assert np.array_equal(x.grad, upstream * u.data)
+
     def test_slice_and_concat_rows_route_gradients(self, rng):
         a = rand_tensor(rng, (4, 2, 3), requires_grad=True)
         c = rng.uniform(-1, 1, (4, 2, 3))
@@ -433,6 +592,58 @@ class TestBackward:
             "final_gamma": params.final_ln_gamma,
         }
         assert_params_match_fd(named, make_loss)
+
+
+class TestRetainedMemory:
+    """A rule keeps no array it could get from its parents or its output."""
+
+    @staticmethod
+    def _build(op, rng):
+        if op == "swish":
+            return swish(rand_tensor(rng, (6, 10), requires_grad=True))
+        if op == "layer_norm":
+            return layer_norm(rand_tensor(rng, (6, 10), requires_grad=True),
+                              rand_tensor(rng, (10,), requires_grad=True),
+                              rand_tensor(rng, (10,), requires_grad=True))
+        return attention_weights(rand_tensor(rng, (2, 6, 6), requires_grad=True),
+                                 rand_tensor(rng, (2, 6, 11), requires_grad=True), 0.5)
+
+    @pytest.mark.parametrize("op", ["swish", "layer_norm", "attention_weights"])
+    def test_rule_holds_no_output_sized_array_of_its_own(self, op, rng):
+        node = self._build(op, rng)
+        held = [cell.cell_contents for cell in node._backward.__closure__]
+        shared = [node.data] + [p.data for p in node._parents]
+        for value in held:
+            if isinstance(value, Tensor):
+                assert any(value is p for p in node._parents), f"{op} holds {value}"
+            elif isinstance(value, np.ndarray) and value.size >= node.size:
+                assert any(value is a for a in shared), \
+                    f"{op} holds its own {value.shape} array"
+
+    def test_two_layer_lrs3_shape_forward_holds_at_most_24_mib(self):
+        from confshare.encoder import bind_model, encoder_forward
+        from confshare.lowrank import LowRankSpec
+        from confshare.presets import preset
+        from confshare.sharing import repeat_plan
+
+        # LRS3's d=144 with its k=50 low-rank feed-forward, 2 virtual layers, T=128
+        model = bind_model(preset("LRS3").config,
+                           replace(repeat_plan(1, 2), lowrank=LowRankSpec(k=50)), 0)
+        rng = Rng(1)
+        features, labels = rng.uniform(-1, 1, (128, 80)), rng.integers(8, (128,))
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss = cross_entropy_mean(encoder_forward(Tensor(features), model), labels)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert held <= 24 * 2**20, f"the forward pass holds {held / 2**20:.1f} MiB"
+        backward(loss)
+        assert all(t.grad is not None for t in model.parameters())
 
 
 class TestTape:

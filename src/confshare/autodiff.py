@@ -23,9 +23,17 @@ utterance's heads out of a packed batch and join them back) and
 scores into softmax weights as one node.
 
 A rule keeps only the arrays it reads and cannot get from its parents'
-data or its own output: swish recomputes its sigmoid from the input,
-layer norm keeps one mean and one inverse deviation per row, and
-``attention_weights`` keeps only its weights.
+data or its own output: swish and glu recompute their sigmoids from the
+input, the convolution rebuilds its padded input, layer norm keeps one
+mean and one inverse deviation per row, and ``attention_weights`` keeps
+only its weights.
+
+The elementwise kernels write into buffers they own rather than
+allocating a temporary per step, and the sigmoid is branch-free: it
+picks its numerator with an elementwise ``maximum`` instead of a
+select on the sign of each element, which on random-sign data cost
+more than the ``exp`` itself. Both give the same bytes as the plain
+formulas.
 """
 
 from __future__ import annotations
@@ -359,20 +367,24 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # stable on both tails: exp(-|x|) never overflows; the numerator is 1
-    # for x >= 0 and exp(x) below, over the shared denominator 1 + exp(-|x|)
-    ex = np.abs(x, out=np.empty_like(x))  # an array also for 0-d x
-    np.negative(ex, out=ex)
-    np.exp(ex, out=ex)
-    num = np.where(x >= 0, 1.0, ex)
-    ex += 1.0
-    num /= ex
+    # stable on both tails and branch-free: exp(-|x|) never overflows, and
+    # max(exp(-|x|), x >= 0) is exactly 1 from zero up (the exp is <= 1) and
+    # exactly exp(x) below (the exp is >= 0), so one pass picks the
+    # numerator with no data-dependent select; both sides share the
+    # denominator 1 + exp(-|x|). out= keeps the result an array for 0-d x.
+    den = np.abs(x, out=np.empty_like(x))
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    num = np.maximum(den, x >= 0, out=np.empty_like(x))
+    den += 1.0
+    num /= den
     return num
 
 
 def swish(a: Tensor) -> Tensor:
     """x * sigmoid(x). The rule recomputes the sigmoid from x."""
-    out = a.data * _sigmoid(a.data)
+    out = _sigmoid(a.data)
+    out *= a.data
 
     def rule(g):
         s = _sigmoid(a.data)
@@ -386,16 +398,26 @@ def swish(a: Tensor) -> Tensor:
 
 
 def glu(a: Tensor) -> Tensor:
-    """Gated linear unit over the last axis: split halves (u, v), u * sigmoid(v)."""
+    """Gated linear unit over the last axis: split halves (u, v), u * sigmoid(v).
+    The rule recomputes the sigmoid from v."""
     last = a.shape[-1]
     if last % 2 != 0:
         raise ShapeError(f"glu requires an even last extent, got {a.shape}")
     n = last // 2
-    u = a.data[..., :n]
-    v = a.data[..., n:]
-    s = _sigmoid(v)
-    return _result(u * s, "glu", (a,),
-                   lambda g: (np.concatenate((g * s, g * u * s * (1.0 - s)), axis=-1),))
+    out = _sigmoid(a.data[..., n:])
+    out *= a.data[..., :n]
+
+    def rule(g):
+        s = _sigmoid(a.data[..., n:])
+        ga = np.empty_like(a.data)
+        np.multiply(g, s, out=ga[..., :n])
+        gv = np.multiply(g, a.data[..., :n], out=ga[..., n:])
+        gv *= s
+        np.subtract(1.0, s, out=s)
+        gv *= s  # g * u * s * (1 - s)
+        return (ga,)
+
+    return _result(out, "glu", (a,), rule)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
@@ -492,19 +514,30 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, frames: int | None = None) -> Te
     T = rows if frames is None else frames
     B = utterance_count(rows, T)
     half = (w - 1) // 2
-    xp = np.zeros((B, T + w - 1, d))
-    xp[:, half:half + T] = x.data.reshape(B, T, d)
+
+    def padded():
+        xp = np.zeros((B, T + w - 1, d))
+        xp[:, half:half + T] = x.data.reshape(B, T, d)
+        return xp
+
+    xp = padded()
     out = np.zeros((B, T, d))
+    tap = np.empty((B, T, d))  # one scratch buffer for every per-tap product
     for j in range(w):
-        out += kernel.data[j] * xp[:, j:j + T]
+        out += np.multiply(kernel.data[j], xp[:, j:j + T], out=tap)
 
     def rule(g):
+        # rebuilt, not kept: the tape would otherwise hold a padded copy of x
         g = g.reshape(B, T, d)
+        xp = padded()
         gxp = np.zeros_like(xp)
         gk = np.empty_like(kernel.data)
+        tap = np.empty((B, T, d))
+        products = tap.reshape(rows, d)
         for j in range(w):
-            gxp[:, j:j + T] += g * kernel.data[j]
-            gk[j] = (g * xp[:, j:j + T]).reshape(rows, d).sum(axis=0)
+            gxp[:, j:j + T] += np.multiply(g, kernel.data[j], out=tap)
+            np.multiply(g, xp[:, j:j + T], out=tap)
+            np.add.reduce(products, axis=0, out=gk[j])
         return gxp[:, half:half + T].reshape(rows, d), gk
 
     return _result(out.reshape(rows, d), "depthwise_conv1d", (x, kernel), rule)

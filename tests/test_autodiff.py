@@ -255,6 +255,20 @@ class TestAttentionWeights:
             attention_weights(Tensor(np.zeros(content)), Tensor(np.zeros(pos_full)), 1.0)
 
 
+def _two_branch_sigmoid(x):
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+
+
+def _with_signed_zeros(values):
+    """A copy with every seventh entry +0.0 and every eleventh -0.0."""
+    out = np.array(values, dtype=np.float64)
+    flat = out.reshape(-1)
+    flat[::7] = 0.0
+    flat[::11] = -0.0
+    return out
+
+
 class TestActivations:
     def test_swish_zero(self):
         assert swish(Tensor([0.0])).data[0] == 0.0
@@ -280,6 +294,27 @@ class TestActivations:
         for x in (edges, wide, wide[:, 4:], np.array(-3.5)):
             assert _sigmoid(x).tobytes() == two_branch(x).tobytes()
         assert isinstance(_sigmoid(np.array(-3.5)), np.ndarray)
+
+    def test_sigmoid_matches_two_branch_on_random_signs_and_at_underflow(self, rng):
+        wide = rng.uniform(-40.0, 40.0, (128, 1044))
+        assert (wide < 0).any() and (wide >= 0).any()
+        # exp(-745) is the smallest subnormal and exp(-746) underflows to 0
+        edges = np.array([745.0, -745.0, 746.0, -746.0])
+        for x in (wide, edges):
+            assert _sigmoid(x).tobytes() == _two_branch_sigmoid(x).tobytes()
+        assert _sigmoid(edges)[1] == 5e-324 and _sigmoid(edges)[3] == 0.0
+
+    @pytest.mark.parametrize("shape", [(2,), (12, 10), (2, 5, 8)])
+    def test_glu_matches_concatenated_halves_bytewise(self, rng, shape):
+        a = _with_signed_zeros(rng.uniform(-6.0, 6.0, shape))
+        n = shape[-1] // 2
+        u, v = a[..., :n], a[..., n:]
+        g = _with_signed_zeros(rng.uniform(-1.0, 1.0, shape[:-1] + (n,)))
+        s = _two_branch_sigmoid(v)
+        node = glu(Tensor(a, requires_grad=True))
+        (ga,) = node._backward(g)
+        assert node.data.tobytes() == (u * s).tobytes()
+        assert ga.tobytes() == np.concatenate((g * s, g * u * s * (1 - s)), -1).tobytes()
 
     def test_glu_rejects_odd_extent(self):
         with pytest.raises(ShapeError, match="even"):
@@ -346,6 +381,41 @@ class TestDepthwiseConv:
             backward(sum_all(mul(part, Tensor(c[b * T:(b + 1) * T]))))
             assert np.array_equal(gx[b * T:(b + 1) * T], part._parents[0].grad)
         assert np.max(np.abs(gk - k.grad)) < 1e-14
+
+    @staticmethod
+    def _per_tap_oracle(x, k, g, B):
+        """The forward and both gradients by a per-tap loop over a padded
+        copy of the input, with a fresh temporary for every product."""
+        rows, d = x.shape
+        w, T, half = k.shape[0], rows // B, (k.shape[0] - 1) // 2
+        xp = np.zeros((B, T + w - 1, d))
+        xp[:, half:half + T] = x.reshape(B, T, d)
+        out = np.zeros((B, T, d))
+        for j in range(w):
+            out += k[j] * xp[:, j:j + T]
+        g = g.reshape(B, T, d)
+        gxp = np.zeros_like(xp)
+        gk = np.empty_like(k)
+        for j in range(w):
+            gxp[:, j:j + T] += g * k[j]
+            gk[j] = (g * xp[:, j:j + T]).reshape(rows, d).sum(axis=0)
+        return out.reshape(rows, d), gxp[:, half:half + T].reshape(rows, d), gk
+
+    @pytest.mark.parametrize("T", [4, 40])
+    @pytest.mark.parametrize("w", [1, 3, 11])
+    @pytest.mark.parametrize("B", [1, 3])
+    def test_matches_per_tap_loop_bytewise(self, rng, B, w, T):
+        d = 6
+        x = _with_signed_zeros(rng.uniform(-1.0, 1.0, (B * T, d)))
+        k = _with_signed_zeros(rng.uniform(-1.0, 1.0, (w, d)))
+        g = _with_signed_zeros(rng.uniform(-1.0, 1.0, (B * T, d)))
+        node = depthwise_conv1d(Tensor(x, requires_grad=True), Tensor(k, requires_grad=True),
+                                frames=T)
+        gx, gk = node._backward(g)
+        expected = self._per_tap_oracle(x, k, g, B)
+        for got, want in zip((node.data, gx, gk), expected, strict=True):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_rejects_rows_that_are_not_whole_utterances(self):
         with pytest.raises(ShapeError, match="7 rows are not whole utterances of 3 frames"):
@@ -605,10 +675,16 @@ class TestRetainedMemory:
             return layer_norm(rand_tensor(rng, (6, 10), requires_grad=True),
                               rand_tensor(rng, (10,), requires_grad=True),
                               rand_tensor(rng, (10,), requires_grad=True))
+        if op == "glu":
+            return glu(rand_tensor(rng, (6, 10), requires_grad=True))
+        if op == "depthwise_conv1d":
+            return depthwise_conv1d(rand_tensor(rng, (12, 10), requires_grad=True),
+                                    rand_tensor(rng, (5, 10), requires_grad=True), frames=6)
         return attention_weights(rand_tensor(rng, (2, 6, 6), requires_grad=True),
                                  rand_tensor(rng, (2, 6, 11), requires_grad=True), 0.5)
 
-    @pytest.mark.parametrize("op", ["swish", "layer_norm", "attention_weights"])
+    @pytest.mark.parametrize("op", ["swish", "layer_norm", "attention_weights", "glu",
+                                    "depthwise_conv1d"])
     def test_rule_holds_no_output_sized_array_of_its_own(self, op, rng):
         node = self._build(op, rng)
         held = [cell.cell_contents for cell in node._backward.__closure__]

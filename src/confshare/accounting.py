@@ -243,8 +243,7 @@ def report_table(report: ParamReport, format: str = "pretty") -> str:
     rows.append(["external", "params", "1", str(report.external_params),
                  str(report.external_params), ""])
     if format == "tsv":
-        return "\n".join(["\t".join(h for h in _TSV_HEADER.split("\t"))]
-                         + ["\t".join(r) for r in rows]) + "\n"
+        return "\n".join([_TSV_HEADER] + ["\t".join(r) for r in rows]) + "\n"
     if format != "pretty":
         raise ValueError(f"unknown format {format!r}, expected 'tsv' or 'pretty'")
     header = _TSV_HEADER.split("\t")

@@ -106,8 +106,6 @@ def validate_plan(plan: SharingPlan) -> list[str]:
             check_subcomponent(sub)
         except ValueError as exc:
             violations.append(str(exc))
-    if plan.lowrank is not None and plan.lowrank.k < 1:
-        violations.append(f"low-rank k must be >= 1, got {plan.lowrank.k}")
     return violations
 
 

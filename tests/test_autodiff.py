@@ -594,6 +594,18 @@ class TestBackward:
         backward(sum_all(mul(swapped, Tensor(c))))
         assert np.array_equal(a.grad, np.concatenate([c[2:], c[:2]]))
 
+    @pytest.mark.parametrize("op", [
+        pytest.param(lambda a: slice_rows(a, 0, a.shape[0]), id="slice_rows-all"),
+        pytest.param(lambda a: concat_rows([a]), id="concat_rows-one"),
+    ])
+    def test_whole_slice_and_single_concat_are_their_input(self, rng, op):
+        a = rand_tensor(rng, (3, 2, 4), requires_grad=True)
+        c = rng.uniform(-1, 1, (3, 2, 4))
+        out = op(a)
+        assert out is a
+        backward(sum_all(mul(out, Tensor(c))))
+        assert np.array_equal(a.grad, c)
+
     @pytest.mark.parametrize("parts", [[], [(2, 3), (2, 4)], [(2, 3), ()]])
     def test_concat_rows_rejects_parts_that_do_not_stack(self, parts):
         with pytest.raises(ShapeError, match="concat_rows"):

@@ -158,6 +158,18 @@ class TestAttention:
             alone = attention(Tensor(x[b * 5:(b + 1) * 5]), p)
             assert np.max(np.abs(packed.data[b * 5:(b + 1) * 5] - alone.data)) < 1e-14
 
+    @pytest.mark.parametrize("utts", [1, 3])
+    def test_only_the_positional_product_is_per_utterance(self, rng, utts):
+        cfg = _cfg()
+        p = bound_block(cfg, 8).attn
+        T, H = 5, cfg.heads
+        tape = backward(sum_all(attention(rand_tensor(rng, (utts * T, 8)), p, frames=T)))
+        ops = [n.op for n in tape.nodes]
+        products = [n.shape for n in tape.nodes if n.op == "matmul"]
+        assert ops.count("attention_weights") == 1
+        assert products.count((utts * H, T, T)) == 1  # content scores
+        assert products.count((H, T, 2 * T - 1)) == utts  # positional scores
+
     def test_gradients_at_t_max(self, rng):
         cfg = _cfg(d=8, heads=2, t_max=4)
         p = bound_block(cfg, 9).attn

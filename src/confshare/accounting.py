@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .blocks import ModelConfig
-from .sharing import (SUBCOMPONENTS, SharingPlan, physical_group_counts,
-                      validate_plan)
+from .sharing import SUBCOMPONENTS, SharingPlan, check_plan, physical_group_counts
 
 
 @dataclass(frozen=True)
@@ -88,9 +87,7 @@ def block_params_one_group(d: int, n: int, w: int, k: int | None = None) -> int:
 def count_params(config: ModelConfig, plan: SharingPlan) -> ParamReport:
     """Counts every physical tensor exactly once: per-group sizes from the
     config shapes times the plan's physical group counts."""
-    violations = validate_plan(plan)
-    if violations:
-        raise ValueError("invalid sharing plan:\n  " + "\n  ".join(violations))
+    check_plan(plan)
 
     d, n, w = config.d, config.ffn_width, config.kernel_width
     k = plan.lowrank.k if plan.lowrank is not None else None
@@ -178,7 +175,6 @@ BLOCK_PCT_TARGETS: dict[tuple[str, str], float] = {
 
 BLOCK_TARGET_PARAMS = 700_000
 DEFAULT_HEADS = 4
-DEFAULT_T_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -187,7 +183,6 @@ class CalibratedDefaults:
     kernel_width: int
     d: int
     heads: int = DEFAULT_HEADS
-    t_max: int = DEFAULT_T_MAX
     sse: float = 0.0
 
 

@@ -230,12 +230,12 @@ def conformer_block(x: Tensor, p: BlockParams, frames: int | None = None) -> Ten
 # tensor inventory
 #
 # Every block tensor, its shape, its initializer, and the named
-# sub-component it belongs to. This single table drives parameter binding
-# and checkpointing; the accountant deliberately re-derives sizes from
-# closed-form formulas instead of reading it.
-
-MODULE_TYPES = ("ff_start", "attention", "conv", "ff_end")
-
+# sub-component it belongs to, keyed by module in application order. This
+# single table names the modules and sub-components that plans, configs
+# and checkpoints use, and drives parameter binding; the accountant
+# deliberately re-derives sizes from closed-form formulas instead of
+# reading it.
+#
 # Each row is (name, sub-component, shape, init kind). Shapes are written
 # in the symbols d (model dim), n (feed-forward width), w (conv kernel
 # width) and 2d. Init kinds: "matrix" draws uniform +-sqrt(6/(fan_in+fan_out)),
@@ -249,37 +249,42 @@ _FF_TENSORS = (
     ("linear2.w", "linear2", ("n", "d"), "matrix"),
     ("linear2.b", "linear2", ("d",), "zeros"),
 )
-_ATTN_TENSORS = (
-    ("ln.gamma", "misc_small", ("d",), "ones"),
-    ("ln.beta", "misc_small", ("d",), "zeros"),
-    ("query.w", "query", ("d", "d"), "matrix"),
-    ("query.b", "query", ("d",), "zeros"),
-    ("key.w", "key", ("d", "d"), "matrix"),
-    ("key.b", "key", ("d",), "zeros"),
-    ("value.w", "value", ("d", "d"), "matrix"),
-    ("value.b", "value", ("d",), "zeros"),
-    ("post.w", "post", ("d", "d"), "matrix"),
-    ("post.b", "post", ("d",), "zeros"),
-    ("pos_query.w", "pos_query", ("d", "d"), "matrix"),
-    ("pos_query.b", "pos_query", ("d",), "zeros"),
-)
-_CONV_TENSORS = (
-    ("ln.gamma", "misc_small", ("d",), "ones"),
-    ("ln.beta", "misc_small", ("d",), "zeros"),
-    ("pre.w", "pre_conv", ("d", "2d"), "matrix"),
-    ("pre.b", "pre_conv", ("2d",), "zeros"),
-    ("depth.k", "depth_conv", ("w", "d"), "matrix"),
-    ("norm.gamma", "misc_small", ("d",), "ones"),
-    ("norm.beta", "misc_small", ("d",), "zeros"),
-    ("post.w", "post_conv", ("d", "d"), "matrix"),
-    ("post.b", "post_conv", ("d",), "zeros"),
-)
-# The final layer norm caps the whole block; it travels with ff_end's
-# misc-small group so that unsharing misc weights covers it too.
-_FF_END_EXTRA = (
-    ("final_ln.gamma", "misc_small", ("d",), "ones"),
-    ("final_ln.beta", "misc_small", ("d",), "zeros"),
-)
+
+INVENTORY = {
+    "ff_start": _FF_TENSORS,
+    "attention": (
+        ("ln.gamma", "misc_small", ("d",), "ones"),
+        ("ln.beta", "misc_small", ("d",), "zeros"),
+        ("query.w", "query", ("d", "d"), "matrix"),
+        ("query.b", "query", ("d",), "zeros"),
+        ("key.w", "key", ("d", "d"), "matrix"),
+        ("key.b", "key", ("d",), "zeros"),
+        ("value.w", "value", ("d", "d"), "matrix"),
+        ("value.b", "value", ("d",), "zeros"),
+        ("post.w", "post", ("d", "d"), "matrix"),
+        ("post.b", "post", ("d",), "zeros"),
+        ("pos_query.w", "pos_query", ("d", "d"), "matrix"),
+        ("pos_query.b", "pos_query", ("d",), "zeros"),
+    ),
+    "conv": (
+        ("ln.gamma", "misc_small", ("d",), "ones"),
+        ("ln.beta", "misc_small", ("d",), "zeros"),
+        ("pre.w", "pre_conv", ("d", "2d"), "matrix"),
+        ("pre.b", "pre_conv", ("2d",), "zeros"),
+        ("depth.k", "depth_conv", ("w", "d"), "matrix"),
+        ("norm.gamma", "misc_small", ("d",), "ones"),
+        ("norm.beta", "misc_small", ("d",), "zeros"),
+        ("post.w", "post_conv", ("d", "d"), "matrix"),
+        ("post.b", "post_conv", ("d",), "zeros"),
+    ),
+    # The final layer norm caps the whole block; it travels with ff_end's
+    # misc-small group so that unsharing misc weights covers it too.
+    "ff_end": _FF_TENSORS + (
+        ("final_ln.gamma", "misc_small", ("d",), "ones"),
+        ("final_ln.beta", "misc_small", ("d",), "zeros"),
+    ),
+}
+MODULE_TYPES = tuple(INVENTORY)
 
 
 def module_tensor_specs(config: ModelConfig, module: str,
@@ -289,11 +294,9 @@ def module_tensor_specs(config: ModelConfig, module: str,
     ``lowrank_k`` replaces each feed-forward weight matrix by its two
     factors; biases stay dense.
     """
-    rows = {"ff_start": _FF_TENSORS, "attention": _ATTN_TENSORS,
-            "conv": _CONV_TENSORS, "ff_end": _FF_TENSORS + _FF_END_EXTRA}[module]
     dims = {"d": config.d, "n": config.ffn_width, "w": config.kernel_width,
             "2d": 2 * config.d}
-    for name, sub, symbols, kind in rows:
+    for name, sub, symbols, kind in INVENTORY[module]:
         shape = tuple(dims[s] for s in symbols)
         if lowrank_k is not None and name in ("linear1.w", "linear2.w"):
             m, n = shape

@@ -17,6 +17,7 @@ Round-trips are bit-exact.
 
 from __future__ import annotations
 
+import math
 from itertools import zip_longest
 
 import numpy as np
@@ -123,17 +124,18 @@ def load_checkpoint(path) -> BoundModel:
         if listed != needed:
             raise ConfigError(f"{path}: tensor {i} is {_describe(listed)}, but the "
                               f"manifest's config and plan need {_describe(needed)}")
+    sizes = [math.prod(dims) for _key, dims in tensor_keys]
+    covered = 8 * sum(sizes)
+    if covered != expected:
+        raise ConfigError(f"{path}: tensor list covers {covered} bytes, "
+                          f"payload has {expected}")
     tensors: dict[Key, Tensor] = {}
     offset = 0
-    for key, dims in tensor_keys:
-        n = int(np.prod(dims, dtype=np.int64)) if dims else 1
+    for (key, dims), n in zip(tensor_keys, sizes):
         chunk = np.frombuffer(payload, dtype="<f8", count=n, offset=offset)
         offset += n * 8
         tensors[key] = Tensor(chunk.astype(np.float64).reshape(dims),
                               requires_grad=True)
-    if offset != expected:
-        raise ConfigError(f"{path}: tensor list covers {offset} bytes, "
-                          f"payload has {expected}")
 
     return BoundModel(config=config, plan=plan,
                       store=ParameterStore(tensors=tensors, seed=seed))

@@ -21,28 +21,33 @@ Chosen over a nested format for diff-friendliness.
     plan.unshared = attention.key          # optional
     plan.lowrank_k = 50                    # optional, absent means dense
 
-`serialize_config` always emits keys in the order above, so round-trips
-are byte-stable. One older plan key is still read, so that earlier files
-load to an equal plan (see ``parse_config_text``).
+The example shows every key, but this module declares neither key list.
+The ``model.*`` keys are ``ModelConfig``'s fields in declaration order,
+each an int or a float as its annotation says; the fields without a
+default are required. The index vectors are ``plan.i_<module>`` for each
+module of ``blocks.INVENTORY``, in its order. `serialize_config` always
+emits keys in the order above, so round-trips are byte-stable. One older
+plan key is still read, so that earlier files load to an equal plan (see
+``parse_config_text``).
 """
 
 from __future__ import annotations
 
-from .blocks import ModelConfig, ModelConfigError
+import dataclasses
+import typing
+
+from .blocks import MODULE_TYPES, ModelConfig, ModelConfigError
 from .lowrank import LowRankSpec
-from .sharing import ALL_MISC_SMALL, SharingPlan
+from .sharing import ALL_MISC_SMALL, SharingPlan, index_field
 
 
 class ConfigError(ValueError):
     pass
 
 
-_MODEL_DEFAULTS = {"input_dim": 80, "num_classes": 8, "t_max": 256,
-                   "external_params": 0}
-_MODEL_REQUIRED = ("d", "e", "heads", "kernel_width")
-_MODEL_INT_KEYS = {"d", "heads", "kernel_width", "input_dim", "num_classes",
-                   "t_max", "external_params"}
-_PLAN_VECTORS = ("i_ff_start", "i_attention", "i_conv", "i_ff_end")
+_MODEL_FIELDS = dataclasses.fields(ModelConfig)
+_MODEL_KINDS = typing.get_type_hints(ModelConfig)  # field name -> int or float
+_PLAN_VECTORS = tuple(map(index_field, MODULE_TYPES))
 
 
 def _parse_assignments(text: str) -> dict[str, tuple[int, str]]:
@@ -90,18 +95,15 @@ def _bool(value: str, key: str, lineno: int) -> bool:
 
 def parse_config_text(text: str) -> tuple[ModelConfig, SharingPlan]:
     pairs = _parse_assignments(text)
-    model: dict[str, object] = dict(_MODEL_DEFAULTS)
+    model: dict[str, object] = {}
     plan_kwargs: dict[str, object] = {}
     unshared: set[tuple[str, str]] = set()
     for key, (lineno, value) in pairs.items():
         section, _, name = key.partition(".")
         if section == "model":
-            if name in _MODEL_INT_KEYS:
-                model[name] = _number(int, value, key, lineno)
-            elif name == "e":
-                model[name] = _number(float, value, key, lineno)
-            else:
+            if name not in _MODEL_KINDS:
                 raise ConfigError(f"line {lineno}: unknown model key {name!r}")
+            model[name] = _number(_MODEL_KINDS[name], value, key, lineno)
         elif section == "plan":
             if name == "v":
                 plan_kwargs["v"] = _number(int, value, key, lineno)
@@ -130,7 +132,8 @@ def parse_config_text(text: str) -> tuple[ModelConfig, SharingPlan]:
             raise ConfigError(f"line {lineno}: unknown section {section!r} "
                               f"(expected model or plan)")
 
-    missing = [k for k in _MODEL_REQUIRED if k not in model]
+    missing = [f.name for f in _MODEL_FIELDS
+               if f.default is dataclasses.MISSING and f.name not in model]
     if missing:
         raise ConfigError(f"missing model keys: {', '.join(missing)}")
     missing = [k for k in ("v", *_PLAN_VECTORS) if k not in plan_kwargs]
@@ -167,17 +170,12 @@ def parse_config_file(path) -> tuple[ModelConfig, SharingPlan]:
 
 
 def serialize_config(config: ModelConfig, plan: SharingPlan) -> str:
-    lines = [
-        f"model.d = {config.d}",
-        f"model.e = {config.e!r}",
-        f"model.heads = {config.heads}",
-        f"model.kernel_width = {config.kernel_width}",
-        f"model.input_dim = {config.input_dim}",
-        f"model.num_classes = {config.num_classes}",
-        f"model.t_max = {config.t_max}",
-        f"model.external_params = {config.external_params}",
-        f"plan.v = {plan.v}",
-    ]
+    lines = []
+    for f in _MODEL_FIELDS:
+        value = getattr(config, f.name)
+        text = repr(value) if _MODEL_KINDS[f.name] is float else str(value)
+        lines.append(f"model.{f.name} = {text}")
+    lines.append(f"plan.v = {plan.v}")
     for name in _PLAN_VECTORS:
         vec = getattr(plan, name)
         lines.append(f"plan.{name} = {','.join(map(str, vec))}")

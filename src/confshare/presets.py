@@ -52,7 +52,7 @@ def calibrated_defaults() -> CalibratedDefaults:
 def calibrated_config(d: int | None = None) -> ModelConfig:
     cal = calibrated_defaults()
     return ModelConfig(d=d if d is not None else cal.d, e=cal.e, heads=cal.heads,
-                       kernel_width=cal.kernel_width, t_max=cal.t_max,
+                       kernel_width=cal.kernel_width,
                        external_params=EXTERNAL_DECODER_PARAMS)
 
 

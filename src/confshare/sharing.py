@@ -19,15 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .autodiff import Rng, Tensor
-from .blocks import MODULE_TYPES, ModelConfig, init_tensor, module_tensor_specs
+from .blocks import INVENTORY, MODULE_TYPES, ModelConfig, init_tensor, module_tensor_specs
 from .lowrank import LowRankSpec, check_rank_reduces
 
+# Each module's sub-components in the order the inventory first names
+# them, with misc_small (the layer norms) last.
 SUBCOMPONENTS: dict[str, tuple[str, ...]] = {
-    "ff_start": ("linear1", "linear2", "misc_small"),
-    "attention": ("query", "key", "value", "post", "pos_query", "misc_small"),
-    "conv": ("pre_conv", "depth_conv", "post_conv", "misc_small"),
-    "ff_end": ("linear1", "linear2", "misc_small"),
-}
+    module: tuple(sorted(dict.fromkeys(sub for _name, sub, _shape, _kind in rows),
+                         key=lambda sub: sub == "misc_small"))
+    for module, rows in INVENTORY.items()}
 
 SubComponentId = tuple[str, str]  # (module, name)
 
@@ -35,12 +35,10 @@ SubComponentId = tuple[str, str]  # (module, name)
 ALL_MISC_SMALL: frozenset[SubComponentId] = frozenset(
     (module, "misc_small") for module in SUBCOMPONENTS)
 
-_INDEX_FIELDS = {
-    "ff_start": "i_ff_start",
-    "attention": "i_attention",
-    "conv": "i_conv",
-    "ff_end": "i_ff_end",
-}
+
+def index_field(module: str) -> str:
+    """The ``SharingPlan`` field, and config key, of a module's index vector."""
+    return f"i_{module}"
 
 
 def check_subcomponent(sub: SubComponentId) -> SubComponentId:
@@ -62,17 +60,7 @@ class SharingPlan:
     lowrank: LowRankSpec | None = None
 
     def index_vector(self, module: str) -> tuple[int, ...]:
-        return getattr(self, _INDEX_FIELDS[module])
-
-
-def _is_canonical(vec) -> bool:
-    next_new = 1
-    for g in vec:
-        if g == next_new:
-            next_new += 1
-        elif g > next_new:
-            return False
-    return True
+        return getattr(self, index_field(module))
 
 
 def validate_plan(plan: SharingPlan) -> list[str]:
@@ -81,7 +69,7 @@ def validate_plan(plan: SharingPlan) -> list[str]:
     if plan.v < 0:
         violations.append(f"virtual layer count must be non-negative, got {plan.v}")
     for module in MODULE_TYPES:
-        fname = _INDEX_FIELDS[module]
+        fname = index_field(module)
         vec = plan.index_vector(module)
         if len(vec) != plan.v:
             violations.append(f"{fname}: length must equal V ({plan.v}), got {len(vec)}")
@@ -98,7 +86,7 @@ def validate_plan(plan: SharingPlan) -> list[str]:
         if max(vec) > plan.v:
             violations.append(f"{fname}: maximum group id must not exceed V "
                               f"({plan.v}), got {max(vec)}")
-        if not _is_canonical(vec):
+        if canonicalize(vec) != tuple(vec):
             violations.append(f"{fname}: group ids must be canonical "
                               f"(1..G in first-occurrence order), got {vec}")
     for sub in sorted(plan.unshared):
@@ -107,6 +95,13 @@ def validate_plan(plan: SharingPlan) -> list[str]:
         except ValueError as exc:
             violations.append(str(exc))
     return violations
+
+
+def check_plan(plan: SharingPlan) -> None:
+    """Raise ``ValueError`` listing every violation of an invalid plan."""
+    violations = validate_plan(plan)
+    if violations:
+        raise ValueError("invalid sharing plan:\n  " + "\n  ".join(violations))
 
 
 def canonicalize(vec) -> tuple[int, ...]:
@@ -121,11 +116,8 @@ def canonicalize(vec) -> tuple[int, ...]:
 
 
 def canonicalize_plan(plan: SharingPlan) -> SharingPlan:
-    return replace(plan,
-                   i_ff_start=canonicalize(plan.i_ff_start),
-                   i_attention=canonicalize(plan.i_attention),
-                   i_conv=canonicalize(plan.i_conv),
-                   i_ff_end=canonicalize(plan.i_ff_end))
+    return replace(plan, **{index_field(module): canonicalize(plan.index_vector(module))
+                            for module in MODULE_TYPES})
 
 
 def repeat_plan(n: int, r) -> SharingPlan:
@@ -142,8 +134,7 @@ def repeat_plan(n: int, r) -> SharingPlan:
     if any(x < 1 for x in repeats):
         raise ValueError(f"repeat counts must be positive, got {repeats}")
     vec = tuple(block for block, reps in enumerate(repeats, start=1) for _ in range(reps))
-    return SharingPlan(v=len(vec), i_ff_start=vec, i_attention=vec,
-                       i_conv=vec, i_ff_end=vec)
+    return SharingPlan(v=len(vec), **{index_field(module): vec for module in MODULE_TYPES})
 
 
 def unshare_module(plan: SharingPlan, module: str) -> SharingPlan:
@@ -151,7 +142,7 @@ def unshare_module(plan: SharingPlan, module: str) -> SharingPlan:
     if module not in MODULE_TYPES:
         raise ValueError(f"unknown module {module!r}, expected one of {MODULE_TYPES}")
     fresh = tuple(range(1, plan.v + 1))
-    return canonicalize_plan(replace(plan, **{_INDEX_FIELDS[module]: fresh}))
+    return canonicalize_plan(replace(plan, **{index_field(module): fresh}))
 
 
 def unshare_subcomponent(plan: SharingPlan, sub: SubComponentId) -> SharingPlan:
@@ -253,9 +244,7 @@ def parameter_layout(config: ModelConfig,
     Invalid plans, and low ranks that would not shrink the feed-forward
     weights, are refused.
     """
-    violations = validate_plan(plan)
-    if violations:
-        raise ValueError("invalid sharing plan:\n  " + "\n  ".join(violations))
+    check_plan(plan)
     k = plan.lowrank.k if plan.lowrank is not None else None
     if k is not None:
         check_rank_reduces(config.d, config.ffn_width, k)

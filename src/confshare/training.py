@@ -17,6 +17,7 @@ import numpy as np
 from .autodiff import (NonFiniteError, Rng, ShapeError, Tensor, backward,
                        cross_entropy_mean, finite_diff_grad, fnv1a64, mix64,
                        relative_error, zero_grads)
+from .blocks import ModelConfig
 from .configio import serialize_config
 from .encoder import (BoundModel, encode_from, encoder_forward, first_stages,
                       pack_features)
@@ -29,8 +30,9 @@ class TrainingError(RuntimeError):
 
 @dataclass(frozen=True)
 class ToyTaskSpec:
-    feature_dim: int = 80
-    num_classes: int = 8
+    # a default ModelConfig's input and output sizes
+    feature_dim: int = ModelConfig.input_dim
+    num_classes: int = ModelConfig.num_classes
     frames: int = 32
     batch: int = 4
     noise: float = 0.3  # prototypes live in [-1, 1], so this is 0.3x their scale

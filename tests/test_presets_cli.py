@@ -1,7 +1,7 @@
 import os
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,12 +9,14 @@ import pytest
 from confshare.accounting import count_params
 from confshare.checkpoint import load_checkpoint, save_checkpoint
 from confshare.cli import main
+from confshare.blocks import ModelConfig
 from confshare.configio import (ConfigError, parse_config_text,
                                 serialize_config)
 from confshare.encoder import bind_model, encoder_forward
 from confshare.presets import (all_presets, calibrated_defaults, preset,
                                preset_names)
-from confshare.sharing import ALL_MISC_SMALL, physical_group_counts, validate_plan
+from confshare.sharing import (ALL_MISC_SMALL, physical_group_counts, repeat_plan,
+                               validate_plan)
 from confshare.autodiff import Rng, Tensor
 
 
@@ -94,6 +96,20 @@ class TestConfigGrammar:
         config2, plan2 = parse_config_text(text)
         assert plan2 == plan
         assert "share_misc_small" not in text
+
+    def test_round_trip_every_model_field_set(self):
+        config = ModelConfig(d=24, e=3.5, heads=3, kernel_width=5, input_dim=40,
+                             num_classes=11, t_max=64, external_params=1234)
+        for f in fields(ModelConfig):
+            assert getattr(config, f.name) != f.default, f.name
+        plan = repeat_plan(2, 1)
+        text = serialize_config(config, plan)
+        assert text.splitlines()[:8] == [
+            "model.d = 24", "model.e = 3.5", "model.heads = 3", "model.kernel_width = 5",
+            "model.input_dim = 40", "model.num_classes = 11", "model.t_max = 64",
+            "model.external_params = 1234"]
+        assert parse_config_text(text) == (config, plan)
+        assert serialize_config(*parse_config_text(text)) == text
 
     @pytest.mark.parametrize("value,name", [("false", "SC10"), ("true", "SL5")])
     def test_older_share_misc_small_key(self, value, name):
@@ -190,6 +206,16 @@ class TestCheckpoints:
         with pytest.raises(ConfigError, match="payload"):
             load_checkpoint(path)
 
+    def test_short_payload_with_matching_count_rejected(self, tmp_path):
+        # payload_bytes agrees with the payload, but the tensor list needs 8 more
+        p = preset("SL0-small")
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(bind_model(p.config, p.plan, seed=1), path)
+        self._rewrite_manifest(path, lambda lines, payload: (lines, payload[:-8]))
+        size = count_params(p.config, p.plan).encoder_total * 8
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: tensor list covers "
+                                              f"{size} bytes, payload has {size - 8}$"):
+            load_checkpoint(path)
 
     @staticmethod
     def _rewrite_manifest(path, edit):
@@ -278,6 +304,23 @@ class TestCli:
         assert run_cli("describe", "SL5", "--format", "tsv") == 0
         out = capsys.readouterr().out
         assert "ff_start\tlinear1" in out
+
+    @pytest.mark.parametrize("name", ["SL5", "LRS3"])
+    def test_describe_row_order(self, name, capsys):
+        assert run_cli("describe", name, "--format", "tsv") == 0
+        rows = [line.split("\t")[:2] for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("#")]
+        assert rows == [
+            ["module", "sub_component"],
+            ["ff_start", "linear1"], ["ff_start", "linear2"], ["ff_start", "misc_small"],
+            ["attention", "query"], ["attention", "key"], ["attention", "value"],
+            ["attention", "post"], ["attention", "pos_query"], ["attention", "misc_small"],
+            ["conv", "pre_conv"], ["conv", "depth_conv"], ["conv", "post_conv"],
+            ["conv", "misc_small"],
+            ["ff_end", "linear1"], ["ff_end", "linear2"], ["ff_end", "misc_small"],
+            ["encoder", "frontend"], ["encoder", "rel_table"], ["encoder", "head"],
+            ["external", "params"],
+        ]
 
     def test_describe_sl3_sl5_identical_totals(self, capsys):
         assert run_cli("describe", "SL3", "--format", "tsv") == 0

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from confshare.autodiff import Rng, Tensor, backward, zero_grads
-from confshare.blocks import ModelConfig
+from confshare.blocks import MODULE_TYPES, ModelConfig
 from confshare.encoder import BoundModel, EvalCounter, bind_model, encoder_forward
 from confshare.lowrank import LowRankSpec
 from confshare.sharing import (ALL_MISC_SMALL, FRONTEND_W, ParameterStore, SharingPlan,
                                bind_parameters, canonicalize, canonicalize_plan,
-                               physical_group_counts, repeat_plan,
+                               index_field, physical_group_counts, repeat_plan,
                                schedule_keys, unshare_module,
                                unshare_subcomponent, validate_plan)
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from confshare.training import batch_loss
 
@@ -61,6 +61,12 @@ class TestValidatePlan:
     def test_empty_plan_is_valid(self):
         plan = SharingPlan(v=0, i_ff_start=(), i_attention=(), i_conv=(), i_ff_end=())
         assert validate_plan(plan) == []
+
+    def test_index_fields_follow_the_inventory(self):
+        # SharingPlan spells out one field per module; configs and plan
+        # builders reach them through index_field, so they must match
+        vectors = [f.name for f in fields(SharingPlan) if f.name.startswith("i_")]
+        assert vectors == [index_field(module) for module in MODULE_TYPES]
 
 
 class TestRepeatPlan:

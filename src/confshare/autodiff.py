@@ -14,16 +14,20 @@ Everything here is deliberately small and deterministic:
   fixtures are reproducible across platforms and implementations.
 
 The op set is what a conformer block needs: matmul (2-d with an
-optional fused bias, and 3-d batched for attention heads), layer norm,
-swish/glu, a depthwise temporal convolution that pads each utterance of
+optional fused bias, and 3-d batched for attention heads),
+``swish_matmul`` (swish(a) @ b plus an optional bias, one node), layer
+norm, glu, a depthwise temporal convolution that pads each utterance of
 a packed batch on its own, reshape/transpose plumbing,
 ``slice_rows``/``concat_rows`` along the leading axis, and
 ``attention_weights``: content plus relative-position scores to softmax
 weights, one node per layer over all heads of a batch (a 4×32 toy step
-records 433 nodes). ``softmax`` is only the tests' oracle for it.
+records 415 nodes). ``swish`` and ``softmax`` are only the tests'
+oracles for the two fused ops.
 
 A rule keeps only the arrays it reads and cannot get from its parents'
-data or its own output: swish and glu recompute their sigmoids from the
+data or its own output: ``swish_matmul`` keeps no activation and
+recomputes its sigmoid once, for both the activation that ``b``'s
+gradient reads and its derivative; glu recomputes its sigmoid from the
 input, the convolution rebuilds its padded input, layer norm keeps one
 mean and one inverse deviation per row, and ``attention_weights`` keeps
 only its weights.
@@ -366,23 +370,70 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _result(out, "transpose", (a,), lambda g: (g.transpose(inv),))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid_and_scratch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # stable on both tails and branch-free: exp(-|x|) never overflows, and
     # max(exp(-|x|), x >= 0) is exactly 1 from zero up (the exp is <= 1) and
     # exactly exp(x) below (the exp is >= 0), so one pass picks the
     # numerator with no data-dependent select; both sides share the
     # denominator 1 + exp(-|x|). out= keeps the result an array for 0-d x.
+    # The denominator's buffer is handed back for the caller to reuse.
     den = np.abs(x, out=np.empty_like(x))
     np.negative(den, out=den)
     np.exp(den, out=den)
     num = np.maximum(den, x >= 0, out=np.empty_like(x))
     den += 1.0
     num /= den
-    return num
+    return num, den
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return _sigmoid_and_scratch(x)[0]
+
+
+def swish_matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """swish(a) @ b (+ bias) for 2-d operands, as one node.
+
+    The activation is dropped once the product is taken, so the tape
+    keeps ``a`` and not ``swish(a)``. The rule recomputes the sigmoid
+    once, rebuilds swish(a) from it for ``b``'s gradient, then turns that
+    buffer into swish'(a): the same op order, and so the same bytes, as
+    ``matmul(swish(a), b, bias=bias)``.
+    """
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"swish_matmul supports 2d@2d with equal inner extents, "
+                         f"got {a.shape} @ {b.shape}")
+    act = _sigmoid(a.data)
+    act *= a.data
+    out = act @ b.data
+    del act
+    parents = (a, b)
+    if bias is not None:
+        if bias.shape != out.shape[1:]:
+            raise ShapeError(f"swish_matmul: bias {bias.shape} does not fit product "
+                             f"{out.shape}")
+        out += bias.data
+        parents = (a, b, bias)
+
+    def rule(g):
+        # four a-sized arrays at most: s, scratch, act and ga
+        s, scratch = _sigmoid_and_scratch(a.data)
+        act = np.multiply(s, a.data)
+        ga = g @ b.data.T
+        gb = act.T @ g
+        # swish'(a) = s + act * (1 - s), into the buffers already held
+        one_minus_s = np.subtract(1.0, s, out=scratch)
+        act *= one_minus_s
+        act += s
+        act *= ga
+        grads = (act, gb)
+        return grads if bias is None else (*grads, g.sum(axis=0))
+
+    return _result(out, "swish_matmul", parents, rule)
 
 
 def swish(a: Tensor) -> Tensor:
-    """x * sigmoid(x). The rule recomputes the sigmoid from x."""
+    """x * sigmoid(x). The rule recomputes the sigmoid from x. The model
+    uses ``swish_matmul``; this is the tests' oracle for it."""
     out = _sigmoid(a.data)
     out *= a.data
 

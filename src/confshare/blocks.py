@@ -25,7 +25,7 @@ import numpy as np
 
 from .autodiff import (Rng, ShapeError, Tensor, add, attention_weights,
                        concat_rows, depthwise_conv1d, glu, layer_norm, matmul,
-                       reshape, scale, slice_rows, swish, transpose,
+                       reshape, scale, slice_rows, swish_matmul, transpose,
                        utterance_count)
 from .lowrank import LowRankFactors
 
@@ -141,17 +141,24 @@ class BlockParams:
     final_ln_beta: Tensor
 
 
-def apply_linear(x: Tensor, w: Tensor | LowRankFactors, b: Tensor) -> Tensor:
+def apply_linear(x: Tensor, w: Tensor | LowRankFactors, b: Tensor,
+                 product=matmul) -> Tensor:
+    """x . w + b for a dense or low-rank w. ``product`` is the op that
+    reads x: ``matmul``, or ``swish_matmul`` for swish(x) . w + b."""
     if isinstance(w, LowRankFactors):
-        return matmul(matmul(x, w.u), w.v, transpose_b=True, bias=b)
-    return matmul(x, w, bias=b)
+        return matmul(product(x, w.u), w.v, transpose_b=True, bias=b)
+    return product(x, w, bias=b)
 
 
 def feed_forward(x: Tensor, p: FeedForwardParams) -> Tensor:
-    """x + 0.5 * (W2 . swish(W1 . LN(x) + b1) + b2), the half-step residual."""
+    """x + 0.5 * (W2 . swish(W1 . LN(x) + b1) + b2), the half-step residual.
+
+    The swish is folded into the W2 product (``swish_matmul``; with a
+    low-rank W2, into the U2 product), so the tape keeps the (rows, n)
+    pre-activation and not the activation too."""
     xn = layer_norm(x, p.ln_gamma, p.ln_beta, LN_EPS)
-    hidden = swish(apply_linear(xn, p.w1, p.b1))
-    return add(x, scale(apply_linear(hidden, p.w2, p.b2), 0.5))
+    pre = apply_linear(xn, p.w1, p.b1)
+    return add(x, scale(apply_linear(pre, p.w2, p.b2, swish_matmul), 0.5))
 
 
 def attention(x: Tensor, p: AttentionParams, frames: int | None = None) -> Tensor:
@@ -170,7 +177,7 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None) -> Tenso
     through a strided view, then scale and softmax; it keeps only the
     weights) and the context run once over all heads. Only the
     positional product runs per utterance, (H, T, 2T − 1) each, joined
-    by ``concat_rows``. A 4×32 toy step at d=32 records 433 tape nodes.
+    by ``concat_rows``. A 4×32 toy step at d=32 records 415 tape nodes.
     """
     rows, d = x.shape
     T = rows if frames is None else frames
@@ -209,12 +216,13 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None) -> Tenso
 def conv_module(x: Tensor, p: ConvParams, frames: int | None = None) -> Tensor:
     """x + Wpost . swish(LN(depthwise(glu(Wpre . LN(x) + bpre)))) + bpost,
     with the depthwise convolution padding each utterance of ``frames``
-    frames on its own (default: all rows are one utterance)."""
+    frames on its own (default: all rows are one utterance). The swish
+    and the post-projection are one ``swish_matmul`` node."""
     xn = layer_norm(x, p.ln_gamma, p.ln_beta, LN_EPS)
     gated = glu(matmul(xn, p.wpre, bias=p.bpre))
     conv = depthwise_conv1d(gated, p.kdepth, frames)
     normed = layer_norm(conv, p.norm_gamma, p.norm_beta, LN_EPS)
-    return add(x, matmul(swish(normed), p.wpost, bias=p.bpost))
+    return add(x, swish_matmul(normed, p.wpost, bias=p.bpost))
 
 
 def conformer_block(x: Tensor, p: BlockParams, frames: int | None = None) -> Tensor:

@@ -173,7 +173,7 @@ def serialize_config(config: ModelConfig, plan: SharingPlan) -> str:
     lines = []
     for f in _MODEL_FIELDS:
         value = getattr(config, f.name)
-        text = repr(value) if _MODEL_KINDS[f.name] is float else str(value)
+        text = repr(float(value)) if _MODEL_KINDS[f.name] is float else str(value)
         lines.append(f"model.{f.name} = {text}")
     lines.append(f"plan.v = {plan.v}")
     for name in _PLAN_VECTORS:

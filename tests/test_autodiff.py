@@ -12,7 +12,7 @@ from confshare.autodiff import (NonFiniteError, Rng, RowRange, ShapeError, Tape,
                                 depthwise_conv1d, finite_diff_grad, glu,
                                 layer_norm, matmul, mul, relative_error,
                                 scale, slice_rows, softmax, sum_all, swish,
-                                zero_grads)
+                                swish_matmul, zero_grads)
 from conftest import assert_params_match_fd, bound_block, rand_tensor
 
 
@@ -320,17 +320,47 @@ class TestActivations:
         with pytest.raises(ShapeError, match="even"):
             glu(Tensor([1.0, 2.0, 3.0]))
 
-    @pytest.mark.parametrize("op,shape", [pytest.param(swish, (4, 3), id="swish-shape0"),
-                                          pytest.param(glu, (4, 6), id="glu-shape2")])
-    def test_gradients(self, rng, op, shape):
-        x = rand_tensor(rng, shape, requires_grad=True, scale=2.0)
-        out_shape = shape if op is not glu else (shape[0], shape[1] // 2)
-        c = Tensor(rng.uniform(-1, 1, out_shape))
+    @pytest.mark.parametrize("op,shapes", [
+        pytest.param(swish, [(4, 3)], id="swish-shape0"),
+        pytest.param(glu, [(4, 6)], id="glu-shape2"),
+        pytest.param(swish_matmul, [(4, 3), (3, 5)], id="swish_matmul"),
+        pytest.param(swish_matmul, [(4, 3), (3, 5), (5,)], id="swish_matmul-bias")])
+    def test_gradients(self, rng, op, shapes):
+        named = {f"x{i}": rand_tensor(rng, shape, requires_grad=True, scale=2.0)
+                 for i, shape in enumerate(shapes)}
+        c = Tensor(rng.uniform(-1, 1, op(*named.values()).shape))
 
         def make_loss():
-            return sum_all(mul(op(x), c))
+            return sum_all(mul(op(*named.values()), c))
 
-        assert_params_match_fd({"x": x}, make_loss)
+        assert_params_match_fd(named, make_loss)
+
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["no-bias", "bias"])
+    def test_swish_matmul_matches_swish_then_matmul_bytewise(self, rng, with_bias):
+        a = Tensor(_with_signed_zeros(rng.uniform(-6.0, 6.0, (12, 10))), requires_grad=True)
+        b = rand_tensor(rng, (10, 7), requires_grad=True)
+        bias = rand_tensor(rng, (7,), requires_grad=True) if with_bias else None
+        g = _with_signed_zeros(rng.uniform(-1.0, 1.0, (12, 7)))
+        fused = swish_matmul(a, b, bias)
+        hidden = swish(a)
+        pair = matmul(hidden, b, bias=bias)
+        assert fused.data.tobytes() == pair.data.tobytes()
+        # every parent gradient, as the two rules hand it to backward
+        ga, *rest = fused._backward(g)
+        gh, *pair_rest = pair._backward(g)
+        (pair_ga,) = hidden._backward(gh)
+        assert len(rest) == len(pair_rest) == (2 if with_bias else 1)
+        for got, want in zip([ga, *rest], [pair_ga, *pair_rest]):
+            assert got.tobytes() == want.tobytes()
+
+    def test_swish_matmul_rejects_shapes_that_do_not_multiply(self, rng):
+        with pytest.raises(ShapeError, match="swish_matmul"):
+            swish_matmul(rand_tensor(rng, (4, 3)), rand_tensor(rng, (4, 5)))
+        with pytest.raises(ShapeError, match="swish_matmul"):
+            swish_matmul(rand_tensor(rng, (2, 4, 3)), rand_tensor(rng, (2, 3, 5)))
+        with pytest.raises(ShapeError, match="bias"):
+            swish_matmul(rand_tensor(rng, (4, 3)), rand_tensor(rng, (3, 5)),
+                         rand_tensor(rng, (4,)))
 
 
 class TestDepthwiseConv:
@@ -617,6 +647,8 @@ class TestBackward:
                      id="matmul-transpose_b"),
         pytest.param(lambda a, b, c: matmul(a, b, bias=c), [(3, 4), (4, 5), (5,)], (2,),
                      id="matmul-bias"),
+        pytest.param(swish_matmul, [(3, 4), (4, 5), (5,)], (0,), id="swish_matmul-input"),
+        pytest.param(swish_matmul, [(3, 4), (4, 5), (5,)], (1, 2), id="swish_matmul-weights"),
         pytest.param(add, [(2, 3), (2, 3)], (1,), id="add"),
         pytest.param(mul, [(2, 3), (2, 3)], (0,), id="mul"),
         pytest.param(layer_norm, [(3, 4), (4,), (4,)], (1, 2), id="layer_norm-gamma-beta"),
@@ -683,6 +715,11 @@ class TestRetainedMemory:
     def _build(op, rng):
         if op == "swish":
             return swish(rand_tensor(rng, (6, 10), requires_grad=True))
+        if op == "swish_matmul":
+            # the product is narrower than the activation, so holding it would show
+            return swish_matmul(rand_tensor(rng, (6, 10), requires_grad=True),
+                                rand_tensor(rng, (10, 4), requires_grad=True),
+                                rand_tensor(rng, (4,), requires_grad=True))
         if op == "layer_norm":
             return layer_norm(rand_tensor(rng, (6, 10), requires_grad=True),
                               rand_tensor(rng, (10,), requires_grad=True),
@@ -696,7 +733,7 @@ class TestRetainedMemory:
                                  rand_tensor(rng, (2, 6, 11), requires_grad=True), 0.5)
 
     @pytest.mark.parametrize("op", ["swish", "layer_norm", "attention_weights", "glu",
-                                    "depthwise_conv1d"])
+                                    "depthwise_conv1d", "swish_matmul"])
     def test_rule_holds_no_output_sized_array_of_its_own(self, op, rng):
         node = self._build(op, rng)
         held = [cell.cell_contents for cell in node._backward.__closure__]
@@ -708,17 +745,24 @@ class TestRetainedMemory:
                 assert any(value is a for a in shared), \
                     f"{op} holds its own {value.shape} array"
 
-    def test_two_layer_lrs3_shape_forward_holds_at_most_24_mib(self):
-        from confshare.encoder import bind_model, encoder_forward
+    @staticmethod
+    def _two_layer_lrs3():
+        """LRS3's d=144 with its k=50 low-rank feed-forward, 2 virtual layers,
+        and one T=128 utterance."""
+        from confshare.encoder import bind_model
         from confshare.lowrank import LowRankSpec
         from confshare.presets import preset
         from confshare.sharing import repeat_plan
 
-        # LRS3's d=144 with its k=50 low-rank feed-forward, 2 virtual layers, T=128
         model = bind_model(preset("LRS3").config,
                            replace(repeat_plan(1, 2), lowrank=LowRankSpec(k=50)), 0)
         rng = Rng(1)
-        features, labels = rng.uniform(-1, 1, (128, 80)), rng.integers(8, (128,))
+        return model, rng.uniform(-1, 1, (128, 80)), rng.integers(8, (128,))
+
+    def test_two_layer_lrs3_shape_forward_holds_at_most_24_mib(self):
+        from confshare.encoder import encoder_forward
+
+        model, features, labels = self._two_layer_lrs3()
         started = not tracemalloc.is_tracing()
         if started:
             tracemalloc.start()
@@ -732,6 +776,21 @@ class TestRetainedMemory:
         assert held <= 24 * 2**20, f"the forward pass holds {held / 2**20:.1f} MiB"
         backward(loss)
         assert all(t.grad is not None for t in model.parameters())
+
+    def test_two_layer_lrs3_shape_tape_keeps_one_ffn_wide_array_per_feed_forward(self):
+        from confshare.encoder import encoder_forward
+
+        model, features, labels = self._two_layer_lrs3()
+        wide = (128, model.config.ffn_width)
+        assert wide == (128, 1044)
+        loss = cross_entropy_mean(encoder_forward(Tensor(features), model), labels)
+        nodes = Tape.trace(loss).nodes
+        kept = [n for n in nodes if n.shape == wide]
+        # two feed-forwards in each of the two layers; the swish output is not kept
+        assert len(kept) == 4, [n.op for n in kept]
+        fused_inputs = [n._parents[0] for n in nodes if n.op == "swish_matmul"]
+        for n in kept:
+            assert any(n is pre for pre in fused_inputs), f"{n} is no pre-activation"
 
 
 class TestTape:

@@ -111,6 +111,14 @@ class TestConfigGrammar:
         assert parse_config_text(text) == (config, plan)
         assert serialize_config(*parse_config_text(text)) == text
 
+    def test_round_trip_integer_e(self):
+        # a float field given an int in Python is written as the float it parses to
+        config = ModelConfig(d=8, e=2, heads=2, kernel_width=3, t_max=16)
+        text = serialize_config(config, repeat_plan(1, 1))
+        assert "model.e = 2.0\n" in text
+        assert parse_config_text(text)[0] == config
+        assert serialize_config(*parse_config_text(text)) == text
+
     @pytest.mark.parametrize("value,name", [("false", "SC10"), ("true", "SL5")])
     def test_older_share_misc_small_key(self, value, name):
         sl5 = preset("SL5")
@@ -183,6 +191,14 @@ class TestCheckpoints:
         # saving the loaded model reproduces the file byte for byte
         path2 = tmp_path / f"{name}-again.ckpt"
         save_checkpoint(loaded, path2)
+        assert path.read_bytes() == path2.read_bytes()
+
+    def test_round_trip_integer_e_bit_exact(self, tmp_path):
+        config = ModelConfig(d=8, e=2, heads=2, kernel_width=3, t_max=16)
+        path = tmp_path / "int-e.ckpt"
+        save_checkpoint(bind_model(config, repeat_plan(1, 1), seed=17), path)
+        path2 = tmp_path / "int-e-again.ckpt"
+        save_checkpoint(load_checkpoint(path), path2)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_loaded_model_forward_matches(self, tmp_path):

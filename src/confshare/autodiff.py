@@ -17,12 +17,14 @@ The op set is what a conformer block needs: matmul (2-d with an
 optional fused bias, and 3-d batched for attention heads),
 ``swish_matmul`` (swish(a) @ b plus an optional bias, one node), layer
 norm, glu, a depthwise temporal convolution that pads each utterance of
-a packed batch on its own, reshape/transpose plumbing,
-``slice_rows``/``concat_rows`` along the leading axis, and
-``attention_weights``: content plus relative-position scores to softmax
-weights, one node per layer over all heads of a batch (a 4×32 toy step
-records 415 nodes). ``swish`` and ``softmax`` are only the tests'
-oracles for the two fused ops.
+a packed batch on its own, ``add`` (optionally a + s·b, so a half-step
+residual is one node), reshape, ``transpose`` (between an input view
+and an output shape, so a head split or merge is one node and one
+copy), ``slice_rows``/``concat_rows`` along the leading axis,
+and ``attention_weights``: content plus relative-position scores to
+softmax weights, one node per layer over all heads of a batch (a 4×32
+toy step records 331 nodes). ``swish``, ``softmax`` and ``scale`` are
+only the tests' oracles for the fused ops.
 
 A rule keeps only the arrays it reads and cannot get from its parents'
 data or its own output: ``swish_matmul`` keeps no activation and
@@ -36,7 +38,9 @@ The elementwise kernels write into buffers they own rather than
 allocating a temporary per step, and the sigmoid is branch-free: it
 picks its numerator with an elementwise ``maximum`` instead of a
 select on the sign of each element, which on random-sign data cost
-more than the ``exp`` itself. Both give the same bytes as the plain
+more than the ``exp`` itself. Row and column sums call
+``np.add.reduce``, the ufunc that ``ndarray.sum`` wraps, without the
+wrapper's per-call cost. All of it gives the same bytes as the plain
 formulas.
 """
 
@@ -308,17 +312,17 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
     ``bias`` (2-d operands only) is a vector added to every row of the
     product in place, so a linear layer is one tape node.
     """
-    if a.ndim != b.ndim or a.ndim not in (2, 3):
-        raise ShapeError(f"matmul supports 2d@2d or 3d@3d, got {a.shape} @ {b.shape}")
-    b_eff_inner = b.shape[-1] if transpose_b else b.shape[-2]
-    if a.shape[-1] != b_eff_inner or (a.ndim == 3 and a.shape[0] != b.shape[0]):
-        raise ShapeError(f"matmul: inner extents differ: {a.shape} @ {b.shape}"
+    ad, bd = a.data, b.data
+    if ad.ndim != bd.ndim or ad.ndim not in (2, 3):
+        raise ShapeError(f"matmul supports 2d@2d or 3d@3d, got {ad.shape} @ {bd.shape}")
+    b_eff_inner = bd.shape[-1] if transpose_b else bd.shape[-2]
+    if ad.shape[-1] != b_eff_inner or (ad.ndim == 3 and ad.shape[0] != bd.shape[0]):
+        raise ShapeError(f"matmul: inner extents differ: {ad.shape} @ {bd.shape}"
                          f"{' (transposed)' if transpose_b else ''}")
-    bd = np.swapaxes(b.data, -1, -2) if transpose_b else b.data
-    out = a.data @ bd
+    out = ad @ (np.swapaxes(bd, -1, -2) if transpose_b else bd)
     parents = (a, b)
     if bias is not None:
-        if a.ndim != 2 or bias.shape != out.shape[1:]:
+        if ad.ndim != 2 or bias.data.shape != out.shape[1:]:
             raise ShapeError(f"matmul: bias {bias.shape} does not fit product "
                              f"{out.shape} (2-d operands only)")
         out += bias.data
@@ -330,16 +334,22 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
             grads = (g @ b.data, np.swapaxes(g, -1, -2) @ a.data)
         else:
             grads = (g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g)
-        return grads if bias is None else (*grads, g.sum(axis=0))
+        return grads if bias is None else (*grads, np.add.reduce(g, axis=0))
 
     return _result(out, "matmul", parents, rule)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two same-shaped tensors."""
+def add(a: Tensor, b: Tensor, s: float | None = None) -> Tensor:
+    """Elementwise sum of two same-shaped tensors, or ``a + s * b`` as one
+    node: the product is taken first and ``a`` added into it, the same
+    bytes as ``add(a, scale(b, s))`` because addition commutes."""
     if a.shape != b.shape:
         raise ShapeError(f"add: incompatible shapes {a.shape} + {b.shape}")
-    return _result(a.data + b.data, "add", (a, b), lambda g: (g, g))
+    if s is None:
+        return _result(a.data + b.data, "add", (a, b), lambda g: (g, g))
+    out = b.data * s
+    out += a.data
+    return _result(out, "add", (a, b), lambda g: (g, g * s))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -361,13 +371,20 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _result(a.data.reshape(shape), "reshape", (a,), lambda g: (g.reshape(a.shape),))
 
 
-def transpose(a: Tensor, axes) -> Tensor:
+def transpose(a: Tensor, axes, view, shape) -> Tensor:
+    """``a`` viewed as ``view``, its axes permuted by ``axes``, viewed as
+    ``shape``: a reshape-transpose-reshape chain (a head split or merge)
+    as one node and one copy. The rule runs the chain backwards."""
     axes = tuple(axes)
     inv = [0] * len(axes)
     for i, ax in enumerate(axes):
         inv[ax] = i
-    out = np.ascontiguousarray(a.data.transpose(axes))
-    return _result(out, "transpose", (a,), lambda g: (g.transpose(inv),))
+    in_shape = a.data.shape
+    permuted = a.data.reshape(view).transpose(axes)
+    permuted_shape = permuted.shape
+    out = np.ascontiguousarray(permuted).reshape(shape)
+    return _result(out, "transpose", (a,),
+                   lambda g: (g.reshape(permuted_shape).transpose(inv).reshape(in_shape),))
 
 
 def _sigmoid_and_scratch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -426,7 +443,7 @@ def swish_matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         act += s
         act *= ga
         grads = (act, gb)
-        return grads if bias is None else (*grads, g.sum(axis=0))
+        return grads if bias is None else (*grads, np.add.reduce(g, axis=0))
 
     return _result(out, "swish_matmul", parents, rule)
 
@@ -474,16 +491,16 @@ def glu(a: Tensor) -> Tensor:
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalize the last axis to zero mean / unit population variance,
     then scale and shift: gamma * (x - mean) / sqrt(var + eps) + beta."""
-    d = x.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
+    d = x.data.shape[-1]
+    if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError(f"layer_norm: gamma/beta must be shape ({d},), "
                          f"got {gamma.shape} and {beta.shape}")
     if eps <= 0:
         raise ValueError("layer_norm: eps must be positive")
     # sum then divide, as ndarray.mean does, without its per-call overhead
-    mu = x.data.sum(axis=-1, keepdims=True) / d
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
     xhat = x.data - mu
-    var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
     out = gamma.data * xhat
@@ -494,15 +511,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
         xhat = x.data - mu
         xhat *= inv
         gh = g * gamma.data
-        m1 = gh.sum(axis=-1, keepdims=True) / d
-        m2 = (gh * xhat).sum(axis=-1, keepdims=True) / d
+        m1 = np.add.reduce(gh, axis=-1, keepdims=True) / d
+        m2 = np.add.reduce(gh * xhat, axis=-1, keepdims=True) / d
         axes = tuple(range(g.ndim - 1))
-        ggamma = (g * xhat).sum(axis=axes)
+        ggamma = np.add.reduce(g * xhat, axis=axes)
         gh -= m1
         xhat *= m2
         gh -= xhat
         gh *= inv  # inv * (gh - m1 - xhat * m2)
-        return gh, ggamma, g.sum(axis=axes)
+        return gh, ggamma, np.add.reduce(g, axis=axes)
 
     return _result(out, "layer_norm", (x, gamma, beta), rule)
 

@@ -25,8 +25,7 @@ import numpy as np
 
 from .autodiff import (Rng, ShapeError, Tensor, add, attention_weights,
                        concat_rows, depthwise_conv1d, glu, layer_norm, matmul,
-                       reshape, scale, slice_rows, swish_matmul, transpose,
-                       utterance_count)
+                       slice_rows, swish_matmul, transpose, utterance_count)
 from .lowrank import LowRankFactors
 
 LN_EPS = 1e-6
@@ -155,10 +154,11 @@ def feed_forward(x: Tensor, p: FeedForwardParams) -> Tensor:
 
     The swish is folded into the W2 product (``swish_matmul``; with a
     low-rank W2, into the U2 product), so the tape keeps the (rows, n)
-    pre-activation and not the activation too."""
+    pre-activation and not the activation too. The scaled residual is
+    one ``add(x, y, 0.5)`` node, with no ``scale`` node."""
     xn = layer_norm(x, p.ln_gamma, p.ln_beta, LN_EPS)
     pre = apply_linear(xn, p.w1, p.b1)
-    return add(x, scale(apply_linear(pre, p.w2, p.b2, swish_matmul), 0.5))
+    return add(x, apply_linear(pre, p.w2, p.b2, swish_matmul), 0.5)
 
 
 def attention(x: Tensor, p: AttentionParams, frames: int | None = None) -> Tensor:
@@ -172,12 +172,15 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None) -> Tenso
 
     ``x`` holds B utterances of ``frames`` = T frames each (default: one),
     split after the projections into (B·H, T, dh) heads, utterance after
-    utterance, so no head sees another utterance's frames. The content
-    scores, one ``attention_weights`` node (the positional scores added
-    through a strided view, then scale and softmax; it keeps only the
-    weights) and the context run once over all heads. Only the
-    positional product runs per utterance, (H, T, 2T − 1) each, joined
-    by ``concat_rows``. A 4×32 toy step at d=32 records 415 tape nodes.
+    utterance, so no head sees another utterance's frames. Each split,
+    and the merge of the context back to (B·T, d), is one ``transpose``
+    node with one copy. The content scores, one ``attention_weights``
+    node (the positional scores added through a strided view, then
+    scale and softmax; it keeps only the weights) and the context run
+    once over all heads. Only the positional product runs per
+    utterance, (H, T, 2T − 1) each, joined by ``concat_rows``. A 4×32
+    toy step at d=32 records 331 tape nodes, six of them ``transpose``
+    per layer.
     """
     rows, d = x.shape
     T = rows if frames is None else frames
@@ -196,8 +199,7 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None) -> Tenso
 
     def split_heads(t: Tensor, utts: int, n: int) -> Tensor:
         # (utts·n, d) -> (utts·H, n, dh): each utterance's H heads in turn
-        return reshape(transpose(reshape(t, (utts, n, H, dh)), (0, 2, 1, 3)),
-                       (utts * H, n, dh))
+        return transpose(t, (0, 2, 1, 3), (utts, n, H, dh), (utts * H, n, dh))
 
     q3, k3, v3, pq3 = (split_heads(t, B, T) for t in (q, k, v, pq))
     # table row t_max - 1 + o holds offset o; offsets -(T-1) .. T-1 are reachable
@@ -208,8 +210,8 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None) -> Tenso
         matmul(slice_rows(pq3, b * H, (b + 1) * H), rel3, transpose_b=True)
         for b in range(B))
     weights = attention_weights(content, pos_full, 1.0 / math.sqrt(dh))
-    ctx = reshape(matmul(weights, v3), (B, H, T, dh))
-    merged = reshape(transpose(ctx, (0, 2, 1, 3)), (rows, d))
+    # (B·H, T, dh) -> (B·T, d): the heads of each frame side by side again
+    merged = transpose(matmul(weights, v3), (0, 2, 1, 3), (B, H, T, dh), (rows, d))
     return add(x, matmul(merged, p.wpost, bias=p.bpost))
 
 

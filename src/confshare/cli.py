@@ -128,8 +128,21 @@ def _cmd_gradcheck(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAILURE
 
 
+def _check_output_path(path: str):
+    """Reject, before any compute, a path that cannot be opened as a new
+    or existing file: its directory must exist and it must not be one."""
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {path}: it is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"cannot write {path}: {parent} is not a directory")
+
+
 def _cmd_train(args) -> int:
     config, plan, _ = _resolve_flags(args)
+    for path in (args.out, args.save_model):
+        if path:
+            _check_output_path(path)
     spec = ToyTaskSpec(feature_dim=config.input_dim, num_classes=config.num_classes)
     check_frames(config, spec.frames)
     model = bind_model(config, plan, args.seed)

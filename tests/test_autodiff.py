@@ -12,7 +12,7 @@ from confshare.autodiff import (NonFiniteError, Rng, RowRange, ShapeError, Tape,
                                 depthwise_conv1d, finite_diff_grad, glu,
                                 layer_norm, matmul, mul, relative_error,
                                 scale, slice_rows, softmax, sum_all, swish,
-                                swish_matmul, zero_grads)
+                                swish_matmul, transpose, zero_grads)
 from conftest import assert_params_match_fd, bound_block, rand_tensor
 
 
@@ -324,7 +324,10 @@ class TestActivations:
         pytest.param(swish, [(4, 3)], id="swish-shape0"),
         pytest.param(glu, [(4, 6)], id="glu-shape2"),
         pytest.param(swish_matmul, [(4, 3), (3, 5)], id="swish_matmul"),
-        pytest.param(swish_matmul, [(4, 3), (3, 5), (5,)], id="swish_matmul-bias")])
+        pytest.param(swish_matmul, [(4, 3), (3, 5), (5,)], id="swish_matmul-bias"),
+        pytest.param(lambda a: transpose(a, (2, 0, 1), (2, 3, 4), (4, 6)), [(6, 4)],
+                     id="transpose-view-shape"),
+        pytest.param(lambda a, b: add(a, b, -0.5), [(4, 3), (4, 3)], id="add-scaled")])
     def test_gradients(self, rng, op, shapes):
         named = {f"x{i}": rand_tensor(rng, shape, requires_grad=True, scale=2.0)
                  for i, shape in enumerate(shapes)}
@@ -361,6 +364,57 @@ class TestActivations:
         with pytest.raises(ShapeError, match="bias"):
             swish_matmul(rand_tensor(rng, (4, 3)), rand_tensor(rng, (3, 5)),
                          rand_tensor(rng, (4,)))
+
+
+class TestPlumbing:
+    """The one-node forms of a head split/merge and of a scaled residual
+    give the bytes of the chains they replace."""
+
+    @pytest.mark.parametrize("shape,view,axes,shape_out", [
+        ((12, 6), (2, 6, 3, 2), (0, 2, 1, 3), (6, 6, 2)),  # split 2 utterances, 3 heads
+        ((6, 6, 2), (2, 3, 6, 2), (0, 2, 1, 3), (12, 6)),  # merge them back
+        ((7, 4), (1, 7, 2, 2), (0, 2, 1, 3), (2, 7, 2)),   # one utterance, as the table
+        ((5, 3), (1, 5, 1, 3), (0, 2, 1, 3), (1, 5, 3)),   # one head: nothing moves
+        ((6, 4), (2, 3, 4), (1, 2, 0), (3, 8)),            # a permutation not its own inverse
+    ], ids=["split", "merge", "table", "one-head", "cyclic"])
+    def test_transpose_with_view_and_shape_matches_reshape_chain_bytewise(
+            self, rng, shape, view, axes, shape_out):
+        a = Tensor(_with_signed_zeros(rng.uniform(-2.0, 2.0, shape)), requires_grad=True)
+        g = _with_signed_zeros(rng.uniform(-1.0, 1.0, shape_out))
+        fused = transpose(a, axes, view, shape_out)
+        # the chain it replaces: reshape, transpose into a copy, reshape;
+        # backwards, each of the three rules in turn
+        chain = np.ascontiguousarray(a.data.reshape(view).transpose(axes)).reshape(shape_out)
+        permuted = tuple(view[i] for i in axes)
+        chain_ga = g.reshape(permuted).transpose(np.argsort(axes)).reshape(shape)
+        assert fused.shape == shape_out
+        assert fused.data.tobytes() == chain.tobytes()
+        (ga,) = fused._backward(g)
+        assert ga.shape == shape
+        assert ga.tobytes() == chain_ga.tobytes()
+
+    @pytest.mark.parametrize("s", [0.5, -3.0])
+    def test_scaled_add_matches_add_of_scale_bytewise(self, rng, s):
+        a = Tensor(_with_signed_zeros(rng.uniform(-2.0, 2.0, (9, 8))), requires_grad=True)
+        b = Tensor(_with_signed_zeros(rng.uniform(-2.0, 2.0, (9, 8))), requires_grad=True)
+        # both signs of zero on either side of the sum
+        a.data[0, :4] = [0.0, 0.0, -0.0, -0.0]
+        b.data[0, :4] = [0.0, -0.0, 0.0, -0.0]
+        g = _with_signed_zeros(rng.uniform(-1.0, 1.0, (9, 8)))
+        fused = add(a, b, s)
+        scaled = scale(b, s)
+        pair = add(a, scaled)
+        assert fused.data.tobytes() == pair.data.tobytes()
+        ga, gb = fused._backward(g)
+        pair_ga, gs = pair._backward(g)
+        (pair_gb,) = scaled._backward(gs)
+        assert ga.tobytes() == pair_ga.tobytes()
+        assert gb.tobytes() == pair_gb.tobytes()
+
+    @pytest.mark.parametrize("s", [None, 0.5])
+    def test_add_rejects_mismatched_shapes(self, rng, s):
+        with pytest.raises(ShapeError, match=r"add: incompatible shapes \(2, 3\) \+ \(3, 2\)"):
+            add(rand_tensor(rng, (2, 3)), rand_tensor(rng, (3, 2)), s)
 
 
 class TestDepthwiseConv:
@@ -650,6 +704,9 @@ class TestBackward:
         pytest.param(swish_matmul, [(3, 4), (4, 5), (5,)], (0,), id="swish_matmul-input"),
         pytest.param(swish_matmul, [(3, 4), (4, 5), (5,)], (1, 2), id="swish_matmul-weights"),
         pytest.param(add, [(2, 3), (2, 3)], (1,), id="add"),
+        pytest.param(lambda a, b: add(a, b, 0.5), [(2, 3), (2, 3)], (0,), id="add-scaled"),
+        pytest.param(lambda a: transpose(a, (1, 0, 2), (2, 3, 2), (6, 2)), [(6, 2)], (0,),
+                     id="transpose-view-shape"),
         pytest.param(mul, [(2, 3), (2, 3)], (0,), id="mul"),
         pytest.param(layer_norm, [(3, 4), (4,), (4,)], (1, 2), id="layer_norm-gamma-beta"),
         pytest.param(depthwise_conv1d, [(5, 3), (3, 3)], (1,), id="conv-kernel"),
@@ -729,11 +786,17 @@ class TestRetainedMemory:
         if op == "depthwise_conv1d":
             return depthwise_conv1d(rand_tensor(rng, (12, 10), requires_grad=True),
                                     rand_tensor(rng, (5, 10), requires_grad=True), frames=6)
+        if op == "transpose":
+            return transpose(rand_tensor(rng, (12, 10), requires_grad=True), (0, 2, 1, 3),
+                             (2, 6, 5, 2), (10, 6, 2))
+        if op == "add":
+            return add(rand_tensor(rng, (6, 10), requires_grad=True),
+                       rand_tensor(rng, (6, 10), requires_grad=True), 0.5)
         return attention_weights(rand_tensor(rng, (2, 6, 6), requires_grad=True),
                                  rand_tensor(rng, (2, 6, 11), requires_grad=True), 0.5)
 
     @pytest.mark.parametrize("op", ["swish", "layer_norm", "attention_weights", "glu",
-                                    "depthwise_conv1d", "swish_matmul"])
+                                    "depthwise_conv1d", "swish_matmul", "transpose", "add"])
     def test_rule_holds_no_output_sized_array_of_its_own(self, op, rng):
         node = self._build(op, rng)
         held = [cell.cell_contents for cell in node._backward.__closure__]

@@ -492,6 +492,29 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: {flag} must be positive and finite, got {shown}\n"
 
+    @pytest.mark.parametrize("flag", ["--out", "--save-model"])
+    @pytest.mark.parametrize("target,reason", [
+        ("missing/r.txt", "{tmp}/missing is not a directory"),
+        ("file/r.txt", "{tmp}/file is not a directory"),
+        (".", "it is a directory"),
+    ], ids=["missing-parent", "file-parent", "directory"])
+    def test_unwritable_train_output_rejected_before_binding(self, flag, target, reason,
+                                                             monkeypatch, tmp_path, capsys):
+        import confshare.cli
+
+        def never(*args):
+            raise AssertionError("ran compute for a result it cannot write")
+
+        monkeypatch.setattr(confshare.cli, "bind_model", never)
+        monkeypatch.setattr(confshare.cli, "train_steps", never)
+        (tmp_path / "file").write_text("")
+        path = os.path.normpath(tmp_path / target)
+        assert run_cli("train", "--preset", "SL0-small", flag, path) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {path}: {reason.format(tmp=tmp_path)}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
     def test_non_finite_evaluation_is_one_error_line(self, capsys):
         # a step of 1e300 passes validation, then overflows a perturbed forward
         with warnings.catch_warnings(record=True) as caught:

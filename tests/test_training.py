@@ -108,6 +108,20 @@ class TestTrainSteps:
             texts.append(serialize_report(report))
         assert texts[0].encode() == texts[1].encode()
 
+    def test_toy_train_config_tape_is_331_nodes(self):
+        # the benchmark's toy_train config: a packed 4x32 batch through repeat_plan(2, 3)
+        model = bind_model(ModelConfig(d=32, e=7.25, heads=4, kernel_width=11),
+                           repeat_plan(2, 3), 11)
+        loss = batch_loss(model, *generate_toy_batch(ToyTaskSpec(frames=32, batch=4), 11, 0))
+        ops = [n.op for n in backward(loss).nodes]
+        layers = len(model.virtual_blocks())
+        assert layers == 6
+        assert len(ops) == 331
+        # five head splits and one merge per layer, one node each
+        assert ops.count("transpose") == 6 * layers
+        # the feed-forward half-step is a scaled add, not add of a scale
+        assert "scale" not in ops
+
     def test_class_count_mismatch_rejected(self):
         model = bind_model(_cfg(num_classes=4), repeat_plan(1, 1), seed=0)
         with pytest.raises(ValueError, match="classes"):

@@ -91,6 +91,12 @@ class Rng:
     starting at 1, i.e. the classic SplitMix64 sequence. Uniform doubles
     take the top 53 bits: ``(raw >> 11) * 2**-53``. Same seed, same
     platform-independent stream, bit for bit.
+
+    A draw of n values works in place on one uint64 array and one
+    scratch array, and scales its doubles in place (``u *= hi - lo;
+    u += lo``), so it holds at most two arrays of n at a time. The
+    bytes are those of the plain formulas: the integer steps wrap the
+    same way, and addition commutes.
     """
 
     def __init__(self, seed: int):
@@ -102,26 +108,39 @@ class Rng:
         return Rng(mix64(self.seed ^ fnv1a64(label)))
 
     def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=_U64)
+        z = np.arange(self.counter + 1, self.counter + n + 1, dtype=_U64)
         self.counter += n
-        z = (_U64(self.seed) + idx * _U64(_SPLITMIX_GAMMA))
-        z = (z ^ (z >> _U64(30))) * _U64(_SPLITMIX_M1)
-        z = (z ^ (z >> _U64(27))) * _U64(_SPLITMIX_M2)
-        z = z ^ (z >> _U64(31))
+        z *= _U64(_SPLITMIX_GAMMA)
+        z += _U64(self.seed)
+        t = np.empty_like(z)
+        for shift, mult in ((30, _SPLITMIX_M1), (27, _SPLITMIX_M2)):
+            np.right_shift(z, _U64(shift), out=t)
+            z ^= t
+            z *= _U64(mult)
+        np.right_shift(z, _U64(31), out=t)
+        z ^= t
         return z
 
+    def _unit(self, shape) -> np.ndarray:
+        """``math.prod(shape)`` doubles in [0, 1), one per raw draw."""
+        z = self._raw(math.prod(shape))
+        np.right_shift(z, _U64(11), out=z)
+        u = z.astype(np.float64)
+        u *= 2.0 ** -53
+        return u
+
     def uniform(self, lo: float, hi: float, shape=()) -> np.ndarray:
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        u = (self._raw(n) >> _U64(11)).astype(np.float64) * (2.0 ** -53)
-        out = lo + u * (hi - lo)
+        out = self._unit(shape)
+        out *= hi - lo
+        out += lo
         return out.reshape(shape) if shape else out[0]
 
     def integers(self, upper: int, shape=()) -> np.ndarray:
         """Integers in [0, upper). Floor of a uniform draw; the O(upper/2^53)
         bias is irrelevant at toy scale and keeps the stream portable."""
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        u = (self._raw(n) >> _U64(11)).astype(np.float64) * (2.0 ** -53)
-        out = np.minimum((u * upper).astype(np.int64), upper - 1)
+        u = self._unit(shape)
+        u *= upper
+        out = np.minimum(u.astype(np.int64), upper - 1)
         return out.reshape(shape) if shape else int(out[0])
 
 

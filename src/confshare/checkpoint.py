@@ -13,16 +13,25 @@ Layout of a checkpoint file::
 The payload is every tensor's float64 values, little-endian, concatenated
 in manifest order (which is the store's deterministic binding order).
 Round-trips are bit-exact.
+
+Neither direction holds a second copy of the model. A save writes each
+tensor's own buffer to the file. A load reads the manifest line by line
+up to ``payload_bytes``, checks it against the file's size and against
+the config and plan it names, and only then reads each tensor straight
+into its own array; a tensor holding a NaN or an infinity is rejected.
+So a load needs the model's memory plus the manifest, and the bytes are
+those of a whole-file read.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from itertools import zip_longest
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import NonFiniteError, Tensor
 from .configio import ConfigError, decode_text, parse_config_text, serialize_config
 from .encoder import BoundModel
 from .sharing import Key, ParameterStore, key_str, parameter_layout
@@ -53,7 +62,7 @@ def save_checkpoint(model: BoundModel, path):
     with open(path, "wb") as fh:
         fh.write(manifest)
         for tensor in model.store.tensors.values():
-            fh.write(tensor.data.astype("<f8").tobytes())
+            fh.write(np.ascontiguousarray(tensor.data, dtype="<f8"))
 
 
 def _int(value: str, what: str, where: str) -> int:
@@ -63,25 +72,49 @@ def _int(value: str, what: str, where: str) -> int:
         raise ConfigError(f"{where}: {what}: expected an integer, got {value!r}") from None
 
 
+_MARKER = b"payload_bytes = "
+
+
+def _read_head(fh, path) -> tuple[bytes, bytes]:
+    """The bytes before the first ``payload_bytes = `` and the rest of its
+    line; leaves ``fh`` at the first payload byte."""
+    head = []
+    for line in fh:
+        at = line.find(_MARKER)
+        if at >= 0:
+            head.append(line[:at])
+            return b"".join(head), line[at + len(_MARKER):].removesuffix(b"\n")
+        head.append(line)
+    raise ConfigError(f"{path}: not a checkpoint (missing payload_bytes)")
+
+
 def load_checkpoint(path) -> BoundModel:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    marker = b"payload_bytes = "
-    at = blob.find(marker)
-    if at < 0:
-        raise ConfigError(f"{path}: not a checkpoint (missing payload_bytes)")
-    head = blob[:at]
-    end = blob.find(b"\n", at)
-    if end < 0:
-        end = len(blob)
-    count_line = blob[at + len(marker):end]
-    # a view, not a copy: the payload is most of the file
-    payload = memoryview(blob)[end + 1:]
+        head, count_line = _read_head(fh, path)
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        seed, config, plan, tensor_keys = _check_manifest(path, head, count_line, payload)
+        tensors: dict[Key, Tensor] = {}
+        for key, dims in tensor_keys:
+            arr = np.empty(dims, "<f8")
+            if fh.readinto(arr) != arr.nbytes:
+                raise ConfigError(f"{path}: payload ends inside tensor {key_str(key)}")
+            try:
+                tensors[key] = Tensor(arr, requires_grad=True)
+            except NonFiniteError:
+                raise ConfigError(f"{path}: tensor {key_str(key)} holds non-finite "
+                                  f"values") from None
+    return BoundModel(config=config, plan=plan,
+                      store=ParameterStore(tensors=tensors, seed=seed))
+
+
+def _check_manifest(path, head: bytes, count_line: bytes, payload: int):
+    """The seed, config, plan and tensor list of a manifest whose payload
+    is ``payload`` bytes long, each checked against the others."""
     head_lines = decode_text(head, path).splitlines()
     expected = _int(count_line.decode("utf-8", "replace"), "payload_bytes",
                     f"{path}: line {len(head_lines) + 1}")
-    if len(payload) != expected:
-        raise ConfigError(f"{path}: payload is {len(payload)} bytes, "
+    if payload != expected:
+        raise ConfigError(f"{path}: payload is {payload} bytes, "
                           f"manifest promises {expected}")
 
     seed = None
@@ -124,18 +157,8 @@ def load_checkpoint(path) -> BoundModel:
         if listed != needed:
             raise ConfigError(f"{path}: tensor {i} is {_describe(listed)}, but the "
                               f"manifest's config and plan need {_describe(needed)}")
-    sizes = [math.prod(dims) for _key, dims in tensor_keys]
-    covered = 8 * sum(sizes)
+    covered = 8 * sum(math.prod(dims) for _key, dims in tensor_keys)
     if covered != expected:
         raise ConfigError(f"{path}: tensor list covers {covered} bytes, "
                           f"payload has {expected}")
-    tensors: dict[Key, Tensor] = {}
-    offset = 0
-    for (key, dims), n in zip(tensor_keys, sizes):
-        chunk = np.frombuffer(payload, dtype="<f8", count=n, offset=offset)
-        offset += n * 8
-        tensors[key] = Tensor(chunk.astype(np.float64).reshape(dims),
-                              requires_grad=True)
-
-    return BoundModel(config=config, plan=plan,
-                      store=ParameterStore(tensors=tensors, seed=seed))
+    return seed, config, plan, tensor_keys

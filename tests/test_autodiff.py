@@ -35,6 +35,24 @@ class TestRng:
         # continuation picks up where the counter left off
         assert rng._raw(3).tolist() == oracle(42, 8)[5:]
 
+    @pytest.mark.parametrize("lo,hi", [(-1, 1), (-0.3, 1.1)])
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 5)])
+    def test_draws_follow_the_raw_stream(self, shape, lo, hi):
+        # each draw is a plain formula of the raw stream, and a stream that
+        # has drawn before goes on from where it stopped
+        def unit(n):
+            return (ref._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+        n = math.prod(shape)
+        rng, ref = Rng(11), Rng(11)
+        for _ in range(2):
+            want = (lo + unit(n) * (hi - lo)).reshape(shape)
+            assert np.asarray(rng.uniform(lo, hi, shape)).tobytes() == want.tobytes()
+            want = np.minimum((unit(n) * 13).astype(np.int64), 12).reshape(shape)
+            got = rng.integers(13, shape)
+            assert np.asarray(got).tobytes() == want.tobytes()
+            assert type(got) is (int if shape == () else np.ndarray)
+
     def test_same_seed_same_stream(self):
         a = Rng(7).uniform(-1, 1, (64,))
         b = Rng(7).uniform(-1, 1, (64,))

@@ -1,5 +1,6 @@
 import os
 import re
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
@@ -15,8 +16,8 @@ from confshare.configio import (ConfigError, parse_config_text,
 from confshare.encoder import bind_model, encoder_forward
 from confshare.presets import (all_presets, calibrated_defaults, preset,
                                preset_names)
-from confshare.sharing import (ALL_MISC_SMALL, physical_group_counts, repeat_plan,
-                               validate_plan)
+from confshare.sharing import (ALL_MISC_SMALL, key_str, physical_group_counts,
+                               repeat_plan, validate_plan)
 from confshare.autodiff import Rng, Tensor
 
 
@@ -221,6 +222,91 @@ class TestCheckpoints:
         path.write_bytes(blob[:-8])
         with pytest.raises(ConfigError, match="payload"):
             load_checkpoint(path)
+
+    def test_payload_longer_than_promised_rejected(self, tmp_path):
+        p = preset("SL0-small")
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(bind_model(p.config, p.plan, seed=1), path)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        size = count_params(p.config, p.plan).encoder_total * 8
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: payload is "
+                                              f"{size + 8} bytes, manifest promises {size}$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("promised", ["all", "zero"])
+    def test_file_ending_at_payload_count_rejected(self, promised, tmp_path):
+        # the file stops right after "payload_bytes = N", with no newline
+        p = preset("SL0-small")
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(bind_model(p.config, p.plan, seed=1), path)
+        size = count_params(p.config, p.plan).encoder_total * 8
+        count = size if promised == "all" else 0
+        head = path.read_bytes().partition(b"payload_bytes = ")[0]
+        path.write_bytes(head + f"payload_bytes = {count}".encode())
+        message = (f"payload is 0 bytes, manifest promises {size}" if count
+                   else f"tensor list covers {size} bytes, payload has 0")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: {message}$"):
+            load_checkpoint(path)
+
+    def test_file_shrinking_during_load_rejected(self, tmp_path, monkeypatch):
+        # the size check passes on the size the file had; the tensor reads
+        # then run out of bytes
+        p = preset("SL0-small")
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(bind_model(p.config, p.plan, seed=1), path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-8])
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((0,) * 6 + (size,) + (0,) * 3))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: payload ends "
+                                              f"inside tensor encoder\\|head\\.b\\|1$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected(self, value, tmp_path):
+        p = preset("SL0-small")
+        model = bind_model(p.config, p.plan, seed=1)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        path.write_bytes(path.read_bytes()[:-8] + np.array([value], "<f8").tobytes())
+        last = key_str(list(model.store.keys())[-1])
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: tensor "
+                                              f"{re.escape(last)} holds non-finite values$"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _traced_peak(fn):
+        """Peak bytes that tracemalloc sees while ``fn`` runs, above what
+        was held before."""
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    @staticmethod
+    def _few_mib_model():
+        config = ModelConfig(d=128, e=4, heads=4, kernel_width=3, t_max=32)
+        model = bind_model(config, repeat_plan(1, 1), seed=3)
+        largest = max(t.data.nbytes for t in model.store.tensors.values())
+        return model, model.store.total_scalars() * 8, largest
+
+    def test_load_holds_one_copy_of_the_payload(self, tmp_path):
+        model, payload, largest = self._few_mib_model()
+        assert payload > 3 * 2**20 and largest <= payload // 4
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        assert self._traced_peak(lambda: load_checkpoint(path)) <= payload + largest
+
+    def test_save_copies_no_tensor(self, tmp_path):
+        model, _payload, largest = self._few_mib_model()
+        path = tmp_path / "m.ckpt"
+        assert self._traced_peak(lambda: save_checkpoint(model, path)) < largest
 
     def test_short_payload_with_matching_count_rejected(self, tmp_path):
         # payload_bytes agrees with the payload, but the tensor list needs 8 more

@@ -42,11 +42,32 @@ more than the ``exp`` itself. Row and column sums call
 ``np.add.reduce``, the ufunc that ``ndarray.sum`` wraps, without the
 wrapper's per-call cost. All of it gives the same bytes as the plain
 formulas.
+
+A temporary that a kernel fills and drops within one call lives in a
+scratch buffer (``_scratch``): one per named slot, grown to the largest
+size asked for and reused by every later call, so a warm step faults no
+pages in for it (the idea of PyTorch's caching allocator). The slots:
+
+* ``sigmoid.den`` and ``sigmoid.mask``: the sigmoid's denominator and
+  sign mask, in every sigmoid;
+* ``swish_matmul.act``: the forward's activation;
+* ``swish_matmul.s`` and ``swish_matmul.ga``: the rule's sigmoid and
+  its g @ bᵀ (1 − s sits in the latter until the product needs it);
+* ``glu.s``: the rule's sigmoid;
+* ``conv.xp`` and ``conv.tap``: the convolution's padded input and its
+  per-tap products, in the forward and in the rule;
+* ``softmax_grad.gp``: the g·p product of ``attention_weights``' rule;
+* ``adam.step`` and ``adam.den``: ``training.OptimizerState``'s update.
+
+A scratch view never escapes its call: no op output, rule result,
+stored gradient or rule closure holds one. The buffers are held per
+thread (``threading.local``), so two threads never share one.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -319,6 +340,55 @@ def zero_grads(tensors):
 
 
 # ---------------------------------------------------------------------------
+# scratch buffers
+
+
+class _Scratch(threading.local):
+    """One thread's scratch buffers: ``buffers`` maps a slot to its flat
+    buffer, ``views`` maps (slot, shape, dtype) to a view of that
+    buffer's head, so a warm lookup is one dict probe."""
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+        self.views: dict[tuple, np.ndarray] = {}
+
+
+_SCRATCH = _Scratch()
+# a bound on the cached views, for a process that runs many shapes
+_SCRATCH_VIEWS = 256
+
+
+def _scratch(slot: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """An uninitialised ``shape`` array in the calling thread's buffer for
+    ``slot``, for a temporary that a kernel fills and drops within one
+    call. The buffer grows to the largest size asked for and is reused
+    by every later call, so a warm kernel faults no pages in for it.
+
+    The view is valid until the next call that asks for the same slot:
+    it must never become an op output, a rule result, a stored gradient
+    or anything a closure keeps.
+    """
+    view = _SCRATCH.views.get((slot, shape, dtype))
+    if view is None:
+        view = _scratch_view(slot, shape, dtype)
+    return view
+
+
+def _scratch_view(slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    own = _SCRATCH
+    n = math.prod(shape)
+    buf = own.buffers.get(slot)
+    if buf is None or buf.size < n or buf.dtype != dtype:
+        buf = own.buffers[slot] = np.empty(n, dtype)
+        # the old buffer's views go with it
+        own.views = {k: v for k, v in own.views.items() if k[0] != slot}
+    if len(own.views) >= _SCRATCH_VIEWS:
+        own.views.clear()
+    view = own.views[(slot, shape, dtype)] = buf[:n].reshape(shape)
+    return view
+
+
+# ---------------------------------------------------------------------------
 # ops
 
 
@@ -406,24 +476,28 @@ def transpose(a: Tensor, axes, view, shape) -> Tensor:
                    lambda g: (g.reshape(permuted_shape).transpose(inv).reshape(in_shape),))
 
 
-def _sigmoid_and_scratch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # stable on both tails and branch-free: exp(-|x|) never overflows, and
-    # max(exp(-|x|), x >= 0) is exactly 1 from zero up (the exp is <= 1) and
-    # exactly exp(x) below (the exp is >= 0), so one pass picks the
-    # numerator with no data-dependent select; both sides share the
-    # denominator 1 + exp(-|x|). out= keeps the result an array for 0-d x.
-    # The denominator's buffer is handed back for the caller to reuse.
-    den = np.abs(x, out=np.empty_like(x))
+def _sigmoid_into(x: np.ndarray, num: np.ndarray) -> np.ndarray:
+    """sigmoid(x) written into ``num``, an array of x's shape, and returned.
+
+    Stable on both tails and branch-free: exp(-|x|) never overflows, and
+    max(exp(-|x|), x >= 0) is exactly 1 from zero up (the exp is <= 1) and
+    exactly exp(x) below (the exp is >= 0), so one pass picks the
+    numerator with no data-dependent select; both sides share the
+    denominator 1 + exp(-|x|). The denominator and the sign mask are
+    scratch; ``num`` keeps the result an array also for 0-d x.
+    """
+    den = np.abs(x, out=_scratch("sigmoid.den", x.shape))
     np.negative(den, out=den)
     np.exp(den, out=den)
-    num = np.maximum(den, x >= 0, out=np.empty_like(x))
+    np.maximum(den, np.greater_equal(x, 0.0, out=_scratch("sigmoid.mask", x.shape, np.bool_)),
+               out=num)
     den += 1.0
     num /= den
-    return num, den
+    return num
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return _sigmoid_and_scratch(x)[0]
+    return _sigmoid_into(x, np.empty(x.shape))
 
 
 def swish_matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -438,10 +512,9 @@ def swish_matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"swish_matmul supports 2d@2d with equal inner extents, "
                          f"got {a.shape} @ {b.shape}")
-    act = _sigmoid(a.data)
+    act = _sigmoid_into(a.data, _scratch("swish_matmul.act", a.shape))
     act *= a.data
     out = act @ b.data
-    del act
     parents = (a, b)
     if bias is not None:
         if bias.shape != out.shape[1:]:
@@ -451,16 +524,16 @@ def swish_matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         parents = (a, b, bias)
 
     def rule(g):
-        # four a-sized arrays at most: s, scratch, act and ga
-        s, scratch = _sigmoid_and_scratch(a.data)
+        # act becomes a's gradient; s and g @ b^T are scratch, and 1 - s
+        # sits in the latter's buffer until the product needs it
+        s = _sigmoid_into(a.data, _scratch("swish_matmul.s", a.shape))
         act = np.multiply(s, a.data)
-        ga = g @ b.data.T
         gb = act.T @ g
-        # swish'(a) = s + act * (1 - s), into the buffers already held
-        one_minus_s = np.subtract(1.0, s, out=scratch)
-        act *= one_minus_s
+        ga = _scratch("swish_matmul.ga", a.shape)
+        # swish'(a) = s + act * (1 - s)
+        act *= np.subtract(1.0, s, out=ga)
         act += s
-        act *= ga
+        act *= np.matmul(g, b.data.T, out=ga)
         grads = (act, gb)
         return grads if bias is None else (*grads, np.add.reduce(g, axis=0))
 
@@ -495,7 +568,7 @@ def glu(a: Tensor) -> Tensor:
     out *= a.data[..., :n]
 
     def rule(g):
-        s = _sigmoid(a.data[..., n:])
+        s = _sigmoid_into(a.data[..., n:], _scratch("glu.s", g.shape))
         ga = np.empty_like(a.data)
         np.multiply(g, s, out=ga[..., :n])
         gv = np.multiply(g, a.data[..., :n], out=ga[..., n:])
@@ -553,7 +626,8 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The input gradient of a softmax with output p: p * (g - sum(g * p))."""
-    gx = g - (g * p).sum(axis=-1, keepdims=True)
+    gp = np.multiply(g, p, out=_scratch("softmax_grad.gp", p.shape))
+    gx = g - gp.sum(axis=-1, keepdims=True)
     gx *= p
     return gx
 
@@ -603,13 +677,15 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, frames: int | None = None) -> Te
     half = (w - 1) // 2
 
     def padded():
-        xp = np.zeros((B, T + w - 1, d))
+        xp = _scratch("conv.xp", (B, T + w - 1, d))
+        xp[:, :half] = 0.0
+        xp[:, half + T:] = 0.0
         xp[:, half:half + T] = x.data.reshape(B, T, d)
         return xp
 
     xp = padded()
     out = np.zeros((B, T, d))
-    tap = np.empty((B, T, d))  # one scratch buffer for every per-tap product
+    tap = _scratch("conv.tap", (B, T, d))  # every per-tap product
     for j in range(w):
         out += np.multiply(kernel.data[j], xp[:, j:j + T], out=tap)
 
@@ -617,9 +693,10 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, frames: int | None = None) -> Te
         # rebuilt, not kept: the tape would otherwise hold a padded copy of x
         g = g.reshape(B, T, d)
         xp = padded()
+        # not scratch: for B = 1 the returned slice is a view of gxp
         gxp = np.zeros_like(xp)
         gk = np.empty_like(kernel.data)
-        tap = np.empty((B, T, d))
+        tap = _scratch("conv.tap", (B, T, d))
         products = tap.reshape(rows, d)
         for j in range(w):
             gxp[:, j:j + T] += np.multiply(g, kernel.data[j], out=tap)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (NonFiniteError, Rng, ShapeError, Tensor, backward,
+from .autodiff import (NonFiniteError, Rng, ShapeError, Tensor, _scratch, backward,
                        cross_entropy_mean, finite_diff_grad, fnv1a64, mix64,
                        relative_error, zero_grads)
 from .blocks import ModelConfig
@@ -63,8 +63,16 @@ def generate_toy_batch(spec: ToyTaskSpec, seed: int,
 @dataclass
 class OptimizerState:
     """Adaptive moment estimation with fixed defaults (lr 1e-3, decays
-    0.9/0.999, eps 1e-8). Buffers mirror parameter shapes; updates are
-    in-place so bound views stay valid."""
+    0.9/0.999, eps 1e-8). The moments mirror parameter shapes, and every
+    update is in place, so bound views stay valid.
+
+    A step allocates no parameter-sized array: per tensor it works in two
+    of the calling thread's scratch buffers (``autodiff._scratch``) in the
+    op order of the plain formulas, so it gives their bytes:
+    m·β₁ + g·(1−β₁) and v·β₂ + (g·g)·(1−β₂), then m/(1−β₁ᵗ) and
+    sqrt(v/(1−β₂ᵗ)) + eps, then the first times lr over the second,
+    subtracted from the data. A tensor whose ``grad`` is None is skipped.
+    """
 
     lr: float = 1e-3
     beta1: float = 0.9
@@ -86,13 +94,21 @@ class OptimizerState:
                 self.v[key] = np.zeros_like(tensor.data)
             m = self.m[key]
             v = self.v[key]
+            step = _scratch("adam.step", g.shape)
+            den = _scratch("adam.den", g.shape)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=step)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            mhat = m / (1.0 - self.beta1 ** t)
-            vhat = v / (1.0 - self.beta2 ** t)
-            tensor.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            np.multiply(g, g, out=step)
+            step *= 1.0 - self.beta2
+            v += step
+            np.divide(m, 1.0 - self.beta1 ** t, out=step)
+            np.divide(v, 1.0 - self.beta2 ** t, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            step *= self.lr
+            step /= den
+            tensor.data -= step
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,23 @@ from confshare.sharing import repeat_plan
 @pytest.fixture
 def rng():
     return Rng(2024)
+
+
+def traced_peak(fn):
+    """``fn()``'s result, and the most bytes it held above its start at
+    any point of the call (``tracemalloc``'s peak)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, peak
 
 
 def rand_tensor(rng: Rng, shape, requires_grad=False, scale=1.0) -> Tensor:

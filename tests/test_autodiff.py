@@ -1,19 +1,20 @@
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 
-from confshare.autodiff import (NonFiniteError, Rng, RowRange, ShapeError, Tape,
+from confshare.autodiff import (_SCRATCH, NonFiniteError, Rng, RowRange, ShapeError, Tape,
                                 Tensor, _sigmoid, _skew, add, attention_weights,
                                 backward, concat_rows, cross_entropy_mean,
                                 depthwise_conv1d, finite_diff_grad, glu,
                                 layer_norm, matmul, mul, relative_error,
                                 scale, slice_rows, softmax, sum_all, swish,
                                 swish_matmul, transpose, zero_grads)
-from conftest import assert_params_match_fd, bound_block, rand_tensor
+from conftest import assert_params_match_fd, bound_block, rand_tensor, traced_peak
 
 
 class TestRng:
@@ -819,12 +820,16 @@ class TestRetainedMemory:
         node = self._build(op, rng)
         held = [cell.cell_contents for cell in node._backward.__closure__]
         shared = [node.data] + [p.data for p in node._parents]
+        scratch = _scratch_buffers()
         for value in held:
             if isinstance(value, Tensor):
                 assert any(value is p for p in node._parents), f"{op} holds {value}"
-            elif isinstance(value, np.ndarray) and value.size >= node.size:
-                assert any(value is a for a in shared), \
-                    f"{op} holds its own {value.shape} array"
+            elif isinstance(value, np.ndarray):
+                assert not any(np.shares_memory(value, buf) for buf in scratch), \
+                    f"{op} keeps a scratch view of shape {value.shape}"
+                if value.size >= node.size:
+                    assert any(value is a for a in shared), \
+                        f"{op} holds its own {value.shape} array"
 
     @staticmethod
     def _two_layer_lrs3():
@@ -872,6 +877,148 @@ class TestRetainedMemory:
         fused_inputs = [n._parents[0] for n in nodes if n.op == "swish_matmul"]
         for n in kept:
             assert any(n is pre for pre in fused_inputs), f"{n} is no pre-activation"
+
+
+def _scratch_buffers() -> list[np.ndarray]:
+    """The calling thread's scratch buffers."""
+    return list(_SCRATCH.buffers.values())
+
+
+class TestScratch:
+    """A scratch buffer holds only temporaries that a kernel fills and drops
+    within one call, and each thread has its own."""
+
+    SLOTS = {"sigmoid.den", "sigmoid.mask", "swish_matmul.act", "swish_matmul.s",
+             "swish_matmul.ga", "glu.s", "conv.xp", "conv.tap", "softmax_grad.gp",
+             "adam.step", "adam.den"}
+
+    @staticmethod
+    def _model(name):
+        from confshare.blocks import ModelConfig
+        from confshare.encoder import bind_model
+        from confshare.presets import preset
+        from confshare.sharing import repeat_plan
+
+        if name == "toy_train":
+            config = ModelConfig(d=32, e=7.25, heads=4, kernel_width=11)
+            return bind_model(config, repeat_plan(2, 3), 11), 32
+        p = preset(name)
+        return bind_model(p.config, p.plan, 1), 8
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("name", ["toy_train", "LRS3-small"])
+    def test_no_array_a_step_keeps_shares_memory_with_a_scratch_buffer(self, name, batch):
+        from confshare.sharing import key_str
+        from confshare.training import (OptimizerState, ToyTaskSpec, batch_loss,
+                                        generate_toy_batch)
+
+        model, frames = self._model(name)
+        spec = ToyTaskSpec(feature_dim=model.config.input_dim,
+                           num_classes=model.config.num_classes, frames=frames, batch=batch)
+        opt = OptimizerState()
+        tape = backward(batch_loss(model, *generate_toy_batch(spec, 5, 0)))
+        opt.step(model.store)
+        # every kernel that takes scratch ran, so there is something to check against
+        assert self.SLOTS <= set(_SCRATCH.buffers)
+        scratch = _scratch_buffers()
+        kept = [(f"{n.op or 'leaf'} node", n.data) for n in tape.nodes]
+        for n in tape.nodes:
+            cells = n._backward.__closure__ or () if n._backward is not None else ()
+            kept += [(f"{n.op} rule closure", c.cell_contents) for c in cells
+                     if isinstance(c.cell_contents, np.ndarray)]
+        for key, t in model.store.items():
+            name = key_str(key)
+            assert t.grad is not None, f"{name} has no gradient"
+            kept += [(f"{name} data", t.data), (f"{name} grad", t.grad),
+                     (f"{name} m", opt.m[key]), (f"{name} v", opt.v[key])]
+        for what, arr in kept:
+            assert not any(np.shares_memory(arr, buf) for buf in scratch), \
+                f"{what} shares memory with a scratch buffer"
+
+    def test_warm_swish_matmul_rule_allocates_only_its_gradients(self):
+        # the LRS3 low-rank feed-forward's second product, one T=128 utterance
+        rng = Rng(3)
+        a = Tensor(rng.uniform(-4.0, 4.0, (128, 1044)), requires_grad=True)
+        b = Tensor(rng.uniform(-0.1, 0.1, (1044, 50)), requires_grad=True)
+        node = swish_matmul(a, b)
+        g = rng.uniform(-1.0, 1.0, (128, 50))
+        node._backward(g)  # the scratch slots take their size
+        grads, peak = traced_peak(lambda: node._backward(g))
+        returned = sum(x.nbytes for x in grads)
+        assert peak <= returned + 64 * 1024, \
+            f"the rule held {peak} bytes for {returned} bytes of gradients"
+
+    @staticmethod
+    def _swish_matmul_oracle(a, b, bias, g):
+        """swish(a) @ b (+ bias) and its gradients as plain formulas, a
+        fresh array for every step, in the fused rule's operation order."""
+        s = _two_branch_sigmoid(a)
+        act = a * s
+        out = act @ b
+        grads = [(act * (1 - s) + s) * (g @ b.T), act.T @ g]
+        if bias is not None:
+            out += bias
+            grads.append(g.sum(axis=0))
+        return [out, *grads]
+
+    @staticmethod
+    def _glu_oracle(a, g):
+        n = a.shape[-1] // 2
+        u, v = a[..., :n], a[..., n:]
+        s = _two_branch_sigmoid(v)
+        return [u * s, np.concatenate((g * s, g * u * s * (1 - s)), -1)]
+
+    def _check_fd_gradcheck_shapes(self, d: int, lowrank: bool):
+        """swish_matmul, glu and depthwise_conv1d at the shapes of the
+        fd_gradcheck model of width d (2 utterances of 6 frames), each
+        byte-compared with a fresh-buffer oracle."""
+        from confshare.blocks import ModelConfig
+
+        ffn = ModelConfig(d=d, e=7.25, heads=4, kernel_width=11).ffn_width
+        rng = Rng(d)
+        rows, frames, w = 12, 6, 11
+
+        def draw(*shape):
+            return _with_signed_zeros(rng.uniform(-3.0, 3.0, shape))
+
+        # the low-rank model's second product goes to rank 4, without a bias
+        a, b = draw(rows, ffn), draw(ffn, 4 if lowrank else d)
+        bias = None if lowrank else draw(d)
+        node = swish_matmul(Tensor(a, requires_grad=True), Tensor(b, requires_grad=True),
+                            None if bias is None else Tensor(bias, requires_grad=True))
+        g = draw(*node.shape)
+        got = [node.data, *node._backward(g)]
+        want = self._swish_matmul_oracle(a, b, bias, g)
+        a, g = draw(rows, 2 * d), draw(rows, d)
+        node = glu(Tensor(a, requires_grad=True))
+        got += [node.data, *node._backward(g)]
+        want += self._glu_oracle(a, g)
+        x, k, g = draw(rows, d), draw(w, d), draw(rows, d)
+        node = depthwise_conv1d(Tensor(x, requires_grad=True), Tensor(k, requires_grad=True),
+                                frames=frames)
+        got += [node.data, *node._backward(g)]
+        want += TestDepthwiseConv._per_tap_oracle(x, k, g, rows // frames)
+        assert len(got) == len(want)
+        for i, (x, y) in enumerate(zip(got, want)):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), f"array {i} at d={d}"
+        return {slot: buf.size for slot, buf in _SCRATCH.buffers.items()}
+
+    def test_alternating_shapes_through_the_same_slots_match_fresh_buffer_oracles(self):
+        def alternate():
+            # a new thread starts with no buffers, so the d=16 shapes grow
+            # every slot and the second d=8 pass runs in their heads
+            assert not _SCRATCH.buffers
+            sizes = [self._check_fd_gradcheck_shapes(d, lowrank)
+                     for d, lowrank in ((8, False), (16, True), (8, False), (16, True))]
+            assert all(sizes[1][slot] > sizes[0][slot] for slot in sizes[0])
+            assert sizes[1] == sizes[2] == sizes[3]
+            return _scratch_buffers()
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            theirs = pool.submit(alternate).result(timeout=60)
+        self._check_fd_gradcheck_shapes(8, False)
+        ours = _scratch_buffers()
+        assert not any(np.shares_memory(x, y) for x in theirs for y in ours)
 
 
 class TestTape:

@@ -6,7 +6,7 @@ import pytest
 
 import confshare.encoder
 import confshare.training
-from confshare.autodiff import (ShapeError, Tensor, add, backward,
+from confshare.autodiff import (Rng, ShapeError, Tensor, add, backward,
                                 cross_entropy_mean, scale, zero_grads)
 from confshare.blocks import ModelConfig, conformer_block
 from confshare.encoder import (bind_model, encoder_forward, first_stages,
@@ -21,6 +21,8 @@ from confshare.training import (OptimizerState, ToyTaskSpec, TrainingError,
                                 task_prototypes, train_steps)
 from confshare.training import _loss_from as loss_from
 from dataclasses import replace
+
+from conftest import traced_peak
 
 
 def _cfg(**kw):
@@ -37,6 +39,84 @@ def _per_utterance_loss(model, features, labels):
         loss = cross_entropy_mean(encoder_forward(features[b], model), labels[b])
         total = loss if total is None else add(total, loss)
     return scale(total, 1.0 / features.shape[0])
+
+
+class _PlainAdam:
+    """The optimizer's update as plain formulas, with a fresh array for
+    every intermediate: the oracle for ``OptimizerState.step``."""
+
+    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.step_count = 0
+        self.m, self.v = {}, {}
+
+    def step(self, store):
+        self.step_count += 1
+        t = self.step_count
+        for key, tensor in store.items():
+            g = tensor.grad
+            if g is None:
+                continue
+            if key not in self.m:
+                self.m[key] = np.zeros_like(tensor.data)
+                self.v[key] = np.zeros_like(tensor.data)
+            m = self.m[key]
+            v = self.v[key]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            mhat = m / (1.0 - self.beta1 ** t)
+            vhat = v / (1.0 - self.beta2 ** t)
+            tensor.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+class TestAdam:
+    SHAPES = {"w": (9, 7), "b": (7,), "k": (3, 5, 2), "s": (1,), "frozen": (4, 3)}
+
+    def _stores(self):
+        rng = Rng(17)
+        data = {key: rng.uniform(-1.0, 1.0, shape) for key, shape in self.SHAPES.items()}
+        return [{key: Tensor(x.copy(), requires_grad=True) for key, x in data.items()}
+                for _ in range(2)]
+
+    def test_five_steps_give_the_bytes_of_the_plain_formulas(self):
+        ours, theirs = self._stores()
+        opt, oracle = OptimizerState(), _PlainAdam()
+        rng = Rng(18)
+        for step in range(5):
+            for key, shape in self.SHAPES.items():
+                # "frozen" never has a gradient, "b" misses the second step,
+                # and the gradients span several magnitudes and signed zeros
+                g = None
+                if key != "frozen" and not (key == "b" and step == 1):
+                    g = rng.uniform(-1.0, 1.0, shape) * 10.0 ** (step - 2)
+                    g.reshape(-1)[::4] = 0.0
+                    g.reshape(-1)[1::5] = -0.0
+                ours[key].grad = theirs[key].grad = g
+            opt.step(ours)
+            oracle.step(theirs)
+            assert opt.m.keys() == oracle.m.keys() == self.SHAPES.keys() - {"frozen"}
+            for key in self.SHAPES:
+                assert ours[key].data.tobytes() == theirs[key].data.tobytes(), (step, key)
+                if key in opt.m:
+                    assert opt.m[key].tobytes() == oracle.m[key].tobytes(), (step, key)
+                    assert opt.v[key].tobytes() == oracle.v[key].tobytes(), (step, key)
+        frozen = self._stores()[0]["frozen"]
+        assert ours["frozen"].data.tobytes() == frozen.data.tobytes()
+
+    def test_warm_step_allocates_no_parameter_sized_array(self):
+        # the shape of an LRS3 feed-forward weight
+        rng = Rng(19)
+        store = {key: Tensor(rng.uniform(-1.0, 1.0, shape), requires_grad=True)
+                 for key, shape in (("w", (1044, 144)), ("b", (144,)))}
+        for t in store.values():
+            t.grad = rng.uniform(-1.0, 1.0, t.shape)
+        opt = OptimizerState()
+        opt.step(store)  # the moments and the scratch slots take their size
+        _, peak = traced_peak(lambda: opt.step(store))
+        assert peak < 64 * 1024, \
+            f"a step over {store['w'].data.nbytes} bytes of weight held {peak} bytes"
 
 
 class TestToyBatch:

@@ -18,13 +18,13 @@ optional fused bias, and 3-d batched for attention heads),
 ``swish_matmul`` (swish(a) @ b plus an optional bias, one node), layer
 norm, glu, a depthwise temporal convolution that pads each utterance of
 a packed batch on its own, ``add`` (optionally a + s·b, so a half-step
-residual is one node), reshape, ``transpose`` (between an input view
-and an output shape, so a head split or merge is one node and one
-copy), ``slice_rows``/``concat_rows`` along the leading axis,
-and ``attention_weights``: content plus relative-position scores to
-softmax weights, one node per layer over all heads of a batch (a 4×32
-toy step records 331 nodes). ``swish``, ``softmax`` and ``scale`` are
-only the tests' oracles for the fused ops.
+residual is one node), ``transpose`` (between an input view and an
+output shape, so a head split or merge is one node and one copy),
+``slice_rows``/``concat_rows`` along the leading axis, and
+``attention_weights``: content plus relative-position scores to softmax
+weights, one node per layer over all heads of a batch (a 4×32 toy step
+records 331 nodes). The tests' unfused oracles for these ops live in
+``tests/oracles.py``.
 
 A rule keeps only the arrays it reads and cannot get from its parents'
 data or its own output: ``swish_matmul`` keeps no activation and
@@ -221,10 +221,6 @@ class Tensor:
     def __repr__(self):
         tag = self.op or ("leaf" if not self._parents else "node")
         return f"Tensor(shape={self.shape}, op={tag!r}, requires_grad={self.requires_grad})"
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...], backward) -> Tensor:
@@ -441,23 +437,9 @@ def add(a: Tensor, b: Tensor, s: float | None = None) -> Tensor:
     return _result(out, "add", (a, b), lambda g: (g, g * s))
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} * {b.shape}")
-    return _result(a.data * b.data, "mul", (a, b), lambda g: (g * b.data, g * a.data))
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    return _result(a.data * s, "scale", (a,), lambda g: (g * s,))
-
-
 def sum_all(a: Tensor) -> Tensor:
     return _result(np.asarray(a.data.sum()), "sum", (a,),
                    lambda g: (np.full_like(a.data, float(g)),))
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    return _result(a.data.reshape(shape), "reshape", (a,), lambda g: (g.reshape(a.shape),))
 
 
 def transpose(a: Tensor, axes, view, shape) -> Tensor:
@@ -540,23 +522,6 @@ def swish_matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     return _result(out, "swish_matmul", parents, rule)
 
 
-def swish(a: Tensor) -> Tensor:
-    """x * sigmoid(x). The rule recomputes the sigmoid from x. The model
-    uses ``swish_matmul``; this is the tests' oracle for it."""
-    out = _sigmoid(a.data)
-    out *= a.data
-
-    def rule(g):
-        s = _sigmoid(a.data)
-        ds = np.subtract(1.0, s)
-        ds *= out
-        ds += s
-        ds *= g  # g * (s + out * (1 - s))
-        return (ds,)
-
-    return _result(out, "swish", (a,), rule)
-
-
 def glu(a: Tensor) -> Tensor:
     """Gated linear unit over the last axis: split halves (u, v), u * sigmoid(v).
     The rule recomputes the sigmoid from v."""
@@ -630,12 +595,6 @@ def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     gx = g - gp.sum(axis=-1, keepdims=True)
     gx *= p
     return gx
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Max-subtracted softmax over the last axis; rows sum to one."""
-    p = _softmax(x.data.copy())
-    return _result(p, "softmax", (x,), lambda g: (_softmax_grad(p, g),))
 
 
 def _skew(full: np.ndarray) -> np.ndarray:

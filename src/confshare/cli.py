@@ -16,11 +16,11 @@ import numpy as np
 from .accounting import SizeBudget, count_params, fit_dim_to_budget, report_table
 from .autodiff import NonFiniteError
 from .checkpoint import save_checkpoint
-from .configio import parse_config_file, serialize_config
+from .configio import parse_config_file
 from .encoder import bind_model, check_frames
 from .presets import calibrated_defaults, preset
 from .sharing import validate_plan
-from .training import (OptimizerState, ToyTaskSpec, _check_eps_and_tol,
+from .training import (OptimizerState, ToyTaskSpec, _check_count, _check_eps_and_tol,
                        generate_toy_batch, gradcheck_model, serialize_report,
                        train_steps)
 
@@ -115,6 +115,7 @@ def _cmd_gradcheck(args) -> int:
                        frames=args.frames, batch=args.batch)
     check_frames(config, spec.frames)
     _check_eps_and_tol(args.eps, args.tol)
+    _check_count("samples per tensor", args.samples)
     model = bind_model(config, plan, args.seed)
     batch = generate_toy_batch(spec, args.seed, 0)
     report = gradcheck_model(model, batch, eps=args.eps, tol=args.tol,
@@ -145,6 +146,7 @@ def _cmd_train(args) -> int:
             _check_output_path(path)
     spec = ToyTaskSpec(feature_dim=config.input_dim, num_classes=config.num_classes)
     check_frames(config, spec.frames)
+    _check_count("steps", args.steps)
     model = bind_model(config, plan, args.seed)
     report = train_steps(model, spec, OptimizerState(), args.steps, args.seed)
     text = serialize_report(report)

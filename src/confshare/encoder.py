@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, matmul, reshape
+from .autodiff import Tensor, matmul
 from .blocks import BlockParams, ModelConfig, assemble_block, conformer_block
 from .sharing import (FRONTEND_B, FRONTEND_W, HEAD_B, HEAD_W, REL_TABLE,
                       BoundSchedule, Key, ParameterStore, SharingPlan,
@@ -85,15 +85,18 @@ def encoder_forward(features, model: BoundModel,
 
 
 def pack_features(features, config: ModelConfig) -> tuple[Tensor, int]:
-    """Validated features as packed (B·T, input_dim) rows, and T."""
-    x = as_tensor(features)
+    """Validated features as packed (B·T, input_dim) rows, and T. The rows are
+    a constant leaf, so a ``Tensor`` that requires a gradient is rejected."""
+    x = features if isinstance(features, Tensor) else Tensor(features)
+    if x.requires_grad:
+        raise ValueError(f"features must not require a gradient, got {x}")
     if x.ndim not in (2, 3) or x.shape[-1] != config.input_dim:
         raise ValueError(f"expected (T, {config.input_dim}) or "
                          f"(B, T, {config.input_dim}) features, got {x.shape}")
     frames = x.shape[-2]
     check_frames(config, frames)
     if x.ndim == 3:
-        x = reshape(x, (x.shape[0] * frames, x.shape[2]))
+        x = Tensor(x.data.reshape(x.shape[0] * frames, x.shape[2]))
     return x, frames
 
 

@@ -181,7 +181,3 @@ def preset(name: str) -> Preset:
     return Preset(name=name, config=config, plan=plan, note=note,
                   published_total=published)
 
-
-def all_presets(small: bool = False) -> list[Preset]:
-    suffix = SMALL_SUFFIX if small else ""
-    return [preset(f"{name}{suffix}") for name in preset_names()]

@@ -162,8 +162,7 @@ def train_steps(model: BoundModel, spec: ToyTaskSpec, opt: OptimizerState,
     Identical (model seed, task seed) runs produce bit-identical reports.
     A non-finite loss aborts with the offending step index.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be positive, got {steps}")
+    _check_count("steps", steps)
     if model.config.num_classes != spec.num_classes:
         raise ValueError(f"model emits {model.config.num_classes} classes but the "
                          f"task has {spec.num_classes}")
@@ -246,8 +245,7 @@ def gradcheck_model(model: BoundModel, batch: tuple[np.ndarray, np.ndarray],
     loss equals the full ``batch_loss`` bit for bit.
     """
     _check_eps_and_tol(eps, tol)
-    if samples_per_tensor < 1:
-        raise ValueError(f"samples per tensor must be positive, got {samples_per_tensor}")
+    _check_count("samples per tensor", samples_per_tensor)
     selected = list(model.store.keys()) if keys is None else list(keys)
     unknown = [key_str(key) for key in selected if key not in model.store]
     if unknown:
@@ -297,3 +295,8 @@ def _check_eps_and_tol(eps: float, tol: float):
     for name, value in (("eps", eps), ("tol", tol)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_count(name: str, value: int):
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")

@@ -4,8 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from confshare.autodiff import (Rng, Tensor, backward, finite_diff_grad, mul,
-                                relative_error, sum_all)
+from confshare.autodiff import Rng, Tensor, backward, finite_diff_grad, relative_error
 from confshare.encoder import bind_model
 from confshare.lowrank import LowRankSpec
 from confshare.sharing import repeat_plan

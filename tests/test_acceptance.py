@@ -24,14 +24,15 @@ from confshare.checkpoint import load_checkpoint, save_checkpoint
 from confshare.cli import main as cli_main
 from confshare.configio import serialize_config
 from confshare.encoder import EvalCounter, bind_model, encoder_forward
-from confshare.lowrank import LowRankSpec, lowrank_param_count, svd_truncate
-from confshare.presets import (all_presets, calibrated_config,
-                               calibrated_defaults, preset, preset_names)
+from confshare.lowrank import LowRankSpec
+from confshare.presets import (calibrated_config, calibrated_defaults, preset,
+                               preset_names)
 from confshare.sharing import (FRONTEND_B, FRONTEND_W, HEAD_B, HEAD_W,
                                repeat_plan, unshare_module)
 from confshare.training import (OptimizerState, ToyTaskSpec,
                                 generate_toy_batch, gradcheck_model,
                                 serialize_report, train_steps)
+from oracles import all_presets, lowrank_param_count, svd_truncate
 
 
 def _report(num: int, ok: bool, detail: str):

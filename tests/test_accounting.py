@@ -8,10 +8,11 @@ from confshare.accounting import (BLOCK_PCT_TARGETS, SizeBudget, calibrate,
                                   composition_sse, count_params,
                                   fit_dim_to_budget, report_table)
 from confshare.blocks import ModelConfig
-from confshare.lowrank import LowRankSpec, lowrank_param_count
+from confshare.lowrank import LowRankSpec
 from confshare.presets import calibrated_config, calibrated_defaults
 from confshare.sharing import (ALL_MISC_SMALL, SharingPlan, bind_parameters,
                                repeat_plan, unshare_module, unshare_subcomponent)
+from oracles import lowrank_param_count
 
 
 def _cfg(**kw):

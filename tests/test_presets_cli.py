@@ -1,8 +1,10 @@
+import ast
 import os
 import re
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +16,11 @@ from confshare.blocks import ModelConfig
 from confshare.configio import (ConfigError, parse_config_text,
                                 serialize_config)
 from confshare.encoder import bind_model, encoder_forward
-from confshare.presets import (all_presets, calibrated_defaults, preset,
-                               preset_names)
+from confshare.presets import calibrated_defaults, preset, preset_names
 from confshare.sharing import (ALL_MISC_SMALL, key_str, physical_group_counts,
                                repeat_plan, validate_plan)
 from confshare.autodiff import Rng, Tensor
+from oracles import all_presets
 
 
 def run_cli(*args):
@@ -532,7 +534,14 @@ class TestCli:
         ("train", ("--steps", "0"), "steps must be positive"),
         ("train", ("--steps", "-2"), "steps must be positive"),
     ])
-    def test_non_positive_counts_rejected(self, command, flags, message, tmp_path, capsys):
+    def test_non_positive_counts_rejected(self, command, flags, message, monkeypatch,
+                                          tmp_path, capsys):
+        import confshare.cli
+
+        def never(*args):
+            raise AssertionError("bound a model for a run that cannot start")
+
+        monkeypatch.setattr(confshare.cli, "bind_model", never)
         out = tmp_path / "r.txt"
         extra = ("--out", str(out)) if command == "train" else ()
         assert run_cli(command, "--preset", "SL0-small", *flags, *extra) == 1
@@ -634,3 +643,35 @@ class TestCli:
                        "--save-model", str(ckpt)) == 0
         loaded = load_checkpoint(ckpt)
         assert loaded.plan == preset("SL0-small").plan
+
+
+def test_every_public_function_has_a_caller():
+    """``src/`` ships only what the system runs: every public top-level
+    function of the package is called from ``src/`` outside its own body,
+    or imported by a ``bench/`` script. Test-only helpers live under
+    ``tests/``. A call is matched by the called name alone."""
+    root = Path(__file__).resolve().parents[1]
+    defined = []  # (module, function name)
+    calls = set()  # (callee name, module, enclosing top-level function or None)
+    for path in sorted((root / "src" / "confshare").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = None
+            if isinstance(stmt, ast.FunctionDef):
+                owner = stmt.name
+                if not stmt.name.startswith("_"):
+                    defined.append((path.stem, stmt.name))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", None) or getattr(func, "attr", None)
+                    calls.add((name, path.stem, owner))
+    bench_imports = set()
+    for path in sorted((root / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("confshare"):
+                bench_imports.update(alias.name for alias in node.names)
+    uncalled = [f"{module}.{name}" for module, name in defined
+                if name not in bench_imports
+                and not any(callee == name and (where, owner) != (module, name)
+                            for callee, where, owner in calls)]
+    assert uncalled == []

@@ -3,7 +3,8 @@ import pytest
 
 from confshare.autodiff import Rng, Tensor, backward, zero_grads
 from confshare.blocks import MODULE_TYPES, ModelConfig
-from confshare.encoder import BoundModel, EvalCounter, bind_model, encoder_forward
+from confshare.encoder import (BoundModel, EvalCounter, bind_model, encoder_forward,
+                               pack_features)
 from confshare.lowrank import LowRankSpec
 from confshare.sharing import (ALL_MISC_SMALL, FRONTEND_W, ParameterStore, SharingPlan,
                                bind_parameters, canonicalize, canonicalize_plan,
@@ -377,6 +378,22 @@ class TestEncoderComposition:
         del model.store.tensors[FRONTEND_W]
         with pytest.raises(ValueError, match="5 frames exceed the model's t_max of 4"):
             encoder_forward(np.zeros((2, 5, cfg.input_dim)), model)
+
+    @pytest.mark.parametrize("lead,rows", [((4,), 4), ((2, 4), 8)], ids=["2-d", "3-d"])
+    def test_features_never_carry_a_gradient(self, lead, rows):
+        cfg = _cfg()
+        model = bind_model(cfg, repeat_plan(1, 1), seed=1)
+        shape = (*lead, cfg.input_dim)
+        data = Rng(3).uniform(-1, 1, shape)
+        with pytest.raises(ValueError) as info:
+            encoder_forward(Tensor(data, requires_grad=True), model)
+        assert str(info.value) == (f"features must not require a gradient, got "
+                                   f"Tensor(shape={shape}, op='leaf', requires_grad=True)")
+        # arrays and constant Tensors pack into a constant leaf of T = 4 frames
+        x, frames = pack_features(Tensor(data), cfg)
+        assert (x.op, x.requires_grad, x.shape, frames) == (None, False, (rows, cfg.input_dim), 4)
+        expected = encoder_forward(data, model).data.tobytes()
+        assert encoder_forward(Tensor(data), model).data.tobytes() == expected
 
     def test_unbound_schedule_raises(self):
         cfg = _cfg()

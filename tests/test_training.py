@@ -7,7 +7,7 @@ import pytest
 import confshare.encoder
 import confshare.training
 from confshare.autodiff import (Rng, ShapeError, Tensor, add, backward,
-                                cross_entropy_mean, scale, zero_grads)
+                                cross_entropy_mean, zero_grads)
 from confshare.blocks import ModelConfig, conformer_block
 from confshare.encoder import (bind_model, encoder_forward, first_stages,
                                pack_features)
@@ -23,6 +23,7 @@ from confshare.training import _loss_from as loss_from
 from dataclasses import replace
 
 from conftest import traced_peak
+from oracles import scale
 
 
 def _cfg(**kw):

@@ -14,25 +14,26 @@ Everything here is deliberately small and deterministic:
   fixtures are reproducible across platforms and implementations.
 
 The op set is what a conformer block needs: matmul (2-d with an
-optional fused bias, and 3-d batched for attention heads),
+optional fused bias, and 3-d batched for the positional scores),
 ``swish_matmul`` (swish(a) @ b plus an optional bias, one node), layer
 norm, glu, a depthwise temporal convolution that pads each utterance of
 a packed batch on its own, ``add`` (optionally a + s·b, so a half-step
 residual is one node), ``transpose`` (between an input view and an
-output shape, so a head split or merge is one node and one copy),
+output shape, so a head split is one node and one copy),
 ``slice_rows``/``concat_rows`` along the leading axis, and
-``attention_weights``: content plus relative-position scores to softmax
-weights, one node per layer over all heads of a batch (a 4×32 toy step
-records 331 nodes). The tests' unfused oracles for these ops live in
-``tests/oracles.py``.
+``attention_context``: from the q, k and v projections and the
+relative-position scores to the context, one node per layer over all
+heads of a batch, which reads the heads as strided views (a 4×32 toy
+step records 295 nodes). The tests' unfused oracles for these ops live
+in ``tests/oracles.py``.
 
 A rule keeps only the arrays it reads and cannot get from its parents'
 data or its own output: ``swish_matmul`` keeps no activation and
 recomputes its sigmoid once, for both the activation that ``b``'s
 gradient reads and its derivative; glu recomputes its sigmoid from the
 input, the convolution rebuilds its padded input, layer norm keeps one
-mean and one inverse deviation per row, and ``attention_weights`` keeps
-only its weights.
+mean and one inverse deviation per row, and ``attention_context`` keeps
+only its softmax weights.
 
 The elementwise kernels write into buffers they own rather than
 allocating a temporary per step, and the sigmoid is branch-free: it
@@ -56,7 +57,7 @@ pages in for it (the idea of PyTorch's caching allocator). The slots:
 * ``glu.s``: the rule's sigmoid;
 * ``conv.xp`` and ``conv.tap``: the convolution's padded input and its
   per-tap products, in the forward and in the rule;
-* ``softmax_grad.gp``: the g·p product of ``attention_weights``' rule;
+* ``softmax_grad.gp``: the g·p product of ``attention_context``'s rule;
 * ``adam.step`` and ``adam.den``: ``training.OptimizerState``'s update.
 
 A scratch view never escapes its call: no op output, rule result,
@@ -698,32 +699,65 @@ def utterance_count(rows: int, frames: int) -> int:
     return rows // frames
 
 
-def attention_weights(content: Tensor, pos_full: Tensor, scale: float) -> Tensor:
-    """softmax((content + skew(pos_full)) * scale) over the last axis.
+def attention_context(q: Tensor, k: Tensor, pos_full: Tensor, v: Tensor,
+                      scale: float) -> Tensor:
+    """softmax((q kᵀ + skew(pos_full)) * scale) v for every head, as one node.
 
-    content is (H, T, T) query-key scores. pos_full is (H, T, 2T - 1)
-    positional scores where column c holds the score for key offset
-    c - (T - 1) relative to the query, and skew(pos_full)[h, t, s] =
-    pos_full[h, t, s - t + T - 1] (a strided view, see ``_skew``). One
-    node, which keeps only the weights; its rule writes the positional
-    gradient into a zeroed (H, T, 2T - 1) array through the same view.
+    q, k and v are the (B·T, d) projections of B utterances of T frames.
+    Their H heads are read as strided (B, H, T, dh) views, with no copies,
+    and the context is written through the same view into a (B·T, d)
+    output, the heads of each frame side by side. pos_full is
+    (B·H, T, 2T - 1), utterance after utterance: column c holds the score
+    for key offset c - (T - 1) relative to the query, and
+    skew(pos_full)[h, t, s] = pos_full[h, t, s - t + T - 1] (a strided
+    view, see ``_skew``). H and T are read from pos_full's shape.
+
+    The q kᵀ product is checked as a matmul and the weights as this op,
+    so a score that overflows raises even where the softmax would hide
+    it. The rule keeps only the weights and reads q, k and v from the
+    parents; it writes their gradients through the head views and the
+    positional gradient into a zeroed array through the skew view.
     """
-    if (pos_full.ndim != 3 or pos_full.shape[2] != 2 * pos_full.shape[1] - 1
-            or content.shape != pos_full.shape[:2] + (pos_full.shape[1],)):
-        raise ShapeError(f"attention_weights: expected (H, T, T) and (H, T, 2T - 1) "
-                         f"scores, got {content.shape} and {pos_full.shape}")
-    z = content.data + _skew(pos_full.data)
+    rows, d = q.shape if q.ndim == 2 else (0, 0)
+    BH, T, W = pos_full.shape if pos_full.ndim == 3 else (0, 0, 0)
+    B = rows // T if T and rows % T == 0 else 0
+    H = BH // B if B and BH % B == 0 else 0
+    if not H or d % H or W != 2 * T - 1 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"attention_context: expected (B·T, d) q, k and v and "
+                         f"(B·H, T, 2T - 1) positional scores with H dividing d, got "
+                         f"{q.shape}, {k.shape}, {v.shape} and {pos_full.shape}")
+    dh = d // H
+
+    def heads(a):  # (B·T, d) -> (B, H, T, dh), a view
+        return a.reshape(B, T, H, dh).transpose(0, 2, 1, 3)
+
+    z = np.matmul(heads(q.data), np.swapaxes(heads(k.data), -1, -2)).reshape(BH, T, T)
+    if not np.isfinite(z).all():
+        raise NonFiniteError("matmul produced non-finite values")
+    z += _skew(pos_full.data)
     z *= scale
     p = _softmax(z)
+    if not np.isfinite(p).all():
+        raise NonFiniteError("attention_context produced non-finite values")
+    out = np.empty((rows, d))
+    np.matmul(p.reshape(B, H, T, T), heads(v.data), out=heads(out))
 
     def rule(g):
-        gz = _softmax_grad(p, g)
+        gh = heads(g)
+        gq, gk, gv = (np.empty((rows, d)) for _ in range(3))
+        np.matmul(np.swapaxes(p.reshape(B, H, T, T), -1, -2), gh, out=heads(gv))
+        # the weights' gradient g vᵀ lives only until the softmax's is taken
+        gz = _softmax_grad(p, np.matmul(gh, np.swapaxes(heads(v.data), -1, -2))
+                           .reshape(BH, T, T))
         gz *= scale
-        gfull = np.zeros_like(pos_full.data)
+        gfull = np.zeros((BH, T, W))
         _skew(gfull)[...] = gz
-        return gz, gfull
+        gz = gz.reshape(B, H, T, T)
+        np.matmul(gz, heads(k.data), out=heads(gq))
+        np.matmul(np.swapaxes(gz, -1, -2), heads(q.data), out=heads(gk))
+        return gq, gk, gfull, gv
 
-    return _result(p, "attention_weights", (content, pos_full), rule)
+    return _result(out, "attention_context", (q, k, pos_full, v), rule)
 
 
 def cross_entropy_mean(logits: Tensor, labels: np.ndarray) -> Tensor:

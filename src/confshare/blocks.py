@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Rng, ShapeError, Tensor, add, attention_weights,
+from .autodiff import (Rng, ShapeError, Tensor, add, attention_context,
                        concat_rows, depthwise_conv1d, glu, layer_norm, matmul,
                        slice_rows, swish_matmul, transpose, utterance_count)
 from .lowrank import LowRankFactors
@@ -170,17 +170,15 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None) -> Tenso
     single pos-query projection and no separate positional key matrix.
     Only the 2T - 1 rows a length-T input can reach enter the product.
 
-    ``x`` holds B utterances of ``frames`` = T frames each (default: one),
-    split after the projections into (B·H, T, dh) heads, utterance after
-    utterance, so no head sees another utterance's frames. Each split,
-    and the merge of the context back to (B·T, d), is one ``transpose``
-    node with one copy. The content scores, one ``attention_weights``
-    node (the positional scores added through a strided view, then
-    scale and softmax; it keeps only the weights) and the context run
-    once over all heads. Only the positional product runs per
-    utterance, (H, T, 2T − 1) each, joined by ``concat_rows``. A 4×32
-    toy step at d=32 records 331 tape nodes, six of them ``transpose``
-    per layer.
+    ``x`` holds B utterances of ``frames`` = T frames each (default: one).
+    One ``attention_context`` node runs from the q, k and v projections to
+    the (B·T, d) context: it reads their heads as (B, H, T, dh) views,
+    utterance after utterance, so no head sees another utterance's frames,
+    and keeps only the softmax weights. Only the positional product runs
+    per utterance, (H, T, 2T − 1) each, on heads split by one
+    ``transpose`` node each for the pos-query projection and the table
+    window, and joined by ``concat_rows``. A 4×32 toy step at d=32
+    records 295 tape nodes, two of them ``transpose`` per layer.
     """
     rows, d = x.shape
     T = rows if frames is None else frames
@@ -201,18 +199,14 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None) -> Tenso
         # (utts·n, d) -> (utts·H, n, dh): each utterance's H heads in turn
         return transpose(t, (0, 2, 1, 3), (utts, n, H, dh), (utts * H, n, dh))
 
-    q3, k3, v3, pq3 = (split_heads(t, B, T) for t in (q, k, v, pq))
+    pq3 = split_heads(pq, B, T)
     # table row t_max - 1 + o holds offset o; offsets -(T-1) .. T-1 are reachable
     rel3 = split_heads(slice_rows(p.rel_emb, t_max - T, t_max + T - 1), 1, 2 * T - 1)
-
-    content = matmul(q3, k3, transpose_b=True)              # (B·H, T, T)
     pos_full = concat_rows(                                  # (B·H, T, 2T - 1)
         matmul(slice_rows(pq3, b * H, (b + 1) * H), rel3, transpose_b=True)
         for b in range(B))
-    weights = attention_weights(content, pos_full, 1.0 / math.sqrt(dh))
-    # (B·H, T, dh) -> (B·T, d): the heads of each frame side by side again
-    merged = transpose(matmul(weights, v3), (0, 2, 1, 3), (B, H, T, dh), (rows, d))
-    return add(x, matmul(merged, p.wpost, bias=p.bpost))
+    context = attention_context(q, k, pos_full, v, 1.0 / math.sqrt(dh))
+    return add(x, matmul(context, p.wpost, bias=p.bpost))
 
 
 def conv_module(x: Tensor, p: ConvParams, frames: int | None = None) -> Tensor:

@@ -33,9 +33,8 @@ class LowRankFactors:
 
 
 def check_rank_reduces(m: int, n: int, k: int):
-    """Reject ranks that do not actually shrink the weight matrix."""
-    if k < 1:
-        raise ValueError(f"low-rank k must be >= 1, got {k}")
+    """Reject ranks that do not actually shrink the weight matrix. ``k``
+    is a ``LowRankSpec`` rank, already at least 1."""
     if k * (m + n) >= m * n:
         raise ValueError(
             f"rank {k} does not reduce a {m}x{n} matrix: "

@@ -3,11 +3,13 @@
 The package ships the fused ops the model runs; the unfused ops here are
 what the tests compare them against, and what they build test losses
 from: ``add(a, b, s)`` against ``add(a, scale(b, s))``, ``swish_matmul``
-against ``matmul(swish(a), b)`` and ``attention_weights`` against
-``softmax`` of the summed scores. Each op is built from the same
-``autodiff`` kernels the package uses (``_result``, ``_sigmoid``,
-``_softmax`` and ``_softmax_grad``), so a byte comparison against a fused
-op checks the fusion and nothing else.
+against ``matmul(swish(a), b)``, and ``attention_context`` against
+``attention_chain``: head splits, the content matmul,
+``attention_weights`` (itself checked against ``softmax`` of the summed
+scores), the context matmul and the merge. Each op is built from the
+same ``autodiff`` kernels the package uses (``_result``, ``_sigmoid``,
+``_skew``, ``_softmax`` and ``_softmax_grad``), so a byte comparison
+against a fused op checks the fusion and nothing else.
 
 ``svd_truncate`` is a small-matrix SVD by one-sided Jacobi, for the
 property tests of low-rank factors, and ``lowrank_param_count`` the
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from confshare.autodiff import (ShapeError, Tensor, _result, _sigmoid, _softmax,
-                                _softmax_grad)
+from confshare.autodiff import (ShapeError, Tensor, _result, _sigmoid, _skew, _softmax,
+                                _softmax_grad, matmul, transpose)
 from confshare.presets import SMALL_SUFFIX, Preset, preset, preset_names
 
 
@@ -56,6 +58,53 @@ def softmax(x: Tensor) -> Tensor:
     """Max-subtracted softmax over the last axis; rows sum to one."""
     p = _softmax(x.data.copy())
     return _result(p, "softmax", (x,), lambda g: (_softmax_grad(p, g),))
+
+
+def attention_weights(content: Tensor, pos_full: Tensor, scale: float) -> Tensor:
+    """softmax((content + skew(pos_full)) * scale) over the last axis.
+
+    content is (H, T, T) query-key scores. pos_full is (H, T, 2T - 1)
+    positional scores where column c holds the score for key offset
+    c - (T - 1) relative to the query, and skew(pos_full)[h, t, s] =
+    pos_full[h, t, s - t + T - 1] (a strided view, see ``_skew``). One
+    node, which keeps only the weights; its rule writes the positional
+    gradient into a zeroed (H, T, 2T - 1) array through the same view.
+    """
+    if (pos_full.ndim != 3 or pos_full.shape[2] != 2 * pos_full.shape[1] - 1
+            or content.shape != pos_full.shape[:2] + (pos_full.shape[1],)):
+        raise ShapeError(f"attention_weights: expected (H, T, T) and (H, T, 2T - 1) "
+                         f"scores, got {content.shape} and {pos_full.shape}")
+    z = content.data + _skew(pos_full.data)
+    z *= scale
+    p = _softmax(z)
+
+    def rule(g):
+        gz = _softmax_grad(p, g)
+        gz *= scale
+        gfull = np.zeros_like(pos_full.data)
+        _skew(gfull)[...] = gz
+        return gz, gfull
+
+    return _result(p, "attention_weights", (content, pos_full), rule)
+
+
+def attention_chain(q: Tensor, k: Tensor, pos_full: Tensor, v: Tensor,
+                    scale: float) -> Tensor:
+    """``attention_context`` as the seven nodes it replaces: the q, k and v
+    head splits into contiguous (B·H, T, dh) copies, q kᵀ, the weights,
+    their product with v, and the merge back to (B·T, d)."""
+    rows, d = q.shape
+    BH, T, _ = pos_full.shape
+    B = rows // T
+    H = BH // B
+    dh = d // H
+
+    def split(t):
+        return transpose(t, (0, 2, 1, 3), (B, T, H, dh), (BH, T, dh))
+
+    q3, k3, v3 = split(q), split(k), split(v)
+    weights = attention_weights(matmul(q3, k3, transpose_b=True), pos_full, scale)
+    return transpose(matmul(weights, v3), (0, 2, 1, 3), (B, H, T, dh), (rows, d))
 
 
 @dataclass

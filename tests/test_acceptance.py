@@ -20,7 +20,6 @@ import pytest
 from confshare.accounting import (SizeBudget, count_params, fit_dim_to_budget)
 from confshare.autodiff import Rng, Tensor, matmul
 from confshare.blocks import ModelConfig, conformer_block
-from confshare.checkpoint import load_checkpoint, save_checkpoint
 from confshare.cli import main as cli_main
 from confshare.configio import serialize_config
 from confshare.encoder import EvalCounter, bind_model, encoder_forward

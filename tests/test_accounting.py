@@ -1,12 +1,9 @@
-import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from confshare.accounting import (BLOCK_PCT_TARGETS, SizeBudget, calibrate,
-                                  composition_sse, count_params,
-                                  fit_dim_to_budget, report_table)
+from confshare.accounting import (BLOCK_PCT_TARGETS, SizeBudget, composition_sse,
+                                  count_params, fit_dim_to_budget, report_table)
 from confshare.blocks import ModelConfig
 from confshare.lowrank import LowRankSpec
 from confshare.presets import calibrated_config, calibrated_defaults

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from confshare.autodiff import (_SCRATCH, NonFiniteError, Rng, RowRange, ShapeError, Tape,
-                                Tensor, _sigmoid, _skew, add, attention_weights,
+                                Tensor, _sigmoid, _skew, add, attention_context,
                                 backward, concat_rows, cross_entropy_mean,
                                 depthwise_conv1d, finite_diff_grad, glu,
                                 layer_norm, matmul, relative_error, slice_rows,
                                 sum_all, swish_matmul, transpose, zero_grads)
 from conftest import assert_params_match_fd, bound_block, rand_tensor, traced_peak
-from oracles import mul, scale, softmax, swish
+from oracles import attention_chain, attention_weights, mul, scale, softmax, swish
 
 
 class TestRng:
@@ -272,6 +272,79 @@ class TestAttentionWeights:
     def test_rejects_scores_that_do_not_pair_up(self, content, pos_full):
         with pytest.raises(ShapeError, match="attention_weights"):
             attention_weights(Tensor(np.zeros(content)), Tensor(np.zeros(pos_full)), 1.0)
+
+
+def _attention_operands(rng, B, T=4, H=2, dh=3):
+    """Trainable (B·T, H·dh) q, k and v and (B·H, T, 2T - 1) positional scores."""
+    d = H * dh
+    return (Tensor(_with_signed_zeros(rng.uniform(-2, 2, (B * T, d))), requires_grad=True),
+            Tensor(_with_signed_zeros(rng.uniform(-2, 2, (B * T, d))), requires_grad=True),
+            Tensor(rng.uniform(-2, 2, (B * H, T, 2 * T - 1)), requires_grad=True),
+            Tensor(_with_signed_zeros(rng.uniform(-2, 2, (B * T, d))), requires_grad=True))
+
+
+class TestAttentionContext:
+    @pytest.mark.parametrize("B", [1, 3])
+    def test_bytes_equal_the_unfused_chain(self, rng, B):
+        q, k, pos_full, v = _attention_operands(rng, B)
+        fused = attention_context(q, k, pos_full, v, 1.0 / math.sqrt(3))
+        chain = attention_chain(q, k, pos_full, v, 1.0 / math.sqrt(3))
+        assert fused.data.tobytes() == chain.data.tobytes()
+        g = _with_signed_zeros(rng.uniform(-1, 1, fused.shape))
+        got = fused._backward(g)
+        # the chain's rules in reverse, each gradient as its rule hands it on
+        context = chain._parents[0]
+        weights, v3 = context._parents
+        content, _ = weights._parents
+        q3, k3 = content._parents
+        (g_context,) = chain._backward(g)
+        g_weights, g_v3 = context._backward(g_context)
+        g_content, g_full = weights._backward(g_weights)
+        g_q3, g_k3 = content._backward(g_content)
+        want = (q3._backward(g_q3)[0], k3._backward(g_k3)[0], g_full, v3._backward(g_v3)[0])
+        assert [a.shape for a in got] == [t.shape for t in (q, k, pos_full, v)]
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    def test_gradients(self, rng):
+        q, k, pos_full, v = _attention_operands(rng, 2, T=3)
+        named = {"q": q, "k": k, "pos_full": pos_full, "v": v}
+        c = Tensor(rng.uniform(-1, 1, q.shape))
+
+        def make_loss():
+            return sum_all(mul(attention_context(q, k, pos_full, v, 0.5), c))
+
+        assert_params_match_fd(named, make_loss)
+
+    @pytest.mark.parametrize("q,kv,pos_full", [
+        ((8, 6), (8, 6), (4, 4, 6)),   # 2T - 1 = 7 wide, not 6
+        ((8, 6), (8, 6), (4, 3, 5)),   # 8 rows are not whole 3-frame utterances
+        ((8, 6), (8, 6), (3, 4, 7)),   # 3 score rows do not split over 2 utterances
+        ((8, 6), (8, 6), (8, 4, 7)),   # 4 heads do not divide d = 6
+        ((8, 6), (8, 4), (4, 4, 7)),   # k and v are narrower than q
+        ((2, 4, 6), (2, 4, 6), (4, 4, 7)),
+        ((8, 6), (8, 6), (4, 7))])
+    def test_rejects_operands_that_do_not_pair_up(self, q, kv, pos_full):
+        with pytest.raises(ShapeError, match="attention_context"):
+            attention_context(Tensor(np.zeros(q)), Tensor(np.zeros(kv)),
+                              Tensor(np.zeros(pos_full)), Tensor(np.zeros(kv)), 1.0)
+
+    def test_overflowing_content_score_raises_as_a_matmul(self, rng):
+        q, k, pos_full, v = _attention_operands(rng, 1)
+        # one score of one head is -inf: the softmax alone would give it weight 0
+        q.data[0, :3] = 1e200
+        k.data[1, :3] = -1e200
+        with np.errstate(all="ignore"), \
+                pytest.raises(NonFiniteError, match="^matmul produced non-finite values$"):
+            attention_context(q, k, pos_full, v, 1.0)
+
+    def test_overflowing_scaled_score_raises_as_the_op(self, rng):
+        q, k, pos_full, v = _attention_operands(rng, 1)
+        # finite scores that the scale takes past the largest double
+        pos_full.data[...] = 1e308
+        with np.errstate(all="ignore"), \
+                pytest.raises(NonFiniteError, match="^attention_context produced"):
+            attention_context(q, k, pos_full, v, 10.0)
 
 
 def _two_branch_sigmoid(x):
@@ -811,11 +884,17 @@ class TestRetainedMemory:
         if op == "add":
             return add(rand_tensor(rng, (6, 10), requires_grad=True),
                        rand_tensor(rng, (6, 10), requires_grad=True), 0.5)
+        if op == "attention_context":
+            # T < dh, so the (B·H, T, T) weights are smaller than the output
+            # and an output-sized copy of q, k, v or the context would show
+            return attention_context(*(rand_tensor(rng, shape, requires_grad=True)
+                                       for shape in ((6, 8), (6, 8), (4, 3, 5), (6, 8))), 0.5)
         return attention_weights(rand_tensor(rng, (2, 6, 6), requires_grad=True),
                                  rand_tensor(rng, (2, 6, 11), requires_grad=True), 0.5)
 
     @pytest.mark.parametrize("op", ["swish", "layer_norm", "attention_weights", "glu",
-                                    "depthwise_conv1d", "swish_matmul", "transpose", "add"])
+                                    "depthwise_conv1d", "swish_matmul", "transpose", "add",
+                                    "attention_context"])
     def test_rule_holds_no_output_sized_array_of_its_own(self, op, rng):
         node = self._build(op, rng)
         held = [cell.cell_contents for cell in node._backward.__closure__]
@@ -845,7 +924,7 @@ class TestRetainedMemory:
         rng = Rng(1)
         return model, rng.uniform(-1, 1, (128, 80)), rng.integers(8, (128,))
 
-    def test_two_layer_lrs3_shape_forward_holds_at_most_24_mib(self):
+    def test_two_layer_lrs3_shape_forward_holds_at_most_18_mib(self):
         from confshare.encoder import encoder_forward
 
         model, features, labels = self._two_layer_lrs3()
@@ -859,7 +938,7 @@ class TestRetainedMemory:
         finally:
             if started:
                 tracemalloc.stop()
-        assert held <= 24 * 2**20, f"the forward pass holds {held / 2**20:.1f} MiB"
+        assert held <= 18 * 2**20, f"the forward pass holds {held / 2**20:.1f} MiB"
         backward(loss)
         assert all(t.grad is not None for t in model.parameters())
 

@@ -167,9 +167,22 @@ class TestAttention:
         tape = backward(sum_all(attention(rand_tensor(rng, (utts * T, 8)), p, frames=T)))
         ops = [n.op for n in tape.nodes]
         products = [n.shape for n in tape.nodes if n.op == "matmul"]
-        assert ops.count("attention_weights") == 1
-        assert products.count((utts * H, T, T)) == 1  # content scores
-        assert products.count((H, T, 2 * T - 1)) == utts  # positional scores
+        # content scores, weights and context: one node over every utterance
+        assert ops.count("attention_context") == 1
+        # the only 3-d products: one positional score block per utterance
+        assert [s for s in products if len(s) == 3] == [(H, T, 2 * T - 1)] * utts
+
+    @pytest.mark.parametrize("utts", [1, 3])
+    def test_tape_holds_no_per_head_scores_or_contexts(self, rng, utts):
+        cfg = _cfg(d=12, heads=2)
+        p = bound_block(cfg, 8).attn
+        T, H, dh = 5, cfg.heads, 6
+        tape = backward(sum_all(attention(rand_tensor(rng, (utts * T, 12)), p, frames=T)))
+        assert not [n for n in tape.nodes if n.shape == (utts * H, T, T)]
+        # the one (B·H, T, dh) node is the positional-query split, not q, k, v or a context
+        (split,) = [n for n in tape.nodes if n.shape == (utts * H, T, dh)]
+        assert split.op == "transpose"
+        assert split._parents[0]._parents[1] is p.wpos_query
 
     def test_gradients_at_t_max(self, rng):
         cfg = _cfg(d=8, heads=2, t_max=4)

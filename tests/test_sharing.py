@@ -3,13 +3,11 @@ import pytest
 
 from confshare.autodiff import Rng, Tensor, backward, zero_grads
 from confshare.blocks import MODULE_TYPES, ModelConfig
-from confshare.encoder import (BoundModel, EvalCounter, bind_model, encoder_forward,
-                               pack_features)
+from confshare.encoder import EvalCounter, bind_model, encoder_forward, pack_features
 from confshare.lowrank import LowRankSpec
-from confshare.sharing import (ALL_MISC_SMALL, FRONTEND_W, ParameterStore, SharingPlan,
-                               bind_parameters, canonicalize, canonicalize_plan,
-                               index_field, physical_group_counts, repeat_plan,
-                               schedule_keys, unshare_module,
+from confshare.sharing import (ALL_MISC_SMALL, FRONTEND_W, SharingPlan, bind_parameters,
+                               canonicalize, canonicalize_plan, index_field,
+                               physical_group_counts, repeat_plan, unshare_module,
                                unshare_subcomponent, validate_plan)
 from dataclasses import fields, replace
 

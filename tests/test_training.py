@@ -15,9 +15,8 @@ from confshare.lowrank import LowRankSpec
 from confshare.sharing import (FRONTEND_B, FRONTEND_W, HEAD_B, HEAD_W, REL_TABLE,
                                SharingPlan, repeat_plan, unshare_module,
                                unshare_subcomponent)
-from confshare.training import (OptimizerState, ToyTaskSpec, TrainingError,
-                                TrainReport, batch_loss, generate_toy_batch,
-                                gradcheck_model, serialize_report,
+from confshare.training import (OptimizerState, ToyTaskSpec, batch_loss,
+                                generate_toy_batch, gradcheck_model, serialize_report,
                                 task_prototypes, train_steps)
 from confshare.training import _loss_from as loss_from
 from dataclasses import replace
@@ -189,7 +188,7 @@ class TestTrainSteps:
             texts.append(serialize_report(report))
         assert texts[0].encode() == texts[1].encode()
 
-    def test_toy_train_config_tape_is_331_nodes(self):
+    def test_toy_train_config_tape_is_295_nodes(self):
         # the benchmark's toy_train config: a packed 4x32 batch through repeat_plan(2, 3)
         model = bind_model(ModelConfig(d=32, e=7.25, heads=4, kernel_width=11),
                            repeat_plan(2, 3), 11)
@@ -197,9 +196,11 @@ class TestTrainSteps:
         ops = [n.op for n in backward(loss).nodes]
         layers = len(model.virtual_blocks())
         assert layers == 6
-        assert len(ops) == 331
-        # five head splits and one merge per layer, one node each
-        assert ops.count("transpose") == 6 * layers
+        assert len(ops) == 295
+        # attention from the projections to the context is one node per layer,
+        # and only the positional query and table window are split into heads
+        assert ops.count("attention_context") == layers
+        assert ops.count("transpose") == 2 * layers
         # the feed-forward half-step is a scaled add, not add of a scale
         assert "scale" not in ops
 

@@ -15,7 +15,9 @@ Everything here is deliberately small and deterministic:
 
 The op set is what a conformer block needs: matmul (2-d with an
 optional fused bias, and 3-d batched for the positional scores),
-``swish_matmul`` (swish(a) @ b plus an optional bias, one node), layer
+``swish_matmul`` (swish(a) @ b plus an optional bias, one node),
+``linear_swish_matmul`` (swish(a @ w + c) @ b plus an optional bias,
+one node from a feed-forward's first product to its second), layer
 norm, glu, a depthwise temporal convolution that pads each utterance of
 a packed batch on its own, ``add`` (optionally a + s·b, so a half-step
 residual is one node), ``transpose`` (between an input view and an
@@ -24,16 +26,20 @@ output shape, so a head split is one node and one copy),
 ``attention_context``: from the q, k and v projections and the
 relative-position scores to the context, one node per layer over all
 heads of a batch, which reads the heads as strided views (a 4×32 toy
-step records 295 nodes). The tests' unfused oracles for these ops live
-in ``tests/oracles.py``.
+step records 283 nodes, an LRS3 T=128 one 1,521). The tests' unfused
+oracles for these ops live in ``tests/oracles.py``.
 
 A rule keeps only the arrays it reads and cannot get from its parents'
 data or its own output: ``swish_matmul`` keeps no activation and
 recomputes its sigmoid once, for both the activation that ``b``'s
-gradient reads and its derivative; glu recomputes its sigmoid from the
-input, the convolution rebuilds its padded input, layer norm keeps one
-mean and one inverse deviation per row, and ``attention_context`` keeps
-only its softmax weights.
+gradient reads and its derivative; ``linear_swish_matmul`` keeps neither
+the activation nor the pre-activation, and rebuilds the latter with the
+same product and bias add before it runs ``swish_matmul``'s and
+``matmul``'s rule arithmetic, so no feed-forward-wide array stays on the
+tape; glu recomputes its sigmoid from the input, the convolution
+rebuilds its padded input, layer norm keeps one mean and one inverse
+deviation per row, and ``attention_context`` keeps only its softmax
+weights.
 
 The elementwise kernels write into buffers they own rather than
 allocating a temporary per step, and the sigmoid is branch-free: it
@@ -51,9 +57,13 @@ pages in for it (the idea of PyTorch's caching allocator). The slots:
 
 * ``sigmoid.den`` and ``sigmoid.mask``: the sigmoid's denominator and
   sign mask, in every sigmoid;
-* ``swish_matmul.act``: the forward's activation;
-* ``swish_matmul.s`` and ``swish_matmul.ga``: the rule's sigmoid and
-  its g @ bᵀ (1 − s sits in the latter until the product needs it);
+* ``swish_matmul.act``: the activation, in the forward of
+  ``swish_matmul`` and of ``linear_swish_matmul``;
+* ``swish_matmul.s`` and ``swish_matmul.ga``: the sigmoid and g @ bᵀ of
+  both ops' rules (1 − s sits in the latter until the product needs
+  it);
+* ``linear_swish_matmul.pre``: the pre-activation, built in the forward
+  and rebuilt in the rule, which writes its gradient over it;
 * ``glu.s``: the rule's sigmoid;
 * ``conv.xp`` and ``conv.tap``: the convolution's padded input and its
   per-tap products, in the forward and in the rule;
@@ -105,8 +115,17 @@ def fnv1a64(text: str) -> int:
     return h
 
 
+def check_seed(seed: int) -> int:
+    """``seed``, if it is in [0, 2**64); a ``ValueError`` otherwise, so no
+    two seeds name the same stream."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 class Rng:
-    """Counter-based SplitMix64 generator.
+    """Counter-based SplitMix64 generator, seeded by an integer in
+    [0, 2**64) (``check_seed``).
 
     The i-th raw draw after construction is
     ``mix64(seed + (counter + i) * 0x9E3779B97F4A7C15)`` with the counter
@@ -122,7 +141,7 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        self.seed = seed & _MASK64
+        self.seed = check_seed(seed)
         self.counter = 0
 
     def derive(self, label: str) -> "Rng":
@@ -483,44 +502,109 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return _sigmoid_into(x, np.empty(x.shape))
 
 
+def _swish_product(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """swish(x) @ b, the activation held only in scratch."""
+    act = _sigmoid_into(x, _scratch("swish_matmul.act", x.shape))
+    act *= x
+    return act @ b
+
+
+def _swish_product_grad(x: np.ndarray, b: np.ndarray, g: np.ndarray, out=None):
+    """The gradients of swish(x) @ b for output gradient g, x's and b's.
+
+    The sigmoid is recomputed once, for both the activation that b's
+    gradient reads and swish'(x) = s + act * (1 - s): the same op order,
+    and so the same bytes, as ``matmul(swish(x), b)``. s and g @ bᵀ are
+    scratch, and 1 - s sits in the latter's buffer until the product
+    needs it. act becomes x's gradient, in ``out`` (which may be x: x is
+    not read after act is taken) or in a fresh array.
+    """
+    s = _sigmoid_into(x, _scratch("swish_matmul.s", x.shape))
+    act = np.multiply(s, x, out=out)
+    gb = act.T @ g
+    ga = _scratch("swish_matmul.ga", x.shape)
+    act *= np.subtract(1.0, s, out=ga)
+    act += s
+    act *= np.matmul(g, b.T, out=ga)
+    return act, gb
+
+
+def _add_bias(out: np.ndarray, bias: Tensor | None, op: str, parents: tuple) -> tuple:
+    """Add ``bias`` into every row of the 2-d ``out`` in place, and return
+    ``parents`` with the bias appended when there is one."""
+    if bias is None:
+        return parents
+    if bias.shape != out.shape[1:]:
+        raise ShapeError(f"{op}: bias {bias.shape} does not fit product {out.shape}")
+    out += bias.data
+    return (*parents, bias)
+
+
 def swish_matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """swish(a) @ b (+ bias) for 2-d operands, as one node.
 
     The activation is dropped once the product is taken, so the tape
-    keeps ``a`` and not ``swish(a)``. The rule recomputes the sigmoid
-    once, rebuilds swish(a) from it for ``b``'s gradient, then turns that
-    buffer into swish'(a): the same op order, and so the same bytes, as
-    ``matmul(swish(a), b, bias=bias)``.
+    keeps ``a`` and not ``swish(a)``; the rule rebuilds it
+    (``_swish_product_grad``).
     """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"swish_matmul supports 2d@2d with equal inner extents, "
                          f"got {a.shape} @ {b.shape}")
-    act = _sigmoid_into(a.data, _scratch("swish_matmul.act", a.shape))
-    act *= a.data
-    out = act @ b.data
-    parents = (a, b)
-    if bias is not None:
-        if bias.shape != out.shape[1:]:
-            raise ShapeError(f"swish_matmul: bias {bias.shape} does not fit product "
-                             f"{out.shape}")
-        out += bias.data
-        parents = (a, b, bias)
+    out = _swish_product(a.data, b.data)
+    parents = _add_bias(out, bias, "swish_matmul", (a, b))
 
     def rule(g):
-        # act becomes a's gradient; s and g @ b^T are scratch, and 1 - s
-        # sits in the latter's buffer until the product needs it
-        s = _sigmoid_into(a.data, _scratch("swish_matmul.s", a.shape))
-        act = np.multiply(s, a.data)
-        gb = act.T @ g
-        ga = _scratch("swish_matmul.ga", a.shape)
-        # swish'(a) = s + act * (1 - s)
-        act *= np.subtract(1.0, s, out=ga)
-        act += s
-        act *= np.matmul(g, b.data.T, out=ga)
-        grads = (act, gb)
+        grads = _swish_product_grad(a.data, b.data, g)
         return grads if bias is None else (*grads, np.add.reduce(g, axis=0))
 
     return _result(out, "swish_matmul", parents, rule)
+
+
+def linear_swish_matmul(a: Tensor, w: Tensor, c: Tensor, b: Tensor,
+                        bias: Tensor | None = None, transpose_w: bool = False) -> Tensor:
+    """swish(a @ w + c) @ b (+ bias) for 2-d operands, as one node.
+
+    ``transpose_w=True`` reads w as its transpose, as ``matmul``'s
+    ``transpose_b`` does. The (rows, n) pre-activation a @ w + c is built
+    in scratch, checked as a matmul, and dropped with the activation once
+    the product is taken, so the tape keeps only ``a``. The rule rebuilds
+    the pre-activation with the same product and bias add, then runs
+    ``swish_matmul``'s and ``matmul``'s rule arithmetic in turn: the same
+    bytes as ``swish_matmul(matmul(a, w, transpose_w, c), b, bias)``, at
+    the cost of one more product in backward.
+    """
+    inner, n = (w.shape[::-1] if transpose_w else w.shape) if w.ndim == 2 else (-1, -1)
+    if (a.ndim != 2 or b.ndim != 2 or a.shape[1] != inner or c.shape != (n,)
+            or b.shape[0] != n):
+        raise ShapeError(f"linear_swish_matmul: expected 2-d a @ w{'ᵀ' if transpose_w else ''}"
+                         f" + c of equal inner extents, then @ b, got {a.shape}, "
+                         f"{w.shape}, {c.shape} and {b.shape}")
+    rows = a.shape[0]
+
+    def pre_activation():
+        pre = np.matmul(a.data, w.data.T if transpose_w else w.data,
+                        out=_scratch("linear_swish_matmul.pre", (rows, n)))
+        pre += c.data
+        return pre
+
+    pre = pre_activation()
+    if not np.isfinite(pre).all():
+        raise NonFiniteError("matmul produced non-finite values")
+    out = _swish_product(pre, b.data)
+    parents = _add_bias(out, bias, "linear_swish_matmul", (a, w, c, b))
+
+    def rule(g):
+        # the pre-activation's gradient overwrites it in scratch
+        pre = pre_activation()
+        gp, gb = _swish_product_grad(pre, b.data, g, out=pre)
+        if transpose_w:
+            ga, gw = gp @ w.data, gp.T @ a.data
+        else:
+            ga, gw = gp @ w.data.T, a.data.T @ gp
+        grads = (ga, gw, np.add.reduce(gp, axis=0), gb)
+        return grads if bias is None else (*grads, np.add.reduce(g, axis=0))
+
+    return _result(out, "linear_swish_matmul", parents, rule)
 
 
 def glu(a: Tensor) -> Tensor:

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (Rng, ShapeError, Tensor, add, attention_context,
-                       concat_rows, depthwise_conv1d, glu, layer_norm, matmul,
-                       slice_rows, swish_matmul, transpose, utterance_count)
+                       concat_rows, depthwise_conv1d, glu, layer_norm,
+                       linear_swish_matmul, matmul, slice_rows, swish_matmul,
+                       transpose, utterance_count)
 from .lowrank import LowRankFactors
 
 LN_EPS = 1e-6
@@ -140,25 +141,31 @@ class BlockParams:
     final_ln_beta: Tensor
 
 
-def apply_linear(x: Tensor, w: Tensor | LowRankFactors, b: Tensor,
-                 product=matmul) -> Tensor:
-    """x . w + b for a dense or low-rank w. ``product`` is the op that
-    reads x: ``matmul``, or ``swish_matmul`` for swish(x) . w + b."""
+def apply_linear(x: Tensor, w: Tensor | LowRankFactors, b: Tensor) -> Tensor:
+    """x . w + b for a dense or low-rank w."""
     if isinstance(w, LowRankFactors):
-        return matmul(product(x, w.u), w.v, transpose_b=True, bias=b)
-    return product(x, w, bias=b)
+        return matmul(matmul(x, w.u), w.v, transpose_b=True, bias=b)
+    return matmul(x, w, bias=b)
 
 
 def feed_forward(x: Tensor, p: FeedForwardParams) -> Tensor:
     """x + 0.5 * (W2 . swish(W1 . LN(x) + b1) + b2), the half-step residual.
 
-    The swish is folded into the W2 product (``swish_matmul``; with a
-    low-rank W2, into the U2 product), so the tape keeps the (rows, n)
-    pre-activation and not the activation too. The scaled residual is
-    one ``add(x, y, 0.5)`` node, with no ``scale`` node."""
+    One ``linear_swish_matmul`` node runs from the last factor of W1 to
+    the first factor of W2: for dense weights from LN(x) through W1 and
+    W2 with b2, for low-rank ones from LN(x) . U1 through V1ᵀ and U2,
+    with the V2 product a ``matmul`` node after it. So the tape keeps no
+    (rows, n) array: the node rebuilds its pre-activation in backward,
+    at one more (rows, d) . (d, n) or (rows, k) . (k, n) product. The
+    scaled residual is one ``add(x, y, 0.5)`` node, with no ``scale``
+    node."""
     xn = layer_norm(x, p.ln_gamma, p.ln_beta, LN_EPS)
-    pre = apply_linear(xn, p.w1, p.b1)
-    return add(x, apply_linear(pre, p.w2, p.b2, swish_matmul), 0.5)
+    if isinstance(p.w1, LowRankFactors):  # a plan factors both linears or neither
+        h = linear_swish_matmul(matmul(xn, p.w1.u), p.w1.v, p.b1, p.w2.u, transpose_w=True)
+        y = matmul(h, p.w2.v, transpose_b=True, bias=p.b2)
+    else:
+        y = linear_swish_matmul(xn, p.w1, p.b1, p.w2, p.b2)
+    return add(x, y, 0.5)
 
 
 def attention(x: Tensor, p: AttentionParams, frames: int | None = None) -> Tensor:
@@ -178,7 +185,7 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None) -> Tenso
     per utterance, (H, T, 2T − 1) each, on heads split by one
     ``transpose`` node each for the pos-query projection and the table
     window, and joined by ``concat_rows``. A 4×32 toy step at d=32
-    records 295 tape nodes, two of them ``transpose`` per layer.
+    records 283 tape nodes, two of them ``transpose`` per layer.
     """
     rows, d = x.shape
     T = rows if frames is None else frames

@@ -31,7 +31,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .autodiff import NonFiniteError, Tensor
+from .autodiff import NonFiniteError, Tensor, check_seed
 from .configio import ConfigError, decode_text, parse_config_text, serialize_config
 from .encoder import BoundModel
 from .sharing import Key, ParameterStore, key_str, parameter_layout
@@ -128,6 +128,10 @@ def _check_manifest(path, head: bytes, count_line: bytes, payload: int):
                 raise ConfigError(f"{where}: unsupported format {value!r}")
         elif key == "seed":
             seed = _int(value, "seed", where)
+            try:
+                check_seed(seed)
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
         elif key == "tensor":
             fields = value.split("|")
             if len(fields) != 4:

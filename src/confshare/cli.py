@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from .accounting import SizeBudget, count_params, fit_dim_to_budget, report_table
-from .autodiff import NonFiniteError
+from .autodiff import NonFiniteError, check_seed
 from .checkpoint import save_checkpoint
 from .configio import parse_config_file
 from .encoder import bind_model, check_frames
@@ -116,6 +116,7 @@ def _cmd_gradcheck(args) -> int:
     check_frames(config, spec.frames)
     _check_eps_and_tol(args.eps, args.tol)
     _check_count("samples per tensor", args.samples)
+    check_seed(args.seed)
     model = bind_model(config, plan, args.seed)
     batch = generate_toy_batch(spec, args.seed, 0)
     report = gradcheck_model(model, batch, eps=args.eps, tol=args.tol,
@@ -147,6 +148,7 @@ def _cmd_train(args) -> int:
     spec = ToyTaskSpec(feature_dim=config.input_dim, num_classes=config.num_classes)
     check_frames(config, spec.frames)
     _check_count("steps", args.steps)
+    check_seed(args.seed)
     model = bind_model(config, plan, args.seed)
     report = train_steps(model, spec, OptimizerState(), args.steps, args.seed)
     text = serialize_report(report)

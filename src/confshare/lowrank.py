@@ -1,9 +1,13 @@
 """Low-rank factorized linear layers.
 
 A dense weight M (m x n) is replaced by factors U (m x k) and V (n x k)
-applied as (x @ U) @ V^T (``blocks.apply_linear`` on a ``LowRankFactors``
-pair), which never materializes the m x n product and cuts the weight
-count from m*n to k*(m+n). Factors are trained from scratch.
+applied as (x @ U) @ V^T, which never materializes the m x n product and
+cuts the weight count from m*n to k*(m+n). Factors are trained from
+scratch. In a feed-forward (``blocks.feed_forward``) the products
+between U1 and V2 are one ``linear_swish_matmul`` node,
+swish((x @ U1) @ V1^T + b1) @ U2, so the tape keeps the (rows, k)
+product x @ U1 and no (rows, n) array; ``blocks.apply_linear`` applies
+one factored linear on its own.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ from confshare.autodiff import (_SCRATCH, NonFiniteError, Rng, RowRange, ShapeEr
                                 Tensor, _sigmoid, _skew, add, attention_context,
                                 backward, concat_rows, cross_entropy_mean,
                                 depthwise_conv1d, finite_diff_grad, glu,
-                                layer_norm, matmul, relative_error, slice_rows,
-                                sum_all, swish_matmul, transpose, zero_grads)
+                                layer_norm, linear_swish_matmul, matmul, relative_error,
+                                slice_rows, sum_all, swish_matmul, transpose, zero_grads)
 from conftest import assert_params_match_fd, bound_block, rand_tensor, traced_peak
 from oracles import attention_chain, attention_weights, mul, scale, softmax, swish
 
@@ -58,6 +58,15 @@ class TestRng:
         a = Rng(7).uniform(-1, 1, (64,))
         b = Rng(7).uniform(-1, 1, (64,))
         assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # 2**64 + 1 would otherwise alias seed 1, and -1 seed 2**64 - 1
+        with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
+            Rng(seed)
+
+    def test_largest_seed_accepted(self):
+        assert Rng(2**64 - 1).seed == 2**64 - 1
 
     def test_derived_streams_differ(self):
         base = Rng(7)
@@ -417,6 +426,11 @@ class TestActivations:
         pytest.param(glu, [(4, 6)], id="glu-shape2"),
         pytest.param(swish_matmul, [(4, 3), (3, 5)], id="swish_matmul"),
         pytest.param(swish_matmul, [(4, 3), (3, 5), (5,)], id="swish_matmul-bias"),
+        pytest.param(linear_swish_matmul, [(4, 3), (3, 6), (6,), (6, 5)],
+                     id="linear_swish_matmul"),
+        pytest.param(lambda a, w, c, b, bias: linear_swish_matmul(a, w, c, b, bias, True),
+                     [(4, 3), (6, 3), (6,), (6, 5), (5,)],
+                     id="linear_swish_matmul-transpose_w-bias"),
         pytest.param(lambda a: transpose(a, (2, 0, 1), (2, 3, 4), (4, 6)), [(6, 4)],
                      id="transpose-view-shape"),
         pytest.param(lambda a, b: add(a, b, -0.5), [(4, 3), (4, 3)], id="add-scaled")])
@@ -447,6 +461,50 @@ class TestActivations:
         assert len(rest) == len(pair_rest) == (2 if with_bias else 1)
         for got, want in zip([ga, *rest], [pair_ga, *pair_rest]):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("transpose_w", [False, True], ids=["w", "transpose_w"])
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["no-bias", "bias"])
+    def test_linear_swish_matmul_matches_matmul_then_swish_matmul_bytewise(
+            self, rng, transpose_w, with_bias):
+        def draw(*shape):
+            return Tensor(_with_signed_zeros(rng.uniform(-2.0, 2.0, shape)),
+                          requires_grad=True)
+
+        a, c, b = draw(12, 6), draw(10), draw(10, 7)
+        w = draw(10, 6) if transpose_w else draw(6, 10)
+        bias = draw(7) if with_bias else None
+        g = _with_signed_zeros(rng.uniform(-1.0, 1.0, (12, 7)))
+        fused = linear_swish_matmul(a, w, c, b, bias, transpose_w)
+        pre = matmul(a, w, transpose_w, c)
+        pair = swish_matmul(pre, b, bias)
+        assert fused.data.tobytes() == pair.data.tobytes()
+        # every parent gradient, as the two rules hand it to backward
+        got = fused._backward(g)
+        gpre, *pair_rest = pair._backward(g)
+        want = [*pre._backward(gpre), *pair_rest]
+        assert len(got) == len(want) == (5 if with_bias else 4)
+        for i, (x, y) in enumerate(zip(got, want)):
+            assert x.tobytes() == y.tobytes(), f"gradient {i}"
+
+    def test_linear_swish_matmul_rejects_a_non_finite_pre_activation_as_a_matmul(self):
+        # the product overflows, and the swish of -inf would hide it as 0
+        a, w = Tensor([[1e200]]), Tensor([[-1e200, 1.0]])
+        with np.errstate(all="ignore"), \
+                pytest.raises(NonFiniteError, match="^matmul produced non-finite values"):
+            linear_swish_matmul(a, w, Tensor([0.0, 0.0]), Tensor([[1.0], [1.0]]))
+
+    @pytest.mark.parametrize("shapes,transpose_w", [
+        pytest.param([(4, 3), (4, 6), (6,), (6, 5)], False, id="inner-extents"),
+        pytest.param([(4, 3), (3, 6), (6,), (6, 5)], True, id="transpose_w"),
+        pytest.param([(4, 3), (3, 6), (4,), (6, 5)], False, id="hidden-bias"),
+        pytest.param([(4, 3), (3, 6), (6,), (5, 6)], False, id="second-product"),
+        pytest.param([(2, 4, 3), (3, 6), (6,), (6, 5)], False, id="3-d"),
+        pytest.param([(4, 3), (3, 6), (6,), (6, 5), (4,)], False, id="bias")])
+    def test_linear_swish_matmul_rejects_shapes_that_do_not_multiply(
+            self, rng, shapes, transpose_w):
+        operands = [rand_tensor(rng, shape) for shape in shapes]
+        with pytest.raises(ShapeError, match="^linear_swish_matmul"):
+            linear_swish_matmul(*operands[:4], *operands[4:], transpose_w=transpose_w)
 
     def test_swish_matmul_rejects_shapes_that_do_not_multiply(self, rng):
         with pytest.raises(ShapeError, match="swish_matmul"):
@@ -795,6 +853,11 @@ class TestBackward:
                      id="matmul-bias"),
         pytest.param(swish_matmul, [(3, 4), (4, 5), (5,)], (0,), id="swish_matmul-input"),
         pytest.param(swish_matmul, [(3, 4), (4, 5), (5,)], (1, 2), id="swish_matmul-weights"),
+        pytest.param(linear_swish_matmul, [(3, 4), (4, 6), (6,), (6, 5), (5,)], (0,),
+                     id="linear_swish_matmul-input"),
+        pytest.param(lambda a, w, c, b: linear_swish_matmul(a, w, c, b, transpose_w=True),
+                     [(3, 4), (6, 4), (6,), (6, 5)], (1, 2, 3),
+                     id="linear_swish_matmul-weights"),
         pytest.param(add, [(2, 3), (2, 3)], (1,), id="add"),
         pytest.param(lambda a, b: add(a, b, 0.5), [(2, 3), (2, 3)], (0,), id="add-scaled"),
         pytest.param(lambda a: transpose(a, (1, 0, 2), (2, 3, 2), (6, 2)), [(6, 2)], (0,),
@@ -869,6 +932,14 @@ class TestRetainedMemory:
             return swish_matmul(rand_tensor(rng, (6, 10), requires_grad=True),
                                 rand_tensor(rng, (10, 4), requires_grad=True),
                                 rand_tensor(rng, (4,), requires_grad=True))
+        if op == "linear_swish_matmul":
+            # the (6, 10) pre-activation is wider than the product, so holding it would show
+            return linear_swish_matmul(rand_tensor(rng, (6, 3), requires_grad=True),
+                                       rand_tensor(rng, (10, 3), requires_grad=True),
+                                       rand_tensor(rng, (10,), requires_grad=True),
+                                       rand_tensor(rng, (10, 4), requires_grad=True),
+                                       rand_tensor(rng, (4,), requires_grad=True),
+                                       transpose_w=True)
         if op == "layer_norm":
             return layer_norm(rand_tensor(rng, (6, 10), requires_grad=True),
                               rand_tensor(rng, (10,), requires_grad=True),
@@ -893,8 +964,8 @@ class TestRetainedMemory:
                                  rand_tensor(rng, (2, 6, 11), requires_grad=True), 0.5)
 
     @pytest.mark.parametrize("op", ["swish", "layer_norm", "attention_weights", "glu",
-                                    "depthwise_conv1d", "swish_matmul", "transpose", "add",
-                                    "attention_context"])
+                                    "depthwise_conv1d", "swish_matmul", "linear_swish_matmul",
+                                    "transpose", "add", "attention_context"])
     def test_rule_holds_no_output_sized_array_of_its_own(self, op, rng):
         node = self._build(op, rng)
         held = [cell.cell_contents for cell in node._backward.__closure__]
@@ -911,20 +982,21 @@ class TestRetainedMemory:
                         f"{op} holds its own {value.shape} array"
 
     @staticmethod
-    def _two_layer_lrs3():
-        """LRS3's d=144 with its k=50 low-rank feed-forward, 2 virtual layers,
-        and one T=128 utterance."""
+    def _two_layer_lrs3(lowrank=True):
+        """LRS3's d=144 with its k=50 low-rank feed-forward (or a dense one),
+        2 virtual layers, and one T=128 utterance."""
         from confshare.encoder import bind_model
         from confshare.lowrank import LowRankSpec
         from confshare.presets import preset
         from confshare.sharing import repeat_plan
 
         model = bind_model(preset("LRS3").config,
-                           replace(repeat_plan(1, 2), lowrank=LowRankSpec(k=50)), 0)
+                           replace(repeat_plan(1, 2),
+                                   lowrank=LowRankSpec(k=50) if lowrank else None), 0)
         rng = Rng(1)
         return model, rng.uniform(-1, 1, (128, 80)), rng.integers(8, (128,))
 
-    def test_two_layer_lrs3_shape_forward_holds_at_most_18_mib(self):
+    def test_two_layer_lrs3_shape_forward_holds_at_most_15_mib(self):
         from confshare.encoder import encoder_forward
 
         model, features, labels = self._two_layer_lrs3()
@@ -938,24 +1010,27 @@ class TestRetainedMemory:
         finally:
             if started:
                 tracemalloc.stop()
-        assert held <= 18 * 2**20, f"the forward pass holds {held / 2**20:.1f} MiB"
+        assert held <= 15 * 2**20, f"the forward pass holds {held / 2**20:.1f} MiB"
         backward(loss)
         assert all(t.grad is not None for t in model.parameters())
 
-    def test_two_layer_lrs3_shape_tape_keeps_one_ffn_wide_array_per_feed_forward(self):
+    @pytest.mark.parametrize("lowrank", [True, False], ids=["lowrank", "dense"])
+    def test_two_layer_lrs3_tape_keeps_no_ffn_wide_array(self, lowrank):
         from confshare.encoder import encoder_forward
 
-        model, features, labels = self._two_layer_lrs3()
+        model, features, labels = self._two_layer_lrs3(lowrank)
         wide = (128, model.config.ffn_width)
         assert wide == (128, 1044)
         loss = cross_entropy_mean(encoder_forward(Tensor(features), model), labels)
         nodes = Tape.trace(loss).nodes
-        kept = [n for n in nodes if n.shape == wide]
-        # two feed-forwards in each of the two layers; the swish output is not kept
-        assert len(kept) == 4, [n.op for n in kept]
-        fused_inputs = [n._parents[0] for n in nodes if n.op == "swish_matmul"]
-        for n in kept:
-            assert any(n is pre for pre in fused_inputs), f"{n} is no pre-activation"
+        # two feed-forwards in each of the two layers, each one node from
+        # the last factor of linear1 to the first of linear2
+        assert [n.op for n in nodes].count("linear_swish_matmul") == 4
+        # the pre-activation is rebuilt in backward and the swish never kept
+        assert [n.op for n in nodes if n.shape == wide] == []
+        held = [c.cell_contents for n in nodes if n._backward is not None
+                for c in n._backward.__closure__ or ()]
+        assert not [a.shape for a in held if isinstance(a, np.ndarray) and a.shape == wide]
 
 
 def _scratch_buffers() -> list[np.ndarray]:
@@ -968,8 +1043,8 @@ class TestScratch:
     within one call, and each thread has its own."""
 
     SLOTS = {"sigmoid.den", "sigmoid.mask", "swish_matmul.act", "swish_matmul.s",
-             "swish_matmul.ga", "glu.s", "conv.xp", "conv.tap", "softmax_grad.gp",
-             "adam.step", "adam.den"}
+             "swish_matmul.ga", "linear_swish_matmul.pre", "glu.s", "conv.xp", "conv.tap",
+             "softmax_grad.gp", "adam.step", "adam.den"}
 
     @staticmethod
     def _model(name):
@@ -1027,6 +1102,23 @@ class TestScratch:
         assert peak <= returned + 64 * 1024, \
             f"the rule held {peak} bytes for {returned} bytes of gradients"
 
+    def test_warm_linear_swish_matmul_rule_allocates_only_its_gradients(self):
+        # the LRS3 low-rank feed-forward from U1's product to U2's, one T=128
+        # utterance: the rule rebuilds the (128, 1044) pre-activation in
+        # scratch and writes the pre-activation's gradient over it
+        rng = Rng(3)
+        a = Tensor(rng.uniform(-4.0, 4.0, (128, 50)), requires_grad=True)
+        w = Tensor(rng.uniform(-0.2, 0.2, (1044, 50)), requires_grad=True)
+        c = Tensor(rng.uniform(-0.1, 0.1, (1044,)), requires_grad=True)
+        b = Tensor(rng.uniform(-0.1, 0.1, (1044, 50)), requires_grad=True)
+        node = linear_swish_matmul(a, w, c, b, transpose_w=True)
+        g = rng.uniform(-1.0, 1.0, (128, 50))
+        node._backward(g)  # the scratch slots take their size
+        grads, peak = traced_peak(lambda: node._backward(g))
+        returned = sum(x.nbytes for x in grads)
+        assert peak <= returned + 64 * 1024, \
+            f"the rule held {peak} bytes for {returned} bytes of gradients"
+
     @staticmethod
     def _swish_matmul_oracle(a, b, bias, g):
         """swish(a) @ b (+ bias) and its gradients as plain formulas, a
@@ -1048,9 +1140,9 @@ class TestScratch:
         return [u * s, np.concatenate((g * s, g * u * s * (1 - s)), -1)]
 
     def _check_fd_gradcheck_shapes(self, d: int, lowrank: bool):
-        """swish_matmul, glu and depthwise_conv1d at the shapes of the
-        fd_gradcheck model of width d (2 utterances of 6 frames), each
-        byte-compared with a fresh-buffer oracle."""
+        """linear_swish_matmul, swish_matmul, glu and depthwise_conv1d at
+        the shapes of the fd_gradcheck model of width d (2 utterances of 6
+        frames), each byte-compared with a fresh-buffer oracle."""
         from confshare.blocks import ModelConfig
 
         ffn = ModelConfig(d=d, e=7.25, heads=4, kernel_width=11).ffn_width
@@ -1060,14 +1152,26 @@ class TestScratch:
         def draw(*shape):
             return _with_signed_zeros(rng.uniform(-3.0, 3.0, shape))
 
-        # the low-rank model's second product goes to rank 4, without a bias
-        a, b = draw(rows, ffn), draw(ffn, 4 if lowrank else d)
-        bias = None if lowrank else draw(d)
-        node = swish_matmul(Tensor(a, requires_grad=True), Tensor(b, requires_grad=True),
-                            None if bias is None else Tensor(bias, requires_grad=True))
+        # the feed-forward: the low-rank model's runs from rank 4 through V1ᵀ
+        # to rank 4, without a bias
+        a, c = draw(rows, 4 if lowrank else d), draw(ffn)
+        w1 = draw(ffn, 4) if lowrank else draw(d, ffn)
+        b, bias = draw(ffn, 4 if lowrank else d), None if lowrank else draw(d)
+        node = linear_swish_matmul(*(Tensor(x, requires_grad=True) for x in (a, w1, c, b)),
+                                   None if bias is None else Tensor(bias, requires_grad=True),
+                                   transpose_w=lowrank)
         g = draw(*node.shape)
         got = [node.data, *node._backward(g)]
-        want = self._swish_matmul_oracle(a, b, bias, g)
+        out, gpre, gb, *gbias = self._swish_matmul_oracle(
+            a @ (w1.T if lowrank else w1) + c, b, bias, g)
+        ga, gw = (gpre @ w1, gpre.T @ a) if lowrank else (gpre @ w1.T, a.T @ gpre)
+        want = [out, ga, gw, gpre.sum(axis=0), gb, *gbias]
+        # the convolution module's post-projection
+        a, b, bias = draw(rows, d), draw(d, d), draw(d)
+        node = swish_matmul(*(Tensor(x, requires_grad=True) for x in (a, b, bias)))
+        g = draw(*node.shape)
+        got += [node.data, *node._backward(g)]
+        want += self._swish_matmul_oracle(a, b, bias, g)
         a, g = draw(rows, 2 * d), draw(rows, d)
         node = glu(Tensor(a, requires_grad=True))
         got += [node.data, *node._backward(g)]

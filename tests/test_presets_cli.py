@@ -358,6 +358,9 @@ class TestCheckpoints:
         ("|80x16\n", "|80xq\n", "tensor shape: expected an integer, got 'q'"),
         ("model.d = 16\n", "model.d = x6\n", r"model\.d: expected an integer, got 'x6'"),
         ("payload_bytes = ", "payload_bytes = 12z", "payload_bytes: expected an integer"),
+        ("seed = 1\n", "seed = -1\n", r"seed must be in \[0, 2\*\*64\), got -1$"),
+        ("seed = 1\n", f"seed = {2**64 + 1}\n",
+         rf"seed must be in \[0, 2\*\*64\), got {2**64 + 1}$"),
     ])
     def test_malformed_manifest_line_rejected(self, old, new, message, tmp_path):
         p = preset("SL0-small")
@@ -550,6 +553,21 @@ class TestCli:
         assert captured.err.splitlines() == [captured.err.strip()]
         assert captured.err.startswith("error: ") and message in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 1)])
+    @pytest.mark.parametrize("command", ["gradcheck", "train"])
+    def test_seed_outside_64_bits_rejected_before_binding(self, command, seed, monkeypatch,
+                                                          capsys):
+        import confshare.cli
+
+        def never(*args):
+            raise AssertionError("bound a model under a seed that aliases another")
+
+        monkeypatch.setattr(confshare.cli, "bind_model", never)
+        assert run_cli(command, "--preset", "SL0-small", "--seed", seed) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: seed must be in [0, 2**64), got {seed}\n"
 
     @pytest.mark.parametrize("command,t_max,flags,frames", [
         ("gradcheck", 256, ("--frames", "300"), 300),

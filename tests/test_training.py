@@ -188,7 +188,7 @@ class TestTrainSteps:
             texts.append(serialize_report(report))
         assert texts[0].encode() == texts[1].encode()
 
-    def test_toy_train_config_tape_is_295_nodes(self):
+    def test_toy_train_config_tape_is_283_nodes(self):
         # the benchmark's toy_train config: a packed 4x32 batch through repeat_plan(2, 3)
         model = bind_model(ModelConfig(d=32, e=7.25, heads=4, kernel_width=11),
                            repeat_plan(2, 3), 11)
@@ -196,12 +196,14 @@ class TestTrainSteps:
         ops = [n.op for n in backward(loss).nodes]
         layers = len(model.virtual_blocks())
         assert layers == 6
-        assert len(ops) == 295
+        assert len(ops) == 283
         # attention from the projections to the context is one node per layer,
         # and only the positional query and table window are split into heads
         assert ops.count("attention_context") == layers
         assert ops.count("transpose") == 2 * layers
-        # the feed-forward half-step is a scaled add, not add of a scale
+        # each feed-forward is one node from linear1 to linear2, and its
+        # half-step a scaled add, not add of a scale
+        assert ops.count("linear_swish_matmul") == 2 * layers
         assert "scale" not in ops
 
     def test_class_count_mismatch_rejected(self):

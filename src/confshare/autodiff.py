@@ -19,15 +19,17 @@ optional fused bias, and 3-d batched for the positional scores),
 ``linear_swish_matmul`` (swish(a @ w + c) @ b plus an optional bias,
 one node from a feed-forward's first product to its second), layer
 norm, glu, a depthwise temporal convolution that pads each utterance of
-a packed batch on its own, ``add`` (optionally a + s·b, so a half-step
-residual is one node), ``transpose`` (between an input view and an
+a packed batch on its own, ``transpose`` (between an input view and an
 output shape, so a head split is one node and one copy),
 ``slice_rows``/``concat_rows`` along the leading axis, and
 ``attention_context``: from the q, k and v projections and the
 relative-position scores to the context, one node per layer over all
-heads of a batch, which reads the heads as strided views (a 4×32 toy
-step records 283 nodes, an LRS3 T=128 one 1,521). The tests' unfused
-oracles for these ops live in ``tests/oracles.py``.
+heads of a batch, which reads the heads as strided views. The three
+2-d products also take an optional residual and scale and output
+residual + s·(product + bias), so no residual connection is a node of
+its own (a 4×32 toy step records 249 nodes, an LRS3 T=128 one 1,283).
+The tests' unfused oracles for these ops, ``add`` among them, live in
+``tests/oracles.py``.
 
 A rule keeps only the arrays it reads and cannot get from its parents'
 data or its own output: ``swish_matmul`` keeps no activation and
@@ -409,13 +411,17 @@ def _scratch_view(slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
-           bias: Tensor | None = None) -> Tensor:
+           bias: Tensor | None = None, residual: Tensor | None = None,
+           s: float | None = None) -> Tensor:
     """Matrix product. 2-d x 2-d, or 3-d x 3-d batched over the leading axis.
 
     ``transpose_b=True`` computes ``a @ swap(b)`` without materializing the
     transpose (used for attention scores and low-rank V factors).
     ``bias`` (2-d operands only) is a vector added to every row of the
-    product in place, so a linear layer is one tape node.
+    product in place, so a linear layer is one tape node. ``residual``
+    (2-d operands only) makes the node residual + s·(product + bias), or
+    residual + product + bias without ``s`` (``_add_residual``), so a
+    residual connection takes no node of its own.
     """
     ad, bd = a.data, b.data
     if ad.ndim != bd.ndim or ad.ndim not in (2, 3):
@@ -432,29 +438,48 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
                              f"{out.shape} (2-d operands only)")
         out += bias.data
         parents = (a, b, bias)
+    parents = _add_residual(out, residual, s, "matmul", parents)
 
     def rule(g):
+        gp = g if s is None else g * s  # the product's gradient
         if transpose_b:
             # out = a @ b^T  =>  d_a = g @ b,  d_b = g^T @ a
-            grads = (g @ b.data, np.swapaxes(g, -1, -2) @ a.data)
+            grads = (gp @ b.data, np.swapaxes(gp, -1, -2) @ a.data)
         else:
-            grads = (g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g)
-        return grads if bias is None else (*grads, np.add.reduce(g, axis=0))
+            grads = (gp @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ gp)
+        return _bias_residual_grads(grads, g, gp, bias, residual)
 
     return _result(out, "matmul", parents, rule)
 
 
-def add(a: Tensor, b: Tensor, s: float | None = None) -> Tensor:
-    """Elementwise sum of two same-shaped tensors, or ``a + s * b`` as one
-    node: the product is taken first and ``a`` added into it, the same
-    bytes as ``add(a, scale(b, s))`` because addition commutes."""
-    if a.shape != b.shape:
-        raise ShapeError(f"add: incompatible shapes {a.shape} + {b.shape}")
-    if s is None:
-        return _result(a.data + b.data, "add", (a, b), lambda g: (g, g))
-    out = b.data * s
-    out += a.data
-    return _result(out, "add", (a, b), lambda g: (g, g * s))
+def _add_residual(out: np.ndarray, residual: Tensor | None, s: float | None, op: str,
+                  parents: tuple) -> tuple:
+    """Make the 2-d product ``out`` residual + s·out in place (residual +
+    out without ``s``), and return ``parents`` with the residual appended
+    when there is one. The op order, ``out *= s; out += residual``, is
+    that of the unfused ``add(residual, out, s)`` that the tests keep in
+    ``tests/oracles.py``, so the bytes are the same."""
+    if residual is None:
+        if s is not None:
+            raise ValueError(f"{op}: a scale s needs a residual")
+        return parents
+    if out.ndim != 2 or residual.shape != out.shape:
+        raise ShapeError(f"{op}: residual {residual.shape} does not fit product "
+                         f"{out.shape} (2-d operands only)")
+    if s is not None:
+        out *= s
+    out += residual.data
+    return (*parents, residual)
+
+
+def _bias_residual_grads(grads: tuple, g: np.ndarray, gp: np.ndarray,
+                         bias: Tensor | None, residual: Tensor | None) -> tuple:
+    """A product's operand gradients ``grads``, then those of the bias
+    (the product's gradient gp summed over rows) and of the residual (the
+    output gradient g), for whichever of the two the node has."""
+    if bias is not None:
+        grads = (*grads, np.add.reduce(gp, axis=0))
+    return grads if residual is None else (*grads, g)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -540,8 +565,10 @@ def _add_bias(out: np.ndarray, bias: Tensor | None, op: str, parents: tuple) -> 
     return (*parents, bias)
 
 
-def swish_matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-    """swish(a) @ b (+ bias) for 2-d operands, as one node.
+def swish_matmul(a: Tensor, b: Tensor, bias: Tensor | None = None,
+                 residual: Tensor | None = None, s: float | None = None) -> Tensor:
+    """swish(a) @ b (+ bias) for 2-d operands, as one node, made residual +
+    s·(swish(a) @ b + bias) by a ``residual`` as in ``matmul``.
 
     The activation is dropped once the product is taken, so the tape
     keeps ``a`` and not ``swish(a)``; the rule rebuilds it
@@ -551,18 +578,23 @@ def swish_matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"swish_matmul supports 2d@2d with equal inner extents, "
                          f"got {a.shape} @ {b.shape}")
     out = _swish_product(a.data, b.data)
-    parents = _add_bias(out, bias, "swish_matmul", (a, b))
+    parents = _add_residual(out, residual, s, "swish_matmul",
+                            _add_bias(out, bias, "swish_matmul", (a, b)))
 
     def rule(g):
-        grads = _swish_product_grad(a.data, b.data, g)
-        return grads if bias is None else (*grads, np.add.reduce(g, axis=0))
+        gp = g if s is None else g * s
+        return _bias_residual_grads(_swish_product_grad(a.data, b.data, gp), g, gp,
+                                    bias, residual)
 
     return _result(out, "swish_matmul", parents, rule)
 
 
 def linear_swish_matmul(a: Tensor, w: Tensor, c: Tensor, b: Tensor,
-                        bias: Tensor | None = None, transpose_w: bool = False) -> Tensor:
-    """swish(a @ w + c) @ b (+ bias) for 2-d operands, as one node.
+                        bias: Tensor | None = None, transpose_w: bool = False,
+                        residual: Tensor | None = None, s: float | None = None) -> Tensor:
+    """swish(a @ w + c) @ b (+ bias) for 2-d operands, as one node, made
+    residual + s·(swish(a @ w + c) @ b + bias) by a ``residual`` as in
+    ``matmul``.
 
     ``transpose_w=True`` reads w as its transpose, as ``matmul``'s
     ``transpose_b`` does. The (rows, n) pre-activation a @ w + c is built
@@ -591,18 +623,20 @@ def linear_swish_matmul(a: Tensor, w: Tensor, c: Tensor, b: Tensor,
     if not np.isfinite(pre).all():
         raise NonFiniteError("matmul produced non-finite values")
     out = _swish_product(pre, b.data)
-    parents = _add_bias(out, bias, "linear_swish_matmul", (a, w, c, b))
+    parents = _add_residual(out, residual, s, "linear_swish_matmul",
+                            _add_bias(out, bias, "linear_swish_matmul", (a, w, c, b)))
 
     def rule(g):
+        gout = g if s is None else g * s
         # the pre-activation's gradient overwrites it in scratch
         pre = pre_activation()
-        gp, gb = _swish_product_grad(pre, b.data, g, out=pre)
+        gp, gb = _swish_product_grad(pre, b.data, gout, out=pre)
         if transpose_w:
             ga, gw = gp @ w.data, gp.T @ a.data
         else:
             ga, gw = gp @ w.data.T, a.data.T @ gp
-        grads = (ga, gw, np.add.reduce(gp, axis=0), gb)
-        return grads if bias is None else (*grads, np.add.reduce(g, axis=0))
+        return _bias_residual_grads((ga, gw, np.add.reduce(gp, axis=0), gb), g, gout,
+                                    bias, residual)
 
     return _result(out, "linear_swish_matmul", parents, rule)
 

@@ -5,7 +5,9 @@ A block maps (B·T, d) rows to (B·T, d) as
     half-step feed-forward -> relative-position self-attention
     -> convolution module -> half-step feed-forward -> final layer norm
 
-with a residual connection around every module. The rows are B
+with a residual connection around every module, which the module's
+last product node adds (``residual=``), so no residual sum is a node of
+its own. The rows are B
 utterances of ``frames`` = T frames each, packed utterance after
 utterance; by default all rows are one utterance. Every frame-wise op
 (linears, layer norms, activations, residual adds) runs once over all
@@ -23,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Rng, ShapeError, Tensor, add, attention_context,
-                       concat_rows, depthwise_conv1d, glu, layer_norm,
-                       linear_swish_matmul, matmul, slice_rows, swish_matmul,
-                       transpose, utterance_count)
+from .autodiff import (Rng, ShapeError, Tensor, attention_context, concat_rows,
+                       depthwise_conv1d, glu, layer_norm, linear_swish_matmul,
+                       matmul, slice_rows, swish_matmul, transpose, utterance_count)
 from .lowrank import LowRankFactors
 
 LN_EPS = 1e-6
@@ -157,18 +158,33 @@ def feed_forward(x: Tensor, p: FeedForwardParams) -> Tensor:
     with the V2 product a ``matmul`` node after it. So the tape keeps no
     (rows, n) array: the node rebuilds its pre-activation in backward,
     at one more (rows, d) . (d, n) or (rows, k) . (k, n) product. The
-    scaled residual is one ``add(x, y, 0.5)`` node, with no ``scale``
-    node."""
+    last node adds the scaled residual (``residual=x, s=0.5``), so
+    neither linear2's output nor a residual sum is a node of its own."""
     xn = layer_norm(x, p.ln_gamma, p.ln_beta, LN_EPS)
     if isinstance(p.w1, LowRankFactors):  # a plan factors both linears or neither
         h = linear_swish_matmul(matmul(xn, p.w1.u), p.w1.v, p.b1, p.w2.u, transpose_w=True)
-        y = matmul(h, p.w2.v, transpose_b=True, bias=p.b2)
-    else:
-        y = linear_swish_matmul(xn, p.w1, p.b1, p.w2, p.b2)
-    return add(x, y, 0.5)
+        return matmul(h, p.w2.v, transpose_b=True, bias=p.b2, residual=x, s=0.5)
+    return linear_swish_matmul(xn, p.w1, p.b1, p.w2, p.b2, residual=x, s=0.5)
 
 
-def attention(x: Tensor, p: AttentionParams, frames: int | None = None) -> Tensor:
+def table_heads(p: AttentionParams, frames: int) -> Tensor:
+    """The (H, 2T − 1, dh) heads of the relative-position table window that
+    T = ``frames`` frames reach: table row t_max − 1 + o holds offset o, so
+    offsets −(T − 1) .. T − 1 are rows t_max − T .. t_max + T − 2. One
+    ``slice_rows`` node and one ``transpose`` node. Every layer reads the
+    same table, so ``encode_from`` builds the heads once per forward and
+    hands them to every layer; a standalone ``attention`` call builds its
+    own."""
+    t_max = (p.rel_emb.shape[0] + 1) // 2
+    if frames > t_max:
+        raise ShapeError(f"attention: sequence length {frames} exceeds t_max {t_max}")
+    H, W, dh = p.heads, 2 * frames - 1, p.rel_emb.shape[1] // p.heads
+    window = slice_rows(p.rel_emb, t_max - frames, t_max + frames - 1)
+    return transpose(window, (0, 2, 1, 3), (1, W, H, dh), (H, W, dh))
+
+
+def attention(x: Tensor, p: AttentionParams, frames: int | None = None,
+              table: Tensor | None = None) -> Tensor:
     """Multi-head self-attention with learned relative-position scores.
 
     Per head: softmax((q k^T + pos) / sqrt(d/h)) v, where pos[t, s] is the
@@ -182,19 +198,21 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None) -> Tenso
     the (B·T, d) context: it reads their heads as (B, H, T, dh) views,
     utterance after utterance, so no head sees another utterance's frames,
     and keeps only the softmax weights. Only the positional product runs
-    per utterance, (H, T, 2T − 1) each, on heads split by one
-    ``transpose`` node each for the pos-query projection and the table
-    window, and joined by ``concat_rows``. A 4×32 toy step at d=32
-    records 283 tape nodes, two of them ``transpose`` per layer.
+    per utterance, (H, T, 2T − 1) each, on the pos-query projection's
+    heads, split by one ``transpose`` node, against ``table``, the
+    ``table_heads`` of ``p`` for T frames (built here when not given),
+    and joined by ``concat_rows``. The post-projection adds the residual
+    ``x`` (``residual=x``). A 4×32 toy step at d=32 records 249 tape
+    nodes: one ``transpose`` per layer, and the table's ``slice_rows``
+    and ``transpose`` once.
     """
     rows, d = x.shape
     T = rows if frames is None else frames
     B = utterance_count(rows, T)
     H = p.heads
     dh = d // H
-    t_max = (p.rel_emb.shape[0] + 1) // 2
-    if T > t_max:
-        raise ShapeError(f"attention: sequence length {T} exceeds t_max {t_max}")
+    if table is None:
+        table = table_heads(p, T)
 
     xn = layer_norm(x, p.ln_gamma, p.ln_beta, LN_EPS)
     q = matmul(xn, p.wq, bias=p.bq)
@@ -202,36 +220,34 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None) -> Tenso
     v = matmul(xn, p.wv, bias=p.bv)
     pq = matmul(xn, p.wpos_query, bias=p.bpos_query)
 
-    def split_heads(t: Tensor, utts: int, n: int) -> Tensor:
-        # (utts·n, d) -> (utts·H, n, dh): each utterance's H heads in turn
-        return transpose(t, (0, 2, 1, 3), (utts, n, H, dh), (utts * H, n, dh))
-
-    pq3 = split_heads(pq, B, T)
-    # table row t_max - 1 + o holds offset o; offsets -(T-1) .. T-1 are reachable
-    rel3 = split_heads(slice_rows(p.rel_emb, t_max - T, t_max + T - 1), 1, 2 * T - 1)
+    # (B·T, d) -> (B·H, T, dh): each utterance's H heads in turn
+    pq3 = transpose(pq, (0, 2, 1, 3), (B, T, H, dh), (B * H, T, dh))
     pos_full = concat_rows(                                  # (B·H, T, 2T - 1)
-        matmul(slice_rows(pq3, b * H, (b + 1) * H), rel3, transpose_b=True)
+        matmul(slice_rows(pq3, b * H, (b + 1) * H), table, transpose_b=True)
         for b in range(B))
     context = attention_context(q, k, pos_full, v, 1.0 / math.sqrt(dh))
-    return add(x, matmul(context, p.wpost, bias=p.bpost))
+    return matmul(context, p.wpost, bias=p.bpost, residual=x)
 
 
 def conv_module(x: Tensor, p: ConvParams, frames: int | None = None) -> Tensor:
     """x + Wpost . swish(LN(depthwise(glu(Wpre . LN(x) + bpre)))) + bpost,
     with the depthwise convolution padding each utterance of ``frames``
-    frames on its own (default: all rows are one utterance). The swish
-    and the post-projection are one ``swish_matmul`` node."""
+    frames on its own (default: all rows are one utterance). The swish,
+    the post-projection and the residual are one ``swish_matmul`` node."""
     xn = layer_norm(x, p.ln_gamma, p.ln_beta, LN_EPS)
     gated = glu(matmul(xn, p.wpre, bias=p.bpre))
     conv = depthwise_conv1d(gated, p.kdepth, frames)
     normed = layer_norm(conv, p.norm_gamma, p.norm_beta, LN_EPS)
-    return add(x, swish_matmul(normed, p.wpost, bias=p.bpost))
+    return swish_matmul(normed, p.wpost, bias=p.bpost, residual=x)
 
 
-def conformer_block(x: Tensor, p: BlockParams, frames: int | None = None) -> Tensor:
-    """One block over utterances of ``frames`` frames each (default: one)."""
+def conformer_block(x: Tensor, p: BlockParams, frames: int | None = None,
+                    table: Tensor | None = None) -> Tensor:
+    """One block over utterances of ``frames`` frames each (default: one);
+    ``table`` is the attention's ``table_heads``, built here when not
+    given."""
     y = feed_forward(x, p.ff_start)
-    y = attention(y, p.attn, frames)
+    y = attention(y, p.attn, frames, table)
     y = conv_module(y, p.conv, frames)
     y = feed_forward(y, p.ff_end)
     return layer_norm(y, p.final_ln_gamma, p.final_ln_beta, LN_EPS)

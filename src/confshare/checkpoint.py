@@ -32,7 +32,8 @@ from itertools import zip_longest
 import numpy as np
 
 from .autodiff import NonFiniteError, Tensor, check_seed
-from .configio import ConfigError, decode_text, parse_config_text, serialize_config
+from .configio import (ConfigError, decode_text, parse_config_text, parse_int,
+                       serialize_config)
 from .encoder import BoundModel
 from .sharing import Key, ParameterStore, key_str, parameter_layout
 
@@ -67,7 +68,7 @@ def save_checkpoint(model: BoundModel, path):
 
 def _int(value: str, what: str, where: str) -> int:
     try:
-        return int(value)
+        return parse_int(value)
     except ValueError:
         raise ConfigError(f"{where}: {what}: expected an integer, got {value!r}") from None
 

@@ -34,6 +34,7 @@ plan key is still read, so that earlier files load to an equal plan (see
 from __future__ import annotations
 
 import dataclasses
+import re
 import typing
 
 from .blocks import MODULE_TYPES, ModelConfig, ModelConfigError
@@ -48,6 +49,18 @@ class ConfigError(ValueError):
 _MODEL_FIELDS = dataclasses.fields(ModelConfig)
 _MODEL_KINDS = typing.get_type_hints(ModelConfig)  # field name -> int or float
 _PLAN_VECTORS = tuple(map(index_field, MODULE_TYPES))
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(value: str) -> int:
+    """``value`` as an integer if it is ASCII ``[+-]?[0-9]+``; a
+    ``ValueError`` otherwise. ``int()`` alone also takes ``1_0``, blanks
+    around the digits and non-ASCII digits, so two spellings would load
+    as one value and a file would not round-trip byte for byte. Config
+    files and checkpoint manifests read every integer through here."""
+    if _INTEGER.fullmatch(value) is None:
+        raise ValueError(f"invalid integer {value!r}")
+    return int(value)
 
 
 def _parse_assignments(text: str) -> dict[str, tuple[int, str]]:
@@ -70,7 +83,7 @@ def _parse_assignments(text: str) -> dict[str, tuple[int, str]]:
 
 def _number(kind, value: str, key: str, lineno: int):
     try:
-        return kind(value)
+        return parse_int(value) if kind is int else kind(value)
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"line {lineno}: {key}: expected {noun}, got {value!r}") from None
@@ -80,7 +93,7 @@ def _int_vector(value: str, key: str, lineno: int) -> tuple[int, ...]:
     if not value:
         return ()
     try:
-        return tuple(int(part.strip()) for part in value.split(","))
+        return tuple(parse_int(part.strip()) for part in value.split(","))
     except ValueError:
         raise ConfigError(f"line {lineno}: {key}: expected comma-separated integers, "
                           f"got {value!r}") from None

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, matmul
-from .blocks import BlockParams, ModelConfig, assemble_block, conformer_block
+from .blocks import (BlockParams, ModelConfig, assemble_block, conformer_block,
+                     table_heads)
 from .sharing import (FRONTEND_B, FRONTEND_W, HEAD_B, HEAD_W, REL_TABLE,
                       BoundSchedule, Key, ParameterStore, SharingPlan,
                       bind_parameters, schedule_keys)
@@ -110,15 +111,22 @@ def encode_from(x: Tensor, model: BoundModel, frames: int, start: int = 0,
     head. Every stage before ``start`` is skipped. When ``inputs`` is a
     list, the input array of every stage that runs is appended to it, so
     a pass from stage 0 leaves ``inputs[s]`` = the input of stage s.
+
+    Every layer reads the same relative-position table, so its
+    ``table_heads`` are built once, before the first layer that runs,
+    and handed to every layer.
     """
     layers = model.virtual_blocks()
+    table = None
     for stage in range(start, len(layers) + 2):
         if inputs is not None:
             inputs.append(x.data)
         if stage == 0:
             x = matmul(x, model.store[FRONTEND_W], bias=model.store[FRONTEND_B])
         elif stage <= len(layers):
-            x = conformer_block(x, layers[stage - 1], frames)
+            if table is None:
+                table = table_heads(layers[0].attn, frames)
+            x = conformer_block(x, layers[stage - 1], frames, table)
             if counter is not None:
                 counter.block_evals += 1
         else:

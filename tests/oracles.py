@@ -2,8 +2,10 @@
 
 The package ships the fused ops the model runs; the unfused ops here are
 what the tests compare them against, and what they build test losses
-from: ``add(a, b, s)`` against ``add(a, scale(b, s))``, ``swish_matmul``
-against ``matmul(swish(a), b)``, and ``attention_context`` against
+from: ``add(a, b, s)`` against ``add(a, scale(b, s))``, a product's
+``residual`` and ``s`` against ``add(residual, product, s)``,
+``swish_matmul`` against ``matmul(swish(a), b)``, and
+``attention_context`` against
 ``attention_chain``: head splits, the content matmul,
 ``attention_weights`` (itself checked against ``softmax`` of the summed
 scores), the context matmul and the merge. Each op is built from the
@@ -26,6 +28,20 @@ import numpy as np
 from confshare.autodiff import (ShapeError, Tensor, _result, _sigmoid, _skew, _softmax,
                                 _softmax_grad, matmul, transpose)
 from confshare.presets import SMALL_SUFFIX, Preset, preset, preset_names
+
+
+def add(a: Tensor, b: Tensor, s: float | None = None) -> Tensor:
+    """Elementwise sum of two same-shaped tensors, or ``a + s * b`` as one
+    node: the product is taken first and ``a`` added into it, the same
+    bytes as ``add(a, scale(b, s))`` because addition commutes. The
+    unfused form of a product's ``residual`` and ``s``."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add: incompatible shapes {a.shape} + {b.shape}")
+    if s is None:
+        return _result(a.data + b.data, "add", (a, b), lambda g: (g, g))
+    out = b.data * s
+    out += a.data
+    return _result(out, "add", (a, b), lambda g: (g, g * s))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from confshare.autodiff import (_SCRATCH, NonFiniteError, Rng, RowRange, ShapeError, Tape,
-                                Tensor, _sigmoid, _skew, add, attention_context,
+                                Tensor, _sigmoid, _skew, attention_context,
                                 backward, concat_rows, cross_entropy_mean,
                                 depthwise_conv1d, finite_diff_grad, glu,
                                 layer_norm, linear_swish_matmul, matmul, relative_error,
                                 slice_rows, sum_all, swish_matmul, transpose, zero_grads)
 from conftest import assert_params_match_fd, bound_block, rand_tensor, traced_peak
-from oracles import attention_chain, attention_weights, mul, scale, softmax, swish
+from oracles import add, attention_chain, attention_weights, mul, scale, softmax, swish
 
 
 class TestRng:
@@ -567,6 +567,87 @@ class TestPlumbing:
             add(rand_tensor(rng, (2, 3)), rand_tensor(rng, (3, 2)), s)
 
 
+def _residual_operands(op: str, rows: int, draw):
+    """The operands of one product ``op`` over ``rows`` rows of width 6,
+    each as the model calls it: a bias on every product, and the
+    feed-forward's low-rank form (transposed w) for ``linear_swish_matmul``."""
+    if op == "matmul":
+        return (draw(rows, 5), draw(6, 5)), {"transpose_b": True, "bias": draw(6)}
+    if op == "swish_matmul":
+        return (draw(rows, 5), draw(5, 6)), {"bias": draw(6)}
+    return (draw(rows, 4), draw(9, 4), draw(9), draw(9, 6)), {"bias": draw(6),
+                                                             "transpose_w": True}
+
+
+_PRODUCTS = {"matmul": matmul, "swish_matmul": swish_matmul,
+             "linear_swish_matmul": linear_swish_matmul}
+
+
+class TestResidual:
+    """A product with ``residual`` and ``s`` is residual + s·(product + bias):
+    the bytes of the unfused ``add(residual, product, s)``."""
+
+    @pytest.mark.parametrize("B", [1, 3])
+    @pytest.mark.parametrize("s", [None, 0.5])
+    @pytest.mark.parametrize("op", list(_PRODUCTS))
+    def test_bytes_equal_add_of_the_product(self, rng, op, s, B):
+        def draw(*shape):
+            return Tensor(_with_signed_zeros(rng.uniform(-2.0, 2.0, shape)),
+                          requires_grad=True)
+
+        rows = B * 4
+        args, kwargs = _residual_operands(op, rows, draw)
+        x = draw(rows, 6)
+        g = _with_signed_zeros(rng.uniform(-1.0, 1.0, (rows, 6)))
+        fused = _PRODUCTS[op](*args, **kwargs, residual=x, s=s)
+        product = _PRODUCTS[op](*args, **kwargs)
+        pair = add(x, product, s)
+        assert fused.op == op
+        assert fused._parents[-1] is x
+        assert fused.data.tobytes() == pair.data.tobytes()
+        # every parent gradient, as the two rules hand it to backward
+        got = fused._backward(g)
+        gx, gproduct = pair._backward(g)
+        want = [*product._backward(gproduct), gx]
+        assert len(got) == len(want) == len(fused._parents)
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert a.tobytes() == b.tobytes(), f"gradient {i}"
+
+    @pytest.mark.parametrize("s", [None, -0.5])
+    @pytest.mark.parametrize("op", list(_PRODUCTS))
+    def test_gradients(self, rng, op, s):
+        def draw(*shape):
+            return rand_tensor(rng, shape, requires_grad=True, scale=2.0)
+
+        args, kwargs = _residual_operands(op, 3, draw)
+        x = draw(3, 6)
+        named = {f"x{i}": t for i, t in enumerate((*args, kwargs["bias"]))}
+        named["residual"] = x
+        c = Tensor(rng.uniform(-1, 1, (3, 6)))
+
+        def make_loss():
+            return sum_all(mul(_PRODUCTS[op](*args, **kwargs, residual=x, s=s), c))
+
+        assert_params_match_fd(named, make_loss)
+
+    @pytest.mark.parametrize("op", list(_PRODUCTS))
+    def test_rejects_a_residual_that_does_not_fit(self, rng, op):
+        def draw(*shape):
+            return rand_tensor(rng, shape)
+
+        args, kwargs = _residual_operands(op, 4, draw)
+        for shape in ((4, 5), (3, 6), (6,), (1, 4, 6)):
+            with pytest.raises(ShapeError, match=rf"^{op}: residual \({shape[0]},"):
+                _PRODUCTS[op](*args, **kwargs, residual=draw(*shape), s=0.5)
+        with pytest.raises(ValueError, match=f"^{op}: a scale s needs a residual"):
+            _PRODUCTS[op](*args, **kwargs, s=0.5)
+
+    def test_rejects_a_residual_on_a_batched_product(self, rng):
+        with pytest.raises(ShapeError, match=r"^matmul: residual \(2, 4, 5\) .*2-d operands"):
+            matmul(rand_tensor(rng, (2, 4, 3)), rand_tensor(rng, (2, 3, 5)),
+                   residual=rand_tensor(rng, (2, 4, 5)))
+
+
 class TestDepthwiseConv:
     def test_center_delta_kernel_is_identity(self, rng):
         x = rand_tensor(rng, (9, 4))
@@ -858,6 +939,13 @@ class TestBackward:
         pytest.param(lambda a, w, c, b: linear_swish_matmul(a, w, c, b, transpose_w=True),
                      [(3, 4), (6, 4), (6,), (6, 5)], (1, 2, 3),
                      id="linear_swish_matmul-weights"),
+        pytest.param(lambda a, b, r: matmul(a, b, residual=r, s=0.5),
+                     [(3, 4), (4, 5), (3, 5)], (2,), id="matmul-residual"),
+        pytest.param(lambda a, b, r: swish_matmul(a, b, residual=r),
+                     [(3, 4), (4, 5), (3, 5)], (0, 1), id="swish_matmul-residual-operands"),
+        pytest.param(lambda a, w, c, b, r: linear_swish_matmul(a, w, c, b, residual=r, s=0.5),
+                     [(3, 4), (4, 6), (6,), (6, 5), (3, 5)], (4,),
+                     id="linear_swish_matmul-residual"),
         pytest.param(add, [(2, 3), (2, 3)], (1,), id="add"),
         pytest.param(lambda a, b: add(a, b, 0.5), [(2, 3), (2, 3)], (0,), id="add-scaled"),
         pytest.param(lambda a: transpose(a, (1, 0, 2), (2, 3, 2), (6, 2)), [(6, 2)], (0,),
@@ -940,6 +1028,12 @@ class TestRetainedMemory:
                                        rand_tensor(rng, (10, 4), requires_grad=True),
                                        rand_tensor(rng, (4,), requires_grad=True),
                                        transpose_w=True)
+        if op.endswith("-residual"):
+            product = op.removesuffix("-residual")
+            args, kwargs = _residual_operands(
+                product, 6, lambda *shape: rand_tensor(rng, shape, requires_grad=True))
+            return _PRODUCTS[product](*args, **kwargs, s=0.5,
+                                      residual=rand_tensor(rng, (6, 6), requires_grad=True))
         if op == "layer_norm":
             return layer_norm(rand_tensor(rng, (6, 10), requires_grad=True),
                               rand_tensor(rng, (10,), requires_grad=True),
@@ -965,7 +1059,9 @@ class TestRetainedMemory:
 
     @pytest.mark.parametrize("op", ["swish", "layer_norm", "attention_weights", "glu",
                                     "depthwise_conv1d", "swish_matmul", "linear_swish_matmul",
-                                    "transpose", "add", "attention_context"])
+                                    "transpose", "add", "attention_context",
+                                    "matmul-residual", "swish_matmul-residual",
+                                    "linear_swish_matmul-residual"])
     def test_rule_holds_no_output_sized_array_of_its_own(self, op, rng):
         node = self._build(op, rng)
         held = [cell.cell_contents for cell in node._backward.__closure__]
@@ -996,10 +1092,13 @@ class TestRetainedMemory:
         rng = Rng(1)
         return model, rng.uniform(-1, 1, (128, 80)), rng.integers(8, (128,))
 
-    def test_two_layer_lrs3_shape_forward_holds_at_most_15_mib(self):
+    def test_two_layer_lrs3_shape_forward_holds_at_most_10_mib(self):
         from confshare.encoder import encoder_forward
 
         model, features, labels = self._two_layer_lrs3()
+        # a first forward sizes the scratch buffers, which every later one
+        # reuses, so what is measured is what the forward itself keeps
+        encoder_forward(Tensor(features), model)
         started = not tracemalloc.is_tracing()
         if started:
             tracemalloc.start()
@@ -1010,7 +1109,7 @@ class TestRetainedMemory:
         finally:
             if started:
                 tracemalloc.stop()
-        assert held <= 15 * 2**20, f"the forward pass holds {held / 2**20:.1f} MiB"
+        assert held <= 10 * 2**20, f"the forward pass holds {held / 2**20:.1f} MiB"
         backward(loss)
         assert all(t.grad is not None for t in model.parameters())
 

@@ -3,7 +3,7 @@ import pytest
 
 from confshare.autodiff import ShapeError, Tensor, backward, sum_all
 from confshare.blocks import (LN_EPS, ModelConfig, attention, conformer_block,
-                              conv_module, feed_forward, layer_norm)
+                              conv_module, feed_forward, layer_norm, table_heads)
 from conftest import assert_params_match_fd, bound_block, rand_tensor
 from oracles import mul
 
@@ -150,6 +150,15 @@ class TestAttention:
         ops = [n.op for n in tape.nodes]
         assert ops.count("slice_rows") == 1  # the rel-table window
         assert "concat_rows" not in ops
+
+    def test_given_table_heads_give_the_bytes_of_its_own(self, rng):
+        p = bound_block(_cfg(), 8).attn
+        x = rand_tensor(rng, (3 * 5, 8))
+        own = attention(x, p, frames=5)
+        given = attention(x, p, frames=5, table=table_heads(p, 5))
+        assert own.data.tobytes() == given.data.tobytes()
+        with pytest.raises(ShapeError, match=r"^attention_context: .*\(6, 5, 7\)$"):
+            attention(x, p, frames=5, table=table_heads(p, 4))
 
     def test_packed_utterances_match_separate_calls(self, rng):
         p = bound_block(_cfg(), 8).attn

@@ -13,7 +13,7 @@ from confshare.accounting import count_params
 from confshare.checkpoint import load_checkpoint, save_checkpoint
 from confshare.cli import main
 from confshare.blocks import ModelConfig
-from confshare.configio import (ConfigError, parse_config_text,
+from confshare.configio import (ConfigError, parse_config_text, parse_int,
                                 serialize_config)
 from confshare.encoder import bind_model, encoder_forward
 from confshare.presets import calibrated_defaults, preset, preset_names
@@ -156,6 +156,14 @@ class TestConfigGrammar:
         ("model.t_max = 0", r"^line 13: model\.t_max: t_max must be positive"),
         ("model.input_dim = 0", r"^line 13: model\.input_dim: input_dim must be positive"),
         ("plan.lowrank_k = 0", r"^line 14: plan\.lowrank_k: low-rank k must be >= 1"),
+        # int() would take these, so two spellings would parse as one value
+        ("model.d = 1_44", r"^line 13: model\.d: expected an integer, got '1_44'$"),
+        ("model.d = \uff11\uff14\uff14",
+         r"^line 13: model\.d: expected an integer, got '\uff11\uff14\uff14'$"),
+        ("plan.v = 1_2", r"^line 13: plan\.v: expected an integer, got '1_2'$"),
+        ("plan.lowrank_k = 5_0", r"^line 14: plan\.lowrank_k: expected an integer, got '5_0'$"),
+        ("plan.i_conv = 1,1,\u0661", r"^line 13: plan\.i_conv: expected comma-separated "
+                                      r"integers, got '1,1,\u0661'$"),
     ])
     def test_parse_errors(self, line, message):
         p = preset("SL3")
@@ -165,6 +173,17 @@ class TestConfigGrammar:
         text = "\n".join(kept + [line]) + "\n"
         with pytest.raises(ConfigError, match=message):
             parse_config_text(text)
+
+    @pytest.mark.parametrize("value,expected", [("0", 0), ("+7", 7), ("-12", -12),
+                                                ("18446744073709551616", 2**64)])
+    def test_parse_int_takes_ascii_digits(self, value, expected):
+        assert parse_int(value) == expected
+
+    @pytest.mark.parametrize("value", ["", "+", "1_0", " 1", "1 ", "1.0", "0x10", "\u0663",
+                                       "\uff11", "1\n"])
+    def test_parse_int_rejects_what_is_not_ascii_digits(self, value):
+        with pytest.raises(ValueError, match="invalid integer"):
+            parse_int(value)
 
     def test_missing_keys_reported(self):
         with pytest.raises(ConfigError, match="missing model keys"):
@@ -355,6 +374,11 @@ class TestCheckpoints:
         ("tensor = encoder|head.b|1|8\n", "tensor = encoder|head.b|8\n",
          r"expected tensor = module\|name\|group\|shape, got 'encoder\|head\.b\|8'"),
         ("seed = 1\n", "seed = x1\n", "seed: expected an integer, got 'x1'"),
+        ("seed = 1\n", "seed = 1_0\n", "seed: expected an integer, got '1_0'$"),
+        ("seed = 1\n", "seed = \uff11\n", "seed: expected an integer, got '\uff11'$"),
+        ("|80x16\n", "|80x1_6\n", "tensor shape: expected an integer, got '1_6'$"),
+        ("model.d = 16\n", "model.d = 1_6\n", r"model\.d: expected an integer, got '1_6'$"),
+        ("payload_bytes = ", "payload_bytes = 0_", "payload_bytes: expected an integer"),
         ("|80x16\n", "|80xq\n", "tensor shape: expected an integer, got 'q'"),
         ("model.d = 16\n", "model.d = x6\n", r"model\.d: expected an integer, got 'x6'"),
         ("payload_bytes = ", "payload_bytes = 12z", "payload_bytes: expected an integer"),

@@ -323,6 +323,27 @@ class TestEncoderComposition:
         manual = matmul(h, model.store[HEAD_W], bias=model.store[HEAD_B])
         assert np.array_equal(logits.data, manual.data)
 
+    @pytest.mark.parametrize("utts", [1, 3])
+    def test_table_heads_are_built_once_per_forward(self, utts):
+        from confshare.autodiff import Tape
+        from confshare.sharing import REL_TABLE
+
+        cfg = _cfg(d=16, heads=4)
+        model = bind_model(cfg, repeat_plan(2, 2), seed=7)
+        T = 5
+        x = Rng(5).uniform(-1, 1, (utts, T, cfg.input_dim))
+        nodes = Tape.trace(encoder_forward(Tensor(x), model)).nodes
+        table = model.store[REL_TABLE]
+        # one slice of the table and one head split for all four layers
+        (window,) = [n for n in nodes if any(p is table for p in n._parents)]
+        assert window.op == "slice_rows"
+        (heads,) = [n for n in nodes if any(p is window for p in n._parents)]
+        assert heads.op == "transpose" and heads.shape == (4, 2 * T - 1, 4)
+        # every layer's positional products, one per utterance, read those heads
+        positional = [n for n in nodes if n.op == "matmul" and n.ndim == 3]
+        assert len(positional) == 4 * utts
+        assert [n for n in nodes if any(p is heads for p in n._parents)] == positional
+
     def test_empty_schedule_is_head_of_frontend(self):
         from confshare.autodiff import Tensor, matmul
         from confshare.sharing import FRONTEND_B, FRONTEND_W, HEAD_B, HEAD_W

@@ -6,7 +6,7 @@ import pytest
 
 import confshare.encoder
 import confshare.training
-from confshare.autodiff import (Rng, ShapeError, Tensor, add, backward,
+from confshare.autodiff import (Rng, ShapeError, Tensor, backward,
                                 cross_entropy_mean, zero_grads)
 from confshare.blocks import ModelConfig, conformer_block
 from confshare.encoder import (bind_model, encoder_forward, first_stages,
@@ -22,7 +22,7 @@ from confshare.training import _loss_from as loss_from
 from dataclasses import replace
 
 from conftest import traced_peak
-from oracles import scale
+from oracles import add, scale
 
 
 def _cfg(**kw):
@@ -188,7 +188,7 @@ class TestTrainSteps:
             texts.append(serialize_report(report))
         assert texts[0].encode() == texts[1].encode()
 
-    def test_toy_train_config_tape_is_283_nodes(self):
+    def test_toy_train_config_tape_is_249_nodes(self):
         # the benchmark's toy_train config: a packed 4x32 batch through repeat_plan(2, 3)
         model = bind_model(ModelConfig(d=32, e=7.25, heads=4, kernel_width=11),
                            repeat_plan(2, 3), 11)
@@ -196,15 +196,17 @@ class TestTrainSteps:
         ops = [n.op for n in backward(loss).nodes]
         layers = len(model.virtual_blocks())
         assert layers == 6
-        assert len(ops) == 283
+        assert len(ops) == 249
         # attention from the projections to the context is one node per layer,
-        # and only the positional query and table window are split into heads
+        # only the positional query is split into heads per layer, and the
+        # table window is sliced and split once for all layers
         assert ops.count("attention_context") == layers
-        assert ops.count("transpose") == 2 * layers
-        # each feed-forward is one node from linear1 to linear2, and its
-        # half-step a scaled add, not add of a scale
+        assert ops.count("transpose") == layers + 1
+        assert ops.count("slice_rows") == 4 * layers + 1
+        # each feed-forward is one node from linear1 to linear2, and every
+        # residual is added by its module's last product: no add, no scale
         assert ops.count("linear_swish_matmul") == 2 * layers
-        assert "scale" not in ops
+        assert "add" not in ops and "scale" not in ops
 
     def test_class_count_mismatch_rejected(self):
         model = bind_model(_cfg(num_classes=4), repeat_plan(1, 1), seed=0)

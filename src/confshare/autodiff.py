@@ -27,21 +27,33 @@ relative-position scores to the context, one node per layer over all
 heads of a batch, which reads the heads as strided views. The three
 2-d products also take an optional residual and scale and output
 residual + s·(product + bias), so no residual connection is a node of
-its own (a 4×32 toy step records 249 nodes, an LRS3 T=128 one 1,283).
-The tests' unfused oracles for these ops, ``add`` among them, live in
-``tests/oracles.py``.
+its own, and an optional ``norm=(gamma, beta)`` prologue that
+multiplies layer_norm(a, gamma, beta) instead of ``a``, so a layer norm
+that feeds one product is no node of its own (a 4×32 toy step records
+225 nodes, an LRS3 T=128 one 1,123). The tests' unfused oracles for
+these ops, ``add`` among them, live in ``tests/oracles.py``.
 
 A rule keeps only the arrays it reads and cannot get from its parents'
-data or its own output: ``swish_matmul`` keeps no activation and
-recomputes its sigmoid once, for both the activation that ``b``'s
-gradient reads and its derivative; ``linear_swish_matmul`` keeps neither
-the activation nor the pre-activation, and rebuilds the latter with the
-same product and bias add before it runs ``swish_matmul``'s and
-``matmul``'s rule arithmetic, so no feed-forward-wide array stays on the
-tape; glu recomputes its sigmoid from the input, the convolution
-rebuilds its padded input, layer norm keeps one mean and one inverse
-deviation per row, and ``attention_context`` keeps only its softmax
-weights.
+data or its own output, and rebuilds the rest by the forward's own ops,
+so its bytes are those of keeping them:
+
+* ``matmul`` keeps nothing. With a ``norm`` prologue, as every product,
+  it keeps layer norm's per-row mean and inverse deviation, and rebuilds
+  x̂ and LN(a) from them before its own rule arithmetic and then layer
+  norm's;
+* ``swish_matmul`` keeps no activation and recomputes its sigmoid once,
+  for both the activation that ``b``'s gradient reads and its
+  derivative;
+* ``linear_swish_matmul`` keeps neither the activation nor the
+  pre-activation, and rebuilds the latter with the same product and
+  bias add before it runs ``swish_matmul``'s and ``matmul``'s rule
+  arithmetic, so no feed-forward-wide array stays on the tape;
+* glu recomputes its sigmoid from the input, and the convolution
+  rebuilds its padded input;
+* ``layer_norm`` keeps one mean and one inverse deviation per row;
+* ``attention_context`` keeps nothing of its own: it rebuilds its
+  softmax weights from q, k and the positional scores, so no
+  (B·H, T, T) array outlives the forward.
 
 The elementwise kernels write into buffers they own rather than
 allocating a temporary per step, and the sigmoid is branch-free: it
@@ -59,6 +71,9 @@ pages in for it (the idea of PyTorch's caching allocator). The slots:
 
 * ``sigmoid.den`` and ``sigmoid.mask``: the sigmoid's denominator and
   sign mask, in every sigmoid;
+* ``norm.y`` and ``norm.xhat``: a ``norm`` prologue's LN(a), built in the
+  forward and rebuilt in the rule, and the x̂ that its rule and
+  ``layer_norm``'s rebuild;
 * ``swish_matmul.act``: the activation, in the forward of
   ``swish_matmul`` and of ``linear_swish_matmul``;
 * ``swish_matmul.s`` and ``swish_matmul.ga``: the sigmoid and g @ bᵀ of
@@ -69,6 +84,8 @@ pages in for it (the idea of PyTorch's caching allocator). The slots:
 * ``glu.s``: the rule's sigmoid;
 * ``conv.xp`` and ``conv.tap``: the convolution's padded input and its
   per-tap products, in the forward and in the rule;
+* ``attention_context.p``: the scores and then the softmax weights, built
+  in the forward and rebuilt in the rule;
 * ``softmax_grad.gp``: the g·p product of ``attention_context``'s rule;
 * ``adam.step`` and ``adam.den``: ``training.OptimizerState``'s update.
 
@@ -409,10 +426,12 @@ def _scratch_view(slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # ops
 
+LN_EPS = 1e-6  # layer_norm's default, and the eps of every norm= prologue
+
 
 def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
            bias: Tensor | None = None, residual: Tensor | None = None,
-           s: float | None = None) -> Tensor:
+           s: float | None = None, norm: tuple[Tensor, Tensor] | None = None) -> Tensor:
     """Matrix product. 2-d x 2-d, or 3-d x 3-d batched over the leading axis.
 
     ``transpose_b=True`` computes ``a @ swap(b)`` without materializing the
@@ -421,7 +440,11 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
     product in place, so a linear layer is one tape node. ``residual``
     (2-d operands only) makes the node residual + s·(product + bias), or
     residual + product + bias without ``s`` (``_add_residual``), so a
-    residual connection takes no node of its own.
+    residual connection takes no node of its own. ``norm=(gamma, beta)``
+    (2-d operands only) multiplies layer_norm(a, gamma, beta) instead of
+    ``a``, as a prologue of this node (``_norm_prologue``): the parents
+    are (a, gamma, beta, b, ...), and the rule rebuilds the normalized
+    operand, so the tape keeps no copy of it.
     """
     ad, bd = a.data, b.data
     if ad.ndim != bd.ndim or ad.ndim not in (2, 3):
@@ -430,24 +453,28 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
     if ad.shape[-1] != b_eff_inner or (ad.ndim == 3 and ad.shape[0] != bd.shape[0]):
         raise ShapeError(f"matmul: inner extents differ: {ad.shape} @ {bd.shape}"
                          f"{' (transposed)' if transpose_b else ''}")
+    ad, parents, mu, inv = _norm_prologue(a, norm, "matmul")
+    gamma, beta = norm or (None, None)
     out = ad @ (np.swapaxes(bd, -1, -2) if transpose_b else bd)
-    parents = (a, b)
+    parents = (*parents, b)
     if bias is not None:
         if ad.ndim != 2 or bias.data.shape != out.shape[1:]:
             raise ShapeError(f"matmul: bias {bias.shape} does not fit product "
                              f"{out.shape} (2-d operands only)")
         out += bias.data
-        parents = (a, b, bias)
+        parents = (*parents, bias)
     parents = _add_residual(out, residual, s, "matmul", parents)
 
     def rule(g):
         gp = g if s is None else g * s  # the product's gradient
+        ad, xhat = _norm_operand(a, gamma, beta, mu, inv)
         if transpose_b:
             # out = a @ b^T  =>  d_a = g @ b,  d_b = g^T @ a
-            grads = (gp @ b.data, np.swapaxes(gp, -1, -2) @ a.data)
+            grads = (gp @ b.data, np.swapaxes(gp, -1, -2) @ ad)
         else:
-            grads = (gp @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ gp)
-        return _bias_residual_grads(grads, g, gp, bias, residual)
+            grads = (gp @ np.swapaxes(b.data, -1, -2), np.swapaxes(ad, -1, -2) @ gp)
+        return _bias_residual_grads(_norm_grads(grads, xhat, gamma, inv), g, gp, bias,
+                                    residual)
 
     return _result(out, "matmul", parents, rule)
 
@@ -566,9 +593,11 @@ def _add_bias(out: np.ndarray, bias: Tensor | None, op: str, parents: tuple) -> 
 
 
 def swish_matmul(a: Tensor, b: Tensor, bias: Tensor | None = None,
-                 residual: Tensor | None = None, s: float | None = None) -> Tensor:
+                 residual: Tensor | None = None, s: float | None = None,
+                 norm: tuple[Tensor, Tensor] | None = None) -> Tensor:
     """swish(a) @ b (+ bias) for 2-d operands, as one node, made residual +
-    s·(swish(a) @ b + bias) by a ``residual`` as in ``matmul``.
+    s·(swish(a) @ b + bias) by a ``residual``, and swish(LN(a)) @ b by a
+    ``norm``, as in ``matmul``.
 
     The activation is dropped once the product is taken, so the tape
     keeps ``a`` and not ``swish(a)``; the rule rebuilds it
@@ -577,13 +606,18 @@ def swish_matmul(a: Tensor, b: Tensor, bias: Tensor | None = None,
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"swish_matmul supports 2d@2d with equal inner extents, "
                          f"got {a.shape} @ {b.shape}")
-    out = _swish_product(a.data, b.data)
+    ad, parents, mu, inv = _norm_prologue(a, norm, "swish_matmul")
+    gamma, beta = norm or (None, None)
+    out = _swish_product(ad, b.data)
     parents = _add_residual(out, residual, s, "swish_matmul",
-                            _add_bias(out, bias, "swish_matmul", (a, b)))
+                            _add_bias(out, bias, "swish_matmul", (*parents, b)))
 
     def rule(g):
         gp = g if s is None else g * s
-        return _bias_residual_grads(_swish_product_grad(a.data, b.data, gp), g, gp,
+        ad, xhat = _norm_operand(a, gamma, beta, mu, inv)
+        # a rebuilt operand is scratch, so LN(a)'s gradient may overwrite it
+        grads = _swish_product_grad(ad, b.data, gp, out=None if xhat is None else ad)
+        return _bias_residual_grads(_norm_grads(grads, xhat, gamma, inv), g, gp,
                                     bias, residual)
 
     return _result(out, "swish_matmul", parents, rule)
@@ -591,10 +625,11 @@ def swish_matmul(a: Tensor, b: Tensor, bias: Tensor | None = None,
 
 def linear_swish_matmul(a: Tensor, w: Tensor, c: Tensor, b: Tensor,
                         bias: Tensor | None = None, transpose_w: bool = False,
-                        residual: Tensor | None = None, s: float | None = None) -> Tensor:
+                        residual: Tensor | None = None, s: float | None = None,
+                        norm: tuple[Tensor, Tensor] | None = None) -> Tensor:
     """swish(a @ w + c) @ b (+ bias) for 2-d operands, as one node, made
-    residual + s·(swish(a @ w + c) @ b + bias) by a ``residual`` as in
-    ``matmul``.
+    residual + s·(swish(a @ w + c) @ b + bias) by a ``residual``, and
+    swish(LN(a) @ w + c) @ b by a ``norm``, as in ``matmul``.
 
     ``transpose_w=True`` reads w as its transpose, as ``matmul``'s
     ``transpose_b`` does. The (rows, n) pre-activation a @ w + c is built
@@ -613,30 +648,33 @@ def linear_swish_matmul(a: Tensor, w: Tensor, c: Tensor, b: Tensor,
                          f"{w.shape}, {c.shape} and {b.shape}")
     rows = a.shape[0]
 
-    def pre_activation():
-        pre = np.matmul(a.data, w.data.T if transpose_w else w.data,
+    def pre_activation(ad):
+        pre = np.matmul(ad, w.data.T if transpose_w else w.data,
                         out=_scratch("linear_swish_matmul.pre", (rows, n)))
         pre += c.data
         return pre
 
-    pre = pre_activation()
+    ad, parents, mu, inv = _norm_prologue(a, norm, "linear_swish_matmul")
+    gamma, beta = norm or (None, None)
+    pre = pre_activation(ad)
     if not np.isfinite(pre).all():
         raise NonFiniteError("matmul produced non-finite values")
     out = _swish_product(pre, b.data)
     parents = _add_residual(out, residual, s, "linear_swish_matmul",
-                            _add_bias(out, bias, "linear_swish_matmul", (a, w, c, b)))
+                            _add_bias(out, bias, "linear_swish_matmul", (*parents, w, c, b)))
 
     def rule(g):
         gout = g if s is None else g * s
+        ad, xhat = _norm_operand(a, gamma, beta, mu, inv)
         # the pre-activation's gradient overwrites it in scratch
-        pre = pre_activation()
+        pre = pre_activation(ad)
         gp, gb = _swish_product_grad(pre, b.data, gout, out=pre)
         if transpose_w:
-            ga, gw = gp @ w.data, gp.T @ a.data
+            ga, gw = gp @ w.data, gp.T @ ad
         else:
-            ga, gw = gp @ w.data.T, a.data.T @ gp
-        return _bias_residual_grads((ga, gw, np.add.reduce(gp, axis=0), gb), g, gout,
-                                    bias, residual)
+            ga, gw = gp @ w.data.T, ad.T @ gp
+        grads = _norm_grads((ga, gw, np.add.reduce(gp, axis=0), gb), xhat, gamma, inv)
+        return _bias_residual_grads(grads, g, gout, bias, residual)
 
     return _result(out, "linear_swish_matmul", parents, rule)
 
@@ -664,40 +702,114 @@ def glu(a: Tensor) -> Tensor:
     return _result(out, "glu", (a,), rule)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize the last axis to zero mean / unit population variance,
-    then scale and shift: gamma * (x - mean) / sqrt(var + eps) + beta."""
-    d = x.data.shape[-1]
+def _check_norm_params(op: str, d: int, gamma: Tensor, beta: Tensor):
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
-        raise ShapeError(f"layer_norm: gamma/beta must be shape ({d},), "
+        raise ShapeError(f"{op}: gamma/beta must be shape ({d},), "
                          f"got {gamma.shape} and {beta.shape}")
-    if eps <= 0:
-        raise ValueError("layer_norm: eps must be positive")
+
+
+def _normalize(x: np.ndarray, eps: float, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x̂ = (x - mean) / sqrt(var + eps) over the last axis, written into
+    ``out``; returns the per-row mean and inverse deviation, from which
+    ``_rebuild_xhat`` gives back the same bytes."""
+    d = x.shape[-1]
     # sum then divide, as ndarray.mean does, without its per-call overhead
-    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
-    xhat = x.data - mu
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / d
+    xhat = np.subtract(x, mu, out=out)
     var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    out = gamma.data * xhat
+    return mu, inv
+
+
+def _rebuild_xhat(x: np.ndarray, mu: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """``_normalize``'s x̂, rebuilt in scratch by its ops from the per-row
+    mean and inverse deviation."""
+    xhat = np.subtract(x, mu, out=_scratch("norm.xhat", x.shape))
+    xhat *= inv
+    return xhat
+
+
+def _layer_norm_grad(g: np.ndarray, xhat: np.ndarray, gamma: np.ndarray,
+                     inv: np.ndarray) -> tuple:
+    """The gradients of gamma * x̂ + beta for output gradient g: x's,
+    gamma's and beta's. Overwrites ``xhat``."""
+    d = g.shape[-1]
+    gh = g * gamma
+    m1 = np.add.reduce(gh, axis=-1, keepdims=True) / d
+    m2 = np.add.reduce(gh * xhat, axis=-1, keepdims=True) / d
+    axes = tuple(range(g.ndim - 1))
+    ggamma = np.add.reduce(g * xhat, axis=axes)
+    gh -= m1
+    xhat *= m2
+    gh -= xhat
+    gh *= inv  # inv * (gh - m1 - xhat * m2)
+    return gh, ggamma, np.add.reduce(g, axis=axes)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LN_EPS) -> Tensor:
+    """Normalize the last axis to zero mean / unit population variance,
+    then scale and shift: gamma * (x - mean) / sqrt(var + eps) + beta.
+    The rule keeps one mean and one inverse deviation per row and
+    rebuilds x̂ from them. A norm that feeds one 2-d product is that
+    product's ``norm=`` prologue instead (``_norm_prologue``)."""
+    _check_norm_params("layer_norm", x.data.shape[-1], gamma, beta)
+    if eps <= 0:
+        raise ValueError("layer_norm: eps must be positive")
+    out = np.empty_like(x.data)
+    mu, inv = _normalize(x.data, eps, out)
+    out *= gamma.data
     out += beta.data
 
     def rule(g):
-        # rebuild xhat from the per-row mu and inv: the same bytes as above
-        xhat = x.data - mu
-        xhat *= inv
-        gh = g * gamma.data
-        m1 = np.add.reduce(gh, axis=-1, keepdims=True) / d
-        m2 = np.add.reduce(gh * xhat, axis=-1, keepdims=True) / d
-        axes = tuple(range(g.ndim - 1))
-        ggamma = np.add.reduce(g * xhat, axis=axes)
-        gh -= m1
-        xhat *= m2
-        gh -= xhat
-        gh *= inv  # inv * (gh - m1 - xhat * m2)
-        return gh, ggamma, np.add.reduce(g, axis=axes)
+        return _layer_norm_grad(g, _rebuild_xhat(x.data, mu, inv), gamma.data, inv)
 
     return _result(out, "layer_norm", (x, gamma, beta), rule)
+
+
+def _norm_prologue(x: Tensor, norm: tuple[Tensor, Tensor] | None, op: str):
+    """A product's left operand, its parents, and what its rule keeps to
+    rebuild the operand: x's data, (x,) and no statistics without
+    ``norm``. With ``norm=(gamma, beta)``, the operand is
+    LN(x) = gamma * x̂ + beta (eps ``LN_EPS``) in the ``norm.y`` scratch
+    slot, checked as a ``layer_norm`` output would be, the parents are
+    (x, gamma, beta), and the statistics are layer norm's per-row mean
+    and inverse deviation."""
+    if norm is None:
+        return x.data, (x,), None, None
+    gamma, beta = norm
+    if x.ndim != 2:
+        raise ShapeError(f"{op}: a norm needs 2-d operands, got {x.shape}")
+    _check_norm_params(op, x.shape[1], gamma, beta)
+    y = _scratch("norm.y", x.shape)
+    mu, inv = _normalize(x.data, LN_EPS, y)
+    y *= gamma.data
+    y += beta.data
+    if not np.isfinite(y).all():
+        raise NonFiniteError("layer_norm produced non-finite values")
+    return y, (x, gamma, beta), mu, inv
+
+
+def _norm_operand(x: Tensor, gamma: Tensor | None, beta: Tensor | None,
+                  mu: np.ndarray | None, inv: np.ndarray | None):
+    """For a rule: the left operand and x̂, rebuilt in scratch by the
+    prologue's ops (x's data and None without a prologue)."""
+    if mu is None:
+        return x.data, None
+    xhat = _rebuild_xhat(x.data, mu, inv)
+    y = np.multiply(xhat, gamma.data, out=_scratch("norm.y", x.shape))
+    y += beta.data
+    return y, xhat
+
+
+def _norm_grads(grads: tuple, xhat: np.ndarray | None, gamma: Tensor | None,
+                inv: np.ndarray | None) -> tuple:
+    """A product's operand gradients, with the first, LN(x)'s, replaced by
+    layer norm's gradients of x, gamma and beta when there is a prologue
+    (``xhat`` from ``_norm_operand``, which this overwrites)."""
+    if xhat is None:
+        return grads
+    return (*_layer_norm_grad(grads[0], xhat, gamma.data, inv), *grads[1:])
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -832,8 +944,13 @@ def attention_context(q: Tensor, k: Tensor, pos_full: Tensor, v: Tensor,
 
     The q kᵀ product is checked as a matmul and the weights as this op,
     so a score that overflows raises even where the softmax would hide
-    it. The rule keeps only the weights and reads q, k and v from the
-    parents; it writes their gradients through the head views and the
+    it. The weights are built in the ``attention_context.p`` scratch
+    slot and dropped once the context is taken, so the node keeps no
+    array of its own: the rule rebuilds them there from q, k and
+    pos_full by the forward's ops in the forward's order (the q kᵀ
+    product, the skew add, the scale, ``_softmax``), so the bytes are
+    the same, at one more q kᵀ product and softmax in backward. It
+    writes the gradients of q, k and v through the head views and the
     positional gradient into a zeroed array through the skew view.
     """
     rows, d = q.shape if q.ndim == 2 else (0, 0)
@@ -849,18 +966,27 @@ def attention_context(q: Tensor, k: Tensor, pos_full: Tensor, v: Tensor,
     def heads(a):  # (B·T, d) -> (B, H, T, dh), a view
         return a.reshape(B, T, H, dh).transpose(0, 2, 1, 3)
 
-    z = np.matmul(heads(q.data), np.swapaxes(heads(k.data), -1, -2)).reshape(BH, T, T)
+    def scores():  # q kᵀ, in scratch
+        z = _scratch("attention_context.p", (B, H, T, T))
+        return np.matmul(heads(q.data), np.swapaxes(heads(k.data), -1, -2),
+                         out=z).reshape(BH, T, T)
+
+    def weights(z):  # the softmax of the scaled scores, over z
+        z += _skew(pos_full.data)
+        z *= scale
+        return _softmax(z)
+
+    z = scores()
     if not np.isfinite(z).all():
         raise NonFiniteError("matmul produced non-finite values")
-    z += _skew(pos_full.data)
-    z *= scale
-    p = _softmax(z)
+    p = weights(z)
     if not np.isfinite(p).all():
         raise NonFiniteError("attention_context produced non-finite values")
     out = np.empty((rows, d))
     np.matmul(p.reshape(B, H, T, T), heads(v.data), out=heads(out))
 
     def rule(g):
+        p = weights(scores())
         gh = heads(g)
         gq, gk, gv = (np.empty((rows, d)) for _ in range(3))
         np.matmul(np.swapaxes(p.reshape(B, H, T, T), -1, -2), gh, out=heads(gv))

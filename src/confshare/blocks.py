@@ -25,12 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Rng, ShapeError, Tensor, attention_context, concat_rows,
+from .autodiff import (LN_EPS, Rng, ShapeError, Tensor, attention_context, concat_rows,
                        depthwise_conv1d, glu, layer_norm, linear_swish_matmul,
                        matmul, slice_rows, swish_matmul, transpose, utterance_count)
 from .lowrank import LowRankFactors
-
-LN_EPS = 1e-6
 
 
 class ModelConfigError(ValueError):
@@ -153,18 +151,23 @@ def feed_forward(x: Tensor, p: FeedForwardParams) -> Tensor:
     """x + 0.5 * (W2 . swish(W1 . LN(x) + b1) + b2), the half-step residual.
 
     One ``linear_swish_matmul`` node runs from the last factor of W1 to
-    the first factor of W2: for dense weights from LN(x) through W1 and
+    the first factor of W2: for dense weights from x through LN, W1 and
     W2 with b2, for low-rank ones from LN(x) . U1 through V1ᵀ and U2,
     with the V2 product a ``matmul`` node after it. So the tape keeps no
     (rows, n) array: the node rebuilds its pre-activation in backward,
     at one more (rows, d) . (d, n) or (rows, k) . (k, n) product. The
-    last node adds the scaled residual (``residual=x, s=0.5``), so
-    neither linear2's output nor a residual sum is a node of its own."""
-    xn = layer_norm(x, p.ln_gamma, p.ln_beta, LN_EPS)
+    layer norm is the ``norm=`` prologue of the first node (the dense
+    ``linear_swish_matmul`` or the U1 ``matmul``), which rebuilds LN(x)
+    in backward, so LN(x) is not kept either. The last node adds the
+    scaled residual (``residual=x, s=0.5``), so neither linear2's output
+    nor a residual sum is a node of its own: a feed-forward is one node
+    (dense) or three (low-rank)."""
+    norm = (p.ln_gamma, p.ln_beta)
     if isinstance(p.w1, LowRankFactors):  # a plan factors both linears or neither
-        h = linear_swish_matmul(matmul(xn, p.w1.u), p.w1.v, p.b1, p.w2.u, transpose_w=True)
+        h = linear_swish_matmul(matmul(x, p.w1.u, norm=norm), p.w1.v, p.b1, p.w2.u,
+                                transpose_w=True)
         return matmul(h, p.w2.v, transpose_b=True, bias=p.b2, residual=x, s=0.5)
-    return linear_swish_matmul(xn, p.w1, p.b1, p.w2, p.b2, residual=x, s=0.5)
+    return linear_swish_matmul(x, p.w1, p.b1, p.w2, p.b2, residual=x, s=0.5, norm=norm)
 
 
 def table_heads(p: AttentionParams, frames: int) -> Tensor:
@@ -197,12 +200,14 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None,
     One ``attention_context`` node runs from the q, k and v projections to
     the (B·T, d) context: it reads their heads as (B, H, T, dh) views,
     utterance after utterance, so no head sees another utterance's frames,
-    and keeps only the softmax weights. Only the positional product runs
+    and keeps no (B·H, T, T) array: its rule rebuilds the softmax weights.
+    Only the positional product runs
     per utterance, (H, T, 2T − 1) each, on the pos-query projection's
     heads, split by one ``transpose`` node, against ``table``, the
     ``table_heads`` of ``p`` for T frames (built here when not given),
     and joined by ``concat_rows``. The post-projection adds the residual
-    ``x`` (``residual=x``). A 4×32 toy step at d=32 records 249 tape
+    ``x`` (``residual=x``). The layer norm, which four projections read,
+    stays a ``layer_norm`` node. A 4×32 toy step at d=32 records 225 tape
     nodes: one ``transpose`` per layer, and the table's ``slice_rows``
     and ``transpose`` once.
     """
@@ -232,13 +237,15 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None,
 def conv_module(x: Tensor, p: ConvParams, frames: int | None = None) -> Tensor:
     """x + Wpost . swish(LN(depthwise(glu(Wpre . LN(x) + bpre)))) + bpost,
     with the depthwise convolution padding each utterance of ``frames``
-    frames on its own (default: all rows are one utterance). The swish,
-    the post-projection and the residual are one ``swish_matmul`` node."""
-    xn = layer_norm(x, p.ln_gamma, p.ln_beta, LN_EPS)
-    gated = glu(matmul(xn, p.wpre, bias=p.bpre))
+    frames on its own (default: all rows are one utterance). Both layer
+    norms are ``norm=`` prologues of the product that reads them, so
+    neither output is kept: LN(x) of the ``pre`` matmul, and the inner
+    norm of one ``swish_matmul`` node that also takes the swish, the
+    post-projection and the residual. Four nodes in all."""
+    gated = glu(matmul(x, p.wpre, bias=p.bpre, norm=(p.ln_gamma, p.ln_beta)))
     conv = depthwise_conv1d(gated, p.kdepth, frames)
-    normed = layer_norm(conv, p.norm_gamma, p.norm_beta, LN_EPS)
-    return swish_matmul(normed, p.wpost, bias=p.bpost, residual=x)
+    return swish_matmul(conv, p.wpost, bias=p.bpost, residual=x,
+                        norm=(p.norm_gamma, p.norm_beta))
 
 
 def conformer_block(x: Tensor, p: BlockParams, frames: int | None = None,

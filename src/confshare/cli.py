@@ -1,7 +1,9 @@
 """Command line interface.
 
 Exit codes are a stable contract: 0 success, 1 validation or assertion
-failure, 2 usage error.
+failure, 2 usage error. Numeric flags take the config grammar's numbers
+(``configio.parse_int`` and ``parse_float``): ASCII digits only, so
+``--seed 1_0`` is a usage error, not seed 10.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from .accounting import SizeBudget, count_params, fit_dim_to_budget, report_table
 from .autodiff import NonFiniteError, check_seed
 from .checkpoint import save_checkpoint
-from .configio import parse_config_file
+from .configio import parse_config_file, parse_float, parse_int
 from .encoder import bind_model, check_frames
 from .presets import calibrated_defaults, preset
 from .sharing import validate_plan
@@ -59,25 +61,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     gradcheck = sub.add_parser("gradcheck", help="finite-difference gradient check")
     _add_source_flags(gradcheck)
-    gradcheck.add_argument("--seed", type=int, default=0)
-    gradcheck.add_argument("--eps", type=float, default=1e-4)
-    gradcheck.add_argument("--tol", type=float, default=1e-5)
-    gradcheck.add_argument("--samples", type=int, default=8)
-    gradcheck.add_argument("--frames", type=int, default=6)
-    gradcheck.add_argument("--batch", type=int, default=2)
+    gradcheck.add_argument("--seed", type=parse_int, default=0)
+    gradcheck.add_argument("--eps", type=parse_float, default=1e-4)
+    gradcheck.add_argument("--tol", type=parse_float, default=1e-5)
+    gradcheck.add_argument("--samples", type=parse_int, default=8)
+    gradcheck.add_argument("--frames", type=parse_int, default=6)
+    gradcheck.add_argument("--batch", type=parse_int, default=2)
 
     train = sub.add_parser("train", help="run the toy training loop")
     _add_source_flags(train)
-    train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--steps", type=int, default=200)
+    train.add_argument("--seed", type=parse_int, default=0)
+    train.add_argument("--steps", type=parse_int, default=200)
     train.add_argument("--out", help="write the train report here")
     train.add_argument("--save-model", help="write a checkpoint here")
 
     budget = sub.add_parser("budget", help="fit the model dim to a size budget")
     _add_source_flags(budget)
-    budget.add_argument("--budget", type=int, required=True)
-    budget.add_argument("--hard-ceiling", type=int, default=6_000_000)
-    budget.add_argument("--step-size", type=int, default=8)
+    budget.add_argument("--budget", type=parse_int, required=True)
+    budget.add_argument("--hard-ceiling", type=parse_int, default=6_000_000)
+    budget.add_argument("--step-size", type=parse_int, default=8)
 
     return parser
 

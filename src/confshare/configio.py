@@ -50,6 +50,8 @@ _MODEL_FIELDS = dataclasses.fields(ModelConfig)
 _MODEL_KINDS = typing.get_type_hints(ModelConfig)  # field name -> int or float
 _PLAN_VECTORS = tuple(map(index_field, MODULE_TYPES))
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+_DECIMAL = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?"
+                      r"|inf|infinity|nan)", re.IGNORECASE | re.ASCII)
 
 
 def parse_int(value: str) -> int:
@@ -61,6 +63,20 @@ def parse_int(value: str) -> int:
     if _INTEGER.fullmatch(value) is None:
         raise ValueError(f"invalid integer {value!r}")
     return int(value)
+
+
+def parse_float(value: str) -> float:
+    """``value`` as a float if it is an ASCII decimal: an optional sign,
+    ASCII digits with at most one point, and an optional exponent
+    (``[+-]?(d+.?d*|.d+)(e[+-]?d+)?``, ``e`` in either case), or one of
+    the words ``inf``, ``infinity`` and ``nan``, which the range checks
+    then reject by name; a ``ValueError`` otherwise. ``float()`` alone
+    also takes ``1_7.25``, blanks around the number and non-ASCII digits.
+    Config float keys and the CLI's float flags read through here; every
+    ``repr`` of a float is in the grammar."""
+    if _DECIMAL.fullmatch(value) is None:
+        raise ValueError(f"invalid number {value!r}")
+    return float(value)
 
 
 def _parse_assignments(text: str) -> dict[str, tuple[int, str]]:
@@ -83,7 +99,7 @@ def _parse_assignments(text: str) -> dict[str, tuple[int, str]]:
 
 def _number(kind, value: str, key: str, lineno: int):
     try:
-        return parse_int(value) if kind is int else kind(value)
+        return parse_int(value) if kind is int else parse_float(value)
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"line {lineno}: {key}: expected {noun}, got {value!r}") from None

@@ -32,6 +32,22 @@ def traced_peak(fn):
     return result, peak
 
 
+def traced_held(fn):
+    """``fn()``'s result, and how many more bytes are allocated after the
+    call than before it (``tracemalloc``'s current size)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, held
+
+
 def rand_tensor(rng: Rng, shape, requires_grad=False, scale=1.0) -> Tensor:
     return Tensor(rng.uniform(-scale, scale, shape), requires_grad=requires_grad)
 

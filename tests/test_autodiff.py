@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -13,7 +12,8 @@ from confshare.autodiff import (_SCRATCH, NonFiniteError, Rng, RowRange, ShapeEr
                                 depthwise_conv1d, finite_diff_grad, glu,
                                 layer_norm, linear_swish_matmul, matmul, relative_error,
                                 slice_rows, sum_all, swish_matmul, transpose, zero_grads)
-from conftest import assert_params_match_fd, bound_block, rand_tensor, traced_peak
+from conftest import (assert_params_match_fd, bound_block, rand_tensor, traced_held,
+                      traced_peak)
 from oracles import add, attention_chain, attention_weights, mul, scale, softmax, swish
 
 
@@ -433,7 +433,23 @@ class TestActivations:
                      id="linear_swish_matmul-transpose_w-bias"),
         pytest.param(lambda a: transpose(a, (2, 0, 1), (2, 3, 4), (4, 6)), [(6, 4)],
                      id="transpose-view-shape"),
-        pytest.param(lambda a, b: add(a, b, -0.5), [(4, 3), (4, 3)], id="add-scaled")])
+        pytest.param(lambda a, b: add(a, b, -0.5), [(4, 3), (4, 3)], id="add-scaled"),
+        pytest.param(lambda x, g, b, w: matmul(x, w, norm=(g, b)),
+                     [(4, 4), (4,), (4,), (4, 5)], id="matmul-norm"),
+        pytest.param(lambda x, g, b, w, c, r: matmul(x, w, True, c, r, -0.5, norm=(g, b)),
+                     [(4, 4), (4,), (4,), (5, 4), (5,), (4, 5)],
+                     id="matmul-norm-transpose_b-bias-residual"),
+        pytest.param(lambda x, g, b, w, c, r: swish_matmul(x, w, c, r, norm=(g, b)),
+                     [(4, 4), (4,), (4,), (4, 5), (5,), (4, 5)],
+                     id="swish_matmul-norm-bias-residual"),
+        pytest.param(lambda x, g, b, w, c, v, d: linear_swish_matmul(x, w, c, v, d,
+                                                                     norm=(g, b)),
+                     [(4, 4), (4,), (4,), (4, 6), (6,), (6, 5), (5,)],
+                     id="linear_swish_matmul-norm-bias"),
+        pytest.param(lambda x, g, b, w, c, v, r: linear_swish_matmul(
+                         x, w, c, v, transpose_w=True, residual=r, s=0.5, norm=(g, b)),
+                     [(4, 4), (4,), (4,), (6, 4), (6,), (6, 5), (4, 5)],
+                     id="linear_swish_matmul-norm-transpose_w-residual")])
     def test_gradients(self, rng, op, shapes):
         named = {f"x{i}": rand_tensor(rng, shape, requires_grad=True, scale=2.0)
                  for i, shape in enumerate(shapes)}
@@ -646,6 +662,107 @@ class TestResidual:
         with pytest.raises(ShapeError, match=r"^matmul: residual \(2, 4, 5\) .*2-d operands"):
             matmul(rand_tensor(rng, (2, 4, 3)), rand_tensor(rng, (2, 3, 5)),
                    residual=rand_tensor(rng, (2, 4, 5)))
+
+
+def _norm_operands(op: str, rows: int, draw, transpose: bool, with_bias: bool):
+    """The operands of one product ``op`` with a ``norm=`` prologue: x of
+    width 5 first, a product of width 6, w (or b) transposed if asked,
+    and a bias if asked; then the prologue's (gamma, beta)."""
+    kwargs = {"bias": draw(6)} if with_bias else {}
+    if op == "matmul":
+        args = (draw(rows, 5), draw(6, 5) if transpose else draw(5, 6))
+        kwargs["transpose_b"] = transpose
+    elif op == "swish_matmul":
+        args = (draw(rows, 5), draw(5, 6))
+    else:
+        args = (draw(rows, 5), draw(9, 5) if transpose else draw(5, 9), draw(9), draw(9, 6))
+        kwargs["transpose_w"] = transpose
+    return args, kwargs, (draw(5), draw(5))
+
+
+_NORM_PRODUCTS = [pytest.param(op, transpose, id=f"{op}-transpose" if transpose else op)
+                  for op in _PRODUCTS
+                  for transpose in ((False,) if op == "swish_matmul" else (False, True))]
+
+
+class TestNormPrologue:
+    """A product with ``norm=(gamma, beta)`` multiplies layer_norm(x, gamma,
+    beta) as one node: the bytes of ``layer_norm`` followed by the plain
+    product, with x, gamma and beta first among the parents."""
+
+    @pytest.mark.parametrize("B", [1, 3])
+    @pytest.mark.parametrize("residual,s", [(False, None), (True, None), (True, 0.5)],
+                             ids=["no-residual", "residual", "residual-s"])
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["no-bias", "bias"])
+    @pytest.mark.parametrize("op,transpose", _NORM_PRODUCTS)
+    def test_bytes_equal_layer_norm_then_the_product(self, rng, op, transpose, with_bias,
+                                                     residual, s, B):
+        def draw(*shape):
+            return Tensor(_with_signed_zeros(rng.uniform(-2.0, 2.0, shape)),
+                          requires_grad=True)
+
+        rows = B * 4
+        (x, *rest), kwargs, norm = _norm_operands(op, rows, draw, transpose, with_bias)
+        if residual:
+            kwargs.update(residual=draw(rows, 6), s=s)
+        g = _with_signed_zeros(rng.uniform(-1.0, 1.0, (rows, 6)))
+        fused = _PRODUCTS[op](x, *rest, **kwargs, norm=norm)
+        normed = layer_norm(x, *norm)
+        product = _PRODUCTS[op](normed, *rest, **kwargs)
+        assert fused.op == op
+        assert fused._parents[:3] == (x, *norm)
+        assert fused.data.tobytes() == product.data.tobytes()
+        # every parent gradient, as the two rules hand it to backward
+        got = fused._backward(g)
+        gnormed, *product_rest = product._backward(g)
+        want = [*normed._backward(gnormed), *product_rest]
+        assert len(got) == len(want) == len(fused._parents)
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert a.tobytes() == b.tobytes(), f"gradient {i}"
+
+    @pytest.mark.parametrize("op,transpose", _NORM_PRODUCTS)
+    def test_rule_rebuilds_its_operand_after_other_prologues(self, rng, op, transpose):
+        # a wider prologue's forward and rule grow and overwrite the scratch
+        # slots in between, so a rule that read what its forward left
+        # there would give other bytes the second time
+        def draw(*shape):
+            return rand_tensor(rng, shape, requires_grad=True, scale=2.0)
+
+        args, kwargs, norm = _norm_operands(op, 8, draw, transpose, True)
+        fused = _PRODUCTS[op](*args, **kwargs, norm=norm)
+        g = rng.uniform(-1.0, 1.0, fused.shape)
+        first = fused._backward(g)
+        args, kwargs, norm = _norm_operands(op, 16, draw, transpose, True)
+        other = _PRODUCTS[op](*args, **kwargs, norm=norm)
+        other._backward(rng.uniform(-1.0, 1.0, other.shape))
+        for a, b in zip(first, fused._backward(g), strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("op", list(_PRODUCTS))
+    def test_rejects_a_norm_that_does_not_fit(self, rng, op):
+        def draw(*shape):
+            return rand_tensor(rng, shape)
+
+        args, kwargs, (gamma, beta) = _norm_operands(op, 4, draw, False, True)
+        for bad in ((draw(4), beta), (gamma, draw(6)), (draw(5, 1), beta)):
+            with pytest.raises(ShapeError, match=rf"^{op}: gamma/beta must be shape \(5,\)"):
+                _PRODUCTS[op](*args, **kwargs, norm=bad)
+
+    def test_rejects_a_norm_on_a_batched_product(self, rng):
+        norm = (rand_tensor(rng, (3,)), rand_tensor(rng, (3,)))
+        with pytest.raises(ShapeError, match=r"^matmul: a norm needs 2-d operands"):
+            matmul(rand_tensor(rng, (2, 4, 3)), rand_tensor(rng, (2, 3, 5)), norm=norm)
+
+    @pytest.mark.parametrize("op", list(_PRODUCTS))
+    def test_non_finite_normalized_operand_raises_as_a_layer_norm(self, op):
+        # a finite gamma scales the normalized rows past the largest double
+        args, kwargs, _ = _norm_operands(op, 2, lambda *shape: Tensor(np.ones(shape)),
+                                         False, False)
+        x = Tensor(np.tile([1.0, -1.0, 1.0, -1.0, 1.0], (2, 1)))
+        norm = (Tensor(np.full(5, 1e308)), Tensor(np.full(5, 1e308)))
+        with np.errstate(all="ignore"), \
+                pytest.raises(NonFiniteError, match="^layer_norm produced non-finite values"):
+            _PRODUCTS[op](x, *args[1:], **kwargs, norm=norm)
 
 
 class TestDepthwiseConv:
@@ -952,6 +1069,10 @@ class TestBackward:
                      id="transpose-view-shape"),
         pytest.param(mul, [(2, 3), (2, 3)], (0,), id="mul"),
         pytest.param(layer_norm, [(3, 4), (4,), (4,)], (1, 2), id="layer_norm-gamma-beta"),
+        pytest.param(lambda x, g, b, w: matmul(x, w, norm=(g, b)),
+                     [(3, 4), (4,), (4,), (4, 5)], (1, 2), id="matmul-norm-gamma-beta"),
+        pytest.param(lambda x, g, b, w: swish_matmul(x, w, norm=(g, b)),
+                     [(3, 4), (4,), (4,), (4, 5)], (0,), id="swish_matmul-norm-input"),
         pytest.param(depthwise_conv1d, [(5, 3), (3, 3)], (1,), id="conv-kernel"),
         pytest.param(depthwise_conv1d, [(5, 3), (3, 3)], (0,), id="conv-input"),
         pytest.param(lambda a, b: concat_rows([a, b]), [(2, 3), (1, 3)], (0,),
@@ -1054,14 +1175,34 @@ class TestRetainedMemory:
             # and an output-sized copy of q, k, v or the context would show
             return attention_context(*(rand_tensor(rng, shape, requires_grad=True)
                                        for shape in ((6, 8), (6, 8), (4, 3, 5), (6, 8))), 0.5)
+        if op == "attention_context-long":
+            # T > dh: the (B·H, T, T) = (4, 6, 6) weights outgrow the (12, 4)
+            # output, so keeping them would show
+            return attention_context(*(rand_tensor(rng, shape, requires_grad=True)
+                                       for shape in ((12, 4), (12, 4), (4, 6, 11), (12, 4))),
+                                     0.5)
+        if op.endswith("-norm"):
+            # the product is narrower than the (6, 10) normalized operand, so
+            # keeping that would show
+            def draw(*shape):
+                return rand_tensor(rng, shape, requires_grad=True)
+
+            x, norm = draw(6, 10), (draw(10), draw(10))
+            if op == "matmul-norm":
+                return matmul(x, draw(10, 4), bias=draw(4), norm=norm)
+            if op == "swish_matmul-norm":
+                return swish_matmul(x, draw(10, 4), draw(4), norm=norm)
+            return linear_swish_matmul(x, draw(10, 3), draw(3), draw(3, 4), draw(4), norm=norm)
         return attention_weights(rand_tensor(rng, (2, 6, 6), requires_grad=True),
                                  rand_tensor(rng, (2, 6, 11), requires_grad=True), 0.5)
 
     @pytest.mark.parametrize("op", ["swish", "layer_norm", "attention_weights", "glu",
                                     "depthwise_conv1d", "swish_matmul", "linear_swish_matmul",
                                     "transpose", "add", "attention_context",
-                                    "matmul-residual", "swish_matmul-residual",
-                                    "linear_swish_matmul-residual"])
+                                    "attention_context-long", "matmul-residual",
+                                    "swish_matmul-residual", "linear_swish_matmul-residual",
+                                    "matmul-norm", "swish_matmul-norm",
+                                    "linear_swish_matmul-norm"])
     def test_rule_holds_no_output_sized_array_of_its_own(self, op, rng):
         node = self._build(op, rng)
         held = [cell.cell_contents for cell in node._backward.__closure__]
@@ -1092,24 +1233,16 @@ class TestRetainedMemory:
         rng = Rng(1)
         return model, rng.uniform(-1, 1, (128, 80)), rng.integers(8, (128,))
 
-    def test_two_layer_lrs3_shape_forward_holds_at_most_10_mib(self):
+    def test_two_layer_lrs3_shape_forward_holds_at_most_8_mib(self):
         from confshare.encoder import encoder_forward
 
         model, features, labels = self._two_layer_lrs3()
         # a first forward sizes the scratch buffers, which every later one
         # reuses, so what is measured is what the forward itself keeps
         encoder_forward(Tensor(features), model)
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            loss = cross_entropy_mean(encoder_forward(Tensor(features), model), labels)
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            if started:
-                tracemalloc.stop()
-        assert held <= 10 * 2**20, f"the forward pass holds {held / 2**20:.1f} MiB"
+        loss, held = traced_held(
+            lambda: cross_entropy_mean(encoder_forward(Tensor(features), model), labels))
+        assert held <= 8 * 2**20, f"the forward pass holds {held / 2**20:.1f} MiB"
         backward(loss)
         assert all(t.grad is not None for t in model.parameters())
 
@@ -1127,9 +1260,64 @@ class TestRetainedMemory:
         assert [n.op for n in nodes].count("linear_swish_matmul") == 4
         # the pre-activation is rebuilt in backward and the swish never kept
         assert [n.op for n in nodes if n.shape == wide] == []
-        held = [c.cell_contents for n in nodes if n._backward is not None
-                for c in n._backward.__closure__ or ()]
-        assert not [a.shape for a in held if isinstance(a, np.ndarray) and a.shape == wide]
+        assert not [a.shape for a in self._held_arrays(nodes) if a.shape == wide]
+
+    @staticmethod
+    def _held_arrays(nodes) -> list[np.ndarray]:
+        """Every array a rule closure of ``nodes`` holds."""
+        return [c.cell_contents for n in nodes if n._backward is not None
+                for c in n._backward.__closure__ or ()
+                if isinstance(c.cell_contents, np.ndarray)]
+
+    @pytest.mark.parametrize("lowrank", [True, False], ids=["lowrank", "dense"])
+    def test_two_layer_lrs3_keeps_no_weights_and_no_folded_norm_output(self, lowrank):
+        from confshare.encoder import encoder_forward
+
+        model, features, labels = self._two_layer_lrs3(lowrank)
+        loss = cross_entropy_mean(encoder_forward(Tensor(features), model), labels)
+        nodes = Tape.trace(loss).nodes
+        held = self._held_arrays(nodes)
+        # the softmax weights are rebuilt in backward, not kept
+        assert not [a.shape for a in held if a.shape[-2:] == (128, 128)]
+        # four norms a layer are a product's prologue: each feed-forward's,
+        # and the convolution module's two; only the attention's and the
+        # block's final norm are layer_norm nodes
+        blocks = model.virtual_blocks()
+        folded = [pair for b in blocks for pair in (
+            (b.ff_start.ln_gamma, b.ff_start.ln_beta), (b.conv.ln_gamma, b.conv.ln_beta),
+            (b.conv.norm_gamma, b.conv.norm_beta), (b.ff_end.ln_gamma, b.ff_end.ln_beta))]
+        readers = [n for n in nodes if any(n._parents[1:3] == pair for pair in folded)]
+        assert len(readers) == 4 * len(blocks)
+        assert [n.op for n in nodes].count("layer_norm") == 2 * len(blocks)
+        # no node or rule closure holds a folded norm's output
+        normalized = {layer_norm(n._parents[0], *n._parents[1:3]).data.tobytes()
+                      for n in readers}
+        assert len(normalized) == len(readers)
+        kept = [n.data for n in nodes] + held
+        assert not [a.shape for a in kept if a.nbytes == 128 * 144 * 8
+                    and a.tobytes() in normalized]
+
+    @pytest.mark.parametrize("frames,batch,count", [(128, 1, 1123), (64, 2, 1283)])
+    def test_lrs3_forward_tape_layout_and_held_bytes(self, frames, batch, count):
+        # the paper's LRS3 model: 40 layers at d=144 with four heads
+        from confshare.encoder import bind_model
+        from confshare.presets import preset
+        from confshare.training import ToyTaskSpec, batch_loss, generate_toy_batch
+
+        p = preset("LRS3")
+        model = bind_model(p.config, p.plan, 1)
+        spec = ToyTaskSpec(feature_dim=p.config.input_dim, num_classes=p.config.num_classes,
+                           frames=frames, batch=batch)
+        data = generate_toy_batch(spec, 1, 0)
+        batch_loss(model, *data)  # the scratch slots take their size
+        loss, held = traced_held(lambda: batch_loss(model, *data))
+        nodes = Tape.trace(loss).nodes
+        layers = len(model.virtual_blocks())
+        assert layers == 40
+        assert len(nodes) == count
+        assert [n.op for n in nodes].count("layer_norm") == 2 * layers
+        assert not [a.shape for a in self._held_arrays(nodes) if a.shape[-2:] == (frames,) * 2]
+        assert held <= 145 * 2**20, f"the forward pass holds {held / 2**20:.1f} MiB"
 
 
 def _scratch_buffers() -> list[np.ndarray]:
@@ -1143,7 +1331,8 @@ class TestScratch:
 
     SLOTS = {"sigmoid.den", "sigmoid.mask", "swish_matmul.act", "swish_matmul.s",
              "swish_matmul.ga", "linear_swish_matmul.pre", "glu.s", "conv.xp", "conv.tap",
-             "softmax_grad.gp", "adam.step", "adam.den"}
+             "softmax_grad.gp", "attention_context.p", "norm.y", "norm.xhat",
+             "adam.step", "adam.den"}
 
     @staticmethod
     def _model(name):

@@ -1,4 +1,5 @@
 import ast
+import math
 import os
 import re
 import tracemalloc
@@ -13,7 +14,7 @@ from confshare.accounting import count_params
 from confshare.checkpoint import load_checkpoint, save_checkpoint
 from confshare.cli import main
 from confshare.blocks import ModelConfig
-from confshare.configio import (ConfigError, parse_config_text, parse_int,
+from confshare.configio import (ConfigError, parse_config_text, parse_float, parse_int,
                                 serialize_config)
 from confshare.encoder import bind_model, encoder_forward
 from confshare.presets import calibrated_defaults, preset, preset_names
@@ -164,6 +165,10 @@ class TestConfigGrammar:
         ("plan.lowrank_k = 5_0", r"^line 14: plan\.lowrank_k: expected an integer, got '5_0'$"),
         ("plan.i_conv = 1,1,\u0661", r"^line 13: plan\.i_conv: expected comma-separated "
                                       r"integers, got '1,1,\u0661'$"),
+        # float() would take these, so two spellings would parse as one value
+        ("model.e = 1_7.25", r"^line 13: model\.e: expected a number, got '1_7\.25'$"),
+        ("model.e = \uff117.25", r"^line 13: model\.e: expected a number, got '\uff117\.25'$"),
+        ("model.e = \u0667.25", r"^line 13: model\.e: expected a number, got '\u0667\.25'$"),
     ])
     def test_parse_errors(self, line, message):
         p = preset("SL3")
@@ -184,6 +189,23 @@ class TestConfigGrammar:
     def test_parse_int_rejects_what_is_not_ascii_digits(self, value):
         with pytest.raises(ValueError, match="invalid integer"):
             parse_int(value)
+
+    @pytest.mark.parametrize("value,expected", [
+        ("7.25", 7.25), ("+7", 7.0), ("-0.5", -0.5), (".5", 0.5), ("5.", 5.0),
+        ("1e-05", 1e-05), ("1E+300", 1e300), ("2.5e3", 2500.0), ("inf", math.inf),
+        ("-Infinity", -math.inf)])
+    def test_parse_float_takes_ascii_decimals(self, value, expected):
+        assert parse_float(value) == expected
+
+    def test_parse_float_takes_nan(self):
+        assert math.isnan(parse_float("nan"))
+
+    @pytest.mark.parametrize("value", ["", ".", "+", "e5", "1e", "1e+", "1_0", "1_7.25",
+                                       "1.2.3", " 1.5", "1.5 ", "0x1p3", "infin", "\u0131nf",
+                                       "\uff117.25", "\u0667.25", "7.\u0662\u0665", "1.5\n"])
+    def test_parse_float_rejects_what_is_not_an_ascii_decimal(self, value):
+        with pytest.raises(ValueError, match="invalid number"):
+            parse_float(value)
 
     def test_missing_keys_reported(self):
         with pytest.raises(ConfigError, match="missing model keys"):
@@ -628,6 +650,59 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {flag} must be positive and finite, got {shown}\n"
+
+    @pytest.mark.parametrize("value", ["1_0", "\uff11\uff10", "\u0661\u0660"],
+                             ids=["underscore", "full-width", "arabic-indic"])
+    @pytest.mark.parametrize("command,flag", [
+        ("gradcheck", "--seed"), ("gradcheck", "--samples"), ("gradcheck", "--frames"),
+        ("gradcheck", "--batch"), ("train", "--seed"), ("train", "--steps"),
+        ("budget", "--budget"), ("budget", "--hard-ceiling"), ("budget", "--step-size")])
+    def test_integer_flags_take_only_ascii_digits(self, command, flag, value,
+                                                   monkeypatch, capsys):
+        import confshare.cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran a command whose flags do not parse")
+
+        for name in ("bind_model", "fit_dim_to_budget"):
+            monkeypatch.setattr(confshare.cli, name, never)
+        others = ("--budget", "5030000") if flag != "--budget" and command == "budget" else ()
+        assert run_cli(command, "--preset", "SL0-small", *others, flag, value) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {flag}: invalid parse_int value: '{value}'\n" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("value", ["1_0e-5", "\uff11e-5", "\u0661e-5"],
+                             ids=["underscore", "full-width", "arabic-indic"])
+    @pytest.mark.parametrize("flag", ["--eps", "--tol"])
+    def test_float_flags_take_only_ascii_decimals(self, flag, value, monkeypatch, capsys):
+        import confshare.cli
+
+        def never(*args):
+            raise AssertionError("bound a model for flags that do not parse")
+
+        monkeypatch.setattr(confshare.cli, "bind_model", never)
+        assert run_cli("gradcheck", "--preset", "SL0-small", flag, value) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {flag}: invalid parse_float value: '{value}'\n" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("value", ["1_7.25", "\uff117.25", "\u0667.25"],
+                             ids=["underscore", "full-width", "arabic-indic"])
+    def test_config_float_takes_only_ascii_decimals(self, value, tmp_path, capsys):
+        p = preset("SL2")
+        text = serialize_config(p.config, p.plan)
+        lineno = text.splitlines().index(f"model.e = {p.config.e!r}") + 1
+        path = tmp_path / "plan.conf"
+        path.write_text(text.replace(f"model.e = {p.config.e!r}", f"model.e = {value}"),
+                        encoding="utf-8")
+        assert run_cli("describe", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path}: line {lineno}: model.e: expected a number, "
+                                f"got '{value}'\n")
 
     @pytest.mark.parametrize("flag", ["--out", "--save-model"])
     @pytest.mark.parametrize("target,reason", [

@@ -6,6 +6,7 @@ Examples are drawn deterministically (``derandomize=True``), so a run
 checks the same plans every time.
 """
 
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from confshare.accounting import count_params
 from confshare.blocks import MODULE_TYPES, ModelConfig, module_tensor_specs
 from confshare.checkpoint import load_checkpoint, save_checkpoint
-from confshare.configio import parse_config_text, serialize_config
+from confshare.configio import parse_config_text, parse_float, parse_int, serialize_config
 from confshare.encoder import bind_model
 from confshare.lowrank import LowRankSpec
 from confshare.sharing import (ALL_MISC_SMALL, SUBCOMPONENTS, SharingPlan,
@@ -85,6 +86,36 @@ def test_config_round_trips_byte_stable(model_spec):
     parsed = parse_config_text(text)
     assert parsed == model_spec
     assert serialize_config(*parsed) == text
+
+
+@PROPERTY
+@given(models(), st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+def test_every_serialized_value_parses_back_to_itself(model_spec, e):
+    # any positive finite expansion, down to subnormals and up to the
+    # largest double, so every repr form is written: 7.25, 1e-05, 1e+300
+    config, plan = replace(model_spec[0], e=e), model_spec[1]
+    text = serialize_config(config, plan)
+    for line in text.splitlines():
+        key, value = line.split(" = ")
+        section, name = key.split(".")
+        if section == "model":
+            expected = getattr(config, name)
+            parse = parse_float if isinstance(expected, float) else parse_int
+            assert type(parse(value)) is type(expected) and parse(value) == expected
+        elif name == "v":
+            assert parse_int(value) == plan.v
+        elif name == "lowrank_k":
+            assert parse_int(value) == plan.lowrank.k
+        elif name != "unshared":
+            assert tuple(map(parse_int, value.split(","))) == getattr(plan, name)
+    assert parse_config_text(text) == (config, plan)
+
+
+@PROPERTY
+@given(st.floats(allow_nan=False))
+def test_every_float_repr_parses_back_to_itself(x):
+    assert math.copysign(1.0, parse_float(repr(x))) == math.copysign(1.0, x)
+    assert parse_float(repr(x)) == x
 
 
 @PROPERTY

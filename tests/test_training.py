@@ -188,7 +188,7 @@ class TestTrainSteps:
             texts.append(serialize_report(report))
         assert texts[0].encode() == texts[1].encode()
 
-    def test_toy_train_config_tape_is_249_nodes(self):
+    def test_toy_train_config_tape_is_225_nodes(self):
         # the benchmark's toy_train config: a packed 4x32 batch through repeat_plan(2, 3)
         model = bind_model(ModelConfig(d=32, e=7.25, heads=4, kernel_width=11),
                            repeat_plan(2, 3), 11)
@@ -196,7 +196,7 @@ class TestTrainSteps:
         ops = [n.op for n in backward(loss).nodes]
         layers = len(model.virtual_blocks())
         assert layers == 6
-        assert len(ops) == 249
+        assert len(ops) == 225
         # attention from the projections to the context is one node per layer,
         # only the positional query is split into heads per layer, and the
         # table window is sliced and split once for all layers
@@ -207,6 +207,9 @@ class TestTrainSteps:
         # residual is added by its module's last product: no add, no scale
         assert ops.count("linear_swish_matmul") == 2 * layers
         assert "add" not in ops and "scale" not in ops
+        # only the attention's norm, which four projections read, and the
+        # block's final norm are nodes: the other four are a product's prologue
+        assert ops.count("layer_norm") == 2 * layers
 
     def test_class_count_mismatch_rejected(self):
         model = bind_model(_cfg(num_classes=4), repeat_plan(1, 1), seed=0)

@@ -13,34 +13,37 @@ Everything here is deliberately small and deterministic:
 * ``Rng`` is a counter-based SplitMix64 stream (documented below) so
   fixtures are reproducible across platforms and implementations.
 
-The op set is what a conformer block needs: matmul (2-d with an
-optional fused bias, and 3-d batched for the positional scores),
-``swish_matmul`` (swish(a) @ b plus an optional bias, one node),
-``linear_swish_matmul`` (swish(a @ w + c) @ b plus an optional bias,
-one node from a feed-forward's first product to its second), layer
+The op set is what a conformer block needs: three products, layer
 norm, glu, a depthwise temporal convolution that pads each utterance of
 a packed batch on its own, ``transpose`` (between an input view and an
 output shape, so a head split is one node and one copy),
 ``slice_rows``/``concat_rows`` along the leading axis, and
 ``attention_context``: from the q, k and v projections and the
 relative-position scores to the context, one node per layer over all
-heads of a batch, which reads the heads as strided views. The three
-2-d products also take an optional residual and scale and output
-residual + s·(product + bias), so no residual connection is a node of
-its own, and an optional ``norm=(gamma, beta)`` prologue that
-multiplies layer_norm(a, gamma, beta) instead of ``a``, so a layer norm
-that feeds one product is no node of its own (a 4×32 toy step records
-225 nodes, an LRS3 T=128 one 1,123). The tests' unfused oracles for
-these ops, ``add`` among them, live in ``tests/oracles.py``.
+heads of a batch, which reads the heads as strided views.
+
+The products are ``matmul`` (2-d, or 3-d batched for the positional
+scores), ``swish_matmul`` (swish(a) @ b) and ``linear_swish_matmul``
+(swish(a @ w + c) @ b, one node from a feed-forward's first product to
+its second). One frame, ``_product``, makes a 2-d one the node
+residual + s·(P(LN(a)) + bias), P the product's core, in three optional
+steps, so none of them is a node of its own: a ``norm=(gamma, beta)``
+prologue that multiplies layer_norm(a, gamma, beta) instead of ``a``, a
+bias added to every row, and a residual and scale ``s``, applied as
+``out *= s; out += residual``. The parents are (a, gamma, beta,
+*operands, bias, residual), and the rule undoes the steps in reverse:
+g to the residual, g·s summed over rows to the bias, g·s through the
+core's rule arithmetic, and LN(a)'s gradient through layer norm's rule,
+with x̂ and LN(a) rebuilt from the per-row statistics. A 4×32 toy step
+records 225 nodes, an LRS3 T=128 one 1,123. The tests' unfused oracles
+for these ops, ``add`` among them, live in ``tests/oracles.py``.
 
 A rule keeps only the arrays it reads and cannot get from its parents'
 data or its own output, and rebuilds the rest by the forward's own ops,
 so its bytes are those of keeping them:
 
-* ``matmul`` keeps nothing. With a ``norm`` prologue, as every product,
-  it keeps layer norm's per-row mean and inverse deviation, and rebuilds
-  x̂ and LN(a) from them before its own rule arithmetic and then layer
-  norm's;
+* a product keeps nothing of its own beyond a prologue's per-row mean
+  and inverse deviation;
 * ``swish_matmul`` keeps no activation and recomputes its sigmoid once,
   for both the activation that ``b``'s gradient reads and its
   derivative;
@@ -426,7 +429,74 @@ def _scratch_view(slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # ops
 
-LN_EPS = 1e-6  # layer_norm's default, and the eps of every norm= prologue
+LN_EPS = 1e-6  # the eps of every layer norm, a node or a product's prologue
+
+
+def _product(op: str, a: Tensor, rest: tuple, forward, grads, bias: Tensor | None,
+             residual: Tensor | None, s: float | None,
+             norm: tuple[Tensor, Tensor] | None) -> Tensor:
+    """One product node, in the frame that ``matmul``, ``swish_matmul``
+    and ``linear_swish_matmul`` share (see the module docstring).
+
+    ``forward(A)`` returns a fresh product of A and the operands ``rest``,
+    and ``grads(A, gp, rebuilt)`` the gradients of A and of ``rest`` for
+    the product's gradient gp. A is ``a``'s data or, with a ``norm``,
+    LN(a) in the ``norm.y`` scratch slot, checked as a ``layer_norm``
+    output would be; ``rebuilt`` says that the rule's A is that scratch,
+    which ``grads`` may overwrite. The prologue, the bias and the
+    residual take 2-d operands only, ``s`` needs a residual, and
+    ``out *= s; out += residual`` is the op order of the unfused
+    ``add(residual, out, s)`` in ``tests/oracles.py``, so the bytes are
+    the same.
+    """
+    if norm is None:
+        ad, parents, gamma, beta, mu, inv = a.data, (a,), None, None, None, None
+    else:
+        gamma, beta = norm
+        if a.ndim != 2:
+            raise ShapeError(f"{op}: a norm needs 2-d operands, got {a.shape}")
+        _check_norm_params(op, a.shape[1], gamma, beta)
+        ad = _scratch("norm.y", a.shape)
+        mu, inv = _normalize(a.data, ad)
+        ad *= gamma.data
+        ad += beta.data
+        if not np.isfinite(ad).all():
+            raise NonFiniteError("layer_norm produced non-finite values")
+        parents = (a, gamma, beta)
+    out = forward(ad)
+    parents += rest
+    if bias is not None:
+        if out.ndim != 2 or bias.shape != out.shape[1:]:
+            raise ShapeError(f"{op}: bias {bias.shape} does not fit product {out.shape} "
+                             "(2-d operands only)")
+        out += bias.data
+        parents += (bias,)
+    if residual is not None:
+        if out.ndim != 2 or residual.shape != out.shape:
+            raise ShapeError(f"{op}: residual {residual.shape} does not fit product "
+                             f"{out.shape} (2-d operands only)")
+        if s is not None:
+            out *= s
+        out += residual.data
+        parents += (residual,)
+    elif s is not None:
+        raise ValueError(f"{op}: a scale s needs a residual")
+
+    def rule(g):
+        gp = g if s is None else g * s  # the product's gradient
+        if mu is None:
+            result = grads(a.data, gp, False)
+        else:
+            xhat = _rebuild_xhat(a.data, mu, inv)
+            y = np.multiply(xhat, gamma.data, out=_scratch("norm.y", a.shape))
+            y += beta.data
+            gy, *others = grads(y, gp, True)
+            result = (*_layer_norm_grad(gy, xhat, gamma.data, inv), *others)
+        if bias is not None:
+            result = (*result, np.add.reduce(gp, axis=0))
+        return result if residual is None else (*result, g)
+
+    return _result(out, op, parents, rule)
 
 
 def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
@@ -435,16 +505,10 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
     """Matrix product. 2-d x 2-d, or 3-d x 3-d batched over the leading axis.
 
     ``transpose_b=True`` computes ``a @ swap(b)`` without materializing the
-    transpose (used for attention scores and low-rank V factors).
-    ``bias`` (2-d operands only) is a vector added to every row of the
-    product in place, so a linear layer is one tape node. ``residual``
-    (2-d operands only) makes the node residual + s·(product + bias), or
-    residual + product + bias without ``s`` (``_add_residual``), so a
-    residual connection takes no node of its own. ``norm=(gamma, beta)``
-    (2-d operands only) multiplies layer_norm(a, gamma, beta) instead of
-    ``a``, as a prologue of this node (``_norm_prologue``): the parents
-    are (a, gamma, beta, b, ...), and the rule rebuilds the normalized
-    operand, so the tape keeps no copy of it.
+    transpose (used for attention scores and low-rank V factors). For 2-d
+    operands, ``bias``, ``residual``, ``s`` and ``norm`` make the node
+    residual + s·(LN(a) @ b + bias) (``_product``), so a linear layer, its
+    residual connection and a layer norm before it are one tape node.
     """
     ad, bd = a.data, b.data
     if ad.ndim != bd.ndim or ad.ndim not in (2, 3):
@@ -453,60 +517,17 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
     if ad.shape[-1] != b_eff_inner or (ad.ndim == 3 and ad.shape[0] != bd.shape[0]):
         raise ShapeError(f"matmul: inner extents differ: {ad.shape} @ {bd.shape}"
                          f"{' (transposed)' if transpose_b else ''}")
-    ad, parents, mu, inv = _norm_prologue(a, norm, "matmul")
-    gamma, beta = norm or (None, None)
-    out = ad @ (np.swapaxes(bd, -1, -2) if transpose_b else bd)
-    parents = (*parents, b)
-    if bias is not None:
-        if ad.ndim != 2 or bias.data.shape != out.shape[1:]:
-            raise ShapeError(f"matmul: bias {bias.shape} does not fit product "
-                             f"{out.shape} (2-d operands only)")
-        out += bias.data
-        parents = (*parents, bias)
-    parents = _add_residual(out, residual, s, "matmul", parents)
 
-    def rule(g):
-        gp = g if s is None else g * s  # the product's gradient
-        ad, xhat = _norm_operand(a, gamma, beta, mu, inv)
+    def forward(x):
+        return x @ (np.swapaxes(b.data, -1, -2) if transpose_b else b.data)
+
+    def grads(x, gp, rebuilt):
         if transpose_b:
             # out = a @ b^T  =>  d_a = g @ b,  d_b = g^T @ a
-            grads = (gp @ b.data, np.swapaxes(gp, -1, -2) @ ad)
-        else:
-            grads = (gp @ np.swapaxes(b.data, -1, -2), np.swapaxes(ad, -1, -2) @ gp)
-        return _bias_residual_grads(_norm_grads(grads, xhat, gamma, inv), g, gp, bias,
-                                    residual)
+            return gp @ b.data, np.swapaxes(gp, -1, -2) @ x
+        return gp @ np.swapaxes(b.data, -1, -2), np.swapaxes(x, -1, -2) @ gp
 
-    return _result(out, "matmul", parents, rule)
-
-
-def _add_residual(out: np.ndarray, residual: Tensor | None, s: float | None, op: str,
-                  parents: tuple) -> tuple:
-    """Make the 2-d product ``out`` residual + s·out in place (residual +
-    out without ``s``), and return ``parents`` with the residual appended
-    when there is one. The op order, ``out *= s; out += residual``, is
-    that of the unfused ``add(residual, out, s)`` that the tests keep in
-    ``tests/oracles.py``, so the bytes are the same."""
-    if residual is None:
-        if s is not None:
-            raise ValueError(f"{op}: a scale s needs a residual")
-        return parents
-    if out.ndim != 2 or residual.shape != out.shape:
-        raise ShapeError(f"{op}: residual {residual.shape} does not fit product "
-                         f"{out.shape} (2-d operands only)")
-    if s is not None:
-        out *= s
-    out += residual.data
-    return (*parents, residual)
-
-
-def _bias_residual_grads(grads: tuple, g: np.ndarray, gp: np.ndarray,
-                         bias: Tensor | None, residual: Tensor | None) -> tuple:
-    """A product's operand gradients ``grads``, then those of the bias
-    (the product's gradient gp summed over rows) and of the residual (the
-    output gradient g), for whichever of the two the node has."""
-    if bias is not None:
-        grads = (*grads, np.add.reduce(gp, axis=0))
-    return grads if residual is None else (*grads, g)
+    return _product("matmul", a, (b,), forward, grads, bias, residual, s, norm)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -581,23 +602,11 @@ def _swish_product_grad(x: np.ndarray, b: np.ndarray, g: np.ndarray, out=None):
     return act, gb
 
 
-def _add_bias(out: np.ndarray, bias: Tensor | None, op: str, parents: tuple) -> tuple:
-    """Add ``bias`` into every row of the 2-d ``out`` in place, and return
-    ``parents`` with the bias appended when there is one."""
-    if bias is None:
-        return parents
-    if bias.shape != out.shape[1:]:
-        raise ShapeError(f"{op}: bias {bias.shape} does not fit product {out.shape}")
-    out += bias.data
-    return (*parents, bias)
-
-
 def swish_matmul(a: Tensor, b: Tensor, bias: Tensor | None = None,
                  residual: Tensor | None = None, s: float | None = None,
                  norm: tuple[Tensor, Tensor] | None = None) -> Tensor:
-    """swish(a) @ b (+ bias) for 2-d operands, as one node, made residual +
-    s·(swish(a) @ b + bias) by a ``residual``, and swish(LN(a)) @ b by a
-    ``norm``, as in ``matmul``.
+    """swish(a) @ b for 2-d operands, as one node, made residual +
+    s·(swish(LN(a)) @ b + bias) by the other arguments, as in ``matmul``.
 
     The activation is dropped once the product is taken, so the tape
     keeps ``a`` and not ``swish(a)``; the rule rebuilds it
@@ -606,30 +615,22 @@ def swish_matmul(a: Tensor, b: Tensor, bias: Tensor | None = None,
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"swish_matmul supports 2d@2d with equal inner extents, "
                          f"got {a.shape} @ {b.shape}")
-    ad, parents, mu, inv = _norm_prologue(a, norm, "swish_matmul")
-    gamma, beta = norm or (None, None)
-    out = _swish_product(ad, b.data)
-    parents = _add_residual(out, residual, s, "swish_matmul",
-                            _add_bias(out, bias, "swish_matmul", (*parents, b)))
 
-    def rule(g):
-        gp = g if s is None else g * s
-        ad, xhat = _norm_operand(a, gamma, beta, mu, inv)
-        # a rebuilt operand is scratch, so LN(a)'s gradient may overwrite it
-        grads = _swish_product_grad(ad, b.data, gp, out=None if xhat is None else ad)
-        return _bias_residual_grads(_norm_grads(grads, xhat, gamma, inv), g, gp,
-                                    bias, residual)
+    def grads(x, gp, rebuilt):
+        # a rebuilt operand is scratch, so its gradient may overwrite it
+        return _swish_product_grad(x, b.data, gp, out=x if rebuilt else None)
 
-    return _result(out, "swish_matmul", parents, rule)
+    return _product("swish_matmul", a, (b,), lambda x: _swish_product(x, b.data), grads,
+                    bias, residual, s, norm)
 
 
 def linear_swish_matmul(a: Tensor, w: Tensor, c: Tensor, b: Tensor,
                         bias: Tensor | None = None, transpose_w: bool = False,
                         residual: Tensor | None = None, s: float | None = None,
                         norm: tuple[Tensor, Tensor] | None = None) -> Tensor:
-    """swish(a @ w + c) @ b (+ bias) for 2-d operands, as one node, made
-    residual + s·(swish(a @ w + c) @ b + bias) by a ``residual``, and
-    swish(LN(a) @ w + c) @ b by a ``norm``, as in ``matmul``.
+    """swish(a @ w + c) @ b for 2-d operands, as one node, made residual +
+    s·(swish(LN(a) @ w + c) @ b + bias) by the other arguments, as in
+    ``matmul``.
 
     ``transpose_w=True`` reads w as its transpose, as ``matmul``'s
     ``transpose_b`` does. The (rows, n) pre-activation a @ w + c is built
@@ -648,35 +649,30 @@ def linear_swish_matmul(a: Tensor, w: Tensor, c: Tensor, b: Tensor,
                          f"{w.shape}, {c.shape} and {b.shape}")
     rows = a.shape[0]
 
-    def pre_activation(ad):
-        pre = np.matmul(ad, w.data.T if transpose_w else w.data,
+    def pre_activation(x):
+        pre = np.matmul(x, w.data.T if transpose_w else w.data,
                         out=_scratch("linear_swish_matmul.pre", (rows, n)))
         pre += c.data
         return pre
 
-    ad, parents, mu, inv = _norm_prologue(a, norm, "linear_swish_matmul")
-    gamma, beta = norm or (None, None)
-    pre = pre_activation(ad)
-    if not np.isfinite(pre).all():
-        raise NonFiniteError("matmul produced non-finite values")
-    out = _swish_product(pre, b.data)
-    parents = _add_residual(out, residual, s, "linear_swish_matmul",
-                            _add_bias(out, bias, "linear_swish_matmul", (*parents, w, c, b)))
+    def forward(x):
+        pre = pre_activation(x)
+        if not np.isfinite(pre).all():
+            raise NonFiniteError("matmul produced non-finite values")
+        return _swish_product(pre, b.data)
 
-    def rule(g):
-        gout = g if s is None else g * s
-        ad, xhat = _norm_operand(a, gamma, beta, mu, inv)
+    def grads(x, gout, rebuilt):
         # the pre-activation's gradient overwrites it in scratch
-        pre = pre_activation(ad)
+        pre = pre_activation(x)
         gp, gb = _swish_product_grad(pre, b.data, gout, out=pre)
         if transpose_w:
-            ga, gw = gp @ w.data, gp.T @ ad
+            ga, gw = gp @ w.data, gp.T @ x
         else:
-            ga, gw = gp @ w.data.T, ad.T @ gp
-        grads = _norm_grads((ga, gw, np.add.reduce(gp, axis=0), gb), xhat, gamma, inv)
-        return _bias_residual_grads(grads, g, gout, bias, residual)
+            ga, gw = gp @ w.data.T, x.T @ gp
+        return ga, gw, np.add.reduce(gp, axis=0), gb
 
-    return _result(out, "linear_swish_matmul", parents, rule)
+    return _product("linear_swish_matmul", a, (w, c, b), forward, grads, bias, residual, s,
+                    norm)
 
 
 def glu(a: Tensor) -> Tensor:
@@ -708,16 +704,16 @@ def _check_norm_params(op: str, d: int, gamma: Tensor, beta: Tensor):
                          f"got {gamma.shape} and {beta.shape}")
 
 
-def _normalize(x: np.ndarray, eps: float, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x̂ = (x - mean) / sqrt(var + eps) over the last axis, written into
-    ``out``; returns the per-row mean and inverse deviation, from which
-    ``_rebuild_xhat`` gives back the same bytes."""
+def _normalize(x: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x̂ = (x - mean) / sqrt(var + LN_EPS) over the last axis, written
+    into ``out``; returns the per-row mean and inverse deviation, from
+    which ``_rebuild_xhat`` gives back the same bytes."""
     d = x.shape[-1]
     # sum then divide, as ndarray.mean does, without its per-call overhead
     mu = np.add.reduce(x, axis=-1, keepdims=True) / d
     xhat = np.subtract(x, mu, out=out)
     var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv
     return mu, inv
 
@@ -747,17 +743,15 @@ def _layer_norm_grad(g: np.ndarray, xhat: np.ndarray, gamma: np.ndarray,
     return gh, ggamma, np.add.reduce(g, axis=axes)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LN_EPS) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit population variance,
-    then scale and shift: gamma * (x - mean) / sqrt(var + eps) + beta.
+    then scale and shift: gamma * (x - mean) / sqrt(var + LN_EPS) + beta.
     The rule keeps one mean and one inverse deviation per row and
     rebuilds x̂ from them. A norm that feeds one 2-d product is that
-    product's ``norm=`` prologue instead (``_norm_prologue``)."""
+    product's ``norm=`` prologue instead (``_product``)."""
     _check_norm_params("layer_norm", x.data.shape[-1], gamma, beta)
-    if eps <= 0:
-        raise ValueError("layer_norm: eps must be positive")
     out = np.empty_like(x.data)
-    mu, inv = _normalize(x.data, eps, out)
+    mu, inv = _normalize(x.data, out)
     out *= gamma.data
     out += beta.data
 
@@ -765,51 +759,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LN_EPS) -> T
         return _layer_norm_grad(g, _rebuild_xhat(x.data, mu, inv), gamma.data, inv)
 
     return _result(out, "layer_norm", (x, gamma, beta), rule)
-
-
-def _norm_prologue(x: Tensor, norm: tuple[Tensor, Tensor] | None, op: str):
-    """A product's left operand, its parents, and what its rule keeps to
-    rebuild the operand: x's data, (x,) and no statistics without
-    ``norm``. With ``norm=(gamma, beta)``, the operand is
-    LN(x) = gamma * x̂ + beta (eps ``LN_EPS``) in the ``norm.y`` scratch
-    slot, checked as a ``layer_norm`` output would be, the parents are
-    (x, gamma, beta), and the statistics are layer norm's per-row mean
-    and inverse deviation."""
-    if norm is None:
-        return x.data, (x,), None, None
-    gamma, beta = norm
-    if x.ndim != 2:
-        raise ShapeError(f"{op}: a norm needs 2-d operands, got {x.shape}")
-    _check_norm_params(op, x.shape[1], gamma, beta)
-    y = _scratch("norm.y", x.shape)
-    mu, inv = _normalize(x.data, LN_EPS, y)
-    y *= gamma.data
-    y += beta.data
-    if not np.isfinite(y).all():
-        raise NonFiniteError("layer_norm produced non-finite values")
-    return y, (x, gamma, beta), mu, inv
-
-
-def _norm_operand(x: Tensor, gamma: Tensor | None, beta: Tensor | None,
-                  mu: np.ndarray | None, inv: np.ndarray | None):
-    """For a rule: the left operand and x̂, rebuilt in scratch by the
-    prologue's ops (x's data and None without a prologue)."""
-    if mu is None:
-        return x.data, None
-    xhat = _rebuild_xhat(x.data, mu, inv)
-    y = np.multiply(xhat, gamma.data, out=_scratch("norm.y", x.shape))
-    y += beta.data
-    return y, xhat
-
-
-def _norm_grads(grads: tuple, xhat: np.ndarray | None, gamma: Tensor | None,
-                inv: np.ndarray | None) -> tuple:
-    """A product's operand gradients, with the first, LN(x)'s, replaced by
-    layer norm's gradients of x, gamma and beta when there is a prologue
-    (``xhat`` from ``_norm_operand``, which this overwrites)."""
-    if xhat is None:
-        return grads
-    return (*_layer_norm_grad(grads[0], xhat, gamma.data, inv), *grads[1:])
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

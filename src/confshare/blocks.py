@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (LN_EPS, Rng, ShapeError, Tensor, attention_context, concat_rows,
-                       depthwise_conv1d, glu, layer_norm, linear_swish_matmul,
-                       matmul, slice_rows, swish_matmul, transpose, utterance_count)
+from .autodiff import (Rng, ShapeError, Tensor, attention_context, concat_rows,
+                       depthwise_conv1d, glu, layer_norm, linear_swish_matmul, matmul,
+                       slice_rows, swish_matmul, transpose, utterance_count)
 from .lowrank import LowRankFactors
 
 
@@ -219,7 +219,7 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None,
     if table is None:
         table = table_heads(p, T)
 
-    xn = layer_norm(x, p.ln_gamma, p.ln_beta, LN_EPS)
+    xn = layer_norm(x, p.ln_gamma, p.ln_beta)
     q = matmul(xn, p.wq, bias=p.bq)
     k = matmul(xn, p.wk, bias=p.bk)
     v = matmul(xn, p.wv, bias=p.bv)
@@ -257,7 +257,7 @@ def conformer_block(x: Tensor, p: BlockParams, frames: int | None = None,
     y = attention(y, p.attn, frames, table)
     y = conv_module(y, p.conv, frames)
     y = feed_forward(y, p.ff_end)
-    return layer_norm(y, p.final_ln_gamma, p.final_ln_beta, LN_EPS)
+    return layer_norm(y, p.final_ln_gamma, p.final_ln_beta)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Exit codes are a stable contract: 0 success, 1 validation or assertion
 failure, 2 usage error. Numeric flags take the config grammar's numbers
 (``configio.parse_int`` and ``parse_float``): ASCII digits only, so
-``--seed 1_0`` is a usage error, not seed 10.
+``--seed 1_0`` is the usage error ``argument --seed: invalid integer
+'1_0'``, not seed 10.
 """
 
 from __future__ import annotations
@@ -29,6 +30,21 @@ from .training import (OptimizerState, ToyTaskSpec, _check_count, _check_eps_and
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
+
+
+def _flag_type(parse):
+    """``parse`` as an argparse type that reports a bad value by the
+    parser's own message (``invalid integer '1_0'``), not its name."""
+    def convert(value: str):
+        try:
+            return parse(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+_INT = _flag_type(parse_int)
+_FLOAT = _flag_type(parse_float)
 
 
 def _add_source_flags(sub):
@@ -61,25 +77,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     gradcheck = sub.add_parser("gradcheck", help="finite-difference gradient check")
     _add_source_flags(gradcheck)
-    gradcheck.add_argument("--seed", type=parse_int, default=0)
-    gradcheck.add_argument("--eps", type=parse_float, default=1e-4)
-    gradcheck.add_argument("--tol", type=parse_float, default=1e-5)
-    gradcheck.add_argument("--samples", type=parse_int, default=8)
-    gradcheck.add_argument("--frames", type=parse_int, default=6)
-    gradcheck.add_argument("--batch", type=parse_int, default=2)
+    gradcheck.add_argument("--seed", type=_INT, default=0)
+    gradcheck.add_argument("--eps", type=_FLOAT, default=1e-4)
+    gradcheck.add_argument("--tol", type=_FLOAT, default=1e-5)
+    gradcheck.add_argument("--samples", type=_INT, default=8)
+    gradcheck.add_argument("--frames", type=_INT, default=6)
+    gradcheck.add_argument("--batch", type=_INT, default=2)
 
     train = sub.add_parser("train", help="run the toy training loop")
     _add_source_flags(train)
-    train.add_argument("--seed", type=parse_int, default=0)
-    train.add_argument("--steps", type=parse_int, default=200)
+    train.add_argument("--seed", type=_INT, default=0)
+    train.add_argument("--steps", type=_INT, default=200)
     train.add_argument("--out", help="write the train report here")
     train.add_argument("--save-model", help="write a checkpoint here")
 
     budget = sub.add_parser("budget", help="fit the model dim to a size budget")
     _add_source_flags(budget)
-    budget.add_argument("--budget", type=parse_int, required=True)
-    budget.add_argument("--hard-ceiling", type=parse_int, default=6_000_000)
-    budget.add_argument("--step-size", type=parse_int, default=8)
+    budget.add_argument("--budget", type=_INT, required=True)
+    budget.add_argument("--hard-ceiling", type=_INT, default=6_000_000)
+    budget.add_argument("--step-size", type=_INT, default=8)
 
     return parser
 

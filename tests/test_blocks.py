@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from confshare.autodiff import ShapeError, Tensor, backward, sum_all
-from confshare.blocks import (LN_EPS, ModelConfig, attention, conformer_block,
-                              conv_module, feed_forward, layer_norm, table_heads)
+from confshare.autodiff import LN_EPS, ShapeError, Tensor, backward, sum_all
+from confshare.blocks import (ModelConfig, attention, conformer_block, conv_module,
+                              feed_forward, layer_norm, table_heads)
 from conftest import assert_params_match_fd, bound_block, rand_tensor
 from oracles import mul
 
@@ -249,7 +249,7 @@ class TestConformerBlock:
             t.data[...] = 0.0
         x = rand_tensor(rng, (4, 8))
         out = conformer_block(x, p)
-        expected = layer_norm(x, p.final_ln_gamma, p.final_ln_beta, LN_EPS)
+        expected = layer_norm(x, p.final_ln_gamma, p.final_ln_beta)
         assert np.array_equal(out.data, expected.data)
 
     def test_equals_manual_composition_bitwise(self, rng):
@@ -259,7 +259,7 @@ class TestConformerBlock:
         manual = layer_norm(
             feed_forward(conv_module(attention(feed_forward(x, p.ff_start), p.attn),
                                      p.conv), p.ff_end),
-            p.final_ln_gamma, p.final_ln_beta, LN_EPS)
+            p.final_ln_gamma, p.final_ln_beta)
         out = conformer_block(x, p)
         assert np.array_equal(out.data, manual.data)
 

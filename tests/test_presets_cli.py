@@ -670,7 +670,7 @@ class TestCli:
         assert run_cli(command, "--preset", "SL0-small", *others, flag, value) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"error: argument {flag}: invalid parse_int value: '{value}'\n" in captured.err
+        assert f"error: argument {flag}: invalid integer '{value}'\n" in captured.err
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("value", ["1_0e-5", "\uff11e-5", "\u0661e-5"],
@@ -686,7 +686,7 @@ class TestCli:
         assert run_cli("gradcheck", "--preset", "SL0-small", flag, value) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"error: argument {flag}: invalid parse_float value: '{value}'\n" in captured.err
+        assert f"error: argument {flag}: invalid number '{value}'\n" in captured.err
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("value", ["1_7.25", "\uff117.25", "\u0667.25"],

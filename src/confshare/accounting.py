@@ -80,8 +80,9 @@ def _named_sizes(d: int, n: int, w: int, k: int | None) -> dict[tuple[str, str],
     return sizes
 
 
-def block_params_one_group(d: int, n: int, w: int, k: int | None = None) -> int:
-    return sum(_named_sizes(d, n, w, k).values())
+def block_params_one_group(d: int, n: int, w: int) -> int:
+    """The scalars of one dense block, every sub-component one group."""
+    return sum(_named_sizes(d, n, w, None).values())
 
 
 def count_params(config: ModelConfig, plan: SharingPlan) -> ParamReport:
@@ -175,6 +176,7 @@ BLOCK_PCT_TARGETS: dict[tuple[str, str], float] = {
 
 BLOCK_TARGET_PARAMS = 700_000
 DEFAULT_HEADS = 4
+CALIBRATION_STEP = 8  # the calibrated d is a multiple of this, and so of the heads
 
 
 @dataclass(frozen=True)
@@ -186,10 +188,10 @@ class CalibratedDefaults:
     sse: float = 0.0
 
 
-def _smallest_dim_reaching(target: int, e: float, w: int, step: int) -> int:
-    d = step
+def _smallest_dim_reaching(target: int, e: float, w: int) -> int:
+    d = CALIBRATION_STEP
     while block_params_one_group(d, math.ceil(e * d), w) < target:
-        d += step
+        d += CALIBRATION_STEP
     return d
 
 
@@ -203,14 +205,15 @@ def composition_sse(d: int, e: float, w: int) -> float:
     return err
 
 
-def calibrate(step: int = 8) -> CalibratedDefaults:
+def calibrate() -> CalibratedDefaults:
     """Deterministic grid fit of (e, w, d) against the published block
-    composition; e on a 0.25 grid in [4, 10], w odd in [3, 31]."""
+    composition; e on a 0.25 grid in [4, 10], w odd in [3, 31], d a
+    multiple of ``CALIBRATION_STEP``."""
     best = None
     for e_quarters in range(16, 41):
         e = e_quarters / 4.0
         for w in range(3, 32, 2):
-            d = _smallest_dim_reaching(BLOCK_TARGET_PARAMS, e, w, step)
+            d = _smallest_dim_reaching(BLOCK_TARGET_PARAMS, e, w)
             sse = composition_sse(d, e, w)
             cand = (sse, e, w, d)
             if best is None or cand < best:

@@ -17,10 +17,10 @@ The op set is what a conformer block needs: three products, layer
 norm, glu, a depthwise temporal convolution that pads each utterance of
 a packed batch on its own, ``transpose`` (between an input view and an
 output shape, so a head split is one node and one copy),
-``slice_rows``/``concat_rows`` along the leading axis, and
-``attention_context``: from the q, k and v projections and the
-relative-position scores to the context, one node per layer over all
-heads of a batch, which reads the heads as strided views.
+``slice_rows`` along the leading axis, and ``attention_context``: from
+the q, k and v projections and each utterance's relative-position
+scores to the context, one node per layer over all heads of a batch,
+which reads the heads as strided views.
 
 The products are ``matmul`` (2-d, or 3-d batched for the positional
 scores), ``swish_matmul`` (swish(a) @ b) and ``linear_swish_matmul``
@@ -35,7 +35,7 @@ bias added to every row, and a residual and scale ``s``, applied as
 g to the residual, g·s summed over rows to the bias, g·s through the
 core's rule arithmetic, and LN(a)'s gradient through layer norm's rule,
 with x̂ and LN(a) rebuilt from the per-row statistics. A 4×32 toy step
-records 225 nodes, an LRS3 T=128 one 1,123. The tests' unfused oracles
+records 219 nodes, an LRS3 T=128 one 1,123. The tests' unfused oracles
 for these ops, ``add`` among them, live in ``tests/oracles.py``.
 
 A rule keeps only the arrays it reads and cannot get from its parents'
@@ -858,19 +858,6 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
                    lambda g: (RowRange(start, stop, g),))
 
 
-def concat_rows(parts) -> Tensor:
-    """Join tensors along the leading axis; the other axes must agree.
-    One part is returned itself, with no node and no copy."""
-    parts = tuple(parts)
-    if not parts or any(p.ndim < 1 or p.shape[1:] != parts[0].shape[1:] for p in parts):
-        raise ShapeError(f"concat_rows: cannot join {[p.shape for p in parts]}")
-    if len(parts) == 1:
-        return parts[0]
-    out = np.concatenate([p.data for p in parts])
-    splits = np.cumsum([p.shape[0] for p in parts[:-1]])
-    return _result(out, "concat_rows", parts, lambda g: np.split(g, splits))
-
-
 def utterance_count(rows: int, frames: int) -> int:
     """How many utterances of ``frames`` frames each ``rows`` packed rows hold."""
     if frames < 1 or rows < frames or rows % frames != 0:
@@ -878,38 +865,42 @@ def utterance_count(rows: int, frames: int) -> int:
     return rows // frames
 
 
-def attention_context(q: Tensor, k: Tensor, pos_full: Tensor, v: Tensor,
-                      scale: float) -> Tensor:
-    """softmax((q kᵀ + skew(pos_full)) * scale) v for every head, as one node.
+def attention_context(q: Tensor, k: Tensor, pos, v: Tensor, scale: float) -> Tensor:
+    """softmax((q kᵀ + skew(pos)) * scale) v for every head, as one node.
 
     q, k and v are the (B·T, d) projections of B utterances of T frames.
     Their H heads are read as strided (B, H, T, dh) views, with no copies,
     and the context is written through the same view into a (B·T, d)
-    output, the heads of each frame side by side. pos_full is
-    (B·H, T, 2T - 1), utterance after utterance: column c holds the score
-    for key offset c - (T - 1) relative to the query, and
-    skew(pos_full)[h, t, s] = pos_full[h, t, s - t + T - 1] (a strided
-    view, see ``_skew``). H and T are read from pos_full's shape.
+    output, the heads of each frame side by side. ``pos`` holds the B
+    utterances' (H, T, 2T - 1) positional scores, in packing order:
+    column c holds the score for key offset c - (T - 1) relative to the
+    query, and skew(pos[b])[h, t, s] = pos[b][h, t, s - t + T - 1] (a
+    strided view, see ``_skew``). B is ``len(pos)``, and H and T are
+    read from the parts' shape. The parents are (q, k, *pos, v).
 
     The q kᵀ product is checked as a matmul and the weights as this op,
     so a score that overflows raises even where the softmax would hide
     it. The weights are built in the ``attention_context.p`` scratch
     slot and dropped once the context is taken, so the node keeps no
-    array of its own: the rule rebuilds them there from q, k and
-    pos_full by the forward's ops in the forward's order (the q kᵀ
-    product, the skew add, the scale, ``_softmax``), so the bytes are
-    the same, at one more q kᵀ product and softmax in backward. It
-    writes the gradients of q, k and v through the head views and the
-    positional gradient into a zeroed array through the skew view.
+    array of its own: the rule rebuilds them there from q, k and pos by
+    the forward's ops in the forward's order (the q kᵀ product, each
+    utterance's skew add, the scale, ``_softmax``), so the bytes are the
+    same, at one more q kᵀ product and softmax in backward. It writes
+    the gradients of q, k and v through the head views and each
+    utterance's positional gradient into a zeroed (H, T, 2T - 1) array
+    through the skew view.
     """
+    pos = tuple(pos)
     rows, d = q.shape if q.ndim == 2 else (0, 0)
-    BH, T, W = pos_full.shape if pos_full.ndim == 3 else (0, 0, 0)
-    B = rows // T if T and rows % T == 0 else 0
-    H = BH // B if B and BH % B == 0 else 0
-    if not H or d % H or W != 2 * T - 1 or k.shape != q.shape or v.shape != q.shape:
-        raise ShapeError(f"attention_context: expected (B·T, d) q, k and v and "
-                         f"(B·H, T, 2T - 1) positional scores with H dividing d, got "
-                         f"{q.shape}, {k.shape}, {v.shape} and {pos_full.shape}")
+    B = len(pos)
+    H, T, W = pos[0].shape if B and pos[0].ndim == 3 else (0, 0, 0)
+    if (not H or d % H or W != 2 * T - 1 or rows != B * T
+            or any(part.shape != pos[0].shape for part in pos)
+            or k.shape != q.shape or v.shape != q.shape):
+        raise ShapeError(f"attention_context: expected (B·T, d) q, k and v and B "
+                         f"(H, T, 2T - 1) positional scores with H dividing d, got "
+                         f"{q.shape}, {k.shape}, {v.shape} and "
+                         f"{[part.shape for part in pos]}")
     dh = d // H
 
     def heads(a):  # (B·T, d) -> (B, H, T, dh), a view
@@ -917,11 +908,11 @@ def attention_context(q: Tensor, k: Tensor, pos_full: Tensor, v: Tensor,
 
     def scores():  # q kᵀ, in scratch
         z = _scratch("attention_context.p", (B, H, T, T))
-        return np.matmul(heads(q.data), np.swapaxes(heads(k.data), -1, -2),
-                         out=z).reshape(BH, T, T)
+        return np.matmul(heads(q.data), np.swapaxes(heads(k.data), -1, -2), out=z)
 
     def weights(z):  # the softmax of the scaled scores, over z
-        z += _skew(pos_full.data)
+        for zb, part in zip(z, pos):
+            zb += _skew(part.data)
         z *= scale
         return _softmax(z)
 
@@ -932,25 +923,24 @@ def attention_context(q: Tensor, k: Tensor, pos_full: Tensor, v: Tensor,
     if not np.isfinite(p).all():
         raise NonFiniteError("attention_context produced non-finite values")
     out = np.empty((rows, d))
-    np.matmul(p.reshape(B, H, T, T), heads(v.data), out=heads(out))
+    np.matmul(p, heads(v.data), out=heads(out))
 
     def rule(g):
         p = weights(scores())
         gh = heads(g)
         gq, gk, gv = (np.empty((rows, d)) for _ in range(3))
-        np.matmul(np.swapaxes(p.reshape(B, H, T, T), -1, -2), gh, out=heads(gv))
+        np.matmul(np.swapaxes(p, -1, -2), gh, out=heads(gv))
         # the weights' gradient g vᵀ lives only until the softmax's is taken
-        gz = _softmax_grad(p, np.matmul(gh, np.swapaxes(heads(v.data), -1, -2))
-                           .reshape(BH, T, T))
+        gz = _softmax_grad(p, np.matmul(gh, np.swapaxes(heads(v.data), -1, -2)))
         gz *= scale
-        gfull = np.zeros((BH, T, W))
-        _skew(gfull)[...] = gz
-        gz = gz.reshape(B, H, T, T)
+        gpos = [np.zeros((H, T, W)) for _ in range(B)]
+        for gfull, gzb in zip(gpos, gz):
+            _skew(gfull)[...] = gzb
         np.matmul(gz, heads(k.data), out=heads(gq))
         np.matmul(np.swapaxes(gz, -1, -2), heads(q.data), out=heads(gk))
-        return gq, gk, gfull, gv
+        return gq, gk, *gpos, gv
 
-    return _result(out, "attention_context", (q, k, pos_full, v), rule)
+    return _result(out, "attention_context", (q, k, *pos, v), rule)
 
 
 def cross_entropy_mean(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Rng, ShapeError, Tensor, attention_context, concat_rows,
-                       depthwise_conv1d, glu, layer_norm, linear_swish_matmul, matmul,
-                       slice_rows, swish_matmul, transpose, utterance_count)
+from .autodiff import (Rng, ShapeError, Tensor, attention_context, depthwise_conv1d, glu,
+                       layer_norm, linear_swish_matmul, matmul, slice_rows, swish_matmul,
+                       transpose, utterance_count)
 from .lowrank import LowRankFactors
 
 
@@ -201,13 +201,13 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None,
     the (B·T, d) context: it reads their heads as (B, H, T, dh) views,
     utterance after utterance, so no head sees another utterance's frames,
     and keeps no (B·H, T, T) array: its rule rebuilds the softmax weights.
-    Only the positional product runs
-    per utterance, (H, T, 2T − 1) each, on the pos-query projection's
-    heads, split by one ``transpose`` node, against ``table``, the
-    ``table_heads`` of ``p`` for T frames (built here when not given),
-    and joined by ``concat_rows``. The post-projection adds the residual
-    ``x`` (``residual=x``). The layer norm, which four projections read,
-    stays a ``layer_norm`` node. A 4×32 toy step at d=32 records 225 tape
+    Only the positional product runs per utterance, (H, T, 2T − 1) each,
+    on the pos-query projection's heads, split by one ``transpose`` node,
+    against ``table``, the ``table_heads`` of ``p`` for T frames (built
+    here when not given); ``attention_context`` takes the B products as
+    they are, with no join. The post-projection adds the residual ``x``
+    (``residual=x``). The layer norm, which four projections read, stays
+    a ``layer_norm`` node. A 4×32 toy step at d=32 records 219 tape
     nodes: one ``transpose`` per layer, and the table's ``slice_rows``
     and ``transpose`` once.
     """
@@ -227,10 +227,9 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None,
 
     # (B·T, d) -> (B·H, T, dh): each utterance's H heads in turn
     pq3 = transpose(pq, (0, 2, 1, 3), (B, T, H, dh), (B * H, T, dh))
-    pos_full = concat_rows(                                  # (B·H, T, 2T - 1)
-        matmul(slice_rows(pq3, b * H, (b + 1) * H), table, transpose_b=True)
-        for b in range(B))
-    context = attention_context(q, k, pos_full, v, 1.0 / math.sqrt(dh))
+    pos = [matmul(slice_rows(pq3, b * H, (b + 1) * H), table, transpose_b=True)
+           for b in range(B)]                                # B × (H, T, 2T - 1)
+    context = attention_context(q, k, pos, v, 1.0 / math.sqrt(dh))
     return matmul(context, p.wpost, bias=p.bpost, residual=x)
 
 

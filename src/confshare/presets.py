@@ -67,16 +67,16 @@ def _with_rank(plan: SharingPlan, k: int) -> SharingPlan:
 def _builders():
     reg: dict[str, tuple] = {}
 
-    def define(name, plan_fn, d=None, note="", published=None):
-        reg[name] = (plan_fn, d, note, published)
+    def define(name, plan, d=None, note="", published=None):
+        reg[name] = (plan, d, note, published)
 
-    define("B0", lambda: repeat_plan(16, 1), d=None,
+    define("B0", repeat_plan(16, 1), d=None,
            note="dense baseline, 16 unshared blocks; published size 14M",
            published=14_000_000)
     # The handcrafted small baseline publishes 8 blocks of ~0.5M and a 4.9M
     # total, which disagree with each other; the dim below lands nearest
     # the published total and is an assumption.
-    define("B1", lambda: repeat_plan(8, 1), d=104,
+    define("B1", repeat_plan(8, 1), d=104,
            note="handcrafted dense baseline, 8 unshared blocks; published size 4.9M",
            published=4_900_000)
 
@@ -85,7 +85,7 @@ def _builders():
                ("SL4", 4, 2, 4_840_000), ("SL5", 4, 3, 4_840_000),
                ("SL6", 4, 4, 4_840_000)]
     for name, n, r, published in sl_rows:
-        define(name, functools.partial(repeat_plan, n, r),
+        define(name, repeat_plan(n, r),
                note=f"layer-repetition sweep row {name}: {n} physical x {r} repeats "
                     f"= {n * r} virtual",
                published=published)
@@ -96,12 +96,10 @@ def _builders():
                ("SM3", ("ff_end",), 96, 4_930_000),
                ("SM4", ("attention", "conv"), 120, 5_030_000)]
     for name, modules, d, published in sm_rows:
-        def plan_fn(modules=modules):
-            plan = _sl5()
-            for module in modules:
-                plan = unshare_module(plan, module)
-            return plan
-        define(name, plan_fn, d=d,
+        plan = _sl5()
+        for module in modules:
+            plan = unshare_module(plan, module)
+        define(name, plan, d=d,
                note=f"module-unsharing sweep row {name}: SL5 base with "
                     f"{'+'.join(modules)} unshared; published dim {d}",
                published=published)
@@ -117,13 +115,11 @@ def _builders():
                ("SC8", ("ff_end", "linear1"), 6_020_000),
                ("SC9", ("ff_end", "linear2"), 6_020_000)]
     for name, sub, published in sc_rows:
-        def sc_plan_fn(sub=sub):
-            return unshare_subcomponent(_sl5(), sub)
-        define(name, sc_plan_fn,
+        define(name, unshare_subcomponent(_sl5(), sub),
                note=f"sub-component-unsharing sweep row {name}: SL5 base with "
                     f"{sub[0]}.{sub[1]} unshared",
                published=published)
-    define("SC10", lambda: replace(_sl5(), unshared=ALL_MISC_SMALL),
+    define("SC10", replace(_sl5(), unshared=ALL_MISC_SMALL),
            note="sub-component-unsharing sweep row SC10: SL5 base with all "
                 "misc small weights (norms) per virtual layer",
            published=5_360_000)
@@ -131,10 +127,8 @@ def _builders():
     lr_rows = [("LR0", 4, None, 4_840_000), ("LR1", 8, 50, 5_040_000),
                ("LR2", 12, 20, 4_980_000), ("LR3", 16, 6, 5_000_000)]
     for name, n, k, published in lr_rows:
-        def lr_plan_fn(n=n, k=k):
-            plan = repeat_plan(n, 1)
-            return _with_rank(plan, k) if k is not None else plan
-        define(name, lr_plan_fn,
+        plan = repeat_plan(n, 1)
+        define(name, _with_rank(plan, k) if k is not None else plan,
                note=f"low-rank sweep row {name}: {n} physical = virtual, "
                     f"rank {'none' if k is None else k}",
                published=published)
@@ -143,9 +137,7 @@ def _builders():
     # as uniform repeats 2..5.
     for idx, r in enumerate((2, 3, 4, 5)):
         name = f"LRS{idx}"
-        def lrs_plan_fn(r=r):
-            return _with_rank(repeat_plan(8, r), 50)
-        define(name, lrs_plan_fn,
+        define(name, _with_rank(repeat_plan(8, r), 50),
                note=f"low-rank + repetition sweep row {name}: 8 physical x {r} "
                     f"repeats = {8 * r} virtual, rank 50",
                published=5_040_000)
@@ -169,8 +161,7 @@ def preset(name: str) -> Preset:
         known = ", ".join(preset_names())
         raise ValueError(f"unknown preset {name!r}; valid names: {known} "
                          f"(each also accepts the {SMALL_SUFFIX} suffix)")
-    plan_fn, d, note, published = _REGISTRY[base]
-    plan = plan_fn()
+    plan, d, note, published = _REGISTRY[base]
     config = calibrated_config(d=d)
     if small:
         config = replace(config, d=SMALL_DIM, external_params=0)

@@ -6,9 +6,10 @@ from: ``add(a, b, s)`` against ``add(a, scale(b, s))``, a product's
 ``residual`` and ``s`` against ``add(residual, product, s)``,
 ``swish_matmul`` against ``matmul(swish(a), b)``, and
 ``attention_context`` against
-``attention_chain``: head splits, the content matmul,
-``attention_weights`` (itself checked against ``softmax`` of the summed
-scores), the context matmul and the merge. Each op is built from the
+``attention_chain``: head splits, the content matmul, ``concat_rows`` of
+the per-utterance positional scores, ``attention_weights`` (itself
+checked against ``softmax`` of the summed scores), the context matmul
+and the merge. Each op is built from the
 same ``autodiff`` kernels the package uses (``_result``, ``_sigmoid``,
 ``_skew``, ``_softmax`` and ``_softmax_grad``), so a byte comparison
 against a fused op checks the fusion and nothing else.
@@ -104,22 +105,34 @@ def attention_weights(content: Tensor, pos_full: Tensor, scale: float) -> Tensor
     return _result(p, "attention_weights", (content, pos_full), rule)
 
 
-def attention_chain(q: Tensor, k: Tensor, pos_full: Tensor, v: Tensor,
-                    scale: float) -> Tensor:
-    """``attention_context`` as the seven nodes it replaces: the q, k and v
-    head splits into contiguous (B·H, T, dh) copies, q kᵀ, the weights,
-    their product with v, and the merge back to (B·T, d)."""
+def concat_rows(parts) -> Tensor:
+    """Join tensors along the leading axis; the other axes must agree.
+    One part is returned itself, with no node and no copy."""
+    parts = tuple(parts)
+    if not parts or any(p.ndim < 1 or p.shape[1:] != parts[0].shape[1:] for p in parts):
+        raise ShapeError(f"concat_rows: cannot join {[p.shape for p in parts]}")
+    if len(parts) == 1:
+        return parts[0]
+    out = np.concatenate([p.data for p in parts])
+    splits = np.cumsum([p.shape[0] for p in parts[:-1]])
+    return _result(out, "concat_rows", parts, lambda g: np.split(g, splits))
+
+
+def attention_chain(q: Tensor, k: Tensor, pos, v: Tensor, scale: float) -> Tensor:
+    """``attention_context`` as the nodes it replaces: the q, k and v head
+    splits into contiguous (B·H, T, dh) copies, q kᵀ, the B utterances'
+    (H, T, 2T - 1) positional scores joined by ``concat_rows``, the
+    weights, their product with v, and the merge back to (B·T, d)."""
     rows, d = q.shape
-    BH, T, _ = pos_full.shape
-    B = rows // T
-    H = BH // B
+    B = len(pos)
+    H, T, _ = pos[0].shape
     dh = d // H
 
     def split(t):
-        return transpose(t, (0, 2, 1, 3), (B, T, H, dh), (BH, T, dh))
+        return transpose(t, (0, 2, 1, 3), (B, T, H, dh), (B * H, T, dh))
 
     q3, k3, v3 = split(q), split(k), split(v)
-    weights = attention_weights(matmul(q3, k3, transpose_b=True), pos_full, scale)
+    weights = attention_weights(matmul(q3, k3, transpose_b=True), concat_rows(pos), scale)
     return transpose(matmul(weights, v3), (0, 2, 1, 3), (B, H, T, dh), (rows, d))
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import types
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -9,13 +10,14 @@ import pytest
 
 from confshare.autodiff import (_SCRATCH, LN_EPS, NonFiniteError, Rng, RowRange, ShapeError,
                                 Tape, Tensor, _sigmoid, _skew, attention_context,
-                                backward, concat_rows, cross_entropy_mean,
+                                backward, cross_entropy_mean,
                                 depthwise_conv1d, finite_diff_grad, glu,
                                 layer_norm, linear_swish_matmul, matmul, relative_error,
                                 slice_rows, sum_all, swish_matmul, transpose, zero_grads)
 from conftest import (assert_params_match_fd, bound_block, rand_tensor, traced_held,
                       traced_peak)
-from oracles import add, attention_chain, attention_weights, mul, scale, softmax, swish
+from oracles import (add, attention_chain, attention_weights, concat_rows, mul, scale, softmax,
+                     swish)
 
 
 class TestRng:
@@ -273,76 +275,90 @@ class TestAttentionWeights:
 
 
 def _attention_operands(rng, B, T=4, H=2, dh=3):
-    """Trainable (B·T, H·dh) q, k and v and (B·H, T, 2T - 1) positional scores."""
+    """Trainable (B·T, H·dh) q, k and v and B utterances' (H, T, 2T - 1)
+    positional scores."""
     d = H * dh
     return (Tensor(_with_signed_zeros(rng.uniform(-2, 2, (B * T, d))), requires_grad=True),
             Tensor(_with_signed_zeros(rng.uniform(-2, 2, (B * T, d))), requires_grad=True),
-            Tensor(rng.uniform(-2, 2, (B * H, T, 2 * T - 1)), requires_grad=True),
+            [Tensor(rng.uniform(-2, 2, (H, T, 2 * T - 1)), requires_grad=True)
+             for _ in range(B)],
             Tensor(_with_signed_zeros(rng.uniform(-2, 2, (B * T, d))), requires_grad=True))
 
 
 class TestAttentionContext:
     @pytest.mark.parametrize("B", [1, 3])
     def test_bytes_equal_the_unfused_chain(self, rng, B):
-        q, k, pos_full, v = _attention_operands(rng, B)
-        fused = attention_context(q, k, pos_full, v, 1.0 / math.sqrt(3))
-        chain = attention_chain(q, k, pos_full, v, 1.0 / math.sqrt(3))
+        q, k, pos, v = _attention_operands(rng, B)
+        fused = attention_context(q, k, pos, v, 1.0 / math.sqrt(3))
+        chain = attention_chain(q, k, pos, v, 1.0 / math.sqrt(3))
+        assert fused._parents == (q, k, *pos, v)
         assert fused.data.tobytes() == chain.data.tobytes()
         g = _with_signed_zeros(rng.uniform(-1, 1, fused.shape))
         got = fused._backward(g)
         # the chain's rules in reverse, each gradient as its rule hands it on
         context = chain._parents[0]
         weights, v3 = context._parents
-        content, _ = weights._parents
+        content, joined = weights._parents
         q3, k3 = content._parents
         (g_context,) = chain._backward(g)
         g_weights, g_v3 = context._backward(g_context)
         g_content, g_full = weights._backward(g_weights)
+        # one part is its own join, with no node
+        g_pos = joined._backward(g_full) if B > 1 else (g_full,)
         g_q3, g_k3 = content._backward(g_content)
-        want = (q3._backward(g_q3)[0], k3._backward(g_k3)[0], g_full, v3._backward(g_v3)[0])
-        assert [a.shape for a in got] == [t.shape for t in (q, k, pos_full, v)]
+        want = (q3._backward(g_q3)[0], k3._backward(g_k3)[0], *g_pos,
+                v3._backward(g_v3)[0])
+        assert [a.shape for a in got] == [t.shape for t in (q, k, *pos, v)]
         for a, b in zip(got, want, strict=True):
             assert a.tobytes() == b.tobytes()
 
     def test_gradients(self, rng):
-        q, k, pos_full, v = _attention_operands(rng, 2, T=3)
-        named = {"q": q, "k": k, "pos_full": pos_full, "v": v}
+        q, k, pos, v = _attention_operands(rng, 2, T=3)
+        named = {"q": q, "k": k, "pos0": pos[0], "pos1": pos[1], "v": v}
         c = Tensor(rng.uniform(-1, 1, q.shape))
 
         def make_loss():
-            return sum_all(mul(attention_context(q, k, pos_full, v, 0.5), c))
+            return sum_all(mul(attention_context(q, k, pos, v, 0.5), c))
 
         assert_params_match_fd(named, make_loss)
 
-    @pytest.mark.parametrize("q,kv,pos_full", [
-        ((8, 6), (8, 6), (4, 4, 6)),   # 2T - 1 = 7 wide, not 6
-        ((8, 6), (8, 6), (4, 3, 5)),   # 8 rows are not whole 3-frame utterances
-        ((8, 6), (8, 6), (3, 4, 7)),   # 3 score rows do not split over 2 utterances
-        ((8, 6), (8, 6), (8, 4, 7)),   # 4 heads do not divide d = 6
-        ((8, 6), (8, 4), (4, 4, 7)),   # k and v are narrower than q
-        ((2, 4, 6), (2, 4, 6), (4, 4, 7)),
-        ((8, 6), (8, 6), (4, 7))])
-    def test_rejects_operands_that_do_not_pair_up(self, q, kv, pos_full):
-        with pytest.raises(ShapeError, match="attention_context"):
+    @pytest.mark.parametrize("q,kv,pos", [
+        ((8, 6), (8, 6), [(2, 4, 6)] * 2),   # 2T - 1 = 7 wide, not 6
+        ((8, 6), (8, 6), [(2, 3, 5)] * 2),   # 8 rows are not 2 utterances of 3 frames
+        ((8, 6), (8, 6), [(2, 4, 7)] * 3),   # 3 utterances of 4 frames are 12 rows, not 8
+        ((8, 6), (8, 6), [(2, 4, 7)]),       # 1 utterance of 4 frames is 4 rows, not 8
+        ((8, 6), (8, 6), [(4, 4, 7)] * 2),   # 4 heads do not divide d = 6
+        ((8, 6), (8, 6), [(2, 4, 7), (3, 4, 7)]),  # the parts' heads differ
+        ((8, 6), (8, 6), [(2, 4, 7), (2, 4, 6)]),  # the parts' widths differ
+        ((8, 6), (8, 6), [(2, 4, 7), (2, 4)]),     # a part is not 3-d
+        ((8, 6), (8, 6), []),                      # no utterance
+        ((8, 6), (8, 4), [(2, 4, 7)] * 2),   # k and v are narrower than q
+        ((2, 4, 6), (2, 4, 6), [(2, 4, 7)] * 2),
+        ((8, 6), (8, 6), [(4, 7)] * 2)])
+    def test_rejects_operands_that_do_not_pair_up(self, q, kv, pos):
+        message = (f"attention_context: expected (B·T, d) q, k and v and B (H, T, 2T - 1) "
+                   f"positional scores with H dividing d, got {q}, {kv}, {kv} and {pos}")
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
             attention_context(Tensor(np.zeros(q)), Tensor(np.zeros(kv)),
-                              Tensor(np.zeros(pos_full)), Tensor(np.zeros(kv)), 1.0)
+                              [Tensor(np.zeros(shape)) for shape in pos],
+                              Tensor(np.zeros(kv)), 1.0)
 
     def test_overflowing_content_score_raises_as_a_matmul(self, rng):
-        q, k, pos_full, v = _attention_operands(rng, 1)
+        q, k, pos, v = _attention_operands(rng, 1)
         # one score of one head is -inf: the softmax alone would give it weight 0
         q.data[0, :3] = 1e200
         k.data[1, :3] = -1e200
         with np.errstate(all="ignore"), \
                 pytest.raises(NonFiniteError, match="^matmul produced non-finite values$"):
-            attention_context(q, k, pos_full, v, 1.0)
+            attention_context(q, k, pos, v, 1.0)
 
     def test_overflowing_scaled_score_raises_as_the_op(self, rng):
-        q, k, pos_full, v = _attention_operands(rng, 1)
+        q, k, pos, v = _attention_operands(rng, 1)
         # finite scores that the scale takes past the largest double
-        pos_full.data[...] = 1e308
+        pos[0].data[...] = 1e308
         with np.errstate(all="ignore"), \
                 pytest.raises(NonFiniteError, match="^attention_context produced"):
-            attention_context(q, k, pos_full, v, 10.0)
+            attention_context(q, k, pos, v, 10.0)
 
 
 def _two_branch_sigmoid(x):
@@ -1089,6 +1105,9 @@ class TestBackward:
         pytest.param(depthwise_conv1d, [(5, 3), (3, 3)], (0,), id="conv-input"),
         pytest.param(lambda a, b: concat_rows([a, b]), [(2, 3), (1, 3)], (0,),
                      id="concat_rows"),
+        pytest.param(lambda q, k, p0, p1, v: attention_context(q, k, [p0, p1], v, 0.5),
+                     [(6, 4), (6, 4), (2, 3, 5), (2, 3, 5), (6, 4)], (3,),
+                     id="attention_context-one-score-part"),
     ])
     def test_constant_operands_receive_no_gradient(self, op, shapes, constant):
         def run(constant):
@@ -1185,14 +1204,15 @@ class TestRetainedMemory:
         if op == "attention_context":
             # T < dh, so the (B·H, T, T) weights are smaller than the output
             # and an output-sized copy of q, k, v or the context would show
-            return attention_context(*(rand_tensor(rng, shape, requires_grad=True)
-                                       for shape in ((6, 8), (6, 8), (4, 3, 5), (6, 8))), 0.5)
+            q, k, pos0, pos1, v = (rand_tensor(rng, shape, requires_grad=True) for shape
+                                   in ((6, 8), (6, 8), (2, 3, 5), (2, 3, 5), (6, 8)))
+            return attention_context(q, k, [pos0, pos1], v, 0.5)
         if op == "attention_context-long":
             # T > dh: the (B·H, T, T) = (4, 6, 6) weights outgrow the (12, 4)
             # output, so keeping them would show
-            return attention_context(*(rand_tensor(rng, shape, requires_grad=True)
-                                       for shape in ((12, 4), (12, 4), (4, 6, 11), (12, 4))),
-                                     0.5)
+            q, k, pos0, pos1, v = (rand_tensor(rng, shape, requires_grad=True) for shape
+                                   in ((12, 4), (12, 4), (2, 6, 11), (2, 6, 11), (12, 4)))
+            return attention_context(q, k, [pos0, pos1], v, 0.5)
         if op.endswith("-norm"):
             # the product is narrower than the (6, 10) normalized operand, so
             # keeping that would show
@@ -1229,6 +1249,23 @@ class TestRetainedMemory:
                 if value.size >= node.size:
                     assert any(value is a for a in shared), \
                         f"{op} holds its own {value.shape} array"
+
+    def test_batched_attention_keeps_no_joined_positional_scores(self, rng):
+        from confshare.blocks import ModelConfig, attention
+
+        B, T, H = 3, 5, 2
+        p = bound_block(ModelConfig(d=8, e=4, heads=H, kernel_width=3, t_max=16), 8).attn
+        out = attention(rand_tensor(rng, (B * T, 8), requires_grad=True), p, frames=T)
+        nodes = Tape.trace(sum_all(out)).nodes
+        # each utterance's positional scores are one (H, T, 2T - 1) node,
+        # which the attention node reads as it is
+        scores = [n for n in nodes if n.ndim == 3 and n.shape[-1] == 2 * T - 1]
+        assert [n.shape for n in scores] == [(H, T, 2 * T - 1)] * B
+        (context,) = [n for n in nodes if n.op == "attention_context"]
+        assert {id(n) for n in context._parents[2:-1]} == {id(n) for n in scores}
+        # and neither a node nor a rule closure holds them joined
+        kept = [n.data for n in nodes] + self._held_arrays(nodes)
+        assert not [a.shape for a in kept if a.shape == (B * H, T, 2 * T - 1)]
 
     @staticmethod
     def _two_layer_lrs3(lowrank=True):
@@ -1308,8 +1345,10 @@ class TestRetainedMemory:
         assert not [a.shape for a in kept if a.nbytes == 128 * 144 * 8
                     and a.tobytes() in normalized]
 
-    @pytest.mark.parametrize("frames,batch,count", [(128, 1, 1123), (64, 2, 1283)])
-    def test_lrs3_forward_tape_layout_and_held_bytes(self, frames, batch, count):
+    @pytest.mark.parametrize("frames,batch,count,mib", [
+        pytest.param(128, 1, 1123, 145, id="128-1-1123"),
+        pytest.param(64, 2, 1243, 125, id="64-2-1243")])
+    def test_lrs3_forward_tape_layout_and_held_bytes(self, frames, batch, count, mib):
         # the paper's LRS3 model: 40 layers at d=144 with four heads
         from confshare.encoder import bind_model
         from confshare.presets import preset
@@ -1328,21 +1367,26 @@ class TestRetainedMemory:
         assert len(nodes) == count
         assert [n.op for n in nodes].count("layer_norm") == 2 * layers
         assert not [a.shape for a in self._held_arrays(nodes) if a.shape[-2:] == (frames,) * 2]
-        assert held <= 145 * 2**20, f"the forward pass holds {held / 2**20:.1f} MiB"
+        assert held <= mib * 2**20, f"the forward pass holds {held / 2**20:.1f} MiB"
 
 
 def _closure_values(fn) -> list:
     """What the closure of ``fn`` holds, with the functions in it replaced
     by what their closures hold, so a product's core operations, which
-    the frame's rule calls, are searched too."""
+    the frame's rule calls, are searched too, and the tuples and lists in
+    it by their items, so ``attention_context``'s positional parts are."""
     values = []
     for cell in fn.__closure__ or ():
-        value = cell.cell_contents
-        if isinstance(value, types.FunctionType):
-            values += _closure_values(value)
-        else:
-            values.append(value)
+        values += _flattened(cell.cell_contents)
     return values
+
+
+def _flattened(value) -> list:
+    if isinstance(value, types.FunctionType):
+        return _closure_values(value)
+    if isinstance(value, (tuple, list)):
+        return [v for item in value for v in _flattened(item)]
+    return [value]
 
 
 def _scratch_buffers() -> list[np.ndarray]:

@@ -155,11 +155,12 @@ class Rng:
     take the top 53 bits: ``(raw >> 11) * 2**-53``. Same seed, same
     platform-independent stream, bit for bit.
 
-    A draw of n values works in place on one uint64 array and one
-    scratch array, and scales its doubles in place (``u *= hi - lo;
-    u += lo``), so it holds at most two arrays of n at a time. The
-    bytes are those of the plain formulas: the integer steps wrap the
-    same way, and addition commutes.
+    Every draw returns an array of the ``shape`` it is given; there is
+    no scalar draw. A draw of n values works in place on one uint64
+    array and one scratch array, and scales its doubles in place
+    (``u *= hi - lo; u += lo``), so it holds at most two arrays of n at
+    a time. The bytes are those of the plain formulas: the integer steps
+    wrap the same way, and addition commutes.
     """
 
     def __init__(self, seed: int):
@@ -192,19 +193,18 @@ class Rng:
         u *= 2.0 ** -53
         return u
 
-    def uniform(self, lo: float, hi: float, shape=()) -> np.ndarray:
+    def uniform(self, lo: float, hi: float, shape) -> np.ndarray:
         out = self._unit(shape)
         out *= hi - lo
         out += lo
-        return out.reshape(shape) if shape else out[0]
+        return out.reshape(shape)
 
-    def integers(self, upper: int, shape=()) -> np.ndarray:
+    def integers(self, upper: int, shape) -> np.ndarray:
         """Integers in [0, upper). Floor of a uniform draw; the O(upper/2^53)
         bias is irrelevant at toy scale and keeps the stream portable."""
         u = self._unit(shape)
         u *= upper
-        out = np.minimum(u.astype(np.int64), upper - 1)
-        return out.reshape(shape) if shape else int(out[0])
+        return np.minimum(u.astype(np.int64), upper - 1).reshape(shape)
 
 
 class Tensor:
@@ -1016,11 +1016,11 @@ def relative_error(a: np.ndarray, b: np.ndarray, zero_floor: float = 0.0) -> flo
     floor would misreport as 1e-4 disagreement. Coordinates where both
     sides are at or below the floor count as agreeing at zero; any real
     gradient defect shows up orders of magnitude above it.
+
+    Empty inputs raise ``ValueError``: a comparison of nothing is not a pass.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.size == 0:
-        return 0.0
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
     err = np.abs(a - b) / denom
     if zero_floor > 0.0:

@@ -140,11 +140,10 @@ class BlockParams:
     final_ln_beta: Tensor
 
 
-def apply_linear(x: Tensor, w: Tensor | LowRankFactors, b: Tensor) -> Tensor:
-    """x . w + b for a dense or low-rank w."""
-    if isinstance(w, LowRankFactors):
-        return matmul(matmul(x, w.u), w.v, transpose_b=True, bias=b)
-    return matmul(x, w, bias=b)
+def apply_linear(x: Tensor, w: LowRankFactors, b: Tensor) -> Tensor:
+    """(x . U) . Vᵀ + b, one factored linear on its own; a feed-forward
+    applies its factors inside ``linear_swish_matmul`` instead."""
+    return matmul(matmul(x, w.u), w.v, transpose_b=True, bias=b)
 
 
 def feed_forward(x: Tensor, p: FeedForwardParams) -> Tensor:
@@ -346,13 +345,9 @@ def init_tensor(shape: tuple[int, ...], kind: str, rng: Rng) -> Tensor:
     elif kind == "zeros":
         data = np.zeros(shape)
     elif kind in ("matrix", "rel_table"):
-        if kind == "rel_table":
-            # fan taken as (d, d): the table rows act as positional keys.
-            fan_in = fan_out = shape[1]
-        elif len(shape) == 2:
-            fan_in, fan_out = shape
-        else:
-            fan_in = fan_out = shape[0]
+        # every matrix is 2-d; a rel_table's fan is taken as (d, d), since
+        # its rows act as positional keys
+        fan_in, fan_out = (shape[1], shape[1]) if kind == "rel_table" else shape
         bound = math.sqrt(6.0 / (fan_in + fan_out))
         data = rng.uniform(-bound, bound, shape)
     else:

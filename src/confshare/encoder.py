@@ -41,7 +41,7 @@ class BoundModel:
     plan: SharingPlan
     store: ParameterStore
     schedule: BoundSchedule = field(init=False, repr=False)
-    _blocks: list[BlockParams] | None = field(default=None, repr=False)
+    _blocks: list[BlockParams] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.schedule = schedule_keys(self.config, self.plan)

@@ -6,8 +6,9 @@ cuts the weight count from m*n to k*(m+n). Factors are trained from
 scratch. In a feed-forward (``blocks.feed_forward``) the products
 between U1 and V2 are one ``linear_swish_matmul`` node,
 swish((x @ U1) @ V1^T + b1) @ U2, so the tape keeps the (rows, k)
-product x @ U1 and no (rows, n) array; ``blocks.apply_linear`` applies
-one factored linear on its own.
+product x @ U1 and no (rows, n) array. ``blocks.apply_linear`` applies
+one factored linear on its own; it takes factors only, since a dense
+linear is one ``matmul``.
 """
 
 from __future__ import annotations

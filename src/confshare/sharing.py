@@ -120,20 +120,14 @@ def canonicalize_plan(plan: SharingPlan) -> SharingPlan:
                             for module in MODULE_TYPES})
 
 
-def repeat_plan(n: int, r) -> SharingPlan:
-    """N physical blocks, each repeated consecutively.
-
-    ``r`` is a single repeat count or a per-block list; the resulting
-    index vectors read [1]*r[0] + [2]*r[1] + ... for all four modules.
-    """
+def repeat_plan(n: int, r: int) -> SharingPlan:
+    """N physical blocks, each repeated ``r`` times consecutively: every
+    module's index vector reads [1]*r + [2]*r + ... + [n]*r."""
     if n < 1:
         raise ValueError(f"need at least one physical block, got {n}")
-    repeats = [r] * n if isinstance(r, int) else list(r)
-    if len(repeats) != n:
-        raise ValueError(f"expected {n} repeat counts, got {len(repeats)}")
-    if any(x < 1 for x in repeats):
-        raise ValueError(f"repeat counts must be positive, got {repeats}")
-    vec = tuple(block for block, reps in enumerate(repeats, start=1) for _ in range(reps))
+    if r < 1:
+        raise ValueError(f"repeat count must be positive, got {r}")
+    vec = tuple(block for block in range(1, n + 1) for _ in range(r))
     return SharingPlan(v=len(vec), **{index_field(module): vec for module in MODULE_TYPES})
 
 
@@ -200,9 +194,6 @@ class ParameterStore:
 
     def __contains__(self, key: Key) -> bool:
         return key in self.tensors
-
-    def __len__(self) -> int:
-        return len(self.tensors)
 
     def keys(self):
         return self.tensors.keys()

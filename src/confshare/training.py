@@ -28,14 +28,19 @@ class TrainingError(RuntimeError):
     pass
 
 
+NOISE = 0.3  # the toy noise half-width: prototypes live in [-1, 1], so 0.3x their scale
+LR, BETA1, BETA2, EPS = 1e-3, 0.9, 0.999, 1e-8  # Adam's step size, decays and floor
+
+
 @dataclass(frozen=True)
 class ToyTaskSpec:
+    """The shape of a toy batch; every batch draws its noise at ``NOISE``."""
+
     # a default ModelConfig's input and output sizes
     feature_dim: int = ModelConfig.input_dim
     num_classes: int = ModelConfig.num_classes
     frames: int = 32
     batch: int = 4
-    noise: float = 0.3  # prototypes live in [-1, 1], so this is 0.3x their scale
 
     def __post_init__(self):
         if self.frames < 1:
@@ -55,15 +60,14 @@ def generate_toy_batch(spec: ToyTaskSpec, seed: int,
     protos = task_prototypes(spec, seed)
     rng = Rng(seed).derive(f"batch.{batch_index}")
     labels = rng.integers(spec.num_classes, (spec.batch, spec.frames))
-    noise = rng.uniform(-spec.noise, spec.noise,
-                        (spec.batch, spec.frames, spec.feature_dim))
+    noise = rng.uniform(-NOISE, NOISE, (spec.batch, spec.frames, spec.feature_dim))
     return protos[labels] + noise, labels
 
 
 @dataclass
 class OptimizerState:
-    """Adaptive moment estimation with fixed defaults (lr 1e-3, decays
-    0.9/0.999, eps 1e-8). The moments mirror parameter shapes, and every
+    """Adaptive moment estimation at the module's fixed ``LR``, ``BETA1``,
+    ``BETA2`` and ``EPS``. The moments mirror parameter shapes, and every
     update is in place, so bound views stay valid.
 
     A step allocates no parameter-sized array: per tensor it works in two
@@ -74,13 +78,9 @@ class OptimizerState:
     subtracted from the data. A tensor whose ``grad`` is None is skipped.
     """
 
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step_count: int = 0
-    m: dict[Key, np.ndarray] = field(default_factory=dict)
-    v: dict[Key, np.ndarray] = field(default_factory=dict)
+    step_count: int = field(default=0, init=False)
+    m: dict[Key, np.ndarray] = field(default_factory=dict, init=False)
+    v: dict[Key, np.ndarray] = field(default_factory=dict, init=False)
 
     def step(self, store):
         self.step_count += 1
@@ -96,17 +96,17 @@ class OptimizerState:
             v = self.v[key]
             step = _scratch("adam.step", g.shape)
             den = _scratch("adam.den", g.shape)
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=step)
-            v *= self.beta2
+            m *= BETA1
+            m += np.multiply(g, 1.0 - BETA1, out=step)
+            v *= BETA2
             np.multiply(g, g, out=step)
-            step *= 1.0 - self.beta2
+            step *= 1.0 - BETA2
             v += step
-            np.divide(m, 1.0 - self.beta1 ** t, out=step)
-            np.divide(v, 1.0 - self.beta2 ** t, out=den)
+            np.divide(m, 1.0 - BETA1 ** t, out=step)
+            np.divide(v, 1.0 - BETA2 ** t, out=den)
             np.sqrt(den, out=den)
-            den += self.eps
-            step *= self.lr
+            den += EPS
+            step *= LR
             step /= den
             tensor.data -= step
 

@@ -40,7 +40,7 @@ class TestRng:
         assert rng._raw(3).tolist() == oracle(42, 8)[5:]
 
     @pytest.mark.parametrize("lo,hi", [(-1, 1), (-0.3, 1.1)])
-    @pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 5)])
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5)])
     def test_draws_follow_the_raw_stream(self, shape, lo, hi):
         # each draw is a plain formula of the raw stream, and a stream that
         # has drawn before goes on from where it stopped
@@ -51,11 +51,17 @@ class TestRng:
         rng, ref = Rng(11), Rng(11)
         for _ in range(2):
             want = (lo + unit(n) * (hi - lo)).reshape(shape)
-            assert np.asarray(rng.uniform(lo, hi, shape)).tobytes() == want.tobytes()
+            assert rng.uniform(lo, hi, shape).tobytes() == want.tobytes()
             want = np.minimum((unit(n) * 13).astype(np.int64), 12).reshape(shape)
             got = rng.integers(13, shape)
-            assert np.asarray(got).tobytes() == want.tobytes()
-            assert type(got) is (int if shape == () else np.ndarray)
+            assert got.tobytes() == want.tobytes()
+            assert type(got) is np.ndarray
+
+    @pytest.mark.parametrize("draw", ["uniform", "integers"])
+    def test_shape_is_required(self, draw):
+        args = (0, 1) if draw == "uniform" else (5,)
+        with pytest.raises(TypeError):
+            getattr(Rng(1), draw)(*args)
 
     def test_same_seed_same_stream(self):
         a = Rng(7).uniform(-1, 1, (64,))
@@ -109,6 +115,12 @@ class TestMatmul:
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+
+    @pytest.mark.parametrize("a,b", [((2, 3), (2, 3, 4)), ((2, 3, 4), (4, 5))])
+    def test_rejects_operands_of_unlike_rank(self, a, b):
+        message = f"matmul supports 2d@2d or 3d@3d, got {a} @ {b}"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            matmul(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
 
     def test_transpose_b(self, rng):
         a = rand_tensor(rng, (4, 6))
@@ -885,6 +897,14 @@ class TestDepthwiseConv:
         with pytest.raises(ShapeError, match="odd"):
             depthwise_conv1d(Tensor(np.ones((4, 2))), Tensor(np.ones((2, 2))))
 
+    @pytest.mark.parametrize("x,k,message", [
+        ((2, 4, 3), (3, 3), "depthwise_conv1d expects 2d operands, got (2, 4, 3), (3, 3)"),
+        ((4, 2), (3, 3), "depthwise_conv1d: channel mismatch (4, 2) vs (3, 3)"),
+    ])
+    def test_rejects_operands_that_do_not_fit(self, x, k, message):
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            depthwise_conv1d(Tensor(np.ones(x)), Tensor(np.ones(k)))
+
     def test_gradients(self, rng):
         x = rand_tensor(rng, (7, 3), requires_grad=True)
         k = rand_tensor(rng, (3, 3), requires_grad=True)
@@ -1070,6 +1090,23 @@ class TestBackward:
     def test_concat_rows_rejects_parts_that_do_not_stack(self, parts):
         with pytest.raises(ShapeError, match="concat_rows"):
             concat_rows([Tensor(np.zeros(shape)) for shape in parts])
+
+    @pytest.mark.parametrize("start,stop", [(0, 5), (2, 2), (3, 1), (-1, 2)])
+    def test_slice_rows_rejects_rows_out_of_range(self, start, stop):
+        message = f"slice_rows: rows [{start}, {stop}) of (4, 2, 3)"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            slice_rows(Tensor(np.zeros((4, 2, 3))), start, stop)
+
+    @pytest.mark.parametrize("labels,error,message", [
+        ([[0], [1], [2]], ShapeError, "cross_entropy_mean: labels shape (3, 1) != (3,)"),
+        ([0, 1], ShapeError, "cross_entropy_mean: labels shape (2,) != (3,)"),
+        ([0, 4, 1], ValueError, "cross_entropy_mean: labels out of range [0, 4)"),
+        ([0, -1, 1], ValueError, "cross_entropy_mean: labels out of range [0, 4)"),
+    ])
+    def test_cross_entropy_mean_rejects_labels_that_do_not_fit(self, labels, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
+            cross_entropy_mean(Tensor(np.zeros((3, 4))), np.array(labels))
+        assert raised.type is error
 
     @pytest.mark.parametrize("op,shapes,constant", [
         pytest.param(matmul, [(3, 4), (4, 5)], (0,), id="matmul"),
@@ -1713,3 +1750,8 @@ class TestRelativeError:
         assert masked == pytest.approx(1e-3, rel=1e-2)
         # genuine disagreement above the floor is never masked
         assert relative_error(np.array([0.0]), np.array([1e-6]), zero_floor=1e-9) > 1e-2
+
+    def test_empty_input_raises(self):
+        # a comparison of nothing is not a pass
+        with pytest.raises(ValueError):
+            relative_error(np.array([]), np.array([]))

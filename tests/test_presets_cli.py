@@ -18,7 +18,7 @@ from confshare.configio import (ConfigError, parse_config_text, parse_float, par
                                 serialize_config)
 from confshare.encoder import bind_model, encoder_forward
 from confshare.presets import calibrated_defaults, preset, preset_names
-from confshare.sharing import (ALL_MISC_SMALL, key_str, physical_group_counts,
+from confshare.sharing import (ALL_MISC_SMALL, SharingPlan, key_str, physical_group_counts,
                                repeat_plan, validate_plan)
 from confshare.autodiff import Rng, Tensor
 from oracles import all_presets
@@ -206,6 +206,15 @@ class TestConfigGrammar:
     def test_parse_float_rejects_what_is_not_an_ascii_decimal(self, value):
         with pytest.raises(ValueError, match="invalid number"):
             parse_float(value)
+
+    def test_round_trip_empty_plan(self):
+        # V = 0: every index vector is empty, written and read as nothing
+        config = preset("SL0-small").config
+        plan = SharingPlan(v=0, i_ff_start=(), i_attention=(), i_conv=(), i_ff_end=())
+        text = serialize_config(config, plan)
+        assert "plan.v = 0\nplan.i_ff_start = \n" in text
+        assert parse_config_text(text) == (config, plan)
+        assert serialize_config(*parse_config_text(text)) == text
 
     def test_missing_keys_reported(self):
         with pytest.raises(ConfigError, match="missing model keys"):
@@ -418,6 +427,22 @@ class TestCheckpoints:
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: line {lineno}: {message}"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("old,new,message", [
+        (b"payload_bytes = ", b"payload_count = ", "not a checkpoint (missing payload_bytes)"),
+        (b"seed = 1\n", b"", "manifest is missing the seed"),
+        (b"format = confshare-checkpoint-v1\n", b"format = confshare-checkpoint-v0\n",
+         "line 1: unsupported format 'confshare-checkpoint-v0'"),
+    ], ids=["no-payload-count", "no-seed", "format-v0"])
+    def test_manifest_without_its_header_rejected(self, old, new, message, tmp_path):
+        p = preset("SL0-small")
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(bind_model(p.config, p.plan, seed=1), path)
+        blob = path.read_bytes()
+        assert old in blob
+        path.write_bytes(blob.replace(old, new, 1))
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_checkpoint(path)
+
     def test_non_utf8_manifest_rejected(self, tmp_path):
         p = preset("SL0-small")
         path = tmp_path / "m.ckpt"
@@ -550,6 +575,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert "minimum group id must be 1" in err
 
+    @pytest.mark.parametrize("base,old,new,message", [
+        ("SL3", "plan.v = 4\n", "plan.v = -1\n",
+         "violation: virtual layer count must be non-negative, got -1"),
+        ("SL1", "plan.i_conv = 1,1\n", "plan.i_conv = 0,1\n",
+         "violation: i_conv: group ids must be positive integers (positions [0])"),
+        ("SL3", "plan.i_ff_end = 1,2,3,4\n", "",
+         "error: {path}: missing plan keys: i_ff_end"),
+    ], ids=["negative-v", "zero-group-id", "no-i_ff_end"])
+    def test_validate_rejects_config(self, base, old, new, message, tmp_path, capsys):
+        p = preset(base)
+        text = serialize_config(p.config, p.plan)
+        assert old in text
+        path = tmp_path / "bad.conf"
+        path.write_text(text.replace(old, new, 1))
+        assert run_cli("validate", "--config", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message.format(path=path) in captured.err.splitlines()
+
     def test_preset_and_config_conflict_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "x.conf"
         path.write_text("")
@@ -568,6 +612,12 @@ class TestCli:
     def test_budget_infeasible_exits_one(self, capsys):
         assert run_cli("budget", "--preset", "SM2", "--budget", "1000") == 1
         assert "error" in capsys.readouterr().err
+
+    def test_budget_of_zero_is_one_error_line(self, capsys):
+        assert run_cli("budget", "--preset", "SM2", "--budget", "0") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: budget values must be positive\n"
 
     def test_gradcheck_small_preset(self, capsys):
         assert run_cli("gradcheck", "--preset", "SL0-small", "--seed", "3",

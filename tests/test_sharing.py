@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from confshare.autodiff import Rng, Tensor, backward, zero_grads
 from confshare.blocks import MODULE_TYPES, ModelConfig
-from confshare.encoder import EvalCounter, bind_model, encoder_forward, pack_features
+from confshare.encoder import (BoundModel, EvalCounter, bind_model, encoder_forward,
+                               pack_features)
 from confshare.lowrank import LowRankSpec
 from confshare.sharing import (ALL_MISC_SMALL, FRONTEND_W, SharingPlan, bind_parameters,
                                canonicalize, canonicalize_plan, index_field,
@@ -82,13 +85,14 @@ class TestRepeatPlan:
     def test_no_sharing(self):
         assert repeat_plan(4, 1).i_conv == (1, 2, 3, 4)
 
-    def test_per_block_repeats(self):
-        assert repeat_plan(3, [1, 2, 1]).i_attention == (1, 2, 2, 3)
-
-    @pytest.mark.parametrize("n,r", [(0, 1), (2, 0), (2, [1, -1])])
+    @pytest.mark.parametrize("n,r", [(0, 1), (2, 0)])
     def test_rejects_bad_counts(self, n, r):
         with pytest.raises(ValueError):
             repeat_plan(n, r)
+
+    def test_repeat_count_is_one_int(self):
+        with pytest.raises(TypeError):
+            repeat_plan(3, [1, 2, 1])
 
     def test_v_equals_n_times_r(self):
         for n in (1, 2, 5):
@@ -138,6 +142,11 @@ class TestUnshare:
     def test_unshare_rejects_unknown_pair(self):
         with pytest.raises(ValueError, match="unknown sub-component"):
             unshare_subcomponent(repeat_plan(2, 2), ("conv", "query"))
+
+    def test_unshare_module_rejects_unknown_module(self):
+        message = f"unknown module 'decoder', expected one of {MODULE_TYPES}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            unshare_module(repeat_plan(2, 2), "decoder")
 
     def test_unsharing_never_changes_v(self):
         plan = repeat_plan(4, 3)
@@ -413,6 +422,18 @@ class TestEncoderComposition:
         assert (x.op, x.requires_grad, x.shape, frames) == (None, False, (rows, cfg.input_dim), 4)
         expected = encoder_forward(data, model).data.tobytes()
         assert encoder_forward(Tensor(data), model).data.tobytes() == expected
+
+    def test_features_of_the_wrong_width_rejected(self):
+        cfg = _cfg()
+        assert cfg.input_dim == 80
+        message = "expected (T, 80) or (B, T, 80) features, got (2, 3, 5)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pack_features(np.zeros((2, 3, 5)), cfg)
+
+    def test_block_cache_is_not_a_constructor_argument(self):
+        model = bind_model(_cfg(), repeat_plan(1, 1), seed=1)
+        with pytest.raises(TypeError):
+            BoundModel(config=model.config, plan=model.plan, store=model.store, _blocks=[])
 
     def test_unbound_schedule_raises(self):
         cfg = _cfg()

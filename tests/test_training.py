@@ -6,7 +6,7 @@ import pytest
 
 import confshare.encoder
 import confshare.training
-from confshare.autodiff import (Rng, ShapeError, Tensor, backward,
+from confshare.autodiff import (NonFiniteError, Rng, ShapeError, Tensor, backward,
                                 cross_entropy_mean, zero_grads)
 from confshare.blocks import ModelConfig, conformer_block
 from confshare.encoder import (bind_model, encoder_forward, first_stages,
@@ -15,7 +15,7 @@ from confshare.lowrank import LowRankSpec
 from confshare.sharing import (FRONTEND_B, FRONTEND_W, HEAD_B, HEAD_W, REL_TABLE,
                                SharingPlan, repeat_plan, unshare_module,
                                unshare_subcomponent)
-from confshare.training import (OptimizerState, ToyTaskSpec, batch_loss,
+from confshare.training import (OptimizerState, ToyTaskSpec, TrainingError, batch_loss,
                                 generate_toy_batch, gradcheck_model, serialize_report,
                                 task_prototypes, train_steps)
 from confshare.training import _loss_from as loss_from
@@ -105,6 +105,11 @@ class TestAdam:
         frozen = self._stores()[0]["frozen"]
         assert ours["frozen"].data.tobytes() == frozen.data.tobytes()
 
+    @pytest.mark.parametrize("name", ["lr", "beta1", "beta2", "eps", "step_count", "m", "v"])
+    def test_constructor_takes_no_setting(self, name):
+        with pytest.raises(TypeError):
+            OptimizerState(**{name: 0.1})
+
     def test_warm_step_allocates_no_parameter_sized_array(self):
         # the shape of an LRS3 feed-forward weight
         rng = Rng(19)
@@ -140,8 +145,8 @@ class TestToyBatch:
         assert labels.shape == (4, 32)
         assert labels.min() >= 0 and labels.max() < 8
 
-    def test_zero_noise_recovers_labels_by_nearest_prototype(self):
-        spec = ToyTaskSpec(noise=0.0)
+    def test_noise_keeps_labels_nearest_their_prototype(self):
+        spec = ToyTaskSpec()
         features, labels = generate_toy_batch(spec, seed=9, batch_index=2)
         protos = task_prototypes(spec, 9)
         flat = features.reshape(-1, spec.feature_dim)
@@ -150,21 +155,25 @@ class TestToyBatch:
         assert np.array_equal(predicted, labels)
 
     def test_noise_bounded(self):
-        spec = ToyTaskSpec(noise=0.3)
+        spec = ToyTaskSpec()
         features, labels = generate_toy_batch(spec, seed=4, batch_index=0)
         protos = task_prototypes(spec, 4)
         residual = features - protos[labels]
-        assert np.max(np.abs(residual)) <= 0.3
+        assert confshare.training.NOISE == 0.3
+        assert np.max(np.abs(residual)) <= confshare.training.NOISE
+
+    def test_noise_is_not_a_setting(self):
+        with pytest.raises(TypeError):
+            ToyTaskSpec(noise=0.1)
 
 
 class TestTrainSteps:
-    def test_zero_learning_rate_changes_nothing(self):
-        from confshare.training import batch_loss
-
+    def test_zero_learning_rate_changes_nothing(self, monkeypatch):
+        monkeypatch.setattr(confshare.training, "LR", 0.0)
         model = bind_model(_cfg(), repeat_plan(1, 2), seed=3)
         before = {k: t.data.copy() for k, t in model.store.items()}
         spec = ToyTaskSpec(frames=8, batch=2)
-        report = train_steps(model, spec, OptimizerState(lr=0.0), steps=5, seed=3)
+        report = train_steps(model, spec, OptimizerState(), steps=5, seed=3)
         for k, t in model.store.items():
             assert np.array_equal(before[k], t.data)
         # with frozen parameters every loss is a pure function of its batch:
@@ -210,6 +219,15 @@ class TestTrainSteps:
         # only the attention's norm, which four projections read, and the
         # block's final norm are nodes: the other four are a product's prologue
         assert ops.count("layer_norm") == 2 * layers
+
+    def test_non_finite_loss_names_its_step(self):
+        model = bind_model(_cfg(), repeat_plan(1, 1), seed=1)
+        model.store[FRONTEND_W].data[...] = 1e308
+        # the frontend product overflows; the op reports it, not numpy
+        with np.errstate(over="ignore"), \
+                pytest.raises(TrainingError, match=r"^non-finite loss at step 0$") as raised:
+            train_steps(model, ToyTaskSpec(frames=4, batch=1), OptimizerState(), 3, 1)
+        assert isinstance(raised.value.__cause__, NonFiniteError)
 
     def test_class_count_mismatch_rejected(self):
         model = bind_model(_cfg(num_classes=4), repeat_plan(1, 1), seed=0)

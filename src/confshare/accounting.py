@@ -184,7 +184,6 @@ class CalibratedDefaults:
     e: float
     kernel_width: int
     d: int
-    heads: int = DEFAULT_HEADS
     sse: float = 0.0
 
 

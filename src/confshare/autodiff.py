@@ -4,8 +4,9 @@ Everything here is deliberately small and deterministic:
 
 * all values are 64-bit floats in row-major (C) order;
 * each op's backward rule is a pure function of the output gradient
-  that returns one gradient per parent, in the order of its parents;
-  ``backward`` alone stores them, on parents with ``requires_grad``,
+  that returns one gradient per parent (``None`` for one that needs
+  none), in the order of its parents; ``backward`` alone stores them, on
+  parents with ``requires_grad``,
   sequentially in reverse tape order and within a node in parent order,
   so repeated runs with identical inputs produce bit-identical gradients;
 * every op validates that its output is finite and raises
@@ -15,12 +16,11 @@ Everything here is deliberately small and deterministic:
 
 The op set is what a conformer block needs: three products, layer
 norm, glu, a depthwise temporal convolution that pads each utterance of
-a packed batch on its own, ``transpose`` (between an input view and an
-output shape, so a head split is one node and one copy),
-``slice_rows`` along the leading axis, and ``attention_context``: from
-the q, k and v projections and each utterance's relative-position
-scores to the context, one node per layer over all heads of a batch,
-which reads the heads as strided views.
+a packed batch on its own, ``transpose`` (a head split or merge, one
+node and one copy), ``slice_rows`` along the leading axis, and
+``attention_context``: from the q, k and v projections and each
+utterance's relative-position scores to the context, one node per layer
+over all heads of a batch, which reads the heads as strided views.
 
 The products are ``matmul`` (2-d, or 3-d batched for the positional
 scores), ``swish_matmul`` (swish(a) @ b) and ``linear_swish_matmul``
@@ -101,7 +101,6 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import NamedTuple
 
 import numpy as np
 
@@ -303,24 +302,14 @@ class Tape:
         return cls(order)
 
 
-class RowRange(NamedTuple):
-    """A rule result for rows ``start:stop`` of a parent, zero elsewhere:
-    ``backward`` adds ``grad`` into those rows of the parent's gradient
-    (zero-filled once, on first use) instead of adding a parent-sized
-    array that is mostly zeros."""
-
-    start: int
-    stop: int
-    grad: np.ndarray
-
-
 def backward(loss: Tensor) -> Tape:
     """Reverse-mode sweep from a scalar loss.
 
     Walks the tape in reverse, calls each node's rule on its gradient and
     adds the returned gradients to the parents that have
-    ``requires_grad``, in parent order; this is the only place gradients
-    are stored. A rule that returns more or fewer gradients than its node
+    ``requires_grad``, in parent order, and skips the others, whose
+    gradient may be ``None``; this is the only place gradients are
+    stored. A rule that returns more or fewer gradients than its node
     has parents raises ``ValueError``. Every leaf with ``requires_grad``
     reachable from ``loss`` gets ``.grad``; a leaf used several times
     receives the sum of its per-use contributions, accumulated in reverse
@@ -333,8 +322,7 @@ def backward(loss: Tensor) -> Tape:
     linear in their gradient, so the only difference from a copy
     (``g + 0.0``) is that an interior zero may keep a minus sign; leaves
     always store the copy, which turns -0.0 into +0.0, so leaf bytes are
-    those of copying everywhere. A ``RowRange`` result is added into its
-    rows only.
+    those of copying everywhere.
 
     Returns the tape for instrumentation.
     """
@@ -350,11 +338,7 @@ def backward(loss: Tensor) -> Tape:
         for parent, grad in zip(node._parents, grads, strict=True):
             if not parent.requires_grad:
                 continue
-            if type(grad) is RowRange:
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad[grad.start:grad.stop] += grad.grad
-            elif parent.grad is None and _can_take_over(parent, grad, grads):
+            if parent.grad is None and _can_take_over(parent, grad, grads):
                 parent.grad = grad
             else:
                 parent.accumulate_grad(grad)
@@ -509,6 +493,8 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
     operands, ``bias``, ``residual``, ``s`` and ``norm`` make the node
     residual + s·(LN(a) @ b + bias) (``_product``), so a linear layer, its
     residual connection and a layer norm before it are one tape node.
+    The rule computes no gradient for a constant ``a`` with no ``norm``
+    (the frontend's packed features): ``backward`` would drop it.
     """
     ad, bd = a.data, b.data
     if ad.ndim != bd.ndim or ad.ndim not in (2, 3):
@@ -522,10 +508,11 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
         return x @ (np.swapaxes(b.data, -1, -2) if transpose_b else b.data)
 
     def grads(x, gp, rebuilt):
-        if transpose_b:
-            # out = a @ b^T  =>  d_a = g @ b,  d_b = g^T @ a
-            return gp @ b.data, np.swapaxes(gp, -1, -2) @ x
-        return gp @ np.swapaxes(b.data, -1, -2), np.swapaxes(x, -1, -2) @ gp
+        # d_x = g @ bᵀ and d_b = xᵀ @ g, or g @ b and gᵀ @ x for x @ bᵀ; no d_x
+        # for a constant a, but a rebuilt LN(a) feeds the norm's gradients
+        bt = b.data if transpose_b else np.swapaxes(b.data, -1, -2)
+        gb = np.swapaxes(gp, -1, -2) @ x if transpose_b else np.swapaxes(x, -1, -2) @ gp
+        return gp @ bt if rebuilt or a.requires_grad else None, gb
 
     return _product("matmul", a, (b,), forward, grads, bias, residual, s, norm)
 
@@ -535,20 +522,17 @@ def sum_all(a: Tensor) -> Tensor:
                    lambda g: (np.full_like(a.data, float(g)),))
 
 
-def transpose(a: Tensor, axes, view, shape) -> Tensor:
-    """``a`` viewed as ``view``, its axes permuted by ``axes``, viewed as
-    ``shape``: a reshape-transpose-reshape chain (a head split or merge)
-    as one node and one copy. The rule runs the chain backwards."""
-    axes = tuple(axes)
-    inv = [0] * len(axes)
-    for i, ax in enumerate(axes):
-        inv[ax] = i
+def transpose(a: Tensor, view, shape) -> Tensor:
+    """``a`` viewed as the 4-d ``view``, permuted by (0, 2, 1, 3), viewed
+    as ``shape``: a reshape-transpose-reshape chain (a head split or
+    merge) as one node and one copy. The permutation is its own inverse,
+    so the rule runs the chain backwards with it."""
     in_shape = a.data.shape
-    permuted = a.data.reshape(view).transpose(axes)
+    permuted = a.data.reshape(view).transpose(0, 2, 1, 3)
     permuted_shape = permuted.shape
     out = np.ascontiguousarray(permuted).reshape(shape)
     return _result(out, "transpose", (a,),
-                   lambda g: (g.reshape(permuted_shape).transpose(inv).reshape(in_shape),))
+                   lambda g: (g.reshape(permuted_shape).transpose(0, 2, 1, 3).reshape(in_shape),))
 
 
 def _sigmoid_into(x: np.ndarray, num: np.ndarray) -> np.ndarray:
@@ -603,10 +587,10 @@ def _swish_product_grad(x: np.ndarray, b: np.ndarray, g: np.ndarray, out=None):
 
 
 def swish_matmul(a: Tensor, b: Tensor, bias: Tensor | None = None,
-                 residual: Tensor | None = None, s: float | None = None,
+                 residual: Tensor | None = None,
                  norm: tuple[Tensor, Tensor] | None = None) -> Tensor:
     """swish(a) @ b for 2-d operands, as one node, made residual +
-    s·(swish(LN(a)) @ b + bias) by the other arguments, as in ``matmul``.
+    swish(LN(a)) @ b + bias by the other arguments, as in ``matmul``.
 
     The activation is dropped once the product is taken, so the tape
     keeps ``a`` and not ``swish(a)``; the rule rebuilds it
@@ -621,7 +605,7 @@ def swish_matmul(a: Tensor, b: Tensor, bias: Tensor | None = None,
         return _swish_product_grad(x, b.data, gp, out=x if rebuilt else None)
 
     return _product("swish_matmul", a, (b,), lambda x: _swish_product(x, b.data), grads,
-                    bias, residual, s, norm)
+                    bias, residual, None, norm)
 
 
 def linear_swish_matmul(a: Tensor, w: Tensor, c: Tensor, b: Tensor,
@@ -848,14 +832,19 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, frames: int | None = None) -> Te
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     """Entries ``start:stop`` along the leading axis, as a view of the data.
-    Its rule hands ``backward`` a ``RowRange``, not a parent-sized array.
-    All rows are ``a`` itself, with no node."""
+    Its rule returns an array shaped like ``a``: g in those rows, zeros
+    elsewhere. All rows are ``a`` itself, with no node."""
     if a.ndim < 1 or not 0 <= start < stop <= a.shape[0]:
         raise ShapeError(f"slice_rows: rows [{start}, {stop}) of {a.shape}")
     if start == 0 and stop == a.shape[0]:
         return a
-    return _result(a.data[start:stop], "slice_rows", (a,),
-                   lambda g: (RowRange(start, stop, g),))
+
+    def rule(g):
+        ga = np.zeros_like(a.data)
+        ga[start:stop] = g
+        return (ga,)
+
+    return _result(a.data[start:stop], "slice_rows", (a,), rule)
 
 
 def utterance_count(rows: int, frames: int) -> int:
@@ -865,8 +854,8 @@ def utterance_count(rows: int, frames: int) -> int:
     return rows // frames
 
 
-def attention_context(q: Tensor, k: Tensor, pos, v: Tensor, scale: float) -> Tensor:
-    """softmax((q kᵀ + skew(pos)) * scale) v for every head, as one node.
+def attention_context(q: Tensor, k: Tensor, pos, v: Tensor) -> Tensor:
+    """softmax((q kᵀ + skew(pos)) / sqrt(d/H)) v for every head, as one node.
 
     q, k and v are the (B·T, d) projections of B utterances of T frames.
     Their H heads are read as strided (B, H, T, dh) views, with no copies,
@@ -876,7 +865,8 @@ def attention_context(q: Tensor, k: Tensor, pos, v: Tensor, scale: float) -> Ten
     column c holds the score for key offset c - (T - 1) relative to the
     query, and skew(pos[b])[h, t, s] = pos[b][h, t, s - t + T - 1] (a
     strided view, see ``_skew``). B is ``len(pos)``, and H and T are
-    read from the parts' shape. The parents are (q, k, *pos, v).
+    read from the parts' shape, and so the scale 1/sqrt(d/H) of Vaswani
+    et al. 2017 (arXiv:1706.03762). The parents are (q, k, *pos, v).
 
     The q kᵀ product is checked as a matmul and the weights as this op,
     so a score that overflows raises even where the softmax would hide
@@ -902,6 +892,7 @@ def attention_context(q: Tensor, k: Tensor, pos, v: Tensor, scale: float) -> Ten
                          f"{q.shape}, {k.shape}, {v.shape} and "
                          f"{[part.shape for part in pos]}")
     dh = d // H
+    scale = 1.0 / math.sqrt(dh)
 
     def heads(a):  # (B·T, d) -> (B, H, T, dh), a view
         return a.reshape(B, T, H, dh).transpose(0, 2, 1, 3)
@@ -1006,16 +997,19 @@ def finite_diff_grad(loss, theta: np.ndarray, eps: float, coords=None) -> np.nda
     return grad.reshape(theta.shape) if coords is None else grad
 
 
-def relative_error(a: np.ndarray, b: np.ndarray, zero_floor: float = 0.0) -> float:
-    """Max elementwise |a - b| / max(|a|, |b|, 1e-8).
+ZERO_FLOOR = 1e-9  # ``relative_error`` reads both sides at or below this as zero
 
-    ``zero_floor`` handles directions whose true gradient is structurally
+
+def relative_error(a: np.ndarray, b: np.ndarray) -> float:
+    """Max elementwise |a - b| / max(|a|, |b|, 1e-8), where coordinates
+    with both sides at or below ``ZERO_FLOOR`` count as agreeing at zero.
+
+    The floor handles directions whose true gradient is structurally
     zero (e.g. a bias that softmax shift-invariance cancels exactly): a
     central difference there measures only rounding noise, roughly
     |f| * ulp / eps ~ 1e-12 at unit loss scale, which the 1e-8 denominator
-    floor would misreport as 1e-4 disagreement. Coordinates where both
-    sides are at or below the floor count as agreeing at zero; any real
-    gradient defect shows up orders of magnitude above it.
+    floor would misreport as 1e-4 disagreement; any real gradient defect
+    shows up orders of magnitude above it.
 
     Empty inputs raise ``ValueError``: a comparison of nothing is not a pass.
     """
@@ -1023,6 +1017,5 @@ def relative_error(a: np.ndarray, b: np.ndarray, zero_floor: float = 0.0) -> flo
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
     err = np.abs(a - b) / denom
-    if zero_floor > 0.0:
-        err = np.where((np.abs(a) <= zero_floor) & (np.abs(b) <= zero_floor), 0.0, err)
+    err = np.where((np.abs(a) <= ZERO_FLOOR) & (np.abs(b) <= ZERO_FLOOR), 0.0, err)
     return float(np.max(err))

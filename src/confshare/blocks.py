@@ -182,7 +182,7 @@ def table_heads(p: AttentionParams, frames: int) -> Tensor:
         raise ShapeError(f"attention: sequence length {frames} exceeds t_max {t_max}")
     H, W, dh = p.heads, 2 * frames - 1, p.rel_emb.shape[1] // p.heads
     window = slice_rows(p.rel_emb, t_max - frames, t_max + frames - 1)
-    return transpose(window, (0, 2, 1, 3), (1, W, H, dh), (H, W, dh))
+    return transpose(window, (1, W, H, dh), (H, W, dh))
 
 
 def attention(x: Tensor, p: AttentionParams, frames: int | None = None,
@@ -225,10 +225,10 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None,
     pq = matmul(xn, p.wpos_query, bias=p.bpos_query)
 
     # (B·T, d) -> (B·H, T, dh): each utterance's H heads in turn
-    pq3 = transpose(pq, (0, 2, 1, 3), (B, T, H, dh), (B * H, T, dh))
+    pq3 = transpose(pq, (B, T, H, dh), (B * H, T, dh))
     pos = [matmul(slice_rows(pq3, b * H, (b + 1) * H), table, transpose_b=True)
            for b in range(B)]                                # B × (H, T, 2T - 1)
-    context = attention_context(q, k, pos, v, 1.0 / math.sqrt(dh))
+    context = attention_context(q, k, pos, v)
     return matmul(context, p.wpost, bias=p.bpost, residual=x)
 
 

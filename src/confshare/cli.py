@@ -21,8 +21,8 @@ from .autodiff import NonFiniteError, check_seed
 from .checkpoint import save_checkpoint
 from .configio import parse_config_file, parse_float, parse_int
 from .encoder import bind_model, check_frames
-from .presets import calibrated_defaults, preset
-from .sharing import validate_plan
+from .presets import calibrated_config, preset
+from .sharing import key_str, validate_plan
 from .training import (OptimizerState, ToyTaskSpec, _check_count, _check_eps_and_tol,
                        generate_toy_batch, gradcheck_model, serialize_report,
                        train_steps)
@@ -107,7 +107,7 @@ def _cmd_describe(args) -> int:
     else:
         p = preset(args.target)
         config, plan, note = p.config, p.plan, p.note
-    cal = calibrated_defaults()
+    cal = calibrated_config()
     report = count_params(config, plan)
     print(f"# {note}")
     print(f"# calibrated assumptions: e={cal.e}, kernel_width={cal.kernel_width}, "
@@ -141,8 +141,8 @@ def _cmd_gradcheck(args) -> int:
                              samples_per_tensor=args.samples)
     for entry in report.entries:
         status = "ok" if entry.max_rel_err < report.tol else "FAIL"
-        print(f"{status}  {entry.key[0]}|{entry.key[1]}|{entry.key[2]}  "
-              f"max_rel_err={entry.max_rel_err:.3e}  checked={entry.checked}")
+        print(f"{status}  {key_str(entry.key)}  max_rel_err={entry.max_rel_err:.3e}  "
+              f"checked={entry.checked}")
     print(f"gradcheck {'passed' if report.passed else 'FAILED'}: "
           f"max_rel_err={report.max_rel_err:.3e} tol={report.tol:.0e}")
     return EXIT_OK if report.passed else EXIT_FAILURE

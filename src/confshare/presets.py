@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 
-from .accounting import CalibratedDefaults, calibrate
+from .accounting import DEFAULT_HEADS, CalibratedDefaults, calibrate
 from .blocks import ModelConfig
 from .lowrank import LowRankSpec
 from .sharing import (ALL_MISC_SMALL, SharingPlan, repeat_plan, unshare_module,
@@ -51,7 +51,7 @@ def calibrated_defaults() -> CalibratedDefaults:
 
 def calibrated_config(d: int | None = None) -> ModelConfig:
     cal = calibrated_defaults()
-    return ModelConfig(d=d if d is not None else cal.d, e=cal.e, heads=cal.heads,
+    return ModelConfig(d=d if d is not None else cal.d, e=cal.e, heads=DEFAULT_HEADS,
                        kernel_width=cal.kernel_width,
                        external_params=EXTERNAL_DECODER_PARAMS)
 

@@ -117,7 +117,6 @@ class TrainReport:
     seed: int
     digest: str
     wall_clock: float
-    steps: int
 
     @property
     def initial_loss(self) -> float:
@@ -179,7 +178,7 @@ def train_steps(model: BoundModel, spec: ToyTaskSpec, opt: OptimizerState,
         opt.step(model.store)
         losses.append(loss.item())
     return TrainReport(losses=losses, seed=seed, digest=model_digest(model, seed),
-                       wall_clock=time.perf_counter() - started, steps=steps)
+                       wall_clock=time.perf_counter() - started)
 
 
 def serialize_report(report: TrainReport) -> str:
@@ -188,7 +187,7 @@ def serialize_report(report: TrainReport) -> str:
     lines = [f"# confshare train report",
              f"# digest {report.digest}",
              f"# seed {report.seed}",
-             f"# steps {report.steps}"]
+             f"# steps {len(report.losses)}"]
     lines += [f"{i}\t{loss!r}" for i, loss in enumerate(report.losses)]
     return "\n".join(lines) + "\n"
 
@@ -223,12 +222,12 @@ def gradcheck_model(model: BoundModel, batch: tuple[np.ndarray, np.ndarray],
     keys). An empty slice passes vacuously; a key the store does not
     hold is rejected before anything is computed.
 
-    Coordinates where both sides are below 1e-9 count as agreeing at
-    zero: the attention key bias is softmax-shift invariant, so its true
-    gradient is exactly zero and a finite difference there only
-    measures float64 rounding noise (about 1e-12 at this loss scale,
-    a thousand times below the floor, while any genuinely wrong gradient
-    lands orders of magnitude above it).
+    Coordinates where both sides are at most 1e-9 count as agreeing at
+    zero (``relative_error``): the attention key bias is softmax-shift
+    invariant, so its true gradient is exactly zero and a finite
+    difference there only measures float64 rounding noise (about 1e-12
+    at this loss scale, a thousand times below the floor, while any
+    genuinely wrong gradient lands orders of magnitude above it).
 
     Only the one analytic pass records a tape: the finite-difference
     evaluations run with ``requires_grad`` cleared on every store tensor,
@@ -274,7 +273,7 @@ def gradcheck_model(model: BoundModel, batch: tuple[np.ndarray, np.ndarray],
             fd = finite_diff_grad(
                 lambda: _loss_from(model, Tensor(inputs[start]), frames, targets, start).item(),
                 tensor.data, eps, coords)
-            worst = relative_error(analytic.reshape(-1)[coords], fd, zero_floor=1e-9)
+            worst = relative_error(analytic.reshape(-1)[coords], fd)
             entries.append(GradcheckEntry(key=key, max_rel_err=worst, checked=len(coords)))
     finally:
         for t, requires_grad in tracked:

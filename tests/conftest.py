@@ -61,8 +61,7 @@ def bound_block(config, seed, lowrank_k=None):
     return bind_model(config, plan, seed).virtual_blocks()[0]
 
 
-def assert_params_match_fd(named_tensors, make_loss, tol=1e-5, eps=1e-4,
-                           zero_floor=1e-9):
+def assert_params_match_fd(named_tensors, make_loss, tol=1e-5, eps=1e-4):
     """Backward vs finite differences for every named parameter tensor.
 
     ``make_loss`` builds a fresh scalar loss Tensor from current data.
@@ -74,7 +73,7 @@ def assert_params_match_fd(named_tensors, make_loss, tol=1e-5, eps=1e-4,
     for name, tensor in named_tensors.items():
         analytic = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
         fd = finite_diff_grad(lambda: make_loss().item(), tensor.data, eps)
-        err = relative_error(analytic, fd, zero_floor=zero_floor)
+        err = relative_error(analytic, fd)
         if err >= tol:
             failures[name] = err
     assert not failures, f"gradient mismatches: {failures}"

@@ -129,11 +129,11 @@ def attention_chain(q: Tensor, k: Tensor, pos, v: Tensor, scale: float) -> Tenso
     dh = d // H
 
     def split(t):
-        return transpose(t, (0, 2, 1, 3), (B, T, H, dh), (B * H, T, dh))
+        return transpose(t, (B, T, H, dh), (B * H, T, dh))
 
     q3, k3, v3 = split(q), split(k), split(v)
     weights = attention_weights(matmul(q3, k3, transpose_b=True), concat_rows(pos), scale)
-    return transpose(matmul(weights, v3), (0, 2, 1, 3), (B, H, T, dh), (rows, d))
+    return transpose(matmul(weights, v3), (B, H, T, dh), (rows, d))
 
 
 @dataclass

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from confshare.accounting import (BLOCK_PCT_TARGETS, SizeBudget, composition_sse,
+from confshare.accounting import (BLOCK_PCT_TARGETS, DEFAULT_HEADS, SizeBudget, composition_sse,
                                   count_params, fit_dim_to_budget, report_table)
 from confshare.blocks import ModelConfig
 from confshare.lowrank import LowRankSpec
@@ -113,7 +113,7 @@ class TestCalibration:
         assert cal.e == 7.25
         assert cal.kernel_width == 11
         assert cal.d == 144
-        assert cal.heads == 4
+        assert calibrated_config().heads == DEFAULT_HEADS == 4
 
     def test_fit_beats_neighbours(self):
         cal = calibrated_defaults()

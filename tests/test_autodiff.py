@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from confshare.autodiff import (_SCRATCH, LN_EPS, NonFiniteError, Rng, RowRange, ShapeError,
+from confshare.autodiff import (_SCRATCH, LN_EPS, ZERO_FLOOR, NonFiniteError, Rng, ShapeError,
                                 Tape, Tensor, _sigmoid, _skew, attention_context,
                                 backward, cross_entropy_mean,
                                 depthwise_conv1d, finite_diff_grad, glu,
@@ -301,7 +301,7 @@ class TestAttentionContext:
     @pytest.mark.parametrize("B", [1, 3])
     def test_bytes_equal_the_unfused_chain(self, rng, B):
         q, k, pos, v = _attention_operands(rng, B)
-        fused = attention_context(q, k, pos, v, 1.0 / math.sqrt(3))
+        fused = attention_context(q, k, pos, v)  # dh = 3
         chain = attention_chain(q, k, pos, v, 1.0 / math.sqrt(3))
         assert fused._parents == (q, k, *pos, v)
         assert fused.data.tobytes() == chain.data.tobytes()
@@ -325,12 +325,13 @@ class TestAttentionContext:
             assert a.tobytes() == b.tobytes()
 
     def test_gradients(self, rng):
-        q, k, pos, v = _attention_operands(rng, 2, T=3)
+        # dh = 4, so the scale is 0.5
+        q, k, pos, v = _attention_operands(rng, 2, T=3, dh=4)
         named = {"q": q, "k": k, "pos0": pos[0], "pos1": pos[1], "v": v}
         c = Tensor(rng.uniform(-1, 1, q.shape))
 
         def make_loss():
-            return sum_all(mul(attention_context(q, k, pos, v, 0.5), c))
+            return sum_all(mul(attention_context(q, k, pos, v), c))
 
         assert_params_match_fd(named, make_loss)
 
@@ -353,7 +354,7 @@ class TestAttentionContext:
         with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
             attention_context(Tensor(np.zeros(q)), Tensor(np.zeros(kv)),
                               [Tensor(np.zeros(shape)) for shape in pos],
-                              Tensor(np.zeros(kv)), 1.0)
+                              Tensor(np.zeros(kv)))
 
     def test_overflowing_content_score_raises_as_a_matmul(self, rng):
         q, k, pos, v = _attention_operands(rng, 1)
@@ -362,15 +363,18 @@ class TestAttentionContext:
         k.data[1, :3] = -1e200
         with np.errstate(all="ignore"), \
                 pytest.raises(NonFiniteError, match="^matmul produced non-finite values$"):
-            attention_context(q, k, pos, v, 1.0)
+            attention_context(q, k, pos, v)
 
-    def test_overflowing_scaled_score_raises_as_the_op(self, rng):
+    def test_overflowing_summed_score_raises_as_the_op(self, rng):
         q, k, pos, v = _attention_operands(rng, 1)
-        # finite scores that the scale takes past the largest double
+        # a finite content score of one head and finite positional scores
+        # whose sum passes the largest double; the scale, 1/sqrt(3), is below 1
+        q.data[0, 0] = 1e300
+        k.data[1, 0] = 1e8
         pos[0].data[...] = 1e308
         with np.errstate(all="ignore"), \
                 pytest.raises(NonFiniteError, match="^attention_context produced"):
-            attention_context(q, k, pos, v, 10.0)
+            attention_context(q, k, pos, v)
 
 
 def _two_branch_sigmoid(x):
@@ -448,7 +452,7 @@ class TestActivations:
         pytest.param(lambda a, w, c, b, bias: linear_swish_matmul(a, w, c, b, bias, True),
                      [(4, 3), (6, 3), (6,), (6, 5), (5,)],
                      id="linear_swish_matmul-transpose_w-bias"),
-        pytest.param(lambda a: transpose(a, (2, 0, 1), (2, 3, 4), (4, 6)), [(6, 4)],
+        pytest.param(lambda a: transpose(a, (2, 3, 2, 2), (4, 6)), [(6, 4)],
                      id="transpose-view-shape"),
         pytest.param(lambda a, b: add(a, b, -0.5), [(4, 3), (4, 3)], id="add-scaled"),
         pytest.param(lambda x, g, b, w: matmul(x, w, norm=(g, b)),
@@ -553,20 +557,21 @@ class TestPlumbing:
     """The one-node forms of a head split/merge and of a scaled residual
     give the bytes of the chains they replace."""
 
-    @pytest.mark.parametrize("shape,view,axes,shape_out", [
-        ((12, 6), (2, 6, 3, 2), (0, 2, 1, 3), (6, 6, 2)),  # split 2 utterances, 3 heads
-        ((6, 6, 2), (2, 3, 6, 2), (0, 2, 1, 3), (12, 6)),  # merge them back
-        ((7, 4), (1, 7, 2, 2), (0, 2, 1, 3), (2, 7, 2)),   # one utterance, as the table
-        ((5, 3), (1, 5, 1, 3), (0, 2, 1, 3), (1, 5, 3)),   # one head: nothing moves
-        ((6, 4), (2, 3, 4), (1, 2, 0), (3, 8)),            # a permutation not its own inverse
-    ], ids=["split", "merge", "table", "one-head", "cyclic"])
+    @pytest.mark.parametrize("shape,view,shape_out", [
+        ((12, 6), (2, 6, 3, 2), (6, 6, 2)),  # split 2 utterances, 3 heads
+        ((6, 6, 2), (2, 3, 6, 2), (12, 6)),  # merge them back
+        ((7, 4), (1, 7, 2, 2), (2, 7, 2)),   # one utterance, as the table
+        ((5, 3), (1, 5, 1, 3), (1, 5, 3)),   # one head: nothing moves
+        ((6, 4), (2, 3, 4, 1), (8, 3)),      # the swapped axes differ in extent
+    ], ids=["split", "merge", "table", "one-head", "uneven"])
     def test_transpose_with_view_and_shape_matches_reshape_chain_bytewise(
-            self, rng, shape, view, axes, shape_out):
+            self, rng, shape, view, shape_out):
         a = Tensor(_with_signed_zeros(rng.uniform(-2.0, 2.0, shape)), requires_grad=True)
         g = _with_signed_zeros(rng.uniform(-1.0, 1.0, shape_out))
-        fused = transpose(a, axes, view, shape_out)
+        fused = transpose(a, view, shape_out)
         # the chain it replaces: reshape, transpose into a copy, reshape;
         # backwards, each of the three rules in turn
+        axes = (0, 2, 1, 3)
         chain = np.ascontiguousarray(a.data.reshape(view).transpose(axes)).reshape(shape_out)
         permuted = tuple(view[i] for i in axes)
         chain_ga = g.reshape(permuted).transpose(np.argsort(axes)).reshape(shape)
@@ -616,6 +621,17 @@ _PRODUCTS = {"matmul": matmul, "swish_matmul": swish_matmul,
              "linear_swish_matmul": linear_swish_matmul}
 
 
+def _scaled_products(*scales):
+    """(product, s) pairs for every product and scale, and ``s=None`` only
+    for ``swish_matmul``, which takes no scale: the conv module adds its
+    residual unscaled."""
+    return [(op, s) for op in _PRODUCTS for s in scales if s is None or op != "swish_matmul"]
+
+
+def _scale_kwargs(op: str, s) -> dict:
+    return {} if op == "swish_matmul" else {"s": s}
+
+
 class TestBias:
     """A product's ``bias`` is one vector of the product's width, added to
     every row, and only on 2-d operands."""
@@ -644,8 +660,7 @@ class TestResidual:
     the bytes of the unfused ``add(residual, product, s)``."""
 
     @pytest.mark.parametrize("B", [1, 3])
-    @pytest.mark.parametrize("s", [None, 0.5])
-    @pytest.mark.parametrize("op", list(_PRODUCTS))
+    @pytest.mark.parametrize("op,s", _scaled_products(None, 0.5))
     def test_bytes_equal_add_of_the_product(self, rng, op, s, B):
         def draw(*shape):
             return Tensor(_with_signed_zeros(rng.uniform(-2.0, 2.0, shape)),
@@ -655,7 +670,7 @@ class TestResidual:
         args, kwargs = _residual_operands(op, rows, draw)
         x = draw(rows, 6)
         g = _with_signed_zeros(rng.uniform(-1.0, 1.0, (rows, 6)))
-        fused = _PRODUCTS[op](*args, **kwargs, residual=x, s=s)
+        fused = _PRODUCTS[op](*args, **kwargs, residual=x, **_scale_kwargs(op, s))
         product = _PRODUCTS[op](*args, **kwargs)
         pair = add(x, product, s)
         assert fused.op == op
@@ -669,8 +684,7 @@ class TestResidual:
         for i, (a, b) in enumerate(zip(got, want)):
             assert a.tobytes() == b.tobytes(), f"gradient {i}"
 
-    @pytest.mark.parametrize("s", [None, -0.5])
-    @pytest.mark.parametrize("op", list(_PRODUCTS))
+    @pytest.mark.parametrize("op,s", _scaled_products(None, -0.5))
     def test_gradients(self, rng, op, s):
         def draw(*shape):
             return rand_tensor(rng, shape, requires_grad=True, scale=2.0)
@@ -682,7 +696,8 @@ class TestResidual:
         c = Tensor(rng.uniform(-1, 1, (3, 6)))
 
         def make_loss():
-            return sum_all(mul(_PRODUCTS[op](*args, **kwargs, residual=x, s=s), c))
+            return sum_all(mul(_PRODUCTS[op](*args, **kwargs, residual=x,
+                                             **_scale_kwargs(op, s)), c))
 
         assert_params_match_fd(named, make_loss)
 
@@ -692,11 +707,13 @@ class TestResidual:
             return rand_tensor(rng, shape)
 
         args, kwargs = _residual_operands(op, 4, draw)
+        scale = _scale_kwargs(op, 0.5)
         for shape in ((4, 5), (3, 6), (6,), (1, 4, 6)):
             with pytest.raises(ShapeError, match=rf"^{op}: residual \({shape[0]},"):
-                _PRODUCTS[op](*args, **kwargs, residual=draw(*shape), s=0.5)
-        with pytest.raises(ValueError, match=f"^{op}: a scale s needs a residual"):
-            _PRODUCTS[op](*args, **kwargs, s=0.5)
+                _PRODUCTS[op](*args, **kwargs, residual=draw(*shape), **scale)
+        if scale:
+            with pytest.raises(ValueError, match=f"^{op}: a scale s needs a residual"):
+                _PRODUCTS[op](*args, **kwargs, **scale)
 
     def test_rejects_a_residual_on_a_batched_product(self, rng):
         with pytest.raises(ShapeError, match=r"^matmul: residual \(2, 4, 5\) .*2-d operands"):
@@ -723,6 +740,13 @@ def _norm_operands(op: str, rows: int, draw, transpose: bool, with_bias: bool):
 _NORM_PRODUCTS = [pytest.param(op, transpose, id=f"{op}-transpose" if transpose else op)
                   for op in _PRODUCTS
                   for transpose in ((False,) if op == "swish_matmul" else (False, True))]
+# each with no residual, a residual, and a scaled one where the product takes a scale
+_NORM_RESIDUALS = [pytest.param(*case.values, residual, s,
+                                id=f"{case.id}-{'no-' if not residual else ''}residual"
+                                   f"{'-s' if s else ''}")
+                   for case in _NORM_PRODUCTS
+                   for residual, s in [(False, None), (True, None), (True, 0.5)]
+                   if s is None or case.values[0] != "swish_matmul"]
 
 
 class TestNormPrologue:
@@ -731,10 +755,8 @@ class TestNormPrologue:
     product, with x, gamma and beta first among the parents."""
 
     @pytest.mark.parametrize("B", [1, 3])
-    @pytest.mark.parametrize("residual,s", [(False, None), (True, None), (True, 0.5)],
-                             ids=["no-residual", "residual", "residual-s"])
     @pytest.mark.parametrize("with_bias", [False, True], ids=["no-bias", "bias"])
-    @pytest.mark.parametrize("op,transpose", _NORM_PRODUCTS)
+    @pytest.mark.parametrize("op,transpose,residual,s", _NORM_RESIDUALS)
     def test_bytes_equal_layer_norm_then_the_product(self, rng, op, transpose, with_bias,
                                                      residual, s, B):
         def draw(*shape):
@@ -744,7 +766,7 @@ class TestNormPrologue:
         rows = B * 4
         (x, *rest), kwargs, norm = _norm_operands(op, rows, draw, transpose, with_bias)
         if residual:
-            kwargs.update(residual=draw(rows, 6), s=s)
+            kwargs.update(residual=draw(rows, 6), **_scale_kwargs(op, s))
         g = _with_signed_zeros(rng.uniform(-1.0, 1.0, (rows, 6)))
         fused = _PRODUCTS[op](x, *rest, **kwargs, norm=norm)
         normed = layer_norm(x, *norm)
@@ -1043,12 +1065,13 @@ class TestBackward:
             assert not any(np.shares_memory(g, other) for other in grads[i + 1:])
             assert not any(np.shares_memory(g, n.data) for n in tape.nodes)
 
-    def test_slice_rows_rule_returns_only_its_rows(self, rng):
+    def test_slice_rows_rule_returns_g_in_its_rows_and_zeros_elsewhere(self, rng):
         a = rand_tensor(rng, (5, 2), requires_grad=True)
-        g = np.ones((2, 2))
-        (rows,) = slice_rows(a, 1, 3)._backward(g)
-        assert isinstance(rows, RowRange)
-        assert (rows.start, rows.stop) == (1, 3) and rows.grad is g
+        g = rng.uniform(-1.0, 1.0, (2, 2))
+        (ga,) = slice_rows(a, 1, 3)._backward(g)
+        assert ga.shape == a.shape
+        assert ga[1:3].tobytes() == g.tobytes()
+        assert not ga[:1].any() and not ga[3:].any()
 
     def test_slices_of_an_interior_node_add_into_their_rows(self):
         x = Tensor(np.arange(8.0).reshape(4, 2) - 3.0, requires_grad=True)
@@ -1130,7 +1153,7 @@ class TestBackward:
                      id="linear_swish_matmul-residual"),
         pytest.param(add, [(2, 3), (2, 3)], (1,), id="add"),
         pytest.param(lambda a, b: add(a, b, 0.5), [(2, 3), (2, 3)], (0,), id="add-scaled"),
-        pytest.param(lambda a: transpose(a, (1, 0, 2), (2, 3, 2), (6, 2)), [(6, 2)], (0,),
+        pytest.param(lambda a: transpose(a, (1, 2, 3, 2), (6, 2)), [(6, 2)], (0,),
                      id="transpose-view-shape"),
         pytest.param(mul, [(2, 3), (2, 3)], (0,), id="mul"),
         pytest.param(layer_norm, [(3, 4), (4,), (4,)], (1, 2), id="layer_norm-gamma-beta"),
@@ -1142,7 +1165,7 @@ class TestBackward:
         pytest.param(depthwise_conv1d, [(5, 3), (3, 3)], (0,), id="conv-input"),
         pytest.param(lambda a, b: concat_rows([a, b]), [(2, 3), (1, 3)], (0,),
                      id="concat_rows"),
-        pytest.param(lambda q, k, p0, p1, v: attention_context(q, k, [p0, p1], v, 0.5),
+        pytest.param(lambda q, k, p0, p1, v: attention_context(q, k, [p0, p1], v),
                      [(6, 4), (6, 4), (2, 3, 5), (2, 3, 5), (6, 4)], (3,),
                      id="attention_context-one-score-part"),
     ])
@@ -1221,7 +1244,7 @@ class TestRetainedMemory:
             product = op.removesuffix("-residual")
             args, kwargs = _residual_operands(
                 product, 6, lambda *shape: rand_tensor(rng, shape, requires_grad=True))
-            return _PRODUCTS[product](*args, **kwargs, s=0.5,
+            return _PRODUCTS[product](*args, **kwargs, **_scale_kwargs(product, 0.5),
                                       residual=rand_tensor(rng, (6, 6), requires_grad=True))
         if op == "layer_norm":
             return layer_norm(rand_tensor(rng, (6, 10), requires_grad=True),
@@ -1233,8 +1256,8 @@ class TestRetainedMemory:
             return depthwise_conv1d(rand_tensor(rng, (12, 10), requires_grad=True),
                                     rand_tensor(rng, (5, 10), requires_grad=True), frames=6)
         if op == "transpose":
-            return transpose(rand_tensor(rng, (12, 10), requires_grad=True), (0, 2, 1, 3),
-                             (2, 6, 5, 2), (10, 6, 2))
+            return transpose(rand_tensor(rng, (12, 10), requires_grad=True), (2, 6, 5, 2),
+                             (10, 6, 2))
         if op == "add":
             return add(rand_tensor(rng, (6, 10), requires_grad=True),
                        rand_tensor(rng, (6, 10), requires_grad=True), 0.5)
@@ -1243,13 +1266,13 @@ class TestRetainedMemory:
             # and an output-sized copy of q, k, v or the context would show
             q, k, pos0, pos1, v = (rand_tensor(rng, shape, requires_grad=True) for shape
                                    in ((6, 8), (6, 8), (2, 3, 5), (2, 3, 5), (6, 8)))
-            return attention_context(q, k, [pos0, pos1], v, 0.5)
+            return attention_context(q, k, [pos0, pos1], v)
         if op == "attention_context-long":
             # T > dh: the (B·H, T, T) = (4, 6, 6) weights outgrow the (12, 4)
             # output, so keeping them would show
             q, k, pos0, pos1, v = (rand_tensor(rng, shape, requires_grad=True) for shape
                                    in ((12, 4), (12, 4), (2, 6, 11), (2, 6, 11), (12, 4)))
-            return attention_context(q, k, [pos0, pos1], v, 0.5)
+            return attention_context(q, k, [pos0, pos1], v)
         if op.endswith("-norm"):
             # the product is narrower than the (6, 10) normalized operand, so
             # keeping that would show
@@ -1744,12 +1767,13 @@ class TestRelativeError:
     def test_zero_floor_masks_fd_noise_only(self):
         a = np.array([0.0, 1e-3])
         b = np.array([4e-12, 1e-3 + 1e-6])
-        # without the floor the noise coordinate dominates
-        assert relative_error(a, b) > 1e-4
-        masked = relative_error(a, b, zero_floor=1e-9)
-        assert masked == pytest.approx(1e-3, rel=1e-2)
+        assert relative_error(a, b) == pytest.approx(1e-3, rel=1e-2)
+        # the same noise just above the floor dominates
+        assert relative_error(a, np.array([2e-9, 1e-3 + 1e-6])) > 1e-4
+        # a coordinate at the floor on both sides agrees at zero
+        assert relative_error(np.array([ZERO_FLOOR]), np.array([-ZERO_FLOOR])) == 0.0
         # genuine disagreement above the floor is never masked
-        assert relative_error(np.array([0.0]), np.array([1e-6]), zero_floor=1e-9) > 1e-2
+        assert relative_error(np.array([0.0]), np.array([1e-6])) > 1e-2
 
     def test_empty_input_raises(self):
         # a comparison of nothing is not a pass

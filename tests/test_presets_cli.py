@@ -816,10 +816,17 @@ def test_every_public_function_has_a_caller():
     """``src/`` ships only what the system runs: every public top-level
     function of the package is called from ``src/`` outside its own body,
     or imported by a ``bench/`` script. Test-only helpers live under
-    ``tests/``. A call is matched by the called name alone."""
+    ``tests/``. A call is matched by the called name alone.
+
+    Every defaulted parameter of such a function is also passed, by
+    keyword or by position, at some such call, so no setting is one that
+    only its default serves. Functions that ``bench/`` imports are exempt
+    (it calls them through ``Tracer.call``), and so is ``cli.main``'s
+    ``argv``, which the console entry point leaves unset."""
     root = Path(__file__).resolve().parents[1]
     defined = []  # (module, function name)
-    calls = set()  # (callee name, module, enclosing top-level function or None)
+    defaults = []  # (module, function name, parameter, position or None)
+    calls = []  # (callee name, module, enclosing top-level function or None, call)
     for path in sorted((root / "src" / "confshare").glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             owner = None
@@ -827,18 +834,40 @@ def test_every_public_function_has_a_caller():
                 owner = stmt.name
                 if not stmt.name.startswith("_"):
                     defined.append((path.stem, stmt.name))
+                    args = stmt.args
+                    positional = args.posonlyargs + args.args
+                    first = len(positional) - len(args.defaults)
+                    defaults += [(path.stem, stmt.name, arg.arg, i)
+                                 for i, arg in enumerate(positional) if i >= first]
+                    defaults += [(path.stem, stmt.name, arg.arg, None)
+                                 for arg, d in zip(args.kwonlyargs, args.kw_defaults)
+                                 if d is not None]
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Call):
                     func = node.func
                     name = getattr(func, "id", None) or getattr(func, "attr", None)
-                    calls.add((name, path.stem, owner))
+                    calls.append((name, path.stem, owner, node))
     bench_imports = set()
     for path in sorted((root / "bench").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("confshare"):
                 bench_imports.update(alias.name for alias in node.names)
+
+    def callers(module, name):
+        return [call for callee, where, owner, call in calls
+                if callee == name and (where, owner) != (module, name)]
+
+    def passes(call, parameter, position):
+        if any(isinstance(a, ast.Starred) for a in call.args) or \
+                any(kw.arg in (None, parameter) for kw in call.keywords):
+            return True
+        return position is not None and position < len(call.args)
+
     uncalled = [f"{module}.{name}" for module, name in defined
-                if name not in bench_imports
-                and not any(callee == name and (where, owner) != (module, name)
-                            for callee, where, owner in calls)]
+                if name not in bench_imports and not callers(module, name)]
     assert uncalled == []
+    exempt = {("cli", "main", "argv")}
+    unpassed = [f"{module}.{name}({parameter})" for module, name, parameter, position in defaults
+                if name not in bench_imports and (module, name, parameter) not in exempt
+                and not any(passes(call, parameter, position) for call in callers(module, name))]
+    assert unpassed == []

@@ -229,6 +229,20 @@ class TestTrainSteps:
             train_steps(model, ToyTaskSpec(frames=4, batch=1), OptimizerState(), 3, 1)
         assert isinstance(raised.value.__cause__, NonFiniteError)
 
+    def test_constant_features_get_no_frontend_gradient(self):
+        # a frontend weight of 1e300 keeps the forward finite, but the packed
+        # features' gradient g @ Wᵀ would overflow: they are a constant leaf,
+        # so the frontend product's rule must not compute it
+        model = bind_model(_cfg(), repeat_plan(1, 1), seed=1)
+        model.store[FRONTEND_W].data[...] = 1e300
+        batch = generate_toy_batch(ToyTaskSpec(frames=4, batch=1), 1, 0)
+        loss = batch_loss(model, *batch)
+        assert loss.item() == pytest.approx(2.0794, abs=1e-4)
+        with np.errstate(over="raise"):
+            backward(loss)
+        for key, t in model.store.items():
+            assert t.grad is not None and np.isfinite(t.grad).all(), key
+
     def test_class_count_mismatch_rejected(self):
         model = bind_model(_cfg(num_classes=4), repeat_plan(1, 1), seed=0)
         with pytest.raises(ValueError, match="classes"):

@@ -324,6 +324,14 @@ class TestAttentionContext:
         for a, b in zip(got, want, strict=True):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("H,dh", [(2, 2), (3, 4), (4, 1)])
+    def test_scale_is_one_over_the_root_of_the_head_width(self, rng, H, dh):
+        # the op reads the scale from its operands' shapes: 1/sqrt(d/H), not 1/sqrt(d)
+        q, k, pos, v = _attention_operands(rng, 2, T=3, H=H, dh=dh)
+        fused = attention_context(q, k, pos, v).data.tobytes()
+        assert fused == attention_chain(q, k, pos, v, 1.0 / math.sqrt(dh)).data.tobytes()
+        assert fused != attention_chain(q, k, pos, v, 1.0 / math.sqrt(H * dh)).data.tobytes()
+
     def test_gradients(self, rng):
         # dh = 4, so the scale is 0.5
         q, k, pos, v = _attention_operands(rng, 2, T=3, dh=4)
@@ -740,13 +748,16 @@ def _norm_operands(op: str, rows: int, draw, transpose: bool, with_bias: bool):
 _NORM_PRODUCTS = [pytest.param(op, transpose, id=f"{op}-transpose" if transpose else op)
                   for op in _PRODUCTS
                   for transpose in ((False,) if op == "swish_matmul" else (False, True))]
-# each with no residual, a residual, and a scaled one where the product takes a scale
-_NORM_RESIDUALS = [pytest.param(*case.values, residual, s,
-                                id=f"{case.id}-{'no-' if not residual else ''}residual"
-                                   f"{'-s' if s else ''}")
-                   for case in _NORM_PRODUCTS
-                   for residual, s in [(False, None), (True, None), (True, 0.5)]
-                   if s is None or case.values[0] != "swish_matmul"]
+# each with and without a bias, and with no residual, a residual, and a
+# scaled one where the product takes a scale
+_NORM_CASES = [pytest.param(*case.values, with_bias, residual, s,
+                            id=f"{case.id}-{bias_id}-{residual_id}")
+               for case in _NORM_PRODUCTS
+               for with_bias, bias_id in [(False, "no-bias"), (True, "bias")]
+               for residual, s, residual_id in [(False, None, "no-residual"),
+                                                (True, None, "residual"),
+                                                (True, 0.5, "residual-s")]
+               if s is None or case.values[0] != "swish_matmul"]
 
 
 class TestNormPrologue:
@@ -755,8 +766,7 @@ class TestNormPrologue:
     product, with x, gamma and beta first among the parents."""
 
     @pytest.mark.parametrize("B", [1, 3])
-    @pytest.mark.parametrize("with_bias", [False, True], ids=["no-bias", "bias"])
-    @pytest.mark.parametrize("op,transpose,residual,s", _NORM_RESIDUALS)
+    @pytest.mark.parametrize("op,transpose,with_bias,residual,s", _NORM_CASES)
     def test_bytes_equal_layer_norm_then_the_product(self, rng, op, transpose, with_bias,
                                                      residual, s, B):
         def draw(*shape):
@@ -1183,6 +1193,32 @@ class TestBackward:
                 assert some.grad is None
             else:
                 assert some.grad.tobytes() == every.grad.tobytes()
+
+    @pytest.mark.parametrize("shapes,kwargs", [
+        pytest.param([(3, 4), (4, 5)], {}, id="2-d"),
+        pytest.param([(3, 4), (5, 4)], {"transpose_b": True}, id="transpose_b"),
+        pytest.param([(2, 3, 4), (2, 4, 5)], {}, id="batched"),
+        pytest.param([(3, 4), (4, 5)], {"bias": (5,), "residual": (3, 5), "s": 0.5},
+                     id="bias-residual"),
+    ])
+    def test_matmul_rule_computes_no_gradient_for_a_constant_input(self, shapes, kwargs):
+        # the frontend's packed features: a gradient for them is never stored,
+        # so the rule does not compute one; the other parents' bytes stay
+        def run(trainable):
+            rng = Rng(5)
+            a, b = (Tensor(rng.uniform(-1, 1, shape), requires_grad=trainable or i > 0)
+                    for i, shape in enumerate(shapes))
+            extra = {key: value if key in ("transpose_b", "s")
+                     else Tensor(rng.uniform(-1, 1, value), requires_grad=True)
+                     for key, value in kwargs.items()}
+            out = matmul(a, b, **extra)
+            return out._backward(rng.uniform(-1, 1, out.shape))
+
+        every, some = run(True), run(False)
+        assert every[0] is not None and some[0] is None
+        assert len(every) == len(some)
+        for i, (x, y) in enumerate(zip(every[1:], some[1:]), 1):
+            assert x.tobytes() == y.tobytes(), f"gradient {i}"
 
     def test_rule_returning_too_few_gradients_raises(self):
         a = Tensor(np.ones(2), requires_grad=True)

@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .blocks import ModelConfig
-from .sharing import SUBCOMPONENTS, SharingPlan, check_plan, physical_group_counts
+from .sharing import (SUBCOMPONENTS, SharingPlan, check_lowrank, check_plan,
+                      physical_group_counts)
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,9 @@ def fit_dim_to_budget(budget: SizeBudget, plan: SharingPlan,
     """Largest step-aligned model dim whose count fits the budget.
 
     The count is strictly increasing in d, so a linear scan that stops at
-    the first overshoot is exact. The template's own d is ignored.
+    the first overshoot is exact. The template's own d is ignored. A
+    low rank is checked at the fitted dim only: it may not reduce the
+    feed-forward weights at the smaller dims the scan passes.
     """
     if step < 1 or step % template.heads != 0:
         raise ValueError(f"step must be a positive multiple of heads "
@@ -143,6 +146,10 @@ def fit_dim_to_budget(budget: SizeBudget, plan: SharingPlan,
     if best is None:
         raise ValueError(f"budget of {budget.max_params} cannot fit even d={step} "
                          f"(count {total})")
+    try:
+        check_lowrank(replace(template, d=best), plan)
+    except ValueError as exc:
+        raise ValueError(f"fitted d={best}: {exc}") from None
     return best
 
 
@@ -184,7 +191,6 @@ class CalibratedDefaults:
     e: float
     kernel_width: int
     d: int
-    sse: float = 0.0
 
 
 def _smallest_dim_reaching(target: int, e: float, w: int) -> int:
@@ -213,12 +219,11 @@ def calibrate() -> CalibratedDefaults:
         e = e_quarters / 4.0
         for w in range(3, 32, 2):
             d = _smallest_dim_reaching(BLOCK_TARGET_PARAMS, e, w)
-            sse = composition_sse(d, e, w)
-            cand = (sse, e, w, d)
+            cand = (composition_sse(d, e, w), e, w, d)
             if best is None or cand < best:
                 best = cand
-    sse, e, w, d = best
-    return CalibratedDefaults(e=e, kernel_width=w, d=d, sse=sse)
+    _sse, e, w, d = best
+    return CalibratedDefaults(e=e, kernel_width=w, d=d)
 
 
 # ---------------------------------------------------------------------------

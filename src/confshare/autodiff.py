@@ -59,10 +59,8 @@ so its bytes are those of keeping them:
   (B·H, T, T) array outlives the forward.
 
 The elementwise kernels write into buffers they own rather than
-allocating a temporary per step, and the sigmoid is branch-free: it
-picks its numerator with an elementwise ``maximum`` instead of a
-select on the sign of each element, which on random-sign data cost
-more than the ``exp`` itself. Row and column sums call
+allocating a temporary per step; the sigmoid is 1 / (1 + exp(-x)) in
+four passes over its output. Row and column sums call
 ``np.add.reduce``, the ufunc that ``ndarray.sum`` wraps, without the
 wrapper's per-call cost. All of it gives the same bytes as the plain
 formulas.
@@ -72,8 +70,6 @@ scratch buffer (``_scratch``): one per named slot, grown to the largest
 size asked for and reused by every later call, so a warm step faults no
 pages in for it (the idea of PyTorch's caching allocator). The slots:
 
-* ``sigmoid.den`` and ``sigmoid.mask``: the sigmoid's denominator and
-  sign mask, in every sigmoid;
 * ``norm.y`` and ``norm.xhat``: a ``norm`` prologue's LN(a), built in the
   forward and rebuilt in the rule, and the x̂ that its rule and
   ``layer_norm``'s rebuild;
@@ -536,23 +532,17 @@ def transpose(a: Tensor, view, shape) -> Tensor:
 
 
 def _sigmoid_into(x: np.ndarray, num: np.ndarray) -> np.ndarray:
-    """sigmoid(x) written into ``num``, an array of x's shape, and returned.
+    """sigmoid(x) = 1 / (1 + exp(-x)), written into ``num``, an array of x's
+    shape, and returned; ``num`` keeps the result an array also for 0-d x.
 
-    Stable on both tails and branch-free: exp(-|x|) never overflows, and
-    max(exp(-|x|), x >= 0) is exactly 1 from zero up (the exp is <= 1) and
-    exactly exp(x) below (the exp is >= 0), so one pass picks the
-    numerator with no data-dependent select; both sides share the
-    denominator 1 + exp(-|x|). The denominator and the sign mask are
-    scratch; ``num`` keeps the result an array also for 0-d x.
+    Below about x = -709.78, exp(-x) overflows to inf, the one intended
+    overflow, and 1 / (1 + inf) is the 0.0 that the result rounds to.
     """
-    den = np.abs(x, out=_scratch("sigmoid.den", x.shape))
-    np.negative(den, out=den)
-    np.exp(den, out=den)
-    np.maximum(den, np.greater_equal(x, 0.0, out=_scratch("sigmoid.mask", x.shape, np.bool_)),
-               out=num)
-    den += 1.0
-    num /= den
-    return num
+    np.negative(x, out=num)
+    with np.errstate(over="ignore"):
+        np.exp(num, out=num)
+    num += 1.0
+    return np.divide(1.0, num, out=num)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

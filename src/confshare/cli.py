@@ -22,7 +22,7 @@ from .checkpoint import save_checkpoint
 from .configio import parse_config_file, parse_float, parse_int
 from .encoder import bind_model, check_frames
 from .presets import calibrated_config, preset
-from .sharing import key_str, validate_plan
+from .sharing import check_lowrank, key_str, validate_plan
 from .training import (OptimizerState, ToyTaskSpec, _check_count, _check_eps_and_tol,
                        generate_toy_batch, gradcheck_model, serialize_report,
                        train_steps)
@@ -107,6 +107,7 @@ def _cmd_describe(args) -> int:
     else:
         p = preset(args.target)
         config, plan, note = p.config, p.plan, p.note
+    check_lowrank(config, plan)
     cal = calibrated_config()
     report = count_params(config, plan)
     print(f"# {note}")
@@ -119,6 +120,10 @@ def _cmd_describe(args) -> int:
 def _cmd_validate(args) -> int:
     config, plan, note = _resolve_flags(args)
     violations = validate_plan(plan)
+    try:
+        check_lowrank(config, plan)
+    except ValueError as exc:
+        violations.append(str(exc))
     if violations:
         for v in violations:
             print(f"violation: {v}", file=sys.stderr)

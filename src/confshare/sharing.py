@@ -227,6 +227,13 @@ def schedule_keys(config: ModelConfig, plan: SharingPlan) -> BoundSchedule:
                           for i in range(plan.v)])
 
 
+def check_lowrank(config: ModelConfig, plan: SharingPlan) -> None:
+    """Refuse a plan's low rank if it would not shrink the config's
+    feed-forward weights; a dense plan passes."""
+    if plan.lowrank is not None:
+        check_rank_reduces(config.d, config.ffn_width, plan.lowrank.k)
+
+
 def parameter_layout(config: ModelConfig,
                      plan: SharingPlan) -> list[tuple[Key, tuple[int, ...], str]]:
     """(key, shape, init kind) of every physical tensor, in binding order.
@@ -236,9 +243,8 @@ def parameter_layout(config: ModelConfig,
     weights, are refused.
     """
     check_plan(plan)
+    check_lowrank(config, plan)
     k = plan.lowrank.k if plan.lowrank is not None else None
-    if k is not None:
-        check_rank_reduces(config.d, config.ffn_width, k)
 
     layout = [(FRONTEND_W, (config.input_dim, config.d), "matrix"),
               (FRONTEND_B, (config.d,), "zeros")]

@@ -1,6 +1,7 @@
 import math
 import re
 import types
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -385,7 +386,15 @@ class TestAttentionContext:
             attention_context(q, k, pos, v)
 
 
+def _plain_sigmoid(x):
+    """1 / (1 + exp(-x)), the formula the kernel computes, as fresh arrays."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def _two_branch_sigmoid(x):
+    """The sign-split formula; from zero up it takes the same steps as the
+    plain one, so it is the byte reference there."""
     ex = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
@@ -414,25 +423,36 @@ class TestActivations:
         assert expected == 0.7310585786300049
         assert abs(swish(Tensor([1.0])).data[0] - expected) < 1e-15
 
-    def test_sigmoid_matches_two_branch_formula_bytewise(self, rng):
-        def two_branch(x):
-            ex = np.exp(-np.abs(x))
-            return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
-
-        edges = np.array([0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300])
-        wide = rng.uniform(-40.0, 40.0, (7, 9))
-        for x in (edges, wide, wide[:, 4:], np.array(-3.5)):
-            assert _sigmoid(x).tobytes() == two_branch(x).tobytes()
-        assert isinstance(_sigmoid(np.array(-3.5)), np.ndarray)
-
-    def test_sigmoid_matches_two_branch_on_random_signs_and_at_underflow(self, rng):
+    def test_sigmoid_matches_plain_formula_bytewise(self, rng):
+        edges = np.array([0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, 745.0, -745.0])
         wide = rng.uniform(-40.0, 40.0, (128, 1044))
         assert (wide < 0).any() and (wide >= 0).any()
-        # exp(-745) is the smallest subnormal and exp(-746) underflows to 0
-        edges = np.array([745.0, -745.0, 746.0, -746.0])
-        for x in (wide, edges):
+        for x in (edges, wide, wide[:, 4:], np.array(-3.5)):
+            assert _sigmoid(x).tobytes() == _plain_sigmoid(x).tobytes()
+        assert isinstance(_sigmoid(np.array(-3.5)), np.ndarray)
+
+    def test_sigmoid_matches_two_branch_formula_from_zero_up(self, rng):
+        edges = np.array([0.0, -0.0, 1e-300, 800.0])
+        wide = _with_signed_zeros(rng.uniform(0.0, 40.0, (128, 1044)))
+        for x in (edges, wide):
             assert _sigmoid(x).tobytes() == _two_branch_sigmoid(x).tobytes()
-        assert _sigmoid(edges)[1] == 5e-324 and _sigmoid(edges)[3] == 0.0
+
+    def test_sigmoid_is_within_two_ulp_of_mpmath(self):
+        xs = np.linspace(-700.0, 40.0, 7401)
+        got = _sigmoid(xs)
+        with mpmath.workdps(50):
+            for x, y in zip(xs.tolist(), got.tolist()):
+                want = 1 / (1 + mpmath.exp(-mpmath.mpf(x)))
+                ulps = abs(mpmath.mpf(y) - want) / np.spacing(float(want))
+                assert ulps <= 2, f"sigmoid({x!r}) = {y!r} is {float(ulps):.2f} ulp off"
+
+    def test_sigmoid_is_zero_where_exp_overflows(self):
+        # exp(-x) overflows to inf below about -709.78, and 1 / (1 + inf) is 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _sigmoid(np.array([-709.79, -745.0, -800.0]))
+        assert got.tolist() == [0.0, 0.0, 0.0]
+        assert not np.signbit(got).any()
 
     @pytest.mark.parametrize("shape", [(2,), (12, 10), (2, 5, 8)])
     def test_glu_matches_concatenated_halves_bytewise(self, rng, shape):
@@ -440,7 +460,7 @@ class TestActivations:
         n = shape[-1] // 2
         u, v = a[..., :n], a[..., n:]
         g = _with_signed_zeros(rng.uniform(-1.0, 1.0, shape[:-1] + (n,)))
-        s = _two_branch_sigmoid(v)
+        s = _plain_sigmoid(v)
         node = glu(Tensor(a, requires_grad=True))
         (ga,) = node._backward(g)
         assert node.data.tobytes() == (u * s).tobytes()
@@ -1494,10 +1514,9 @@ class TestScratch:
     """A scratch buffer holds only temporaries that a kernel fills and drops
     within one call, and each thread has its own."""
 
-    SLOTS = {"sigmoid.den", "sigmoid.mask", "swish_matmul.act", "swish_matmul.s",
-             "swish_matmul.ga", "linear_swish_matmul.pre", "glu.s", "conv.xp", "conv.tap",
-             "softmax_grad.gp", "attention_context.p", "norm.y", "norm.xhat",
-             "adam.step", "adam.den"}
+    SLOTS = {"swish_matmul.act", "swish_matmul.s", "swish_matmul.ga",
+             "linear_swish_matmul.pre", "glu.s", "conv.xp", "conv.tap", "softmax_grad.gp",
+             "attention_context.p", "norm.y", "norm.xhat", "adam.step", "adam.den"}
 
     @staticmethod
     def _model(name):
@@ -1574,7 +1593,7 @@ class TestScratch:
     def _swish_matmul_oracle(a, b, bias, g):
         """swish(a) @ b (+ bias) and its gradients as plain formulas, a
         fresh array for every step, in the fused rule's operation order."""
-        s = _two_branch_sigmoid(a)
+        s = _plain_sigmoid(a)
         act = a * s
         out = act @ b
         grads = [(act * (1 - s) + s) * (g @ b.T), act.T @ g]
@@ -1587,7 +1606,7 @@ class TestScratch:
     def _glu_oracle(a, g):
         n = a.shape[-1] // 2
         u, v = a[..., :n], a[..., n:]
-        s = _two_branch_sigmoid(v)
+        s = _plain_sigmoid(v)
         return [u * s, np.concatenate((g * s, g * u * s * (1 - s)), -1)]
 
     def _check_fd_gradcheck_shapes(self, d: int, lowrank: bool):

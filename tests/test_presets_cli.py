@@ -17,6 +17,7 @@ from confshare.blocks import ModelConfig
 from confshare.configio import (ConfigError, parse_config_text, parse_float, parse_int,
                                 serialize_config)
 from confshare.encoder import bind_model, encoder_forward
+from confshare.lowrank import LowRankSpec
 from confshare.presets import calibrated_defaults, preset, preset_names
 from confshare.sharing import (ALL_MISC_SMALL, SharingPlan, key_str, physical_group_counts,
                                repeat_plan, validate_plan)
@@ -619,6 +620,39 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: budget values must be positive\n"
 
+    @staticmethod
+    def _rank_100_config(tmp_path):
+        """LR1-small (d=16, n=116) at rank 100, which does not reduce."""
+        p = preset("LR1-small")
+        path = tmp_path / "rank100.conf"
+        path.write_text(serialize_config(p.config, replace(p.plan, lowrank=LowRankSpec(k=100))))
+        return path
+
+    RANK_100 = "rank 100 does not reduce a 16x116 matrix: 100*(16+116)=13200 >= 1856"
+
+    def test_validate_rejects_rank_that_does_not_reduce(self, tmp_path, capsys):
+        assert run_cli("validate", "--config", str(self._rank_100_config(tmp_path))) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"violation: {self.RANK_100}\n"
+
+    @pytest.mark.parametrize("args", [("describe",), ("train", "--config"),
+                                      ("gradcheck", "--config")],
+                             ids=["describe", "train", "gradcheck"])
+    def test_rank_that_does_not_reduce_is_one_error_line(self, args, tmp_path, capsys):
+        assert run_cli(*args, str(self._rank_100_config(tmp_path))) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {self.RANK_100}\n"
+
+    def test_budget_rejects_rank_that_does_not_reduce_at_the_fitted_dim(self, capsys):
+        # LR1's rank 50 first reduces at d=64; a budget that fits d=16 is refused
+        assert run_cli("budget", "--preset", "LR1", "--budget", "2100000") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: fitted d=16: rank 50 does not reduce a 16x116 matrix: "
+                                "50*(16+116)=6600 >= 1856\n")
+
     def test_gradcheck_small_preset(self, capsys):
         assert run_cli("gradcheck", "--preset", "SL0-small", "--seed", "3",
                        "--samples", "2", "--frames", "4") == 0
@@ -822,13 +856,32 @@ def test_every_public_function_has_a_caller():
     keyword or by position, at some such call, so no setting is one that
     only its default serves. Functions that ``bench/`` imports are exempt
     (it calls them through ``Tracer.call``), and so is ``cli.main``'s
-    ``argv``, which the console entry point leaves unset."""
+    ``argv``, which the console entry point leaves unset.
+
+    Likewise every ``@dataclass`` field with a default (and ``init`` left
+    on) is passed at some ``src/`` construction of its class, where a
+    ``**`` splat counts as passing it, or by keyword at some ``replace``
+    call. Classes that ``bench/`` imports are exempt."""
     root = Path(__file__).resolve().parents[1]
     defined = []  # (module, function name)
     defaults = []  # (module, function name, parameter, position or None)
+    defaulted = []  # (module, class name, defaulted field, position among init fields)
     calls = []  # (callee name, module, enclosing top-level function or None, call)
+
+    def name_of(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
     for path in sorted((root / "src" / "confshare").glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.ClassDef) and any(
+                    name_of(getattr(d, "func", d)) == "dataclass" for d in stmt.decorator_list):
+                init = [item for item in stmt.body if isinstance(item, ast.AnnAssign)
+                        and not (isinstance(item.value, ast.Call)
+                                 and name_of(item.value.func) == "field"
+                                 and any(kw.arg == "init" and getattr(kw.value, "value", True)
+                                         is False for kw in item.value.keywords))]
+                defaulted += [(path.stem, stmt.name, item.target.id, i)
+                              for i, item in enumerate(init) if item.value is not None]
             owner = None
             if isinstance(stmt, ast.FunctionDef):
                 owner = stmt.name
@@ -844,9 +897,7 @@ def test_every_public_function_has_a_caller():
                                  if d is not None]
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Call):
-                    func = node.func
-                    name = getattr(func, "id", None) or getattr(func, "attr", None)
-                    calls.append((name, path.stem, owner, node))
+                    calls.append((name_of(node.func), path.stem, owner, node))
     bench_imports = set()
     for path in sorted((root / "bench").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -871,3 +922,12 @@ def test_every_public_function_has_a_caller():
                 if name not in bench_imports and (module, name, parameter) not in exempt
                 and not any(passes(call, parameter, position) for call in callers(module, name))]
     assert unpassed == []
+    checked = [entry for entry in defaulted if entry[1] not in bench_imports]
+    assert checked, "no defaulted dataclass field was checked"
+    # a replace call's class is not known from its name, so only a keyword
+    # that names the field counts there, and not a ** splat
+    unset = [f"{module}.{name}.{attr}" for module, name, attr, position in checked
+             if not any(passes(call, attr, position) if callee == name
+                        else any(kw.arg == attr for kw in call.keywords)
+                        for callee, _, _, call in calls if callee in (name, "replace"))]
+    assert unset == []

@@ -109,6 +109,13 @@ class NonFiniteError(FloatingPointError):
     """An op produced (or was handed) a NaN or infinity."""
 
 
+def _finite(arr: np.ndarray, op: str):
+    """Raise ``NonFiniteError`` naming ``op`` if ``arr`` holds a NaN or an
+    infinity."""
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(f"{op} produced non-finite values")
+
+
 _U64 = np.uint64
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _SPLITMIX_M1 = 0xBF58476D1CE4E5B9
@@ -222,8 +229,7 @@ class Tensor:
         if not arr.flags["C_CONTIGUOUS"]:
             # ascontiguousarray would promote 0-d scalars to shape (1,)
             arr = np.ascontiguousarray(arr)
-        if not np.isfinite(arr).all():
-            raise NonFiniteError(f"{op or 'tensor'} produced non-finite values")
+        _finite(arr, op or "tensor")
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
@@ -440,8 +446,7 @@ def _product(op: str, a: Tensor, rest: tuple, forward, grads, bias: Tensor | Non
         mu, inv = _normalize(a.data, ad)
         ad *= gamma.data
         ad += beta.data
-        if not np.isfinite(ad).all():
-            raise NonFiniteError("layer_norm produced non-finite values")
+        _finite(ad, "layer_norm")
         parents = (a, gamma, beta)
     out = forward(ad)
     parents += rest
@@ -631,8 +636,7 @@ def linear_swish_matmul(a: Tensor, w: Tensor, c: Tensor, b: Tensor,
 
     def forward(x):
         pre = pre_activation(x)
-        if not np.isfinite(pre).all():
-            raise NonFiniteError("matmul produced non-finite values")
+        _finite(pre, "matmul")
         return _swish_product(pre, b.data)
 
     def grads(x, gout, rebuilt):
@@ -898,11 +902,9 @@ def attention_context(q: Tensor, k: Tensor, pos, v: Tensor) -> Tensor:
         return _softmax(z)
 
     z = scores()
-    if not np.isfinite(z).all():
-        raise NonFiniteError("matmul produced non-finite values")
+    _finite(z, "matmul")
     p = weights(z)
-    if not np.isfinite(p).all():
-        raise NonFiniteError("attention_context produced non-finite values")
+    _finite(p, "attention_context")
     out = np.empty((rows, d))
     np.matmul(p, heads(v.data), out=heads(out))
 

@@ -169,6 +169,12 @@ def feed_forward(x: Tensor, p: FeedForwardParams) -> Tensor:
     return linear_swish_matmul(x, p.w1, p.b1, p.w2, p.b2, residual=x, s=0.5, norm=norm)
 
 
+def check_frames(frames: int, t_max: int):
+    """Reject utterances longer than the relative-position table reaches."""
+    if frames > t_max:
+        raise ShapeError(f"{frames} frames exceed the model's t_max of {t_max}")
+
+
 def table_heads(p: AttentionParams, frames: int) -> Tensor:
     """The (H, 2T − 1, dh) heads of the relative-position table window that
     T = ``frames`` frames reach: table row t_max − 1 + o holds offset o, so
@@ -178,8 +184,7 @@ def table_heads(p: AttentionParams, frames: int) -> Tensor:
     hands them to every layer; a standalone ``attention`` call builds its
     own."""
     t_max = (p.rel_emb.shape[0] + 1) // 2
-    if frames > t_max:
-        raise ShapeError(f"attention: sequence length {frames} exceeds t_max {t_max}")
+    check_frames(frames, t_max)
     H, W, dh = p.heads, 2 * frames - 1, p.rel_emb.shape[1] // p.heads
     window = slice_rows(p.rel_emb, t_max - frames, t_max + frames - 1)
     return transpose(window, (1, W, H, dh), (H, W, dh))

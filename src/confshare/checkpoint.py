@@ -14,47 +14,45 @@ The payload is every tensor's float64 values, little-endian, concatenated
 in manifest order (which is the store's deterministic binding order).
 Round-trips are bit-exact.
 
-Neither direction holds a second copy of the model. A save writes each
-tensor's own buffer to the file. A load reads the manifest line by line
-up to ``payload_bytes``, checks it against the file's size and against
-the config and plan it names, and only then reads each tensor straight
-into its own array; a tensor holding a NaN or an infinity is rejected.
-So a load needs the model's memory plus the manifest, and the bytes are
-those of a whole-file read.
+The lines after the config follow from the config and plan, and one
+function writes them for both directions. A load checks the format and
+seed lines, parses the config lines up to the first ``tensor`` line,
+and requires every later manifest line to be the one a save writes
+there; it reports the first that differs by its line number. It then
+checks the payload's size and reads each tensor straight into its own
+array; a tensor holding a NaN or an infinity is rejected. A save writes
+each tensor's own buffer, so neither direction holds a second copy of
+the model, and a load needs the model's memory plus the manifest.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from itertools import zip_longest
 
 import numpy as np
 
 from .autodiff import NonFiniteError, Tensor, check_seed
-from .configio import (ConfigError, decode_text, parse_config_text, parse_int,
-                       serialize_config)
+from .configio import ConfigError, decode_text, parse_config_text, parse_int, serialize_config
 from .encoder import BoundModel
 from .sharing import Key, ParameterStore, key_str, parameter_layout
 
 FORMAT_TAG = "confshare-checkpoint-v1"
 
 
-def _describe(entry) -> str:
-    if entry is None:
-        return "nothing"
-    key, dims = entry
-    return f"{key_str(key)}|{'x'.join(map(str, dims))}"
+def _layout_lines(layout: list[tuple[Key, tuple[int, ...]]]) -> tuple[list[str], int]:
+    """The manifest lines after the config for (key, shape) pairs in
+    binding order, one ``tensor`` line each and then ``payload_bytes``,
+    and the payload size they promise."""
+    payload = 8 * sum(math.prod(shape) for _key, shape in layout)
+    lines = [f"tensor = {key_str(key)}|{'x'.join(map(str, shape))}" for key, shape in layout]
+    return lines + [f"payload_bytes = {payload}"], payload
 
 
 def _manifest(model: BoundModel) -> str:
-    lines = [f"format = {FORMAT_TAG}", f"seed = {model.store.seed}"]
-    lines.append(serialize_config(model.config, model.plan).rstrip("\n"))
-    payload = 0
-    for key, tensor in model.store.items():
-        lines.append(f"tensor = {_describe((key, tensor.shape))}")
-        payload += tensor.size * 8
-    lines.append(f"payload_bytes = {payload}")
+    tail, _payload = _layout_lines([(key, t.shape) for key, t in model.store.items()])
+    lines = [f"format = {FORMAT_TAG}", f"seed = {model.store.seed}",
+             serialize_config(model.config, model.plan).rstrip("\n"), *tail]
     return "\n".join(lines) + "\n"
 
 
@@ -66,36 +64,28 @@ def save_checkpoint(model: BoundModel, path):
             fh.write(np.ascontiguousarray(tensor.data, dtype="<f8"))
 
 
-def _int(value: str, what: str, where: str) -> int:
-    try:
-        return parse_int(value)
-    except ValueError:
-        raise ConfigError(f"{where}: {what}: expected an integer, got {value!r}") from None
-
-
 _MARKER = b"payload_bytes = "
 
 
-def _read_head(fh, path) -> tuple[bytes, bytes]:
-    """The bytes before the first ``payload_bytes = `` and the rest of its
-    line; leaves ``fh`` at the first payload byte."""
-    head = []
+def _read_manifest(fh, path) -> bytes:
+    """The bytes up to the end of the first line that holds
+    ``payload_bytes = ``, without its newline; leaves ``fh`` at the first
+    payload byte."""
+    lines = []
     for line in fh:
-        at = line.find(_MARKER)
-        if at >= 0:
-            head.append(line[:at])
-            return b"".join(head), line[at + len(_MARKER):].removesuffix(b"\n")
-        head.append(line)
+        lines.append(line)
+        if _MARKER in line:
+            return b"".join(lines).removesuffix(b"\n")
     raise ConfigError(f"{path}: not a checkpoint (missing payload_bytes)")
 
 
 def load_checkpoint(path) -> BoundModel:
     with open(path, "rb") as fh:
-        head, count_line = _read_head(fh, path)
+        manifest = _read_manifest(fh, path)
         payload = os.fstat(fh.fileno()).st_size - fh.tell()
-        seed, config, plan, tensor_keys = _check_manifest(path, head, count_line, payload)
+        seed, config, plan, layout = _check_manifest(path, manifest, payload)
         tensors: dict[Key, Tensor] = {}
-        for key, dims in tensor_keys:
+        for key, dims in layout:
             arr = np.empty(dims, "<f8")
             if fh.readinto(arr) != arr.nbytes:
                 raise ConfigError(f"{path}: payload ends inside tensor {key_str(key)}")
@@ -108,62 +98,50 @@ def load_checkpoint(path) -> BoundModel:
                       store=ParameterStore(tensors=tensors, seed=seed))
 
 
-def _check_manifest(path, head: bytes, count_line: bytes, payload: int):
-    """The seed, config, plan and tensor list of a manifest whose payload
-    is ``payload`` bytes long, each checked against the others."""
-    head_lines = decode_text(head, path).splitlines()
-    expected = _int(count_line.decode("utf-8", "replace"), "payload_bytes",
-                    f"{path}: line {len(head_lines) + 1}")
-    if payload != expected:
-        raise ConfigError(f"{path}: payload is {payload} bytes, "
-                          f"manifest promises {expected}")
+def _differs(path, lineno: int, expected: str, found: str) -> ConfigError:
+    return ConfigError(f"{path}: line {lineno}: expected {expected!r}, found {found!r}")
 
-    seed = None
-    config_lines = []
-    tensor_keys: list[tuple[Key, tuple[int, ...]]] = []
-    for lineno, raw in enumerate(head_lines, start=1):
-        where = f"{path}: line {lineno}"
-        key, _, value = (part.strip() for part in raw.partition("="))
-        if key == "format":
-            if value != FORMAT_TAG:
-                raise ConfigError(f"{where}: unsupported format {value!r}")
-        elif key == "seed":
-            seed = _int(value, "seed", where)
-            try:
-                check_seed(seed)
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from None
-        elif key == "tensor":
-            fields = value.split("|")
-            if len(fields) != 4:
-                raise ConfigError(f"{where}: expected tensor = module|name|group|shape, "
-                                  f"got {value!r}")
-            module, name, group, shape = fields
-            dims = tuple(_int(x, "tensor shape", where) for x in shape.split("x"))
-            tensor_keys.append(((module, name, _int(group, "tensor group", where)), dims))
-        else:
-            config_lines.append(raw)
-            continue
-        # a blank in place of each manifest line keeps config errors at
-        # their line number in the file
-        config_lines.append("")
-    if seed is None:
+
+def _check_manifest(path, manifest: bytes, payload: int):
+    """The seed, config, plan and (key, shape) layout of ``manifest``,
+    whose payload is ``payload`` bytes long. Every line after the config
+    must be the one ``_manifest`` writes for that config and plan."""
+    lines = decode_text(manifest, path).split("\n")
+    tag = lines[0].removeprefix("format = ")
+    if tag == lines[0]:
+        raise _differs(path, 1, f"format = {FORMAT_TAG}", lines[0])
+    if tag != FORMAT_TAG:
+        raise ConfigError(f"{path}: line 1: unsupported format {tag!r}")
+
+    key, _, value = (part.strip() for part in lines[1].partition("="))
+    if key != "seed":
         raise ConfigError(f"{path}: manifest is missing the seed")
+    try:
+        seed = parse_int(value)
+    except ValueError:
+        raise ConfigError(f"{path}: line 2: seed: expected an integer, got {value!r}") from None
+    try:
+        check_seed(seed)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: line 2: {exc}") from None
+    if lines[1] != f"seed = {seed}":
+        raise _differs(path, 2, f"seed = {seed}", lines[1])
 
+    end = next((i for i, line in enumerate(lines) if line.startswith("tensor =")),
+               len(lines) - 1)
     try:
-        config, plan = parse_config_text("\n".join(config_lines))
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    try:
+        # two blank lines stand for the format and seed lines, so a config
+        # error names its line in the file
+        config, plan = parse_config_text("\n\n" + "\n".join(lines[2:end]))
         layout = [(key, shape) for key, shape, _kind in parameter_layout(config, plan)]
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    for i, (listed, needed) in enumerate(zip_longest(tensor_keys, layout)):
-        if listed != needed:
-            raise ConfigError(f"{path}: tensor {i} is {_describe(listed)}, but the "
-                              f"manifest's config and plan need {_describe(needed)}")
-    covered = 8 * sum(math.prod(dims) for _key, dims in tensor_keys)
-    if covered != expected:
-        raise ConfigError(f"{path}: tensor list covers {covered} bytes, "
-                          f"payload has {expected}")
-    return seed, config, plan, tensor_keys
+    expected, promised = _layout_lines(layout)
+    # each list ends at its one payload_bytes line, so unequal lists
+    # differ at a line both have
+    for lineno, (want, found) in enumerate(zip(expected, lines[end:]), start=end + 1):
+        if found != want:
+            raise _differs(path, lineno, want, found)
+    if payload != promised:
+        raise ConfigError(f"{path}: payload is {payload} bytes, manifest promises {promised}")
+    return seed, config, plan, layout

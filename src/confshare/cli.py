@@ -18,9 +18,10 @@ import numpy as np
 
 from .accounting import SizeBudget, count_params, fit_dim_to_budget, report_table
 from .autodiff import NonFiniteError, check_seed
+from .blocks import check_frames
 from .checkpoint import save_checkpoint
 from .configio import parse_config_file, parse_float, parse_int
-from .encoder import bind_model, check_frames
+from .encoder import bind_model
 from .presets import calibrated_config, preset
 from .sharing import check_lowrank, key_str, validate_plan
 from .training import (OptimizerState, ToyTaskSpec, _check_count, _check_eps_and_tol,
@@ -136,7 +137,7 @@ def _cmd_gradcheck(args) -> int:
     config, plan, _ = _resolve_flags(args)
     spec = ToyTaskSpec(feature_dim=config.input_dim, num_classes=config.num_classes,
                        frames=args.frames, batch=args.batch)
-    check_frames(config, spec.frames)
+    check_frames(spec.frames, config.t_max)
     _check_eps_and_tol(args.eps, args.tol)
     _check_count("samples per tensor", args.samples)
     check_seed(args.seed)
@@ -169,7 +170,7 @@ def _cmd_train(args) -> int:
         if path:
             _check_output_path(path)
     spec = ToyTaskSpec(feature_dim=config.input_dim, num_classes=config.num_classes)
-    check_frames(config, spec.frames)
+    check_frames(spec.frames, config.t_max)
     _check_count("steps", args.steps)
     check_seed(args.seed)
     model = bind_model(config, plan, args.seed)

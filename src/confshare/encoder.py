@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, matmul
-from .blocks import (BlockParams, ModelConfig, assemble_block, conformer_block,
-                     table_heads)
+from .blocks import (BlockParams, ModelConfig, assemble_block, check_frames,
+                     conformer_block, table_heads)
 from .sharing import (FRONTEND_B, FRONTEND_W, HEAD_B, HEAD_W, REL_TABLE,
                       BoundSchedule, Key, ParameterStore, SharingPlan,
                       bind_parameters, schedule_keys)
@@ -65,12 +65,6 @@ def bind_model(config: ModelConfig, plan: SharingPlan, seed: int) -> BoundModel:
     return BoundModel(config=config, plan=plan, store=bind_parameters(config, plan, seed))
 
 
-def check_frames(config: ModelConfig, frames: int):
-    """Reject inputs longer than the relative-position table reaches."""
-    if frames > config.t_max:
-        raise ValueError(f"{frames} frames exceed the model's t_max of {config.t_max}")
-
-
 def encoder_forward(features, model: BoundModel,
                     counter: EvalCounter | None = None) -> Tensor:
     """(T, input_dim) features -> (T, num_classes) logits, or a batch of
@@ -79,10 +73,14 @@ def encoder_forward(features, model: BoundModel,
 
     Projects to the model dim, applies the virtual layers in schedule
     order, then projects to class logits. An empty schedule degenerates to
-    head(frontend(x)). Utterances never see each other's frames.
+    head(frontend(x)). Utterances never see each other's frames. A
+    ``counter`` gains one block evaluation per virtual layer.
     """
     x, frames = pack_features(features, model.config)
-    return encode_from(x, model, frames, counter=counter)
+    logits = encode_from(x, model, frames)
+    if counter is not None:
+        counter.block_evals += len(model.schedule)
+    return logits
 
 
 def pack_features(features, config: ModelConfig) -> tuple[Tensor, int]:
@@ -95,14 +93,13 @@ def pack_features(features, config: ModelConfig) -> tuple[Tensor, int]:
         raise ValueError(f"expected (T, {config.input_dim}) or "
                          f"(B, T, {config.input_dim}) features, got {x.shape}")
     frames = x.shape[-2]
-    check_frames(config, frames)
+    check_frames(frames, config.t_max)
     if x.ndim == 3:
         x = Tensor(x.data.reshape(x.shape[0] * frames, x.shape[2]))
     return x, frames
 
 
 def encode_from(x: Tensor, model: BoundModel, frames: int, start: int = 0,
-                counter: EvalCounter | None = None,
                 inputs: list[np.ndarray] | None = None) -> Tensor:
     """Logits from ``x``, the packed rows that enter stage ``start``.
 
@@ -127,8 +124,6 @@ def encode_from(x: Tensor, model: BoundModel, frames: int, start: int = 0,
             if table is None:
                 table = table_heads(layers[0].attn, frames)
             x = conformer_block(x, layers[stage - 1], frames, table)
-            if counter is not None:
-                counter.block_evals += 1
         else:
             x = matmul(x, model.store[HEAD_W], bias=model.store[HEAD_B])
     return x

@@ -24,10 +24,6 @@ from .encoder import (BoundModel, encode_from, encoder_forward, first_stages,
 from .sharing import Key, key_str
 
 
-class TrainingError(RuntimeError):
-    pass
-
-
 NOISE = 0.3  # the toy noise half-width: prototypes live in [-1, 1], so 0.3x their scale
 LR, BETA1, BETA2, EPS = 1e-3, 0.9, 0.999, 1e-8  # Adam's step size, decays and floor
 
@@ -173,7 +169,7 @@ def train_steps(model: BoundModel, spec: ToyTaskSpec, opt: OptimizerState,
         try:
             loss = batch_loss(model, features, labels)
         except NonFiniteError as exc:
-            raise TrainingError(f"non-finite loss at step {step}") from exc
+            raise NonFiniteError(f"non-finite loss at step {step}") from exc
         backward(loss)
         opt.step(model.store)
         losses.append(loss.item())

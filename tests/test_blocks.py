@@ -83,7 +83,7 @@ class TestAttention:
 
     def test_rejects_sequences_beyond_t_max(self, rng):
         p = bound_block(_cfg(t_max=4), 5).attn
-        with pytest.raises(ShapeError, match="t_max"):
+        with pytest.raises(ShapeError, match="^5 frames exceed the model's t_max of 4$"):
             attention(rand_tensor(rng, (5, 8)), p)
 
     def test_gradients(self, rng):

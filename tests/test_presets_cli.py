@@ -296,9 +296,11 @@ class TestCheckpoints:
         count = size if promised == "all" else 0
         head = path.read_bytes().partition(b"payload_bytes = ")[0]
         path.write_bytes(head + f"payload_bytes = {count}".encode())
+        lineno = head.count(b"\n") + 1
         message = (f"payload is 0 bytes, manifest promises {size}" if count
-                   else f"tensor list covers {size} bytes, payload has 0")
-        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: {message}$"):
+                   else f"line {lineno}: expected 'payload_bytes = {size}', "
+                        f"found 'payload_bytes = 0'")
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_checkpoint(path)
 
     def test_file_shrinking_during_load_rejected(self, tmp_path, monkeypatch):
@@ -368,8 +370,9 @@ class TestCheckpoints:
         save_checkpoint(bind_model(p.config, p.plan, seed=1), path)
         self._rewrite_manifest(path, lambda lines, payload: (lines, payload[:-8]))
         size = count_params(p.config, p.plan).encoder_total * 8
-        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: tensor list covers "
-                                              f"{size} bytes, payload has {size - 8}$"):
+        message = (f"{path}: line {self._payload_line(path)}: expected 'payload_bytes = "
+                   f"{size}', found 'payload_bytes = {size - 8}'")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_checkpoint(path)
 
     @staticmethod
@@ -381,6 +384,10 @@ class TestCheckpoints:
         path.write_bytes("\n".join(lines).encode("utf-8") + b"\n"
                          + f"payload_bytes = {len(payload)}\n".encode("utf-8") + payload)
 
+    @staticmethod
+    def _payload_line(path):
+        return path.read_bytes().partition(b"payload_bytes = ")[0].count(b"\n") + 1
+
     def test_dropped_tensor_rejected(self, tmp_path):
         p = preset("SL0-small")
         path = tmp_path / "m.ckpt"
@@ -389,7 +396,12 @@ class TestCheckpoints:
         self._rewrite_manifest(path, lambda lines, payload: (
             [l for l in lines if not l.startswith("tensor = encoder|head.b|")],
             payload[:-8 * n_classes]))
-        with pytest.raises(ConfigError, match=r"need encoder\|head\.b\|1"):
+        size = count_params(p.config, p.plan).encoder_total * 8
+        # the head bias was the last tensor line
+        message = (f"{path}: line {self._payload_line(path)}: expected 'tensor = "
+                   f"encoder|head.b|1|{n_classes}', found 'payload_bytes = "
+                   f"{size - 8 * n_classes}'")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_checkpoint(path)
 
     def test_swapped_shape_rejected(self, tmp_path):
@@ -399,21 +411,29 @@ class TestCheckpoints:
         save_checkpoint(bind_model(p.config, p.plan, seed=1), path)
         self._rewrite_manifest(path, lambda lines, payload: (
             [l.replace("head.w|1|16x8", "head.w|1|8x16") for l in lines], payload))
-        with pytest.raises(ConfigError, match=r"encoder\|head\.w\|1\|8x16, .*16x8"):
+        blob = path.read_bytes()
+        lineno = blob[:blob.index(b"head.w|1|8x16")].count(b"\n") + 1
+        message = (f"{path}: line {lineno}: expected 'tensor = encoder|head.w|1|16x8', "
+                   f"found 'tensor = encoder|head.w|1|8x16'")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("old,new,message", [
         ("tensor = encoder|head.b|1|8\n", "tensor = encoder|head.b|8\n",
-         r"expected tensor = module\|name\|group\|shape, got 'encoder\|head\.b\|8'"),
+         r"expected 'tensor = encoder\|head\.b\|1\|8', found 'tensor = encoder\|head\.b\|8'$"),
         ("seed = 1\n", "seed = x1\n", "seed: expected an integer, got 'x1'"),
         ("seed = 1\n", "seed = 1_0\n", "seed: expected an integer, got '1_0'$"),
         ("seed = 1\n", "seed = \uff11\n", "seed: expected an integer, got '\uff11'$"),
-        ("|80x16\n", "|80x1_6\n", "tensor shape: expected an integer, got '1_6'$"),
+        ("|80x16\n", "|80x1_6\n", r"expected 'tensor = encoder\|frontend\.w\|1\|80x16', "
+                                    r"found 'tensor = encoder\|frontend\.w\|1\|80x1_6'$"),
         ("model.d = 16\n", "model.d = 1_6\n", r"model\.d: expected an integer, got '1_6'$"),
-        ("payload_bytes = ", "payload_bytes = 0_", "payload_bytes: expected an integer"),
-        ("|80x16\n", "|80xq\n", "tensor shape: expected an integer, got 'q'"),
+        ("payload_bytes = ", "payload_bytes = 0_",
+         r"expected 'payload_bytes = (\d+)', found 'payload_bytes = 0_\1'$"),
+        ("|80x16\n", "|80xq\n", r"expected 'tensor = encoder\|frontend\.w\|1\|80x16', "
+                                  r"found 'tensor = encoder\|frontend\.w\|1\|80xq'$"),
         ("model.d = 16\n", "model.d = x6\n", r"model\.d: expected an integer, got 'x6'"),
-        ("payload_bytes = ", "payload_bytes = 12z", "payload_bytes: expected an integer"),
+        ("payload_bytes = ", "payload_bytes = 12z",
+         r"expected 'payload_bytes = (\d+)', found 'payload_bytes = 12z\1'$"),
         ("seed = 1\n", "seed = -1\n", r"seed must be in \[0, 2\*\*64\), got -1$"),
         ("seed = 1\n", f"seed = {2**64 + 1}\n",
          rf"seed must be in \[0, 2\*\*64\), got {2**64 + 1}$"),
@@ -426,6 +446,43 @@ class TestCheckpoints:
         lineno = blob[:blob.index(old.encode())].count(b"\n") + 1
         path.write_bytes(blob.replace(old.encode(), new.encode(), 1))
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: line {lineno}: {message}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda blob: blob.replace(b"format = confshare-checkpoint-v1\n", b"", 1),
+         "line 1: expected 'format = confshare-checkpoint-v1', found 'seed = 1'"),
+        (lambda blob: blob.replace(b"seed = 1\n", b"seed = 01\n", 1),
+         "line 2: expected 'seed = 1', found 'seed = 01'"),
+        (lambda blob: blob.replace(b"|80x16\n", b"|80x016\n", 1),
+         "line {first}: expected 'tensor = encoder|frontend.w|1|80x16', "
+         "found 'tensor = encoder|frontend.w|1|80x016'"),
+        (lambda blob: blob.replace(b"payload_bytes = ", b"payload_bytes = +", 1),
+         "line {last}: expected 'payload_bytes = {size}', found 'payload_bytes = +{size}'"),
+        (lambda blob: blob.replace(b"encoder|head.b|1|8\n", b"encoder|head.b|01|8\n", 1),
+         "line {head_b}: expected 'tensor = encoder|head.b|1|8', "
+         "found 'tensor = encoder|head.b|01|8'"),
+        (lambda blob: blob.replace(b"tensor = ", b"tensor =  ", 1),
+         "line {first}: expected 'tensor = encoder|frontend.w|1|80x16', "
+         "found 'tensor =  encoder|frontend.w|1|80x16'"),
+        (lambda blob: blob.replace(b"seed = 1\n", b"", 1).replace(
+            b"tensor = ", b"seed = 1\ntensor = ", 1), "manifest is missing the seed"),
+    ], ids=["no-format-line", "seed-01", "shape-016", "payload-plus", "group-01",
+            "two-spaces", "seed-after-config"])
+    def test_manifest_line_a_save_never_writes_rejected(self, edit, message, tmp_path):
+        # a save never writes any of these files, though each names the saved values
+        p = preset("SL0-small")
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(bind_model(p.config, p.plan, seed=1), path)
+        blob = path.read_bytes()
+
+        def line(text):
+            return blob[:blob.index(text)].count(b"\n") + 1
+
+        message = message.format(first=line(b"tensor = "), last=line(b"payload_bytes = "),
+                                 head_b=line(b"tensor = encoder|head.b|"),
+                                 size=count_params(p.config, p.plan).encoder_total * 8)
+        path.write_bytes(edit(blob))
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("old,new,message", [
@@ -820,6 +877,20 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: matmul produced non-finite values\n"
         assert caught == []
+
+    def test_non_finite_loss_is_one_error_line(self, monkeypatch, capsys):
+        import confshare.cli
+
+        def overflowing(config, plan, seed):
+            model = bind_model(config, plan, seed)
+            model.store[("encoder", "frontend.w", 1)].data[...] = 1e308
+            return model
+
+        monkeypatch.setattr(confshare.cli, "bind_model", overflowing)
+        assert run_cli("train", "--preset", "SL0-small", "--steps", "1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: non-finite loss at step 0\n"
 
     def test_step_that_rounds_away_is_one_error_line(self, capsys):
         # theta +- 1e-300 == theta for every nonzero weight: no key is reported

@@ -15,7 +15,7 @@ from confshare.lowrank import LowRankSpec
 from confshare.sharing import (FRONTEND_B, FRONTEND_W, HEAD_B, HEAD_W, REL_TABLE,
                                SharingPlan, repeat_plan, unshare_module,
                                unshare_subcomponent)
-from confshare.training import (OptimizerState, ToyTaskSpec, TrainingError, batch_loss,
+from confshare.training import (OptimizerState, ToyTaskSpec, batch_loss,
                                 generate_toy_batch, gradcheck_model, serialize_report,
                                 task_prototypes, train_steps)
 from confshare.training import _loss_from as loss_from
@@ -225,7 +225,7 @@ class TestTrainSteps:
         model.store[FRONTEND_W].data[...] = 1e308
         # the frontend product overflows; the op reports it, not numpy
         with np.errstate(over="ignore"), \
-                pytest.raises(TrainingError, match=r"^non-finite loss at step 0$") as raised:
+                pytest.raises(NonFiniteError, match=r"^non-finite loss at step 0$") as raised:
             train_steps(model, ToyTaskSpec(frames=4, batch=1), OptimizerState(), 3, 1)
         assert isinstance(raised.value.__cause__, NonFiniteError)
 

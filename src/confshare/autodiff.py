@@ -369,8 +369,8 @@ def zero_grads(tensors):
 
 class _Scratch(threading.local):
     """One thread's scratch buffers: ``buffers`` maps a slot to its flat
-    buffer, ``views`` maps (slot, shape, dtype) to a view of that
-    buffer's head, so a warm lookup is one dict probe."""
+    buffer, ``views`` maps (slot, shape) to a view of that buffer's
+    head, so a warm lookup is one dict probe."""
 
     def __init__(self):
         self.buffers: dict[str, np.ndarray] = {}
@@ -382,33 +382,34 @@ _SCRATCH = _Scratch()
 _SCRATCH_VIEWS = 256
 
 
-def _scratch(slot: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-    """An uninitialised ``shape`` array in the calling thread's buffer for
-    ``slot``, for a temporary that a kernel fills and drops within one
-    call. The buffer grows to the largest size asked for and is reused
-    by every later call, so a warm kernel faults no pages in for it.
+def _scratch(slot: str, shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float64 ``shape`` array in the calling thread's
+    buffer for ``slot``, for a temporary that a kernel fills and drops
+    within one call. The buffer grows to the largest size asked for and
+    is reused by every later call, so a warm kernel faults no pages in
+    for it.
 
     The view is valid until the next call that asks for the same slot:
     it must never become an op output, a rule result, a stored gradient
     or anything a closure keeps.
     """
-    view = _SCRATCH.views.get((slot, shape, dtype))
+    view = _SCRATCH.views.get((slot, shape))
     if view is None:
-        view = _scratch_view(slot, shape, dtype)
+        view = _scratch_view(slot, shape)
     return view
 
 
-def _scratch_view(slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+def _scratch_view(slot: str, shape: tuple[int, ...]) -> np.ndarray:
     own = _SCRATCH
     n = math.prod(shape)
     buf = own.buffers.get(slot)
-    if buf is None or buf.size < n or buf.dtype != dtype:
-        buf = own.buffers[slot] = np.empty(n, dtype)
+    if buf is None or buf.size < n:
+        buf = own.buffers[slot] = np.empty(n)
         # the old buffer's views go with it
         own.views = {k: v for k, v in own.views.items() if k[0] != slot}
     if len(own.views) >= _SCRATCH_VIEWS:
         own.views.clear()
-    view = own.views[(slot, shape, dtype)] = buf[:n].reshape(shape)
+    view = own.views[(slot, shape)] = buf[:n].reshape(shape)
     return view
 
 

@@ -217,8 +217,9 @@ def main(argv=None) -> int:
         # below; numpy's overflow warnings would only repeat it
         with np.errstate(all="ignore"):
             return _COMMANDS[args.command](args)
-    except (ValueError, OSError, NonFiniteError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, NonFiniteError, MemoryError) as exc:
+        # the interpreter's own MemoryError carries no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_FAILURE
 
 

@@ -82,7 +82,8 @@ def parse_float(value: str) -> float:
 def _parse_assignments(text: str) -> dict[str, tuple[int, str]]:
     """Each key with its line number and value."""
     out: dict[str, tuple[int, str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # lines end at "\n" alone, as decode_text and the checkpoint manifest count them
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

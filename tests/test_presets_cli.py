@@ -2,7 +2,6 @@ import ast
 import math
 import os
 import re
-import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -22,6 +21,7 @@ from confshare.presets import calibrated_defaults, preset, preset_names
 from confshare.sharing import (ALL_MISC_SMALL, SharingPlan, key_str, physical_group_counts,
                                repeat_plan, validate_plan)
 from confshare.autodiff import Rng, Tensor
+from conftest import traced_peak
 from oracles import all_presets
 
 
@@ -227,6 +227,32 @@ class TestConfigGrammar:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_text(text)
 
+    # every character but "\n" and "\r" at which str.splitlines() ends a line
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                      "\u2028", "\u2029"])
+    def test_error_names_its_line_in_the_file(self, char, tmp_path):
+        p = preset("SL0-small")
+        lines = serialize_config(p.config, p.plan).split("\n")
+        assert lines[4] == f"model.input_dim = {p.config.input_dim}"
+        lines[1] += char
+        lines[4] = "model.input_dim = x"
+        message = "model.input_dim: expected an integer, got 'x'"
+        with pytest.raises(ConfigError, match=f"^line 5: {re.escape(message)}$"):
+            parse_config_text("\n".join(lines))
+        # below the format and seed lines, line 5 of the config is line 7 of a checkpoint
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(bind_model(p.config, p.plan, seed=1), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(b"model.e = 7.25\n", f"model.e = 7.25{char}\n".encode(), 1)
+                         .replace(b"model.input_dim = 80\n", b"model.input_dim = x\n", 1))
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: line 7: {message}')}$"):
+            load_checkpoint(path)
+
+    def test_crlf_file_parses_to_the_same_config(self):
+        p = preset("LRS2")
+        text = serialize_config(p.config, p.plan)
+        assert parse_config_text(text.replace("\n", "\r\n")) == (p.config, p.plan)
+
 
 class TestCheckpoints:
     @pytest.mark.parametrize("name", preset_names())
@@ -329,22 +355,6 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     @staticmethod
-    def _traced_peak(fn):
-        """Peak bytes that tracemalloc sees while ``fn`` runs, above what
-        was held before."""
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            fn()
-            return tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if started:
-                tracemalloc.stop()
-
-    @staticmethod
     def _few_mib_model():
         config = ModelConfig(d=128, e=4, heads=4, kernel_width=3, t_max=32)
         model = bind_model(config, repeat_plan(1, 1), seed=3)
@@ -356,12 +366,12 @@ class TestCheckpoints:
         assert payload > 3 * 2**20 and largest <= payload // 4
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
-        assert self._traced_peak(lambda: load_checkpoint(path)) <= payload + largest
+        assert traced_peak(lambda: load_checkpoint(path))[1] <= payload + largest
 
     def test_save_copies_no_tensor(self, tmp_path):
         model, _payload, largest = self._few_mib_model()
         path = tmp_path / "m.ckpt"
-        assert self._traced_peak(lambda: save_checkpoint(model, path)) < largest
+        assert traced_peak(lambda: save_checkpoint(model, path))[1] < largest
 
     def test_short_payload_with_matching_count_rejected(self, tmp_path):
         # payload_bytes agrees with the payload, but the tensor list needs 8 more
@@ -892,6 +902,25 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: non-finite loss at step 0\n"
 
+    @pytest.mark.parametrize("message", [
+        # what numpy raises for a --samples or --batch of 10**14
+        "Unable to allocate 728. TiB for an array with shape (100000000000000,) and data "
+        "type uint64",
+        # the interpreter's own carries none, so the line names the type
+        "",
+    ])
+    def test_memory_exhaustion_is_one_error_line(self, message, monkeypatch, capsys):
+        import confshare.cli
+
+        def exhausted(config, plan, seed):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(confshare.cli, "bind_model", exhausted)
+        assert run_cli("gradcheck", "--preset", "SL0-small") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message or 'MemoryError'}\n"
+
     def test_step_that_rounds_away_is_one_error_line(self, capsys):
         # theta +- 1e-300 == theta for every nonzero weight: no key is reported
         assert run_cli("gradcheck", "--preset", "SL0-small", "--eps", "1e-300") == 1
@@ -1002,3 +1031,18 @@ def test_every_public_function_has_a_caller():
                         else any(kw.arg == attr for kw in call.keywords)
                         for callee, _, _, call in calls if callee in (name, "replace"))]
     assert unset == []
+
+
+def test_fingerprint_reports_a_failed_check_on_one_line_and_runs_the_rest(monkeypatch,
+                                                                          capsys):
+    # importing the script pins the BLAS thread count; keep the caller's value after the test
+    monkeypatch.setitem(os.environ, "OPENBLAS_NUM_THREADS", "1")
+    import fingerprint
+
+    def broken():
+        raise ValueError("two\nlines")
+
+    monkeypatch.setattr(fingerprint, "CHECKS", {"a": lambda: "1\n\n2\n", "b": broken,
+                                                "c": lambda: "3\n"})
+    assert fingerprint.main() == 1
+    assert capsys.readouterr().out == "a 1\na \na 2\nb failed: ValueError('two\\nlines')\nc 3\n"

@@ -1046,3 +1046,36 @@ def test_fingerprint_reports_a_failed_check_on_one_line_and_runs_the_rest(monkey
                                                 "c": lambda: "3\n"})
     assert fingerprint.main() == 1
     assert capsys.readouterr().out == "a 1\na \na 2\nb failed: ValueError('two\\nlines')\nc 3\n"
+
+
+def test_fingerprint_fails_an_sl0_gradcheck_that_exits_1_and_keeps_its_text(monkeypatch,
+                                                                             capsys):
+    monkeypatch.setitem(os.environ, "OPENBLAS_NUM_THREADS", "1")
+    import fingerprint
+
+    def gradcheck(argv):
+        print("worst key")
+        return 1
+
+    monkeypatch.setattr(fingerprint.cli, "main", gradcheck)
+    monkeypatch.setattr(fingerprint, "CHECKS", {name: fingerprint.CHECKS[name]
+                                                for name in ("gradcheck_sl0", "gradcheck_lrs3")})
+    assert fingerprint.main() == 1
+    assert capsys.readouterr().out == (
+        "gradcheck_sl0 worst key\ngradcheck_sl0 exit 1\ngradcheck_sl0 failed: exit 1, expected 0\n"
+        "gradcheck_lrs3 worst key\ngradcheck_lrs3 exit 1\n")
+
+
+def test_fingerprint_records_an_argparse_exit_as_an_exit_code(monkeypatch, capsys):
+    # a base tree's CLI may lack a flag that a check passes: argparse exits 2
+    monkeypatch.setitem(os.environ, "OPENBLAS_NUM_THREADS", "1")
+    import fingerprint
+
+    def unknown_flag(argv):
+        raise SystemExit(2)
+
+    monkeypatch.setattr(fingerprint.cli, "main", unknown_flag)
+    checks = {"gradcheck_lrs3": fingerprint.CHECKS["gradcheck_lrs3"], "c": lambda: "3\n"}
+    monkeypatch.setattr(fingerprint, "CHECKS", checks)
+    assert fingerprint.main() == 0
+    assert capsys.readouterr().out == "gradcheck_lrs3 exit 2\nc 3\n"

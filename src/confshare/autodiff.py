@@ -16,11 +16,11 @@ Everything here is deliberately small and deterministic:
 
 The op set is what a conformer block needs: three products, layer
 norm, glu, a depthwise temporal convolution that pads each utterance of
-a packed batch on its own, ``transpose`` (a head split or merge, one
-node and one copy), ``slice_rows`` along the leading axis, and
-``attention_context``: from the q, k and v projections and each
-utterance's relative-position scores to the context, one node per layer
-over all heads of a batch, which reads the heads as strided views.
+a packed batch on its own, ``split_heads`` (a range of rows split into
+heads, one node and one copy), and ``attention_context``: from the q, k
+and v projections and each utterance's relative-position scores to the
+context, one node per layer over all heads of a batch, which reads the
+heads as strided views.
 
 The products are ``matmul`` (2-d, or 3-d batched for the positional
 scores), ``swish_matmul`` (swish(a) @ b) and ``linear_swish_matmul``
@@ -35,7 +35,7 @@ bias added to every row, and a residual and scale ``s``, applied as
 g to the residual, g·s summed over rows to the bias, g·s through the
 core's rule arithmetic, and LN(a)'s gradient through layer norm's rule,
 with x̂ and LN(a) rebuilt from the per-row statistics. A 4×32 toy step
-records 219 nodes, an LRS3 T=128 one 1,123. The tests' unfused oracles
+records 212 nodes, an LRS3 T=128 one 1,122. The tests' unfused oracles
 for these ops, ``add`` among them, live in ``tests/oracles.py``.
 
 A rule keeps only the arrays it reads and cannot get from its parents'
@@ -524,17 +524,26 @@ def sum_all(a: Tensor) -> Tensor:
                    lambda g: (np.full_like(a.data, float(g)),))
 
 
-def transpose(a: Tensor, view, shape) -> Tensor:
-    """``a`` viewed as the 4-d ``view``, permuted by (0, 2, 1, 3), viewed
-    as ``shape``: a reshape-transpose-reshape chain (a head split or
-    merge) as one node and one copy. The permutation is its own inverse,
-    so the rule runs the chain backwards with it."""
-    in_shape = a.data.shape
-    permuted = a.data.reshape(view).transpose(0, 2, 1, 3)
-    permuted_shape = permuted.shape
-    out = np.ascontiguousarray(permuted).reshape(shape)
-    return _result(out, "transpose", (a,),
-                   lambda g: (g.reshape(permuted_shape).transpose(0, 2, 1, 3).reshape(in_shape),))
+def split_heads(a: Tensor, start: int, stop: int, h: int) -> Tensor:
+    """Rows ``start:stop`` of the 2-d ``a``, each split into ``h`` heads of
+    d/h columns, as one (h, stop − start, d/h) copy. The rule merges the
+    gradient back into those rows of a zero array shaped like ``a``, or
+    of a fresh array, with no zero fill, when the range is every row."""
+    rows, d = a.shape if a.ndim == 2 else (0, 0)
+    if not (0 <= start < stop <= rows and h >= 1 and d % h == 0):
+        raise ShapeError(f"split_heads: rows [{start}, {stop}) of {a.shape} into {h} heads")
+    n, dh = stop - start, d // h
+    out = np.ascontiguousarray(a.data[start:stop].reshape(n, h, dh).transpose(1, 0, 2))
+
+    def rule(g):
+        merged = g.transpose(1, 0, 2)  # (n, h, dh)
+        if n == rows:
+            return (merged.reshape(rows, d),)
+        ga = np.zeros_like(a.data)
+        ga[start:stop].reshape(n, h, dh)[...] = merged
+        return (ga,)
+
+    return _result(out, "split_heads", (a,), rule)
 
 
 def _sigmoid_into(x: np.ndarray, num: np.ndarray) -> np.ndarray:
@@ -825,23 +834,6 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, frames: int | None = None) -> Te
     return _result(out.reshape(rows, d), "depthwise_conv1d", (x, kernel), rule)
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    """Entries ``start:stop`` along the leading axis, as a view of the data.
-    Its rule returns an array shaped like ``a``: g in those rows, zeros
-    elsewhere. All rows are ``a`` itself, with no node."""
-    if a.ndim < 1 or not 0 <= start < stop <= a.shape[0]:
-        raise ShapeError(f"slice_rows: rows [{start}, {stop}) of {a.shape}")
-    if start == 0 and stop == a.shape[0]:
-        return a
-
-    def rule(g):
-        ga = np.zeros_like(a.data)
-        ga[start:stop] = g
-        return (ga,)
-
-    return _result(a.data[start:stop], "slice_rows", (a,), rule)
-
-
 def utterance_count(rows: int, frames: int) -> int:
     """How many utterances of ``frames`` frames each ``rows`` packed rows hold."""
     if frames < 1 or rows < frames or rows % frames != 0:
@@ -889,12 +881,12 @@ def attention_context(q: Tensor, k: Tensor, pos, v: Tensor) -> Tensor:
     dh = d // H
     scale = 1.0 / math.sqrt(dh)
 
-    def heads(a):  # (B·T, d) -> (B, H, T, dh), a view
+    def head_view(a):  # (B·T, d) -> (B, H, T, dh), a view
         return a.reshape(B, T, H, dh).transpose(0, 2, 1, 3)
 
     def scores():  # q kᵀ, in scratch
         z = _scratch("attention_context.p", (B, H, T, T))
-        return np.matmul(heads(q.data), np.swapaxes(heads(k.data), -1, -2), out=z)
+        return np.matmul(head_view(q.data), np.swapaxes(head_view(k.data), -1, -2), out=z)
 
     def weights(z):  # the softmax of the scaled scores, over z
         for zb, part in zip(z, pos):
@@ -907,21 +899,21 @@ def attention_context(q: Tensor, k: Tensor, pos, v: Tensor) -> Tensor:
     p = weights(z)
     _finite(p, "attention_context")
     out = np.empty((rows, d))
-    np.matmul(p, heads(v.data), out=heads(out))
+    np.matmul(p, head_view(v.data), out=head_view(out))
 
     def rule(g):
         p = weights(scores())
-        gh = heads(g)
+        gh = head_view(g)
         gq, gk, gv = (np.empty((rows, d)) for _ in range(3))
-        np.matmul(np.swapaxes(p, -1, -2), gh, out=heads(gv))
+        np.matmul(np.swapaxes(p, -1, -2), gh, out=head_view(gv))
         # the weights' gradient g vᵀ lives only until the softmax's is taken
-        gz = _softmax_grad(p, np.matmul(gh, np.swapaxes(heads(v.data), -1, -2)))
+        gz = _softmax_grad(p, np.matmul(gh, np.swapaxes(head_view(v.data), -1, -2)))
         gz *= scale
         gpos = [np.zeros((H, T, W)) for _ in range(B)]
         for gfull, gzb in zip(gpos, gz):
             _skew(gfull)[...] = gzb
-        np.matmul(gz, heads(k.data), out=heads(gq))
-        np.matmul(np.swapaxes(gz, -1, -2), heads(q.data), out=heads(gk))
+        np.matmul(gz, head_view(k.data), out=head_view(gq))
+        np.matmul(np.swapaxes(gz, -1, -2), head_view(q.data), out=head_view(gk))
         return gq, gk, *gpos, gv
 
     return _result(out, "attention_context", (q, k, *pos, v), rule)

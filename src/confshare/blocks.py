@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (Rng, ShapeError, Tensor, attention_context, depthwise_conv1d, glu,
-                       layer_norm, linear_swish_matmul, matmul, slice_rows, swish_matmul,
-                       transpose, utterance_count)
+                       layer_norm, linear_swish_matmul, matmul, split_heads, swish_matmul,
+                       utterance_count)
 from .lowrank import LowRankFactors
 
 
@@ -179,15 +179,12 @@ def table_heads(p: AttentionParams, frames: int) -> Tensor:
     """The (H, 2T − 1, dh) heads of the relative-position table window that
     T = ``frames`` frames reach: table row t_max − 1 + o holds offset o, so
     offsets −(T − 1) .. T − 1 are rows t_max − T .. t_max + T − 2. One
-    ``slice_rows`` node and one ``transpose`` node. Every layer reads the
-    same table, so ``encode_from`` builds the heads once per forward and
-    hands them to every layer; a standalone ``attention`` call builds its
-    own."""
+    ``split_heads`` node. Every layer reads the same table, so
+    ``encode_from`` builds the heads once per forward and hands them to
+    every layer; a standalone ``attention`` call builds its own."""
     t_max = (p.rel_emb.shape[0] + 1) // 2
     check_frames(frames, t_max)
-    H, W, dh = p.heads, 2 * frames - 1, p.rel_emb.shape[1] // p.heads
-    window = slice_rows(p.rel_emb, t_max - frames, t_max + frames - 1)
-    return transpose(window, (1, W, H, dh), (H, W, dh))
+    return split_heads(p.rel_emb, t_max - frames, t_max + frames - 1, p.heads)
 
 
 def attention(x: Tensor, p: AttentionParams, frames: int | None = None,
@@ -206,20 +203,19 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None,
     utterance after utterance, so no head sees another utterance's frames,
     and keeps no (B·H, T, T) array: its rule rebuilds the softmax weights.
     Only the positional product runs per utterance, (H, T, 2T − 1) each,
-    on the pos-query projection's heads, split by one ``transpose`` node,
-    against ``table``, the ``table_heads`` of ``p`` for T frames (built
-    here when not given); ``attention_context`` takes the B products as
-    they are, with no join. The post-projection adds the residual ``x``
-    (``residual=x``). The layer norm, which four projections read, stays
-    a ``layer_norm`` node. A 4×32 toy step at d=32 records 219 tape
-    nodes: one ``transpose`` per layer, and the table's ``slice_rows``
-    and ``transpose`` once.
+    on the utterance's pos-query rows, split into heads by one
+    ``split_heads`` node, against ``table``, the ``table_heads`` of ``p``
+    for T frames (built here when not given); ``attention_context`` takes
+    the B products as they are, with no join. The post-projection adds the
+    residual ``x`` (``residual=x``). The layer norm, which four
+    projections read, stays a ``layer_norm`` node. A 4×32 toy step at
+    d=32 records 212 tape nodes: one ``split_heads`` per utterance and
+    layer, and one for the table.
     """
-    rows, d = x.shape
+    rows = x.shape[0]
     T = rows if frames is None else frames
     B = utterance_count(rows, T)
     H = p.heads
-    dh = d // H
     if table is None:
         table = table_heads(p, T)
 
@@ -229,9 +225,7 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None,
     v = matmul(xn, p.wv, bias=p.bv)
     pq = matmul(xn, p.wpos_query, bias=p.bpos_query)
 
-    # (B·T, d) -> (B·H, T, dh): each utterance's H heads in turn
-    pq3 = transpose(pq, (B, T, H, dh), (B * H, T, dh))
-    pos = [matmul(slice_rows(pq3, b * H, (b + 1) * H), table, transpose_b=True)
+    pos = [matmul(split_heads(pq, b * T, (b + 1) * T, H), table, transpose_b=True)
            for b in range(B)]                                # B × (H, T, 2T - 1)
     context = attention_context(q, k, pos, v)
     return matmul(context, p.wpost, bias=p.bpost, residual=x)

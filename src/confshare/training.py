@@ -202,7 +202,7 @@ class GradcheckReport:
 
     @property
     def max_rel_err(self) -> float:
-        return max((e.max_rel_err for e in self.entries), default=0.0)
+        return max(e.max_rel_err for e in self.entries)
 
     @property
     def passed(self) -> bool:
@@ -215,8 +215,10 @@ def gradcheck_model(model: BoundModel, batch: tuple[np.ndarray, np.ndarray],
                     keys: list[Key] | None = None) -> GradcheckReport:
     """Backward gradients vs central finite differences on a seeded
     coordinate subset of every physical tensor (or the given slice of
-    keys). An empty slice passes vacuously; a key the store does not
-    hold is rejected before anything is computed.
+    keys). An empty slice, which would check nothing, and a key the store
+    does not hold are rejected before anything is computed. A tensor of
+    fewer than ``samples_per_tensor`` scalars has every coordinate
+    checked, with no draw.
 
     Coordinates where both sides are at most 1e-9 count as agreeing at
     zero (``relative_error``): the attention key bias is softmax-shift
@@ -242,6 +244,8 @@ def gradcheck_model(model: BoundModel, batch: tuple[np.ndarray, np.ndarray],
     _check_eps_and_tol(eps, tol)
     _check_count("samples per tensor", samples_per_tensor)
     selected = list(model.store.keys()) if keys is None else list(keys)
+    if not selected:
+        raise ValueError("gradcheck_model: no keys to check")
     unknown = [key_str(key) for key in selected if key not in model.store]
     if unknown:
         raise ValueError(f"gradcheck_model: the store has no tensor for key "
@@ -264,8 +268,12 @@ def gradcheck_model(model: BoundModel, batch: tuple[np.ndarray, np.ndarray],
             tensor = model.store[key]
             start = stages[key]
             analytic = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-            rng = Rng(model.store.seed).derive(f"gradcheck.{key}")
-            coords = sorted({int(i) for i in rng.integers(tensor.size, (samples_per_tensor,))})
+            if samples_per_tensor > tensor.size:
+                coords = list(range(tensor.size))
+            else:
+                rng = Rng(model.store.seed).derive(f"gradcheck.{key}")
+                drawn = rng.integers(tensor.size, (samples_per_tensor,))
+                coords = sorted({int(i) for i in drawn})
             fd = finite_diff_grad(
                 lambda: _loss_from(model, Tensor(inputs[start]), frames, targets, start).item(),
                 tensor.data, eps, coords)

@@ -9,7 +9,8 @@ from: ``add(a, b, s)`` against ``add(a, scale(b, s))``, a product's
 ``attention_chain``: head splits, the content matmul, ``concat_rows`` of
 the per-utterance positional scores, ``attention_weights`` (itself
 checked against ``softmax`` of the summed scores), the context matmul
-and the merge. Each op is built from the
+and the merge. ``split_heads`` is checked against ``transpose`` of
+``slice_rows``. Each op is built from the
 same ``autodiff`` kernels the package uses (``_result``, ``_sigmoid``,
 ``_skew``, ``_softmax`` and ``_softmax_grad``), so a byte comparison
 against a fused op checks the fusion and nothing else.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from confshare.autodiff import (ShapeError, Tensor, _result, _sigmoid, _skew, _softmax,
-                                _softmax_grad, matmul, transpose)
+                                _softmax_grad, matmul)
 from confshare.presets import SMALL_SUFFIX, Preset, preset, preset_names
 
 
@@ -103,6 +104,36 @@ def attention_weights(content: Tensor, pos_full: Tensor, scale: float) -> Tensor
         return gz, gfull
 
     return _result(p, "attention_weights", (content, pos_full), rule)
+
+
+def transpose(a: Tensor, view, shape) -> Tensor:
+    """``a`` viewed as the 4-d ``view``, permuted by (0, 2, 1, 3), viewed
+    as ``shape``: a reshape-transpose-reshape chain (a head split or
+    merge) as one node and one copy. The permutation is its own inverse,
+    so the rule runs the chain backwards with it."""
+    in_shape = a.data.shape
+    permuted = a.data.reshape(view).transpose(0, 2, 1, 3)
+    permuted_shape = permuted.shape
+    out = np.ascontiguousarray(permuted).reshape(shape)
+    return _result(out, "transpose", (a,),
+                   lambda g: (g.reshape(permuted_shape).transpose(0, 2, 1, 3).reshape(in_shape),))
+
+
+def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
+    """Entries ``start:stop`` along the leading axis, as a view of the data.
+    Its rule returns an array shaped like ``a``: g in those rows, zeros
+    elsewhere. All rows are ``a`` itself, with no node."""
+    if a.ndim < 1 or not 0 <= start < stop <= a.shape[0]:
+        raise ShapeError(f"slice_rows: rows [{start}, {stop}) of {a.shape}")
+    if start == 0 and stop == a.shape[0]:
+        return a
+
+    def rule(g):
+        ga = np.zeros_like(a.data)
+        ga[start:stop] = g
+        return (ga,)
+
+    return _result(a.data[start:stop], "slice_rows", (a,), rule)
 
 
 def concat_rows(parts) -> Tensor:

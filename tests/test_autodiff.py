@@ -14,11 +14,11 @@ from confshare.autodiff import (_SCRATCH, LN_EPS, ZERO_FLOOR, NonFiniteError, Rn
                                 backward, cross_entropy_mean,
                                 depthwise_conv1d, finite_diff_grad, glu,
                                 layer_norm, linear_swish_matmul, matmul, relative_error,
-                                slice_rows, sum_all, swish_matmul, transpose, zero_grads)
+                                split_heads, sum_all, swish_matmul, zero_grads)
 from conftest import (assert_params_match_fd, bound_block, rand_tensor, traced_held,
                       traced_peak)
-from oracles import (add, attention_chain, attention_weights, concat_rows, mul, scale, softmax,
-                     swish)
+from oracles import (add, attention_chain, attention_weights, concat_rows, mul, scale,
+                     slice_rows, softmax, swish, transpose)
 
 
 class TestRng:
@@ -482,6 +482,8 @@ class TestActivations:
                      id="linear_swish_matmul-transpose_w-bias"),
         pytest.param(lambda a: transpose(a, (2, 3, 2, 2), (4, 6)), [(6, 4)],
                      id="transpose-view-shape"),
+        pytest.param(lambda a: split_heads(a, 1, 4, 2), [(5, 6)], id="split_heads"),
+        pytest.param(lambda a: split_heads(a, 0, 5, 3), [(5, 6)], id="split_heads-all"),
         pytest.param(lambda a, b: add(a, b, -0.5), [(4, 3), (4, 3)], id="add-scaled"),
         pytest.param(lambda x, g, b, w: matmul(x, w, norm=(g, b)),
                      [(4, 4), (4,), (4,), (4, 5)], id="matmul-norm"),
@@ -584,6 +586,41 @@ class TestActivations:
 class TestPlumbing:
     """The one-node forms of a head split/merge and of a scaled residual
     give the bytes of the chains they replace."""
+
+    @pytest.mark.parametrize("start,stop", [(2, 5), (0, 3), (0, 7)],
+                             ids=["middle", "from-0", "all"])
+    @pytest.mark.parametrize("h", [1, 3])
+    def test_split_heads_matches_transpose_of_slice_rows_bytewise(self, rng, start, stop, h):
+        rows, d = 7, 6
+        n, dh = stop - start, d // h
+        a = Tensor(_with_signed_zeros(rng.uniform(-2.0, 2.0, (rows, d))), requires_grad=True)
+        g = _with_signed_zeros(rng.uniform(-1.0, 1.0, (h, n, dh)))
+        fused = split_heads(a, start, stop, h)
+        window = slice_rows(a, start, stop)
+        chain = transpose(window, (1, n, h, dh), (h, n, dh))
+        assert fused.shape == (h, n, dh)
+        assert fused.data.tobytes() == chain.data.tobytes()
+        # backwards, the transpose's rule and then the slice's, which is
+        # no node when the range is every row
+        (ga,) = fused._backward(g)
+        (chain_ga,) = chain._backward(g)
+        if window is not a:
+            (chain_ga,) = window._backward(chain_ga)
+        assert ga.shape == a.shape
+        assert ga.tobytes() == chain_ga.tobytes()
+
+    @pytest.mark.parametrize("shape,start,stop,h", [
+        ((4, 6), 2, 2, 2),     # an empty range
+        ((4, 6), 1, 5, 2),     # past the end
+        ((4, 6), -1, 2, 2),    # before the start
+        ((2, 4, 6), 0, 2, 2),  # not 2-d
+        ((4, 6), 0, 4, 4),     # 4 heads do not divide 6 columns
+        ((4, 6), 0, 4, 0),     # no heads
+    ], ids=["empty", "past-end", "negative", "3-d", "indivisible", "no-heads"])
+    def test_split_heads_rejects_rows_and_heads_that_do_not_fit(self, shape, start, stop, h):
+        message = f"split_heads: rows [{start}, {stop}) of {shape} into {h} heads"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            split_heads(Tensor(np.zeros(shape)), start, stop, h)
 
     @pytest.mark.parametrize("shape,view,shape_out", [
         ((12, 6), (2, 6, 3, 2), (6, 6, 2)),  # split 2 utterances, 3 heads
@@ -1314,6 +1351,8 @@ class TestRetainedMemory:
         if op == "transpose":
             return transpose(rand_tensor(rng, (12, 10), requires_grad=True), (2, 6, 5, 2),
                              (10, 6, 2))
+        if op == "split_heads":
+            return split_heads(rand_tensor(rng, (12, 10), requires_grad=True), 2, 8, 5)
         if op == "add":
             return add(rand_tensor(rng, (6, 10), requires_grad=True),
                        rand_tensor(rng, (6, 10), requires_grad=True), 0.5)
@@ -1346,7 +1385,7 @@ class TestRetainedMemory:
 
     @pytest.mark.parametrize("op", ["swish", "layer_norm", "attention_weights", "glu",
                                     "depthwise_conv1d", "swish_matmul", "linear_swish_matmul",
-                                    "transpose", "add", "attention_context",
+                                    "transpose", "split_heads", "add", "attention_context",
                                     "attention_context-long", "matmul-residual",
                                     "swish_matmul-residual", "linear_swish_matmul-residual",
                                     "matmul-norm", "swish_matmul-norm",
@@ -1462,8 +1501,8 @@ class TestRetainedMemory:
                     and a.tobytes() in normalized]
 
     @pytest.mark.parametrize("frames,batch,count,mib", [
-        pytest.param(128, 1, 1123, 145, id="128-1-1123"),
-        pytest.param(64, 2, 1243, 125, id="64-2-1243")])
+        pytest.param(128, 1, 1122, 145, id="128-1-1122"),
+        pytest.param(64, 2, 1202, 125, id="64-2-1202")])
     def test_lrs3_forward_tape_layout_and_held_bytes(self, frames, batch, count, mib):
         # the paper's LRS3 model: 40 layers at d=144 with four heads
         from confshare.encoder import bind_model

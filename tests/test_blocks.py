@@ -148,8 +148,8 @@ class TestAttention:
         p = bound_block(_cfg(), 8).attn
         tape = backward(sum_all(attention(rand_tensor(rng, (5, 8)), p)))
         ops = [n.op for n in tape.nodes]
-        assert ops.count("slice_rows") == 1  # the rel-table window
-        assert "concat_rows" not in ops
+        assert ops.count("split_heads") == 2  # the rel-table window and pq
+        assert "slice_rows" not in ops and "concat_rows" not in ops
 
     def test_given_table_heads_give_the_bytes_of_its_own(self, rng):
         p = bound_block(_cfg(), 8).attn
@@ -192,10 +192,13 @@ class TestAttention:
         T, H, dh = 5, cfg.heads, 6
         tape = backward(sum_all(attention(rand_tensor(rng, (utts * T, 12)), p, frames=T)))
         assert not [n for n in tape.nodes if n.shape == (utts * H, T, T)]
-        # the one (B·H, T, dh) node is the positional-query split, not q, k, v or a context
-        (split,) = [n for n in tape.nodes if n.shape == (utts * H, T, dh)]
-        assert split.op == "transpose"
-        assert split._parents[0]._parents[1] is p.wpos_query
+        # the B (H, T, dh) nodes are the positional-query splits, one per
+        # utterance, not q, k, v or a context
+        splits = [n for n in tape.nodes if n.shape == (H, T, dh)]
+        assert len(splits) == utts
+        for split in splits:
+            assert split.op == "split_heads"
+            assert split._parents[0]._parents[1] is p.wpos_query
 
     def test_gradients_at_t_max(self, rng):
         cfg = _cfg(d=8, heads=2, t_max=4)

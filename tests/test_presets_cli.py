@@ -903,7 +903,7 @@ class TestCli:
         assert captured.err == "error: non-finite loss at step 0\n"
 
     @pytest.mark.parametrize("message", [
-        # what numpy raises for a --samples or --batch of 10**14
+        # what numpy raises when it cannot allocate 10**14 uint64s
         "Unable to allocate 728. TiB for an array with shape (100000000000000,) and data "
         "type uint64",
         # the interpreter's own carries none, so the line names the type

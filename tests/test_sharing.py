@@ -343,11 +343,9 @@ class TestEncoderComposition:
         x = Rng(5).uniform(-1, 1, (utts, T, cfg.input_dim))
         nodes = Tape.trace(encoder_forward(Tensor(x), model)).nodes
         table = model.store[REL_TABLE]
-        # one slice of the table and one head split for all four layers
-        (window,) = [n for n in nodes if any(p is table for p in n._parents)]
-        assert window.op == "slice_rows"
-        (heads,) = [n for n in nodes if any(p is window for p in n._parents)]
-        assert heads.op == "transpose" and heads.shape == (4, 2 * T - 1, 4)
+        # one head split of the table window for all four layers
+        (heads,) = [n for n in nodes if any(p is table for p in n._parents)]
+        assert heads.op == "split_heads" and heads.shape == (4, 2 * T - 1, 4)
         # every layer's positional products, one per utterance, read those heads
         positional = [n for n in nodes if n.op == "matmul" and n.ndim == 3]
         assert len(positional) == 4 * utts

@@ -1,5 +1,6 @@
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from confshare.lowrank import LowRankSpec
 from confshare.sharing import (FRONTEND_B, FRONTEND_W, HEAD_B, HEAD_W, REL_TABLE,
                                SharingPlan, repeat_plan, unshare_module,
                                unshare_subcomponent)
-from confshare.training import (OptimizerState, ToyTaskSpec, batch_loss,
+from confshare.training import (GradcheckReport, OptimizerState, ToyTaskSpec, batch_loss,
                                 generate_toy_batch, gradcheck_model, serialize_report,
                                 task_prototypes, train_steps)
 from confshare.training import _loss_from as loss_from
@@ -197,7 +198,7 @@ class TestTrainSteps:
             texts.append(serialize_report(report))
         assert texts[0].encode() == texts[1].encode()
 
-    def test_toy_train_config_tape_is_219_nodes(self):
+    def test_toy_train_config_tape_is_212_nodes(self):
         # the benchmark's toy_train config: a packed 4x32 batch through repeat_plan(2, 3)
         model = bind_model(ModelConfig(d=32, e=7.25, heads=4, kernel_width=11),
                            repeat_plan(2, 3), 11)
@@ -205,13 +206,13 @@ class TestTrainSteps:
         ops = [n.op for n in backward(loss).nodes]
         layers = len(model.virtual_blocks())
         assert layers == 6
-        assert len(ops) == 219
+        assert len(ops) == 212
         # attention from the projections to the context is one node per layer,
-        # only the positional query is split into heads per layer, and the
-        # table window is sliced and split once for all layers
+        # only the positional query is split into heads per utterance and
+        # layer, and the table window is split once for all layers
         assert ops.count("attention_context") == layers
-        assert ops.count("transpose") == layers + 1
-        assert ops.count("slice_rows") == 4 * layers + 1
+        assert ops.count("split_heads") == 4 * layers + 1
+        assert "transpose" not in ops and "slice_rows" not in ops
         # each feed-forward is one node from linear1 to linear2, and every
         # residual is added by its module's last product: no add, no scale
         assert ops.count("linear_swish_matmul") == 2 * layers
@@ -341,12 +342,35 @@ class TestGradcheckModel:
                            frames=frames, batch=batch)
         return generate_toy_batch(spec, seed, 0)
 
-    def test_empty_slice_passes_vacuously(self):
+    def test_empty_slice_is_rejected_before_any_compute(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("computed a loss for a check of nothing")
+
+        monkeypatch.setattr(confshare.training, "_loss_from", never)
         model = bind_model(_cfg(), repeat_plan(1, 1), seed=1)
-        report = gradcheck_model(model, self._batch(model.config), keys=[])
+        with pytest.raises(ValueError, match="^gradcheck_model: no keys to check$"):
+            gradcheck_model(model, self._batch(model.config), keys=[])
+        # nor does a report of no entries have a worst error
+        with pytest.raises(ValueError):
+            GradcheckReport(entries=(), tol=1e-5).max_rel_err
+
+    @pytest.mark.parametrize("extra", [1, 10**14], ids=["size+1", "1e14"])
+    def test_samples_above_the_size_check_every_coordinate(self, extra, monkeypatch):
+        model = bind_model(_cfg(), repeat_plan(1, 1), seed=1)
+        batch = self._batch(model.config)
+        size = model.store[HEAD_B].size
+
+        def never(*args):
+            raise AssertionError("drew coordinates for a tensor it checks whole")
+
+        monkeypatch.setattr(Rng, "integers", never)
+        started = time.perf_counter()
+        report = gradcheck_model(model, batch, samples_per_tensor=size + extra,
+                                 keys=[HEAD_B])
+        assert time.perf_counter() - started < 1.0
+        (entry,) = report.entries
+        assert entry.checked == size
         assert report.passed
-        assert report.entries == ()
-        assert report.max_rel_err == 0.0
 
     def test_dense_single_block_passes(self):
         model = bind_model(_cfg(d=8, heads=2), repeat_plan(1, 1), seed=2)

@@ -15,8 +15,9 @@ Everything here is deliberately small and deterministic:
   fixtures are reproducible across platforms and implementations.
 
 The op set is what a conformer block needs: three products, layer
-norm, glu, a depthwise temporal convolution that pads each utterance of
-a packed batch on its own, ``split_heads`` (a range of rows split into
+norm, ``glu_conv1d`` (a gated linear unit and the depthwise temporal
+convolution of its output, one node that pads each utterance of a
+packed batch on its own), ``split_heads`` (a range of rows split into
 heads, one node and one copy), and ``attention_context``: from the q, k
 and v projections and each utterance's relative-position scores to the
 context, one node per layer over all heads of a batch, which reads the
@@ -35,8 +36,9 @@ bias added to every row, and a residual and scale ``s``, applied as
 g to the residual, g·s summed over rows to the bias, g·s through the
 core's rule arithmetic, and LN(a)'s gradient through layer norm's rule,
 with x̂ and LN(a) rebuilt from the per-row statistics. A 4×32 toy step
-records 212 nodes, an LRS3 T=128 one 1,122. The tests' unfused oracles
-for these ops, ``add`` among them, live in ``tests/oracles.py``.
+records 206 nodes, an LRS3 T=128 one 1,082. The tests' unfused oracles
+for these ops, ``add``, ``glu`` and ``depthwise_conv1d`` among them,
+live in ``tests/oracles.py``.
 
 A rule keeps only the arrays it reads and cannot get from its parents'
 data or its own output, and rebuilds the rest by the forward's own ops,
@@ -51,8 +53,8 @@ so its bytes are those of keeping them:
   pre-activation, and rebuilds the latter with the same product and
   bias add before it runs ``swish_matmul``'s and ``matmul``'s rule
   arithmetic, so no feed-forward-wide array stays on the tape;
-* glu recomputes its sigmoid from the input, and the convolution
-  rebuilds its padded input;
+* ``glu_conv1d`` keeps no gated array: it rebuilds the sigmoid from its
+  input and the gate in its padded scratch input;
 * ``layer_norm`` keeps one mean and one inverse deviation per row;
 * ``attention_context`` keeps nothing of its own: it rebuilds its
   softmax weights from q, k and the positional scores, so no
@@ -80,9 +82,9 @@ pages in for it (the idea of PyTorch's caching allocator). The slots:
   it);
 * ``linear_swish_matmul.pre``: the pre-activation, built in the forward
   and rebuilt in the rule, which writes its gradient over it;
-* ``glu.s``: the rule's sigmoid;
-* ``conv.xp`` and ``conv.tap``: the convolution's padded input and its
-  per-tap products, in the forward and in the rule;
+* ``glu.s``, ``conv.xp`` and ``conv.tap``: ``glu_conv1d``'s sigmoid,
+  its padded gate and its per-tap products, in the forward and in the
+  rule;
 * ``attention_context.p``: the scores and then the softmax weights, built
   in the forward and rebuilt in the rule;
 * ``softmax_grad.gp``: the g·p product of ``attention_context``'s rule;
@@ -560,10 +562,6 @@ def _sigmoid_into(x: np.ndarray, num: np.ndarray) -> np.ndarray:
     return np.divide(1.0, num, out=num)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return _sigmoid_into(x, np.empty(x.shape))
-
-
 def _swish_product(x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """swish(x) @ b, the activation held only in scratch."""
     act = _sigmoid_into(x, _scratch("swish_matmul.act", x.shape))
@@ -663,29 +661,6 @@ def linear_swish_matmul(a: Tensor, w: Tensor, c: Tensor, b: Tensor,
                     norm)
 
 
-def glu(a: Tensor) -> Tensor:
-    """Gated linear unit over the last axis: split halves (u, v), u * sigmoid(v).
-    The rule recomputes the sigmoid from v."""
-    last = a.shape[-1]
-    if last % 2 != 0:
-        raise ShapeError(f"glu requires an even last extent, got {a.shape}")
-    n = last // 2
-    out = _sigmoid(a.data[..., n:])
-    out *= a.data[..., :n]
-
-    def rule(g):
-        s = _sigmoid_into(a.data[..., n:], _scratch("glu.s", g.shape))
-        ga = np.empty_like(a.data)
-        np.multiply(g, s, out=ga[..., :n])
-        gv = np.multiply(g, a.data[..., :n], out=ga[..., n:])
-        gv *= s
-        np.subtract(1.0, s, out=s)
-        gv *= s  # g * u * s * (1 - s)
-        return (ga,)
-
-    return _result(out, "glu", (a,), rule)
-
-
 def _check_norm_params(op: str, d: int, gamma: Tensor, beta: Tensor):
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError(f"{op}: gamma/beta must be shape ({d},), "
@@ -782,45 +757,55 @@ def _skew(full: np.ndarray) -> np.ndarray:
                       strides=(T * W * step, (W - 1) * step, step))
 
 
-def depthwise_conv1d(x: Tensor, kernel: Tensor, frames: int | None = None) -> Tensor:
-    """Per-channel temporal convolution with same zero padding.
+def glu_conv1d(a: Tensor, kernel: Tensor, frames: int | None = None) -> Tensor:
+    """Per-channel temporal convolution, with same zero padding, of the
+    gated linear unit of ``a``, as one node.
 
-    x is (B·T, d), the rows of B utterances of ``frames`` = T frames each
-    (by default one utterance of all rows); kernel is (w, d) with w odd.
-    Each utterance is padded on its own, so no frame sees another's:
+    a is (B·T, 2d), the rows of B utterances of ``frames`` = T frames each
+    (by default one utterance of all rows), split into halves (u, v);
+    kernel is (w, d) with w odd. The gate x = u * sigmoid(v) is written
+    straight into the padded scratch input, and each utterance is padded
+    on its own, so no frame sees another's:
     out[b·T + t, c] = sum_j kernel[j, c] * x[b·T + t + j - (w-1)/2, c],
     where terms outside 0 <= t + j - (w-1)/2 < T are zero.
-    """
-    if x.ndim != 2 or kernel.ndim != 2:
-        raise ShapeError(f"depthwise_conv1d expects 2d operands, got {x.shape}, {kernel.shape}")
-    rows, d = x.shape
-    w, dk = kernel.shape
-    if dk != d:
-        raise ShapeError(f"depthwise_conv1d: channel mismatch {x.shape} vs {kernel.shape}")
-    if w % 2 == 0:
-        raise ShapeError(f"depthwise_conv1d: kernel width must be odd, got {w}")
-    T = rows if frames is None else frames
-    B = utterance_count(rows, T)
-    half = (w - 1) // 2
 
-    def padded():
+    The node keeps no gated array: the rule rebuilds the padded input and
+    the sigmoid s by the forward's ops, runs the convolution's rule
+    arithmetic to x's gradient gx, then the gate's into one (B·T, 2d)
+    array: gx * s for u, and gx * u * s * (1 - s) for v.
+    """
+    rows, n = a.shape if a.ndim == 2 else (0, 0)
+    w, d = kernel.shape if kernel.ndim == 2 else (0, 0)
+    T = rows if frames is None else frames
+    problem = ("expects 2d operands" if a.ndim != 2 or kernel.ndim != 2
+               else "the gate needs an even last extent" if n % 2
+               else "channel mismatch" if n != 2 * d
+               else "kernel width must be odd" if w % 2 == 0
+               else f"rows are not whole utterances of {T} frames"
+               if T < 1 or rows < T or rows % T else None)
+    if problem:
+        raise ShapeError(f"glu_conv1d: {problem}: {a.shape} and {kernel.shape}")
+    B, half = rows // T, (w - 1) // 2
+
+    def padded():  # the padded gate and the sigmoid, both scratch
         xp = _scratch("conv.xp", (B, T + w - 1, d))
         xp[:, :half] = 0.0
         xp[:, half + T:] = 0.0
-        xp[:, half:half + T] = x.data.reshape(B, T, d)
-        return xp
+        s = _sigmoid_into(a.data[:, d:], _scratch("glu.s", (rows, d)))
+        np.multiply(s.reshape(B, T, d), a.data[:, :d].reshape(B, T, d),
+                    out=xp[:, half:half + T])
+        return xp, s
 
-    xp = padded()
+    xp, _ = padded()
     out = np.zeros((B, T, d))
     tap = _scratch("conv.tap", (B, T, d))  # every per-tap product
     for j in range(w):
         out += np.multiply(kernel.data[j], xp[:, j:j + T], out=tap)
 
     def rule(g):
-        # rebuilt, not kept: the tape would otherwise hold a padded copy of x
+        # rebuilt, not kept: the tape would otherwise hold the gate
         g = g.reshape(B, T, d)
-        xp = padded()
-        # not scratch: for B = 1 the returned slice is a view of gxp
+        xp, s = padded()
         gxp = np.zeros_like(xp)
         gk = np.empty_like(kernel.data)
         tap = _scratch("conv.tap", (B, T, d))
@@ -829,9 +814,16 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, frames: int | None = None) -> Te
             gxp[:, j:j + T] += np.multiply(g, kernel.data[j], out=tap)
             np.multiply(g, xp[:, j:j + T], out=tap)
             np.add.reduce(products, axis=0, out=gk[j])
-        return gxp[:, half:half + T].reshape(rows, d), gk
+        gx = gxp[:, half:half + T].reshape(rows, d)
+        ga = np.empty_like(a.data)
+        np.multiply(gx, s, out=ga[:, :d])
+        gv = np.multiply(gx, a.data[:, :d], out=ga[:, d:])
+        gv *= s
+        np.subtract(1.0, s, out=s)
+        gv *= s  # gx * u * s * (1 - s)
+        return ga, gk
 
-    return _result(out.reshape(rows, d), "depthwise_conv1d", (x, kernel), rule)
+    return _result(out.reshape(rows, d), "glu_conv1d", (a, kernel), rule)
 
 
 def utterance_count(rows: int, frames: int) -> int:
@@ -927,8 +919,9 @@ def cross_entropy_mean(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise ShapeError(f"cross_entropy_mean: labels shape {labels.shape} != ({T},)")
     if labels.min() < 0 or labels.max() >= K:
         raise ValueError(f"cross_entropy_mean: labels out of range [0, {K})")
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1)) + logits.data.max(axis=-1)
+    top = logits.data.max(axis=-1, keepdims=True)
+    shifted = logits.data - top
+    lse = np.log(np.exp(shifted).sum(axis=-1)) + top[:, 0]
     ll = logits.data[np.arange(T), labels] - lse
     out = -ll.mean()
 

@@ -13,7 +13,8 @@ utterance; by default all rows are one utterance. Every frame-wise op
 (linears, layer norms, activations, residual adds) runs once over all
 rows. Only the two ops that look across frames see the utterance
 boundaries: attention scores each utterance's frames against its own,
-and the depthwise convolution pads each utterance on its own.
+and the depthwise convolution, one ``glu_conv1d`` node with the gated
+linear unit before it, pads each utterance on its own.
 Feed-forward linears may be dense tensors or ``LowRankFactors`` pairs;
 everything else is dense.
 """
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Rng, ShapeError, Tensor, attention_context, depthwise_conv1d, glu,
-                       layer_norm, linear_swish_matmul, matmul, split_heads, swish_matmul,
+from .autodiff import (Rng, ShapeError, Tensor, attention_context, glu_conv1d, layer_norm,
+                       linear_swish_matmul, matmul, split_heads, swish_matmul,
                        utterance_count)
 from .lowrank import LowRankFactors
 
@@ -121,7 +122,7 @@ class AttentionParams:
 class ConvParams:
     ln_gamma: Tensor
     ln_beta: Tensor
-    wpre: Tensor   # (d, 2d), feeds the glu
+    wpre: Tensor   # (d, 2d), feeds the glu_conv1d
     bpre: Tensor
     kdepth: Tensor  # (kernel_width, d)
     norm_gamma: Tensor
@@ -209,7 +210,7 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None,
     the B products as they are, with no join. The post-projection adds the
     residual ``x`` (``residual=x``). The layer norm, which four
     projections read, stays a ``layer_norm`` node. A 4×32 toy step at
-    d=32 records 212 tape nodes: one ``split_heads`` per utterance and
+    d=32 records 206 tape nodes: one ``split_heads`` per utterance and
     layer, and one for the table.
     """
     rows = x.shape[0]
@@ -238,9 +239,11 @@ def conv_module(x: Tensor, p: ConvParams, frames: int | None = None) -> Tensor:
     norms are ``norm=`` prologues of the product that reads them, so
     neither output is kept: LN(x) of the ``pre`` matmul, and the inner
     norm of one ``swish_matmul`` node that also takes the swish, the
-    post-projection and the residual. Four nodes in all."""
-    gated = glu(matmul(x, p.wpre, bias=p.bpre, norm=(p.ln_gamma, p.ln_beta)))
-    conv = depthwise_conv1d(gated, p.kdepth, frames)
+    post-projection and the residual. The glu and the convolution are
+    one ``glu_conv1d`` node, which keeps no gated array. Three nodes in
+    all."""
+    conv = glu_conv1d(matmul(x, p.wpre, bias=p.bpre, norm=(p.ln_gamma, p.ln_beta)),
+                      p.kdepth, frames)
     return swish_matmul(conv, p.wpost, bias=p.bpost, residual=x,
                         norm=(p.norm_gamma, p.norm_beta))
 

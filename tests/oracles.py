@@ -4,16 +4,16 @@ The package ships the fused ops the model runs; the unfused ops here are
 what the tests compare them against, and what they build test losses
 from: ``add(a, b, s)`` against ``add(a, scale(b, s))``, a product's
 ``residual`` and ``s`` against ``add(residual, product, s)``,
-``swish_matmul`` against ``matmul(swish(a), b)``, and
-``attention_context`` against
-``attention_chain``: head splits, the content matmul, ``concat_rows`` of
-the per-utterance positional scores, ``attention_weights`` (itself
-checked against ``softmax`` of the summed scores), the context matmul
-and the merge. ``split_heads`` is checked against ``transpose`` of
-``slice_rows``. Each op is built from the
-same ``autodiff`` kernels the package uses (``_result``, ``_sigmoid``,
-``_skew``, ``_softmax`` and ``_softmax_grad``), so a byte comparison
-against a fused op checks the fusion and nothing else.
+``swish_matmul`` against ``matmul(swish(a), b)``, ``glu_conv1d``
+against ``depthwise_conv1d`` of ``glu``, and ``attention_context``
+against ``attention_chain``: head splits, the content matmul,
+``concat_rows`` of the per-utterance positional scores,
+``attention_weights`` (itself checked against ``softmax`` of the summed
+scores), the context matmul and the merge. ``split_heads`` is checked
+against ``transpose`` of ``slice_rows``. Each op is built from the same
+``autodiff`` kernels the package uses (``_result``, ``_sigmoid_into``,
+``_scratch``, ``_skew``, ``_softmax`` and ``_softmax_grad``), so a byte
+comparison against a fused op checks the fusion and nothing else.
 
 ``svd_truncate`` is a small-matrix SVD by one-sided Jacobi, for the
 property tests of low-rank factors, and ``lowrank_param_count`` the
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from confshare.autodiff import (ShapeError, Tensor, _result, _sigmoid, _skew, _softmax,
-                                _softmax_grad, matmul)
+from confshare.autodiff import (ShapeError, Tensor, _result, _scratch, _sigmoid_into, _skew,
+                                _softmax, _softmax_grad, matmul, utterance_count)
 from confshare.presets import SMALL_SUFFIX, Preset, preset, preset_names
 
 
@@ -56,6 +56,10 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _result(a.data * s, "scale", (a,), lambda g: (g * s,))
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return _sigmoid_into(x, np.empty(x.shape))
+
+
 def swish(a: Tensor) -> Tensor:
     """x * sigmoid(x). The rule recomputes the sigmoid from x."""
     out = _sigmoid(a.data)
@@ -70,6 +74,81 @@ def swish(a: Tensor) -> Tensor:
         return (ds,)
 
     return _result(out, "swish", (a,), rule)
+
+
+def glu(a: Tensor) -> Tensor:
+    """Gated linear unit over the last axis: split halves (u, v), u * sigmoid(v).
+    The rule recomputes the sigmoid from v."""
+    last = a.shape[-1]
+    if last % 2 != 0:
+        raise ShapeError(f"glu requires an even last extent, got {a.shape}")
+    n = last // 2
+    out = _sigmoid(a.data[..., n:])
+    out *= a.data[..., :n]
+
+    def rule(g):
+        s = _sigmoid_into(a.data[..., n:], _scratch("glu.s", g.shape))
+        ga = np.empty_like(a.data)
+        np.multiply(g, s, out=ga[..., :n])
+        gv = np.multiply(g, a.data[..., :n], out=ga[..., n:])
+        gv *= s
+        np.subtract(1.0, s, out=s)
+        gv *= s  # g * u * s * (1 - s)
+        return (ga,)
+
+    return _result(out, "glu", (a,), rule)
+
+
+def depthwise_conv1d(x: Tensor, kernel: Tensor, frames: int | None = None) -> Tensor:
+    """Per-channel temporal convolution with same zero padding.
+
+    x is (B·T, d), the rows of B utterances of ``frames`` = T frames each
+    (by default one utterance of all rows); kernel is (w, d) with w odd.
+    Each utterance is padded on its own, so no frame sees another's:
+    out[b·T + t, c] = sum_j kernel[j, c] * x[b·T + t + j - (w-1)/2, c],
+    where terms outside 0 <= t + j - (w-1)/2 < T are zero.
+    """
+    if x.ndim != 2 or kernel.ndim != 2:
+        raise ShapeError(f"depthwise_conv1d expects 2d operands, got {x.shape}, {kernel.shape}")
+    rows, d = x.shape
+    w, dk = kernel.shape
+    if dk != d:
+        raise ShapeError(f"depthwise_conv1d: channel mismatch {x.shape} vs {kernel.shape}")
+    if w % 2 == 0:
+        raise ShapeError(f"depthwise_conv1d: kernel width must be odd, got {w}")
+    T = rows if frames is None else frames
+    B = utterance_count(rows, T)
+    half = (w - 1) // 2
+
+    def padded():
+        xp = _scratch("conv.xp", (B, T + w - 1, d))
+        xp[:, :half] = 0.0
+        xp[:, half + T:] = 0.0
+        xp[:, half:half + T] = x.data.reshape(B, T, d)
+        return xp
+
+    xp = padded()
+    out = np.zeros((B, T, d))
+    tap = _scratch("conv.tap", (B, T, d))  # every per-tap product
+    for j in range(w):
+        out += np.multiply(kernel.data[j], xp[:, j:j + T], out=tap)
+
+    def rule(g):
+        # rebuilt, not kept: the tape would otherwise hold a padded copy of x
+        g = g.reshape(B, T, d)
+        xp = padded()
+        # not scratch: for B = 1 the returned slice is a view of gxp
+        gxp = np.zeros_like(xp)
+        gk = np.empty_like(kernel.data)
+        tap = _scratch("conv.tap", (B, T, d))
+        products = tap.reshape(rows, d)
+        for j in range(w):
+            gxp[:, j:j + T] += np.multiply(g, kernel.data[j], out=tap)
+            np.multiply(g, xp[:, j:j + T], out=tap)
+            np.add.reduce(products, axis=0, out=gk[j])
+        return gxp[:, half:half + T].reshape(rows, d), gk
+
+    return _result(out.reshape(rows, d), "depthwise_conv1d", (x, kernel), rule)
 
 
 def softmax(x: Tensor) -> Tensor:

@@ -10,15 +10,14 @@ import numpy as np
 import pytest
 
 from confshare.autodiff import (_SCRATCH, LN_EPS, ZERO_FLOOR, NonFiniteError, Rng, ShapeError,
-                                Tape, Tensor, _sigmoid, _skew, attention_context,
-                                backward, cross_entropy_mean,
-                                depthwise_conv1d, finite_diff_grad, glu,
-                                layer_norm, linear_swish_matmul, matmul, relative_error,
-                                split_heads, sum_all, swish_matmul, zero_grads)
+                                Tape, Tensor, _skew, attention_context, backward,
+                                cross_entropy_mean, finite_diff_grad, glu_conv1d, layer_norm,
+                                linear_swish_matmul, matmul, relative_error, split_heads,
+                                sum_all, swish_matmul, zero_grads)
 from conftest import (assert_params_match_fd, bound_block, rand_tensor, traced_held,
                       traced_peak)
-from oracles import (add, attention_chain, attention_weights, concat_rows, mul, scale,
-                     slice_rows, softmax, swish, transpose)
+from oracles import (_sigmoid, add, attention_chain, attention_weights, concat_rows,
+                     depthwise_conv1d, glu, mul, scale, slice_rows, softmax, swish, transpose)
 
 
 class TestRng:
@@ -473,6 +472,8 @@ class TestActivations:
     @pytest.mark.parametrize("op,shapes", [
         pytest.param(swish, [(4, 3)], id="swish-shape0"),
         pytest.param(glu, [(4, 6)], id="glu-shape2"),
+        pytest.param(lambda a, k: glu_conv1d(a, k, 4), [(8, 6), (3, 3)],
+                     id="glu_conv1d-two-utterances"),
         pytest.param(swish_matmul, [(4, 3), (3, 5)], id="swish_matmul"),
         pytest.param(swish_matmul, [(4, 3), (3, 5), (5,)], id="swish_matmul-bias"),
         pytest.param(linear_swish_matmul, [(4, 3), (3, 6), (6,), (6, 5)],
@@ -1005,6 +1006,75 @@ class TestDepthwiseConv:
         assert_params_match_fd({"x": x, "k": k}, make_loss)
 
 
+class TestGluConv1d:
+    """``glu_conv1d`` against ``depthwise_conv1d`` of ``glu``, the two
+    nodes it replaces."""
+
+    @staticmethod
+    def _pair(a, k, T):
+        """The fused node, and the unfused glu node and the convolution
+        node over it, each from fresh leaves of ``a`` and ``k``."""
+        fused = glu_conv1d(Tensor(a, requires_grad=True), Tensor(k, requires_grad=True), T)
+        gated = glu(Tensor(a, requires_grad=True))
+        return fused, gated, depthwise_conv1d(gated, Tensor(k, requires_grad=True), T)
+
+    @pytest.mark.parametrize("T", [2, 4, 40])  # T = 2 is shorter than the pad at w = 11
+    @pytest.mark.parametrize("w", [1, 3, 11])
+    @pytest.mark.parametrize("B", [1, 3])
+    def test_matches_glu_then_depthwise_conv1d_bytewise(self, rng, B, w, T):
+        d = 6
+        a = _with_signed_zeros(rng.uniform(-6.0, 6.0, (B * T, 2 * d)))
+        k = _with_signed_zeros(rng.uniform(-1.0, 1.0, (w, d)))
+        g = _with_signed_zeros(rng.uniform(-1.0, 1.0, (B * T, d)))
+        fused, gated, conv = self._pair(a, k, T)
+        ga, gk = fused._backward(g)
+        gx, gk_want = conv._backward(g)
+        # backward hands the convolution's input gradient to glu as it is
+        (ga_want,) = gated._backward(gx)
+        for got, want in zip((fused.data, ga, gk), (conv.data, ga_want, gk_want), strict=True):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("B", [1, 3])
+    def test_leaf_gradients_match_the_two_node_chain_bytewise(self, rng, B):
+        # through backward, which takes the convolution's input gradient over
+        # as glu's
+        T, d, w = 5, 4, 3
+        a = _with_signed_zeros(rng.uniform(-6.0, 6.0, (B * T, 2 * d)))
+        k = rng.uniform(-1.0, 1.0, (w, d))
+        c = Tensor(_with_signed_zeros(rng.uniform(-1.0, 1.0, (B * T, d))))
+        fused, gated, conv = self._pair(a, k, T)
+        backward(sum_all(mul(fused, c)))
+        backward(sum_all(mul(conv, c)))
+        for got, want in zip(fused._parents, (gated._parents[0], conv._parents[1]),
+                             strict=True):
+            assert got.grad.tobytes() == want.grad.tobytes()
+
+    def test_rule_keeps_no_gated_array(self, rng):
+        T, B, d = 6, 2, 5
+        a = rand_tensor(rng, (B * T, 2 * d), requires_grad=True)
+        node = glu_conv1d(a, rand_tensor(rng, (3, d), requires_grad=True), T)
+        gated = glu(Tensor(a.data)).data
+        held = [v for v in _closure_values(node._backward) if isinstance(v, np.ndarray)]
+        assert not [v.shape for v in held if v.shape == gated.shape
+                    and np.array_equal(v, gated)]
+
+    @pytest.mark.parametrize("a,k,frames,problem", [
+        ((2, 4, 6), (3, 3), None, "expects 2d operands"),
+        ((4, 6), (3, 3, 1), None, "expects 2d operands"),
+        ((4, 5), (3, 3), None, "the gate needs an even last extent"),
+        ((4, 6), (3, 2), None, "channel mismatch"),
+        ((4, 6), (2, 3), None, "kernel width must be odd"),
+        ((7, 6), (3, 3), 3, "rows are not whole utterances of 3 frames"),
+        ((2, 6), (3, 3), 3, "rows are not whole utterances of 3 frames"),
+        ((4, 6), (3, 3), 0, "rows are not whole utterances of 0 frames"),
+    ])
+    def test_rejects_operands_that_do_not_fit(self, a, k, frames, problem):
+        message = f"glu_conv1d: {problem}: {a} and {k}"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            glu_conv1d(Tensor(np.ones(a)), Tensor(np.ones(k)), frames)
+
+
 class TestBackward:
     def test_linear_case_replicates_input(self, rng):
         w = rand_tensor(rng, (3, 4), requires_grad=True)
@@ -1230,6 +1300,8 @@ class TestBackward:
                      [(3, 4), (4,), (4,), (4, 5)], (0,), id="swish_matmul-norm-input"),
         pytest.param(depthwise_conv1d, [(5, 3), (3, 3)], (1,), id="conv-kernel"),
         pytest.param(depthwise_conv1d, [(5, 3), (3, 3)], (0,), id="conv-input"),
+        pytest.param(glu_conv1d, [(5, 6), (3, 3)], (1,), id="glu_conv1d-kernel"),
+        pytest.param(glu_conv1d, [(5, 6), (3, 3)], (0,), id="glu_conv1d-input"),
         pytest.param(lambda a, b: concat_rows([a, b]), [(2, 3), (1, 3)], (0,),
                      id="concat_rows"),
         pytest.param(lambda q, k, p0, p1, v: attention_context(q, k, [p0, p1], v),
@@ -1348,6 +1420,9 @@ class TestRetainedMemory:
         if op == "depthwise_conv1d":
             return depthwise_conv1d(rand_tensor(rng, (12, 10), requires_grad=True),
                                     rand_tensor(rng, (5, 10), requires_grad=True), frames=6)
+        if op == "glu_conv1d":
+            return glu_conv1d(rand_tensor(rng, (12, 20), requires_grad=True),
+                              rand_tensor(rng, (5, 10), requires_grad=True), frames=6)
         if op == "transpose":
             return transpose(rand_tensor(rng, (12, 10), requires_grad=True), (2, 6, 5, 2),
                              (10, 6, 2))
@@ -1384,8 +1459,9 @@ class TestRetainedMemory:
                                  rand_tensor(rng, (2, 6, 11), requires_grad=True), 0.5)
 
     @pytest.mark.parametrize("op", ["swish", "layer_norm", "attention_weights", "glu",
-                                    "depthwise_conv1d", "swish_matmul", "linear_swish_matmul",
-                                    "transpose", "split_heads", "add", "attention_context",
+                                    "depthwise_conv1d", "glu_conv1d", "swish_matmul",
+                                    "linear_swish_matmul", "transpose", "split_heads", "add",
+                                    "attention_context",
                                     "attention_context-long", "matmul-residual",
                                     "swish_matmul-residual", "linear_swish_matmul-residual",
                                     "matmul-norm", "swish_matmul-norm",
@@ -1501,8 +1577,8 @@ class TestRetainedMemory:
                     and a.tobytes() in normalized]
 
     @pytest.mark.parametrize("frames,batch,count,mib", [
-        pytest.param(128, 1, 1122, 145, id="128-1-1122"),
-        pytest.param(64, 2, 1202, 125, id="64-2-1202")])
+        pytest.param(128, 1, 1082, 140, id="128-1-1082"),
+        pytest.param(64, 2, 1162, 120, id="64-2-1162")])
     def test_lrs3_forward_tape_layout_and_held_bytes(self, frames, batch, count, mib):
         # the paper's LRS3 model: 40 layers at d=144 with four heads
         from confshare.encoder import bind_model
@@ -1649,9 +1725,10 @@ class TestScratch:
         return [u * s, np.concatenate((g * s, g * u * s * (1 - s)), -1)]
 
     def _check_fd_gradcheck_shapes(self, d: int, lowrank: bool):
-        """linear_swish_matmul, swish_matmul, glu and depthwise_conv1d at
-        the shapes of the fd_gradcheck model of width d (2 utterances of 6
-        frames), each byte-compared with a fresh-buffer oracle."""
+        """linear_swish_matmul, swish_matmul, glu, depthwise_conv1d and
+        glu_conv1d at the shapes of the fd_gradcheck model of width d (2
+        utterances of 6 frames), each byte-compared with a fresh-buffer
+        oracle."""
         from confshare.blocks import ModelConfig
 
         ffn = ModelConfig(d=d, e=7.25, heads=4, kernel_width=11).ffn_width
@@ -1690,6 +1767,15 @@ class TestScratch:
                                 frames=frames)
         got += [node.data, *node._backward(g)]
         want += TestDepthwiseConv._per_tap_oracle(x, k, g, rows // frames)
+        # the glu's oracle, then the convolution's on the gate, then the
+        # glu's rule on the gate's gradient
+        a, k, g = draw(rows, 2 * d), draw(w, d), draw(rows, d)
+        node = glu_conv1d(Tensor(a, requires_grad=True), Tensor(k, requires_grad=True),
+                          frames=frames)
+        got += [node.data, *node._backward(g)]
+        out, gx, gk = TestDepthwiseConv._per_tap_oracle(self._glu_oracle(a, g)[0], k, g,
+                                                        rows // frames)
+        want += [out, self._glu_oracle(a, gx)[1], gk]
         assert len(got) == len(want)
         for i, (x, y) in enumerate(zip(got, want)):
             assert x.shape == y.shape and x.tobytes() == y.tobytes(), f"array {i} at d={d}"

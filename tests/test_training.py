@@ -198,7 +198,7 @@ class TestTrainSteps:
             texts.append(serialize_report(report))
         assert texts[0].encode() == texts[1].encode()
 
-    def test_toy_train_config_tape_is_212_nodes(self):
+    def test_toy_train_config_tape_is_206_nodes(self):
         # the benchmark's toy_train config: a packed 4x32 batch through repeat_plan(2, 3)
         model = bind_model(ModelConfig(d=32, e=7.25, heads=4, kernel_width=11),
                            repeat_plan(2, 3), 11)
@@ -206,7 +206,10 @@ class TestTrainSteps:
         ops = [n.op for n in backward(loss).nodes]
         layers = len(model.virtual_blocks())
         assert layers == 6
-        assert len(ops) == 212
+        assert len(ops) == 206
+        # the glu and the depthwise convolution are one node per layer
+        assert ops.count("glu_conv1d") == layers
+        assert "glu" not in ops and "depthwise_conv1d" not in ops
         # attention from the projections to the context is one node per layer,
         # only the positional query is split into heads per utterance and
         # layer, and the table window is split once for all layers

@@ -934,14 +934,13 @@ def cross_entropy_mean(logits: Tensor, labels: np.ndarray) -> Tensor:
     return _result(np.asarray(out), "cross_entropy_mean", (logits,), rule)
 
 
-def finite_diff_grad(loss, theta: np.ndarray, eps: float, coords=None) -> np.ndarray:
+def finite_diff_grad(loss, theta: np.ndarray, eps: float, coords) -> np.ndarray:
     """Central finite differences of a scalar loss with respect to ``theta``.
 
     ``loss`` takes no arguments and reads ``theta``, which is perturbed in
     place one coordinate at a time and restored after each, also when an
-    evaluation raises. ``coords`` lists flat indices to difference; the
-    result then holds one entry per index. By default every coordinate is
-    differenced and the result is shaped like ``theta``. Raises
+    evaluation raises. ``coords`` lists the flat indices to difference,
+    and the result holds one entry per index. Raises
     ``ValueError`` before any evaluation if ``theta ± eps`` rounds back to
     ``theta`` at a coordinate it differences (the difference would be 0
     whatever the gradient), and ``NonFiniteError`` if an evaluation is
@@ -953,14 +952,13 @@ def finite_diff_grad(loss, theta: np.ndarray, eps: float, coords=None) -> np.nda
             and theta.flags.writeable):
         raise ValueError("finite_diff_grad: theta must be a writeable C-contiguous array")
     flat = theta.reshape(-1)
-    indices = range(flat.size) if coords is None else coords
-    for i in indices:
+    for i in coords:
         value = float(flat[i])
         if value + eps == value or value - eps == value:
             raise ValueError(f"finite_diff_grad: a step of {eps} rounds away at "
                              f"coordinate {i}: {value!r} +- {eps} == {value!r}")
-    grad = np.zeros(len(indices))
-    for j, i in enumerate(indices):
+    grad = np.zeros(len(coords))
+    for j, i in enumerate(coords):
         orig = flat[i]
         try:
             flat[i] = orig + eps
@@ -972,7 +970,7 @@ def finite_diff_grad(loss, theta: np.ndarray, eps: float, coords=None) -> np.nda
         if not (math.isfinite(fp) and math.isfinite(fm)):
             raise NonFiniteError("finite_diff_grad: non-finite function evaluation")
         grad[j] = (fp - fm) / (2.0 * eps)
-    return grad.reshape(theta.shape) if coords is None else grad
+    return grad
 
 
 ZERO_FLOOR = 1e-9  # ``relative_error`` reads both sides at or below this as zero

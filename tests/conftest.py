@@ -72,8 +72,8 @@ def assert_params_match_fd(named_tensors, make_loss, tol=1e-5, eps=1e-4):
     failures = {}
     for name, tensor in named_tensors.items():
         analytic = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-        fd = finite_diff_grad(lambda: make_loss().item(), tensor.data, eps)
-        err = relative_error(analytic, fd)
+        fd = finite_diff_grad(lambda: make_loss().item(), tensor.data, eps, range(tensor.size))
+        err = relative_error(analytic.reshape(-1), fd)
         if err >= tol:
             failures[name] = err
     assert not failures, f"gradient mismatches: {failures}"

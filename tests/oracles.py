@@ -15,6 +15,15 @@ against ``transpose`` of ``slice_rows``. Each op is built from the same
 ``_scratch``, ``_skew``, ``_softmax`` and ``_softmax_grad``), so a byte
 comparison against a fused op checks the fusion and nothing else.
 
+``reference_loss`` composes these ops into the whole model, so one
+comparison checks every fusion at once: its loss and leaf gradients
+equal ``training.batch_loss``'s byte for byte. The one exception is
+head width 1 (heads = d), where numpy's product on a strided (…, T, 1)
+head view can round differently from the chain's contiguous copy, so
+``attention_context``'s k and v gradients, and what flows from them,
+may move: by at most 3.6e-12 relative error as measured, and the tests
+allow 1e-10 (see ``attention_chain``).
+
 ``svd_truncate`` is a small-matrix SVD by one-sided Jacobi, for the
 property tests of low-rank factors, and ``lowrank_param_count`` the
 closed-form size of one factored linear. ``all_presets`` resolves every
@@ -23,13 +32,19 @@ registered preset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from confshare.autodiff import (ShapeError, Tensor, _result, _scratch, _sigmoid_into, _skew,
-                                _softmax, _softmax_grad, matmul, utterance_count)
+                                _softmax, _softmax_grad, cross_entropy_mean, layer_norm, matmul,
+                                utterance_count)
+from confshare.blocks import MODULE_TYPES, module_tensor_specs
+from confshare.encoder import pack_features
 from confshare.presets import SMALL_SUFFIX, Preset, preset, preset_names
+from confshare.sharing import (FRONTEND_B, FRONTEND_W, HEAD_B, HEAD_W, REL_TABLE,
+                               subcomponent_group_ids)
 
 
 def add(a: Tensor, b: Tensor, s: float | None = None) -> Tensor:
@@ -232,7 +247,14 @@ def attention_chain(q: Tensor, k: Tensor, pos, v: Tensor, scale: float) -> Tenso
     """``attention_context`` as the nodes it replaces: the q, k and v head
     splits into contiguous (B·H, T, dh) copies, q kᵀ, the B utterances'
     (H, T, 2T - 1) positional scores joined by ``concat_rows``, the
-    weights, their product with v, and the merge back to (B·T, d)."""
+    weights, their product with v, and the merge back to (B·T, d).
+
+    The bytes are ``attention_context``'s for head width dh ≥ 2. At
+    dh = 1 its rule's ``swapaxes(p) @ head_view(g)`` and
+    ``swapaxes(gz) @ head_view(q)`` read strided (…, T, 1) operands,
+    which numpy 2.4.6 rounds differently from these contiguous copies
+    at some T (6 and 7). Over 252 unit-head cases (d up to 8, T 1-8,
+    B 1-3) the worst relative error was 3.6e-12."""
     rows, d = q.shape
     B = len(pos)
     H, T, _ = pos[0].shape
@@ -244,6 +266,67 @@ def attention_chain(q: Tensor, k: Tensor, pos, v: Tensor, scale: float) -> Tenso
     q3, k3, v3 = split(q), split(k), split(v)
     weights = attention_weights(matmul(q3, k3, transpose_b=True), concat_rows(pos), scale)
     return transpose(matmul(weights, v3), (B, H, T, dh), (rows, d))
+
+
+def reference_loss(model, features, labels) -> Tensor:
+    """``training.batch_loss`` built from the unfused ops above, a plain
+    biased ``matmul`` and ``layer_norm``: the same bytes, in the loss and
+    in every leaf gradient, as the fused model.
+
+    Layer i reads each tensor by its store key (module, name, group),
+    the group being ``subcomponent_group_ids`` of the plan at i, so the
+    schedule and the block assembly are checked too. The table heads are
+    built once per forward, as ``encoder.encode_from`` does; built per
+    layer, ``encoder|rel_table``'s gradient would sum in another order
+    at B > 1.
+    """
+    config, plan = model.config, model.plan
+    x, T = pack_features(features, config)
+    B, H, dh = x.shape[0] // T, config.heads, config.d // config.heads
+    lowrank_k = plan.lowrank.k if plan.lowrank is not None else None
+
+    def linear(x, t, stem):
+        if f"{stem}.w" in t:
+            return matmul(x, t[f"{stem}.w"], bias=t[f"{stem}.b"])
+        return matmul(matmul(x, t[f"{stem}.u"]), t[f"{stem}.v"], transpose_b=True,
+                      bias=t[f"{stem}.b"])
+
+    def norm(x, t, stem):
+        return layer_norm(x, t[f"{stem}.gamma"], t[f"{stem}.beta"])
+
+    def heads(a, start, n):  # rows start:start + n of a, split into H heads
+        return transpose(slice_rows(a, start, start + n), (1, n, H, dh), (H, n, dh))
+
+    def tensors(module, layer):  # by store key, as the plan binds them
+        return {name: model.store[(module, name, subcomponent_group_ids(plan, module, sub)[layer])]
+                for name, sub, _shape, _kind in module_tensor_specs(config, module, lowrank_k)}
+
+    def feed_forward(x, t):
+        h = linear(norm(x, t, "ln"), t, "linear1")
+        return add(x, linear(swish(h), t, "linear2"), 0.5)
+
+    def attention(x, t, table):
+        xn = norm(x, t, "ln")
+        q, k, v, pq = (linear(xn, t, stem) for stem in ("query", "key", "value", "pos_query"))
+        pos = [matmul(heads(pq, b * T, T), table, transpose_b=True) for b in range(B)]
+        return add(x, linear(attention_chain(q, k, pos, v, 1.0 / math.sqrt(dh)), t, "post"))
+
+    def conv(x, t):
+        gated = glu(linear(norm(x, t, "ln"), t, "pre"))
+        h = swish(norm(depthwise_conv1d(gated, t["depth.k"], T), t, "norm"))
+        return add(x, linear(h, t, "post"))
+
+    x = matmul(x, model.store[FRONTEND_W], bias=model.store[FRONTEND_B])
+    if plan.v:
+        table = heads(model.store[REL_TABLE], config.t_max - T, 2 * T - 1)
+    for layer in range(plan.v):
+        t = {module: tensors(module, layer) for module in MODULE_TYPES}
+        x = feed_forward(x, t["ff_start"])
+        x = attention(x, t["attention"], table)
+        x = conv(x, t["conv"])
+        x = norm(feed_forward(x, t["ff_end"]), t["ff_end"], "final_ln")
+    logits = matmul(x, model.store[HEAD_W], bias=model.store[HEAD_B])
+    return cross_entropy_mean(logits, np.asarray(labels).reshape(-1))
 
 
 @dataclass

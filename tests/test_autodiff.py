@@ -2,6 +2,7 @@ import math
 import re
 import types
 import warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -1576,29 +1577,32 @@ class TestRetainedMemory:
         assert not [a.shape for a in kept if a.nbytes == 128 * 144 * 8
                     and a.tobytes() in normalized]
 
-    @pytest.mark.parametrize("frames,batch,count,mib", [
-        pytest.param(128, 1, 1082, 140, id="128-1-1082"),
-        pytest.param(64, 2, 1162, 120, id="64-2-1162")])
-    def test_lrs3_forward_tape_layout_and_held_bytes(self, frames, batch, count, mib):
-        # the paper's LRS3 model: 40 layers at d=144 with four heads
-        from confshare.encoder import bind_model
-        from confshare.presets import preset
-        from confshare.training import ToyTaskSpec, batch_loss, generate_toy_batch
+    @pytest.mark.parametrize("frames,batch,mib", [
+        pytest.param(128, 1, 140, id="128x1"),
+        pytest.param(64, 2, 120, id="64x2")])
+    def test_lrs3_forward_tape_layout_and_held_bytes(self, frames, batch, mib):
+        # its op counts are TAPE_OPS' lrs3 rows
+        from confshare.training import batch_loss
 
-        p = preset("LRS3")
-        model = bind_model(p.config, p.plan, 1)
-        spec = ToyTaskSpec(feature_dim=p.config.input_dim, num_classes=p.config.num_classes,
-                           frames=frames, batch=batch)
-        data = generate_toy_batch(spec, 1, 0)
+        model, data = _lrs3(frames, batch)
         batch_loss(model, *data)  # the scratch slots take their size
         loss, held = traced_held(lambda: batch_loss(model, *data))
         nodes = Tape.trace(loss).nodes
-        layers = len(model.virtual_blocks())
-        assert layers == 40
-        assert len(nodes) == count
-        assert [n.op for n in nodes].count("layer_norm") == 2 * layers
         assert not [a.shape for a in self._held_arrays(nodes) if a.shape[-2:] == (frames,) * 2]
         assert held <= mib * 2**20, f"the forward pass holds {held / 2**20:.1f} MiB"
+
+
+def _lrs3(frames: int, batch: int):
+    """The paper's LRS3 model (40 layers at d=144 with four heads, seed 1)
+    and a seeded toy batch of ``batch`` utterances of ``frames`` frames."""
+    from confshare.encoder import bind_model
+    from confshare.presets import preset
+    from confshare.training import ToyTaskSpec, generate_toy_batch
+
+    p = preset("LRS3")
+    spec = ToyTaskSpec(feature_dim=p.config.input_dim, num_classes=p.config.num_classes,
+                       frames=frames, batch=batch)
+    return bind_model(p.config, p.plan, 1), generate_toy_batch(spec, 1, 0)
 
 
 def _closure_values(fn) -> list:
@@ -1820,19 +1824,70 @@ class TestTape:
         assert np.array_equal(x.grad, np.full((2, 2), 2.0))
 
 
+# Every op on the tape below each case's output, with leaves counted as
+# "leaf". A layer holds one attention_context, glu_conv1d and
+# swish_matmul node, one linear_swish_matmul per feed-forward, two
+# layer norms (the attention's, which four projections read, and the
+# final one), and matmuls for q, k, v, pq, the post-projection, the conv
+# pre-projection, a low-rank feed-forward's U1 and V2 products (LRS3),
+# and one positional product per utterance, on a split_heads node of
+# its pq rows. The table window is split once per forward.
+TAPE_OPS = {
+    # the toy_train config: a packed 4x32 batch through repeat_plan(2, 3)
+    "toy-4x32": Counter(leaf=76, matmul=62, split_heads=25, layer_norm=12,
+                        linear_swish_matmul=12, attention_context=6, glu_conv1d=6,
+                        swish_matmul=6, cross_entropy_mean=1),
+    "lrs3-128x1": Counter(matmul=442, leaf=318, layer_norm=80, linear_swish_matmul=80,
+                          split_heads=41, attention_context=40, glu_conv1d=40,
+                          swish_matmul=40, cross_entropy_mean=1),
+    "lrs3-64x2": Counter(matmul=482, leaf=318, split_heads=81, layer_norm=80,
+                         linear_swish_matmul=80, attention_context=40, glu_conv1d=40,
+                         swish_matmul=40, cross_entropy_mean=1),
+    # one standalone attention over 1 or 3 utterances of 5 frames
+    "attention-1": Counter(leaf=14, matmul=6, split_heads=2, attention_context=1,
+                           layer_norm=1),
+    "attention-3": Counter(leaf=14, matmul=8, split_heads=4, attention_context=1,
+                           layer_norm=1),
+}
+
+
+def _tape_output(case: str) -> Tensor:
+    from confshare.blocks import ModelConfig, attention
+    from confshare.encoder import bind_model
+    from confshare.sharing import repeat_plan
+    from confshare.training import ToyTaskSpec, batch_loss, generate_toy_batch
+
+    kind, size = case.split("-")
+    if kind == "attention":
+        p = bound_block(ModelConfig(d=8, e=4, heads=2, kernel_width=3, t_max=16), 8).attn
+        return attention(rand_tensor(Rng(2024), (int(size) * 5, 8)), p, frames=5)
+    if kind == "toy":
+        model = bind_model(ModelConfig(d=32, e=7.25, heads=4, kernel_width=11),
+                           repeat_plan(2, 3), 11)
+        return batch_loss(model, *generate_toy_batch(ToyTaskSpec(frames=32, batch=4), 11, 0))
+    frames, batch = map(int, size.split("x"))
+    model, data = _lrs3(frames, batch)
+    return batch_loss(model, *data)
+
+
+@pytest.mark.parametrize("case", TAPE_OPS)
+def test_tape_op_counts(case):
+    assert Counter(n.op or "leaf" for n in Tape.trace(_tape_output(case)).nodes) == TAPE_OPS[case]
+
+
 class TestFiniteDiff:
     def test_quadratic(self):
         theta = np.array([3.0])
-        grad = finite_diff_grad(lambda: float(theta[0] ** 2), theta, eps=1e-4)
+        grad = finite_diff_grad(lambda: float(theta[0] ** 2), theta, 1e-4, [0])
         assert abs(grad[0] - 6.0) < 1e-7
 
     def test_constant(self):
-        grad = finite_diff_grad(lambda: 5.0, np.zeros(4), eps=1e-4)
+        grad = finite_diff_grad(lambda: 5.0, np.zeros(4), 1e-4, range(4))
         assert np.max(np.abs(grad)) < 1e-10
 
     def test_rejects_non_finite_evaluation(self):
         with pytest.raises(NonFiniteError):
-            finite_diff_grad(lambda: math.inf, np.zeros(2), eps=1e-4)
+            finite_diff_grad(lambda: math.inf, np.zeros(2), 1e-4, range(2))
 
     def test_two_parameter_slice_cross_check(self, rng):
         w = rand_tensor(rng, (2,), requires_grad=True)
@@ -1843,7 +1898,7 @@ class TestFiniteDiff:
 
         backward(loss_tensor())
         before = w.data.copy()
-        fd = finite_diff_grad(lambda: loss_tensor().item(), w.data, eps=1e-4)
+        fd = finite_diff_grad(lambda: loss_tensor().item(), w.data, 1e-4, range(2))
         assert relative_error(w.grad, fd) < 1e-5
         assert w.data.tobytes() == before.tobytes()
 
@@ -1864,7 +1919,7 @@ class TestFiniteDiff:
             return float(theta.sum())
 
         with pytest.raises(NonFiniteError, match="perturbed"):
-            finite_diff_grad(loss, theta, eps=1e-4)
+            finite_diff_grad(loss, theta, 1e-4, range(2))
         assert theta.tolist() == [0.5, -0.25]
 
     def test_rejects_array_it_cannot_perturb_in_place(self):
@@ -1872,12 +1927,12 @@ class TestFiniteDiff:
         frozen.flags.writeable = False
         for theta in (np.zeros((2, 3)).T, frozen):
             with pytest.raises(ValueError, match="writeable C-contiguous"):
-                finite_diff_grad(lambda: 0.0, theta, eps=1e-4)
+                finite_diff_grad(lambda: 0.0, theta, 1e-4, range(theta.size))
 
     @pytest.mark.parametrize("eps", [0.0, -1e-4])
     def test_rejects_non_positive_eps(self, eps):
         with pytest.raises(ValueError, match="eps must be positive"):
-            finite_diff_grad(lambda: 0.0, np.zeros(2), eps=eps)
+            finite_diff_grad(lambda: 0.0, np.zeros(2), eps, range(2))
 
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf])
@@ -1888,7 +1943,7 @@ class TestFiniteDiff:
             raise AssertionError("evaluated with a non-finite step")
 
         with pytest.raises(ValueError, match="eps must be positive and finite"):
-            finite_diff_grad(never, theta, eps=eps)
+            finite_diff_grad(never, theta, eps, range(2))
         assert theta.tolist() == [0.0, 0.0]
 
 
@@ -1900,7 +1955,7 @@ class TestFiniteDiff:
 
         with pytest.raises(ValueError, match="a step of 1e-300 rounds away at coordinate 1: "
                                              r"1\.0 \+- 1e-300 == 1\.0"):
-            finite_diff_grad(never, theta, eps=1e-300)
+            finite_diff_grad(never, theta, 1e-300, range(3))
         with pytest.raises(ValueError, match="coordinate 2"):
             finite_diff_grad(never, theta, eps=1e-17, coords=[0, 2])
         # at 0.0 the same step is representable, so it is taken

@@ -964,7 +964,11 @@ def test_every_function_has_a_caller():
     Likewise every ``@dataclass`` field with a default (and ``init`` left
     on) is passed at some ``src/`` construction of its class, where a
     ``**`` splat counts as passing it, or by keyword at some ``replace``
-    call. Classes that ``bench/`` imports are exempt."""
+    call. Classes that ``bench/`` imports are exempt.
+
+    And every top-level function of ``tests/oracles.py`` is called by its
+    bare name somewhere under ``tests/`` outside its own body, so no
+    reference that the tests and ``reference_loss`` stop using lingers."""
     root = Path(__file__).resolve().parents[1]
     defined = []  # (module, function name)
     defaults = []  # (module, function name, parameter, position or None)
@@ -1038,6 +1042,18 @@ def test_every_function_has_a_caller():
                         else any(kw.arg == attr for kw in call.keywords)
                         for callee, _, _, call in calls if callee in (name, "replace"))]
     assert unset == []
+
+    oracles = root / "tests" / "oracles.py"
+    references = [stmt.name for stmt in ast.parse(oracles.read_text(encoding="utf-8")).body
+                  if isinstance(stmt, ast.FunctionDef)]
+    test_calls = set()  # (callee name, enclosing oracle or None)
+    for path in sorted((root / "tests").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = stmt.name if path == oracles and isinstance(stmt, ast.FunctionDef) else None
+            test_calls.update((node.func.id, owner) for node in ast.walk(stmt)
+                              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name))
+    assert [name for name in references
+            if not any(callee == name != owner for callee, owner in test_calls)] == []
 
 
 def test_fingerprint_reports_a_failed_check_on_one_line_and_runs_the_rest(monkeypatch,

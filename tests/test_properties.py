@@ -10,17 +10,23 @@ import math
 from collections import Counter
 from dataclasses import replace
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confshare.accounting import count_params
+from confshare.autodiff import Rng, backward, relative_error, zero_grads
 from confshare.blocks import MODULE_TYPES, ModelConfig, module_tensor_specs
 from confshare.checkpoint import load_checkpoint, save_checkpoint
 from confshare.configio import parse_config_text, parse_float, parse_int, serialize_config
 from confshare.encoder import bind_model
 from confshare.lowrank import LowRankSpec
+from confshare.presets import SMALL_SUFFIX, preset, preset_names
 from confshare.sharing import (ALL_MISC_SMALL, SUBCOMPONENTS, SharingPlan,
-                               canonicalize, canonicalize_plan, index_field)
+                               canonicalize, canonicalize_plan, index_field, key_str,
+                               repeat_plan)
+from confshare.training import ToyTaskSpec, batch_loss, generate_toy_batch
+from oracles import reference_loss
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -144,3 +150,70 @@ def test_canonicalize_is_idempotent(vec, model_spec):
     plan = model_spec[1]
     assert canonicalize_plan(plan) == plan
     assert canonicalize_plan(canonicalize_plan(plan)) == canonicalize_plan(plan)
+
+
+def _loss_and_grads(model, loss):
+    """The loss and every store tensor's gradient, by key (None where the
+    loss does not reach it)."""
+    zero_grads(model.parameters())
+    backward(loss)
+    return loss.data, {key: t.grad for key, t in model.store.items()}
+
+
+# At head width 1, attention_context's k and v gradients may round
+# differently from attention_chain's (see tests/oracles.py): over 252
+# unit-head cases the worst relative error was 3.6e-12 (numpy 2.4.6).
+UNIT_HEAD_TOL = 1e-10
+
+
+def assert_matches_reference(model, features, labels):
+    """``batch_loss``'s loss and leaf gradients equal ``reference_loss``'s,
+    byte for byte, or within ``UNIT_HEAD_TOL`` at head width 1. A failure
+    names the keys that moved."""
+    unit_heads = model.config.d == model.config.heads
+
+    def agree(got, want):
+        if got is None or want is None:
+            return got is want
+        if unit_heads:
+            return relative_error(got, want) <= UNIT_HEAD_TOL
+        return got.tobytes() == want.tobytes()
+
+    loss, grads = _loss_and_grads(model, batch_loss(model, features, labels))
+    ref_loss, ref_grads = _loss_and_grads(model, reference_loss(model, features, labels))
+    pairs = [("loss", loss, ref_loss)] + [(key_str(key), grads[key], ref_grads[key])
+                                          for key in grads]
+    assert [name for name, got, want in pairs if not agree(got, want)] == []
+
+
+def test_model_equals_reference():
+    unit_heads = set()
+
+    @PROPERTY
+    @given(models(), st.integers(1, 3), st.integers(1, 8), st.integers(0, 2**64 - 1))
+    # a unit-head case whose k and v gradients move by a few ulp
+    @example((ModelConfig(d=2, e=2.0, heads=2, kernel_width=3, input_dim=3, num_classes=3,
+                          t_max=8), repeat_plan(1, 1)), 1, 6, 0)
+    def check(model_spec, batch, frames, seed):
+        config, plan = model_spec
+        frames = min(frames, config.t_max)
+        rng = Rng(seed)
+        features = rng.uniform(-1.0, 1.0, (batch, frames, config.input_dim))
+        labels = rng.integers(config.num_classes, (batch, frames))
+        assert_matches_reference(bind_model(config, plan, seed), features, labels)
+        unit_heads.add(config.d == config.heads)
+
+    check()
+    assert unit_heads == {False, True}
+
+
+@pytest.mark.parametrize("name,frames,batch", [
+    *(pytest.param(f"{name}{SMALL_SUFFIX}", frames, batch, id=f"{name}-small-{frames}x{batch}")
+      for name in preset_names() for frames, batch in ((12, 1), (9, 3))),
+    pytest.param("LRS3", 128, 1, id="LRS3-128x1"),
+    pytest.param("LRS3", 64, 2, id="LRS3-64x2")])
+def test_preset_equals_reference(name, frames, batch):
+    p = preset(name)
+    spec = ToyTaskSpec(feature_dim=p.config.input_dim, num_classes=p.config.num_classes,
+                       frames=frames, batch=batch)
+    assert_matches_reference(bind_model(p.config, p.plan, 1), *generate_toy_batch(spec, 1, 0))

@@ -315,23 +315,6 @@ class TestReferentialSharing:
 
 
 class TestEncoderComposition:
-    def test_repeat_schedule_equals_manual_self_composition(self):
-        from confshare.autodiff import Tensor, matmul
-        from confshare.blocks import conformer_block
-        from confshare.sharing import FRONTEND_B, FRONTEND_W, HEAD_B, HEAD_W
-
-        cfg = _cfg()
-        model = bind_model(cfg, repeat_plan(1, 2), seed=3)
-        rng = Rng(4)
-        x = Tensor(rng.uniform(-1, 1, (5, cfg.input_dim)))
-        logits = encoder_forward(x, model)
-
-        block = model.virtual_blocks()[0]
-        h = matmul(x, model.store[FRONTEND_W], bias=model.store[FRONTEND_B])
-        h = conformer_block(conformer_block(h, block), block)
-        manual = matmul(h, model.store[HEAD_W], bias=model.store[HEAD_B])
-        assert np.array_equal(logits.data, manual.data)
-
     @pytest.mark.parametrize("utts", [1, 3])
     def test_table_heads_are_built_once_per_forward(self, utts):
         from confshare.autodiff import Tape

@@ -198,32 +198,6 @@ class TestTrainSteps:
             texts.append(serialize_report(report))
         assert texts[0].encode() == texts[1].encode()
 
-    def test_toy_train_config_tape_is_206_nodes(self):
-        # the benchmark's toy_train config: a packed 4x32 batch through repeat_plan(2, 3)
-        model = bind_model(ModelConfig(d=32, e=7.25, heads=4, kernel_width=11),
-                           repeat_plan(2, 3), 11)
-        loss = batch_loss(model, *generate_toy_batch(ToyTaskSpec(frames=32, batch=4), 11, 0))
-        ops = [n.op for n in backward(loss).nodes]
-        layers = len(model.virtual_blocks())
-        assert layers == 6
-        assert len(ops) == 206
-        # the glu and the depthwise convolution are one node per layer
-        assert ops.count("glu_conv1d") == layers
-        assert "glu" not in ops and "depthwise_conv1d" not in ops
-        # attention from the projections to the context is one node per layer,
-        # only the positional query is split into heads per utterance and
-        # layer, and the table window is split once for all layers
-        assert ops.count("attention_context") == layers
-        assert ops.count("split_heads") == 4 * layers + 1
-        assert "transpose" not in ops and "slice_rows" not in ops
-        # each feed-forward is one node from linear1 to linear2, and every
-        # residual is added by its module's last product: no add, no scale
-        assert ops.count("linear_swish_matmul") == 2 * layers
-        assert "add" not in ops and "scale" not in ops
-        # only the attention's norm, which four projections read, and the
-        # block's final norm are nodes: the other four are a product's prologue
-        assert ops.count("layer_norm") == 2 * layers
-
     def test_non_finite_loss_names_its_step(self):
         model = bind_model(_cfg(), repeat_plan(1, 1), seed=1)
         model.store[FRONTEND_W].data[...] = 1e308

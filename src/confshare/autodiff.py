@@ -35,10 +35,10 @@ bias added to every row, and a residual and scale ``s``, applied as
 *operands, bias, residual), and the rule undoes the steps in reverse:
 g to the residual, g·s summed over rows to the bias, g·s through the
 core's rule arithmetic, and LN(a)'s gradient through layer norm's rule,
-with x̂ and LN(a) rebuilt from the per-row statistics. A 4×32 toy step
-records 206 nodes, an LRS3 T=128 one 1,082. The tests' unfused oracles
-for these ops, ``add``, ``glu`` and ``depthwise_conv1d`` among them,
-live in ``tests/oracles.py``.
+with x̂ and LN(a) rebuilt from the per-row statistics. How many nodes
+of each op a step records is ``TAPE_OPS`` in ``tests/test_autodiff.py``.
+The tests' unfused oracles for these ops, ``add``, ``glu`` and
+``depthwise_conv1d`` among them, live in ``tests/oracles.py``.
 
 A rule keeps only the arrays it reads and cannot get from its parents'
 data or its own output, and rebuilds the rest by the forward's own ops,

@@ -209,9 +209,9 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None,
     for T frames (built here when not given); ``attention_context`` takes
     the B products as they are, with no join. The post-projection adds the
     residual ``x`` (``residual=x``). The layer norm, which four
-    projections read, stays a ``layer_norm`` node. A 4×32 toy step at
-    d=32 records 206 tape nodes: one ``split_heads`` per utterance and
-    layer, and one for the table.
+    projections read, stays a ``layer_norm`` node. So a step records one
+    ``split_heads`` per utterance and layer, and one for the table
+    (``TAPE_OPS`` in ``tests/test_autodiff.py`` counts every op).
     """
     rows = x.shape[0]
     T = rows if frames is None else frames

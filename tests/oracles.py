@@ -14,6 +14,9 @@ against ``transpose`` of ``slice_rows``. Each op is built from the same
 ``autodiff`` kernels the package uses (``_result``, ``_sigmoid_into``,
 ``_scratch``, ``_skew``, ``_softmax`` and ``_softmax_grad``), so a byte
 comparison against a fused op checks the fusion and nothing else.
+``rule_grads`` replays such a chain's rules, so each fused op's rule is
+compared with what its chain's rules hand on (``FUSIONS`` in
+``tests/test_autodiff.py``).
 
 ``reference_loss`` composes these ops into the whole model, so one
 comparison checks every fusion at once: its loss and leaf gradients
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from confshare.autodiff import (ShapeError, Tensor, _result, _scratch, _sigmoid_into, _skew,
+from confshare.autodiff import (ShapeError, Tape, Tensor, _result, _scratch, _sigmoid_into, _skew,
                                 _softmax, _softmax_grad, cross_entropy_mean, layer_norm, matmul,
                                 utterance_count)
 from confshare.blocks import MODULE_TYPES, module_tensor_specs
@@ -266,6 +269,26 @@ def attention_chain(q: Tensor, k: Tensor, pos, v: Tensor, scale: float) -> Tenso
     q3, k3, v3 = split(q), split(k), split(v)
     weights = attention_weights(matmul(q3, k3, transpose_b=True), concat_rows(pos), scale)
     return transpose(matmul(weights, v3), (B, H, T, dh), (rows, d))
+
+
+def rule_grads(out: Tensor, inputs, g) -> list:
+    """What the rules of the chain below ``out`` hand each of ``inputs``
+    for the gradient ``g`` of ``out``: the rule results that one fused
+    node over those inputs must return.
+
+    It runs ``backward``'s reverse sweep and stops at the inputs. A
+    gradient passes from rule to rule as the rule returned it, and one
+    used more than once is summed in the sweep's order. It is never
+    copied, at a leaf or between nodes, so a signed zero survives."""
+    grads, stop = {id(out): g}, {id(t) for t in inputs}
+    for node in reversed(Tape.trace(out).nodes):
+        if id(node) in stop or id(node) not in grads:
+            continue
+        for parent, grad in zip(node._parents, node._backward(grads.pop(id(node))), strict=True):
+            if parent.requires_grad:
+                held = grads.get(id(parent))
+                grads[id(parent)] = grad if held is None else held + grad
+    return [grads.get(id(t)) for t in inputs]
 
 
 def reference_loss(model, features, labels) -> Tensor:

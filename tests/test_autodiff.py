@@ -5,6 +5,7 @@ import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -18,7 +19,8 @@ from confshare.autodiff import (_SCRATCH, LN_EPS, ZERO_FLOOR, NonFiniteError, Rn
 from conftest import (assert_params_match_fd, bound_block, rand_tensor, traced_held,
                       traced_peak)
 from oracles import (_sigmoid, add, attention_chain, attention_weights, concat_rows,
-                     depthwise_conv1d, glu, mul, scale, slice_rows, softmax, swish, transpose)
+                     depthwise_conv1d, glu, mul, rule_grads, scale, slice_rows, softmax, swish,
+                     transpose)
 
 
 class TestRng:
@@ -250,23 +252,6 @@ class TestAttentionWeights:
         _skew(scattered)[...] = g
         assert scattered.tobytes() == gather_oracle(full)._backward(g)[0].tobytes()
 
-    @pytest.mark.parametrize("T", [1, 2, 5, 16])
-    def test_bytes_equal_the_unfused_ops(self, T):
-        def run(fused):
-            rng = Rng(40 + T)
-            content = Tensor(rng.uniform(-3, 3, (2, T, T)), requires_grad=True)
-            pos_full = Tensor(rng.uniform(-3, 3, (2, T, 2 * T - 1)), requires_grad=True)
-            c = Tensor(rng.uniform(-1, 1, (2, T, T)))
-            s = 1.0 / math.sqrt(5)
-            if fused:
-                out = attention_weights(content, pos_full, s)
-            else:
-                out = softmax(scale(add(content, gather_oracle(pos_full)), s))
-            backward(sum_all(mul(out, c)))
-            return out.data.tobytes(), content.grad.tobytes(), pos_full.grad.tobytes()
-
-        assert run(fused=True) == run(fused=False)
-
     def test_gradients(self, rng):
         T = 4
         content = rand_tensor(rng, (2, T, T), requires_grad=True, scale=2.0)
@@ -287,55 +272,27 @@ class TestAttentionWeights:
             attention_weights(Tensor(np.zeros(content)), Tensor(np.zeros(pos_full)), 1.0)
 
 
-def _attention_operands(rng, B, T=4, H=2, dh=3):
-    """Trainable (B·T, H·dh) q, k and v and B utterances' (H, T, 2T - 1)
-    positional scores."""
+def _attention_operands(draw, B, T=4, H=2, dh=3):
+    """(B·T, H·dh) q, k and v and B utterances' (H, T, 2T - 1) positional
+    scores, in the order of ``attention_context``'s parents, each from
+    ``draw`` (see ``_drawer``)."""
     d = H * dh
-    return (Tensor(_with_signed_zeros(rng.uniform(-2, 2, (B * T, d))), requires_grad=True),
-            Tensor(_with_signed_zeros(rng.uniform(-2, 2, (B * T, d))), requires_grad=True),
-            [Tensor(rng.uniform(-2, 2, (H, T, 2 * T - 1)), requires_grad=True)
-             for _ in range(B)],
-            Tensor(_with_signed_zeros(rng.uniform(-2, 2, (B * T, d))), requires_grad=True))
+    q, k = draw(B * T, d), draw(B * T, d)
+    return q, k, [draw(H, T, 2 * T - 1) for _ in range(B)], draw(B * T, d)
 
 
 class TestAttentionContext:
-    @pytest.mark.parametrize("B", [1, 3])
-    def test_bytes_equal_the_unfused_chain(self, rng, B):
-        q, k, pos, v = _attention_operands(rng, B)
-        fused = attention_context(q, k, pos, v)  # dh = 3
-        chain = attention_chain(q, k, pos, v, 1.0 / math.sqrt(3))
-        assert fused._parents == (q, k, *pos, v)
-        assert fused.data.tobytes() == chain.data.tobytes()
-        g = _with_signed_zeros(rng.uniform(-1, 1, fused.shape))
-        got = fused._backward(g)
-        # the chain's rules in reverse, each gradient as its rule hands it on
-        context = chain._parents[0]
-        weights, v3 = context._parents
-        content, joined = weights._parents
-        q3, k3 = content._parents
-        (g_context,) = chain._backward(g)
-        g_weights, g_v3 = context._backward(g_context)
-        g_content, g_full = weights._backward(g_weights)
-        # one part is its own join, with no node
-        g_pos = joined._backward(g_full) if B > 1 else (g_full,)
-        g_q3, g_k3 = content._backward(g_content)
-        want = (q3._backward(g_q3)[0], k3._backward(g_k3)[0], *g_pos,
-                v3._backward(g_v3)[0])
-        assert [a.shape for a in got] == [t.shape for t in (q, k, *pos, v)]
-        for a, b in zip(got, want, strict=True):
-            assert a.tobytes() == b.tobytes()
-
     @pytest.mark.parametrize("H,dh", [(2, 2), (3, 4), (4, 1)])
     def test_scale_is_one_over_the_root_of_the_head_width(self, rng, H, dh):
         # the op reads the scale from its operands' shapes: 1/sqrt(d/H), not 1/sqrt(d)
-        q, k, pos, v = _attention_operands(rng, 2, T=3, H=H, dh=dh)
+        q, k, pos, v = _attention_operands(_drawer(rng), 2, T=3, H=H, dh=dh)
         fused = attention_context(q, k, pos, v).data.tobytes()
         assert fused == attention_chain(q, k, pos, v, 1.0 / math.sqrt(dh)).data.tobytes()
         assert fused != attention_chain(q, k, pos, v, 1.0 / math.sqrt(H * dh)).data.tobytes()
 
     def test_gradients(self, rng):
         # dh = 4, so the scale is 0.5
-        q, k, pos, v = _attention_operands(rng, 2, T=3, dh=4)
+        q, k, pos, v = _attention_operands(_drawer(rng), 2, T=3, dh=4)
         named = {"q": q, "k": k, "pos0": pos[0], "pos1": pos[1], "v": v}
         c = Tensor(rng.uniform(-1, 1, q.shape))
 
@@ -366,7 +323,7 @@ class TestAttentionContext:
                               Tensor(np.zeros(kv)))
 
     def test_overflowing_content_score_raises_as_a_matmul(self, rng):
-        q, k, pos, v = _attention_operands(rng, 1)
+        q, k, pos, v = _attention_operands(_drawer(rng), 1)
         # one score of one head is -inf: the softmax alone would give it weight 0
         q.data[0, :3] = 1e200
         k.data[1, :3] = -1e200
@@ -375,7 +332,7 @@ class TestAttentionContext:
             attention_context(q, k, pos, v)
 
     def test_overflowing_summed_score_raises_as_the_op(self, rng):
-        q, k, pos, v = _attention_operands(rng, 1)
+        q, k, pos, v = _attention_operands(_drawer(rng), 1)
         # a finite content score of one head and finite positional scores
         # whose sum passes the largest double; the scale, 1/sqrt(3), is below 1
         q.data[0, 0] = 1e300
@@ -406,6 +363,21 @@ def _with_signed_zeros(values):
     flat[::7] = 0.0
     flat[::11] = -0.0
     return out
+
+
+def _drawer(rng, drawn=None, constant=None):
+    """``draw(*shape)``: a leaf uniform in [-2, 2) from ``rng``, with
+    signed zeros, appended to the list ``drawn``; trainable unless it is
+    the one numbered ``constant`` in draw order."""
+    drawn = [] if drawn is None else drawn
+
+    def draw(*shape):
+        leaf = Tensor(_with_signed_zeros(rng.uniform(-2.0, 2.0, shape)),
+                      requires_grad=len(drawn) != constant)
+        drawn.append(leaf)
+        return leaf
+
+    return draw
 
 
 class TestActivations:
@@ -513,48 +485,6 @@ class TestActivations:
 
         assert_params_match_fd(named, make_loss)
 
-    @pytest.mark.parametrize("with_bias", [False, True], ids=["no-bias", "bias"])
-    def test_swish_matmul_matches_swish_then_matmul_bytewise(self, rng, with_bias):
-        a = Tensor(_with_signed_zeros(rng.uniform(-6.0, 6.0, (12, 10))), requires_grad=True)
-        b = rand_tensor(rng, (10, 7), requires_grad=True)
-        bias = rand_tensor(rng, (7,), requires_grad=True) if with_bias else None
-        g = _with_signed_zeros(rng.uniform(-1.0, 1.0, (12, 7)))
-        fused = swish_matmul(a, b, bias)
-        hidden = swish(a)
-        pair = matmul(hidden, b, bias=bias)
-        assert fused.data.tobytes() == pair.data.tobytes()
-        # every parent gradient, as the two rules hand it to backward
-        ga, *rest = fused._backward(g)
-        gh, *pair_rest = pair._backward(g)
-        (pair_ga,) = hidden._backward(gh)
-        assert len(rest) == len(pair_rest) == (2 if with_bias else 1)
-        for got, want in zip([ga, *rest], [pair_ga, *pair_rest]):
-            assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("transpose_w", [False, True], ids=["w", "transpose_w"])
-    @pytest.mark.parametrize("with_bias", [False, True], ids=["no-bias", "bias"])
-    def test_linear_swish_matmul_matches_matmul_then_swish_matmul_bytewise(
-            self, rng, transpose_w, with_bias):
-        def draw(*shape):
-            return Tensor(_with_signed_zeros(rng.uniform(-2.0, 2.0, shape)),
-                          requires_grad=True)
-
-        a, c, b = draw(12, 6), draw(10), draw(10, 7)
-        w = draw(10, 6) if transpose_w else draw(6, 10)
-        bias = draw(7) if with_bias else None
-        g = _with_signed_zeros(rng.uniform(-1.0, 1.0, (12, 7)))
-        fused = linear_swish_matmul(a, w, c, b, bias, transpose_w)
-        pre = matmul(a, w, transpose_w, c)
-        pair = swish_matmul(pre, b, bias)
-        assert fused.data.tobytes() == pair.data.tobytes()
-        # every parent gradient, as the two rules hand it to backward
-        got = fused._backward(g)
-        gpre, *pair_rest = pair._backward(g)
-        want = [*pre._backward(gpre), *pair_rest]
-        assert len(got) == len(want) == (5 if with_bias else 4)
-        for i, (x, y) in enumerate(zip(got, want)):
-            assert x.tobytes() == y.tobytes(), f"gradient {i}"
-
     def test_linear_swish_matmul_rejects_a_non_finite_pre_activation_as_a_matmul(self):
         # the product overflows, and the swish of -inf would hide it as 0
         a, w = Tensor([[1e200]]), Tensor([[-1e200, 1.0]])
@@ -586,30 +516,8 @@ class TestActivations:
 
 
 class TestPlumbing:
-    """The one-node forms of a head split/merge and of a scaled residual
-    give the bytes of the chains they replace."""
-
-    @pytest.mark.parametrize("start,stop", [(2, 5), (0, 3), (0, 7)],
-                             ids=["middle", "from-0", "all"])
-    @pytest.mark.parametrize("h", [1, 3])
-    def test_split_heads_matches_transpose_of_slice_rows_bytewise(self, rng, start, stop, h):
-        rows, d = 7, 6
-        n, dh = stop - start, d // h
-        a = Tensor(_with_signed_zeros(rng.uniform(-2.0, 2.0, (rows, d))), requires_grad=True)
-        g = _with_signed_zeros(rng.uniform(-1.0, 1.0, (h, n, dh)))
-        fused = split_heads(a, start, stop, h)
-        window = slice_rows(a, start, stop)
-        chain = transpose(window, (1, n, h, dh), (h, n, dh))
-        assert fused.shape == (h, n, dh)
-        assert fused.data.tobytes() == chain.data.tobytes()
-        # backwards, the transpose's rule and then the slice's, which is
-        # no node when the range is every row
-        (ga,) = fused._backward(g)
-        (chain_ga,) = chain._backward(g)
-        if window is not a:
-            (chain_ga,) = window._backward(chain_ga)
-        assert ga.shape == a.shape
-        assert ga.tobytes() == chain_ga.tobytes()
+    """A head split/merge and a scaled residual as one node; the
+    ``split_heads-*`` and ``add-*`` rows of ``FUSIONS`` give their bytes."""
 
     @pytest.mark.parametrize("shape,start,stop,h", [
         ((4, 6), 2, 2, 2),     # an empty range
@@ -647,24 +555,6 @@ class TestPlumbing:
         (ga,) = fused._backward(g)
         assert ga.shape == shape
         assert ga.tobytes() == chain_ga.tobytes()
-
-    @pytest.mark.parametrize("s", [0.5, -3.0])
-    def test_scaled_add_matches_add_of_scale_bytewise(self, rng, s):
-        a = Tensor(_with_signed_zeros(rng.uniform(-2.0, 2.0, (9, 8))), requires_grad=True)
-        b = Tensor(_with_signed_zeros(rng.uniform(-2.0, 2.0, (9, 8))), requires_grad=True)
-        # both signs of zero on either side of the sum
-        a.data[0, :4] = [0.0, 0.0, -0.0, -0.0]
-        b.data[0, :4] = [0.0, -0.0, 0.0, -0.0]
-        g = _with_signed_zeros(rng.uniform(-1.0, 1.0, (9, 8)))
-        fused = add(a, b, s)
-        scaled = scale(b, s)
-        pair = add(a, scaled)
-        assert fused.data.tobytes() == pair.data.tobytes()
-        ga, gb = fused._backward(g)
-        pair_ga, gs = pair._backward(g)
-        (pair_gb,) = scaled._backward(gs)
-        assert ga.tobytes() == pair_ga.tobytes()
-        assert gb.tobytes() == pair_gb.tobytes()
 
     @pytest.mark.parametrize("s", [None, 0.5])
     def test_add_rejects_mismatched_shapes(self, rng, s):
@@ -724,32 +614,8 @@ class TestBias:
 
 class TestResidual:
     """A product with ``residual`` and ``s`` is residual + s·(product + bias):
-    the bytes of the unfused ``add(residual, product, s)``."""
-
-    @pytest.mark.parametrize("B", [1, 3])
-    @pytest.mark.parametrize("op,s", _scaled_products(None, 0.5))
-    def test_bytes_equal_add_of_the_product(self, rng, op, s, B):
-        def draw(*shape):
-            return Tensor(_with_signed_zeros(rng.uniform(-2.0, 2.0, shape)),
-                          requires_grad=True)
-
-        rows = B * 4
-        args, kwargs = _residual_operands(op, rows, draw)
-        x = draw(rows, 6)
-        g = _with_signed_zeros(rng.uniform(-1.0, 1.0, (rows, 6)))
-        fused = _PRODUCTS[op](*args, **kwargs, residual=x, **_scale_kwargs(op, s))
-        product = _PRODUCTS[op](*args, **kwargs)
-        pair = add(x, product, s)
-        assert fused.op == op
-        assert fused._parents[-1] is x
-        assert fused.data.tobytes() == pair.data.tobytes()
-        # every parent gradient, as the two rules hand it to backward
-        got = fused._backward(g)
-        gx, gproduct = pair._backward(g)
-        want = [*product._backward(gproduct), gx]
-        assert len(got) == len(want) == len(fused._parents)
-        for i, (a, b) in enumerate(zip(got, want)):
-            assert a.tobytes() == b.tobytes(), f"gradient {i}"
+    the bytes of the unfused ``add(residual, product, s)`` (the
+    ``*-residual-*`` rows of ``FUSIONS``)."""
 
     @pytest.mark.parametrize("op,s", _scaled_products(None, -0.5))
     def test_gradients(self, rng, op, s):
@@ -789,85 +655,29 @@ class TestResidual:
 
 
 def _norm_operands(op: str, rows: int, draw, transpose: bool, with_bias: bool):
-    """The operands of one product ``op`` with a ``norm=`` prologue: x of
-    width 5 first, a product of width 6, w (or b) transposed if asked,
-    and a bias if asked; then the prologue's (gamma, beta)."""
-    kwargs = {"bias": draw(6)} if with_bias else {}
+    """The operands of one product ``op`` with a ``norm=`` prologue, drawn
+    in the order of its parents: x of width 5, the prologue's (gamma,
+    beta), w (or b) transposed if asked, and a bias if asked. The product
+    is narrower than x, 4 wide, so a kept LN(x) would show."""
+    x, norm, kwargs = draw(rows, 5), (draw(5), draw(5)), {}
     if op == "matmul":
-        args = (draw(rows, 5), draw(6, 5) if transpose else draw(5, 6))
+        rest = (draw(4, 5) if transpose else draw(5, 4),)
         kwargs["transpose_b"] = transpose
     elif op == "swish_matmul":
-        args = (draw(rows, 5), draw(5, 6))
+        rest = (draw(5, 4),)
     else:
-        args = (draw(rows, 5), draw(9, 5) if transpose else draw(5, 9), draw(9), draw(9, 6))
+        rest = (draw(9, 5) if transpose else draw(5, 9), draw(9), draw(9, 4))
         kwargs["transpose_w"] = transpose
-    return args, kwargs, (draw(5), draw(5))
-
-
-_NORM_PRODUCTS = [pytest.param(op, transpose, id=f"{op}-transpose" if transpose else op)
-                  for op in _PRODUCTS
-                  for transpose in ((False,) if op == "swish_matmul" else (False, True))]
-# each with and without a bias, and with no residual, a residual, and a
-# scaled one where the product takes a scale
-_NORM_CASES = [pytest.param(*case.values, with_bias, residual, s,
-                            id=f"{case.id}-{bias_id}-{residual_id}")
-               for case in _NORM_PRODUCTS
-               for with_bias, bias_id in [(False, "no-bias"), (True, "bias")]
-               for residual, s, residual_id in [(False, None, "no-residual"),
-                                                (True, None, "residual"),
-                                                (True, 0.5, "residual-s")]
-               if s is None or case.values[0] != "swish_matmul"]
+    if with_bias:
+        kwargs["bias"] = draw(4)
+    return (x, *rest), kwargs, norm
 
 
 class TestNormPrologue:
     """A product with ``norm=(gamma, beta)`` multiplies layer_norm(x, gamma,
     beta) as one node: the bytes of ``layer_norm`` followed by the plain
-    product, with x, gamma and beta first among the parents."""
-
-    @pytest.mark.parametrize("B", [1, 3])
-    @pytest.mark.parametrize("op,transpose,with_bias,residual,s", _NORM_CASES)
-    def test_bytes_equal_layer_norm_then_the_product(self, rng, op, transpose, with_bias,
-                                                     residual, s, B):
-        def draw(*shape):
-            return Tensor(_with_signed_zeros(rng.uniform(-2.0, 2.0, shape)),
-                          requires_grad=True)
-
-        rows = B * 4
-        (x, *rest), kwargs, norm = _norm_operands(op, rows, draw, transpose, with_bias)
-        if residual:
-            kwargs.update(residual=draw(rows, 6), **_scale_kwargs(op, s))
-        g = _with_signed_zeros(rng.uniform(-1.0, 1.0, (rows, 6)))
-        fused = _PRODUCTS[op](x, *rest, **kwargs, norm=norm)
-        normed = layer_norm(x, *norm)
-        product = _PRODUCTS[op](normed, *rest, **kwargs)
-        assert fused.op == op
-        assert fused._parents[:3] == (x, *norm)
-        assert fused.data.tobytes() == product.data.tobytes()
-        # every parent gradient, as the two rules hand it to backward
-        got = fused._backward(g)
-        gnormed, *product_rest = product._backward(g)
-        want = [*normed._backward(gnormed), *product_rest]
-        assert len(got) == len(want) == len(fused._parents)
-        for i, (a, b) in enumerate(zip(got, want)):
-            assert a.tobytes() == b.tobytes(), f"gradient {i}"
-
-    @pytest.mark.parametrize("op,transpose", _NORM_PRODUCTS)
-    def test_rule_rebuilds_its_operand_after_other_prologues(self, rng, op, transpose):
-        # a wider prologue's forward and rule grow and overwrite the scratch
-        # slots in between, so a rule that read what its forward left
-        # there would give other bytes the second time
-        def draw(*shape):
-            return rand_tensor(rng, shape, requires_grad=True, scale=2.0)
-
-        args, kwargs, norm = _norm_operands(op, 8, draw, transpose, True)
-        fused = _PRODUCTS[op](*args, **kwargs, norm=norm)
-        g = rng.uniform(-1.0, 1.0, fused.shape)
-        first = fused._backward(g)
-        args, kwargs, norm = _norm_operands(op, 16, draw, transpose, True)
-        other = _PRODUCTS[op](*args, **kwargs, norm=norm)
-        other._backward(rng.uniform(-1.0, 1.0, other.shape))
-        for a, b in zip(first, fused._backward(g), strict=True):
-            assert a.tobytes() == b.tobytes()
+    product, with x, gamma and beta first among the parents (the
+    ``*-norm-*`` rows of ``FUSIONS``)."""
 
     @pytest.mark.parametrize("op", list(_PRODUCTS))
     def test_rejects_a_norm_that_does_not_fit(self, rng, op):
@@ -1008,48 +818,8 @@ class TestDepthwiseConv:
 
 
 class TestGluConv1d:
-    """``glu_conv1d`` against ``depthwise_conv1d`` of ``glu``, the two
-    nodes it replaces."""
-
-    @staticmethod
-    def _pair(a, k, T):
-        """The fused node, and the unfused glu node and the convolution
-        node over it, each from fresh leaves of ``a`` and ``k``."""
-        fused = glu_conv1d(Tensor(a, requires_grad=True), Tensor(k, requires_grad=True), T)
-        gated = glu(Tensor(a, requires_grad=True))
-        return fused, gated, depthwise_conv1d(gated, Tensor(k, requires_grad=True), T)
-
-    @pytest.mark.parametrize("T", [2, 4, 40])  # T = 2 is shorter than the pad at w = 11
-    @pytest.mark.parametrize("w", [1, 3, 11])
-    @pytest.mark.parametrize("B", [1, 3])
-    def test_matches_glu_then_depthwise_conv1d_bytewise(self, rng, B, w, T):
-        d = 6
-        a = _with_signed_zeros(rng.uniform(-6.0, 6.0, (B * T, 2 * d)))
-        k = _with_signed_zeros(rng.uniform(-1.0, 1.0, (w, d)))
-        g = _with_signed_zeros(rng.uniform(-1.0, 1.0, (B * T, d)))
-        fused, gated, conv = self._pair(a, k, T)
-        ga, gk = fused._backward(g)
-        gx, gk_want = conv._backward(g)
-        # backward hands the convolution's input gradient to glu as it is
-        (ga_want,) = gated._backward(gx)
-        for got, want in zip((fused.data, ga, gk), (conv.data, ga_want, gk_want), strict=True):
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("B", [1, 3])
-    def test_leaf_gradients_match_the_two_node_chain_bytewise(self, rng, B):
-        # through backward, which takes the convolution's input gradient over
-        # as glu's
-        T, d, w = 5, 4, 3
-        a = _with_signed_zeros(rng.uniform(-6.0, 6.0, (B * T, 2 * d)))
-        k = rng.uniform(-1.0, 1.0, (w, d))
-        c = Tensor(_with_signed_zeros(rng.uniform(-1.0, 1.0, (B * T, d))))
-        fused, gated, conv = self._pair(a, k, T)
-        backward(sum_all(mul(fused, c)))
-        backward(sum_all(mul(conv, c)))
-        for got, want in zip(fused._parents, (gated._parents[0], conv._parents[1]),
-                             strict=True):
-            assert got.grad.tobytes() == want.grad.tobytes()
+    """``glu_conv1d``, which replaces ``depthwise_conv1d`` of ``glu`` (the
+    ``glu_conv1d-*`` rows of ``FUSIONS``)."""
 
     def test_rule_keeps_no_gated_array(self, rng):
         T, B, d = 6, 2, 5
@@ -1074,6 +844,176 @@ class TestGluConv1d:
         message = f"glu_conv1d: {problem}: {a} and {k}"
         with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
             glu_conv1d(Tensor(np.ones(a)), Tensor(np.ones(k)), frames)
+
+
+# ---------------------------------------------------------------------------
+# FUSIONS: every fused op against the unfused chain of ops it replaces.
+#
+# A row is an id and a builder, build(draw, grow) -> (fused node, chain),
+# which draws the fused node's parents in order with ``draw`` and builds
+# both over them. ``grow`` adds that many utterances, frames or rows, so
+# the same builder makes a wider row of the same op.
+
+
+def _attention_weights_row(draw, grow, T):
+    T += grow
+    content, pos_full = draw(2, T, T), draw(2, T, 2 * T - 1)
+    s = 1.0 / math.sqrt(5)
+    return (attention_weights(content, pos_full, s),
+            softmax(scale(add(content, gather_oracle(pos_full)), s)))
+
+
+def _attention_context_row(draw, grow, B):
+    q, k, pos, v = _attention_operands(draw, B + grow)  # dh = 3
+    return attention_context(q, k, pos, v), attention_chain(q, k, pos, v, 1.0 / math.sqrt(3))
+
+
+def _unfused(op, a, *rest, bias=None, transpose_b=False, transpose_w=False, residual=None,
+             s=None):
+    """The product ``op`` of ``_PRODUCTS`` as the plain ``matmul`` and the
+    oracles it fuses."""
+    if op == "matmul":
+        out = matmul(a, *rest, transpose_b, bias)
+    elif op == "swish_matmul":
+        out = matmul(swish(a), *rest, bias=bias)
+    else:
+        w, c, b = rest
+        out = matmul(swish(matmul(a, w, transpose_w, c)), b, bias=bias)
+    return out if residual is None else add(residual, out, s)
+
+
+def _swish_matmul_row(draw, grow, with_bias):
+    # the product is narrower than the activation, so a kept one would show
+    a, b = draw(12 + grow, 10), draw(10, 7)
+    bias = draw(7) if with_bias else None
+    return swish_matmul(a, b, bias), _unfused("swish_matmul", a, b, bias=bias)
+
+
+def _linear_swish_matmul_row(draw, grow, with_bias, transpose_w):
+    # the (rows, 10) pre-activation is wider than the product
+    a = draw(12 + grow, 6)
+    w, c, b = draw(10, 6) if transpose_w else draw(6, 10), draw(10), draw(10, 7)
+    bias = draw(7) if with_bias else None
+    return (linear_swish_matmul(a, w, c, b, bias, transpose_w),
+            _unfused("linear_swish_matmul", a, w, c, b, bias=bias, transpose_w=transpose_w))
+
+
+def _split_heads_row(draw, grow, h, start, stop):
+    a = draw(7 + grow, 6)
+    stop = stop or a.shape[0]  # None: every row, where slice_rows is no node
+    n, dh = stop - start, 6 // h
+    return (split_heads(a, start, stop, h),
+            transpose(slice_rows(a, start, stop), (1, n, h, dh), (h, n, dh)))
+
+
+def _scaled_add_row(draw, grow, s):
+    a, b = draw(9 + grow, 8), draw(9 + grow, 8)
+    # both signs of zero on either side of the sum
+    a.data[0, :4] = [0.0, 0.0, -0.0, -0.0]
+    b.data[0, :4] = [0.0, -0.0, 0.0, -0.0]
+    return add(a, b, s), add(a, scale(b, s))
+
+
+def _residual_row(draw, grow, op, s, B):
+    rows = 4 * (B + grow)
+    args, kwargs = _residual_operands(op, rows, draw)
+    kwargs.update(residual=draw(rows, 6), **_scale_kwargs(op, s))
+    return _PRODUCTS[op](*args, **kwargs), _unfused(op, *args, **kwargs)
+
+
+def _norm_row(draw, grow, op, transpose, with_bias, residual, s, B):
+    rows = 4 * (B + grow)
+    (x, *rest), kwargs, norm = _norm_operands(op, rows, draw, transpose, with_bias)
+    if residual:
+        kwargs.update(residual=draw(rows, 4), **_scale_kwargs(op, s))
+    return (_PRODUCTS[op](x, *rest, **kwargs, norm=norm),
+            _unfused(op, layer_norm(x, *norm), *rest, **kwargs))
+
+
+def _glu_conv1d_row(draw, grow, B, w, T):
+    a, k = draw((B + grow) * T, 12), draw(w, 6)
+    return glu_conv1d(a, k, T), depthwise_conv1d(glu(a), k, T)
+
+
+def _row(id, family, **params):
+    return pytest.param(partial(family, **params), id=id)
+
+
+_BIAS = [(False, "no-bias"), (True, "bias")]
+FUSIONS = [
+    *(_row(f"attention_weights-T{T}", _attention_weights_row, T=T) for T in (1, 2, 5, 16)),
+    *(_row(f"attention_context-B{B}", _attention_context_row, B=B) for B in (1, 3)),
+    *(_row(f"swish_matmul-{bias_id}", _swish_matmul_row, with_bias=bias)
+      for bias, bias_id in _BIAS),
+    *(_row(f"linear_swish_matmul-{bias_id}-{w_id}", _linear_swish_matmul_row,
+           with_bias=bias, transpose_w=transpose_w)
+      for bias, bias_id in _BIAS for transpose_w, w_id in [(False, "w"), (True, "transpose_w")]),
+    *(_row(f"split_heads-h{h}-{range_id}", _split_heads_row, h=h, start=start, stop=stop)
+      for h in (1, 3)
+      for start, stop, range_id in [(2, 5, "middle"), (0, 3, "from-0"), (0, None, "all")]),
+    *(_row(f"add-s{s}", _scaled_add_row, s=s) for s in (0.5, -3.0)),
+    *(_row(f"{op}-residual{'' if s is None else f'-s{s}'}-B{B}", _residual_row, op=op, s=s, B=B)
+      for op, s in _scaled_products(None, 0.5) for B in (1, 3)),
+    # each product with and without a bias, and with no residual, a
+    # residual, and a scaled one where the product takes a scale
+    *(_row(f"{op}-norm{'-transpose' if transpose else ''}-{bias_id}-{residual_id}-B{B}",
+           _norm_row, op=op, transpose=transpose, with_bias=bias, residual=residual, s=s, B=B)
+      for op in _PRODUCTS for transpose in ((False,) if op == "swish_matmul" else (False, True))
+      for bias, bias_id in _BIAS
+      for residual, s, residual_id in [(False, None, "no-residual"), (True, None, "residual"),
+                                       (True, 0.5, "residual-s")]
+      if s is None or op != "swish_matmul"
+      for B in (1, 3)),
+    # T = 2 is shorter than the pad at w = 11
+    *(_row(f"glu_conv1d-B{B}-w{w}-T{T}", _glu_conv1d_row, B=B, w=w, T=T)
+      for B in (1, 3) for w in (1, 3, 11) for T in (2, 4, 40)),
+]
+
+
+def _draw_row(build, constant=None, grow=0):
+    """A row's fused node and chain, over operands from a fixed seed
+    (another for a wider row), all trainable but the one numbered
+    ``constant``; the operands in draw order; and a signed-zero gradient
+    of the output's shape."""
+    rng, operands = Rng(31 + grow), []
+    fused, chain = build(_drawer(rng, operands, constant), grow)
+    return fused, chain, operands, _with_signed_zeros(rng.uniform(-1.0, 1.0, fused.shape))
+
+
+def _assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), f"array {i}"
+
+
+@pytest.mark.parametrize("build", FUSIONS)
+def test_fused_op_gives_the_bytes_of_its_chain(build):
+    # a wider row's forward and rule, run before the row and again between
+    # its two rule calls, grow every scratch slot and then overwrite it in
+    # place, so a rule that read what its forward left there would give
+    # other bytes the second time
+    def run_wider():
+        wider, _, _, wider_g = _draw_row(build, grow=1)
+        wider._backward(wider_g)
+        return wider
+
+    wider = run_wider()
+    fused, chain, operands, g = _draw_row(build)
+    assert wider.op == fused.op
+    assert sum(t.size for t in wider._parents) > sum(t.size for t in operands)
+    assert fused._parents == tuple(operands)
+    assert fused.data.tobytes() == chain.data.tobytes()
+    want = rule_grads(chain, operands, g)
+    _assert_same_bytes(fused._backward(g), want)
+    run_wider()
+    _assert_same_bytes(fused._backward(g), want)
+    # and through backward, which copies each leaf's first gradient
+    leaf_grads = []
+    for out in (fused, chain):
+        zero_grads(operands)
+        backward(sum_all(mul(out, Tensor(g))))
+        leaf_grads.append([t.grad for t in operands])
+    _assert_same_bytes(*leaf_grads)
 
 
 class TestBackward:
@@ -1269,60 +1209,20 @@ class TestBackward:
             cross_entropy_mean(Tensor(np.zeros((3, 4))), np.array(labels))
         assert raised.type is error
 
-    @pytest.mark.parametrize("op,shapes,constant", [
-        pytest.param(matmul, [(3, 4), (4, 5)], (0,), id="matmul"),
-        pytest.param(lambda a, b: matmul(a, b, transpose_b=True), [(3, 4), (5, 4)], (1,),
-                     id="matmul-transpose_b"),
-        pytest.param(lambda a, b, c: matmul(a, b, bias=c), [(3, 4), (4, 5), (5,)], (2,),
-                     id="matmul-bias"),
-        pytest.param(swish_matmul, [(3, 4), (4, 5), (5,)], (0,), id="swish_matmul-input"),
-        pytest.param(swish_matmul, [(3, 4), (4, 5), (5,)], (1, 2), id="swish_matmul-weights"),
-        pytest.param(linear_swish_matmul, [(3, 4), (4, 6), (6,), (6, 5), (5,)], (0,),
-                     id="linear_swish_matmul-input"),
-        pytest.param(lambda a, w, c, b: linear_swish_matmul(a, w, c, b, transpose_w=True),
-                     [(3, 4), (6, 4), (6,), (6, 5)], (1, 2, 3),
-                     id="linear_swish_matmul-weights"),
-        pytest.param(lambda a, b, r: matmul(a, b, residual=r, s=0.5),
-                     [(3, 4), (4, 5), (3, 5)], (2,), id="matmul-residual"),
-        pytest.param(lambda a, b, r: swish_matmul(a, b, residual=r),
-                     [(3, 4), (4, 5), (3, 5)], (0, 1), id="swish_matmul-residual-operands"),
-        pytest.param(lambda a, w, c, b, r: linear_swish_matmul(a, w, c, b, residual=r, s=0.5),
-                     [(3, 4), (4, 6), (6,), (6, 5), (3, 5)], (4,),
-                     id="linear_swish_matmul-residual"),
-        pytest.param(add, [(2, 3), (2, 3)], (1,), id="add"),
-        pytest.param(lambda a, b: add(a, b, 0.5), [(2, 3), (2, 3)], (0,), id="add-scaled"),
-        pytest.param(lambda a: transpose(a, (1, 2, 3, 2), (6, 2)), [(6, 2)], (0,),
-                     id="transpose-view-shape"),
-        pytest.param(mul, [(2, 3), (2, 3)], (0,), id="mul"),
-        pytest.param(layer_norm, [(3, 4), (4,), (4,)], (1, 2), id="layer_norm-gamma-beta"),
-        pytest.param(lambda x, g, b, w: matmul(x, w, norm=(g, b)),
-                     [(3, 4), (4,), (4,), (4, 5)], (1, 2), id="matmul-norm-gamma-beta"),
-        pytest.param(lambda x, g, b, w: swish_matmul(x, w, norm=(g, b)),
-                     [(3, 4), (4,), (4,), (4, 5)], (0,), id="swish_matmul-norm-input"),
-        pytest.param(depthwise_conv1d, [(5, 3), (3, 3)], (1,), id="conv-kernel"),
-        pytest.param(depthwise_conv1d, [(5, 3), (3, 3)], (0,), id="conv-input"),
-        pytest.param(glu_conv1d, [(5, 6), (3, 3)], (1,), id="glu_conv1d-kernel"),
-        pytest.param(glu_conv1d, [(5, 6), (3, 3)], (0,), id="glu_conv1d-input"),
-        pytest.param(lambda a, b: concat_rows([a, b]), [(2, 3), (1, 3)], (0,),
-                     id="concat_rows"),
-        pytest.param(lambda q, k, p0, p1, v: attention_context(q, k, [p0, p1], v),
-                     [(6, 4), (6, 4), (2, 3, 5), (2, 3, 5), (6, 4)], (3,),
-                     id="attention_context-one-score-part"),
-    ])
-    def test_constant_operands_receive_no_gradient(self, op, shapes, constant):
-        def run(constant):
-            rng = Rng(7)
-            operands = [Tensor(rng.uniform(-1, 1, shape), requires_grad=i not in constant)
-                        for i, shape in enumerate(shapes)]
-            out = op(*operands)
-            backward(sum_all(mul(out, Tensor(rng.uniform(-1, 1, out.shape)))))
-            return operands
+    @pytest.mark.parametrize("build", FUSIONS)
+    def test_constant_operands_receive_no_gradient(self, build):
+        # each operand constant in turn, below the fused node and below its chain
+        def leaf_grads(constant, unfused):
+            fused, chain, operands, g = _draw_row(build, constant)
+            backward(sum_all(mul(chain if unfused else fused, Tensor(g))))
+            return [t.grad for t in operands]
 
-        for i, (every, some) in enumerate(zip(run(()), run(constant))):
-            if i in constant:
-                assert some.grad is None
-            else:
-                assert some.grad.tobytes() == every.grad.tobytes()
+        for unfused in (False, True):
+            every = leaf_grads(None, unfused)
+            for i in range(len(every)):
+                some = leaf_grads(i, unfused)
+                assert some.pop(i) is None
+                _assert_same_bytes(some, every[:i] + every[i + 1:])
 
     @pytest.mark.parametrize("shapes,kwargs", [
         pytest.param([(3, 4), (4, 5)], {}, id="2-d"),
@@ -1389,98 +1289,22 @@ class TestBackward:
 class TestRetainedMemory:
     """A rule keeps no array it could get from its parents or its output."""
 
-    @staticmethod
-    def _build(op, rng):
-        if op == "swish":
-            return swish(rand_tensor(rng, (6, 10), requires_grad=True))
-        if op == "swish_matmul":
-            # the product is narrower than the activation, so holding it would show
-            return swish_matmul(rand_tensor(rng, (6, 10), requires_grad=True),
-                                rand_tensor(rng, (10, 4), requires_grad=True),
-                                rand_tensor(rng, (4,), requires_grad=True))
-        if op == "linear_swish_matmul":
-            # the (6, 10) pre-activation is wider than the product, so holding it would show
-            return linear_swish_matmul(rand_tensor(rng, (6, 3), requires_grad=True),
-                                       rand_tensor(rng, (10, 3), requires_grad=True),
-                                       rand_tensor(rng, (10,), requires_grad=True),
-                                       rand_tensor(rng, (10, 4), requires_grad=True),
-                                       rand_tensor(rng, (4,), requires_grad=True),
-                                       transpose_w=True)
-        if op.endswith("-residual"):
-            product = op.removesuffix("-residual")
-            args, kwargs = _residual_operands(
-                product, 6, lambda *shape: rand_tensor(rng, shape, requires_grad=True))
-            return _PRODUCTS[product](*args, **kwargs, **_scale_kwargs(product, 0.5),
-                                      residual=rand_tensor(rng, (6, 6), requires_grad=True))
-        if op == "layer_norm":
-            return layer_norm(rand_tensor(rng, (6, 10), requires_grad=True),
-                              rand_tensor(rng, (10,), requires_grad=True),
-                              rand_tensor(rng, (10,), requires_grad=True))
-        if op == "glu":
-            return glu(rand_tensor(rng, (6, 10), requires_grad=True))
-        if op == "depthwise_conv1d":
-            return depthwise_conv1d(rand_tensor(rng, (12, 10), requires_grad=True),
-                                    rand_tensor(rng, (5, 10), requires_grad=True), frames=6)
-        if op == "glu_conv1d":
-            return glu_conv1d(rand_tensor(rng, (12, 20), requires_grad=True),
-                              rand_tensor(rng, (5, 10), requires_grad=True), frames=6)
-        if op == "transpose":
-            return transpose(rand_tensor(rng, (12, 10), requires_grad=True), (2, 6, 5, 2),
-                             (10, 6, 2))
-        if op == "split_heads":
-            return split_heads(rand_tensor(rng, (12, 10), requires_grad=True), 2, 8, 5)
-        if op == "add":
-            return add(rand_tensor(rng, (6, 10), requires_grad=True),
-                       rand_tensor(rng, (6, 10), requires_grad=True), 0.5)
-        if op == "attention_context":
-            # T < dh, so the (B·H, T, T) weights are smaller than the output
-            # and an output-sized copy of q, k, v or the context would show
-            q, k, pos0, pos1, v = (rand_tensor(rng, shape, requires_grad=True) for shape
-                                   in ((6, 8), (6, 8), (2, 3, 5), (2, 3, 5), (6, 8)))
-            return attention_context(q, k, [pos0, pos1], v)
-        if op == "attention_context-long":
-            # T > dh: the (B·H, T, T) = (4, 6, 6) weights outgrow the (12, 4)
-            # output, so keeping them would show
-            q, k, pos0, pos1, v = (rand_tensor(rng, shape, requires_grad=True) for shape
-                                   in ((12, 4), (12, 4), (2, 6, 11), (2, 6, 11), (12, 4)))
-            return attention_context(q, k, [pos0, pos1], v)
-        if op.endswith("-norm"):
-            # the product is narrower than the (6, 10) normalized operand, so
-            # keeping that would show
-            def draw(*shape):
-                return rand_tensor(rng, shape, requires_grad=True)
-
-            x, norm = draw(6, 10), (draw(10), draw(10))
-            if op == "matmul-norm":
-                return matmul(x, draw(10, 4), bias=draw(4), norm=norm)
-            if op == "swish_matmul-norm":
-                return swish_matmul(x, draw(10, 4), draw(4), norm=norm)
-            return linear_swish_matmul(x, draw(10, 3), draw(3), draw(3, 4), draw(4), norm=norm)
-        return attention_weights(rand_tensor(rng, (2, 6, 6), requires_grad=True),
-                                 rand_tensor(rng, (2, 6, 11), requires_grad=True), 0.5)
-
-    @pytest.mark.parametrize("op", ["swish", "layer_norm", "attention_weights", "glu",
-                                    "depthwise_conv1d", "glu_conv1d", "swish_matmul",
-                                    "linear_swish_matmul", "transpose", "split_heads", "add",
-                                    "attention_context",
-                                    "attention_context-long", "matmul-residual",
-                                    "swish_matmul-residual", "linear_swish_matmul-residual",
-                                    "matmul-norm", "swish_matmul-norm",
-                                    "linear_swish_matmul-norm"])
-    def test_rule_holds_no_output_sized_array_of_its_own(self, op, rng):
-        node = self._build(op, rng)
-        held = _closure_values(node._backward)
-        shared = [node.data] + [p.data for p in node._parents]
+    @pytest.mark.parametrize("build", FUSIONS)
+    def test_rule_holds_no_output_sized_array_of_its_own(self, build):
+        fused, chain, _, _ = _draw_row(build)
         scratch = _scratch_buffers()
-        for value in held:
-            if isinstance(value, Tensor):
-                assert any(value is p for p in node._parents), f"{op} holds {value}"
-            elif isinstance(value, np.ndarray):
-                assert not any(np.shares_memory(value, buf) for buf in scratch), \
-                    f"{op} keeps a scratch view of shape {value.shape}"
-                if value.size >= node.size:
-                    assert any(value is a for a in shared), \
-                        f"{op} holds its own {value.shape} array"
+        for node in [fused] + [n for n in Tape.trace(chain).nodes if n._backward is not None]:
+            held = _closure_values(node._backward)
+            shared = [node.data] + [p.data for p in node._parents]
+            for value in held:
+                if isinstance(value, Tensor):
+                    assert any(value is p for p in node._parents), f"{node.op} holds {value}"
+                elif isinstance(value, np.ndarray):
+                    assert not any(np.shares_memory(value, buf) for buf in scratch), \
+                        f"{node.op} keeps a scratch view of shape {value.shape}"
+                    if value.size >= node.size:
+                        assert any(value is a for a in shared), \
+                            f"{node.op} holds its own {value.shape} array"
 
     def test_batched_attention_keeps_no_joined_positional_scores(self, rng):
         from confshare.blocks import ModelConfig, attention
@@ -1873,6 +1697,13 @@ def _tape_output(case: str) -> Tensor:
 @pytest.mark.parametrize("case", TAPE_OPS)
 def test_tape_op_counts(case):
     assert Counter(n.op or "leaf" for n in Tape.trace(_tape_output(case)).nodes) == TAPE_OPS[case]
+
+
+def test_every_fused_op_on_a_tape_has_a_fusion_row():
+    # a leaf is no op, and layer_norm and cross_entropy_mean fuse nothing
+    on_a_tape = {op for counts in TAPE_OPS.values() for op in counts}
+    with_a_row = {_draw_row(row.values[0])[0].op for row in FUSIONS}
+    assert on_a_tape - {"leaf", "layer_norm", "cross_entropy_mean"} <= with_a_row
 
 
 class TestFiniteDiff:

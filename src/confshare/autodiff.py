@@ -15,18 +15,20 @@ Everything here is deliberately small and deterministic:
   fixtures are reproducible across platforms and implementations.
 
 The op set is what a conformer block needs: three products, layer
-norm, ``glu_conv1d`` (a gated linear unit and the depthwise temporal
-convolution of its output, one node that pads each utterance of a
-packed batch on its own), ``split_heads`` (a range of rows split into
-heads, one node and one copy), and ``attention_context``: from the q, k
-and v projections and each utterance's relative-position scores to the
-context, one node per layer over all heads of a batch, which reads the
-heads as strided views.
+norm, ``split_heads`` (a range of rows split into heads, one node and
+one copy), and ``attention_context``: from the q, k and v projections
+and each utterance's relative-position scores to the context, one node
+per layer over all heads of a batch, which reads the heads as strided
+views.
 
 The products are ``matmul`` (2-d, or 3-d batched for the positional
-scores), ``swish_matmul`` (swish(a) @ b) and ``linear_swish_matmul``
-(swish(a @ w + c) @ b, one node from a feed-forward's first product to
-its second). One frame, ``_product``, makes a 2-d one the node
+scores), ``linear_swish_matmul`` (swish(a @ w + c) @ b, one node from a
+feed-forward's first product to its second) and
+``glu_conv_swish_matmul`` (swish(LN(conv(glu(a @ w + c)))) @ b, a whole
+convolution module: the gated linear unit, the depthwise temporal
+convolution, which pads each utterance of a packed batch on its own,
+and the inner layer norm between its two products). One frame,
+``_product``, makes a 2-d one the node
 residual + s·(P(LN(a)) + bias), P the product's core, in three optional
 steps, so none of them is a node of its own: a ``norm=(gamma, beta)``
 prologue that multiplies layer_norm(a, gamma, beta) instead of ``a``, a
@@ -37,8 +39,8 @@ g to the residual, g·s summed over rows to the bias, g·s through the
 core's rule arithmetic, and LN(a)'s gradient through layer norm's rule,
 with x̂ and LN(a) rebuilt from the per-row statistics. How many nodes
 of each op a step records is ``TAPE_OPS`` in ``tests/test_autodiff.py``.
-The tests' unfused oracles for these ops, ``add``, ``glu`` and
-``depthwise_conv1d`` among them, live in ``tests/oracles.py``.
+The tests' unfused oracles for these ops, ``add``, ``swish``, ``glu``
+and ``depthwise_conv1d`` among them, live in ``tests/oracles.py``.
 
 A rule keeps only the arrays it reads and cannot get from its parents'
 data or its own output, and rebuilds the rest by the forward's own ops,
@@ -46,15 +48,16 @@ so its bytes are those of keeping them:
 
 * a product keeps nothing of its own beyond a prologue's per-row mean
   and inverse deviation;
-* ``swish_matmul`` keeps no activation and recomputes its sigmoid once,
-  for both the activation that ``b``'s gradient reads and its
-  derivative;
 * ``linear_swish_matmul`` keeps neither the activation nor the
   pre-activation, and rebuilds the latter with the same product and
-  bias add before it runs ``swish_matmul``'s and ``matmul``'s rule
-  arithmetic, so no feed-forward-wide array stays on the tape;
-* ``glu_conv1d`` keeps no gated array: it rebuilds the sigmoid from its
-  input and the gate in its padded scratch input;
+  bias add before it runs the swish product's rule arithmetic, which
+  recomputes the sigmoid once for both the activation that ``b``'s
+  gradient reads and its derivative, and then ``matmul``'s, so no
+  feed-forward-wide array stays on the tape;
+* ``glu_conv_swish_matmul`` keeps only the inner norm's per-row mean and
+  inverse deviation: its rule rebuilds the pre-activation, the gate,
+  the convolution and the inner norm by the forward's ops, so of the
+  convolution module the tape holds only its input and its output;
 * ``layer_norm`` keeps one mean and one inverse deviation per row;
 * ``attention_context`` keeps nothing of its own: it rebuilds its
   softmax weights from q, k and the positional scores, so no
@@ -75,16 +78,19 @@ pages in for it (the idea of PyTorch's caching allocator). The slots:
 * ``norm.y`` and ``norm.xhat``: a ``norm`` prologue's LN(a), built in the
   forward and rebuilt in the rule, and the x̂ that its rule and
   ``layer_norm``'s rebuild;
-* ``swish_matmul.act``: the activation, in the forward of
-  ``swish_matmul`` and of ``linear_swish_matmul``;
-* ``swish_matmul.s`` and ``swish_matmul.ga``: the sigmoid and g @ bᵀ of
-  both ops' rules (1 − s sits in the latter until the product needs
-  it);
+* ``swish.act``: the activation of a swish product, in the forward of
+  ``linear_swish_matmul`` and of ``glu_conv_swish_matmul``;
+* ``swish.s`` and ``swish.ga``: the sigmoid and g @ bᵀ of both ops'
+  rules (1 − s sits in the latter until the product needs it);
 * ``linear_swish_matmul.pre``: the pre-activation, built in the forward
   and rebuilt in the rule, which writes its gradient over it;
-* ``glu.s``, ``conv.xp`` and ``conv.tap``: ``glu_conv1d``'s sigmoid,
-  its padded gate and its per-tap products, in the forward and in the
-  rule;
+* ``glu_conv_swish_matmul``'s, each in the forward and again in the
+  rule: ``conv.pre``, the (rows, 2d) pre-activation, whose gradient
+  the rule writes over it; ``glu.s``, the gate's sigmoid; ``conv.xp``,
+  the padded gate; ``conv.tap``, every per-tap product; ``conv.out``,
+  the convolution, normalized in place to x̂; ``conv.y``, the inner
+  norm's output, whose gradient the rule writes over it; and, in the
+  rule only, ``conv.gxp``, the padded gate's gradient;
 * ``attention_context.p``: the scores and then the softmax weights, built
   in the forward and rebuilt in the rule;
 * ``softmax_grad.gp``: the g·p product of ``attention_context``'s rule;
@@ -424,8 +430,9 @@ LN_EPS = 1e-6  # the eps of every layer norm, a node or a product's prologue
 def _product(op: str, a: Tensor, rest: tuple, forward, grads, bias: Tensor | None,
              residual: Tensor | None, s: float | None,
              norm: tuple[Tensor, Tensor] | None) -> Tensor:
-    """One product node, in the frame that ``matmul``, ``swish_matmul``
-    and ``linear_swish_matmul`` share (see the module docstring).
+    """One product node, in the frame that ``matmul``,
+    ``linear_swish_matmul`` and ``glu_conv_swish_matmul`` share (see the
+    module docstring).
 
     ``forward(A)`` returns a fresh product of A and the operands ``rest``,
     and ``grads(A, gp, rebuilt)`` the gradients of A and of ``rest`` for
@@ -475,7 +482,7 @@ def _product(op: str, a: Tensor, rest: tuple, forward, grads, bias: Tensor | Non
         if mu is None:
             result = grads(a.data, gp, False)
         else:
-            xhat = _rebuild_xhat(a.data, mu, inv)
+            xhat = _rebuild_xhat(a.data, mu, inv, _scratch("norm.xhat", a.shape))
             y = np.multiply(xhat, gamma.data, out=_scratch("norm.y", a.shape))
             y += beta.data
             gy, *others = grads(y, gp, True)
@@ -564,7 +571,7 @@ def _sigmoid_into(x: np.ndarray, num: np.ndarray) -> np.ndarray:
 
 def _swish_product(x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """swish(x) @ b, the activation held only in scratch."""
-    act = _sigmoid_into(x, _scratch("swish_matmul.act", x.shape))
+    act = _sigmoid_into(x, _scratch("swish.act", x.shape))
     act *= x
     return act @ b
 
@@ -579,36 +586,14 @@ def _swish_product_grad(x: np.ndarray, b: np.ndarray, g: np.ndarray, out=None):
     needs it. act becomes x's gradient, in ``out`` (which may be x: x is
     not read after act is taken) or in a fresh array.
     """
-    s = _sigmoid_into(x, _scratch("swish_matmul.s", x.shape))
+    s = _sigmoid_into(x, _scratch("swish.s", x.shape))
     act = np.multiply(s, x, out=out)
     gb = act.T @ g
-    ga = _scratch("swish_matmul.ga", x.shape)
+    ga = _scratch("swish.ga", x.shape)
     act *= np.subtract(1.0, s, out=ga)
     act += s
     act *= np.matmul(g, b.T, out=ga)
     return act, gb
-
-
-def swish_matmul(a: Tensor, b: Tensor, bias: Tensor | None = None,
-                 residual: Tensor | None = None,
-                 norm: tuple[Tensor, Tensor] | None = None) -> Tensor:
-    """swish(a) @ b for 2-d operands, as one node, made residual +
-    swish(LN(a)) @ b + bias by the other arguments, as in ``matmul``.
-
-    The activation is dropped once the product is taken, so the tape
-    keeps ``a`` and not ``swish(a)``; the rule rebuilds it
-    (``_swish_product_grad``).
-    """
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"swish_matmul supports 2d@2d with equal inner extents, "
-                         f"got {a.shape} @ {b.shape}")
-
-    def grads(x, gp, rebuilt):
-        # a rebuilt operand is scratch, so its gradient may overwrite it
-        return _swish_product_grad(x, b.data, gp, out=x if rebuilt else None)
-
-    return _product("swish_matmul", a, (b,), lambda x: _swish_product(x, b.data), grads,
-                    bias, residual, None, norm)
 
 
 def linear_swish_matmul(a: Tensor, w: Tensor, c: Tensor, b: Tensor,
@@ -623,10 +608,11 @@ def linear_swish_matmul(a: Tensor, w: Tensor, c: Tensor, b: Tensor,
     ``transpose_b`` does. The (rows, n) pre-activation a @ w + c is built
     in scratch, checked as a matmul, and dropped with the activation once
     the product is taken, so the tape keeps only ``a``. The rule rebuilds
-    the pre-activation with the same product and bias add, then runs
-    ``swish_matmul``'s and ``matmul``'s rule arithmetic in turn: the same
-    bytes as ``swish_matmul(matmul(a, w, transpose_w, c), b, bias)``, at
-    the cost of one more product in backward.
+    the pre-activation with the same product and bias add, then runs the
+    swish product's rule arithmetic (``_swish_product_grad``) and
+    ``matmul``'s in turn: the same bytes as ``matmul(swish(matmul(a, w,
+    transpose_w, c)), b, bias)``, at the cost of one more product in
+    backward.
     """
     inner, n = (w.shape[::-1] if transpose_w else w.shape) if w.ndim == 2 else (-1, -1)
     if (a.ndim != 2 or b.ndim != 2 or a.shape[1] != inner or c.shape != (n,)
@@ -681,10 +667,11 @@ def _normalize(x: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu, inv
 
 
-def _rebuild_xhat(x: np.ndarray, mu: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """``_normalize``'s x̂, rebuilt in scratch by its ops from the per-row
-    mean and inverse deviation."""
-    xhat = np.subtract(x, mu, out=_scratch("norm.xhat", x.shape))
+def _rebuild_xhat(x: np.ndarray, mu: np.ndarray, inv: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """``_normalize``'s x̂, rebuilt into ``out`` (scratch, or x itself) by
+    its ops from the per-row mean and inverse deviation."""
+    xhat = np.subtract(x, mu, out=out)
     xhat *= inv
     return xhat
 
@@ -719,7 +706,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     out += beta.data
 
     def rule(g):
-        return _layer_norm_grad(g, _rebuild_xhat(x.data, mu, inv), gamma.data, inv)
+        xhat = _rebuild_xhat(x.data, mu, inv, _scratch("norm.xhat", x.shape))
+        return _layer_norm_grad(g, xhat, gamma.data, inv)
 
     return _result(out, "layer_norm", (x, gamma, beta), rule)
 
@@ -757,73 +745,121 @@ def _skew(full: np.ndarray) -> np.ndarray:
                       strides=(T * W * step, (W - 1) * step, step))
 
 
-def glu_conv1d(a: Tensor, kernel: Tensor, frames: int | None = None) -> Tensor:
-    """Per-channel temporal convolution, with same zero padding, of the
-    gated linear unit of ``a``, as one node.
+def glu_conv_swish_matmul(a: Tensor, w: Tensor, c: Tensor, kernel: Tensor, gamma: Tensor,
+                          beta: Tensor, b: Tensor, frames: int, *, bias: Tensor | None,
+                          residual: Tensor | None,
+                          norm: tuple[Tensor, Tensor] | None) -> Tensor:
+    """swish(LN(conv(glu(a @ w + c)))) @ b for 2-d operands, a whole
+    convolution module, as one node, made residual + swish(LN(conv(glu(
+    LN(a) @ w + c)))) @ b + bias by the other arguments, as in ``matmul``.
 
-    a is (B·T, 2d), the rows of B utterances of ``frames`` = T frames each
-    (by default one utterance of all rows), split into halves (u, v);
-    kernel is (w, d) with w odd. The gate x = u * sigmoid(v) is written
-    straight into the padded scratch input, and each utterance is padded
-    on its own, so no frame sees another's:
-    out[b·T + t, c] = sum_j kernel[j, c] * x[b·T + t + j - (w-1)/2, c],
-    where terms outside 0 <= t + j - (w-1)/2 < T are zero.
+    a is (B·T, n), the rows of B utterances of ``frames`` = T frames each;
+    w is (n, 2d), c (2d,), kernel (k, d) with k odd, the inner norm's
+    gamma and beta (d,), and b (d, m). The forward runs the chain's ops
+    in the chain's order, all in scratch:
+    * the pre-activation a @ w + c, checked as a matmul;
+    * the gate x = u * sigmoid(v) of its halves (u, v), written straight
+      into the padded convolution input, each utterance padded on its
+      own, so no frame sees another's;
+    * the depthwise convolution out[b·T + t, ch] = sum_j kernel[j, ch] *
+      x[b·T + t + j - (k-1)/2, ch], terms outside 0 <= t + j - (k-1)/2 < T
+      zero, checked as ``glu_conv1d`` was;
+    * its layer norm, checked as a ``layer_norm``, of which only the
+      per-row mean and inverse deviation are kept;
+    * swish of that, times b.
 
-    The node keeps no gated array: the rule rebuilds the padded input and
-    the sigmoid s by the forward's ops, runs the convolution's rule
-    arithmetic to x's gradient gx, then the gate's into one (B·T, 2d)
-    array: gx * s for u, and gx * u * s * (1 - s) for v.
+    So the tape keeps only ``a`` and the output. The rule rebuilds the
+    chain by the same ops, then runs the rule arithmetic of the swish
+    product, of the inner norm, of the convolution, of the gate (gx * s
+    for u, gx * u * s * (1 - s) for v, written over the pre-activation)
+    and of the pre-activation's product, in turn: the bytes of the chain
+    ``matmul``, ``glu``, ``depthwise_conv1d``, ``layer_norm``, ``swish``,
+    ``matmul``, at one more product, convolution and layer norm in
+    backward.
     """
     rows, n = a.shape if a.ndim == 2 else (0, 0)
-    w, d = kernel.shape if kernel.ndim == 2 else (0, 0)
-    T = rows if frames is None else frames
-    problem = ("expects 2d operands" if a.ndim != 2 or kernel.ndim != 2
-               else "the gate needs an even last extent" if n % 2
-               else "channel mismatch" if n != 2 * d
-               else "kernel width must be odd" if w % 2 == 0
+    width, d = kernel.shape if kernel.ndim == 2 else (0, 0)
+    T = frames
+    problem = ("expects 2-d a, w, kernel and b" if any(t.ndim != 2 for t in (a, w, kernel, b))
+               else "shapes do not chain" if w.shape != (n, 2 * d) or c.shape != (2 * d,)
+               or b.shape[0] != d
+               else "kernel width must be odd" if width % 2 == 0
                else f"rows are not whole utterances of {T} frames"
                if T < 1 or rows < T or rows % T else None)
     if problem:
-        raise ShapeError(f"glu_conv1d: {problem}: {a.shape} and {kernel.shape}")
-    B, half = rows // T, (w - 1) // 2
+        raise ShapeError(f"glu_conv_swish_matmul: {problem}: {a.shape}, {w.shape}, {c.shape}, "
+                         f"{kernel.shape} and {b.shape}")
+    _check_norm_params("glu_conv_swish_matmul", d, gamma, beta)
+    B, half = rows // T, (width - 1) // 2
+    mu = inv = None  # the inner norm's per-row statistics, from the forward
 
-    def padded():  # the padded gate and the sigmoid, both scratch
-        xp = _scratch("conv.xp", (B, T + w - 1, d))
+    def pre_activation(x):
+        pre = np.matmul(x, w.data, out=_scratch("conv.pre", (rows, 2 * d)))
+        pre += c.data
+        return pre
+
+    def convolved(pre):  # the sigmoid, the padded gate and the convolution
+        xp = _scratch("conv.xp", (B, T + width - 1, d))
         xp[:, :half] = 0.0
         xp[:, half + T:] = 0.0
-        s = _sigmoid_into(a.data[:, d:], _scratch("glu.s", (rows, d)))
-        np.multiply(s.reshape(B, T, d), a.data[:, :d].reshape(B, T, d),
+        s = _sigmoid_into(pre[:, d:], _scratch("glu.s", (rows, d)))
+        np.multiply(s.reshape(B, T, d), pre[:, :d].reshape(B, T, d),
                     out=xp[:, half:half + T])
-        return xp, s
+        out = _scratch("conv.out", (B, T, d))
+        out.fill(0.0)
+        tap = _scratch("conv.tap", (B, T, d))  # every per-tap product
+        for j in range(width):
+            out += np.multiply(kernel.data[j], xp[:, j:j + T], out=tap)
+        return s, xp, out.reshape(rows, d)
 
-    xp, _ = padded()
-    out = np.zeros((B, T, d))
-    tap = _scratch("conv.tap", (B, T, d))  # every per-tap product
-    for j in range(w):
-        out += np.multiply(kernel.data[j], xp[:, j:j + T], out=tap)
+    def normalized(xhat):  # gamma * x̂ + beta
+        y = np.multiply(xhat, gamma.data, out=_scratch("conv.y", (rows, d)))
+        y += beta.data
+        return y
 
-    def rule(g):
-        # rebuilt, not kept: the tape would otherwise hold the gate
-        g = g.reshape(B, T, d)
-        xp, s = padded()
-        gxp = np.zeros_like(xp)
+    def forward(x):
+        nonlocal mu, inv
+        pre = pre_activation(x)
+        _finite(pre, "matmul")
+        _, _, out = convolved(pre)
+        _finite(out, "glu_conv1d")
+        mu, inv = _normalize(out, out)
+        y = normalized(out)
+        _finite(y, "layer_norm")
+        return _swish_product(y, b.data)
+
+    def grads(x, gout, rebuilt):
+        pre = pre_activation(x)
+        s, xp, out = convolved(pre)
+        xhat = _rebuild_xhat(out, mu, inv, out)
+        y = normalized(xhat)
+        # y's gradient is written over y
+        gy, gb = _swish_product_grad(y, b.data, gout, out=y)
+        gconv, ggamma, gbeta = _layer_norm_grad(gy, xhat, gamma.data, inv)
+        gconv = gconv.reshape(B, T, d)
+        gxp = _scratch("conv.gxp", xp.shape)
+        gxp.fill(0.0)
         gk = np.empty_like(kernel.data)
         tap = _scratch("conv.tap", (B, T, d))
         products = tap.reshape(rows, d)
-        for j in range(w):
-            gxp[:, j:j + T] += np.multiply(g, kernel.data[j], out=tap)
-            np.multiply(g, xp[:, j:j + T], out=tap)
+        for j in range(width):
+            gxp[:, j:j + T] += np.multiply(gconv, kernel.data[j], out=tap)
+            np.multiply(gconv, xp[:, j:j + T], out=tap)
             np.add.reduce(products, axis=0, out=gk[j])
-        gx = gxp[:, half:half + T].reshape(rows, d)
-        ga = np.empty_like(a.data)
-        np.multiply(gx, s, out=ga[:, :d])
-        gv = np.multiply(gx, a.data[:, :d], out=ga[:, d:])
+        del gconv  # freed before the products below allocate their results
+        # the gate's gradient, written over the pre-activation: v's half
+        # first, while u is still there to read
+        gx, s = gxp[:, half:half + T], s.reshape(B, T, d)
+        gu, gv = pre[:, :d].reshape(B, T, d), pre[:, d:].reshape(B, T, d)
+        np.multiply(gx, gu, out=gv)
         gv *= s
+        np.multiply(gx, s, out=gu)
         np.subtract(1.0, s, out=s)
         gv *= s  # gx * u * s * (1 - s)
-        return ga, gk
+        return pre @ w.data.T, x.T @ pre, np.add.reduce(pre, axis=0), gk, ggamma, gbeta, gb
 
-    return _result(out.reshape(rows, d), "glu_conv1d", (a, kernel), rule)
+    return _product("glu_conv_swish_matmul", a, (w, c, kernel, gamma, beta, b), forward, grads,
+                    bias, residual, None, norm)
 
 
 def utterance_count(rows: int, frames: int) -> int:

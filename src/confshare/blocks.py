@@ -13,8 +13,8 @@ utterance; by default all rows are one utterance. Every frame-wise op
 (linears, layer norms, activations, residual adds) runs once over all
 rows. Only the two ops that look across frames see the utterance
 boundaries: attention scores each utterance's frames against its own,
-and the depthwise convolution, one ``glu_conv1d`` node with the gated
-linear unit before it, pads each utterance on its own.
+and the depthwise convolution, inside the convolution module's one
+``glu_conv_swish_matmul`` node, pads each utterance on its own.
 Feed-forward linears may be dense tensors or ``LowRankFactors`` pairs;
 everything else is dense.
 """
@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Rng, ShapeError, Tensor, attention_context, glu_conv1d, layer_norm,
-                       linear_swish_matmul, matmul, split_heads, swish_matmul,
-                       utterance_count)
+from .autodiff import (Rng, ShapeError, Tensor, attention_context, glu_conv_swish_matmul,
+                       layer_norm, linear_swish_matmul, matmul, split_heads, utterance_count)
 from .lowrank import LowRankFactors
 
 
@@ -122,7 +121,7 @@ class AttentionParams:
 class ConvParams:
     ln_gamma: Tensor
     ln_beta: Tensor
-    wpre: Tensor   # (d, 2d), feeds the glu_conv1d
+    wpre: Tensor   # (d, 2d), the pre-activation of the gated convolution
     bpre: Tensor
     kdepth: Tensor  # (kernel_width, d)
     norm_gamma: Tensor
@@ -235,17 +234,15 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None,
 def conv_module(x: Tensor, p: ConvParams, frames: int | None = None) -> Tensor:
     """x + Wpost . swish(LN(depthwise(glu(Wpre . LN(x) + bpre)))) + bpost,
     with the depthwise convolution padding each utterance of ``frames``
-    frames on its own (default: all rows are one utterance). Both layer
-    norms are ``norm=`` prologues of the product that reads them, so
-    neither output is kept: LN(x) of the ``pre`` matmul, and the inner
-    norm of one ``swish_matmul`` node that also takes the swish, the
-    post-projection and the residual. The glu and the convolution are
-    one ``glu_conv1d`` node, which keeps no gated array. Three nodes in
-    all."""
-    conv = glu_conv1d(matmul(x, p.wpre, bias=p.bpre, norm=(p.ln_gamma, p.ln_beta)),
-                      p.kdepth, frames)
-    return swish_matmul(conv, p.wpost, bias=p.bpost, residual=x,
-                        norm=(p.norm_gamma, p.norm_beta))
+    frames on its own (default: all rows are one utterance). One
+    ``glu_conv_swish_matmul`` node: LN(x) is its ``norm=`` prologue, and
+    it adds bpost and the residual x, so the tape keeps only x, the output
+    and the two norms' per-row statistics. Its rule rebuilds the
+    pre-activation, the gated convolution and the inner norm by the
+    forward's ops."""
+    return glu_conv_swish_matmul(x, p.wpre, p.bpre, p.kdepth, p.norm_gamma, p.norm_beta,
+                                 p.wpost, x.shape[0] if frames is None else frames,
+                                 bias=p.bpost, residual=x, norm=(p.ln_gamma, p.ln_beta))
 
 
 def conformer_block(x: Tensor, p: BlockParams, frames: int | None = None,

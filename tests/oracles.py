@@ -4,8 +4,10 @@ The package ships the fused ops the model runs; the unfused ops here are
 what the tests compare them against, and what they build test losses
 from: ``add(a, b, s)`` against ``add(a, scale(b, s))``, a product's
 ``residual`` and ``s`` against ``add(residual, product, s)``,
-``swish_matmul`` against ``matmul(swish(a), b)``, ``glu_conv1d``
-against ``depthwise_conv1d`` of ``glu``, and ``attention_context``
+``linear_swish_matmul`` against ``matmul(swish(matmul(a, w, bias=c)),
+b)``, ``glu_conv_swish_matmul`` against the chain ``matmul``, ``glu``,
+``depthwise_conv1d``, ``layer_norm``, ``swish``, ``matmul``, and
+``attention_context``
 against ``attention_chain``: head splits, the content matmul,
 ``concat_rows`` of the per-utterance positional scores,
 ``attention_weights`` (itself checked against ``softmax`` of the summed

@@ -13,9 +13,9 @@ import pytest
 
 from confshare.autodiff import (_SCRATCH, LN_EPS, ZERO_FLOOR, NonFiniteError, Rng, ShapeError,
                                 Tape, Tensor, _skew, attention_context, backward,
-                                cross_entropy_mean, finite_diff_grad, glu_conv1d, layer_norm,
-                                linear_swish_matmul, matmul, relative_error, split_heads,
-                                sum_all, swish_matmul, zero_grads)
+                                cross_entropy_mean, finite_diff_grad, glu_conv_swish_matmul,
+                                layer_norm, linear_swish_matmul, matmul, relative_error,
+                                split_heads, sum_all, zero_grads)
 from conftest import (assert_params_match_fd, bound_block, rand_tensor, traced_held,
                       traced_peak)
 from oracles import (_sigmoid, add, attention_chain, attention_weights, concat_rows,
@@ -445,10 +445,10 @@ class TestActivations:
     @pytest.mark.parametrize("op,shapes", [
         pytest.param(swish, [(4, 3)], id="swish-shape0"),
         pytest.param(glu, [(4, 6)], id="glu-shape2"),
-        pytest.param(lambda a, k: glu_conv1d(a, k, 4), [(8, 6), (3, 3)],
-                     id="glu_conv1d-two-utterances"),
-        pytest.param(swish_matmul, [(4, 3), (3, 5)], id="swish_matmul"),
-        pytest.param(swish_matmul, [(4, 3), (3, 5), (5,)], id="swish_matmul-bias"),
+        pytest.param(lambda x, w, c, k, g, b, v: glu_conv_swish_matmul(
+                         x, w, c, k, g, b, v, 4, bias=None, residual=None, norm=None),
+                     [(8, 4), (4, 6), (6,), (3, 3), (3,), (3,), (3, 5)],
+                     id="glu_conv_swish_matmul-two-utterances"),
         pytest.param(linear_swish_matmul, [(4, 3), (3, 6), (6,), (6, 5)],
                      id="linear_swish_matmul"),
         pytest.param(lambda a, w, c, b, bias: linear_swish_matmul(a, w, c, b, bias, True),
@@ -464,9 +464,11 @@ class TestActivations:
         pytest.param(lambda x, g, b, w, c, r: matmul(x, w, True, c, r, -0.5, norm=(g, b)),
                      [(4, 4), (4,), (4,), (5, 4), (5,), (4, 5)],
                      id="matmul-norm-transpose_b-bias-residual"),
-        pytest.param(lambda x, g, b, w, c, r: swish_matmul(x, w, c, r, norm=(g, b)),
-                     [(4, 4), (4,), (4,), (4, 5), (5,), (4, 5)],
-                     id="swish_matmul-norm-bias-residual"),
+        pytest.param(lambda x, g, b, w, c, k, g2, b2, v, d, r: glu_conv_swish_matmul(
+                         x, w, c, k, g2, b2, v, 4, bias=d, residual=r, norm=(g, b)),
+                     [(4, 4), (4,), (4,), (4, 6), (6,), (3, 3), (3,), (3,), (3, 5), (5,),
+                      (4, 5)],
+                     id="glu_conv_swish_matmul-norm-bias-residual"),
         pytest.param(lambda x, g, b, w, c, v, d: linear_swish_matmul(x, w, c, v, d,
                                                                      norm=(g, b)),
                      [(4, 4), (4,), (4,), (4, 6), (6,), (6, 5), (5,)],
@@ -505,14 +507,61 @@ class TestActivations:
         with pytest.raises(ShapeError, match="^linear_swish_matmul"):
             linear_swish_matmul(*operands[:4], *operands[4:], transpose_w=transpose_w)
 
-    def test_swish_matmul_rejects_shapes_that_do_not_multiply(self, rng):
-        with pytest.raises(ShapeError, match="swish_matmul"):
-            swish_matmul(rand_tensor(rng, (4, 3)), rand_tensor(rng, (4, 5)))
-        with pytest.raises(ShapeError, match="swish_matmul"):
-            swish_matmul(rand_tensor(rng, (2, 4, 3)), rand_tensor(rng, (2, 3, 5)))
-        with pytest.raises(ShapeError, match="bias"):
-            swish_matmul(rand_tensor(rng, (4, 3)), rand_tensor(rng, (3, 5)),
-                         rand_tensor(rng, (4,)))
+    @pytest.mark.parametrize("scaled,op", [
+        pytest.param({"a": 1e200, "w": 1e200}, "matmul", id="pre-activation"),
+        pytest.param({"w": 1e10, "kernel": 1e308}, "glu_conv1d", id="convolution"),
+        pytest.param({"gamma": 1e308, "beta": 1e308}, "layer_norm", id="inner-norm")])
+    def test_glu_conv_swish_matmul_rejects_a_non_finite_stage_as_its_chain_node(self, scaled,
+                                                                                 op):
+        # scaled weights overflow one stage; unchecked, a later stage would
+        # raise under another name, or the gate's sigmoid hide a -inf as 0
+        operands = {"a": [[1.0, -1.0], [-1.0, 1.0]],
+                    "w": [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]], "c": [0.0] * 4,
+                    "kernel": [[1.0, 1.0]], "gamma": [1.0, 1.0], "beta": [1.0, 1.0],
+                    "b": [[1.0], [1.0]]}
+        args = [Tensor(np.multiply(value, scaled.get(name, 1.0)))
+                for name, value in operands.items()]
+        with np.errstate(all="ignore"), \
+                pytest.raises(NonFiniteError, match=f"^{op} produced non-finite values"):
+            glu_conv_swish_matmul(*args, 2, bias=None, residual=None, norm=None)
+
+    @pytest.mark.parametrize("shapes,frames,problem", [
+        pytest.param([(2, 4, 4), (4, 6), (6,), (3, 3), (3, 5)], 4,
+                     "expects 2-d a, w, kernel and b", id="3-d"),
+        pytest.param([(8, 4), (4, 6), (6,), (3,), (3, 5)], 4,
+                     "expects 2-d a, w, kernel and b", id="1-d-kernel"),
+        pytest.param([(8, 4), (5, 6), (6,), (3, 3), (3, 5)], 4, "shapes do not chain",
+                     id="w-rows"),
+        pytest.param([(8, 4), (4, 5), (5,), (3, 3), (3, 5)], 4, "shapes do not chain",
+                     id="gate-width"),
+        pytest.param([(8, 4), (4, 6), (3,), (3, 3), (3, 5)], 4, "shapes do not chain",
+                     id="pre-bias"),
+        pytest.param([(8, 4), (4, 6), (6,), (3, 3), (5, 3)], 4, "shapes do not chain",
+                     id="post-rows"),
+        pytest.param([(8, 4), (4, 6), (6,), (2, 3), (3, 5)], 4, "kernel width must be odd",
+                     id="even-kernel"),
+        pytest.param([(7, 4), (4, 6), (6,), (3, 3), (3, 5)], 3,
+                     "rows are not whole utterances of 3 frames", id="partial-utterance"),
+        pytest.param([(2, 4), (4, 6), (6,), (3, 3), (3, 5)], 3,
+                     "rows are not whole utterances of 3 frames", id="too-few-rows"),
+        pytest.param([(8, 4), (4, 6), (6,), (3, 3), (3, 5)], 0,
+                     "rows are not whole utterances of 0 frames", id="no-frames")])
+    def test_glu_conv_swish_matmul_rejects_shapes_that_do_not_chain(self, shapes, frames,
+                                                                    problem):
+        a, w, c, k, b = (Tensor(np.ones(shape)) for shape in shapes)
+        message = f"glu_conv_swish_matmul: {problem}: " + ", ".join(map(str, shapes[:4])) \
+            + f" and {shapes[4]}"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            glu_conv_swish_matmul(a, w, c, k, Tensor(np.ones(3)), Tensor(np.ones(3)), b, frames,
+                                  bias=None, residual=None, norm=None)
+
+    def test_glu_conv_swish_matmul_rejects_an_inner_norm_that_does_not_fit(self):
+        a, w, c, k, b = (Tensor(np.ones(shape)) for shape in ((8, 4), (4, 6), (6,), (3, 3),
+                                                              (3, 5)))
+        with pytest.raises(ShapeError, match=r"^glu_conv_swish_matmul: gamma/beta must be "
+                                             r"shape \(3,\)"):
+            glu_conv_swish_matmul(a, w, c, k, Tensor(np.ones(3)), Tensor(np.ones(4)), b, 4,
+                                  bias=None, residual=None, norm=None)
 
 
 class TestPlumbing:
@@ -565,28 +614,43 @@ class TestPlumbing:
 def _residual_operands(op: str, rows: int, draw):
     """The operands of one product ``op`` over ``rows`` rows of width 6,
     each as the model calls it: a bias on every product, and the
-    feed-forward's low-rank form (transposed w) for ``linear_swish_matmul``."""
+    feed-forward's low-rank form (transposed w) for ``linear_swish_matmul``,
+    and utterances of 4 frames, where the rows allow, for
+    ``glu_conv_swish_matmul``."""
     if op == "matmul":
         return (draw(rows, 5), draw(6, 5)), {"transpose_b": True, "bias": draw(6)}
-    if op == "swish_matmul":
-        return (draw(rows, 5), draw(5, 6)), {"bias": draw(6)}
+    if op == "glu_conv_swish_matmul":
+        return _conv_operands(draw(rows, 4), draw, 6), {"bias": draw(6)}
     return (draw(rows, 4), draw(9, 4), draw(9), draw(9, 6)), {"bias": draw(6),
                                                              "transpose_w": True}
 
 
-_PRODUCTS = {"matmul": matmul, "swish_matmul": swish_matmul,
-             "linear_swish_matmul": linear_swish_matmul}
+def _conv_operands(x, draw, width):
+    """x and the operands after it of a ``glu_conv_swish_matmul`` of
+    ``width`` columns: a (rows, 14) pre-activation and a (rows, 7) gate,
+    convolution and inner norm, wider than the product, so a kept one
+    would show, and utterances of 4 frames where the rows allow."""
+    rows, n = x.shape
+    return (x, draw(n, 14), draw(14), draw(3, 7), draw(7), draw(7), draw(7, width),
+            4 if rows % 4 == 0 else rows)
+
+
+# glu_conv_swish_matmul's bias, residual and norm take no defaults
+_PRODUCTS = {"matmul": matmul, "linear_swish_matmul": linear_swish_matmul,
+             "glu_conv_swish_matmul": partial(glu_conv_swish_matmul, bias=None, residual=None,
+                                              norm=None)}
 
 
 def _scaled_products(*scales):
     """(product, s) pairs for every product and scale, and ``s=None`` only
-    for ``swish_matmul``, which takes no scale: the conv module adds its
-    residual unscaled."""
-    return [(op, s) for op in _PRODUCTS for s in scales if s is None or op != "swish_matmul"]
+    for ``glu_conv_swish_matmul``, which takes no scale: the conv module
+    adds its residual unscaled."""
+    return [(op, s) for op in _PRODUCTS for s in scales
+            if s is None or op != "glu_conv_swish_matmul"]
 
 
 def _scale_kwargs(op: str, s) -> dict:
-    return {} if op == "swish_matmul" else {"s": s}
+    return {} if op == "glu_conv_swish_matmul" else {"s": s}
 
 
 class TestBias:
@@ -624,7 +688,8 @@ class TestResidual:
 
         args, kwargs = _residual_operands(op, 3, draw)
         x = draw(3, 6)
-        named = {f"x{i}": t for i, t in enumerate((*args, kwargs["bias"]))}
+        named = {f"x{i}": t for i, t in enumerate((*args, kwargs["bias"]))
+                 if isinstance(t, Tensor)}  # not glu_conv_swish_matmul's frames
         named["residual"] = x
         c = Tensor(rng.uniform(-1, 1, (3, 6)))
 
@@ -663,8 +728,8 @@ def _norm_operands(op: str, rows: int, draw, transpose: bool, with_bias: bool):
     if op == "matmul":
         rest = (draw(4, 5) if transpose else draw(5, 4),)
         kwargs["transpose_b"] = transpose
-    elif op == "swish_matmul":
-        rest = (draw(5, 4),)
+    elif op == "glu_conv_swish_matmul":  # w is never transposed
+        _, *rest = _conv_operands(x, draw, 4)
     else:
         rest = (draw(9, 5) if transpose else draw(5, 9), draw(9), draw(9, 4))
         kwargs["transpose_w"] = transpose
@@ -817,35 +882,6 @@ class TestDepthwiseConv:
         assert_params_match_fd({"x": x, "k": k}, make_loss)
 
 
-class TestGluConv1d:
-    """``glu_conv1d``, which replaces ``depthwise_conv1d`` of ``glu`` (the
-    ``glu_conv1d-*`` rows of ``FUSIONS``)."""
-
-    def test_rule_keeps_no_gated_array(self, rng):
-        T, B, d = 6, 2, 5
-        a = rand_tensor(rng, (B * T, 2 * d), requires_grad=True)
-        node = glu_conv1d(a, rand_tensor(rng, (3, d), requires_grad=True), T)
-        gated = glu(Tensor(a.data)).data
-        held = [v for v in _closure_values(node._backward) if isinstance(v, np.ndarray)]
-        assert not [v.shape for v in held if v.shape == gated.shape
-                    and np.array_equal(v, gated)]
-
-    @pytest.mark.parametrize("a,k,frames,problem", [
-        ((2, 4, 6), (3, 3), None, "expects 2d operands"),
-        ((4, 6), (3, 3, 1), None, "expects 2d operands"),
-        ((4, 5), (3, 3), None, "the gate needs an even last extent"),
-        ((4, 6), (3, 2), None, "channel mismatch"),
-        ((4, 6), (2, 3), None, "kernel width must be odd"),
-        ((7, 6), (3, 3), 3, "rows are not whole utterances of 3 frames"),
-        ((2, 6), (3, 3), 3, "rows are not whole utterances of 3 frames"),
-        ((4, 6), (3, 3), 0, "rows are not whole utterances of 0 frames"),
-    ])
-    def test_rejects_operands_that_do_not_fit(self, a, k, frames, problem):
-        message = f"glu_conv1d: {problem}: {a} and {k}"
-        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
-            glu_conv1d(Tensor(np.ones(a)), Tensor(np.ones(k)), frames)
-
-
 # ---------------------------------------------------------------------------
 # FUSIONS: every fused op against the unfused chain of ops it replaces.
 #
@@ -874,19 +910,15 @@ def _unfused(op, a, *rest, bias=None, transpose_b=False, transpose_w=False, resi
     oracles it fuses."""
     if op == "matmul":
         out = matmul(a, *rest, transpose_b, bias)
-    elif op == "swish_matmul":
-        out = matmul(swish(a), *rest, bias=bias)
+    elif op == "glu_conv_swish_matmul":
+        w, c, k, gamma, beta, b, frames = rest
+        h = swish(layer_norm(depthwise_conv1d(glu(matmul(a, w, bias=c)), k, frames), gamma,
+                             beta))
+        out = matmul(h, b, bias=bias)
     else:
         w, c, b = rest
         out = matmul(swish(matmul(a, w, transpose_w, c)), b, bias=bias)
     return out if residual is None else add(residual, out, s)
-
-
-def _swish_matmul_row(draw, grow, with_bias):
-    # the product is narrower than the activation, so a kept one would show
-    a, b = draw(12 + grow, 10), draw(10, 7)
-    bias = draw(7) if with_bias else None
-    return swish_matmul(a, b, bias), _unfused("swish_matmul", a, b, bias=bias)
 
 
 def _linear_swish_matmul_row(draw, grow, with_bias, transpose_w):
@@ -896,6 +928,14 @@ def _linear_swish_matmul_row(draw, grow, with_bias, transpose_w):
     bias = draw(7) if with_bias else None
     return (linear_swish_matmul(a, w, c, b, bias, transpose_w),
             _unfused("linear_swish_matmul", a, w, c, b, bias=bias, transpose_w=transpose_w))
+
+
+def _glu_conv_swish_matmul_core_row(draw, grow, with_bias):
+    # no prologue and no residual: one utterance, grow frames longer
+    x, *rest = _conv_operands(draw(6 + grow, 5), draw, 4)
+    bias = draw(4) if with_bias else None
+    return (glu_conv_swish_matmul(x, *rest, bias=bias, residual=None, norm=None),
+            _unfused("glu_conv_swish_matmul", x, *rest, bias=bias))
 
 
 def _split_heads_row(draw, grow, h, start, stop):
@@ -930,9 +970,20 @@ def _norm_row(draw, grow, op, transpose, with_bias, residual, s, B):
             _unfused(op, layer_norm(x, *norm), *rest, **kwargs))
 
 
-def _glu_conv1d_row(draw, grow, B, w, T):
-    a, k = draw((B + grow) * T, 12), draw(w, 6)
-    return glu_conv1d(a, k, T), depthwise_conv1d(glu(a), k, T)
+def _glu_conv_swish_matmul_row(draw, grow, B, w, T):
+    # the conv module over B utterances of T frames; the (rows, 12)
+    # pre-activation and the (rows, 6) gate, convolution and inner norm are
+    # wider than the (rows, 4) product, so a kept one would show
+    rows = (B + grow) * T
+    x, norm = draw(rows, 5), (draw(5), draw(5))
+    pre_w, pre_c, k, gamma, beta, b = draw(5, 12), draw(12), draw(w, 6), draw(6), draw(6), \
+        draw(6, 4)
+    bias, residual = draw(4), draw(rows, 4)
+    pre = matmul(x, pre_w, bias=pre_c, norm=norm)
+    h = swish(layer_norm(depthwise_conv1d(glu(pre), k, T), gamma, beta))
+    return (glu_conv_swish_matmul(x, pre_w, pre_c, k, gamma, beta, b, T, bias=bias,
+                                  residual=residual, norm=norm),
+            matmul(h, b, bias=bias, residual=residual))
 
 
 def _row(id, family, **params):
@@ -943,7 +994,8 @@ _BIAS = [(False, "no-bias"), (True, "bias")]
 FUSIONS = [
     *(_row(f"attention_weights-T{T}", _attention_weights_row, T=T) for T in (1, 2, 5, 16)),
     *(_row(f"attention_context-B{B}", _attention_context_row, B=B) for B in (1, 3)),
-    *(_row(f"swish_matmul-{bias_id}", _swish_matmul_row, with_bias=bias)
+    *(_row(f"glu_conv_swish_matmul-{bias_id}", _glu_conv_swish_matmul_core_row,
+           with_bias=bias)
       for bias, bias_id in _BIAS),
     *(_row(f"linear_swish_matmul-{bias_id}-{w_id}", _linear_swish_matmul_row,
            with_bias=bias, transpose_w=transpose_w)
@@ -958,14 +1010,15 @@ FUSIONS = [
     # residual, and a scaled one where the product takes a scale
     *(_row(f"{op}-norm{'-transpose' if transpose else ''}-{bias_id}-{residual_id}-B{B}",
            _norm_row, op=op, transpose=transpose, with_bias=bias, residual=residual, s=s, B=B)
-      for op in _PRODUCTS for transpose in ((False,) if op == "swish_matmul" else (False, True))
+      for op in _PRODUCTS
+      for transpose in ((False,) if op == "glu_conv_swish_matmul" else (False, True))
       for bias, bias_id in _BIAS
       for residual, s, residual_id in [(False, None, "no-residual"), (True, None, "residual"),
                                        (True, 0.5, "residual-s")]
-      if s is None or op != "swish_matmul"
+      if s is None or op != "glu_conv_swish_matmul"
       for B in (1, 3)),
     # T = 2 is shorter than the pad at w = 11
-    *(_row(f"glu_conv1d-B{B}-w{w}-T{T}", _glu_conv1d_row, B=B, w=w, T=T)
+    *(_row(f"glu_conv_swish_matmul-B{B}-w{w}-T{T}", _glu_conv_swish_matmul_row, B=B, w=w, T=T)
       for B in (1, 3) for w in (1, 3, 11) for T in (2, 4, 40)),
 ]
 
@@ -1383,27 +1436,37 @@ class TestRetainedMemory:
         held = self._held_arrays(nodes)
         # the softmax weights are rebuilt in backward, not kept
         assert not [a.shape for a in held if a.shape[-2:] == (128, 128)]
-        # four norms a layer are a product's prologue: each feed-forward's,
-        # and the convolution module's two; only the attention's and the
-        # block's final norm are layer_norm nodes
+        # four norms a layer are no node: three are a product's prologue,
+        # each feed-forward's and the convolution module's first, and the
+        # module's inner norm runs inside its node; only the attention's and
+        # the block's final norm are layer_norm nodes
         blocks = model.virtual_blocks()
         folded = [pair for b in blocks for pair in (
             (b.ff_start.ln_gamma, b.ff_start.ln_beta), (b.conv.ln_gamma, b.conv.ln_beta),
-            (b.conv.norm_gamma, b.conv.norm_beta), (b.ff_end.ln_gamma, b.ff_end.ln_beta))]
+            (b.ff_end.ln_gamma, b.ff_end.ln_beta))]
         readers = [n for n in nodes if any(n._parents[1:3] == pair for pair in folded)]
-        assert len(readers) == 4 * len(blocks)
+        assert len(readers) == 3 * len(blocks)
         assert [n.op for n in nodes].count("layer_norm") == 2 * len(blocks)
-        # no node or rule closure holds a folded norm's output
+        convs = [n for n in nodes if n.op == "glu_conv_swish_matmul"]
+        assert [n._parents[6:8] for n in convs] == [(b.conv.norm_gamma, b.conv.norm_beta)
+                                                    for b in blocks]
+        # no node or rule closure holds a folded norm's output, nor the
+        # inner one's, rebuilt here by the chain the node replaces
         normalized = {layer_norm(n._parents[0], *n._parents[1:3]).data.tobytes()
                       for n in readers}
-        assert len(normalized) == len(readers)
+        for n in convs:
+            x, gamma, beta, w, c, k, inner_gamma, inner_beta = n._parents[:8]
+            pre = matmul(x, w, bias=c, norm=(gamma, beta))
+            inner = layer_norm(depthwise_conv1d(glu(pre), k, 128), inner_gamma, inner_beta)
+            normalized.add(inner.data.tobytes())
+        assert len(normalized) == len(readers) + len(convs)
         kept = [n.data for n in nodes] + held
         assert not [a.shape for a in kept if a.nbytes == 128 * 144 * 8
                     and a.tobytes() in normalized]
 
     @pytest.mark.parametrize("frames,batch,mib", [
-        pytest.param(128, 1, 140, id="128x1"),
-        pytest.param(64, 2, 120, id="64x2")])
+        pytest.param(128, 1, 125, id="128x1"),
+        pytest.param(64, 2, 105, id="64x2")])
     def test_lrs3_forward_tape_layout_and_held_bytes(self, frames, batch, mib):
         # its op counts are TAPE_OPS' lrs3 rows
         from confshare.training import batch_loss
@@ -1412,7 +1475,11 @@ class TestRetainedMemory:
         batch_loss(model, *data)  # the scratch slots take their size
         loss, held = traced_held(lambda: batch_loss(model, *data))
         nodes = Tape.trace(loss).nodes
-        assert not [a.shape for a in self._held_arrays(nodes) if a.shape[-2:] == (frames,) * 2]
+        closures = self._held_arrays(nodes)
+        assert not [a.shape for a in closures if a.shape[-2:] == (frames,) * 2]
+        # the convolution module rebuilds its (rows, 2d) pre-activation
+        kept = [n.data for n in nodes] + closures
+        assert not [a.shape for a in kept if a.shape == (frames * batch, 2 * 144)]
         assert held <= mib * 2**20, f"the forward pass holds {held / 2**20:.1f} MiB"
 
 
@@ -1457,9 +1524,10 @@ class TestScratch:
     """A scratch buffer holds only temporaries that a kernel fills and drops
     within one call, and each thread has its own."""
 
-    SLOTS = {"swish_matmul.act", "swish_matmul.s", "swish_matmul.ga",
-             "linear_swish_matmul.pre", "glu.s", "conv.xp", "conv.tap", "softmax_grad.gp",
-             "attention_context.p", "norm.y", "norm.xhat", "adam.step", "adam.den"}
+    SLOTS = {"swish.act", "swish.s", "swish.ga", "linear_swish_matmul.pre", "conv.pre",
+             "glu.s", "conv.xp", "conv.tap", "conv.out", "conv.y", "conv.gxp",
+             "softmax_grad.gp", "attention_context.p", "norm.y", "norm.xhat", "adam.step",
+             "adam.den"}
 
     @staticmethod
     def _model(name):
@@ -1502,13 +1570,18 @@ class TestScratch:
             assert not any(np.shares_memory(arr, buf) for buf in scratch), \
                 f"{what} shares memory with a scratch buffer"
 
-    def test_warm_swish_matmul_rule_allocates_only_its_gradients(self):
-        # the LRS3 low-rank feed-forward's second product, one T=128 utterance
+    def test_warm_glu_conv_swish_matmul_rule_allocates_only_its_gradients(self):
+        # the LRS3 convolution module, one T=128 utterance: the rule rebuilds
+        # the pre-activation, the padded gate, the convolution and the inner
+        # norm in scratch, and writes each of their gradients there too
         rng = Rng(3)
-        a = Tensor(rng.uniform(-4.0, 4.0, (128, 1044)), requires_grad=True)
-        b = Tensor(rng.uniform(-0.1, 0.1, (1044, 50)), requires_grad=True)
-        node = swish_matmul(a, b)
-        g = rng.uniform(-1.0, 1.0, (128, 50))
+        a, w, c, k, gamma, beta, b, bias = (
+            Tensor(rng.uniform(-0.5, 0.5, shape), requires_grad=True)
+            for shape in ((128, 144), (144, 288), (288,), (11, 144), (144,), (144,),
+                          (144, 144), (144,)))
+        node = glu_conv_swish_matmul(a, w, c, k, gamma, beta, b, 128, bias=bias, residual=None,
+                                     norm=None)
+        g = rng.uniform(-1.0, 1.0, (128, 144))
         node._backward(g)  # the scratch slots take their size
         grads, peak = traced_peak(lambda: node._backward(g))
         returned = sum(x.nbytes for x in grads)
@@ -1533,7 +1606,7 @@ class TestScratch:
             f"the rule held {peak} bytes for {returned} bytes of gradients"
 
     @staticmethod
-    def _swish_matmul_oracle(a, b, bias, g):
+    def _swish_product_oracle(a, b, bias, g):
         """swish(a) @ b (+ bias) and its gradients as plain formulas, a
         fresh array for every step, in the fused rule's operation order."""
         s = _plain_sigmoid(a)
@@ -1552,11 +1625,44 @@ class TestScratch:
         s = _plain_sigmoid(v)
         return [u * s, np.concatenate((g * s, g * u * s * (1 - s)), -1)]
 
+    @staticmethod
+    def _layer_norm_oracle(x, gamma, beta):
+        """LN(x) as plain formulas, and its rule: g -> the gradients of x,
+        gamma and beta, in ``_layer_norm_grad``'s operation order."""
+        d = x.shape[-1]
+        centered = x - x.sum(axis=-1, keepdims=True) / d
+        inv = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / d + LN_EPS)
+        xhat = centered * inv
+
+        def rule(g):
+            gh = g * gamma
+            m1 = gh.sum(axis=-1, keepdims=True) / d
+            m2 = (gh * xhat).sum(axis=-1, keepdims=True) / d
+            return [(gh - m1 - xhat * m2) * inv, (g * xhat).sum(axis=0), g.sum(axis=0)]
+
+        return xhat * gamma + beta, rule
+
+    def _conv_module_oracle(self, x, norm, w, c, k, gamma, beta, b, bias, g, frames):
+        """``glu_conv_swish_matmul`` with a norm and a bias, its output and
+        its rule results, chained from the oracles above."""
+        B, d = x.shape[0] // frames, k.shape[1]
+        y, outer_rule = self._layer_norm_oracle(x, *norm)
+        pre = y @ w + c
+        gate = pre[:, :d] * _plain_sigmoid(pre[:, d:])
+        conv = TestDepthwiseConv._per_tap_oracle(gate, k, np.zeros_like(gate), B)[0]
+        h, inner_rule = self._layer_norm_oracle(conv, gamma, beta)
+        out, gh, gb, gbias = self._swish_product_oracle(h, b, bias, g)
+        gconv, ggamma, gbeta = inner_rule(gh)
+        _, ggate, gk = TestDepthwiseConv._per_tap_oracle(gate, k, gconv, B)
+        gpre = self._glu_oracle(pre, ggate)[1]
+        return [out, *outer_rule(gpre @ w.T), y.T @ gpre, gpre.sum(axis=0), gk, ggamma, gbeta,
+                gb, gbias]
+
     def _check_fd_gradcheck_shapes(self, d: int, lowrank: bool):
-        """linear_swish_matmul, swish_matmul, glu, depthwise_conv1d and
-        glu_conv1d at the shapes of the fd_gradcheck model of width d (2
-        utterances of 6 frames), each byte-compared with a fresh-buffer
-        oracle."""
+        """linear_swish_matmul, glu, depthwise_conv1d and
+        glu_conv_swish_matmul at the shapes of the fd_gradcheck model of
+        width d (2 utterances of 6 frames), each byte-compared with a
+        fresh-buffer oracle."""
         from confshare.blocks import ModelConfig
 
         ffn = ModelConfig(d=d, e=7.25, heads=4, kernel_width=11).ffn_width
@@ -1576,16 +1682,21 @@ class TestScratch:
                                    transpose_w=lowrank)
         g = draw(*node.shape)
         got = [node.data, *node._backward(g)]
-        out, gpre, gb, *gbias = self._swish_matmul_oracle(
+        out, gpre, gb, *gbias = self._swish_product_oracle(
             a @ (w1.T if lowrank else w1) + c, b, bias, g)
         ga, gw = (gpre @ w1, gpre.T @ a) if lowrank else (gpre @ w1.T, a.T @ gpre)
         want = [out, ga, gw, gpre.sum(axis=0), gb, *gbias]
-        # the convolution module's post-projection
-        a, b, bias = draw(rows, d), draw(d, d), draw(d)
-        node = swish_matmul(*(Tensor(x, requires_grad=True) for x in (a, b, bias)))
+        # the convolution module, without its residual
+        x, norm = draw(rows, d), (draw(d), draw(d))
+        rest = draw(d, 2 * d), draw(2 * d), draw(w, d), draw(d), draw(d), draw(d, d)
+        bias = draw(d)
+        node = glu_conv_swish_matmul(
+            Tensor(x, requires_grad=True), *(Tensor(t, requires_grad=True) for t in rest),
+            frames, bias=Tensor(bias, requires_grad=True), residual=None,
+            norm=tuple(Tensor(t, requires_grad=True) for t in norm))
         g = draw(*node.shape)
         got += [node.data, *node._backward(g)]
-        want += self._swish_matmul_oracle(a, b, bias, g)
+        want += self._conv_module_oracle(x, norm, *rest, bias, g, frames)
         a, g = draw(rows, 2 * d), draw(rows, d)
         node = glu(Tensor(a, requires_grad=True))
         got += [node.data, *node._backward(g)]
@@ -1595,15 +1706,6 @@ class TestScratch:
                                 frames=frames)
         got += [node.data, *node._backward(g)]
         want += TestDepthwiseConv._per_tap_oracle(x, k, g, rows // frames)
-        # the glu's oracle, then the convolution's on the gate, then the
-        # glu's rule on the gate's gradient
-        a, k, g = draw(rows, 2 * d), draw(w, d), draw(rows, d)
-        node = glu_conv1d(Tensor(a, requires_grad=True), Tensor(k, requires_grad=True),
-                          frames=frames)
-        got += [node.data, *node._backward(g)]
-        out, gx, gk = TestDepthwiseConv._per_tap_oracle(self._glu_oracle(a, g)[0], k, g,
-                                                        rows // frames)
-        want += [out, self._glu_oracle(a, gx)[1], gk]
         assert len(got) == len(want)
         for i, (x, y) in enumerate(zip(got, want)):
             assert x.shape == y.shape and x.tobytes() == y.tobytes(), f"array {i} at d={d}"
@@ -1649,24 +1751,25 @@ class TestTape:
 
 
 # Every op on the tape below each case's output, with leaves counted as
-# "leaf". A layer holds one attention_context, glu_conv1d and
-# swish_matmul node, one linear_swish_matmul per feed-forward, two
-# layer norms (the attention's, which four projections read, and the
-# final one), and matmuls for q, k, v, pq, the post-projection, the conv
-# pre-projection, a low-rank feed-forward's U1 and V2 products (LRS3),
-# and one positional product per utterance, on a split_heads node of
-# its pq rows. The table window is split once per forward.
+# "leaf". A layer holds one attention_context and one
+# glu_conv_swish_matmul node (the whole convolution module), one
+# linear_swish_matmul per feed-forward, two layer norms (the
+# attention's, which four projections read, and the final one), and
+# matmuls for q, k, v, pq, the post-projection, a low-rank feed-forward's
+# U1 and V2 products (LRS3), and one positional product per utterance,
+# on a split_heads node of its pq rows. The table window is split once
+# per forward.
 TAPE_OPS = {
     # the toy_train config: a packed 4x32 batch through repeat_plan(2, 3)
-    "toy-4x32": Counter(leaf=76, matmul=62, split_heads=25, layer_norm=12,
-                        linear_swish_matmul=12, attention_context=6, glu_conv1d=6,
-                        swish_matmul=6, cross_entropy_mean=1),
-    "lrs3-128x1": Counter(matmul=442, leaf=318, layer_norm=80, linear_swish_matmul=80,
-                          split_heads=41, attention_context=40, glu_conv1d=40,
-                          swish_matmul=40, cross_entropy_mean=1),
-    "lrs3-64x2": Counter(matmul=482, leaf=318, split_heads=81, layer_norm=80,
-                         linear_swish_matmul=80, attention_context=40, glu_conv1d=40,
-                         swish_matmul=40, cross_entropy_mean=1),
+    "toy-4x32": Counter(leaf=76, matmul=56, split_heads=25, layer_norm=12,
+                        linear_swish_matmul=12, attention_context=6, glu_conv_swish_matmul=6,
+                        cross_entropy_mean=1),
+    "lrs3-128x1": Counter(matmul=402, leaf=318, layer_norm=80, linear_swish_matmul=80,
+                          split_heads=41, attention_context=40, glu_conv_swish_matmul=40,
+                          cross_entropy_mean=1),
+    "lrs3-64x2": Counter(matmul=442, leaf=318, split_heads=81, layer_norm=80,
+                         linear_swish_matmul=80, attention_context=40, glu_conv_swish_matmul=40,
+                         cross_entropy_mean=1),
     # one standalone attention over 1 or 3 utterances of 5 frames
     "attention-1": Counter(leaf=14, matmul=6, split_heads=2, attention_context=1,
                            layer_norm=1),

@@ -214,7 +214,8 @@ class TestConvModule:
     def test_stage_shapes(self):
         cfg = _cfg(d=10, heads=2)
         p = bound_block(cfg, 8).conv
-        # documented intermediates: 6x20 after the pre-projection, 6x10 after glu_conv1d
+        # documented intermediates: 6x20 after the pre-projection, 6x10 after the
+        # gated convolution
         assert p.wpre.shape == (10, 20)
         assert p.kdepth.shape == (3, 10)
         out = conv_module(Tensor(np.zeros((6, 10))), p)

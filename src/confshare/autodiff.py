@@ -2,7 +2,10 @@
 
 Everything here is deliberately small and deterministic:
 
-* all values are 64-bit floats in row-major (C) order;
+* all values are 64-bit floats in row-major (C) order, with one
+  exception: a ``split_heads`` output is the strided view of its
+  parent's rows that it splits, so no head split is a copy (leaves and
+  every other op output are C-contiguous);
 * each op's backward rule is a pure function of the output gradient
   that returns one gradient per parent (``None`` for one that needs
   none), in the order of its parents; ``backward`` alone stores them, on
@@ -14,40 +17,47 @@ Everything here is deliberately small and deterministic:
 * ``Rng`` is a counter-based SplitMix64 stream (documented below) so
   fixtures are reproducible across platforms and implementations.
 
-The op set is what a conformer block needs: three products, layer
-norm, ``split_heads`` (a range of rows split into heads, one node and
-one copy), and ``attention_context``: from the q, k and v projections
-and each utterance's relative-position scores to the context, one node
-per layer over all heads of a batch, which reads the heads as strided
-views.
+The op set is what a conformer block needs: four products, layer norm
+(for the attention's, which four projections read), ``split_heads`` (a
+range of rows split into heads, one node and no copy) and
+``cross_entropy_mean``.
 
 The products are ``matmul`` (2-d, or 3-d batched for the positional
 scores), ``linear_swish_matmul`` (swish(a @ w + c) @ b, one node from a
-feed-forward's first product to its second) and
-``glu_conv_swish_matmul`` (swish(LN(conv(glu(a @ w + c)))) @ b, a whole
-convolution module: the gated linear unit, the depthwise temporal
-convolution, which pads each utterance of a packed batch on its own,
-and the inner layer norm between its two products). One frame,
+feed-forward's first product to its second), ``glu_conv_swish_matmul``
+(swish(LN(conv(glu(a @ w + c)))) @ b, a whole convolution module: the
+gated linear unit, the depthwise temporal convolution, which pads each
+utterance of a packed batch on its own, and the inner layer norm
+between its two products) and ``attention_matmul`` (the attention
+context times the post-projection: from the q, k and v projections and
+each utterance's relative-position scores, one node per layer over all
+heads of a batch, which reads the heads as strided views). One frame,
 ``_product``, makes a 2-d one the node
-residual + s·(P(LN(a)) + bias), P the product's core, in three optional
-steps, so none of them is a node of its own: a ``norm=(gamma, beta)``
-prologue that multiplies layer_norm(a, gamma, beta) instead of ``a``, a
-bias added to every row, and a residual and scale ``s``, applied as
-``out *= s; out += residual``. The parents are (a, gamma, beta,
-*operands, bias, residual), and the rule undoes the steps in reverse:
-g to the residual, g·s summed over rows to the bias, g·s through the
-core's rule arithmetic, and LN(a)'s gradient through layer norm's rule,
-with x̂ and LN(a) rebuilt from the per-row statistics. How many nodes
-of each op a step records is ``TAPE_OPS`` in ``tests/test_autodiff.py``.
-The tests' unfused oracles for these ops, ``add``, ``swish``, ``glu``
-and ``depthwise_conv1d`` among them, live in ``tests/oracles.py``.
+LN'(residual + s·(P(LN(a)) + bias)), P the product's core, in four
+optional steps, so none of them is a node of its own: a
+``norm=(gamma, beta)`` prologue that multiplies layer_norm(a, gamma,
+beta) instead of ``a``, a bias added to every row, a residual and scale
+``s``, applied as ``out *= s; out += residual``, and an
+``out_norm=(gamma', beta')`` epilogue LN' that normalizes that sum in
+place. The parents are (a, gamma, beta, *operands, bias, residual,
+gamma', beta'), and the rule undoes the steps in reverse: the
+epilogue's layer-norm rule, at the pre-norm sum that it rebuilds over
+the core's last product alone (the core rebuilds P and hands it over,
+and gets P's gradient back), then g to the residual, g·s summed over
+rows to the bias, g·s through the core's rule arithmetic, and LN(a)'s
+gradient through layer norm's rule, with x̂ and LN(a) rebuilt from the
+per-row statistics. How many nodes of each op a step records is
+``TAPE_OPS`` in ``tests/test_autodiff.py``. The tests' unfused oracles
+for these ops, ``add``, ``swish``, ``glu``, ``depthwise_conv1d`` and
+``attention_context`` among them, live in ``tests/oracles.py``.
 
 A rule keeps only the arrays it reads and cannot get from its parents'
 data or its own output, and rebuilds the rest by the forward's own ops,
 so its bytes are those of keeping them:
 
-* a product keeps nothing of its own beyond a prologue's per-row mean
-  and inverse deviation;
+* a product keeps nothing of its own beyond a prologue's and an
+  epilogue's per-row mean and inverse deviation: of the sum that an
+  epilogue normalizes, the tape keeps only the normalized output;
 * ``linear_swish_matmul`` keeps neither the activation nor the
   pre-activation, and rebuilds the latter with the same product and
   bias add before it runs the swish product's rule arithmetic, which
@@ -59,9 +69,11 @@ so its bytes are those of keeping them:
   the convolution and the inner norm by the forward's ops, so of the
   convolution module the tape holds only its input and its output;
 * ``layer_norm`` keeps one mean and one inverse deviation per row;
-* ``attention_context`` keeps nothing of its own: it rebuilds its
-  softmax weights from q, k and the positional scores, so no
-  (B·H, T, T) array outlives the forward.
+* ``attention_matmul`` keeps nothing of its own: it rebuilds its
+  softmax weights from q, k and the positional scores, and the context
+  from them and v, so neither a (B·H, T, T) array nor the (rows, d)
+  context outlives the forward;
+* ``split_heads`` keeps nothing, and its output is a view.
 
 The elementwise kernels write into buffers they own rather than
 allocating a temporary per step; the sigmoid is 1 / (1 + exp(-x)) in
@@ -91,9 +103,11 @@ pages in for it (the idea of PyTorch's caching allocator). The slots:
   the convolution, normalized in place to x̂; ``conv.y``, the inner
   norm's output, whose gradient the rule writes over it; and, in the
   rule only, ``conv.gxp``, the padded gate's gradient;
-* ``attention_context.p``: the scores and then the softmax weights, built
-  in the forward and rebuilt in the rule;
-* ``softmax_grad.gp``: the g·p product of ``attention_context``'s rule;
+* ``attention_matmul``'s, each in the forward and again in the rule:
+  ``attention_context.p``, the scores and then the softmax weights, and
+  ``attention_context.out``, the context, which the post-projection's
+  weight gradient reads;
+* ``softmax_grad.gp``: the g·p product of ``attention_matmul``'s rule;
 * ``adam.step`` and ``adam.den``: ``training.OptimizerState``'s update.
 
 A scratch view never escapes its call: no op output, rule result,
@@ -234,8 +248,9 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, *, op: str | None = None,
                  parents: tuple = (), backward=None):
         arr = np.asarray(data, dtype=np.float64)
-        if not arr.flags["C_CONTIGUOUS"]:
-            # ascontiguousarray would promote 0-d scalars to shape (1,)
+        if not arr.flags["C_CONTIGUOUS"] and op != "split_heads":
+            # ascontiguousarray would promote 0-d scalars to shape (1,); a
+            # split_heads output is the one view kept as it is
             arr = np.ascontiguousarray(arr)
         _finite(arr, op or "tensor")
         self.data = arr
@@ -428,22 +443,26 @@ LN_EPS = 1e-6  # the eps of every layer norm, a node or a product's prologue
 
 
 def _product(op: str, a: Tensor, rest: tuple, forward, grads, bias: Tensor | None,
-             residual: Tensor | None, s: float | None,
-             norm: tuple[Tensor, Tensor] | None) -> Tensor:
+             residual: Tensor | None, s: float | None, norm: tuple[Tensor, Tensor] | None,
+             out_norm: tuple[Tensor, Tensor] | None) -> Tensor:
     """One product node, in the frame that ``matmul``,
-    ``linear_swish_matmul`` and ``glu_conv_swish_matmul`` share (see the
-    module docstring).
+    ``linear_swish_matmul``, ``glu_conv_swish_matmul`` and
+    ``attention_matmul`` share (see the module docstring).
 
     ``forward(A)`` returns a fresh product of A and the operands ``rest``,
     and ``grads(A, gp, rebuilt)`` the gradients of A and of ``rest`` for
     the product's gradient gp. A is ``a``'s data or, with a ``norm``,
     LN(a) in the ``norm.y`` scratch slot, checked as a ``layer_norm``
     output would be; ``rebuilt`` says that the rule's A is that scratch,
-    which ``grads`` may overwrite. The prologue, the bias and the
-    residual take 2-d operands only, ``s`` needs a residual, and
+    which ``grads`` may overwrite. With an ``out_norm``, gp is a function
+    instead: the core calls it on its product P, rebuilt by its last
+    product alone, and gets P's gradient back; the frame rebuilds the
+    pre-norm sum over P's memory. The prologue, the bias, the residual
+    and the epilogue take 2-d operands only, ``s`` needs a residual, and
     ``out *= s; out += residual`` is the op order of the unfused
     ``add(residual, out, s)`` in ``tests/oracles.py``, so the bytes are
-    the same.
+    the same. The pre-norm sum is checked as this op's output would be,
+    and the epilogue's output as a ``layer_norm``'s.
     """
     if norm is None:
         ad, parents, gamma, beta, mu, inv = a.data, (a,), None, None, None, None
@@ -476,36 +495,73 @@ def _product(op: str, a: Tensor, rest: tuple, forward, grads, bias: Tensor | Non
         parents += (residual,)
     elif s is not None:
         raise ValueError(f"{op}: a scale s needs a residual")
+    out_gamma = out_mu = out_inv = None
+    if out_norm is not None:
+        out_gamma, out_beta = out_norm
+        if out.ndim != 2:
+            raise ShapeError(f"{op}: a norm needs 2-d operands, got {out.shape}")
+        _check_norm_params(op, out.shape[1], out_gamma, out_beta)
+        _finite(out, op)
+        out_mu, out_inv = _normalize(out, out)
+        out *= out_gamma.data
+        out += out_beta.data
+        _finite(out, "layer_norm")
+        parents += (out_gamma, out_beta)
 
     def rule(g):
-        gp = g if s is None else g * s  # the product's gradient
+        gp = None  # the product's gradient
+        g_out_norm = ()  # the epilogue's gamma and beta gradients
+
+        def product_grad(product=None):
+            # with an epilogue, g is first taken through layer norm's rule at
+            # the pre-norm sum, rebuilt over the core's rebuilt product by
+            # the forward's ops
+            nonlocal g, gp, g_out_norm
+            if out_norm is not None:
+                if bias is not None:
+                    product += bias.data
+                if s is not None:
+                    product *= s
+                if residual is not None:
+                    product += residual.data
+                xhat = _rebuild_xhat(product, out_mu, out_inv, product)
+                g, *g_out_norm = _layer_norm_grad(g, xhat, out_gamma.data, out_inv)
+            gp = g if s is None else g * s
+            return gp
+
+        core_gp = product_grad if out_norm is not None else product_grad()
         if mu is None:
-            result = grads(a.data, gp, False)
+            result = grads(a.data, core_gp, False)
         else:
             xhat = _rebuild_xhat(a.data, mu, inv, _scratch("norm.xhat", a.shape))
             y = np.multiply(xhat, gamma.data, out=_scratch("norm.y", a.shape))
             y += beta.data
-            gy, *others = grads(y, gp, True)
+            gy, *others = grads(y, core_gp, True)
             result = (*_layer_norm_grad(gy, xhat, gamma.data, inv), *others)
         if bias is not None:
             result = (*result, np.add.reduce(gp, axis=0))
-        return result if residual is None else (*result, g)
+        if residual is not None:
+            result = (*result, g)
+        return (*result, *g_out_norm)
 
     return _result(out, op, parents, rule)
 
 
 def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
            bias: Tensor | None = None, residual: Tensor | None = None,
-           s: float | None = None, norm: tuple[Tensor, Tensor] | None = None) -> Tensor:
+           s: float | None = None, norm: tuple[Tensor, Tensor] | None = None,
+           out_norm: tuple[Tensor, Tensor] | None = None) -> Tensor:
     """Matrix product. 2-d x 2-d, or 3-d x 3-d batched over the leading axis.
 
     ``transpose_b=True`` computes ``a @ swap(b)`` without materializing the
     transpose (used for attention scores and low-rank V factors). For 2-d
-    operands, ``bias``, ``residual``, ``s`` and ``norm`` make the node
-    residual + s·(LN(a) @ b + bias) (``_product``), so a linear layer, its
-    residual connection and a layer norm before it are one tape node.
-    The rule computes no gradient for a constant ``a`` with no ``norm``
-    (the frontend's packed features): ``backward`` would drop it.
+    operands, ``bias``, ``residual``, ``s``, ``norm`` and ``out_norm`` make
+    the node LN'(residual + s·(LN(a) @ b + bias)) (``_product``), so a
+    linear layer, its residual connection and the layer norms before and
+    after it are one tape node; the rule rebuilds the product for the
+    ``out_norm`` epilogue. The rule computes no gradient for a constant
+    ``a`` with no ``norm`` (the frontend's packed features): ``backward``
+    would drop it.
     """
     ad, bd = a.data, b.data
     if ad.ndim != bd.ndim or ad.ndim not in (2, 3):
@@ -521,11 +577,13 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
     def grads(x, gp, rebuilt):
         # d_x = g @ bᵀ and d_b = xᵀ @ g, or g @ b and gᵀ @ x for x @ bᵀ; no d_x
         # for a constant a, but a rebuilt LN(a) feeds the norm's gradients
+        if callable(gp):  # an epilogue's, which reads the rebuilt product
+            gp = gp(forward(x))
         bt = b.data if transpose_b else np.swapaxes(b.data, -1, -2)
         gb = np.swapaxes(gp, -1, -2) @ x if transpose_b else np.swapaxes(x, -1, -2) @ gp
         return gp @ bt if rebuilt or a.requires_grad else None, gb
 
-    return _product("matmul", a, (b,), forward, grads, bias, residual, s, norm)
+    return _product("matmul", a, (b,), forward, grads, bias, residual, s, norm, out_norm)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -535,14 +593,16 @@ def sum_all(a: Tensor) -> Tensor:
 
 def split_heads(a: Tensor, start: int, stop: int, h: int) -> Tensor:
     """Rows ``start:stop`` of the 2-d ``a``, each split into ``h`` heads of
-    d/h columns, as one (h, stop − start, d/h) copy. The rule merges the
-    gradient back into those rows of a zero array shaped like ``a``, or
-    of a fresh array, with no zero fill, when the range is every row."""
+    d/h columns, as one (h, stop − start, d/h) node whose data is the
+    strided view of those rows, with no copy: the one op output that is
+    not C-contiguous (``Tensor``). The rule merges the gradient back into
+    those rows of a zero array shaped like ``a``, or of a fresh array,
+    with no zero fill, when the range is every row."""
     rows, d = a.shape if a.ndim == 2 else (0, 0)
     if not (0 <= start < stop <= rows and h >= 1 and d % h == 0):
         raise ShapeError(f"split_heads: rows [{start}, {stop}) of {a.shape} into {h} heads")
     n, dh = stop - start, d // h
-    out = np.ascontiguousarray(a.data[start:stop].reshape(n, h, dh).transpose(1, 0, 2))
+    out = a.data[start:stop].reshape(n, h, dh).transpose(1, 0, 2)
 
     def rule(g):
         merged = g.transpose(1, 0, 2)  # (n, h, dh)
@@ -584,10 +644,14 @@ def _swish_product_grad(x: np.ndarray, b: np.ndarray, g: np.ndarray, out=None):
     and so the same bytes, as ``matmul(swish(x), b)``. s and g @ bᵀ are
     scratch, and 1 - s sits in the latter's buffer until the product
     needs it. act becomes x's gradient, in ``out`` (which may be x: x is
-    not read after act is taken) or in a fresh array.
+    not read after act is taken) or in a fresh array. A g that is a
+    function (an ``out_norm`` epilogue's) is called on the rebuilt
+    product act @ b for the array.
     """
     s = _sigmoid_into(x, _scratch("swish.s", x.shape))
     act = np.multiply(s, x, out=out)
+    if callable(g):
+        g = g(act @ b)
     gb = act.T @ g
     ga = _scratch("swish.ga", x.shape)
     act *= np.subtract(1.0, s, out=ga)
@@ -599,10 +663,11 @@ def _swish_product_grad(x: np.ndarray, b: np.ndarray, g: np.ndarray, out=None):
 def linear_swish_matmul(a: Tensor, w: Tensor, c: Tensor, b: Tensor,
                         bias: Tensor | None = None, transpose_w: bool = False,
                         residual: Tensor | None = None, s: float | None = None,
-                        norm: tuple[Tensor, Tensor] | None = None) -> Tensor:
-    """swish(a @ w + c) @ b for 2-d operands, as one node, made residual +
-    s·(swish(LN(a) @ w + c) @ b + bias) by the other arguments, as in
-    ``matmul``.
+                        norm: tuple[Tensor, Tensor] | None = None,
+                        out_norm: tuple[Tensor, Tensor] | None = None) -> Tensor:
+    """swish(a @ w + c) @ b for 2-d operands, as one node, made
+    LN'(residual + s·(swish(LN(a) @ w + c) @ b + bias)) by the other
+    arguments, as in ``matmul``.
 
     ``transpose_w=True`` reads w as its transpose, as ``matmul``'s
     ``transpose_b`` does. The (rows, n) pre-activation a @ w + c is built
@@ -612,7 +677,8 @@ def linear_swish_matmul(a: Tensor, w: Tensor, c: Tensor, b: Tensor,
     swish product's rule arithmetic (``_swish_product_grad``) and
     ``matmul``'s in turn: the same bytes as ``matmul(swish(matmul(a, w,
     transpose_w, c)), b, bias)``, at the cost of one more product in
-    backward.
+    backward, and with an ``out_norm`` one more, act @ b, for the
+    epilogue.
     """
     inner, n = (w.shape[::-1] if transpose_w else w.shape) if w.ndim == 2 else (-1, -1)
     if (a.ndim != 2 or b.ndim != 2 or a.shape[1] != inner or c.shape != (n,)
@@ -644,7 +710,7 @@ def linear_swish_matmul(a: Tensor, w: Tensor, c: Tensor, b: Tensor,
         return ga, gw, np.add.reduce(gp, axis=0), gb
 
     return _product("linear_swish_matmul", a, (w, c, b), forward, grads, bias, residual, s,
-                    norm)
+                    norm, out_norm)
 
 
 def _check_norm_params(op: str, d: int, gamma: Tensor, beta: Tensor):
@@ -859,7 +925,7 @@ def glu_conv_swish_matmul(a: Tensor, w: Tensor, c: Tensor, kernel: Tensor, gamma
         return pre @ w.data.T, x.T @ pre, np.add.reduce(pre, axis=0), gk, ggamma, gbeta, gb
 
     return _product("glu_conv_swish_matmul", a, (w, c, kernel, gamma, beta, b), forward, grads,
-                    bias, residual, None, norm)
+                    bias, residual, None, norm, None)
 
 
 def utterance_count(rows: int, frames: int) -> int:
@@ -869,31 +935,39 @@ def utterance_count(rows: int, frames: int) -> int:
     return rows // frames
 
 
-def attention_context(q: Tensor, k: Tensor, pos, v: Tensor) -> Tensor:
-    """softmax((q kᵀ + skew(pos)) / sqrt(d/H)) v for every head, as one node.
+def attention_matmul(q: Tensor, k: Tensor, pos, v: Tensor, w: Tensor, *, bias: Tensor | None,
+                     residual: Tensor | None) -> Tensor:
+    """softmax((q kᵀ + skew(pos)) / sqrt(d/H)) v @ w, every head's context
+    times the post-projection, as one node, made residual + (context @ w +
+    bias) by the other arguments, as in ``matmul``.
 
-    q, k and v are the (B·T, d) projections of B utterances of T frames.
-    Their H heads are read as strided (B, H, T, dh) views, with no copies,
-    and the context is written through the same view into a (B·T, d)
-    output, the heads of each frame side by side. ``pos`` holds the B
-    utterances' (H, T, 2T - 1) positional scores, in packing order:
-    column c holds the score for key offset c - (T - 1) relative to the
-    query, and skew(pos[b])[h, t, s] = pos[b][h, t, s - t + T - 1] (a
-    strided view, see ``_skew``). B is ``len(pos)``, and H and T are
-    read from the parts' shape, and so the scale 1/sqrt(d/H) of Vaswani
-    et al. 2017 (arXiv:1706.03762). The parents are (q, k, *pos, v).
+    q, k and v are the (B·T, d) projections of B utterances of T frames,
+    and w is (d, m). Their H heads are read as strided (B, H, T, dh)
+    views, with no copies, and the context is written through the same
+    view into a (B·T, d) array, the heads of each frame side by side.
+    ``pos`` holds the B utterances' (H, T, 2T - 1) positional scores, in
+    packing order: column c holds the score for key offset c - (T - 1)
+    relative to the query, and skew(pos[b])[h, t, s] = pos[b][h, t, s - t
+    + T - 1] (a strided view, see ``_skew``). B is ``len(pos)``, and H and
+    T are read from the parts' shape, and so the scale 1/sqrt(d/H) of
+    Vaswani et al. 2017 (arXiv:1706.03762). The parents are (q, k, *pos,
+    v, w, bias, residual).
 
-    The q kᵀ product is checked as a matmul and the weights as this op,
-    so a score that overflows raises even where the softmax would hide
-    it. The weights are built in the ``attention_context.p`` scratch
-    slot and dropped once the context is taken, so the node keeps no
-    array of its own: the rule rebuilds them there from q, k and pos by
-    the forward's ops in the forward's order (the q kᵀ product, each
-    utterance's skew add, the scale, ``_softmax``), so the bytes are the
-    same, at one more q kᵀ product and softmax in backward. It writes
-    the gradients of q, k and v through the head views and each
-    utterance's positional gradient into a zeroed (H, T, 2T - 1) array
-    through the skew view.
+    The q kᵀ product is checked as a matmul, and the weights and the
+    context as the ``attention_context`` node of the chain this op
+    replaces, so a score that overflows raises even where the softmax
+    would hide it. The weights (``attention_context.p``) and the context
+    (``attention_context.out``) are scratch, dropped once the product is
+    taken, so the node keeps no array of its own: the rule rebuilds both
+    by the forward's ops in the forward's order (the q kᵀ product, each
+    utterance's skew add, the scale, ``_softmax``, the product with v),
+    at one more q kᵀ product, softmax and context product in backward.
+    It runs ``matmul``'s rule arithmetic for w's gradient and the
+    context's, then the attention's on the latter: it writes the
+    gradients of q, k and v through the head views and each utterance's
+    positional gradient into a zeroed (H, T, 2T - 1) array through the
+    skew view. So the bytes are those of ``matmul(attention_context(q, k,
+    pos, v), w, bias=bias, residual=residual)`` in ``tests/oracles.py``.
     """
     pos = tuple(pos)
     rows, d = q.shape if q.ndim == 2 else (0, 0)
@@ -901,11 +975,11 @@ def attention_context(q: Tensor, k: Tensor, pos, v: Tensor) -> Tensor:
     H, T, W = pos[0].shape if B and pos[0].ndim == 3 else (0, 0, 0)
     if (not H or d % H or W != 2 * T - 1 or rows != B * T
             or any(part.shape != pos[0].shape for part in pos)
-            or k.shape != q.shape or v.shape != q.shape):
-        raise ShapeError(f"attention_context: expected (B·T, d) q, k and v and B "
-                         f"(H, T, 2T - 1) positional scores with H dividing d, got "
-                         f"{q.shape}, {k.shape}, {v.shape} and "
-                         f"{[part.shape for part in pos]}")
+            or k.shape != q.shape or v.shape != q.shape or w.ndim != 2 or w.shape[0] != d):
+        raise ShapeError(f"attention_matmul: expected (B·T, d) q, k and v, B (H, T, 2T - 1) "
+                         f"positional scores with H dividing d, and a (d, m) w, got "
+                         f"{q.shape}, {k.shape}, {v.shape}, "
+                         f"{[part.shape for part in pos]} and {w.shape}")
     dh = d // H
     scale = 1.0 / math.sqrt(dh)
 
@@ -922,15 +996,25 @@ def attention_context(q: Tensor, k: Tensor, pos, v: Tensor) -> Tensor:
         z *= scale
         return _softmax(z)
 
-    z = scores()
-    _finite(z, "matmul")
-    p = weights(z)
-    _finite(p, "attention_context")
-    out = np.empty((rows, d))
-    np.matmul(p, head_view(v.data), out=head_view(out))
+    def context(p):  # the weights times v, in scratch
+        ctx = _scratch("attention_context.out", (rows, d))
+        np.matmul(p, head_view(v.data), out=head_view(ctx))
+        return ctx
 
-    def rule(g):
+    def forward(_q):
+        z = scores()
+        _finite(z, "matmul")
+        p = weights(z)
+        _finite(p, "attention_context")
+        ctx = context(p)
+        _finite(ctx, "attention_context")
+        return ctx @ w.data
+
+    def grads(_q, gp, rebuilt):
         p = weights(scores())
+        ctx = context(p)
+        gw = ctx.T @ gp
+        g = gp @ w.data.T  # the context's gradient
         gh = head_view(g)
         gq, gk, gv = (np.empty((rows, d)) for _ in range(3))
         np.matmul(np.swapaxes(p, -1, -2), gh, out=head_view(gv))
@@ -942,9 +1026,10 @@ def attention_context(q: Tensor, k: Tensor, pos, v: Tensor) -> Tensor:
             _skew(gfull)[...] = gzb
         np.matmul(gz, head_view(k.data), out=head_view(gq))
         np.matmul(np.swapaxes(gz, -1, -2), head_view(q.data), out=head_view(gk))
-        return gq, gk, *gpos, gv
+        return gq, gk, *gpos, gv, gw
 
-    return _result(out, "attention_context", (q, k, *pos, v), rule)
+    return _product("attention_matmul", q, (k, *pos, v, w), forward, grads, bias, residual, None,
+                    None, None)
 
 
 def cross_entropy_mean(logits: Tensor, labels: np.ndarray) -> Tensor:

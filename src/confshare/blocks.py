@@ -7,7 +7,8 @@ A block maps (B·T, d) rows to (B·T, d) as
 
 with a residual connection around every module, which the module's
 last product node adds (``residual=``), so no residual sum is a node of
-its own. The rows are B
+its own, and the final layer norm is the ``out_norm=`` epilogue of the
+last node of the second feed-forward. The rows are B
 utterances of ``frames`` = T frames each, packed utterance after
 utterance; by default all rows are one utterance. Every frame-wise op
 (linears, layer norms, activations, residual adds) runs once over all
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Rng, ShapeError, Tensor, attention_context, glu_conv_swish_matmul,
+from .autodiff import (Rng, ShapeError, Tensor, attention_matmul, glu_conv_swish_matmul,
                        layer_norm, linear_swish_matmul, matmul, split_heads, utterance_count)
 from .lowrank import LowRankFactors
 
@@ -146,8 +147,11 @@ def apply_linear(x: Tensor, w: LowRankFactors, b: Tensor) -> Tensor:
     return matmul(matmul(x, w.u), w.v, transpose_b=True, bias=b)
 
 
-def feed_forward(x: Tensor, p: FeedForwardParams) -> Tensor:
-    """x + 0.5 * (W2 . swish(W1 . LN(x) + b1) + b2), the half-step residual.
+def feed_forward(x: Tensor, p: FeedForwardParams,
+                 out_norm: tuple[Tensor, Tensor] | None = None) -> Tensor:
+    """x + 0.5 * (W2 . swish(W1 . LN(x) + b1) + b2), the half-step residual,
+    or with ``out_norm=(gamma, beta)`` a layer norm of it (the block's
+    final norm, after ``ff_end``).
 
     One ``linear_swish_matmul`` node runs from the last factor of W1 to
     the first factor of W2: for dense weights from x through LN, W1 and
@@ -160,13 +164,19 @@ def feed_forward(x: Tensor, p: FeedForwardParams) -> Tensor:
     in backward, so LN(x) is not kept either. The last node adds the
     scaled residual (``residual=x, s=0.5``), so neither linear2's output
     nor a residual sum is a node of its own: a feed-forward is one node
-    (dense) or three (low-rank)."""
+    (dense) or three (low-rank). ``out_norm`` is the last node's
+    epilogue, so the residual sum is not kept either: the node keeps one
+    mean and one inverse deviation per row, and its rule rebuilds the sum
+    from the node's last product alone (the V2 product, or the dense
+    node's swish product)."""
     norm = (p.ln_gamma, p.ln_beta)
     if isinstance(p.w1, LowRankFactors):  # a plan factors both linears or neither
         h = linear_swish_matmul(matmul(x, p.w1.u, norm=norm), p.w1.v, p.b1, p.w2.u,
                                 transpose_w=True)
-        return matmul(h, p.w2.v, transpose_b=True, bias=p.b2, residual=x, s=0.5)
-    return linear_swish_matmul(x, p.w1, p.b1, p.w2, p.b2, residual=x, s=0.5, norm=norm)
+        return matmul(h, p.w2.v, transpose_b=True, bias=p.b2, residual=x, s=0.5,
+                      out_norm=out_norm)
+    return linear_swish_matmul(x, p.w1, p.b1, p.w2, p.b2, residual=x, s=0.5, norm=norm,
+                               out_norm=out_norm)
 
 
 def check_frames(frames: int, t_max: int):
@@ -179,9 +189,9 @@ def table_heads(p: AttentionParams, frames: int) -> Tensor:
     """The (H, 2T − 1, dh) heads of the relative-position table window that
     T = ``frames`` frames reach: table row t_max − 1 + o holds offset o, so
     offsets −(T − 1) .. T − 1 are rows t_max − T .. t_max + T − 2. One
-    ``split_heads`` node. Every layer reads the same table, so
-    ``encode_from`` builds the heads once per forward and hands them to
-    every layer; a standalone ``attention`` call builds its own."""
+    ``split_heads`` node, a view of those rows. Every layer reads the same
+    table, so ``encode_from`` builds the heads once per forward and hands
+    them to every layer; a standalone ``attention`` call builds its own."""
     t_max = (p.rel_emb.shape[0] + 1) // 2
     check_frames(frames, t_max)
     return split_heads(p.rel_emb, t_max - frames, t_max + frames - 1, p.heads)
@@ -198,19 +208,21 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None,
     Only the 2T - 1 rows a length-T input can reach enter the product.
 
     ``x`` holds B utterances of ``frames`` = T frames each (default: one).
-    One ``attention_context`` node runs from the q, k and v projections to
-    the (B·T, d) context: it reads their heads as (B, H, T, dh) views,
+    One ``attention_matmul`` node runs from the q, k and v projections
+    through the context to the post-projection, which adds bpost and the
+    residual ``x``: it reads their heads as (B, H, T, dh) views,
     utterance after utterance, so no head sees another utterance's frames,
-    and keeps no (B·H, T, T) array: its rule rebuilds the softmax weights.
-    Only the positional product runs per utterance, (H, T, 2T − 1) each,
-    on the utterance's pos-query rows, split into heads by one
-    ``split_heads`` node, against ``table``, the ``table_heads`` of ``p``
-    for T frames (built here when not given); ``attention_context`` takes
-    the B products as they are, with no join. The post-projection adds the
-    residual ``x`` (``residual=x``). The layer norm, which four
-    projections read, stays a ``layer_norm`` node. So a step records one
-    ``split_heads`` per utterance and layer, and one for the table
-    (``TAPE_OPS`` in ``tests/test_autodiff.py`` counts every op).
+    and keeps neither a (B·H, T, T) array nor the (B·T, d) context: its
+    rule rebuilds the softmax weights and the context. Only the
+    positional product runs per utterance, (H, T, 2T − 1) each, on the
+    utterance's pos-query rows, split into heads by one ``split_heads``
+    node, a view with no copy, against ``table``, the ``table_heads`` of
+    ``p`` for T frames (built here when not given), a view of the table's
+    rows too; ``attention_matmul`` takes the B products as they are, with
+    no join. The layer norm, which four projections read, stays a
+    ``layer_norm`` node. So a step records one ``split_heads`` per
+    utterance and layer, and one for the table (``TAPE_OPS`` in
+    ``tests/test_autodiff.py`` counts every op).
     """
     rows = x.shape[0]
     T = rows if frames is None else frames
@@ -227,8 +239,7 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None,
 
     pos = [matmul(split_heads(pq, b * T, (b + 1) * T, H), table, transpose_b=True)
            for b in range(B)]                                # B × (H, T, 2T - 1)
-    context = attention_context(q, k, pos, v)
-    return matmul(context, p.wpost, bias=p.bpost, residual=x)
+    return attention_matmul(q, k, pos, v, p.wpost, bias=p.bpost, residual=x)
 
 
 def conv_module(x: Tensor, p: ConvParams, frames: int | None = None) -> Tensor:
@@ -249,12 +260,13 @@ def conformer_block(x: Tensor, p: BlockParams, frames: int | None = None,
                     table: Tensor | None = None) -> Tensor:
     """One block over utterances of ``frames`` frames each (default: one);
     ``table`` is the attention's ``table_heads``, built here when not
-    given."""
+    given. The final layer norm is the ``out_norm`` epilogue of
+    ``ff_end``'s last node, so the block's output is the one (rows, d)
+    array that ``ff_end`` keeps."""
     y = feed_forward(x, p.ff_start)
     y = attention(y, p.attn, frames, table)
     y = conv_module(y, p.conv, frames)
-    y = feed_forward(y, p.ff_end)
-    return layer_norm(y, p.final_ln_gamma, p.final_ln_beta)
+    return feed_forward(y, p.ff_end, (p.final_ln_gamma, p.final_ln_beta))
 
 
 # ---------------------------------------------------------------------------

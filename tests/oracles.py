@@ -6,8 +6,9 @@ from: ``add(a, b, s)`` against ``add(a, scale(b, s))``, a product's
 ``residual`` and ``s`` against ``add(residual, product, s)``,
 ``linear_swish_matmul`` against ``matmul(swish(matmul(a, w, bias=c)),
 b)``, ``glu_conv_swish_matmul`` against the chain ``matmul``, ``glu``,
-``depthwise_conv1d``, ``layer_norm``, ``swish``, ``matmul``, and
-``attention_context``
+``depthwise_conv1d``, ``layer_norm``, ``swish``, ``matmul``, a product's
+``out_norm`` against ``layer_norm`` of the product, ``attention_matmul``
+against ``matmul`` of ``attention_context``, and ``attention_context``
 against ``attention_chain``: head splits, the content matmul,
 ``concat_rows`` of the per-utterance positional scores,
 ``attention_weights`` (itself checked against ``softmax`` of the summed
@@ -25,7 +26,7 @@ comparison checks every fusion at once: its loss and leaf gradients
 equal ``training.batch_loss``'s byte for byte. The one exception is
 head width 1 (heads = d), where numpy's product on a strided (…, T, 1)
 head view can round differently from the chain's contiguous copy, so
-``attention_context``'s k and v gradients, and what flows from them,
+``attention_matmul``'s k and v gradients, and what flows from them,
 may move: by at most 3.6e-12 relative error as measured, and the tests
 allow 1e-10 (see ``attention_chain``).
 
@@ -42,9 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from confshare.autodiff import (ShapeError, Tape, Tensor, _result, _scratch, _sigmoid_into, _skew,
-                                _softmax, _softmax_grad, cross_entropy_mean, layer_norm, matmul,
-                                utterance_count)
+from confshare.autodiff import (ShapeError, Tape, Tensor, _finite, _result, _scratch,
+                                _sigmoid_into, _skew, _softmax, _softmax_grad, cross_entropy_mean,
+                                layer_norm, matmul, utterance_count)
 from confshare.blocks import MODULE_TYPES, module_tensor_specs
 from confshare.encoder import pack_features
 from confshare.presets import SMALL_SUFFIX, Preset, preset, preset_names
@@ -248,8 +249,69 @@ def concat_rows(parts) -> Tensor:
     return _result(out, "concat_rows", parts, lambda g: np.split(g, splits))
 
 
+def attention_context(q: Tensor, k: Tensor, pos, v: Tensor) -> Tensor:
+    """softmax((q kᵀ + skew(pos)) / sqrt(d/H)) v for every head, as one
+    node: ``attention_matmul`` without its post-projection, the first link
+    of its chain, and itself checked against ``attention_chain``.
+
+    q, k and v are the (B·T, d) projections of B utterances of T frames,
+    whose H heads it reads as strided (B, H, T, dh) views; ``pos`` holds
+    the B utterances' (H, T, 2T - 1) positional scores, and the scale is
+    1/sqrt(d/H). The parents are (q, k, *pos, v). The q kᵀ product is
+    checked as a matmul and the weights as this op. The weights are
+    built in the ``attention_context.p`` scratch slot, and the rule
+    rebuilds them there by the forward's ops, so the node keeps no array
+    of its own; the rule writes the gradients of q, k and v through the
+    head views and each utterance's positional gradient into a zeroed
+    (H, T, 2T - 1) array through the skew view.
+    """
+    pos = tuple(pos)
+    rows, d = q.shape
+    B = len(pos)
+    H, T, W = pos[0].shape
+    dh = d // H
+    scale = 1.0 / math.sqrt(dh)
+
+    def head_view(a):  # (B·T, d) -> (B, H, T, dh), a view
+        return a.reshape(B, T, H, dh).transpose(0, 2, 1, 3)
+
+    def scores():  # q kᵀ, in scratch
+        z = _scratch("attention_context.p", (B, H, T, T))
+        return np.matmul(head_view(q.data), np.swapaxes(head_view(k.data), -1, -2), out=z)
+
+    def weights(z):  # the softmax of the scaled scores, over z
+        for zb, part in zip(z, pos):
+            zb += _skew(part.data)
+        z *= scale
+        return _softmax(z)
+
+    z = scores()
+    _finite(z, "matmul")
+    p = weights(z)
+    _finite(p, "attention_context")
+    out = np.empty((rows, d))
+    np.matmul(p, head_view(v.data), out=head_view(out))
+
+    def rule(g):
+        p = weights(scores())
+        gh = head_view(g)
+        gq, gk, gv = (np.empty((rows, d)) for _ in range(3))
+        np.matmul(np.swapaxes(p, -1, -2), gh, out=head_view(gv))
+        # the weights' gradient g vᵀ lives only until the softmax's is taken
+        gz = _softmax_grad(p, np.matmul(gh, np.swapaxes(head_view(v.data), -1, -2)))
+        gz *= scale
+        gpos = [np.zeros((H, T, W)) for _ in range(B)]
+        for gfull, gzb in zip(gpos, gz):
+            _skew(gfull)[...] = gzb
+        np.matmul(gz, head_view(k.data), out=head_view(gq))
+        np.matmul(np.swapaxes(gz, -1, -2), head_view(q.data), out=head_view(gk))
+        return gq, gk, *gpos, gv
+
+    return _result(out, "attention_context", (q, k, *pos, v), rule)
+
+
 def attention_chain(q: Tensor, k: Tensor, pos, v: Tensor, scale: float) -> Tensor:
-    """``attention_context`` as the nodes it replaces: the q, k and v head
+    """``attention_context`` as the nodes it stands for: the q, k and v head
     splits into contiguous (B·H, T, dh) copies, q kᵀ, the B utterances'
     (H, T, 2T - 1) positional scores joined by ``concat_rows``, the
     weights, their product with v, and the merge back to (B·T, d).

@@ -12,15 +12,15 @@ import numpy as np
 import pytest
 
 from confshare.autodiff import (_SCRATCH, LN_EPS, ZERO_FLOOR, NonFiniteError, Rng, ShapeError,
-                                Tape, Tensor, _skew, attention_context, backward,
+                                Tape, Tensor, _skew, attention_matmul, backward,
                                 cross_entropy_mean, finite_diff_grad, glu_conv_swish_matmul,
                                 layer_norm, linear_swish_matmul, matmul, relative_error,
                                 split_heads, sum_all, zero_grads)
 from conftest import (assert_params_match_fd, bound_block, rand_tensor, traced_held,
                       traced_peak)
-from oracles import (_sigmoid, add, attention_chain, attention_weights, concat_rows,
-                     depthwise_conv1d, glu, mul, rule_grads, scale, slice_rows, softmax, swish,
-                     transpose)
+from oracles import (_sigmoid, add, attention_chain, attention_context, attention_weights,
+                     concat_rows, depthwise_conv1d, glu, mul, rule_grads, scale, slice_rows,
+                     softmax, swish, transpose)
 
 
 class TestRng:
@@ -281,66 +281,87 @@ def _attention_operands(draw, B, T=4, H=2, dh=3):
     return q, k, [draw(H, T, 2 * T - 1) for _ in range(B)], draw(B * T, d)
 
 
-class TestAttentionContext:
+class TestAttentionMatmul:
     @pytest.mark.parametrize("H,dh", [(2, 2), (3, 4), (4, 1)])
     def test_scale_is_one_over_the_root_of_the_head_width(self, rng, H, dh):
         # the op reads the scale from its operands' shapes: 1/sqrt(d/H), not 1/sqrt(d)
         q, k, pos, v = _attention_operands(_drawer(rng), 2, T=3, H=H, dh=dh)
-        fused = attention_context(q, k, pos, v).data.tobytes()
-        assert fused == attention_chain(q, k, pos, v, 1.0 / math.sqrt(dh)).data.tobytes()
-        assert fused != attention_chain(q, k, pos, v, 1.0 / math.sqrt(H * dh)).data.tobytes()
+        w = rand_tensor(rng, (H * dh, 5))
+        fused = attention_matmul(q, k, pos, v, w, bias=None, residual=None).data.tobytes()
+        for s, same in ((1.0 / math.sqrt(dh), True), (1.0 / math.sqrt(H * dh), False)):
+            assert (fused == matmul(attention_chain(q, k, pos, v, s), w).data.tobytes()) == same
 
     def test_gradients(self, rng):
         # dh = 4, so the scale is 0.5
         q, k, pos, v = _attention_operands(_drawer(rng), 2, T=3, dh=4)
-        named = {"q": q, "k": k, "pos0": pos[0], "pos1": pos[1], "v": v}
+        w, bias, x = (rand_tensor(rng, shape, requires_grad=True) for shape in
+                      ((8, 8), (8,), (6, 8)))
+        named = {"q": q, "k": k, "pos0": pos[0], "pos1": pos[1], "v": v, "w": w, "bias": bias,
+                 "residual": x}
         c = Tensor(rng.uniform(-1, 1, q.shape))
 
         def make_loss():
-            return sum_all(mul(attention_context(q, k, pos, v), c))
+            return sum_all(mul(attention_matmul(q, k, pos, v, w, bias=bias, residual=x), c))
 
         assert_params_match_fd(named, make_loss)
 
-    @pytest.mark.parametrize("q,kv,pos", [
-        ((8, 6), (8, 6), [(2, 4, 6)] * 2),   # 2T - 1 = 7 wide, not 6
-        ((8, 6), (8, 6), [(2, 3, 5)] * 2),   # 8 rows are not 2 utterances of 3 frames
-        ((8, 6), (8, 6), [(2, 4, 7)] * 3),   # 3 utterances of 4 frames are 12 rows, not 8
-        ((8, 6), (8, 6), [(2, 4, 7)]),       # 1 utterance of 4 frames is 4 rows, not 8
-        ((8, 6), (8, 6), [(4, 4, 7)] * 2),   # 4 heads do not divide d = 6
-        ((8, 6), (8, 6), [(2, 4, 7), (3, 4, 7)]),  # the parts' heads differ
-        ((8, 6), (8, 6), [(2, 4, 7), (2, 4, 6)]),  # the parts' widths differ
-        ((8, 6), (8, 6), [(2, 4, 7), (2, 4)]),     # a part is not 3-d
-        ((8, 6), (8, 6), []),                      # no utterance
-        ((8, 6), (8, 4), [(2, 4, 7)] * 2),   # k and v are narrower than q
-        ((2, 4, 6), (2, 4, 6), [(2, 4, 7)] * 2),
-        ((8, 6), (8, 6), [(4, 7)] * 2)])
-    def test_rejects_operands_that_do_not_pair_up(self, q, kv, pos):
-        message = (f"attention_context: expected (B·T, d) q, k and v and B (H, T, 2T - 1) "
-                   f"positional scores with H dividing d, got {q}, {kv}, {kv} and {pos}")
+    @pytest.mark.parametrize("q,kv,pos,w", [
+        ((8, 6), (8, 6), [(2, 4, 6)] * 2, (6, 5)),   # 2T - 1 = 7 wide, not 6
+        ((8, 6), (8, 6), [(2, 3, 5)] * 2, (6, 5)),   # 8 rows are not 2 utterances of 3 frames
+        ((8, 6), (8, 6), [(2, 4, 7)] * 3, (6, 5)),   # 3 utterances of 4 frames are 12 rows
+        ((8, 6), (8, 6), [(2, 4, 7)], (6, 5)),       # 1 utterance of 4 frames is 4 rows, not 8
+        ((8, 6), (8, 6), [(4, 4, 7)] * 2, (6, 5)),   # 4 heads do not divide d = 6
+        ((8, 6), (8, 6), [(2, 4, 7), (3, 4, 7)], (6, 5)),  # the parts' heads differ
+        ((8, 6), (8, 6), [(2, 4, 7), (2, 4, 6)], (6, 5)),  # the parts' widths differ
+        ((8, 6), (8, 6), [(2, 4, 7), (2, 4)], (6, 5)),     # a part is not 3-d
+        ((8, 6), (8, 6), [], (6, 5)),                      # no utterance
+        ((8, 6), (8, 4), [(2, 4, 7)] * 2, (6, 5)),   # k and v are narrower than q
+        ((2, 4, 6), (2, 4, 6), [(2, 4, 7)] * 2, (6, 5)),
+        ((8, 6), (8, 6), [(4, 7)] * 2, (6, 5)),
+        ((8, 6), (8, 6), [(2, 4, 7)] * 2, (5, 6)),   # w's rows are not d
+        ((8, 6), (8, 6), [(2, 4, 7)] * 2, (6,))])    # w is not 2-d
+    def test_rejects_operands_that_do_not_pair_up(self, q, kv, pos, w):
+        message = (f"attention_matmul: expected (B·T, d) q, k and v, B (H, T, 2T - 1) "
+                   f"positional scores with H dividing d, and a (d, m) w, got {q}, {kv}, {kv}, "
+                   f"{pos} and {w}")
         with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
-            attention_context(Tensor(np.zeros(q)), Tensor(np.zeros(kv)),
-                              [Tensor(np.zeros(shape)) for shape in pos],
-                              Tensor(np.zeros(kv)))
+            attention_matmul(Tensor(np.zeros(q)), Tensor(np.zeros(kv)),
+                             [Tensor(np.zeros(shape)) for shape in pos], Tensor(np.zeros(kv)),
+                             Tensor(np.zeros(w)), bias=None, residual=None)
 
-    def test_overflowing_content_score_raises_as_a_matmul(self, rng):
+    @pytest.mark.parametrize("stage,op", [
+        pytest.param("content", "matmul", id="content-score"),
+        pytest.param("summed", "attention_context", id="summed-score"),
+        pytest.param("context", "attention_context", id="context"),
+        pytest.param("projection", "attention_matmul", id="post-projection")])
+    def test_rejects_a_non_finite_stage_as_its_chain_node(self, rng, stage, op):
+        # each stage overflows on its own; unchecked, a later stage would
+        # raise under another name, or the softmax hide a -inf score as 0
         q, k, pos, v = _attention_operands(_drawer(rng), 1)
-        # one score of one head is -inf: the softmax alone would give it weight 0
-        q.data[0, :3] = 1e200
-        k.data[1, :3] = -1e200
+        w = Tensor(np.ones((6, 4)))
+        if stage == "content":  # one score of one head is -inf
+            q.data[0, :3] = 1e200
+            k.data[1, :3] = -1e200
+        elif stage == "summed":
+            # a finite content score of one head and finite positional
+            # scores whose sum passes the largest double; the scale,
+            # 1/sqrt(3), is below 1
+            q.data[0, 0] = 1e300
+            k.data[1, 0] = 1e8
+            pos[0].data[...] = 1e308
+        elif stage == "context":
+            # v at the largest double, and finite weights, the softmax of
+            # positional scores alone: their rounded products with v add up
+            # past it on some rows
+            q.data[...] = k.data[...] = 0.0
+            pos[0].data[...] = Rng(0).uniform(-2.0, 2.0, pos[0].shape)
+            v.data[...] = np.finfo(np.float64).max
+        else:  # a finite context times a finite w passes the largest double
+            v.data[...] = 1.0
+            w.data[...] = 1e308
         with np.errstate(all="ignore"), \
-                pytest.raises(NonFiniteError, match="^matmul produced non-finite values$"):
-            attention_context(q, k, pos, v)
-
-    def test_overflowing_summed_score_raises_as_the_op(self, rng):
-        q, k, pos, v = _attention_operands(_drawer(rng), 1)
-        # a finite content score of one head and finite positional scores
-        # whose sum passes the largest double; the scale, 1/sqrt(3), is below 1
-        q.data[0, 0] = 1e300
-        k.data[1, 0] = 1e8
-        pos[0].data[...] = 1e308
-        with np.errstate(all="ignore"), \
-                pytest.raises(NonFiniteError, match="^attention_context produced"):
-            attention_context(q, k, pos, v)
+                pytest.raises(NonFiniteError, match=f"^{op} produced non-finite values$"):
+            attention_matmul(q, k, pos, v, w, bias=None, residual=None)
 
 
 def _plain_sigmoid(x):
@@ -476,7 +497,14 @@ class TestActivations:
         pytest.param(lambda x, g, b, w, c, v, r: linear_swish_matmul(
                          x, w, c, v, transpose_w=True, residual=r, s=0.5, norm=(g, b)),
                      [(4, 4), (4,), (4,), (6, 4), (6,), (6, 5), (4, 5)],
-                     id="linear_swish_matmul-norm-transpose_w-residual")])
+                     id="linear_swish_matmul-norm-transpose_w-residual"),
+        pytest.param(lambda x, w, c, r, g, b: matmul(x, w, True, c, r, 0.5, out_norm=(g, b)),
+                     [(4, 3), (5, 3), (5,), (4, 5), (5,), (5,)],
+                     id="matmul-transpose_b-bias-residual-out_norm"),
+        pytest.param(lambda x, g, b, w, c, v, d, r, g2, b2: linear_swish_matmul(
+                         x, w, c, v, d, residual=r, s=0.5, norm=(g, b), out_norm=(g2, b2)),
+                     [(4, 4), (4,), (4,), (4, 6), (6,), (6, 5), (5,), (4, 5), (5,), (5,)],
+                     id="linear_swish_matmul-norm-bias-residual-out_norm")])
     def test_gradients(self, rng, op, shapes):
         named = {f"x{i}": rand_tensor(rng, shape, requires_grad=True, scale=2.0)
                  for i, shape in enumerate(shapes)}
@@ -719,12 +747,15 @@ class TestResidual:
                    residual=rand_tensor(rng, (2, 4, 5)))
 
 
-def _norm_operands(op: str, rows: int, draw, transpose: bool, with_bias: bool):
-    """The operands of one product ``op`` with a ``norm=`` prologue, drawn
-    in the order of its parents: x of width 5, the prologue's (gamma,
-    beta), w (or b) transposed if asked, and a bias if asked. The product
-    is narrower than x, 4 wide, so a kept LN(x) would show."""
-    x, norm, kwargs = draw(rows, 5), (draw(5), draw(5)), {}
+def _norm_operands(op: str, rows: int, draw, transpose: bool, with_bias: bool,
+                   with_norm: bool = True):
+    """The operands of one product ``op`` with a ``norm=`` prologue (or
+    none, and a norm of None, if not ``with_norm``), drawn in the order of
+    its parents: x of width 5, the prologue's (gamma, beta), w (or b)
+    transposed if asked, and a bias if asked. The product is narrower than
+    x, 4 wide, so a kept LN(x) would show."""
+    x, kwargs = draw(rows, 5), {}
+    norm = (draw(5), draw(5)) if with_norm else None
     if op == "matmul":
         rest = (draw(4, 5) if transpose else draw(5, 4),)
         kwargs["transpose_b"] = transpose
@@ -769,6 +800,49 @@ class TestNormPrologue:
         with np.errstate(all="ignore"), \
                 pytest.raises(NonFiniteError, match="^layer_norm produced non-finite values"):
             _PRODUCTS[op](x, *args[1:], **kwargs, norm=norm)
+
+
+_EPILOGUE_PRODUCTS = ["matmul", "linear_swish_matmul"]
+
+
+class TestNormEpilogue:
+    """A product with ``out_norm=(gamma, beta)`` is layer_norm(residual +
+    s·(product + bias), gamma, beta) as one node: the bytes of the
+    product node followed by ``layer_norm``, with gamma and beta last
+    among the parents (the ``*-out_norm-*`` rows of ``FUSIONS``)."""
+
+    @pytest.mark.parametrize("op", _EPILOGUE_PRODUCTS)
+    def test_rejects_a_norm_that_does_not_fit(self, rng, op):
+        def draw(*shape):
+            return rand_tensor(rng, shape)
+
+        args, kwargs, _ = _norm_operands(op, 4, draw, False, True, with_norm=False)
+        for bad in ((draw(5), draw(4)), (draw(4), draw(3)), (draw(4, 1), draw(4))):
+            with pytest.raises(ShapeError, match=rf"^{op}: gamma/beta must be shape \(4,\)"):
+                _PRODUCTS[op](*args, **kwargs, out_norm=bad)
+
+    def test_rejects_a_norm_on_a_batched_product(self, rng):
+        norm = (rand_tensor(rng, (5,)), rand_tensor(rng, (5,)))
+        with pytest.raises(ShapeError, match=r"^matmul: a norm needs 2-d operands, got "
+                                             r"\(2, 4, 5\)$"):
+            matmul(rand_tensor(rng, (2, 4, 3)), rand_tensor(rng, (2, 3, 5)), out_norm=norm)
+
+    @pytest.mark.parametrize("op", _EPILOGUE_PRODUCTS)
+    @pytest.mark.parametrize("stage,scaled", [
+        pytest.param(None, {"residual": 1e308, "bias": 1e308}, id="pre-norm-sum"),
+        pytest.param("layer_norm", {"gamma": 1e308, "beta": 1e308}, id="norm")])
+    def test_rejects_a_non_finite_stage_as_its_chain_node(self, op, stage, scaled):
+        # finite operands whose pre-norm sum, or whose normalized sum times
+        # gamma plus beta, passes the largest double: unchecked, the sum's
+        # infinity would raise as the norm, as a NaN
+        args, kwargs, _ = _norm_operands(op, 2, lambda *shape: Tensor(np.ones(shape)),
+                                         False, True, with_norm=False)
+        kwargs["bias"] = Tensor(kwargs["bias"].data * scaled.get("bias", 1.0))
+        residual = Tensor(np.tile([1.0, -1.0, 1.0, -1.0], (2, 1)) * scaled.get("residual", 1.0))
+        out_norm = tuple(Tensor(np.full(4, scaled.get(name, 1.0))) for name in ("gamma", "beta"))
+        with np.errstate(all="ignore"), \
+                pytest.raises(NonFiniteError, match=f"^{stage or op} produced non-finite values$"):
+            _PRODUCTS[op](*args, **kwargs, residual=residual, out_norm=out_norm)
 
 
 class TestDepthwiseConv:
@@ -904,6 +978,17 @@ def _attention_context_row(draw, grow, B):
     return attention_context(q, k, pos, v), attention_chain(q, k, pos, v, 1.0 / math.sqrt(3))
 
 
+def _attention_matmul_row(draw, grow, B, with_bias, residual):
+    # the (rows, 6) context is wider than the (rows, 4) product, so a kept
+    # one would show
+    q, k, pos, v = _attention_operands(draw, B + grow)  # dh = 3
+    w = draw(6, 4)
+    kwargs = {"bias": draw(4) if with_bias else None,
+              "residual": draw(q.shape[0], 4) if residual else None}
+    return (attention_matmul(q, k, pos, v, w, **kwargs),
+            matmul(attention_context(q, k, pos, v), w, **kwargs))
+
+
 def _unfused(op, a, *rest, bias=None, transpose_b=False, transpose_w=False, residual=None,
              s=None):
     """The product ``op`` of ``_PRODUCTS`` as the plain ``matmul`` and the
@@ -970,6 +1055,18 @@ def _norm_row(draw, grow, op, transpose, with_bias, residual, s, B):
             _unfused(op, layer_norm(x, *norm), *rest, **kwargs))
 
 
+def _out_norm_row(draw, grow, op, norm, with_bias, residual, s, B):
+    # as the model's last feed-forward node: matmul reads b transposed
+    rows = 4 * (B + grow)
+    (x, *rest), kwargs, norm = _norm_operands(op, rows, draw, op == "matmul", with_bias, norm)
+    if residual:
+        kwargs.update(residual=draw(rows, 4), s=s)
+    out_norm = (draw(4), draw(4))
+    return (_PRODUCTS[op](x, *rest, **kwargs, norm=norm, out_norm=out_norm),
+            layer_norm(_unfused(op, x if norm is None else layer_norm(x, *norm), *rest,
+                                **kwargs), *out_norm))
+
+
 def _glu_conv_swish_matmul_row(draw, grow, B, w, T):
     # the conv module over B utterances of T frames; the (rows, 12)
     # pre-activation and the (rows, 6) gate, convolution and inner norm are
@@ -994,6 +1091,11 @@ _BIAS = [(False, "no-bias"), (True, "bias")]
 FUSIONS = [
     *(_row(f"attention_weights-T{T}", _attention_weights_row, T=T) for T in (1, 2, 5, 16)),
     *(_row(f"attention_context-B{B}", _attention_context_row, B=B) for B in (1, 3)),
+    *(_row(f"attention_matmul-{bias_id}-{residual_id}-B{B}", _attention_matmul_row, B=B,
+           with_bias=bias, residual=residual)
+      for bias, bias_id in _BIAS for residual, residual_id in [(False, "no-residual"),
+                                                               (True, "residual")]
+      for B in (1, 3)),
     *(_row(f"glu_conv_swish_matmul-{bias_id}", _glu_conv_swish_matmul_core_row,
            with_bias=bias)
       for bias, bias_id in _BIAS),
@@ -1016,6 +1118,16 @@ FUSIONS = [
       for residual, s, residual_id in [(False, None, "no-residual"), (True, None, "residual"),
                                        (True, 0.5, "residual-s")]
       if s is None or op != "glu_conv_swish_matmul"
+      for B in (1, 3)),
+    # the same over the two products that end a feed-forward, each with an
+    # out_norm epilogue, with and without a prologue
+    *(_row(f"{op}-out_norm{'-norm' if norm else ''}-{bias_id}-{residual_id}-B{B}",
+           _out_norm_row, op=op, norm=norm, with_bias=bias, residual=residual, s=s, B=B)
+      for op in _EPILOGUE_PRODUCTS
+      for norm in (False, True)
+      for bias, bias_id in _BIAS
+      for residual, s, residual_id in [(False, None, "no-residual"), (True, None, "residual"),
+                                       (True, 0.5, "residual-s")]
       for B in (1, 3)),
     # T = 2 is shorter than the pad at w = 11
     *(_row(f"glu_conv_swish_matmul-B{B}-w{w}-T{T}", _glu_conv_swish_matmul_row, B=B, w=w, T=T)
@@ -1370,8 +1482,9 @@ class TestRetainedMemory:
         # which the attention node reads as it is
         scores = [n for n in nodes if n.ndim == 3 and n.shape[-1] == 2 * T - 1]
         assert [n.shape for n in scores] == [(H, T, 2 * T - 1)] * B
-        (context,) = [n for n in nodes if n.op == "attention_context"]
-        assert {id(n) for n in context._parents[2:-1]} == {id(n) for n in scores}
+        # its parents are (q, k, *pos, v, wpost, bpost, x)
+        (node,) = [n for n in nodes if n.op == "attention_matmul"]
+        assert {id(n) for n in node._parents[2:-4]} == {id(n) for n in scores}
         # and neither a node nor a rule closure holds them joined
         kept = [n.data for n in nodes] + self._held_arrays(nodes)
         assert not [a.shape for a in kept if a.shape == (B * H, T, 2 * T - 1)]
@@ -1436,17 +1549,21 @@ class TestRetainedMemory:
         held = self._held_arrays(nodes)
         # the softmax weights are rebuilt in backward, not kept
         assert not [a.shape for a in held if a.shape[-2:] == (128, 128)]
-        # four norms a layer are no node: three are a product's prologue,
-        # each feed-forward's and the convolution module's first, and the
-        # module's inner norm runs inside its node; only the attention's and
-        # the block's final norm are layer_norm nodes
+        # five norms a layer are no node: three are a product's prologue,
+        # each feed-forward's and the convolution module's first, the
+        # module's inner norm runs inside its node, and the block's final
+        # norm is the epilogue of ff_end's last node; only the attention's
+        # is a layer_norm node
         blocks = model.virtual_blocks()
         folded = [pair for b in blocks for pair in (
             (b.ff_start.ln_gamma, b.ff_start.ln_beta), (b.conv.ln_gamma, b.conv.ln_beta),
             (b.ff_end.ln_gamma, b.ff_end.ln_beta))]
         readers = [n for n in nodes if any(n._parents[1:3] == pair for pair in folded)]
         assert len(readers) == 3 * len(blocks)
-        assert [n.op for n in nodes].count("layer_norm") == 2 * len(blocks)
+        assert [n.op for n in nodes].count("layer_norm") == len(blocks)
+        ends = [n for n in nodes if n._parents[-2:] in [(b.final_ln_gamma, b.final_ln_beta)
+                                                       for b in blocks]]
+        assert [n.op for n in ends] == ["matmul" if lowrank else "linear_swish_matmul"] * 2
         convs = [n for n in nodes if n.op == "glu_conv_swish_matmul"]
         assert [n._parents[6:8] for n in convs] == [(b.conv.norm_gamma, b.conv.norm_beta)
                                                     for b in blocks]
@@ -1459,14 +1576,25 @@ class TestRetainedMemory:
             pre = matmul(x, w, bias=c, norm=(gamma, beta))
             inner = layer_norm(depthwise_conv1d(glu(pre), k, 128), inner_gamma, inner_beta)
             normalized.add(inner.data.tobytes())
-        assert len(normalized) == len(readers) + len(convs)
+        # and no node or closure holds the final norm's input, the
+        # feed-forward's residual sum, rebuilt by the node without its epilogue
+        for n in ends:
+            if lowrank:
+                h, v2, b2, x = n._parents[:4]
+                summed = matmul(h, v2, True, b2, x, 0.5)
+            else:
+                x, gamma, beta, w1, b1, w2, b2 = n._parents[:7]
+                summed = linear_swish_matmul(x, w1, b1, w2, b2, residual=x, s=0.5,
+                                             norm=(gamma, beta))
+            normalized.add(summed.data.tobytes())
+        assert len(normalized) == len(readers) + len(convs) + len(ends)
         kept = [n.data for n in nodes] + held
         assert not [a.shape for a in kept if a.nbytes == 128 * 144 * 8
                     and a.tobytes() in normalized]
 
     @pytest.mark.parametrize("frames,batch,mib", [
-        pytest.param(128, 1, 125, id="128x1"),
-        pytest.param(64, 2, 105, id="64x2")])
+        pytest.param(128, 1, 105, id="128x1"),
+        pytest.param(64, 2, 85, id="64x2")])
     def test_lrs3_forward_tape_layout_and_held_bytes(self, frames, batch, mib):
         # its op counts are TAPE_OPS' lrs3 rows
         from confshare.training import batch_loss
@@ -1480,6 +1608,14 @@ class TestRetainedMemory:
         # the convolution module rebuilds its (rows, 2d) pre-activation
         kept = [n.data for n in nodes] + closures
         assert not [a.shape for a in kept if a.shape == (frames * batch, 2 * 144)]
+        # and the attention its (rows, d) context, rebuilt here by the
+        # oracle from each node's (q, k, *pos, v, wpost, bpost, x)
+        contexts = {attention_context(n._parents[0], n._parents[1], n._parents[2:-4],
+                                      n._parents[-4]).data.tobytes()
+                    for n in nodes if n.op == "attention_matmul"}
+        assert len(contexts) == 40
+        assert not [a.shape for a in kept if a.nbytes == frames * batch * 144 * 8
+                    and a.tobytes() in contexts]
         assert held <= mib * 2**20, f"the forward pass holds {held / 2**20:.1f} MiB"
 
 
@@ -1500,7 +1636,7 @@ def _closure_values(fn) -> list:
     """What the closure of ``fn`` holds, with the functions in it replaced
     by what their closures hold, so a product's core operations, which
     the frame's rule calls, are searched too, and the tuples and lists in
-    it by their items, so ``attention_context``'s positional parts are."""
+    it by their items, so ``attention_matmul``'s positional parts are."""
     values = []
     for cell in fn.__closure__ or ():
         values += _flattened(cell.cell_contents)
@@ -1526,8 +1662,8 @@ class TestScratch:
 
     SLOTS = {"swish.act", "swish.s", "swish.ga", "linear_swish_matmul.pre", "conv.pre",
              "glu.s", "conv.xp", "conv.tap", "conv.out", "conv.y", "conv.gxp",
-             "softmax_grad.gp", "attention_context.p", "norm.y", "norm.xhat", "adam.step",
-             "adam.den"}
+             "softmax_grad.gp", "attention_context.p", "attention_context.out", "norm.y",
+             "norm.xhat", "adam.step", "adam.den"}
 
     @staticmethod
     def _model(name):
@@ -1751,29 +1887,29 @@ class TestTape:
 
 
 # Every op on the tape below each case's output, with leaves counted as
-# "leaf". A layer holds one attention_context and one
-# glu_conv_swish_matmul node (the whole convolution module), one
-# linear_swish_matmul per feed-forward, two layer norms (the
-# attention's, which four projections read, and the final one), and
-# matmuls for q, k, v, pq, the post-projection, a low-rank feed-forward's
-# U1 and V2 products (LRS3), and one positional product per utterance,
-# on a split_heads node of its pq rows. The table window is split once
-# per forward.
+# "leaf". A layer holds one attention_matmul node (from the q, k and v
+# projections through the post-projection), one glu_conv_swish_matmul
+# node (the whole convolution module), one linear_swish_matmul per
+# feed-forward, one layer norm (the attention's, which four projections
+# read; the final one is the epilogue of ff_end's last node), and
+# matmuls for q, k, v, pq, a low-rank feed-forward's U1 and V2 products
+# (LRS3), and one positional product per utterance, on a split_heads
+# view of its pq rows. The table window is split once per forward.
 TAPE_OPS = {
     # the toy_train config: a packed 4x32 batch through repeat_plan(2, 3)
-    "toy-4x32": Counter(leaf=76, matmul=56, split_heads=25, layer_norm=12,
-                        linear_swish_matmul=12, attention_context=6, glu_conv_swish_matmul=6,
+    "toy-4x32": Counter(leaf=76, matmul=50, split_heads=25, layer_norm=6,
+                        linear_swish_matmul=12, attention_matmul=6, glu_conv_swish_matmul=6,
                         cross_entropy_mean=1),
-    "lrs3-128x1": Counter(matmul=402, leaf=318, layer_norm=80, linear_swish_matmul=80,
-                          split_heads=41, attention_context=40, glu_conv_swish_matmul=40,
+    "lrs3-128x1": Counter(matmul=362, leaf=318, layer_norm=40, linear_swish_matmul=80,
+                          split_heads=41, attention_matmul=40, glu_conv_swish_matmul=40,
                           cross_entropy_mean=1),
-    "lrs3-64x2": Counter(matmul=442, leaf=318, split_heads=81, layer_norm=80,
-                         linear_swish_matmul=80, attention_context=40, glu_conv_swish_matmul=40,
+    "lrs3-64x2": Counter(matmul=402, leaf=318, split_heads=81, layer_norm=40,
+                         linear_swish_matmul=80, attention_matmul=40, glu_conv_swish_matmul=40,
                          cross_entropy_mean=1),
     # one standalone attention over 1 or 3 utterances of 5 frames
-    "attention-1": Counter(leaf=14, matmul=6, split_heads=2, attention_context=1,
+    "attention-1": Counter(leaf=14, matmul=5, split_heads=2, attention_matmul=1,
                            layer_norm=1),
-    "attention-3": Counter(leaf=14, matmul=8, split_heads=4, attention_context=1,
+    "attention-3": Counter(leaf=14, matmul=7, split_heads=4, attention_matmul=1,
                            layer_norm=1),
 }
 
@@ -1800,6 +1936,28 @@ def _tape_output(case: str) -> Tensor:
 @pytest.mark.parametrize("case", TAPE_OPS)
 def test_tape_op_counts(case):
     assert Counter(n.op or "leaf" for n in Tape.trace(_tape_output(case)).nodes) == TAPE_OPS[case]
+
+
+@pytest.mark.parametrize("name", ["toy-4x32", "LRS3-small"])
+def test_split_heads_is_the_one_view_on_a_tape(name):
+    # a split_heads output is a strided view of its parent's rows (the pq
+    # rows of an utterance, or the table window), with no copy; every
+    # other op output, and every leaf, is C-contiguous
+    if name == "toy-4x32":
+        loss = _tape_output(name)
+    else:
+        from confshare.training import ToyTaskSpec, batch_loss, generate_toy_batch
+
+        model, frames = TestScratch._model(name)
+        spec = ToyTaskSpec(feature_dim=model.config.input_dim,
+                           num_classes=model.config.num_classes, frames=frames, batch=3)
+        loss = batch_loss(model, *generate_toy_batch(spec, 5, 0))
+    nodes = Tape.trace(loss).nodes
+    splits = [n for n in nodes if n.op == "split_heads"]
+    assert splits
+    for n in splits:
+        assert np.shares_memory(n.data, n._parents[0].data)
+    assert all(n.data.flags.c_contiguous for n in nodes if n.op != "split_heads")
 
 
 def test_every_fused_op_on_a_tape_has_a_fusion_row():

@@ -152,7 +152,7 @@ class TestAttention:
         assert own.data.tobytes() == given.data.tobytes()
         # three utterances' (H, T, 2T - 1) scores, 7 wide where T = 5 needs 9
         with pytest.raises(ShapeError,
-                           match=r"^attention_context: .* and \[(\(2, 5, 7\)(, )?){3}\]$"):
+                           match=r"^attention_matmul: .*, \[(\(2, 5, 7\)(, )?){3}\] and \(8, 8\)$"):
             attention(x, p, frames=5, table=table_heads(p, 4))
 
     def test_packed_utterances_match_separate_calls(self, rng):
@@ -171,7 +171,7 @@ class TestAttention:
         tape = backward(sum_all(attention(rand_tensor(rng, (utts * T, 8)), p, frames=T)))
         products = [n.shape for n in tape.nodes if n.op == "matmul"]
         # the only 3-d products: one positional score block per utterance,
-        # which the one attention_context node reads as they are (its op
+        # which the one attention_matmul node reads as they are (its op
         # counts are test_tape_op_counts' attention rows)
         assert [s for s in products if len(s) == 3] == [(H, T, 2 * T - 1)] * utts
 

@@ -164,7 +164,7 @@ def _loss_and_grads(model, loss):
     return loss.data, {key: t.grad for key, t in model.store.items()}
 
 
-# At head width 1, attention_context's k and v gradients may round
+# At head width 1, attention_matmul's k and v gradients may round
 # differently from attention_chain's (see tests/oracles.py): over 252
 # unit-head cases the worst relative error was 3.6e-12 (numpy 2.4.6).
 UNIT_HEAD_TOL = 1e-10

@@ -18,7 +18,8 @@ Everything here is deliberately small and deterministic:
   fixtures are reproducible across platforms and implementations.
 
 The op set is what a conformer block needs: four products, layer norm
-(for the attention's, which four projections read), ``split_heads`` (a
+(for the attention's, which the v and pq projections and the attention
+node read), ``split_heads`` (a
 range of rows split into heads, one node and no copy) and
 ``cross_entropy_mean``.
 
@@ -29,9 +30,10 @@ feed-forward's first product to its second), ``glu_conv_swish_matmul``
 gated linear unit, the depthwise temporal convolution, which pads each
 utterance of a packed batch on its own, and the inner layer norm
 between its two products) and ``attention_matmul`` (the attention
-context times the post-projection: from the q, k and v projections and
-each utterance's relative-position scores, one node per layer over all
-heads of a batch, which reads the heads as strided views). One frame,
+context times the post-projection: from the attention's layer-norm
+output, whose q and k projections it builds itself, the v projection
+and each utterance's relative-position scores, one node per layer over
+all heads of a batch, which reads the heads as strided views). One frame,
 ``_product``, makes a 2-d one the node
 LN'(residual + s·(P(LN(a)) + bias)), P the product's core, in four
 optional steps, so none of them is a node of its own: a
@@ -69,10 +71,11 @@ so its bytes are those of keeping them:
   the convolution and the inner norm by the forward's ops, so of the
   convolution module the tape holds only its input and its output;
 * ``layer_norm`` keeps one mean and one inverse deviation per row;
-* ``attention_matmul`` keeps nothing of its own: it rebuilds its
-  softmax weights from q, k and the positional scores, and the context
-  from them and v, so neither a (B·H, T, T) array nor the (rows, d)
-  context outlives the forward;
+* ``attention_matmul`` keeps nothing of its own: it rebuilds q and k
+  from the layer-norm output, its softmax weights from them and the
+  positional scores, and the context from the weights and v, so neither
+  q, k, a (B·H, T, T) array nor the (rows, d) context outlives the
+  forward;
 * ``split_heads`` keeps nothing, and its output is a view.
 
 The elementwise kernels write into buffers they own rather than
@@ -104,9 +107,10 @@ pages in for it (the idea of PyTorch's caching allocator). The slots:
   norm's output, whose gradient the rule writes over it; and, in the
   rule only, ``conv.gxp``, the padded gate's gradient;
 * ``attention_matmul``'s, each in the forward and again in the rule:
-  ``attention_context.p``, the scores and then the softmax weights, and
-  ``attention_context.out``, the context, which the post-projection's
-  weight gradient reads;
+  ``attention_matmul.q`` and ``attention_matmul.k``, the q and k
+  projections; ``attention_context.p``, the scores and then the softmax
+  weights; and ``attention_context.out``, the context, which the
+  post-projection's weight gradient reads;
 * ``softmax_grad.gp``: the g·p product of ``attention_matmul``'s rule;
 * ``adam.step`` and ``adam.den``: ``training.OptimizerState``'s update.
 
@@ -462,7 +466,8 @@ def _product(op: str, a: Tensor, rest: tuple, forward, grads, bias: Tensor | Non
     ``out *= s; out += residual`` is the op order of the unfused
     ``add(residual, out, s)`` in ``tests/oracles.py``, so the bytes are
     the same. The pre-norm sum is checked as this op's output would be,
-    and the epilogue's output as a ``layer_norm``'s.
+    and the epilogue's output as a ``layer_norm``'s, by the one check
+    that every node's output gets (``Tensor``).
     """
     if norm is None:
         ad, parents, gamma, beta, mu, inv = a.data, (a,), None, None, None, None
@@ -505,7 +510,6 @@ def _product(op: str, a: Tensor, rest: tuple, forward, grads, bias: Tensor | Non
         out_mu, out_inv = _normalize(out, out)
         out *= out_gamma.data
         out += out_beta.data
-        _finite(out, "layer_norm")
         parents += (out_gamma, out_beta)
 
     def rule(g):
@@ -544,7 +548,13 @@ def _product(op: str, a: Tensor, rest: tuple, forward, grads, bias: Tensor | Non
             result = (*result, g)
         return (*result, *g_out_norm)
 
-    return _result(out, op, parents, rule)
+    try:
+        return _result(out, op, parents, rule)
+    except NonFiniteError:
+        if out_norm is None:
+            raise
+        # the node's own check is the epilogue's, named as the chain's norm
+        raise NonFiniteError("layer_norm produced non-finite values") from None
 
 
 def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
@@ -935,60 +945,76 @@ def utterance_count(rows: int, frames: int) -> int:
     return rows // frames
 
 
-def attention_matmul(q: Tensor, k: Tensor, pos, v: Tensor, w: Tensor, *, bias: Tensor | None,
-                     residual: Tensor | None) -> Tensor:
-    """softmax((q kᵀ + skew(pos)) / sqrt(d/H)) v @ w, every head's context
-    times the post-projection, as one node, made residual + (context @ w +
-    bias) by the other arguments, as in ``matmul``.
+def attention_matmul(xn: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor, pos, v: Tensor,
+                     w: Tensor, *, bias: Tensor | None, residual: Tensor | None) -> Tensor:
+    """softmax((q kᵀ + skew(pos)) / sqrt(d/H)) v @ w, with q = xn @ wq + bq
+    and k = xn @ wk + bk, every head's context times the post-projection,
+    as one node, made residual + (context @ w + bias) by the other
+    arguments, as in ``matmul``.
 
-    q, k and v are the (B·T, d) projections of B utterances of T frames,
-    and w is (d, m). Their H heads are read as strided (B, H, T, dh)
-    views, with no copies, and the context is written through the same
-    view into a (B·T, d) array, the heads of each frame side by side.
-    ``pos`` holds the B utterances' (H, T, 2T - 1) positional scores, in
-    packing order: column c holds the score for key offset c - (T - 1)
-    relative to the query, and skew(pos[b])[h, t, s] = pos[b][h, t, s - t
-    + T - 1] (a strided view, see ``_skew``). B is ``len(pos)``, and H and
-    T are read from the parts' shape, and so the scale 1/sqrt(d/H) of
-    Vaswani et al. 2017 (arXiv:1706.03762). The parents are (q, k, *pos,
-    v, w, bias, residual).
+    xn holds the (B·T, n) rows of B utterances of T frames (the
+    attention's layer-norm output), wq and wk are (n, d), bq and bk (d,),
+    v is the (B·T, d) value projection and w is (d, m). The q, k and v
+    heads are read as strided (B, H, T, dh) views, with no copies, and
+    the context is written through the same view into a (B·T, d) array,
+    the heads of each frame side by side. ``pos`` holds the B
+    utterances' (H, T, 2T - 1) positional scores, in packing order:
+    column c holds the score for key offset c - (T - 1) relative to the
+    query, and skew(pos[b])[h, t, s] = pos[b][h, t, s - t + T - 1] (a
+    strided view, see ``_skew``). B is ``len(pos)``, and H and T are
+    read from the parts' shape, and so the scale 1/sqrt(d/H) of Vaswani
+    et al. 2017 (arXiv:1706.03762). The parents are (xn, wq, bq, wk, bk,
+    *pos, v, w, bias, residual).
 
-    The q kᵀ product is checked as a matmul, and the weights and the
+    The q and k projections (``attention_matmul.q`` and ``.k``) and the
+    q kᵀ product are each checked as a matmul, and the weights and the
     context as the ``attention_context`` node of the chain this op
     replaces, so a score that overflows raises even where the softmax
-    would hide it. The weights (``attention_context.p``) and the context
-    (``attention_context.out``) are scratch, dropped once the product is
-    taken, so the node keeps no array of its own: the rule rebuilds both
-    by the forward's ops in the forward's order (the q kᵀ product, each
-    utterance's skew add, the scale, ``_softmax``, the product with v),
-    at one more q kᵀ product, softmax and context product in backward.
-    It runs ``matmul``'s rule arithmetic for w's gradient and the
-    context's, then the attention's on the latter: it writes the
-    gradients of q, k and v through the head views and each utterance's
-    positional gradient into a zeroed (H, T, 2T - 1) array through the
-    skew view. So the bytes are those of ``matmul(attention_context(q, k,
-    pos, v), w, bias=bias, residual=residual)`` in ``tests/oracles.py``.
+    would hide it. The projections, the weights (``attention_context.p``)
+    and the context (``attention_context.out``) are scratch, dropped once
+    the product is taken, so the node keeps no array of its own: the
+    rule rebuilds them by the forward's ops in the forward's order (the
+    two projections, the q kᵀ product, each utterance's skew add, the
+    scale, ``_softmax``, the product with v), at two more projections, a
+    q kᵀ product, a softmax and a context product in backward. It runs
+    ``matmul``'s rule arithmetic for w's gradient and the context's, then
+    the attention's on the latter: it writes the gradients of q, k and v
+    through the head views and each utterance's positional gradient into
+    a zeroed (H, T, 2T - 1) array through the skew view. Last come the
+    projections' rules: xn's gradient is q's gradient times wqᵀ, then
+    plus k's times wkᵀ, and the weights' and biases' are xnᵀ and row sums
+    times each. So the bytes are those of ``matmul(attention_context(
+    matmul(xn, wq, bias=bq), matmul(xn, wk, bias=bk), pos, v), w,
+    bias=bias, residual=residual)`` in ``tests/oracles.py``.
     """
     pos = tuple(pos)
-    rows, d = q.shape if q.ndim == 2 else (0, 0)
+    rows = xn.shape[0] if xn.ndim == 2 else 0
+    d = w.shape[0] if w.ndim == 2 else 0
     B = len(pos)
     H, T, W = pos[0].shape if B and pos[0].ndim == 3 else (0, 0, 0)
-    if (not H or d % H or W != 2 * T - 1 or rows != B * T
+    if (not H or not d or d % H or W != 2 * T - 1 or rows != B * T
             or any(part.shape != pos[0].shape for part in pos)
-            or k.shape != q.shape or v.shape != q.shape or w.ndim != 2 or w.shape[0] != d):
-        raise ShapeError(f"attention_matmul: expected (B·T, d) q, k and v, B (H, T, 2T - 1) "
-                         f"positional scores with H dividing d, and a (d, m) w, got "
-                         f"{q.shape}, {k.shape}, {v.shape}, "
-                         f"{[part.shape for part in pos]} and {w.shape}")
+            or wq.shape != (xn.shape[1], d) or wk.shape != wq.shape
+            or bq.shape != (d,) or bk.shape != (d,) or v.shape != (rows, d)):
+        raise ShapeError(f"attention_matmul: expected a (B·T, n) xn, (n, d) wq and wk, (d,) bq "
+                         f"and bk, B (H, T, 2T - 1) positional scores with H dividing d, a "
+                         f"(B·T, d) v and a (d, m) w, got {xn.shape}, {wq.shape}, {bq.shape}, "
+                         f"{wk.shape}, {bk.shape}, {[part.shape for part in pos]}, {v.shape} "
+                         f"and {w.shape}")
     dh = d // H
     scale = 1.0 / math.sqrt(dh)
 
     def head_view(a):  # (B·T, d) -> (B, H, T, dh), a view
         return a.reshape(B, T, H, dh).transpose(0, 2, 1, 3)
 
-    def scores():  # q kᵀ, in scratch
+    def projection(x, wt, bt, slot):  # x @ wt + bt, in scratch
+        out = np.matmul(x, wt.data, out=_scratch(slot, (rows, d)))
+        out += bt.data
+        return out
+
+    def scores(q, k):  # q kᵀ, in scratch
         z = _scratch("attention_context.p", (B, H, T, T))
-        return np.matmul(head_view(q.data), np.swapaxes(head_view(k.data), -1, -2), out=z)
+        return np.matmul(head_view(q), np.swapaxes(head_view(k), -1, -2), out=z)
 
     def weights(z):  # the softmax of the scaled scores, over z
         for zb, part in zip(z, pos):
@@ -1001,8 +1027,12 @@ def attention_matmul(q: Tensor, k: Tensor, pos, v: Tensor, w: Tensor, *, bias: T
         np.matmul(p, head_view(v.data), out=head_view(ctx))
         return ctx
 
-    def forward(_q):
-        z = scores()
+    def forward(x):
+        q = projection(x, wq, bq, "attention_matmul.q")
+        _finite(q, "matmul")
+        k = projection(x, wk, bk, "attention_matmul.k")
+        _finite(k, "matmul")
+        z = scores(q, k)
         _finite(z, "matmul")
         p = weights(z)
         _finite(p, "attention_context")
@@ -1010,8 +1040,10 @@ def attention_matmul(q: Tensor, k: Tensor, pos, v: Tensor, w: Tensor, *, bias: T
         _finite(ctx, "attention_context")
         return ctx @ w.data
 
-    def grads(_q, gp, rebuilt):
-        p = weights(scores())
+    def grads(x, gp, rebuilt):
+        q = projection(x, wq, bq, "attention_matmul.q")
+        k = projection(x, wk, bk, "attention_matmul.k")
+        p = weights(scores(q, k))
         ctx = context(p)
         gw = ctx.T @ gp
         g = gp @ w.data.T  # the context's gradient
@@ -1024,12 +1056,15 @@ def attention_matmul(q: Tensor, k: Tensor, pos, v: Tensor, w: Tensor, *, bias: T
         gpos = [np.zeros((H, T, W)) for _ in range(B)]
         for gfull, gzb in zip(gpos, gz):
             _skew(gfull)[...] = gzb
-        np.matmul(gz, head_view(k.data), out=head_view(gq))
-        np.matmul(np.swapaxes(gz, -1, -2), head_view(q.data), out=head_view(gk))
-        return gq, gk, *gpos, gv, gw
+        np.matmul(gz, head_view(k), out=head_view(gq))
+        np.matmul(np.swapaxes(gz, -1, -2), head_view(q), out=head_view(gk))
+        gx = gq @ wq.data.T
+        gx += gk @ wk.data.T
+        return (gx, x.T @ gq, np.add.reduce(gq, axis=0), x.T @ gk, np.add.reduce(gk, axis=0),
+                *gpos, gv, gw)
 
-    return _product("attention_matmul", q, (k, *pos, v, w), forward, grads, bias, residual, None,
-                    None, None)
+    return _product("attention_matmul", xn, (wq, bq, wk, bk, *pos, v, w), forward, grads, bias,
+                    residual, None, None, None)
 
 
 def cross_entropy_mean(logits: Tensor, labels: np.ndarray) -> Tensor:

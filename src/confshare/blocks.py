@@ -208,21 +208,23 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None,
     Only the 2T - 1 rows a length-T input can reach enter the product.
 
     ``x`` holds B utterances of ``frames`` = T frames each (default: one).
-    One ``attention_matmul`` node runs from the q, k and v projections
-    through the context to the post-projection, which adds bpost and the
-    residual ``x``: it reads their heads as (B, H, T, dh) views,
+    One ``attention_matmul`` node runs from the layer norm's output
+    through the q and k projections, which it builds itself, and the
+    context to the post-projection, which adds bpost and the residual
+    ``x``: it reads the q, k and v heads as (B, H, T, dh) views,
     utterance after utterance, so no head sees another utterance's frames,
-    and keeps neither a (B·H, T, T) array nor the (B·T, d) context: its
-    rule rebuilds the softmax weights and the context. Only the
-    positional product runs per utterance, (H, T, 2T − 1) each, on the
-    utterance's pos-query rows, split into heads by one ``split_heads``
-    node, a view with no copy, against ``table``, the ``table_heads`` of
-    ``p`` for T frames (built here when not given), a view of the table's
-    rows too; ``attention_matmul`` takes the B products as they are, with
-    no join. The layer norm, which four projections read, stays a
-    ``layer_norm`` node. So a step records one ``split_heads`` per
-    utterance and layer, and one for the table (``TAPE_OPS`` in
-    ``tests/test_autodiff.py`` counts every op).
+    and keeps neither q, k, a (B·H, T, T) array nor the (B·T, d) context:
+    its rule rebuilds the projections, the softmax weights and the
+    context. Only the positional product runs per utterance, (H, T,
+    2T − 1) each, on the utterance's pos-query rows, split into heads by
+    one ``split_heads`` node, a view with no copy, against ``table``, the
+    ``table_heads`` of ``p`` for T frames (built here when not given), a
+    view of the table's rows too; ``attention_matmul`` takes the B
+    products as they are, with no join. The layer norm, which v, pq and
+    the attention node read, stays a ``layer_norm`` node, and v and pq
+    stay ``matmul`` nodes; q and k are no node. So a step records one
+    ``split_heads`` per utterance and layer, and one for the table
+    (``TAPE_OPS`` in ``tests/test_autodiff.py`` counts every op).
     """
     rows = x.shape[0]
     T = rows if frames is None else frames
@@ -232,14 +234,13 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None,
         table = table_heads(p, T)
 
     xn = layer_norm(x, p.ln_gamma, p.ln_beta)
-    q = matmul(xn, p.wq, bias=p.bq)
-    k = matmul(xn, p.wk, bias=p.bk)
     v = matmul(xn, p.wv, bias=p.bv)
     pq = matmul(xn, p.wpos_query, bias=p.bpos_query)
 
     pos = [matmul(split_heads(pq, b * T, (b + 1) * T, H), table, transpose_b=True)
            for b in range(B)]                                # B × (H, T, 2T - 1)
-    return attention_matmul(q, k, pos, v, p.wpost, bias=p.bpost, residual=x)
+    return attention_matmul(xn, p.wq, p.bq, p.wk, p.bk, pos, v, p.wpost, bias=p.bpost,
+                            residual=x)
 
 
 def conv_module(x: Tensor, p: ConvParams, frames: int | None = None) -> Tensor:

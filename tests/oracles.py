@@ -8,7 +8,8 @@ from: ``add(a, b, s)`` against ``add(a, scale(b, s))``, a product's
 b)``, ``glu_conv_swish_matmul`` against the chain ``matmul``, ``glu``,
 ``depthwise_conv1d``, ``layer_norm``, ``swish``, ``matmul``, a product's
 ``out_norm`` against ``layer_norm`` of the product, ``attention_matmul``
-against ``matmul`` of ``attention_context``, and ``attention_context``
+against ``matmul`` of ``attention_context`` of the q and k ``matmul``
+nodes, and ``attention_context``
 against ``attention_chain``: head splits, the content matmul,
 ``concat_rows`` of the per-utterance positional scores,
 ``attention_weights`` (itself checked against ``softmax`` of the summed
@@ -251,8 +252,9 @@ def concat_rows(parts) -> Tensor:
 
 def attention_context(q: Tensor, k: Tensor, pos, v: Tensor) -> Tensor:
     """softmax((q kᵀ + skew(pos)) / sqrt(d/H)) v for every head, as one
-    node: ``attention_matmul`` without its post-projection, the first link
-    of its chain, and itself checked against ``attention_chain``.
+    node: ``attention_matmul`` without its q and k projections and its
+    post-projection, the link of its chain between them, and itself
+    checked against ``attention_chain``.
 
     q, k and v are the (B·T, d) projections of B utterances of T frames,
     whose H heads it reads as strided (B, H, T, dh) views; ``pos`` holds

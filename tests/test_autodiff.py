@@ -281,55 +281,96 @@ def _attention_operands(draw, B, T=4, H=2, dh=3):
     return q, k, [draw(H, T, 2 * T - 1) for _ in range(B)], draw(B * T, d)
 
 
+def _attention_matmul_operands(draw, B, T=4, H=2, dh=3, n=2):
+    """A (B·T, n) xn, the (n, H·dh) wq and its (H·dh,) bq, the same for k,
+    B utterances' (H, T, 2T - 1) positional scores and a (B·T, H·dh) v,
+    in the order of ``attention_matmul``'s parents, each from ``draw``."""
+    d = H * dh
+    xn, wq, bq, wk, bk = draw(B * T, n), draw(n, d), draw(d), draw(n, d), draw(d)
+    return xn, wq, bq, wk, bk, [draw(H, T, 2 * T - 1) for _ in range(B)], draw(B * T, d)
+
+
+def _projected(xn, wq, bq, wk, bk):
+    """The q and k projections that ``attention_matmul`` rebuilds, as nodes."""
+    return matmul(xn, wq, bias=bq), matmul(xn, wk, bias=bk)
+
+
 class TestAttentionMatmul:
     @pytest.mark.parametrize("H,dh", [(2, 2), (3, 4), (4, 1)])
     def test_scale_is_one_over_the_root_of_the_head_width(self, rng, H, dh):
         # the op reads the scale from its operands' shapes: 1/sqrt(d/H), not 1/sqrt(d)
-        q, k, pos, v = _attention_operands(_drawer(rng), 2, T=3, H=H, dh=dh)
+        xn, wq, bq, wk, bk, pos, v = _attention_matmul_operands(_drawer(rng), 2, T=3, H=H,
+                                                                dh=dh)
         w = rand_tensor(rng, (H * dh, 5))
-        fused = attention_matmul(q, k, pos, v, w, bias=None, residual=None).data.tobytes()
+        fused = attention_matmul(xn, wq, bq, wk, bk, pos, v, w, bias=None,
+                                 residual=None).data.tobytes()
+        q, k = _projected(xn, wq, bq, wk, bk)
         for s, same in ((1.0 / math.sqrt(dh), True), (1.0 / math.sqrt(H * dh), False)):
             assert (fused == matmul(attention_chain(q, k, pos, v, s), w).data.tobytes()) == same
 
     def test_gradients(self, rng):
         # dh = 4, so the scale is 0.5
-        q, k, pos, v = _attention_operands(_drawer(rng), 2, T=3, dh=4)
-        w, bias, x = (rand_tensor(rng, shape, requires_grad=True) for shape in
-                      ((8, 8), (8,), (6, 8)))
-        named = {"q": q, "k": k, "pos0": pos[0], "pos1": pos[1], "v": v, "w": w, "bias": bias,
-                 "residual": x}
-        c = Tensor(rng.uniform(-1, 1, q.shape))
+        def draw(*shape):
+            return rand_tensor(rng, shape, requires_grad=True)
+
+        xn, wq, bq, wk, bk, pos, v = _attention_matmul_operands(draw, 2, T=3, dh=4, n=5)
+        w, bias, x = draw(8, 8), draw(8), draw(6, 8)
+        named = {"xn": xn, "wq": wq, "bq": bq, "wk": wk, "bk": bk, "pos0": pos[0],
+                 "pos1": pos[1], "v": v, "w": w, "bias": bias, "residual": x}
+        c = Tensor(rng.uniform(-1, 1, x.shape))
 
         def make_loss():
-            return sum_all(mul(attention_matmul(q, k, pos, v, w, bias=bias, residual=x), c))
+            return sum_all(mul(attention_matmul(xn, wq, bq, wk, bk, pos, v, w, bias=bias,
+                                                residual=x), c))
 
         assert_params_match_fd(named, make_loss)
 
-    @pytest.mark.parametrize("q,kv,pos,w", [
-        ((8, 6), (8, 6), [(2, 4, 6)] * 2, (6, 5)),   # 2T - 1 = 7 wide, not 6
-        ((8, 6), (8, 6), [(2, 3, 5)] * 2, (6, 5)),   # 8 rows are not 2 utterances of 3 frames
-        ((8, 6), (8, 6), [(2, 4, 7)] * 3, (6, 5)),   # 3 utterances of 4 frames are 12 rows
-        ((8, 6), (8, 6), [(2, 4, 7)], (6, 5)),       # 1 utterance of 4 frames is 4 rows, not 8
-        ((8, 6), (8, 6), [(4, 4, 7)] * 2, (6, 5)),   # 4 heads do not divide d = 6
-        ((8, 6), (8, 6), [(2, 4, 7), (3, 4, 7)], (6, 5)),  # the parts' heads differ
-        ((8, 6), (8, 6), [(2, 4, 7), (2, 4, 6)], (6, 5)),  # the parts' widths differ
-        ((8, 6), (8, 6), [(2, 4, 7), (2, 4)], (6, 5)),     # a part is not 3-d
-        ((8, 6), (8, 6), [], (6, 5)),                      # no utterance
-        ((8, 6), (8, 4), [(2, 4, 7)] * 2, (6, 5)),   # k and v are narrower than q
-        ((2, 4, 6), (2, 4, 6), [(2, 4, 7)] * 2, (6, 5)),
-        ((8, 6), (8, 6), [(4, 7)] * 2, (6, 5)),
-        ((8, 6), (8, 6), [(2, 4, 7)] * 2, (5, 6)),   # w's rows are not d
-        ((8, 6), (8, 6), [(2, 4, 7)] * 2, (6,))])    # w is not 2-d
-    def test_rejects_operands_that_do_not_pair_up(self, q, kv, pos, w):
-        message = (f"attention_matmul: expected (B·T, d) q, k and v, B (H, T, 2T - 1) "
-                   f"positional scores with H dividing d, and a (d, m) w, got {q}, {kv}, {kv}, "
-                   f"{pos} and {w}")
+    _SHAPES = {"xn": (8, 5), "wq": (5, 6), "bq": (6,), "wk": (5, 6), "bk": (6,),
+               "pos": [(2, 4, 7)] * 2, "v": (8, 6), "w": (6, 5)}
+
+    @pytest.mark.parametrize("bad", [
+        # 2T - 1 = 7 wide, not 6
+        pytest.param({"pos": [(2, 4, 6)] * 2}, id="pos-width"),
+        # 8 rows are not 2 utterances of 3 frames
+        pytest.param({"pos": [(2, 3, 5)] * 2}, id="pos-frames"),
+        # 3 utterances of 4 frames are 12 rows, and 1 is 4, not 8
+        pytest.param({"pos": [(2, 4, 7)] * 3}, id="three-utterances"),
+        pytest.param({"pos": [(2, 4, 7)]}, id="one-utterance"),
+        pytest.param({"pos": [(4, 4, 7)] * 2}, id="heads-do-not-divide-d"),
+        pytest.param({"pos": [(2, 4, 7), (3, 4, 7)]}, id="parts-heads-differ"),
+        pytest.param({"pos": [(2, 4, 7), (2, 4, 6)]}, id="parts-widths-differ"),
+        pytest.param({"pos": [(2, 4, 7), (2, 4)]}, id="part-not-3-d"),
+        pytest.param({"pos": []}, id="no-utterance"),
+        pytest.param({"pos": [(4, 7)] * 2}, id="parts-not-3-d"),
+        pytest.param({"v": (8, 4)}, id="v-narrower"),
+        pytest.param({"v": (4, 6)}, id="v-rows"),
+        pytest.param({"wk": (5, 4)}, id="k-narrower-than-q"),
+        # the projections' rows are not xn's width
+        pytest.param({"wq": (4, 6), "wk": (4, 6)}, id="projection-rows"),
+        pytest.param({"bq": (4,)}, id="bq-shape"),
+        pytest.param({"bk": (6, 1)}, id="bk-shape"),
+        pytest.param({"xn": (2, 4, 5)}, id="xn-not-2-d"),
+        pytest.param({"w": (5, 6)}, id="w-rows-not-d"),
+        pytest.param({"w": (6,)}, id="w-not-2-d")])
+    def test_rejects_operands_that_do_not_pair_up(self, bad):
+        shapes = {**self._SHAPES, **bad}
+        message = (f"attention_matmul: expected a (B·T, n) xn, (n, d) wq and wk, (d,) bq and "
+                   f"bk, B (H, T, 2T - 1) positional scores with H dividing d, a (B·T, d) v "
+                   f"and a (d, m) w, got {shapes['xn']}, {shapes['wq']}, {shapes['bq']}, "
+                   f"{shapes['wk']}, {shapes['bk']}, {shapes['pos']}, {shapes['v']} and "
+                   f"{shapes['w']}")
+
+        def zeros(name):
+            return Tensor(np.zeros(shapes[name]))
+
         with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
-            attention_matmul(Tensor(np.zeros(q)), Tensor(np.zeros(kv)),
-                             [Tensor(np.zeros(shape)) for shape in pos], Tensor(np.zeros(kv)),
-                             Tensor(np.zeros(w)), bias=None, residual=None)
+            attention_matmul(*map(zeros, ("xn", "wq", "bq", "wk", "bk")),
+                             [Tensor(np.zeros(shape)) for shape in shapes["pos"]], zeros("v"),
+                             zeros("w"), bias=None, residual=None)
 
     @pytest.mark.parametrize("stage,op", [
+        pytest.param("query", "matmul", id="q-projection"),
+        pytest.param("key", "matmul", id="k-projection"),
         pytest.param("content", "matmul", id="content-score"),
         pytest.param("summed", "attention_context", id="summed-score"),
         pytest.param("context", "attention_context", id="context"),
@@ -337,23 +378,31 @@ class TestAttentionMatmul:
     def test_rejects_a_non_finite_stage_as_its_chain_node(self, rng, stage, op):
         # each stage overflows on its own; unchecked, a later stage would
         # raise under another name, or the softmax hide a -inf score as 0
-        q, k, pos, v = _attention_operands(_drawer(rng), 1)
+        xn, wq, bq, wk, bk, pos, v = _attention_matmul_operands(_drawer(rng), 1)
         w = Tensor(np.ones((6, 4)))
-        if stage == "content":  # one score of one head is -inf
-            q.data[0, :3] = 1e200
-            k.data[1, :3] = -1e200
+        if stage == "query":  # the product passes the largest double
+            xn.data[...] = 1.0
+            wq.data[:, 0] = 1e308
+        elif stage == "key":  # a finite product, whose bias add passes it
+            xn.data[...] = 1.0
+            wk.data[:, 0] = 5e307
+            bk.data[0] = 1e308
+        elif stage == "content":  # every score of one head is -inf
+            bq.data[:3] = 1e200
+            bk.data[:3] = -1e200
         elif stage == "summed":
             # a finite content score of one head and finite positional
             # scores whose sum passes the largest double; the scale,
             # 1/sqrt(3), is below 1
-            q.data[0, 0] = 1e300
-            k.data[1, 0] = 1e8
+            xn.data[...] = 0.0
+            bq.data[0] = 1e300
+            bk.data[0] = 1e8
             pos[0].data[...] = 1e308
         elif stage == "context":
             # v at the largest double, and finite weights, the softmax of
             # positional scores alone: their rounded products with v add up
             # past it on some rows
-            q.data[...] = k.data[...] = 0.0
+            xn.data[...] = bq.data[...] = bk.data[...] = 0.0
             pos[0].data[...] = Rng(0).uniform(-2.0, 2.0, pos[0].shape)
             v.data[...] = np.finfo(np.float64).max
         else:  # a finite context times a finite w passes the largest double
@@ -361,7 +410,7 @@ class TestAttentionMatmul:
             w.data[...] = 1e308
         with np.errstate(all="ignore"), \
                 pytest.raises(NonFiniteError, match=f"^{op} produced non-finite values$"):
-            attention_matmul(q, k, pos, v, w, bias=None, residual=None)
+            attention_matmul(xn, wq, bq, wk, bk, pos, v, w, bias=None, residual=None)
 
 
 def _plain_sigmoid(x):
@@ -979,14 +1028,14 @@ def _attention_context_row(draw, grow, B):
 
 
 def _attention_matmul_row(draw, grow, B, with_bias, residual):
-    # the (rows, 6) context is wider than the (rows, 4) product, so a kept
-    # one would show
-    q, k, pos, v = _attention_operands(draw, B + grow)  # dh = 3
+    # the (rows, 6) q, k and context are wider than the (rows, 4) product,
+    # so a kept one would show
+    xn, wq, bq, wk, bk, pos, v = _attention_matmul_operands(draw, B + grow)  # dh = 3
     w = draw(6, 4)
     kwargs = {"bias": draw(4) if with_bias else None,
-              "residual": draw(q.shape[0], 4) if residual else None}
-    return (attention_matmul(q, k, pos, v, w, **kwargs),
-            matmul(attention_context(q, k, pos, v), w, **kwargs))
+              "residual": draw(xn.shape[0], 4) if residual else None}
+    return (attention_matmul(xn, wq, bq, wk, bk, pos, v, w, **kwargs),
+            matmul(attention_context(*_projected(xn, wq, bq, wk, bk), pos, v), w, **kwargs))
 
 
 def _unfused(op, a, *rest, bias=None, transpose_b=False, transpose_w=False, residual=None,
@@ -1482,9 +1531,9 @@ class TestRetainedMemory:
         # which the attention node reads as it is
         scores = [n for n in nodes if n.ndim == 3 and n.shape[-1] == 2 * T - 1]
         assert [n.shape for n in scores] == [(H, T, 2 * T - 1)] * B
-        # its parents are (q, k, *pos, v, wpost, bpost, x)
+        # its parents are (xn, wq, bq, wk, bk, *pos, v, wpost, bpost, x)
         (node,) = [n for n in nodes if n.op == "attention_matmul"]
-        assert {id(n) for n in node._parents[2:-4]} == {id(n) for n in scores}
+        assert {id(n) for n in node._parents[5:-4]} == {id(n) for n in scores}
         # and neither a node nor a rule closure holds them joined
         kept = [n.data for n in nodes] + self._held_arrays(nodes)
         assert not [a.shape for a in kept if a.shape == (B * H, T, 2 * T - 1)]
@@ -1593,8 +1642,8 @@ class TestRetainedMemory:
                     and a.tobytes() in normalized]
 
     @pytest.mark.parametrize("frames,batch,mib", [
-        pytest.param(128, 1, 105, id="128x1"),
-        pytest.param(64, 2, 85, id="64x2")])
+        pytest.param(128, 1, 95, id="128x1"),
+        pytest.param(64, 2, 75, id="64x2")])
     def test_lrs3_forward_tape_layout_and_held_bytes(self, frames, batch, mib):
         # its op counts are TAPE_OPS' lrs3 rows
         from confshare.training import batch_loss
@@ -1608,14 +1657,18 @@ class TestRetainedMemory:
         # the convolution module rebuilds its (rows, 2d) pre-activation
         kept = [n.data for n in nodes] + closures
         assert not [a.shape for a in kept if a.shape == (frames * batch, 2 * 144)]
-        # and the attention its (rows, d) context, rebuilt here by the
-        # oracle from each node's (q, k, *pos, v, wpost, bpost, x)
-        contexts = {attention_context(n._parents[0], n._parents[1], n._parents[2:-4],
-                                      n._parents[-4]).data.tobytes()
-                    for n in nodes if n.op == "attention_matmul"}
-        assert len(contexts) == 40
+        # and the attention its (rows, d) q, k and context, rebuilt here by
+        # the chain from each node's (xn, wq, bq, wk, bk, *pos, v, wpost,
+        # bpost, x)
+        attentions = [n for n in nodes if n.op == "attention_matmul"]
+        projections = [_projected(*n._parents[:5]) for n in attentions]
+        rebuilt = {t.data.tobytes() for pair in projections for t in pair}
+        assert len(rebuilt) == 80
+        rebuilt |= {attention_context(*qk, n._parents[5:-4], n._parents[-4]).data.tobytes()
+                    for n, qk in zip(attentions, projections)}
+        assert len(rebuilt) == 120
         assert not [a.shape for a in kept if a.nbytes == frames * batch * 144 * 8
-                    and a.tobytes() in contexts]
+                    and a.tobytes() in rebuilt]
         assert held <= mib * 2**20, f"the forward pass holds {held / 2**20:.1f} MiB"
 
 
@@ -1662,8 +1715,9 @@ class TestScratch:
 
     SLOTS = {"swish.act", "swish.s", "swish.ga", "linear_swish_matmul.pre", "conv.pre",
              "glu.s", "conv.xp", "conv.tap", "conv.out", "conv.y", "conv.gxp",
-             "softmax_grad.gp", "attention_context.p", "attention_context.out", "norm.y",
-             "norm.xhat", "adam.step", "adam.den"}
+             "softmax_grad.gp", "attention_matmul.q", "attention_matmul.k",
+             "attention_context.p", "attention_context.out", "norm.y", "norm.xhat", "adam.step",
+             "adam.den"}
 
     @staticmethod
     def _model(name):
@@ -1689,11 +1743,20 @@ class TestScratch:
         spec = ToyTaskSpec(feature_dim=model.config.input_dim,
                            num_classes=model.config.num_classes, frames=frames, batch=batch)
         opt = OptimizerState()
-        tape = backward(batch_loss(model, *generate_toy_batch(spec, 5, 0)))
-        opt.step(model.store)
-        # every kernel that takes scratch ran, so there is something to check against
-        assert self.SLOTS <= set(_SCRATCH.buffers)
-        scratch = _scratch_buffers()
+
+        def step():
+            # a new thread starts with no buffers, so what it holds after
+            # the step are the slots of the step's kernels alone
+            assert not _SCRATCH.buffers
+            tape = backward(batch_loss(model, *generate_toy_batch(spec, 5, 0)))
+            opt.step(model.store)
+            return tape, set(_SCRATCH.buffers), _scratch_buffers()
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            tape, slots, scratch = pool.submit(step).result(timeout=120)
+        # every kernel that takes scratch ran, so there is something to
+        # check against, and every slot a step takes is documented here
+        assert slots == self.SLOTS
         kept = [(f"{n.op or 'leaf'} node", n.data) for n in tape.nodes]
         kept += [(f"{n.op} rule closure", v) for n in tape.nodes if n._backward is not None
                  for v in _closure_values(n._backward) if isinstance(v, np.ndarray)]
@@ -1887,29 +1950,30 @@ class TestTape:
 
 
 # Every op on the tape below each case's output, with leaves counted as
-# "leaf". A layer holds one attention_matmul node (from the q, k and v
-# projections through the post-projection), one glu_conv_swish_matmul
-# node (the whole convolution module), one linear_swish_matmul per
-# feed-forward, one layer norm (the attention's, which four projections
-# read; the final one is the epilogue of ff_end's last node), and
-# matmuls for q, k, v, pq, a low-rank feed-forward's U1 and V2 products
-# (LRS3), and one positional product per utterance, on a split_heads
-# view of its pq rows. The table window is split once per forward.
+# "leaf". A layer holds one attention_matmul node (from the attention's
+# layer-norm output, whose q and k projections it rebuilds, through the
+# post-projection), one glu_conv_swish_matmul node (the whole
+# convolution module), one linear_swish_matmul per feed-forward, one
+# layer norm (the attention's, which v, pq and the attention node read;
+# the final one is the epilogue of ff_end's last node), and matmuls for
+# v, pq, a low-rank feed-forward's U1 and V2 products (LRS3), and one
+# positional product per utterance, on a split_heads view of its pq
+# rows. q and k are no node. The table window is split once per forward.
 TAPE_OPS = {
     # the toy_train config: a packed 4x32 batch through repeat_plan(2, 3)
-    "toy-4x32": Counter(leaf=76, matmul=50, split_heads=25, layer_norm=6,
+    "toy-4x32": Counter(leaf=76, matmul=38, split_heads=25, layer_norm=6,
                         linear_swish_matmul=12, attention_matmul=6, glu_conv_swish_matmul=6,
                         cross_entropy_mean=1),
-    "lrs3-128x1": Counter(matmul=362, leaf=318, layer_norm=40, linear_swish_matmul=80,
+    "lrs3-128x1": Counter(matmul=282, leaf=318, layer_norm=40, linear_swish_matmul=80,
                           split_heads=41, attention_matmul=40, glu_conv_swish_matmul=40,
                           cross_entropy_mean=1),
-    "lrs3-64x2": Counter(matmul=402, leaf=318, split_heads=81, layer_norm=40,
+    "lrs3-64x2": Counter(matmul=322, leaf=318, split_heads=81, layer_norm=40,
                          linear_swish_matmul=80, attention_matmul=40, glu_conv_swish_matmul=40,
                          cross_entropy_mean=1),
     # one standalone attention over 1 or 3 utterances of 5 frames
-    "attention-1": Counter(leaf=14, matmul=5, split_heads=2, attention_matmul=1,
+    "attention-1": Counter(leaf=14, matmul=3, split_heads=2, attention_matmul=1,
                            layer_norm=1),
-    "attention-3": Counter(leaf=14, matmul=7, split_heads=4, attention_matmul=1,
+    "attention-3": Counter(leaf=14, matmul=5, split_heads=4, attention_matmul=1,
                            layer_norm=1),
 }
 

@@ -152,7 +152,8 @@ class TestAttention:
         assert own.data.tobytes() == given.data.tobytes()
         # three utterances' (H, T, 2T - 1) scores, 7 wide where T = 5 needs 9
         with pytest.raises(ShapeError,
-                           match=r"^attention_matmul: .*, \[(\(2, 5, 7\)(, )?){3}\] and \(8, 8\)$"):
+                           match=r"^attention_matmul: .*, \[(\(2, 5, 7\)(, )?){3}\], \(15, 8\) "
+                                 r"and \(8, 8\)$"):
             attention(x, p, frames=5, table=table_heads(p, 4))
 
     def test_packed_utterances_match_separate_calls(self, rng):

@@ -23,9 +23,10 @@ node read), ``split_heads`` (a
 range of rows split into heads, one node and no copy) and
 ``cross_entropy_mean``.
 
-The products are ``matmul`` (2-d, or 3-d batched for the positional
-scores), ``linear_swish_matmul`` (swish(a @ w + c) @ b, one node from a
-feed-forward's first product to its second), ``glu_conv_swish_matmul``
+The products are ``matmul`` (2-d with a bias, or 3-d batched for the
+positional scores), ``linear_swish_matmul`` (swish(a @ w + c) @ b, with
+w and b each a matrix or a low-rank pair (U, V) applied as (x @ U) @ Vᵀ,
+a whole feed-forward), ``glu_conv_swish_matmul``
 (swish(LN(conv(glu(a @ w + c)))) @ b, a whole convolution module: the
 gated linear unit, the depthwise temporal convolution, which pads each
 utterance of a packed batch on its own, and the inner layer norm
@@ -41,8 +42,9 @@ optional steps, so none of them is a node of its own: a
 beta) instead of ``a``, a bias added to every row, a residual and scale
 ``s``, applied as ``out *= s; out += residual``, and an
 ``out_norm=(gamma', beta')`` epilogue LN' that normalizes that sum in
-place. The parents are (a, gamma, beta, *operands, bias, residual,
-gamma', beta'), and the rule undoes the steps in reverse: the
+place. ``matmul`` takes the bias alone; each module core takes what its
+module needs. The parents are (a, gamma, beta, *operands, bias,
+residual, gamma', beta'), and the rule undoes the steps in reverse: the
 epilogue's layer-norm rule, at the pre-norm sum that it rebuilds over
 the core's last product alone (the core rebuilds P and hands it over,
 and gets P's gradient back), then g to the residual, g·s summed over
@@ -50,8 +52,9 @@ rows to the bias, g·s through the core's rule arithmetic, and LN(a)'s
 gradient through layer norm's rule, with x̂ and LN(a) rebuilt from the
 per-row statistics. How many nodes of each op a step records is
 ``TAPE_OPS`` in ``tests/test_autodiff.py``. The tests' unfused oracles
-for these ops, ``add``, ``swish``, ``glu``, ``depthwise_conv1d`` and
-``attention_context`` among them, live in ``tests/oracles.py``.
+for these ops, ``add``, ``linear``, ``swish``, ``glu``,
+``depthwise_conv1d`` and ``attention_context`` among them, live in
+``tests/oracles.py``.
 
 A rule keeps only the arrays it reads and cannot get from its parents'
 data or its own output, and rebuilds the rest by the forward's own ops,
@@ -60,12 +63,14 @@ so its bytes are those of keeping them:
 * a product keeps nothing of its own beyond a prologue's and an
   epilogue's per-row mean and inverse deviation: of the sum that an
   epilogue normalizes, the tape keeps only the normalized output;
-* ``linear_swish_matmul`` keeps neither the activation nor the
-  pre-activation, and rebuilds the latter with the same product and
-  bias add before it runs the swish product's rule arithmetic, which
-  recomputes the sigmoid once for both the activation that ``b``'s
-  gradient reads and its derivative, and then ``matmul``'s, so no
-  feed-forward-wide array stays on the tape;
+* ``linear_swish_matmul`` keeps neither the activation, the
+  pre-activation nor a low-rank pair's (rows, k) products LN(a) @ U1
+  and act @ U2: it rebuilds LN(a) @ U1 and the pre-activation by the
+  same products and bias add, then runs the swish product's rule
+  arithmetic, which recomputes the sigmoid once for both the activation
+  that ``b``'s gradient reads and its derivative and rebuilds act @ U2
+  from that activation, and then each product's rule, so a
+  feed-forward keeps only its input and its output;
 * ``glu_conv_swish_matmul`` keeps only the inner norm's per-row mean and
   inverse deviation: its rule rebuilds the pre-activation, the gate,
   the convolution and the inner norm by the forward's ops, so of the
@@ -97,8 +102,10 @@ pages in for it (the idea of PyTorch's caching allocator). The slots:
   ``linear_swish_matmul`` and of ``glu_conv_swish_matmul``;
 * ``swish.s`` and ``swish.ga``: the sigmoid and g @ bᵀ of both ops'
   rules (1 − s sits in the latter until the product needs it);
-* ``linear_swish_matmul.pre``: the pre-activation, built in the forward
-  and rebuilt in the rule, which writes its gradient over it;
+* ``linear_swish_matmul``'s, each built in the forward and rebuilt in
+  the rule, which writes its gradient over it: ``.xu``, a pair w's
+  LN(a) @ U1; ``.pre``, the pre-activation; and ``.au``, a pair b's
+  act @ U2;
 * ``glu_conv_swish_matmul``'s, each in the forward and again in the
   rule: ``conv.pre``, the (rows, 2d) pre-activation, whose gradient
   the rule writes over it; ``glu.s``, the gate's sigmoid; ``conv.xp``,
@@ -454,27 +461,23 @@ def _product(op: str, a: Tensor, rest: tuple, forward, grads, bias: Tensor | Non
     ``attention_matmul`` share (see the module docstring).
 
     ``forward(A)`` returns a fresh product of A and the operands ``rest``,
-    and ``grads(A, gp, rebuilt)`` the gradients of A and of ``rest`` for
-    the product's gradient gp. A is ``a``'s data or, with a ``norm``,
-    LN(a) in the ``norm.y`` scratch slot, checked as a ``layer_norm``
-    output would be; ``rebuilt`` says that the rule's A is that scratch,
-    which ``grads`` may overwrite. With an ``out_norm``, gp is a function
-    instead: the core calls it on its product P, rebuilt by its last
-    product alone, and gets P's gradient back; the frame rebuilds the
-    pre-norm sum over P's memory. The prologue, the bias, the residual
-    and the epilogue take 2-d operands only, ``s`` needs a residual, and
-    ``out *= s; out += residual`` is the op order of the unfused
-    ``add(residual, out, s)`` in ``tests/oracles.py``, so the bytes are
-    the same. The pre-norm sum is checked as this op's output would be,
-    and the epilogue's output as a ``layer_norm``'s, by the one check
-    that every node's output gets (``Tensor``).
+    and ``grads(A, gp)`` the gradients of A and of ``rest`` for the
+    product's gradient gp. A is ``a``'s data or, with a ``norm``, LN(a)
+    in the ``norm.y`` scratch slot, checked as a ``layer_norm`` output
+    would be, which ``grads`` may overwrite. With an ``out_norm``, gp is a
+    function instead: the core calls it on its product P, rebuilt by its
+    last product alone, and gets P's gradient back; the frame rebuilds
+    the pre-norm sum over P's memory. The bias takes 2-d products only,
+    ``s`` needs a residual, and ``out *= s; out += residual`` is the op
+    order of the unfused ``add(residual, out, s)`` in ``tests/oracles.py``,
+    so the bytes are the same. The pre-norm sum is checked as this op's
+    output would be, and the epilogue's output as a ``layer_norm``'s, by
+    the one check that every node's output gets (``Tensor``).
     """
     if norm is None:
         ad, parents, gamma, beta, mu, inv = a.data, (a,), None, None, None, None
     else:
         gamma, beta = norm
-        if a.ndim != 2:
-            raise ShapeError(f"{op}: a norm needs 2-d operands, got {a.shape}")
         _check_norm_params(op, a.shape[1], gamma, beta)
         ad = _scratch("norm.y", a.shape)
         mu, inv = _normalize(a.data, ad)
@@ -491,9 +494,8 @@ def _product(op: str, a: Tensor, rest: tuple, forward, grads, bias: Tensor | Non
         out += bias.data
         parents += (bias,)
     if residual is not None:
-        if out.ndim != 2 or residual.shape != out.shape:
-            raise ShapeError(f"{op}: residual {residual.shape} does not fit product "
-                             f"{out.shape} (2-d operands only)")
+        if residual.shape != out.shape:
+            raise ShapeError(f"{op}: residual {residual.shape} does not fit product {out.shape}")
         if s is not None:
             out *= s
         out += residual.data
@@ -503,8 +505,6 @@ def _product(op: str, a: Tensor, rest: tuple, forward, grads, bias: Tensor | Non
     out_gamma = out_mu = out_inv = None
     if out_norm is not None:
         out_gamma, out_beta = out_norm
-        if out.ndim != 2:
-            raise ShapeError(f"{op}: a norm needs 2-d operands, got {out.shape}")
         _check_norm_params(op, out.shape[1], out_gamma, out_beta)
         _finite(out, op)
         out_mu, out_inv = _normalize(out, out)
@@ -535,12 +535,12 @@ def _product(op: str, a: Tensor, rest: tuple, forward, grads, bias: Tensor | Non
 
         core_gp = product_grad if out_norm is not None else product_grad()
         if mu is None:
-            result = grads(a.data, core_gp, False)
+            result = grads(a.data, core_gp)
         else:
             xhat = _rebuild_xhat(a.data, mu, inv, _scratch("norm.xhat", a.shape))
             y = np.multiply(xhat, gamma.data, out=_scratch("norm.y", a.shape))
             y += beta.data
-            gy, *others = grads(y, core_gp, True)
+            gy, *others = grads(y, core_gp)
             result = (*_layer_norm_grad(gy, xhat, gamma.data, inv), *others)
         if bias is not None:
             result = (*result, np.add.reduce(gp, axis=0))
@@ -558,20 +558,14 @@ def _product(op: str, a: Tensor, rest: tuple, forward, grads, bias: Tensor | Non
 
 
 def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
-           bias: Tensor | None = None, residual: Tensor | None = None,
-           s: float | None = None, norm: tuple[Tensor, Tensor] | None = None,
-           out_norm: tuple[Tensor, Tensor] | None = None) -> Tensor:
+           bias: Tensor | None = None) -> Tensor:
     """Matrix product. 2-d x 2-d, or 3-d x 3-d batched over the leading axis.
 
     ``transpose_b=True`` computes ``a @ swap(b)`` without materializing the
-    transpose (used for attention scores and low-rank V factors). For 2-d
-    operands, ``bias``, ``residual``, ``s``, ``norm`` and ``out_norm`` make
-    the node LN'(residual + s·(LN(a) @ b + bias)) (``_product``), so a
-    linear layer, its residual connection and the layer norms before and
-    after it are one tape node; the rule rebuilds the product for the
-    ``out_norm`` epilogue. The rule computes no gradient for a constant
-    ``a`` with no ``norm`` (the frontend's packed features): ``backward``
-    would drop it.
+    transpose (used for the positional scores and for ``apply_linear``'s
+    V factor). ``bias``, for 2-d operands, is added to every row
+    (``_product``). The rule computes no gradient for a constant ``a``
+    (the frontend's packed features): ``backward`` would drop it.
     """
     ad, bd = a.data, b.data
     if ad.ndim != bd.ndim or ad.ndim not in (2, 3):
@@ -584,16 +578,14 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
     def forward(x):
         return x @ (np.swapaxes(b.data, -1, -2) if transpose_b else b.data)
 
-    def grads(x, gp, rebuilt):
+    def grads(x, gp):
         # d_x = g @ bᵀ and d_b = xᵀ @ g, or g @ b and gᵀ @ x for x @ bᵀ; no d_x
-        # for a constant a, but a rebuilt LN(a) feeds the norm's gradients
-        if callable(gp):  # an epilogue's, which reads the rebuilt product
-            gp = gp(forward(x))
+        # for a constant a
         bt = b.data if transpose_b else np.swapaxes(b.data, -1, -2)
         gb = np.swapaxes(gp, -1, -2) @ x if transpose_b else np.swapaxes(x, -1, -2) @ gp
-        return gp @ bt if rebuilt or a.requires_grad else None, gb
+        return gp @ bt if a.requires_grad else None, gb
 
-    return _product("matmul", a, (b,), forward, grads, bias, residual, s, norm, out_norm)
+    return _product("matmul", a, (b,), forward, grads, bias, None, None, None, None)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -639,14 +631,15 @@ def _sigmoid_into(x: np.ndarray, num: np.ndarray) -> np.ndarray:
     return np.divide(1.0, num, out=num)
 
 
-def _swish_product(x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """swish(x) @ b, the activation held only in scratch."""
+def _swish_product(x: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """swish(x) @ b, the activation held only in scratch; the product in
+    ``out`` if given, else in a fresh array."""
     act = _sigmoid_into(x, _scratch("swish.act", x.shape))
     act *= x
-    return act @ b
+    return np.matmul(act, b, out=out)
 
 
-def _swish_product_grad(x: np.ndarray, b: np.ndarray, g: np.ndarray, out=None):
+def _swish_product_grad(x: np.ndarray, b: np.ndarray, g, out=None, product=None):
     """The gradients of swish(x) @ b for output gradient g, x's and b's.
 
     The sigmoid is recomputed once, for both the activation that b's
@@ -655,13 +648,14 @@ def _swish_product_grad(x: np.ndarray, b: np.ndarray, g: np.ndarray, out=None):
     scratch, and 1 - s sits in the latter's buffer until the product
     needs it. act becomes x's gradient, in ``out`` (which may be x: x is
     not read after act is taken) or in a fresh array. A g that is a
-    function (an ``out_norm`` epilogue's) is called on the rebuilt
-    product act @ b for the array.
+    function (an ``out_norm`` epilogue's, or the rule of a product after
+    this one) is called on the rebuilt product act @ b, in ``product`` if
+    given, for the array.
     """
     s = _sigmoid_into(x, _scratch("swish.s", x.shape))
     act = np.multiply(s, x, out=out)
     if callable(g):
-        g = g(act @ b)
+        g = g(np.matmul(act, b, out=product))
     gb = act.T @ g
     ga = _scratch("swish.ga", x.shape)
     act *= np.subtract(1.0, s, out=ga)
@@ -670,57 +664,98 @@ def _swish_product_grad(x: np.ndarray, b: np.ndarray, g: np.ndarray, out=None):
     return act, gb
 
 
-def linear_swish_matmul(a: Tensor, w: Tensor, c: Tensor, b: Tensor,
-                        bias: Tensor | None = None, transpose_w: bool = False,
+def _extents(w) -> tuple[int, int] | None:
+    """The (rows, columns) of a 2-d ``w``, or of U @ Vᵀ for a pair (U, V)
+    of 2-d factors of one rank; None for anything else."""
+    if not isinstance(w, tuple):
+        return w.shape if w.ndim == 2 else None
+    u, v = w
+    if u.ndim == v.ndim == 2 and u.shape[1] == v.shape[1]:
+        return u.shape[0], v.shape[0]
+    return None
+
+
+def linear_swish_matmul(a: Tensor, w, c: Tensor, b, bias: Tensor | None = None,
                         residual: Tensor | None = None, s: float | None = None,
                         norm: tuple[Tensor, Tensor] | None = None,
                         out_norm: tuple[Tensor, Tensor] | None = None) -> Tensor:
     """swish(a @ w + c) @ b for 2-d operands, as one node, made
     LN'(residual + s·(swish(LN(a) @ w + c) @ b + bias)) by the other
-    arguments, as in ``matmul``.
+    arguments (``_product``): a whole feed-forward.
 
-    ``transpose_w=True`` reads w as its transpose, as ``matmul``'s
-    ``transpose_b`` does. The (rows, n) pre-activation a @ w + c is built
-    in scratch, checked as a matmul, and dropped with the activation once
-    the product is taken, so the tape keeps only ``a``. The rule rebuilds
-    the pre-activation with the same product and bias add, then runs the
-    swish product's rule arithmetic (``_swish_product_grad``) and
-    ``matmul``'s in turn: the same bytes as ``matmul(swish(matmul(a, w,
-    transpose_w, c)), b, bias)``, at the cost of one more product in
-    backward, and with an ``out_norm`` one more, act @ b, for the
-    epilogue.
+    Each of w and b is a matrix or a low-rank pair (U, V) that stands for
+    U @ Vᵀ, applied as (x @ U) @ Vᵀ, with U and then V among the parents.
+    The forward builds in scratch, and drops once the product is taken,
+    the (rows, k) x @ U1 of a pair w (``linear_swish_matmul.xu``), the
+    (rows, n) pre-activation x @ w + c (``linear_swish_matmul.pre``),
+    checked as a matmul, the activation, and the (rows, k) act @ U2 of a
+    pair b (``linear_swish_matmul.au``). So the tape keeps only ``a``.
+    Neither x @ U1 nor act @ U2 gets a check of its own: a non-finite one
+    makes the next product non-finite, the pre-activation or the output,
+    and that is checked.
+
+    The rule rebuilds x @ U1 and the pre-activation by the same products
+    and bias add, then runs the swish product's rule arithmetic
+    (``_swish_product_grad``), which rebuilds act @ U2 from the
+    activation before it overwrites it, and each product's rule in turn;
+    the gradients of x @ U1 and act @ U2 are written over them. So the
+    bytes are those of the chain ``matmul(swish(matmul(a, w, bias=c)), b,
+    bias=bias)``, where a pair's product is ``matmul(matmul(x, U), V,
+    transpose_b=True)``, at one more product per factor in backward, and
+    with an ``out_norm`` one more, the last, for the epilogue.
     """
-    inner, n = (w.shape[::-1] if transpose_w else w.shape) if w.ndim == 2 else (-1, -1)
-    if (a.ndim != 2 or b.ndim != 2 or a.shape[1] != inner or c.shape != (n,)
-            or b.shape[0] != n):
-        raise ShapeError(f"linear_swish_matmul: expected 2-d a @ w{'ᵀ' if transpose_w else ''}"
-                         f" + c of equal inner extents, then @ b, got {a.shape}, "
-                         f"{w.shape}, {c.shape} and {b.shape}")
-    rows = a.shape[0]
+    wm, bm = _extents(w), _extents(b)
+    if (a.ndim != 2 or wm is None or bm is None or a.shape[1] != wm[0] or c.shape != wm[1:]
+            or bm[0] != wm[1]):
+        shapes = [tuple(t.shape for t in x) if isinstance(x, tuple) else x.shape
+                  for x in (w, b)]
+        raise ShapeError("linear_swish_matmul: expected 2-d a @ w + c of equal inner extents, "
+                         "then @ b, with w and b each a matrix or a (U, V) pair of one rank, "
+                         f"got {a.shape}, {shapes[0]}, {c.shape} and {shapes[1]}")
+    w1, v1 = w if isinstance(w, tuple) else (w, None)
+    w2, v2 = b if isinstance(b, tuple) else (b, None)
+    rows, n = a.shape[0], wm[1]
 
-    def pre_activation(x):
-        pre = np.matmul(x, w.data.T if transpose_w else w.data,
+    def pre_activation(x):  # x @ U1 for a pair w, and x @ w + c
+        if v1 is not None:
+            x = np.matmul(x, w1.data, out=_scratch("linear_swish_matmul.xu", (rows, w1.shape[1])))
+        pre = np.matmul(x, w1.data if v1 is None else v1.data.T,
                         out=_scratch("linear_swish_matmul.pre", (rows, n)))
         pre += c.data
-        return pre
+        return x, pre
+
+    def au():
+        return _scratch("linear_swish_matmul.au", (rows, w2.shape[1]))
 
     def forward(x):
-        pre = pre_activation(x)
+        _, pre = pre_activation(x)
         _finite(pre, "matmul")
-        return _swish_product(pre, b.data)
+        if v2 is None:
+            return _swish_product(pre, w2.data)
+        return _swish_product(pre, w2.data, au()) @ v2.data.T
 
-    def grads(x, gout, rebuilt):
-        # the pre-activation's gradient overwrites it in scratch
-        pre = pre_activation(x)
-        gp, gb = _swish_product_grad(pre, b.data, gout, out=pre)
-        if transpose_w:
-            ga, gw = gp @ w.data, gp.T @ x
-        else:
-            ga, gw = gp @ w.data.T, x.T @ gp
-        return ga, gw, np.add.reduce(gp, axis=0), gb
+    def grads(x, gout):
+        # each gradient is written over what it is the gradient of, in scratch
+        xu, pre = pre_activation(x)
+        gv2 = ()
 
-    return _product("linear_swish_matmul", a, (w, c, b), forward, grads, bias, residual, s,
-                    norm, out_norm)
+        def au_grad(h):  # the V2 product's rule at h = act @ U2
+            nonlocal gv2
+            gp = gout(h @ v2.data.T) if callable(gout) else gout
+            gv2 = (gp.T @ h,)
+            return np.matmul(gp, v2.data, out=h)
+
+        gpre, gw2 = _swish_product_grad(pre, w2.data, gout if v2 is None else au_grad, out=pre,
+                                        product=None if v2 is None else au())
+        gxu, gv1 = gpre, ()
+        if v1 is not None:  # V1's product's rule, then U1's
+            gv1 = (gpre.T @ xu,)
+            gxu = np.matmul(gpre, v1.data, out=xu)
+        return (gxu @ w1.data.T, x.T @ gxu, *gv1, np.add.reduce(gpre, axis=0), gw2, *gv2)
+
+    rest = tuple(t for t in (w1, v1, c, w2, v2) if t is not None)
+    return _product("linear_swish_matmul", a, rest, forward, grads, bias, residual, s, norm,
+                    out_norm)
 
 
 def _check_norm_params(op: str, d: int, gamma: Tensor, beta: Tensor):
@@ -827,7 +862,7 @@ def glu_conv_swish_matmul(a: Tensor, w: Tensor, c: Tensor, kernel: Tensor, gamma
                           norm: tuple[Tensor, Tensor] | None) -> Tensor:
     """swish(LN(conv(glu(a @ w + c)))) @ b for 2-d operands, a whole
     convolution module, as one node, made residual + swish(LN(conv(glu(
-    LN(a) @ w + c)))) @ b + bias by the other arguments, as in ``matmul``.
+    LN(a) @ w + c)))) @ b + bias by the other arguments (``_product``).
 
     a is (B·T, n), the rows of B utterances of ``frames`` = T frames each;
     w is (n, 2d), c (2d,), kernel (k, d) with k odd, the inner norm's
@@ -904,7 +939,7 @@ def glu_conv_swish_matmul(a: Tensor, w: Tensor, c: Tensor, kernel: Tensor, gamma
         _finite(y, "layer_norm")
         return _swish_product(y, b.data)
 
-    def grads(x, gout, rebuilt):
+    def grads(x, gout):
         pre = pre_activation(x)
         s, xp, out = convolved(pre)
         xhat = _rebuild_xhat(out, mu, inv, out)
@@ -950,7 +985,7 @@ def attention_matmul(xn: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
     """softmax((q kᵀ + skew(pos)) / sqrt(d/H)) v @ w, with q = xn @ wq + bq
     and k = xn @ wk + bk, every head's context times the post-projection,
     as one node, made residual + (context @ w + bias) by the other
-    arguments, as in ``matmul``.
+    arguments (``_product``).
 
     xn holds the (B·T, n) rows of B utterances of T frames (the
     attention's layer-norm output), wq and wk are (n, d), bq and bk (d,),
@@ -966,26 +1001,29 @@ def attention_matmul(xn: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
     et al. 2017 (arXiv:1706.03762). The parents are (xn, wq, bq, wk, bk,
     *pos, v, w, bias, residual).
 
-    The q and k projections (``attention_matmul.q`` and ``.k``) and the
-    q kᵀ product are each checked as a matmul, and the weights and the
+    The q kᵀ product is checked as a matmul, and the weights and the
     context as the ``attention_context`` node of the chain this op
     replaces, so a score that overflows raises even where the softmax
-    would hide it. The projections, the weights (``attention_context.p``)
-    and the context (``attention_context.out``) are scratch, dropped once
-    the product is taken, so the node keeps no array of its own: the
-    rule rebuilds them by the forward's ops in the forward's order (the
-    two projections, the q kᵀ product, each utterance's skew add, the
-    scale, ``_softmax``, the product with v), at two more projections, a
-    q kᵀ product, a softmax and a context product in backward. It runs
-    ``matmul``'s rule arithmetic for w's gradient and the context's, then
-    the attention's on the latter: it writes the gradients of q, k and v
-    through the head views and each utterance's positional gradient into
-    a zeroed (H, T, 2T - 1) array through the skew view. Last come the
-    projections' rules: xn's gradient is q's gradient times wqᵀ, then
-    plus k's times wkᵀ, and the weights' and biases' are xnᵀ and row sums
-    times each. So the bytes are those of ``matmul(attention_context(
+    would hide it. The q and k projections (``attention_matmul.q`` and
+    ``.k``) get no check of their own: a non-finite entry in either makes
+    the scores it enters non-finite, and those raise under the name that
+    the chain's q and k nodes would, ``matmul``. The projections, the
+    weights (``attention_context.p``) and the context
+    (``attention_context.out``) are scratch, dropped once the product is
+    taken, so the node keeps no array of its own: the rule rebuilds them
+    by the forward's ops in the forward's order (the two projections, the
+    q kᵀ product, each utterance's skew add, the scale, ``_softmax``, the
+    product with v), at two more projections, a q kᵀ product, a softmax
+    and a context product in backward. It runs ``matmul``'s rule
+    arithmetic for w's gradient and the context's, then the attention's
+    on the latter: it writes the gradients of q, k and v through the head
+    views and each utterance's positional gradient into a zeroed (H, T,
+    2T - 1) array through the skew view. Last come the projections'
+    rules: xn's gradient is q's gradient times wqᵀ, then plus k's times
+    wkᵀ, and the weights' and biases' are xnᵀ and row sums times each. So
+    the bytes are those of ``add(residual, matmul(attention_context(
     matmul(xn, wq, bias=bq), matmul(xn, wk, bias=bk), pos, v), w,
-    bias=bias, residual=residual)`` in ``tests/oracles.py``.
+    bias=bias))`` in ``tests/oracles.py``.
     """
     pos = tuple(pos)
     rows = xn.shape[0] if xn.ndim == 2 else 0
@@ -1029,9 +1067,7 @@ def attention_matmul(xn: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
 
     def forward(x):
         q = projection(x, wq, bq, "attention_matmul.q")
-        _finite(q, "matmul")
         k = projection(x, wk, bk, "attention_matmul.k")
-        _finite(k, "matmul")
         z = scores(q, k)
         _finite(z, "matmul")
         p = weights(z)
@@ -1040,7 +1076,7 @@ def attention_matmul(xn: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
         _finite(ctx, "attention_context")
         return ctx @ w.data
 
-    def grads(x, gp, rebuilt):
+    def grads(x, gp):
         q = projection(x, wq, bq, "attention_matmul.q")
         k = projection(x, wk, bk, "attention_matmul.k")
         p = weights(scores(q, k))

@@ -8,7 +8,7 @@ A block maps (B·T, d) rows to (B·T, d) as
 with a residual connection around every module, which the module's
 last product node adds (``residual=``), so no residual sum is a node of
 its own, and the final layer norm is the ``out_norm=`` epilogue of the
-last node of the second feed-forward. The rows are B
+second feed-forward's node. The rows are B
 utterances of ``frames`` = T frames each, packed utterance after
 utterance; by default all rows are one utterance. Every frame-wise op
 (linears, layer norms, activations, residual adds) runs once over all
@@ -153,30 +153,19 @@ def feed_forward(x: Tensor, p: FeedForwardParams,
     or with ``out_norm=(gamma, beta)`` a layer norm of it (the block's
     final norm, after ``ff_end``).
 
-    One ``linear_swish_matmul`` node runs from the last factor of W1 to
-    the first factor of W2: for dense weights from x through LN, W1 and
-    W2 with b2, for low-rank ones from LN(x) . U1 through V1ᵀ and U2,
-    with the V2 product a ``matmul`` node after it. So the tape keeps no
-    (rows, n) array: the node rebuilds its pre-activation in backward,
-    at one more (rows, d) . (d, n) or (rows, k) . (k, n) product. The
-    layer norm is the ``norm=`` prologue of the first node (the dense
-    ``linear_swish_matmul`` or the U1 ``matmul``), which rebuilds LN(x)
-    in backward, so LN(x) is not kept either. The last node adds the
-    scaled residual (``residual=x, s=0.5``), so neither linear2's output
-    nor a residual sum is a node of its own: a feed-forward is one node
-    (dense) or three (low-rank). ``out_norm`` is the last node's
-    epilogue, so the residual sum is not kept either: the node keeps one
-    mean and one inverse deviation per row, and its rule rebuilds the sum
-    from the node's last product alone (the V2 product, or the dense
-    node's swish product)."""
-    norm = (p.ln_gamma, p.ln_beta)
-    if isinstance(p.w1, LowRankFactors):  # a plan factors both linears or neither
-        h = linear_swish_matmul(matmul(x, p.w1.u, norm=norm), p.w1.v, p.b1, p.w2.u,
-                                transpose_w=True)
-        return matmul(h, p.w2.v, transpose_b=True, bias=p.b2, residual=x, s=0.5,
-                      out_norm=out_norm)
-    return linear_swish_matmul(x, p.w1, p.b1, p.w2, p.b2, residual=x, s=0.5, norm=norm,
-                               out_norm=out_norm)
+    One ``linear_swish_matmul`` node, for dense weights and for
+    ``LowRankFactors`` pairs alike, which it takes as (U, V) pairs. The
+    layer norm is its ``norm=`` prologue, and it adds b2 and the scaled
+    residual (``residual=x, s=0.5``), so the tape keeps neither LN(x), a
+    (rows, n) array, a low-rank (rows, k) product nor a residual sum: the
+    rule rebuilds LN(x), the pre-activation and the low-rank products in
+    backward. ``out_norm`` is the node's epilogue, so the residual sum is
+    not kept either: the node keeps one mean and one inverse deviation
+    per row, and its rule rebuilds the sum from the node's last product
+    alone."""
+    w1, w2 = ((w.u, w.v) if isinstance(w, LowRankFactors) else w for w in (p.w1, p.w2))
+    return linear_swish_matmul(x, w1, p.b1, w2, p.b2, residual=x, s=0.5,
+                               norm=(p.ln_gamma, p.ln_beta), out_norm=out_norm)
 
 
 def check_frames(frames: int, t_max: int):
@@ -262,7 +251,7 @@ def conformer_block(x: Tensor, p: BlockParams, frames: int | None = None,
     """One block over utterances of ``frames`` frames each (default: one);
     ``table`` is the attention's ``table_heads``, built here when not
     given. The final layer norm is the ``out_norm`` epilogue of
-    ``ff_end``'s last node, so the block's output is the one (rows, d)
+    ``ff_end``'s node, so the block's output is the one (rows, d)
     array that ``ff_end`` keeps."""
     y = feed_forward(x, p.ff_start)
     y = attention(y, p.attn, frames, table)

@@ -3,12 +3,12 @@
 A dense weight M (m x n) is replaced by factors U (m x k) and V (n x k)
 applied as (x @ U) @ V^T, which never materializes the m x n product and
 cuts the weight count from m*n to k*(m+n). Factors are trained from
-scratch. In a feed-forward (``blocks.feed_forward``) the products
-between U1 and V2 are one ``linear_swish_matmul`` node,
-swish((x @ U1) @ V1^T + b1) @ U2, so the tape keeps the (rows, k)
-product x @ U1 and no (rows, n) array. ``blocks.apply_linear`` applies
-one factored linear on its own; it takes factors only, since a dense
-linear is one ``matmul``.
+scratch. A feed-forward (``blocks.feed_forward``) is one
+``linear_swish_matmul`` node from LN(x) through V2, which takes each
+factor pair as (U, V) and rebuilds LN(x) @ U1 and act @ U2 in backward,
+so the tape keeps no (rows, k) and no (rows, n) array.
+``blocks.apply_linear`` applies one factored linear on its own; it takes
+factors only, since a dense linear is one ``matmul``.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ The package ships the fused ops the model runs; the unfused ops here are
 what the tests compare them against, and what they build test losses
 from: ``add(a, b, s)`` against ``add(a, scale(b, s))``, a product's
 ``residual`` and ``s`` against ``add(residual, product, s)``,
-``linear_swish_matmul`` against ``matmul(swish(matmul(a, w, bias=c)),
-b)``, ``glu_conv_swish_matmul`` against the chain ``matmul``, ``glu``,
+``linear_swish_matmul`` against ``linear(swish(linear(a, w, c)), b)``,
+each ``linear`` one ``matmul``, or two for a low-rank pair (U, V),
+``glu_conv_swish_matmul`` against the chain ``matmul``, ``glu``,
 ``depthwise_conv1d``, ``layer_norm``, ``swish``, ``matmul``, a product's
 ``out_norm`` against ``layer_norm`` of the product, ``attention_matmul``
 against ``matmul`` of ``attention_context`` of the q and k ``matmul``
@@ -66,6 +67,16 @@ def add(a: Tensor, b: Tensor, s: float | None = None) -> Tensor:
     out = b.data * s
     out += a.data
     return _result(out, "add", (a, b), lambda g: (g, g * s))
+
+
+def linear(x: Tensor, w, bias: Tensor | None = None) -> Tensor:
+    """x @ w + bias as ``matmul`` nodes, for a matrix w or a low-rank pair
+    (U, V) that stands for U @ Vᵀ: then (x @ U) @ Vᵀ, two nodes. The
+    unfused form of each product of ``linear_swish_matmul``."""
+    if isinstance(w, tuple):
+        u, v = w
+        return matmul(matmul(x, u), v, transpose_b=True, bias=bias)
+    return matmul(x, w, bias=bias)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -374,11 +385,9 @@ def reference_loss(model, features, labels) -> Tensor:
     B, H, dh = x.shape[0] // T, config.heads, config.d // config.heads
     lowrank_k = plan.lowrank.k if plan.lowrank is not None else None
 
-    def linear(x, t, stem):
-        if f"{stem}.w" in t:
-            return matmul(x, t[f"{stem}.w"], bias=t[f"{stem}.b"])
-        return matmul(matmul(x, t[f"{stem}.u"]), t[f"{stem}.v"], transpose_b=True,
-                      bias=t[f"{stem}.b"])
+    def linear_of(x, t, stem):
+        w = t[f"{stem}.w"] if f"{stem}.w" in t else (t[f"{stem}.u"], t[f"{stem}.v"])
+        return linear(x, w, t[f"{stem}.b"])
 
     def norm(x, t, stem):
         return layer_norm(x, t[f"{stem}.gamma"], t[f"{stem}.beta"])
@@ -391,19 +400,19 @@ def reference_loss(model, features, labels) -> Tensor:
                 for name, sub, _shape, _kind in module_tensor_specs(config, module, lowrank_k)}
 
     def feed_forward(x, t):
-        h = linear(norm(x, t, "ln"), t, "linear1")
-        return add(x, linear(swish(h), t, "linear2"), 0.5)
+        h = linear_of(norm(x, t, "ln"), t, "linear1")
+        return add(x, linear_of(swish(h), t, "linear2"), 0.5)
 
     def attention(x, t, table):
         xn = norm(x, t, "ln")
-        q, k, v, pq = (linear(xn, t, stem) for stem in ("query", "key", "value", "pos_query"))
+        q, k, v, pq = (linear_of(xn, t, stem) for stem in ("query", "key", "value", "pos_query"))
         pos = [matmul(heads(pq, b * T, T), table, transpose_b=True) for b in range(B)]
-        return add(x, linear(attention_chain(q, k, pos, v, 1.0 / math.sqrt(dh)), t, "post"))
+        return add(x, linear_of(attention_chain(q, k, pos, v, 1.0 / math.sqrt(dh)), t, "post"))
 
     def conv(x, t):
-        gated = glu(linear(norm(x, t, "ln"), t, "pre"))
+        gated = glu(linear_of(norm(x, t, "ln"), t, "pre"))
         h = swish(norm(depthwise_conv1d(gated, t["depth.k"], T), t, "norm"))
-        return add(x, linear(h, t, "post"))
+        return add(x, linear_of(h, t, "post"))
 
     x = matmul(x, model.store[FRONTEND_W], bias=model.store[FRONTEND_B])
     if plan.v:

@@ -19,8 +19,8 @@ from confshare.autodiff import (_SCRATCH, LN_EPS, ZERO_FLOOR, NonFiniteError, Rn
 from conftest import (assert_params_match_fd, bound_block, rand_tensor, traced_held,
                       traced_peak)
 from oracles import (_sigmoid, add, attention_chain, attention_context, attention_weights,
-                     concat_rows, depthwise_conv1d, glu, mul, rule_grads, scale, slice_rows,
-                     softmax, swish, transpose)
+                     concat_rows, depthwise_conv1d, glu, linear, mul, rule_grads, scale,
+                     slice_rows, softmax, swish, transpose)
 
 
 class TestRng:
@@ -521,19 +521,15 @@ class TestActivations:
                      id="glu_conv_swish_matmul-two-utterances"),
         pytest.param(linear_swish_matmul, [(4, 3), (3, 6), (6,), (6, 5)],
                      id="linear_swish_matmul"),
-        pytest.param(lambda a, w, c, b, bias: linear_swish_matmul(a, w, c, b, bias, True),
-                     [(4, 3), (6, 3), (6,), (6, 5), (5,)],
-                     id="linear_swish_matmul-transpose_w-bias"),
+        pytest.param(lambda a, u1, v1, c, u2, v2, bias: linear_swish_matmul(
+                         a, (u1, v1), c, (u2, v2), bias),
+                     [(4, 3), (3, 2), (6, 2), (6,), (6, 2), (5, 2), (5,)],
+                     id="linear_swish_matmul-factored-bias"),
         pytest.param(lambda a: transpose(a, (2, 3, 2, 2), (4, 6)), [(6, 4)],
                      id="transpose-view-shape"),
         pytest.param(lambda a: split_heads(a, 1, 4, 2), [(5, 6)], id="split_heads"),
         pytest.param(lambda a: split_heads(a, 0, 5, 3), [(5, 6)], id="split_heads-all"),
         pytest.param(lambda a, b: add(a, b, -0.5), [(4, 3), (4, 3)], id="add-scaled"),
-        pytest.param(lambda x, g, b, w: matmul(x, w, norm=(g, b)),
-                     [(4, 4), (4,), (4,), (4, 5)], id="matmul-norm"),
-        pytest.param(lambda x, g, b, w, c, r: matmul(x, w, True, c, r, -0.5, norm=(g, b)),
-                     [(4, 4), (4,), (4,), (5, 4), (5,), (4, 5)],
-                     id="matmul-norm-transpose_b-bias-residual"),
         pytest.param(lambda x, g, b, w, c, k, g2, b2, v, d, r: glu_conv_swish_matmul(
                          x, w, c, k, g2, b2, v, 4, bias=d, residual=r, norm=(g, b)),
                      [(4, 4), (4,), (4,), (4, 6), (6,), (3, 3), (3,), (3,), (3, 5), (5,),
@@ -543,13 +539,16 @@ class TestActivations:
                                                                      norm=(g, b)),
                      [(4, 4), (4,), (4,), (4, 6), (6,), (6, 5), (5,)],
                      id="linear_swish_matmul-norm-bias"),
-        pytest.param(lambda x, g, b, w, c, v, r: linear_swish_matmul(
-                         x, w, c, v, transpose_w=True, residual=r, s=0.5, norm=(g, b)),
-                     [(4, 4), (4,), (4,), (6, 4), (6,), (6, 5), (4, 5)],
-                     id="linear_swish_matmul-norm-transpose_w-residual"),
-        pytest.param(lambda x, w, c, r, g, b: matmul(x, w, True, c, r, 0.5, out_norm=(g, b)),
-                     [(4, 3), (5, 3), (5,), (4, 5), (5,), (5,)],
-                     id="matmul-transpose_b-bias-residual-out_norm"),
+        pytest.param(lambda x, g, b, u1, v1, c, u2, v2, r: linear_swish_matmul(
+                         x, (u1, v1), c, (u2, v2), residual=r, s=0.5, norm=(g, b)),
+                     [(4, 4), (4,), (4,), (4, 2), (6, 2), (6,), (6, 3), (5, 3), (4, 5)],
+                     id="linear_swish_matmul-norm-factored-residual"),
+        pytest.param(lambda x, g, b, u1, v1, c, u2, v2, d, r, g2, b2: linear_swish_matmul(
+                         x, (u1, v1), c, (u2, v2), d, residual=r, s=0.5, norm=(g, b),
+                         out_norm=(g2, b2)),
+                     [(4, 4), (4,), (4,), (4, 2), (6, 2), (6,), (6, 3), (5, 3), (5,), (4, 5),
+                      (5,), (5,)],
+                     id="linear_swish_matmul-norm-factored-bias-residual-out_norm"),
         pytest.param(lambda x, g, b, w, c, v, d, r, g2, b2: linear_swish_matmul(
                          x, w, c, v, d, residual=r, s=0.5, norm=(g, b), out_norm=(g2, b2)),
                      [(4, 4), (4,), (4,), (4, 6), (6,), (6, 5), (5,), (4, 5), (5,), (5,)],
@@ -571,18 +570,47 @@ class TestActivations:
                 pytest.raises(NonFiniteError, match="^matmul produced non-finite values"):
             linear_swish_matmul(a, w, Tensor([0.0, 0.0]), Tensor([[1.0], [1.0]]))
 
-    @pytest.mark.parametrize("shapes,transpose_w", [
-        pytest.param([(4, 3), (4, 6), (6,), (6, 5)], False, id="inner-extents"),
-        pytest.param([(4, 3), (3, 6), (6,), (6, 5)], True, id="transpose_w"),
-        pytest.param([(4, 3), (3, 6), (4,), (6, 5)], False, id="hidden-bias"),
-        pytest.param([(4, 3), (3, 6), (6,), (5, 6)], False, id="second-product"),
-        pytest.param([(2, 4, 3), (3, 6), (6,), (6, 5)], False, id="3-d"),
-        pytest.param([(4, 3), (3, 6), (6,), (6, 5), (4,)], False, id="bias")])
-    def test_linear_swish_matmul_rejects_shapes_that_do_not_multiply(
-            self, rng, shapes, transpose_w):
-        operands = [rand_tensor(rng, shape) for shape in shapes]
-        with pytest.raises(ShapeError, match="^linear_swish_matmul"):
-            linear_swish_matmul(*operands[:4], *operands[4:], transpose_w=transpose_w)
+    @pytest.mark.parametrize("operands,op", [
+        # x @ U1 passes the largest double: the pre-activation after it
+        # raises, as the chain's would
+        pytest.param(([[1e200]], ([[1e200]], [[-1.0], [1.0]]), [0.0, 0.0], [[1.0], [1.0]]),
+                     "matmul", id="x-u1"),
+        # act @ U2 does, with act near 10: the output after it raises, as the
+        # chain's linear_swish_matmul node would
+        pytest.param(([[10.0]], [[1.0]], [0.0], ([[1e308, 1e308]], [[1.0, 1.0]])),
+                     "linear_swish_matmul", id="act-u2"),
+        # a finite act @ U2 times V2ᵀ does: the chain's V2 matmul would raise
+        pytest.param(([[10.0]], [[1.0]], [0.0], ([[1e307, 1e307]], [[10.0, 10.0]])),
+                     "linear_swish_matmul", id="output")])
+    def test_factored_linear_swish_matmul_rejects_a_non_finite_stage(self, operands, op):
+        a, w, c, b = (tuple(map(Tensor, x)) if isinstance(x, tuple) else Tensor(x)
+                      for x in operands)
+        with np.errstate(all="ignore"), \
+                pytest.raises(NonFiniteError, match=f"^{op} produced non-finite values$"):
+            linear_swish_matmul(a, w, c, b)
+
+    @pytest.mark.parametrize("shapes", [
+        pytest.param([(4, 3), (4, 6), (6,), (6, 5)], id="inner-extents"),
+        pytest.param([(4, 3), ((4, 2), (6, 2)), (6,), (6, 5)], id="factored-inner-extents"),
+        pytest.param([(4, 3), ((3, 2), (6, 3)), (6,), (6, 5)], id="factor-ranks-differ"),
+        pytest.param([(4, 3), ((3, 2), (6,)), (6,), (6, 5)], id="factor-not-2-d"),
+        pytest.param([(4, 3), (3, 6), (4,), (6, 5)], id="hidden-bias"),
+        pytest.param([(4, 3), ((3, 2), (6, 2)), (4,), (6, 5)], id="factored-hidden-bias"),
+        pytest.param([(4, 3), (3, 6), (6,), (5, 6)], id="second-product"),
+        pytest.param([(4, 3), (3, 6), (6,), ((5, 2), (5, 2))], id="factored-second-product"),
+        pytest.param([(2, 4, 3), (3, 6), (6,), (6, 5)], id="3-d"),
+        pytest.param([(4, 3), (3, 6), (6,), (6, 5), (4,)], id="bias")])
+    def test_linear_swish_matmul_rejects_shapes_that_do_not_multiply(self, rng, shapes):
+        a, w, c, b, *bias = (tuple(rand_tensor(rng, s) for s in shape)
+                             if isinstance(shape[0], tuple) else rand_tensor(rng, shape)
+                             for shape in shapes)
+        message = ("linear_swish_matmul: bias (4,) does not fit product (4, 5) (2-d operands "
+                   "only)" if bias else
+                   "linear_swish_matmul: expected 2-d a @ w + c of equal inner extents, then @ "
+                   "b, with w and b each a matrix or a (U, V) pair of one rank, got "
+                   f"{shapes[0]}, {shapes[1]}, {shapes[2]} and {shapes[3]}")
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            linear_swish_matmul(a, w, c, b, *bias)
 
     @pytest.mark.parametrize("scaled,op", [
         pytest.param({"a": 1e200, "w": 1e200}, "matmul", id="pre-activation"),
@@ -690,16 +718,17 @@ class TestPlumbing:
 
 def _residual_operands(op: str, rows: int, draw):
     """The operands of one product ``op`` over ``rows`` rows of width 6,
-    each as the model calls it: a bias on every product, and the
-    feed-forward's low-rank form (transposed w) for ``linear_swish_matmul``,
-    and utterances of 4 frames, where the rows allow, for
-    ``glu_conv_swish_matmul``."""
+    each as the model calls it: a bias on every product, the
+    feed-forward's low-rank form for ``linear_swish_matmul``, whose
+    (rows, 7) and (rows, 8) low-rank products are wider than its own, so
+    a kept one would show, and utterances of 4 frames, where the rows
+    allow, for ``glu_conv_swish_matmul``."""
     if op == "matmul":
         return (draw(rows, 5), draw(6, 5)), {"transpose_b": True, "bias": draw(6)}
     if op == "glu_conv_swish_matmul":
         return _conv_operands(draw(rows, 4), draw, 6), {"bias": draw(6)}
-    return (draw(rows, 4), draw(9, 4), draw(9), draw(9, 6)), {"bias": draw(6),
-                                                             "transpose_w": True}
+    return (draw(rows, 4), (draw(4, 7), draw(9, 7)), draw(9), (draw(9, 8), draw(6, 8))), \
+        {"bias": draw(6)}
 
 
 def _conv_operands(x, draw, width):
@@ -716,18 +745,26 @@ def _conv_operands(x, draw, width):
 _PRODUCTS = {"matmul": matmul, "linear_swish_matmul": linear_swish_matmul,
              "glu_conv_swish_matmul": partial(glu_conv_swish_matmul, bias=None, residual=None,
                                               norm=None)}
+# the products that take a residual and a norm prologue
+_FRAMED = ["linear_swish_matmul", "glu_conv_swish_matmul"]
 
 
 def _scaled_products(*scales):
-    """(product, s) pairs for every product and scale, and ``s=None`` only
-    for ``glu_conv_swish_matmul``, which takes no scale: the conv module
-    adds its residual unscaled."""
-    return [(op, s) for op in _PRODUCTS for s in scales
+    """(product, s) pairs for every product that takes a residual and
+    every scale, and ``s=None`` only for ``glu_conv_swish_matmul``, which
+    takes no scale: the conv module adds its residual unscaled."""
+    return [(op, s) for op in _FRAMED for s in scales
             if s is None or op != "glu_conv_swish_matmul"]
 
 
 def _scale_kwargs(op: str, s) -> dict:
     return {} if op == "glu_conv_swish_matmul" else {"s": s}
+
+
+def _leaves(operands) -> list:
+    """The tensors among ``operands``, a low-rank pair's two in turn."""
+    return [t for x in operands for t in (x if isinstance(x, tuple) else (x,))
+            if isinstance(t, Tensor)]
 
 
 class TestBias:
@@ -765,8 +802,8 @@ class TestResidual:
 
         args, kwargs = _residual_operands(op, 3, draw)
         x = draw(3, 6)
-        named = {f"x{i}": t for i, t in enumerate((*args, kwargs["bias"]))
-                 if isinstance(t, Tensor)}  # not glu_conv_swish_matmul's frames
+        # not glu_conv_swish_matmul's frames
+        named = {f"x{i}": t for i, t in enumerate(_leaves((*args, kwargs["bias"])))}
         named["residual"] = x
         c = Tensor(rng.uniform(-1, 1, (3, 6)))
 
@@ -776,7 +813,7 @@ class TestResidual:
 
         assert_params_match_fd(named, make_loss)
 
-    @pytest.mark.parametrize("op", list(_PRODUCTS))
+    @pytest.mark.parametrize("op", _FRAMED)
     def test_rejects_a_residual_that_does_not_fit(self, rng, op):
         def draw(*shape):
             return rand_tensor(rng, shape)
@@ -790,29 +827,33 @@ class TestResidual:
             with pytest.raises(ValueError, match=f"^{op}: a scale s needs a residual"):
                 _PRODUCTS[op](*args, **kwargs, **scale)
 
-    def test_rejects_a_residual_on_a_batched_product(self, rng):
-        with pytest.raises(ShapeError, match=r"^matmul: residual \(2, 4, 5\) .*2-d operands"):
-            matmul(rand_tensor(rng, (2, 4, 3)), rand_tensor(rng, (2, 3, 5)),
-                   residual=rand_tensor(rng, (2, 4, 5)))
+
+# the forms of a linear_swish_matmul: w and b each a matrix or a low-rank pair
+_FORMS = ["w", "factored_w", "factored_b", "factored"]
 
 
-def _norm_operands(op: str, rows: int, draw, transpose: bool, with_bias: bool,
+def _pairs(form: str) -> tuple[bool, bool]:
+    """Whether w, and whether b, is a low-rank pair in ``form``."""
+    return form in ("factored_w", "factored"), form in ("factored_b", "factored")
+
+
+def _norm_operands(op: str, rows: int, draw, form: str, with_bias: bool,
                    with_norm: bool = True):
-    """The operands of one product ``op`` with a ``norm=`` prologue (or
-    none, and a norm of None, if not ``with_norm``), drawn in the order of
-    its parents: x of width 5, the prologue's (gamma, beta), w (or b)
-    transposed if asked, and a bias if asked. The product is narrower than
-    x, 4 wide, so a kept LN(x) would show."""
+    """The operands of one product ``op`` that takes a ``norm=`` prologue
+    (with none, and a norm of None, if not ``with_norm``), drawn in the
+    order of its parents: x of width 5, the prologue's (gamma, beta), the
+    rest, w and b in the ``_FORMS`` entry ``form``, and a bias if asked.
+    The product is narrower than x, 4 wide, so a kept LN(x) would show,
+    and narrower than the (rows, 6) and (rows, 7) low-rank products."""
     x, kwargs = draw(rows, 5), {}
     norm = (draw(5), draw(5)) if with_norm else None
-    if op == "matmul":
-        rest = (draw(4, 5) if transpose else draw(5, 4),)
-        kwargs["transpose_b"] = transpose
-    elif op == "glu_conv_swish_matmul":  # w is never transposed
+    if op == "glu_conv_swish_matmul":  # one form
         _, *rest = _conv_operands(x, draw, 4)
     else:
-        rest = (draw(9, 5) if transpose else draw(5, 9), draw(9), draw(9, 4))
-        kwargs["transpose_w"] = transpose
+        pair_w, pair_b = _pairs(form)
+        w = (draw(5, 6), draw(9, 6)) if pair_w else draw(5, 9)
+        c = draw(9)
+        rest = (w, c, (draw(9, 7), draw(4, 7)) if pair_b else draw(9, 4))
     if with_bias:
         kwargs["bias"] = draw(4)
     return (x, *rest), kwargs, norm
@@ -824,26 +865,21 @@ class TestNormPrologue:
     product, with x, gamma and beta first among the parents (the
     ``*-norm-*`` rows of ``FUSIONS``)."""
 
-    @pytest.mark.parametrize("op", list(_PRODUCTS))
+    @pytest.mark.parametrize("op", _FRAMED)
     def test_rejects_a_norm_that_does_not_fit(self, rng, op):
         def draw(*shape):
             return rand_tensor(rng, shape)
 
-        args, kwargs, (gamma, beta) = _norm_operands(op, 4, draw, False, True)
+        args, kwargs, (gamma, beta) = _norm_operands(op, 4, draw, "w", True)
         for bad in ((draw(4), beta), (gamma, draw(6)), (draw(5, 1), beta)):
             with pytest.raises(ShapeError, match=rf"^{op}: gamma/beta must be shape \(5,\)"):
                 _PRODUCTS[op](*args, **kwargs, norm=bad)
 
-    def test_rejects_a_norm_on_a_batched_product(self, rng):
-        norm = (rand_tensor(rng, (3,)), rand_tensor(rng, (3,)))
-        with pytest.raises(ShapeError, match=r"^matmul: a norm needs 2-d operands"):
-            matmul(rand_tensor(rng, (2, 4, 3)), rand_tensor(rng, (2, 3, 5)), norm=norm)
-
-    @pytest.mark.parametrize("op", list(_PRODUCTS))
+    @pytest.mark.parametrize("op", _FRAMED)
     def test_non_finite_normalized_operand_raises_as_a_layer_norm(self, op):
         # a finite gamma scales the normalized rows past the largest double
         args, kwargs, _ = _norm_operands(op, 2, lambda *shape: Tensor(np.ones(shape)),
-                                         False, False)
+                                         "w", False)
         x = Tensor(np.tile([1.0, -1.0, 1.0, -1.0, 1.0], (2, 1)))
         norm = (Tensor(np.full(5, 1e308)), Tensor(np.full(5, 1e308)))
         with np.errstate(all="ignore"), \
@@ -851,7 +887,9 @@ class TestNormPrologue:
             _PRODUCTS[op](x, *args[1:], **kwargs, norm=norm)
 
 
-_EPILOGUE_PRODUCTS = ["matmul", "linear_swish_matmul"]
+# the feed-forward's node, which ends a block with the out_norm epilogue
+_EPILOGUE_FORMS = [pytest.param("w", id="linear_swish_matmul"),
+                   pytest.param("factored", id="linear_swish_matmul-factored")]
 
 
 class TestNormEpilogue:
@@ -860,38 +898,37 @@ class TestNormEpilogue:
     product node followed by ``layer_norm``, with gamma and beta last
     among the parents (the ``*-out_norm-*`` rows of ``FUSIONS``)."""
 
-    @pytest.mark.parametrize("op", _EPILOGUE_PRODUCTS)
-    def test_rejects_a_norm_that_does_not_fit(self, rng, op):
+    @pytest.mark.parametrize("form", _EPILOGUE_FORMS)
+    def test_rejects_a_norm_that_does_not_fit(self, rng, form):
         def draw(*shape):
             return rand_tensor(rng, shape)
 
-        args, kwargs, _ = _norm_operands(op, 4, draw, False, True, with_norm=False)
+        args, kwargs, _ = _norm_operands("linear_swish_matmul", 4, draw, form, True,
+                                         with_norm=False)
         for bad in ((draw(5), draw(4)), (draw(4), draw(3)), (draw(4, 1), draw(4))):
-            with pytest.raises(ShapeError, match=rf"^{op}: gamma/beta must be shape \(4,\)"):
-                _PRODUCTS[op](*args, **kwargs, out_norm=bad)
+            with pytest.raises(ShapeError, match=r"^linear_swish_matmul: gamma/beta must be "
+                                                 r"shape \(4,\)"):
+                linear_swish_matmul(*args, **kwargs, out_norm=bad)
 
-    def test_rejects_a_norm_on_a_batched_product(self, rng):
-        norm = (rand_tensor(rng, (5,)), rand_tensor(rng, (5,)))
-        with pytest.raises(ShapeError, match=r"^matmul: a norm needs 2-d operands, got "
-                                             r"\(2, 4, 5\)$"):
-            matmul(rand_tensor(rng, (2, 4, 3)), rand_tensor(rng, (2, 3, 5)), out_norm=norm)
-
-    @pytest.mark.parametrize("op", _EPILOGUE_PRODUCTS)
+    @pytest.mark.parametrize("form", _EPILOGUE_FORMS)
     @pytest.mark.parametrize("stage,scaled", [
         pytest.param(None, {"residual": 1e308, "bias": 1e308}, id="pre-norm-sum"),
         pytest.param("layer_norm", {"gamma": 1e308, "beta": 1e308}, id="norm")])
-    def test_rejects_a_non_finite_stage_as_its_chain_node(self, op, stage, scaled):
+    def test_rejects_a_non_finite_stage_as_its_chain_node(self, form, stage, scaled):
         # finite operands whose pre-norm sum, or whose normalized sum times
         # gamma plus beta, passes the largest double: unchecked, the sum's
-        # infinity would raise as the norm, as a NaN
-        args, kwargs, _ = _norm_operands(op, 2, lambda *shape: Tensor(np.ones(shape)),
-                                         False, True, with_norm=False)
+        # infinity would raise as the norm, as a NaN. The factored form's
+        # sum raises as this op, where its chain's V2 matmul would
+        args, kwargs, _ = _norm_operands("linear_swish_matmul", 2,
+                                         lambda *shape: Tensor(np.ones(shape)), form, True,
+                                         with_norm=False)
         kwargs["bias"] = Tensor(kwargs["bias"].data * scaled.get("bias", 1.0))
         residual = Tensor(np.tile([1.0, -1.0, 1.0, -1.0], (2, 1)) * scaled.get("residual", 1.0))
         out_norm = tuple(Tensor(np.full(4, scaled.get(name, 1.0))) for name in ("gamma", "beta"))
-        with np.errstate(all="ignore"), \
-                pytest.raises(NonFiniteError, match=f"^{stage or op} produced non-finite values$"):
-            _PRODUCTS[op](*args, **kwargs, residual=residual, out_norm=out_norm)
+        with np.errstate(all="ignore"), pytest.raises(
+                NonFiniteError, match=f"^{stage or 'linear_swish_matmul'} produced non-finite "
+                                      "values$"):
+            linear_swish_matmul(*args, **kwargs, residual=residual, out_norm=out_norm)
 
 
 class TestDepthwiseConv:
@@ -1032,36 +1069,38 @@ def _attention_matmul_row(draw, grow, B, with_bias, residual):
     # so a kept one would show
     xn, wq, bq, wk, bk, pos, v = _attention_matmul_operands(draw, B + grow)  # dh = 3
     w = draw(6, 4)
-    kwargs = {"bias": draw(4) if with_bias else None,
-              "residual": draw(xn.shape[0], 4) if residual else None}
-    return (attention_matmul(xn, wq, bq, wk, bk, pos, v, w, **kwargs),
-            matmul(attention_context(*_projected(xn, wq, bq, wk, bk), pos, v), w, **kwargs))
+    bias = draw(4) if with_bias else None
+    residual = draw(xn.shape[0], 4) if residual else None
+    out = matmul(attention_context(*_projected(xn, wq, bq, wk, bk), pos, v), w, bias=bias)
+    return (attention_matmul(xn, wq, bq, wk, bk, pos, v, w, bias=bias, residual=residual),
+            out if residual is None else add(residual, out))
 
 
-def _unfused(op, a, *rest, bias=None, transpose_b=False, transpose_w=False, residual=None,
-             s=None):
-    """The product ``op`` of ``_PRODUCTS`` as the plain ``matmul`` and the
+def _unfused(op, a, *rest, bias=None, residual=None, s=None):
+    """The product ``op`` of ``_FRAMED`` as the plain ``matmul`` and the
     oracles it fuses."""
-    if op == "matmul":
-        out = matmul(a, *rest, transpose_b, bias)
-    elif op == "glu_conv_swish_matmul":
+    if op == "glu_conv_swish_matmul":
         w, c, k, gamma, beta, b, frames = rest
         h = swish(layer_norm(depthwise_conv1d(glu(matmul(a, w, bias=c)), k, frames), gamma,
                              beta))
         out = matmul(h, b, bias=bias)
     else:
         w, c, b = rest
-        out = matmul(swish(matmul(a, w, transpose_w, c)), b, bias=bias)
+        out = linear(swish(linear(a, w, c)), b, bias)
     return out if residual is None else add(residual, out, s)
 
 
-def _linear_swish_matmul_row(draw, grow, with_bias, transpose_w):
-    # the (rows, 10) pre-activation is wider than the product
+def _linear_swish_matmul_row(draw, grow, with_bias, form):
+    # the (rows, 10) pre-activation, and the (rows, 8) and (rows, 9)
+    # low-rank products, are wider than the product
+    pair_w, pair_b = _pairs(form)
     a = draw(12 + grow, 6)
-    w, c, b = draw(10, 6) if transpose_w else draw(6, 10), draw(10), draw(10, 7)
+    w = (draw(6, 8), draw(10, 8)) if pair_w else draw(6, 10)
+    c = draw(10)
+    b = (draw(10, 9), draw(7, 9)) if pair_b else draw(10, 7)
     bias = draw(7) if with_bias else None
-    return (linear_swish_matmul(a, w, c, b, bias, transpose_w),
-            _unfused("linear_swish_matmul", a, w, c, b, bias=bias, transpose_w=transpose_w))
+    return (linear_swish_matmul(a, w, c, b, bias),
+            _unfused("linear_swish_matmul", a, w, c, b, bias=bias))
 
 
 def _glu_conv_swish_matmul_core_row(draw, grow, with_bias):
@@ -1095,25 +1134,27 @@ def _residual_row(draw, grow, op, s, B):
     return _PRODUCTS[op](*args, **kwargs), _unfused(op, *args, **kwargs)
 
 
-def _norm_row(draw, grow, op, transpose, with_bias, residual, s, B):
+def _norm_row(draw, grow, op, form, with_bias, residual, s, B):
     rows = 4 * (B + grow)
-    (x, *rest), kwargs, norm = _norm_operands(op, rows, draw, transpose, with_bias)
+    (x, *rest), kwargs, norm = _norm_operands(op, rows, draw, form, with_bias)
     if residual:
         kwargs.update(residual=draw(rows, 4), **_scale_kwargs(op, s))
     return (_PRODUCTS[op](x, *rest, **kwargs, norm=norm),
             _unfused(op, layer_norm(x, *norm), *rest, **kwargs))
 
 
-def _out_norm_row(draw, grow, op, norm, with_bias, residual, s, B):
-    # as the model's last feed-forward node: matmul reads b transposed
+def _out_norm_row(draw, grow, norm, form, with_bias, residual, s, B):
+    # the feed-forward's node, as the block's last
     rows = 4 * (B + grow)
-    (x, *rest), kwargs, norm = _norm_operands(op, rows, draw, op == "matmul", with_bias, norm)
+    (x, *rest), kwargs, norm = _norm_operands("linear_swish_matmul", rows, draw, form,
+                                              with_bias, norm)
     if residual:
         kwargs.update(residual=draw(rows, 4), s=s)
     out_norm = (draw(4), draw(4))
-    return (_PRODUCTS[op](x, *rest, **kwargs, norm=norm, out_norm=out_norm),
-            layer_norm(_unfused(op, x if norm is None else layer_norm(x, *norm), *rest,
-                                **kwargs), *out_norm))
+    return (linear_swish_matmul(x, *rest, **kwargs, norm=norm, out_norm=out_norm),
+            layer_norm(_unfused("linear_swish_matmul",
+                                x if norm is None else layer_norm(x, *norm), *rest, **kwargs),
+                       *out_norm))
 
 
 def _glu_conv_swish_matmul_row(draw, grow, B, w, T):
@@ -1125,11 +1166,11 @@ def _glu_conv_swish_matmul_row(draw, grow, B, w, T):
     pre_w, pre_c, k, gamma, beta, b = draw(5, 12), draw(12), draw(w, 6), draw(6), draw(6), \
         draw(6, 4)
     bias, residual = draw(4), draw(rows, 4)
-    pre = matmul(x, pre_w, bias=pre_c, norm=norm)
+    pre = matmul(layer_norm(x, *norm), pre_w, bias=pre_c)
     h = swish(layer_norm(depthwise_conv1d(glu(pre), k, T), gamma, beta))
     return (glu_conv_swish_matmul(x, pre_w, pre_c, k, gamma, beta, b, T, bias=bias,
                                   residual=residual, norm=norm),
-            matmul(h, b, bias=bias, residual=residual))
+            add(residual, matmul(h, b, bias=bias)))
 
 
 def _row(id, family, **params):
@@ -1137,6 +1178,7 @@ def _row(id, family, **params):
 
 
 _BIAS = [(False, "no-bias"), (True, "bias")]
+_RESIDUALS = [(False, None, "no-residual"), (True, None, "residual"), (True, 0.5, "residual-s")]
 FUSIONS = [
     *(_row(f"attention_weights-T{T}", _attention_weights_row, T=T) for T in (1, 2, 5, 16)),
     *(_row(f"attention_context-B{B}", _attention_context_row, B=B) for B in (1, 3)),
@@ -1148,9 +1190,10 @@ FUSIONS = [
     *(_row(f"glu_conv_swish_matmul-{bias_id}", _glu_conv_swish_matmul_core_row,
            with_bias=bias)
       for bias, bias_id in _BIAS),
-    *(_row(f"linear_swish_matmul-{bias_id}-{w_id}", _linear_swish_matmul_row,
-           with_bias=bias, transpose_w=transpose_w)
-      for bias, bias_id in _BIAS for transpose_w, w_id in [(False, "w"), (True, "transpose_w")]),
+    # w and b each a matrix or a low-rank pair
+    *(_row(f"linear_swish_matmul-{bias_id}-{form}", _linear_swish_matmul_row,
+           with_bias=bias, form=form)
+      for bias, bias_id in _BIAS for form in _FORMS),
     *(_row(f"split_heads-h{h}-{range_id}", _split_heads_row, h=h, start=start, stop=stop)
       for h in (1, 3)
       for start, stop, range_id in [(2, 5, "middle"), (0, 3, "from-0"), (0, None, "all")]),
@@ -1159,24 +1202,23 @@ FUSIONS = [
       for op, s in _scaled_products(None, 0.5) for B in (1, 3)),
     # each product with and without a bias, and with no residual, a
     # residual, and a scaled one where the product takes a scale
-    *(_row(f"{op}-norm{'-transpose' if transpose else ''}-{bias_id}-{residual_id}-B{B}",
-           _norm_row, op=op, transpose=transpose, with_bias=bias, residual=residual, s=s, B=B)
-      for op in _PRODUCTS
-      for transpose in ((False,) if op == "glu_conv_swish_matmul" else (False, True))
+    *(_row(f"{op}-norm{'' if form == 'w' else f'-{form}'}-{bias_id}-{residual_id}-B{B}",
+           _norm_row, op=op, form=form, with_bias=bias, residual=residual, s=s, B=B)
+      for op in _FRAMED
+      for form in (("w",) if op == "glu_conv_swish_matmul" else ("w", "factored"))
       for bias, bias_id in _BIAS
-      for residual, s, residual_id in [(False, None, "no-residual"), (True, None, "residual"),
-                                       (True, 0.5, "residual-s")]
+      for residual, s, residual_id in _RESIDUALS
       if s is None or op != "glu_conv_swish_matmul"
       for B in (1, 3)),
-    # the same over the two products that end a feed-forward, each with an
-    # out_norm epilogue, with and without a prologue
-    *(_row(f"{op}-out_norm{'-norm' if norm else ''}-{bias_id}-{residual_id}-B{B}",
-           _out_norm_row, op=op, norm=norm, with_bias=bias, residual=residual, s=s, B=B)
-      for op in _EPILOGUE_PRODUCTS
+    # the same over the feed-forward's node in each form, with an out_norm
+    # epilogue, with and without a prologue
+    *(_row(f"linear_swish_matmul-out_norm{'-norm' if norm else ''}"
+           f"{'' if form == 'w' else f'-{form}'}-{bias_id}-{residual_id}-B{B}",
+           _out_norm_row, norm=norm, form=form, with_bias=bias, residual=residual, s=s, B=B)
       for norm in (False, True)
+      for form in _FORMS
       for bias, bias_id in _BIAS
-      for residual, s, residual_id in [(False, None, "no-residual"), (True, None, "residual"),
-                                       (True, 0.5, "residual-s")]
+      for residual, s, residual_id in _RESIDUALS
       for B in (1, 3)),
     # T = 2 is shorter than the pad at w = 11
     *(_row(f"glu_conv_swish_matmul-B{B}-w{w}-T{T}", _glu_conv_swish_matmul_row, B=B, w=w, T=T)
@@ -1442,8 +1484,7 @@ class TestBackward:
         pytest.param([(3, 4), (4, 5)], {}, id="2-d"),
         pytest.param([(3, 4), (5, 4)], {"transpose_b": True}, id="transpose_b"),
         pytest.param([(2, 3, 4), (2, 4, 5)], {}, id="batched"),
-        pytest.param([(3, 4), (4, 5)], {"bias": (5,), "residual": (3, 5), "s": 0.5},
-                     id="bias-residual"),
+        pytest.param([(3, 4), (4, 5)], {"bias": (5,)}, id="bias"),
     ])
     def test_matmul_rule_computes_no_gradient_for_a_constant_input(self, shapes, kwargs):
         # the frontend's packed features: a gradient for them is never stored,
@@ -1452,7 +1493,7 @@ class TestBackward:
             rng = Rng(5)
             a, b = (Tensor(rng.uniform(-1, 1, shape), requires_grad=trainable or i > 0)
                     for i, shape in enumerate(shapes))
-            extra = {key: value if key in ("transpose_b", "s")
+            extra = {key: value if key == "transpose_b"
                      else Tensor(rng.uniform(-1, 1, value), requires_grad=True)
                      for key, value in kwargs.items()}
             out = matmul(a, b, **extra)
@@ -1576,11 +1617,31 @@ class TestRetainedMemory:
         loss = cross_entropy_mean(encoder_forward(Tensor(features), model), labels)
         nodes = Tape.trace(loss).nodes
         # two feed-forwards in each of the two layers, each one node from
-        # the last factor of linear1 to the first of linear2
+        # the block input through linear2
         assert [n.op for n in nodes].count("linear_swish_matmul") == 4
         # the pre-activation is rebuilt in backward and the swish never kept
+        held = self._held_arrays(nodes)
         assert [n.op for n in nodes if n.shape == wide] == []
-        assert not [a.shape for a in self._held_arrays(nodes) if a.shape == wide]
+        assert not [a.shape for a in held if a.shape == wide]
+        if not lowrank:
+            return
+        # nor is a (rows, k) low-rank product, LN(x) @ U1 or act @ U2: no
+        # node or closure keeps one, nor the bytes of one rebuilt here by
+        # the chain the node replaces
+        narrow = (128, 50)
+        assert [n.op for n in nodes if n.shape == narrow] == []
+        assert not [a.shape for a in held if a.shape == narrow]
+        rebuilt = set()
+        for n in nodes:
+            if n.op == "linear_swish_matmul":
+                x, norm, (u1, v1), c, (u2, _), _ = _feed_forward_operands(n, lowrank)
+                xu = matmul(layer_norm(x, *norm), u1)
+                au = matmul(swish(matmul(xu, v1, transpose_b=True, bias=c)), u2)
+                rebuilt |= {xu.data.tobytes(), au.data.tobytes()}
+        assert len(rebuilt) == 8
+        kept = [n.data for n in nodes] + held
+        assert not [a.shape for a in kept if a.nbytes == 128 * 50 * 8
+                    and a.tobytes() in rebuilt]
 
     @staticmethod
     def _held_arrays(nodes) -> list[np.ndarray]:
@@ -1601,7 +1662,7 @@ class TestRetainedMemory:
         # five norms a layer are no node: three are a product's prologue,
         # each feed-forward's and the convolution module's first, the
         # module's inner norm runs inside its node, and the block's final
-        # norm is the epilogue of ff_end's last node; only the attention's
+        # norm is the epilogue of ff_end's node; only the attention's
         # is a layer_norm node
         blocks = model.virtual_blocks()
         folded = [pair for b in blocks for pair in (
@@ -1612,7 +1673,7 @@ class TestRetainedMemory:
         assert [n.op for n in nodes].count("layer_norm") == len(blocks)
         ends = [n for n in nodes if n._parents[-2:] in [(b.final_ln_gamma, b.final_ln_beta)
                                                        for b in blocks]]
-        assert [n.op for n in ends] == ["matmul" if lowrank else "linear_swish_matmul"] * 2
+        assert [n.op for n in ends] == ["linear_swish_matmul"] * 2
         convs = [n for n in nodes if n.op == "glu_conv_swish_matmul"]
         assert [n._parents[6:8] for n in convs] == [(b.conv.norm_gamma, b.conv.norm_beta)
                                                     for b in blocks]
@@ -1622,19 +1683,14 @@ class TestRetainedMemory:
                       for n in readers}
         for n in convs:
             x, gamma, beta, w, c, k, inner_gamma, inner_beta = n._parents[:8]
-            pre = matmul(x, w, bias=c, norm=(gamma, beta))
+            pre = matmul(layer_norm(x, gamma, beta), w, bias=c)
             inner = layer_norm(depthwise_conv1d(glu(pre), k, 128), inner_gamma, inner_beta)
             normalized.add(inner.data.tobytes())
         # and no node or closure holds the final norm's input, the
         # feed-forward's residual sum, rebuilt by the node without its epilogue
         for n in ends:
-            if lowrank:
-                h, v2, b2, x = n._parents[:4]
-                summed = matmul(h, v2, True, b2, x, 0.5)
-            else:
-                x, gamma, beta, w1, b1, w2, b2 = n._parents[:7]
-                summed = linear_swish_matmul(x, w1, b1, w2, b2, residual=x, s=0.5,
-                                             norm=(gamma, beta))
+            x, norm, w1, b1, w2, b2 = _feed_forward_operands(n, lowrank)
+            summed = add(x, linear(swish(linear(layer_norm(x, *norm), w1, b1)), w2, b2), 0.5)
             normalized.add(summed.data.tobytes())
         assert len(normalized) == len(readers) + len(convs) + len(ends)
         kept = [n.data for n in nodes] + held
@@ -1642,8 +1698,8 @@ class TestRetainedMemory:
                     and a.tobytes() in normalized]
 
     @pytest.mark.parametrize("frames,batch,mib", [
-        pytest.param(128, 1, 95, id="128x1"),
-        pytest.param(64, 2, 75, id="64x2")])
+        pytest.param(128, 1, 85, id="128x1"),
+        pytest.param(64, 2, 65, id="64x2")])
     def test_lrs3_forward_tape_layout_and_held_bytes(self, frames, batch, mib):
         # its op counts are TAPE_OPS' lrs3 rows
         from confshare.training import batch_loss
@@ -1670,6 +1726,17 @@ class TestRetainedMemory:
         assert not [a.shape for a in kept if a.nbytes == frames * batch * 144 * 8
                     and a.tobytes() in rebuilt]
         assert held <= mib * 2**20, f"the forward pass holds {held / 2**20:.1f} MiB"
+
+
+def _feed_forward_operands(node: Tensor, lowrank: bool):
+    """x, (gamma, beta), w1, b1, w2 and b2 of a feed-forward's
+    ``linear_swish_matmul`` node, w1 and w2 as (U, V) pairs if
+    ``lowrank``."""
+    x, gamma, beta, *rest = node._parents
+    if lowrank:
+        u1, v1, b1, u2, v2, b2 = rest[:6]
+        return x, (gamma, beta), (u1, v1), b1, (u2, v2), b2
+    return (x, (gamma, beta), *rest[:4])
 
 
 def _lrs3(frames: int, batch: int):
@@ -1713,11 +1780,14 @@ class TestScratch:
     """A scratch buffer holds only temporaries that a kernel fills and drops
     within one call, and each thread has its own."""
 
-    SLOTS = {"swish.act", "swish.s", "swish.ga", "linear_swish_matmul.pre", "conv.pre",
+    SLOTS = {"swish.act", "swish.s", "swish.ga", "linear_swish_matmul.xu",
+             "linear_swish_matmul.pre", "linear_swish_matmul.au", "conv.pre",
              "glu.s", "conv.xp", "conv.tap", "conv.out", "conv.y", "conv.gxp",
              "softmax_grad.gp", "attention_matmul.q", "attention_matmul.k",
              "attention_context.p", "attention_context.out", "norm.y", "norm.xhat", "adam.step",
              "adam.den"}
+    # the slots that only a low-rank feed-forward takes
+    LOWRANK_SLOTS = {"linear_swish_matmul.xu", "linear_swish_matmul.au"}
 
     @staticmethod
     def _model(name):
@@ -1756,7 +1826,8 @@ class TestScratch:
             tape, slots, scratch = pool.submit(step).result(timeout=120)
         # every kernel that takes scratch ran, so there is something to
         # check against, and every slot a step takes is documented here
-        assert slots == self.SLOTS
+        assert slots == self.SLOTS - (set() if model.plan.lowrank else self.LOWRANK_SLOTS)
+        assert (name == "LRS3-small") == bool(model.plan.lowrank)
         kept = [(f"{n.op or 'leaf'} node", n.data) for n in tape.nodes]
         kept += [(f"{n.op} rule closure", v) for n in tape.nodes if n._backward is not None
                  for v in _closure_values(n._backward) if isinstance(v, np.ndarray)]
@@ -1788,16 +1859,17 @@ class TestScratch:
             f"the rule held {peak} bytes for {returned} bytes of gradients"
 
     def test_warm_linear_swish_matmul_rule_allocates_only_its_gradients(self):
-        # the LRS3 low-rank feed-forward from U1's product to U2's, one T=128
-        # utterance: the rule rebuilds the (128, 1044) pre-activation in
-        # scratch and writes the pre-activation's gradient over it
+        # the LRS3 low-rank feed-forward, one T=128 utterance, without its
+        # norm and residual: the rule rebuilds x @ U1, the (128, 1044)
+        # pre-activation and act @ U2 in scratch, and writes each one's
+        # gradient over it
         rng = Rng(3)
-        a = Tensor(rng.uniform(-4.0, 4.0, (128, 50)), requires_grad=True)
-        w = Tensor(rng.uniform(-0.2, 0.2, (1044, 50)), requires_grad=True)
-        c = Tensor(rng.uniform(-0.1, 0.1, (1044,)), requires_grad=True)
-        b = Tensor(rng.uniform(-0.1, 0.1, (1044, 50)), requires_grad=True)
-        node = linear_swish_matmul(a, w, c, b, transpose_w=True)
-        g = rng.uniform(-1.0, 1.0, (128, 50))
+        a = Tensor(rng.uniform(-1.0, 1.0, (128, 144)), requires_grad=True)
+        u1, v1, c, u2, v2, bias = (
+            Tensor(rng.uniform(-0.2, 0.2, shape), requires_grad=True)
+            for shape in ((144, 50), (1044, 50), (1044,), (1044, 50), (144, 50), (144,)))
+        node = linear_swish_matmul(a, (u1, v1), c, (u2, v2), bias)
+        g = rng.uniform(-1.0, 1.0, (128, 144))
         node._backward(g)  # the scratch slots take their size
         grads, peak = traced_peak(lambda: node._backward(g))
         returned = sum(x.nbytes for x in grads)
@@ -1857,6 +1929,26 @@ class TestScratch:
         return [out, *outer_rule(gpre @ w.T), y.T @ gpre, gpre.sum(axis=0), gk, ggamma, gbeta,
                 gb, gbias]
 
+    def _feed_forward_oracle(self, a, w, c, b, bias, g):
+        """``linear_swish_matmul`` with a bias, w and b each a matrix or a
+        (U, V) pair, its output and its rule results, in the fused rule's
+        operation order."""
+        xu = a @ w[0] if isinstance(w, tuple) else a
+        pre = (xu @ w[1].T if isinstance(w, tuple) else a @ w) + c
+        if isinstance(b, tuple):
+            u2, v2 = b
+            au, gpre, gu2 = self._swish_product_oracle(pre, u2, None, g @ v2)
+            out, gb = au @ v2.T + bias, [gu2, g.T @ au]
+        else:
+            out, gpre, gb = self._swish_product_oracle(pre, b, bias, g)[:3]
+            gb = [gb]
+        if isinstance(w, tuple):
+            gxu = gpre @ w[1]
+            ga, gw = gxu @ w[0].T, [a.T @ gxu, gpre.T @ xu]
+        else:
+            ga, gw = gpre @ w.T, [a.T @ gpre]
+        return [out, ga, *gw, gpre.sum(axis=0), *gb, g.sum(axis=0)]
+
     def _check_fd_gradcheck_shapes(self, d: int, lowrank: bool):
         """linear_swish_matmul, glu, depthwise_conv1d and
         glu_conv_swish_matmul at the shapes of the fd_gradcheck model of
@@ -1871,20 +1963,21 @@ class TestScratch:
         def draw(*shape):
             return _with_signed_zeros(rng.uniform(-3.0, 3.0, shape))
 
-        # the feed-forward: the low-rank model's runs from rank 4 through V1ᵀ
-        # to rank 4, without a bias
-        a, c = draw(rows, 4 if lowrank else d), draw(ffn)
-        w1 = draw(ffn, 4) if lowrank else draw(d, ffn)
-        b, bias = draw(ffn, 4 if lowrank else d), None if lowrank else draw(d)
-        node = linear_swish_matmul(*(Tensor(x, requires_grad=True) for x in (a, w1, c, b)),
-                                   None if bias is None else Tensor(bias, requires_grad=True),
-                                   transpose_w=lowrank)
+        def tensors(x):  # a leaf, or a pair of them
+            return tuple(map(tensors, x)) if isinstance(x, tuple) else \
+                Tensor(x, requires_grad=True)
+
+        # the feed-forward, without its norm and residual: the low-rank
+        # model's factors both linears at rank 4
+        a = draw(rows, d)
+        w1 = (draw(d, 4), draw(ffn, 4)) if lowrank else draw(d, ffn)
+        c = draw(ffn)
+        b = (draw(ffn, 4), draw(d, 4)) if lowrank else draw(ffn, d)
+        bias = draw(d)
+        node = linear_swish_matmul(*map(tensors, (a, w1, c, b, bias)))
         g = draw(*node.shape)
         got = [node.data, *node._backward(g)]
-        out, gpre, gb, *gbias = self._swish_product_oracle(
-            a @ (w1.T if lowrank else w1) + c, b, bias, g)
-        ga, gw = (gpre @ w1, gpre.T @ a) if lowrank else (gpre @ w1.T, a.T @ gpre)
-        want = [out, ga, gw, gpre.sum(axis=0), gb, *gbias]
+        want = self._feed_forward_oracle(a, w1, c, b, bias, g)
         # the convolution module, without its residual
         x, norm = draw(rows, d), (draw(d), draw(d))
         rest = draw(d, 2 * d), draw(2 * d), draw(w, d), draw(d), draw(d), draw(d, d)
@@ -1955,19 +2048,19 @@ class TestTape:
 # post-projection), one glu_conv_swish_matmul node (the whole
 # convolution module), one linear_swish_matmul per feed-forward, one
 # layer norm (the attention's, which v, pq and the attention node read;
-# the final one is the epilogue of ff_end's last node), and matmuls for
-# v, pq, a low-rank feed-forward's U1 and V2 products (LRS3), and one
-# positional product per utterance, on a split_heads view of its pq
-# rows. q and k are no node. The table window is split once per forward.
+# the final one is the epilogue of ff_end's node), and matmuls for v, pq
+# and one positional product per utterance, on a split_heads view of its
+# pq rows. q and k are no node, nor a low-rank feed-forward's products.
+# The table window is split once per forward.
 TAPE_OPS = {
     # the toy_train config: a packed 4x32 batch through repeat_plan(2, 3)
     "toy-4x32": Counter(leaf=76, matmul=38, split_heads=25, layer_norm=6,
                         linear_swish_matmul=12, attention_matmul=6, glu_conv_swish_matmul=6,
                         cross_entropy_mean=1),
-    "lrs3-128x1": Counter(matmul=282, leaf=318, layer_norm=40, linear_swish_matmul=80,
+    "lrs3-128x1": Counter(matmul=122, leaf=318, layer_norm=40, linear_swish_matmul=80,
                           split_heads=41, attention_matmul=40, glu_conv_swish_matmul=40,
                           cross_entropy_mean=1),
-    "lrs3-64x2": Counter(matmul=322, leaf=318, split_heads=81, layer_norm=40,
+    "lrs3-64x2": Counter(matmul=162, leaf=318, split_heads=81, layer_norm=40,
                          linear_swish_matmul=80, attention_matmul=40, glu_conv_swish_matmul=40,
                          cross_entropy_mean=1),
     # one standalone attention over 1 or 3 utterances of 5 frames
@@ -2025,10 +2118,11 @@ def test_split_heads_is_the_one_view_on_a_tape(name):
 
 
 def test_every_fused_op_on_a_tape_has_a_fusion_row():
-    # a leaf is no op, and layer_norm and cross_entropy_mean fuse nothing
+    # a leaf is no op, and matmul (a product and its bias), layer_norm and
+    # cross_entropy_mean fuse nothing
     on_a_tape = {op for counts in TAPE_OPS.values() for op in counts}
     with_a_row = {_draw_row(row.values[0])[0].op for row in FUSIONS}
-    assert on_a_tape - {"leaf", "layer_norm", "cross_entropy_mean"} <= with_a_row
+    assert on_a_tape - {"leaf", "matmul", "layer_norm", "cross_entropy_mean"} <= with_a_row
 
 
 class TestFiniteDiff:

@@ -238,9 +238,10 @@ def _row_cells(row: ReportRow) -> list[str]:
             str(row.total), pct]
 
 
-def report_table(report: ParamReport, format: str = "pretty") -> str:
-    """Deterministic textual report. ``tsv`` is the machine format: one
-    header row, tab separators, integer counts, one-decimal percentages."""
+def report_table(report: ParamReport, format: str) -> str:
+    """Deterministic textual report in ``format``, ``pretty`` (aligned
+    columns) or ``tsv``, the machine format: one header row, tab
+    separators, integer counts, one-decimal percentages."""
     rows = [_row_cells(r) for r in report.rows]
     rows.append(["external", "params", "1", str(report.external_params),
                  str(report.external_params), ""])

@@ -23,35 +23,45 @@ node read), ``split_heads`` (a
 range of rows split into heads, one node and no copy) and
 ``cross_entropy_mean``.
 
-The products are ``matmul`` (2-d with a bias, or 3-d batched for the
-positional scores), ``linear_swish_matmul`` (swish(a @ w + c) @ b, with
-w and b each a matrix or a low-rank pair (U, V) applied as (x @ U) @ Vᵀ,
-a whole feed-forward), ``glu_conv_swish_matmul``
-(swish(LN(conv(glu(a @ w + c)))) @ b, a whole convolution module: the
-gated linear unit, the depthwise temporal convolution, which pads each
-utterance of a packed batch on its own, and the inner layer norm
-between its two products) and ``attention_matmul`` (the attention
-context times the post-projection: from the attention's layer-norm
-output, whose q and k projections it builds itself, the v projection
-and each utterance's relative-position scores, one node per layer over
-all heads of a batch, which reads the heads as strided views). One frame,
-``_product``, makes a 2-d one the node
-LN'(residual + s·(P(LN(a)) + bias)), P the product's core, in four
-optional steps, so none of them is a node of its own: a
-``norm=(gamma, beta)`` prologue that multiplies layer_norm(a, gamma,
-beta) instead of ``a``, a bias added to every row, a residual and scale
-``s``, applied as ``out *= s; out += residual``, and an
-``out_norm=(gamma', beta')`` epilogue LN' that normalizes that sum in
-place. ``matmul`` takes the bias alone; each module core takes what its
-module needs. The parents are (a, gamma, beta, *operands, bias,
-residual, gamma', beta'), and the rule undoes the steps in reverse: the
-epilogue's layer-norm rule, at the pre-norm sum that it rebuilds over
-the core's last product alone (the core rebuilds P and hands it over,
-and gets P's gradient back), then g to the residual, g·s summed over
-rows to the bias, g·s through the core's rule arithmetic, and LN(a)'s
-gradient through layer norm's rule, with x̂ and LN(a) rebuilt from the
-per-row statistics. How many nodes of each op a step records is
-``TAPE_OPS`` in ``tests/test_autodiff.py``. The tests' unfused oracles
+The products are ``matmul`` (2-d with an optional bias, or 3-d
+batched for the positional scores) and the three module ops, each of
+which takes only the call that its block makes, since every module of
+the paper's block is pre-normed, biased and residual:
+``linear_swish_matmul`` (a whole feed-forward, a + ½·(swish(LN(a) @ w
++ c) @ b + bias), with w and b both matrices or both low-rank pairs
+(U, V) applied as (x @ U) @ Vᵀ, and with an ``out_norm`` the block's
+final layer norm of that sum), ``glu_conv_swish_matmul`` (a whole
+convolution module, a + swish(LN(conv(glu(LN(a) @ w + c)))) @ b + bias:
+the gated linear unit, the depthwise temporal convolution, which pads
+each utterance of a packed batch on its own, and the inner layer norm
+between its two products) and ``attention_matmul`` (the residual plus
+the attention context times the post-projection plus its bias: from the
+attention's layer-norm output, whose q and k projections it builds
+itself, the v projection and each utterance's relative-position scores,
+one node per layer over all heads of a batch, which reads the heads as
+strided views). One frame, ``_product``, makes each of them the one
+node LN'(residual + s·(P(LN(a)) + bias)), P the product's core, so no
+step is a node of its own: a ``norm=(gamma, beta)`` prologue that
+multiplies layer_norm(a, gamma, beta) instead of ``a``, a bias added to
+every row, a residual and scale ``s``, applied as ``out *= s; out +=
+residual``, and an ``out_norm=(gamma', beta')`` epilogue LN' that
+normalizes that sum in place. The op fixes the steps it takes:
+``matmul`` a bias or none, ``attention_matmul`` the bias and its
+residual, ``glu_conv_swish_matmul`` the prologue, the bias and its own
+input as the residual, and ``linear_swish_matmul`` those three at s =
+``HALF_STEP``, and the epilogue where it ends a block. The parents are
+(a, gamma, beta, *operands, bias, residual, gamma', beta'), so a module
+op whose residual is its input has it twice, (a, gamma, beta, …, bias,
+a, gamma', beta'), and ``backward`` adds its two gradients in that
+order.
+The rule undoes the steps in reverse: the epilogue's layer-norm rule,
+at the pre-norm sum that it rebuilds over the core's last product alone
+(the core rebuilds P and hands it over, and gets P's gradient back),
+then g to the residual, g·s summed over rows to the bias, g·s through
+the core's rule arithmetic, and LN(a)'s gradient through layer norm's
+rule, with x̂ and LN(a) rebuilt from the per-row statistics. How many
+nodes of each op a step records is ``TAPE_OPS`` in
+``tests/test_autodiff.py``. The tests' unfused oracles
 for these ops, ``add``, ``linear``, ``swish``, ``glu``,
 ``depthwise_conv1d`` and ``attention_context`` among them, live in
 ``tests/oracles.py``.
@@ -451,6 +461,7 @@ def _scratch_view(slot: str, shape: tuple[int, ...]) -> np.ndarray:
 # ops
 
 LN_EPS = 1e-6  # the eps of every layer norm, a node or a product's prologue
+HALF_STEP = 0.5  # a feed-forward's residual scale: the block's two feed-forwards are half-steps
 
 
 def _product(op: str, a: Tensor, rest: tuple, forward, grads, bias: Tensor | None,
@@ -458,7 +469,8 @@ def _product(op: str, a: Tensor, rest: tuple, forward, grads, bias: Tensor | Non
              out_norm: tuple[Tensor, Tensor] | None) -> Tensor:
     """One product node, in the frame that ``matmul``,
     ``linear_swish_matmul``, ``glu_conv_swish_matmul`` and
-    ``attention_matmul`` share (see the module docstring).
+    ``attention_matmul`` share (see the module docstring); each op
+    passes the steps its call takes, and None for the others.
 
     ``forward(A)`` returns a fresh product of A and the operands ``rest``,
     and ``grads(A, gp)`` the gradients of A and of ``rest`` for the
@@ -467,12 +479,15 @@ def _product(op: str, a: Tensor, rest: tuple, forward, grads, bias: Tensor | Non
     would be, which ``grads`` may overwrite. With an ``out_norm``, gp is a
     function instead: the core calls it on its product P, rebuilt by its
     last product alone, and gets P's gradient back; the frame rebuilds
-    the pre-norm sum over P's memory. The bias takes 2-d products only,
-    ``s`` needs a residual, and ``out *= s; out += residual`` is the op
-    order of the unfused ``add(residual, out, s)`` in ``tests/oracles.py``,
-    so the bytes are the same. The pre-norm sum is checked as this op's
-    output would be, and the epilogue's output as a ``layer_norm``'s, by
-    the one check that every node's output gets (``Tensor``).
+    the pre-norm sum over P's memory. An ``out_norm`` is the
+    feed-forward's, which also passes a bias, a residual and ``s``, so
+    the rebuild takes all three. The bias takes 2-d products only,
+    ``s`` scales only with a residual, and ``out *= s; out += residual``
+    is the op order of the unfused ``add(residual, out, s)`` in
+    ``tests/oracles.py``, so the bytes are the same. The pre-norm sum is
+    checked as this op's output would be, and the epilogue's output as a
+    ``layer_norm``'s, by the one check that every node's output gets
+    (``Tensor``).
     """
     if norm is None:
         ad, parents, gamma, beta, mu, inv = a.data, (a,), None, None, None, None
@@ -500,8 +515,6 @@ def _product(op: str, a: Tensor, rest: tuple, forward, grads, bias: Tensor | Non
             out *= s
         out += residual.data
         parents += (residual,)
-    elif s is not None:
-        raise ValueError(f"{op}: a scale s needs a residual")
     out_gamma = out_mu = out_inv = None
     if out_norm is not None:
         out_gamma, out_beta = out_norm
@@ -522,12 +535,9 @@ def _product(op: str, a: Tensor, rest: tuple, forward, grads, bias: Tensor | Non
             # the forward's ops
             nonlocal g, gp, g_out_norm
             if out_norm is not None:
-                if bias is not None:
-                    product += bias.data
-                if s is not None:
-                    product *= s
-                if residual is not None:
-                    product += residual.data
+                product += bias.data
+                product *= s
+                product += residual.data
                 xhat = _rebuild_xhat(product, out_mu, out_inv, product)
                 g, *g_out_norm = _layer_norm_grad(g, xhat, out_gamma.data, out_inv)
             gp = g if s is None else g * s
@@ -639,7 +649,7 @@ def _swish_product(x: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     return np.matmul(act, b, out=out)
 
 
-def _swish_product_grad(x: np.ndarray, b: np.ndarray, g, out=None, product=None):
+def _swish_product_grad(x: np.ndarray, b: np.ndarray, g, out: np.ndarray, product=None):
     """The gradients of swish(x) @ b for output gradient g, x's and b's.
 
     The sigmoid is recomputed once, for both the activation that b's
@@ -647,10 +657,10 @@ def _swish_product_grad(x: np.ndarray, b: np.ndarray, g, out=None, product=None)
     and so the same bytes, as ``matmul(swish(x), b)``. s and g @ bᵀ are
     scratch, and 1 - s sits in the latter's buffer until the product
     needs it. act becomes x's gradient, in ``out`` (which may be x: x is
-    not read after act is taken) or in a fresh array. A g that is a
-    function (an ``out_norm`` epilogue's, or the rule of a product after
-    this one) is called on the rebuilt product act @ b, in ``product`` if
-    given, for the array.
+    not read after act is taken). A g that is a function (an
+    ``out_norm`` epilogue's, or the rule of a product after this one) is
+    called on the rebuilt product act @ b, in ``product`` if given, for
+    the array.
     """
     s = _sigmoid_into(x, _scratch("swish.s", x.shape))
     act = np.multiply(s, x, out=out)
@@ -675,51 +685,53 @@ def _extents(w) -> tuple[int, int] | None:
     return None
 
 
-def linear_swish_matmul(a: Tensor, w, c: Tensor, b, bias: Tensor | None = None,
-                        residual: Tensor | None = None, s: float | None = None,
-                        norm: tuple[Tensor, Tensor] | None = None,
-                        out_norm: tuple[Tensor, Tensor] | None = None) -> Tensor:
-    """swish(a @ w + c) @ b for 2-d operands, as one node, made
-    LN'(residual + s·(swish(LN(a) @ w + c) @ b + bias)) by the other
-    arguments (``_product``): a whole feed-forward.
+def linear_swish_matmul(a: Tensor, w, c: Tensor, b, bias: Tensor, *,
+                        norm: tuple[Tensor, Tensor],
+                        out_norm: tuple[Tensor, Tensor] | None) -> Tensor:
+    """a + ``HALF_STEP``·(swish(LN(a) @ w + c) @ b + bias) for 2-d
+    operands, a whole feed-forward, as one node: LN(a) is the ``norm=``
+    prologue and ``a`` the residual (``_product``). With an ``out_norm``,
+    the block's final layer norm, the node is that norm of the sum.
 
-    Each of w and b is a matrix or a low-rank pair (U, V) that stands for
-    U @ Vᵀ, applied as (x @ U) @ Vᵀ, with U and then V among the parents.
-    The forward builds in scratch, and drops once the product is taken,
-    the (rows, k) x @ U1 of a pair w (``linear_swish_matmul.xu``), the
-    (rows, n) pre-activation x @ w + c (``linear_swish_matmul.pre``),
-    checked as a matmul, the activation, and the (rows, k) act @ U2 of a
-    pair b (``linear_swish_matmul.au``). So the tape keeps only ``a``.
-    Neither x @ U1 nor act @ U2 gets a check of its own: a non-finite one
-    makes the next product non-finite, the pre-activation or the output,
-    and that is checked.
+    w and b are both matrices or both low-rank pairs (U, V) that stand
+    for U @ Vᵀ, applied as (x @ U) @ Vᵀ, with U and then V among the
+    parents; b maps back to a's width. The forward builds in scratch, and
+    drops once the product is taken, the (rows, k) x @ U1 of a pair w
+    (``linear_swish_matmul.xu``), the (rows, n) pre-activation x @ w + c
+    (``linear_swish_matmul.pre``), checked as a matmul, the activation,
+    and the (rows, k) act @ U2 of a pair b (``linear_swish_matmul.au``).
+    So the tape keeps only ``a``. Neither x @ U1 nor act @ U2 gets a
+    check of its own: a non-finite one makes the next product
+    non-finite, the pre-activation or the output, and that is checked.
 
     The rule rebuilds x @ U1 and the pre-activation by the same products
     and bias add, then runs the swish product's rule arithmetic
     (``_swish_product_grad``), which rebuilds act @ U2 from the
     activation before it overwrites it, and each product's rule in turn;
     the gradients of x @ U1 and act @ U2 are written over them. So the
-    bytes are those of the chain ``matmul(swish(matmul(a, w, bias=c)), b,
-    bias=bias)``, where a pair's product is ``matmul(matmul(x, U), V,
-    transpose_b=True)``, at one more product per factor in backward, and
-    with an ``out_norm`` one more, the last, for the epilogue.
+    bytes are those of the chain ``add(a, matmul(swish(matmul(
+    layer_norm(a), w, bias=c)), b, bias=bias), HALF_STEP)``, where a
+    pair's product is ``matmul(matmul(x, U), V, transpose_b=True)``, at
+    one more product per factor in backward, and with an ``out_norm``
+    one more, the last, for the epilogue.
     """
     wm, bm = _extents(w), _extents(b)
-    if (a.ndim != 2 or wm is None or bm is None or a.shape[1] != wm[0] or c.shape != wm[1:]
-            or bm[0] != wm[1]):
+    factored = isinstance(w, tuple)
+    if (a.ndim != 2 or wm is None or bm is None or isinstance(b, tuple) != factored
+            or a.shape[1] != wm[0] or c.shape != wm[1:] or bm != (wm[1], a.shape[1])):
         shapes = [tuple(t.shape for t in x) if isinstance(x, tuple) else x.shape
                   for x in (w, b)]
         raise ShapeError("linear_swish_matmul: expected 2-d a @ w + c of equal inner extents, "
-                         "then @ b, with w and b each a matrix or a (U, V) pair of one rank, "
-                         f"got {a.shape}, {shapes[0]}, {c.shape} and {shapes[1]}")
-    w1, v1 = w if isinstance(w, tuple) else (w, None)
-    w2, v2 = b if isinstance(b, tuple) else (b, None)
+                         "then @ b back to a's width, with w and b both matrices or both "
+                         f"(U, V) pairs of one rank, got {a.shape}, {shapes[0]}, {c.shape} and "
+                         f"{shapes[1]}")
+    (w1, v1), (w2, v2) = (w, b) if factored else ((w, None), (b, None))
     rows, n = a.shape[0], wm[1]
 
     def pre_activation(x):  # x @ U1 for a pair w, and x @ w + c
-        if v1 is not None:
+        if factored:
             x = np.matmul(x, w1.data, out=_scratch("linear_swish_matmul.xu", (rows, w1.shape[1])))
-        pre = np.matmul(x, w1.data if v1 is None else v1.data.T,
+        pre = np.matmul(x, v1.data.T if factored else w1.data,
                         out=_scratch("linear_swish_matmul.pre", (rows, n)))
         pre += c.data
         return x, pre
@@ -730,31 +742,31 @@ def linear_swish_matmul(a: Tensor, w, c: Tensor, b, bias: Tensor | None = None,
     def forward(x):
         _, pre = pre_activation(x)
         _finite(pre, "matmul")
-        if v2 is None:
+        if not factored:
             return _swish_product(pre, w2.data)
         return _swish_product(pre, w2.data, au()) @ v2.data.T
 
     def grads(x, gout):
         # each gradient is written over what it is the gradient of, in scratch
         xu, pre = pre_activation(x)
-        gv2 = ()
+        if not factored:
+            gpre, gw2 = _swish_product_grad(pre, w2.data, gout, out=pre)
+            return gpre @ w1.data.T, x.T @ gpre, np.add.reduce(gpre, axis=0), gw2
+        gv2 = None
 
         def au_grad(h):  # the V2 product's rule at h = act @ U2
             nonlocal gv2
             gp = gout(h @ v2.data.T) if callable(gout) else gout
-            gv2 = (gp.T @ h,)
+            gv2 = gp.T @ h
             return np.matmul(gp, v2.data, out=h)
 
-        gpre, gw2 = _swish_product_grad(pre, w2.data, gout if v2 is None else au_grad, out=pre,
-                                        product=None if v2 is None else au())
-        gxu, gv1 = gpre, ()
-        if v1 is not None:  # V1's product's rule, then U1's
-            gv1 = (gpre.T @ xu,)
-            gxu = np.matmul(gpre, v1.data, out=xu)
-        return (gxu @ w1.data.T, x.T @ gxu, *gv1, np.add.reduce(gpre, axis=0), gw2, *gv2)
+        gpre, gu2 = _swish_product_grad(pre, w2.data, au_grad, out=pre, product=au())
+        gv1 = gpre.T @ xu  # V1's product's rule, then U1's
+        gxu = np.matmul(gpre, v1.data, out=xu)
+        return gxu @ w1.data.T, x.T @ gxu, gv1, np.add.reduce(gpre, axis=0), gu2, gv2
 
     rest = tuple(t for t in (w1, v1, c, w2, v2) if t is not None)
-    return _product("linear_swish_matmul", a, rest, forward, grads, bias, residual, s, norm,
+    return _product("linear_swish_matmul", a, rest, forward, grads, bias, a, HALF_STEP, norm,
                     out_norm)
 
 
@@ -857,16 +869,15 @@ def _skew(full: np.ndarray) -> np.ndarray:
 
 
 def glu_conv_swish_matmul(a: Tensor, w: Tensor, c: Tensor, kernel: Tensor, gamma: Tensor,
-                          beta: Tensor, b: Tensor, frames: int, *, bias: Tensor | None,
-                          residual: Tensor | None,
-                          norm: tuple[Tensor, Tensor] | None) -> Tensor:
-    """swish(LN(conv(glu(a @ w + c)))) @ b for 2-d operands, a whole
-    convolution module, as one node, made residual + swish(LN(conv(glu(
-    LN(a) @ w + c)))) @ b + bias by the other arguments (``_product``).
+                          beta: Tensor, b: Tensor, frames: int, *, bias: Tensor,
+                          norm: tuple[Tensor, Tensor]) -> Tensor:
+    """a + swish(LN(conv(glu(LN(a) @ w + c)))) @ b + bias for 2-d
+    operands, a whole convolution module, as one node: the outer LN(a)
+    is the ``norm=`` prologue and ``a`` the residual (``_product``).
 
     a is (B·T, n), the rows of B utterances of ``frames`` = T frames each;
     w is (n, 2d), c (2d,), kernel (k, d) with k odd, the inner norm's
-    gamma and beta (d,), and b (d, m). The forward runs the chain's ops
+    gamma and beta (d,), and b (d, n). The forward runs the chain's ops
     in the chain's order, all in scratch:
     * the pre-activation a @ w + c, checked as a matmul;
     * the gate x = u * sigmoid(v) of its halves (u, v), written straight
@@ -893,7 +904,7 @@ def glu_conv_swish_matmul(a: Tensor, w: Tensor, c: Tensor, kernel: Tensor, gamma
     T = frames
     problem = ("expects 2-d a, w, kernel and b" if any(t.ndim != 2 for t in (a, w, kernel, b))
                else "shapes do not chain" if w.shape != (n, 2 * d) or c.shape != (2 * d,)
-               or b.shape[0] != d
+               or b.shape != (d, n)
                else "kernel width must be odd" if width % 2 == 0
                else f"rows are not whole utterances of {T} frames"
                if T < 1 or rows < T or rows % T else None)
@@ -970,7 +981,7 @@ def glu_conv_swish_matmul(a: Tensor, w: Tensor, c: Tensor, kernel: Tensor, gamma
         return pre @ w.data.T, x.T @ pre, np.add.reduce(pre, axis=0), gk, ggamma, gbeta, gb
 
     return _product("glu_conv_swish_matmul", a, (w, c, kernel, gamma, beta, b), forward, grads,
-                    bias, residual, None, norm, None)
+                    bias, a, None, norm, None)
 
 
 def utterance_count(rows: int, frames: int) -> int:
@@ -981,11 +992,11 @@ def utterance_count(rows: int, frames: int) -> int:
 
 
 def attention_matmul(xn: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor, pos, v: Tensor,
-                     w: Tensor, *, bias: Tensor | None, residual: Tensor | None) -> Tensor:
-    """softmax((q kᵀ + skew(pos)) / sqrt(d/H)) v @ w, with q = xn @ wq + bq
-    and k = xn @ wk + bk, every head's context times the post-projection,
-    as one node, made residual + (context @ w + bias) by the other
-    arguments (``_product``).
+                     w: Tensor, *, bias: Tensor, residual: Tensor) -> Tensor:
+    """residual + softmax((q kᵀ + skew(pos)) / sqrt(d/H)) v @ w + bias,
+    with q = xn @ wq + bq and k = xn @ wk + bk: every head's context times
+    the post-projection, plus its bias and the residual, as one node
+    (``_product``).
 
     xn holds the (B·T, n) rows of B utterances of T frames (the
     attention's layer-norm output), wq and wk are (n, d), bq and bk (d,),

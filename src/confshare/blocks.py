@@ -5,10 +5,13 @@ A block maps (B·T, d) rows to (B·T, d) as
     half-step feed-forward -> relative-position self-attention
     -> convolution module -> half-step feed-forward -> final layer norm
 
-with a residual connection around every module, which the module's
-last product node adds (``residual=``), so no residual sum is a node of
-its own, and the final layer norm is the ``out_norm=`` epilogue of the
-second feed-forward's node. The rows are B
+with a layer norm before and a residual connection around every module.
+Each module ends in one node of its op in ``autodiff``, which takes
+only the call made here: the feed-forward's and the convolution
+module's op normalize their input as a prologue and add that input
+back, and the attention's adds the residual it is handed, so no
+residual sum is a node of its own, and the final layer norm is the
+``out_norm=`` epilogue of the second feed-forward's node. The rows are B
 utterances of ``frames`` = T frames each, packed utterance after
 utterance; by default all rows are one utterance. Every frame-wise op
 (linears, layer norms, activations, residual adds) runs once over all
@@ -155,17 +158,17 @@ def feed_forward(x: Tensor, p: FeedForwardParams,
 
     One ``linear_swish_matmul`` node, for dense weights and for
     ``LowRankFactors`` pairs alike, which it takes as (U, V) pairs. The
-    layer norm is its ``norm=`` prologue, and it adds b2 and the scaled
-    residual (``residual=x, s=0.5``), so the tape keeps neither LN(x), a
-    (rows, n) array, a low-rank (rows, k) product nor a residual sum: the
-    rule rebuilds LN(x), the pre-activation and the low-rank products in
-    backward. ``out_norm`` is the node's epilogue, so the residual sum is
-    not kept either: the node keeps one mean and one inverse deviation
-    per row, and its rule rebuilds the sum from the node's last product
-    alone."""
+    layer norm is its ``norm=`` prologue, and it adds b2, scales by
+    ``autodiff.HALF_STEP`` and adds its input x back, so the tape keeps
+    neither LN(x), a (rows, n) array, a low-rank (rows, k) product nor a
+    residual sum: the rule rebuilds LN(x), the pre-activation and the
+    low-rank products in backward. ``out_norm`` is the node's epilogue,
+    so the residual sum is not kept either: the node keeps one mean and
+    one inverse deviation per row, and its rule rebuilds the sum from
+    the node's last product alone."""
     w1, w2 = ((w.u, w.v) if isinstance(w, LowRankFactors) else w for w in (p.w1, p.w2))
-    return linear_swish_matmul(x, w1, p.b1, w2, p.b2, residual=x, s=0.5,
-                               norm=(p.ln_gamma, p.ln_beta), out_norm=out_norm)
+    return linear_swish_matmul(x, w1, p.b1, w2, p.b2, norm=(p.ln_gamma, p.ln_beta),
+                               out_norm=out_norm)
 
 
 def check_frames(frames: int, t_max: int):
@@ -237,13 +240,13 @@ def conv_module(x: Tensor, p: ConvParams, frames: int | None = None) -> Tensor:
     with the depthwise convolution padding each utterance of ``frames``
     frames on its own (default: all rows are one utterance). One
     ``glu_conv_swish_matmul`` node: LN(x) is its ``norm=`` prologue, and
-    it adds bpost and the residual x, so the tape keeps only x, the output
-    and the two norms' per-row statistics. Its rule rebuilds the
+    it adds bpost and its input x back, so the tape keeps only x, the
+    output and the two norms' per-row statistics. Its rule rebuilds the
     pre-activation, the gated convolution and the inner norm by the
     forward's ops."""
     return glu_conv_swish_matmul(x, p.wpre, p.bpre, p.kdepth, p.norm_gamma, p.norm_beta,
                                  p.wpost, x.shape[0] if frames is None else frames,
-                                 bias=p.bpost, residual=x, norm=(p.ln_gamma, p.ln_beta))
+                                 bias=p.bpost, norm=(p.ln_gamma, p.ln_beta))
 
 
 def conformer_block(x: Tensor, p: BlockParams, frames: int | None = None,
@@ -320,12 +323,11 @@ INVENTORY = {
 MODULE_TYPES = tuple(INVENTORY)
 
 
-def module_tensor_specs(config: ModelConfig, module: str,
-                        lowrank_k: int | None = None):
+def module_tensor_specs(config: ModelConfig, module: str, lowrank_k: int | None):
     """Yield (tensor_name, subcomponent, shape, init_kind) for one module.
 
-    ``lowrank_k`` replaces each feed-forward weight matrix by its two
-    factors; biases stay dense.
+    A ``lowrank_k`` (None for a dense model) replaces each feed-forward
+    weight matrix by its two factors; biases stay dense.
     """
     dims = {"d": config.d, "n": config.ffn_width, "w": config.kernel_width,
             "2d": 2 * config.d}

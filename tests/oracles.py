@@ -2,16 +2,18 @@
 
 The package ships the fused ops the model runs; the unfused ops here are
 what the tests compare them against, and what they build test losses
-from: ``add(a, b, s)`` against ``add(a, scale(b, s))``, a product's
-``residual`` and ``s`` against ``add(residual, product, s)``,
-``linear_swish_matmul`` against ``linear(swish(linear(a, w, c)), b)``,
-each ``linear`` one ``matmul``, or two for a low-rank pair (U, V),
-``glu_conv_swish_matmul`` against the chain ``matmul``, ``glu``,
-``depthwise_conv1d``, ``layer_norm``, ``swish``, ``matmul``, a product's
-``out_norm`` against ``layer_norm`` of the product, ``attention_matmul``
-against ``matmul`` of ``attention_context`` of the q and k ``matmul``
-nodes, and ``attention_context``
-against ``attention_chain``: head splits, the content matmul,
+from. ``add(a, b, s)`` is checked against ``add(a, scale(b, s))``. Each
+module op is checked against the chain of its block's one call, which
+ends in ``add(residual, product, s)``:
+``linear_swish_matmul`` against ``add(a, linear(swish(linear(
+layer_norm(a), w, c)), b, bias), ½)``, each ``linear`` one ``matmul``
+or two for a low-rank pair (U, V), and with an ``out_norm`` a
+``layer_norm`` of that sum; ``glu_conv_swish_matmul`` against
+``layer_norm``, ``matmul``, ``glu``, ``depthwise_conv1d``,
+``layer_norm``, ``swish``, ``matmul`` and ``add`` of its input; and
+``attention_matmul`` against ``add`` of its residual and ``matmul`` of
+``attention_context`` of the q and k ``matmul`` nodes. ``attention_context``
+is checked against ``attention_chain``: head splits, the content matmul,
 ``concat_rows`` of the per-utterance positional scores,
 ``attention_weights`` (itself checked against ``softmax`` of the summed
 scores), the context matmul and the merge. ``split_heads`` is checked
@@ -59,7 +61,8 @@ def add(a: Tensor, b: Tensor, s: float | None = None) -> Tensor:
     """Elementwise sum of two same-shaped tensors, or ``a + s * b`` as one
     node: the product is taken first and ``a`` added into it, the same
     bytes as ``add(a, scale(b, s))`` because addition commutes. The
-    unfused form of a product's ``residual`` and ``s``."""
+    unfused form of a module op's residual add, the feed-forward's at
+    s = ½."""
     if a.shape != b.shape:
         raise ShapeError(f"add: incompatible shapes {a.shape} + {b.shape}")
     if s is None:

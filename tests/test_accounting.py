@@ -229,7 +229,7 @@ class TestReportTable:
         assert a.encode() == b.encode()
 
     def test_pretty_contains_totals(self):
-        text = report_table(count_params(_cfg(), repeat_plan(1, 1)))
+        text = report_table(count_params(_cfg(), repeat_plan(1, 1)), format="pretty")
         assert "grand_total" in text and "block_total" in text
 
     def test_unknown_format(self):

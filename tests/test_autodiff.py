@@ -11,8 +11,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from confshare.autodiff import (_SCRATCH, LN_EPS, ZERO_FLOOR, NonFiniteError, Rng, ShapeError,
-                                Tape, Tensor, _skew, attention_matmul, backward,
+from confshare.autodiff import (_SCRATCH, HALF_STEP, LN_EPS, ZERO_FLOOR, NonFiniteError, Rng,
+                                ShapeError, Tape, Tensor, _skew, attention_matmul, backward,
                                 cross_entropy_mean, finite_diff_grad, glu_conv_swish_matmul,
                                 layer_norm, linear_swish_matmul, matmul, relative_error,
                                 split_heads, sum_all, zero_grads)
@@ -301,12 +301,14 @@ class TestAttentionMatmul:
         # the op reads the scale from its operands' shapes: 1/sqrt(d/H), not 1/sqrt(d)
         xn, wq, bq, wk, bk, pos, v = _attention_matmul_operands(_drawer(rng), 2, T=3, H=H,
                                                                 dh=dh)
-        w = rand_tensor(rng, (H * dh, 5))
-        fused = attention_matmul(xn, wq, bq, wk, bk, pos, v, w, bias=None,
-                                 residual=None).data.tobytes()
+        w, bias = rand_tensor(rng, (H * dh, 5)), rand_tensor(rng, (5,))
+        x = rand_tensor(rng, (6, 5))  # the residual
+        fused = attention_matmul(xn, wq, bq, wk, bk, pos, v, w, bias=bias,
+                                 residual=x).data.tobytes()
         q, k = _projected(xn, wq, bq, wk, bk)
         for s, same in ((1.0 / math.sqrt(dh), True), (1.0 / math.sqrt(H * dh), False)):
-            assert (fused == matmul(attention_chain(q, k, pos, v, s), w).data.tobytes()) == same
+            chain = add(x, matmul(attention_chain(q, k, pos, v, s), w, bias=bias))
+            assert (fused == chain.data.tobytes()) == same
 
     def test_gradients(self, rng):
         # dh = 4, so the scale is 0.5
@@ -366,7 +368,8 @@ class TestAttentionMatmul:
         with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
             attention_matmul(*map(zeros, ("xn", "wq", "bq", "wk", "bk")),
                              [Tensor(np.zeros(shape)) for shape in shapes["pos"]], zeros("v"),
-                             zeros("w"), bias=None, residual=None)
+                             zeros("w"), bias=Tensor(np.zeros(5)),
+                             residual=Tensor(np.zeros((8, 5))))
 
     @pytest.mark.parametrize("stage,op", [
         pytest.param("query", "matmul", id="q-projection"),
@@ -410,7 +413,8 @@ class TestAttentionMatmul:
             w.data[...] = 1e308
         with np.errstate(all="ignore"), \
                 pytest.raises(NonFiniteError, match=f"^{op} produced non-finite values$"):
-            attention_matmul(xn, wq, bq, wk, bk, pos, v, w, bias=None, residual=None)
+            attention_matmul(xn, wq, bq, wk, bk, pos, v, w, bias=Tensor(np.zeros(4)),
+                             residual=Tensor(np.zeros((4, 4))))
 
 
 def _plain_sigmoid(x):
@@ -515,44 +519,36 @@ class TestActivations:
     @pytest.mark.parametrize("op,shapes", [
         pytest.param(swish, [(4, 3)], id="swish-shape0"),
         pytest.param(glu, [(4, 6)], id="glu-shape2"),
-        pytest.param(lambda x, w, c, k, g, b, v: glu_conv_swish_matmul(
-                         x, w, c, k, g, b, v, 4, bias=None, residual=None, norm=None),
-                     [(8, 4), (4, 6), (6,), (3, 3), (3,), (3,), (3, 5)],
+        pytest.param(lambda x, g, b, w, c, k, g2, b2, v, d: glu_conv_swish_matmul(
+                         x, w, c, k, g2, b2, v, 4, bias=d, norm=(g, b)),
+                     [(8, 4), (4,), (4,), (4, 6), (6,), (3, 3), (3,), (3,), (3, 4), (4,)],
                      id="glu_conv_swish_matmul-two-utterances"),
-        pytest.param(linear_swish_matmul, [(4, 3), (3, 6), (6,), (6, 5)],
-                     id="linear_swish_matmul"),
-        pytest.param(lambda a, u1, v1, c, u2, v2, bias: linear_swish_matmul(
-                         a, (u1, v1), c, (u2, v2), bias),
-                     [(4, 3), (3, 2), (6, 2), (6,), (6, 2), (5, 2), (5,)],
-                     id="linear_swish_matmul-factored-bias"),
         pytest.param(lambda a: transpose(a, (2, 3, 2, 2), (4, 6)), [(6, 4)],
                      id="transpose-view-shape"),
         pytest.param(lambda a: split_heads(a, 1, 4, 2), [(5, 6)], id="split_heads"),
         pytest.param(lambda a: split_heads(a, 0, 5, 3), [(5, 6)], id="split_heads-all"),
         pytest.param(lambda a, b: add(a, b, -0.5), [(4, 3), (4, 3)], id="add-scaled"),
-        pytest.param(lambda x, g, b, w, c, k, g2, b2, v, d, r: glu_conv_swish_matmul(
-                         x, w, c, k, g2, b2, v, 4, bias=d, residual=r, norm=(g, b)),
-                     [(4, 4), (4,), (4,), (4, 6), (6,), (3, 3), (3,), (3,), (3, 5), (5,),
-                      (4, 5)],
-                     id="glu_conv_swish_matmul-norm-bias-residual"),
-        pytest.param(lambda x, g, b, w, c, v, d: linear_swish_matmul(x, w, c, v, d,
-                                                                     norm=(g, b)),
-                     [(4, 4), (4,), (4,), (4, 6), (6,), (6, 5), (5,)],
-                     id="linear_swish_matmul-norm-bias"),
-        pytest.param(lambda x, g, b, u1, v1, c, u2, v2, r: linear_swish_matmul(
-                         x, (u1, v1), c, (u2, v2), residual=r, s=0.5, norm=(g, b)),
-                     [(4, 4), (4,), (4,), (4, 2), (6, 2), (6,), (6, 3), (5, 3), (4, 5)],
-                     id="linear_swish_matmul-norm-factored-residual"),
-        pytest.param(lambda x, g, b, u1, v1, c, u2, v2, d, r, g2, b2: linear_swish_matmul(
-                         x, (u1, v1), c, (u2, v2), d, residual=r, s=0.5, norm=(g, b),
-                         out_norm=(g2, b2)),
-                     [(4, 4), (4,), (4,), (4, 2), (6, 2), (6,), (6, 3), (5, 3), (5,), (4, 5),
-                      (5,), (5,)],
-                     id="linear_swish_matmul-norm-factored-bias-residual-out_norm"),
-        pytest.param(lambda x, g, b, w, c, v, d, r, g2, b2: linear_swish_matmul(
-                         x, w, c, v, d, residual=r, s=0.5, norm=(g, b), out_norm=(g2, b2)),
-                     [(4, 4), (4,), (4,), (4, 6), (6,), (6, 5), (5,), (4, 5), (5,), (5,)],
-                     id="linear_swish_matmul-norm-bias-residual-out_norm")])
+        pytest.param(lambda x, g, b, w, c, k, g2, b2, v, d: glu_conv_swish_matmul(
+                         x, w, c, k, g2, b2, v, 4, bias=d, norm=(g, b)),
+                     [(4, 4), (4,), (4,), (4, 6), (6,), (3, 3), (3,), (3,), (3, 4), (4,)],
+                     id="glu_conv_swish_matmul"),
+        pytest.param(lambda x, g, b, w, c, v, d: linear_swish_matmul(
+                         x, w, c, v, d, norm=(g, b), out_norm=None),
+                     [(4, 4), (4,), (4,), (4, 6), (6,), (6, 4), (4,)],
+                     id="linear_swish_matmul"),
+        pytest.param(lambda x, g, b, u1, v1, c, u2, v2, d: linear_swish_matmul(
+                         x, (u1, v1), c, (u2, v2), d, norm=(g, b), out_norm=None),
+                     [(4, 4), (4,), (4,), (4, 2), (6, 2), (6,), (6, 3), (4, 3), (4,)],
+                     id="linear_swish_matmul-factored"),
+        pytest.param(lambda x, g, b, u1, v1, c, u2, v2, d, g2, b2: linear_swish_matmul(
+                         x, (u1, v1), c, (u2, v2), d, norm=(g, b), out_norm=(g2, b2)),
+                     [(4, 4), (4,), (4,), (4, 2), (6, 2), (6,), (6, 3), (4, 3), (4,), (4,),
+                      (4,)],
+                     id="linear_swish_matmul-factored-out_norm"),
+        pytest.param(lambda x, g, b, w, c, v, d, g2, b2: linear_swish_matmul(
+                         x, w, c, v, d, norm=(g, b), out_norm=(g2, b2)),
+                     [(4, 4), (4,), (4,), (4, 6), (6,), (6, 4), (4,), (4,), (4,)],
+                     id="linear_swish_matmul-out_norm")])
     def test_gradients(self, rng, op, shapes):
         named = {f"x{i}": rand_tensor(rng, shape, requires_grad=True, scale=2.0)
                  for i, shape in enumerate(shapes)}
@@ -564,56 +560,72 @@ class TestActivations:
         assert_params_match_fd(named, make_loss)
 
     def test_linear_swish_matmul_rejects_a_non_finite_pre_activation_as_a_matmul(self):
-        # the product overflows, and the swish of -inf would hide it as 0
-        a, w = Tensor([[1e200]]), Tensor([[-1e200, 1.0]])
+        # the product overflows, and the swish of -inf would hide it as 0; the
+        # layer norm of a one-column row is its beta
+        a, w, norm = Tensor([[1.0]]), Tensor([[-1e200, 1.0]]), (Tensor([1.0]), Tensor([1e200]))
         with np.errstate(all="ignore"), \
                 pytest.raises(NonFiniteError, match="^matmul produced non-finite values"):
-            linear_swish_matmul(a, w, Tensor([0.0, 0.0]), Tensor([[1.0], [1.0]]))
+            linear_swish_matmul(a, w, Tensor([0.0, 0.0]), Tensor([[1.0], [1.0]]), Tensor([0.0]),
+                                norm=norm, out_norm=None)
 
-    @pytest.mark.parametrize("operands,op", [
-        # x @ U1 passes the largest double: the pre-activation after it
+    @pytest.mark.parametrize("beta,w,c,b,op", [
+        # LN(a) @ U1 passes the largest double: the pre-activation after it
         # raises, as the chain's would
-        pytest.param(([[1e200]], ([[1e200]], [[-1.0], [1.0]]), [0.0, 0.0], [[1.0], [1.0]]),
+        pytest.param(1e200, ([[1e200]], [[-1.0], [1.0]]), [0.0, 0.0], ([[1.0], [1.0]], [[1.0]]),
                      "matmul", id="x-u1"),
         # act @ U2 does, with act near 10: the output after it raises, as the
         # chain's linear_swish_matmul node would
-        pytest.param(([[10.0]], [[1.0]], [0.0], ([[1e308, 1e308]], [[1.0, 1.0]])),
+        pytest.param(10.0, ([[1.0]], [[1.0]]), [0.0], ([[1e308, 1e308]], [[1.0, 1.0]]),
                      "linear_swish_matmul", id="act-u2"),
         # a finite act @ U2 times V2ᵀ does: the chain's V2 matmul would raise
-        pytest.param(([[10.0]], [[1.0]], [0.0], ([[1e307, 1e307]], [[10.0, 10.0]])),
+        pytest.param(10.0, ([[1.0]], [[1.0]]), [0.0], ([[1e307, 1e307]], [[10.0, 10.0]]),
                      "linear_swish_matmul", id="output")])
-    def test_factored_linear_swish_matmul_rejects_a_non_finite_stage(self, operands, op):
-        a, w, c, b = (tuple(map(Tensor, x)) if isinstance(x, tuple) else Tensor(x)
-                      for x in operands)
+    def test_factored_linear_swish_matmul_rejects_a_non_finite_stage(self, beta, w, c, b, op):
+        # a one-column a, whose layer norm is its beta
+        norm = (Tensor([1.0]), Tensor([beta]))
+        w, b = (tuple(map(Tensor, pair)) for pair in (w, b))
         with np.errstate(all="ignore"), \
                 pytest.raises(NonFiniteError, match=f"^{op} produced non-finite values$"):
-            linear_swish_matmul(a, w, c, b)
+            linear_swish_matmul(Tensor([[1.0]]), w, Tensor(c), b, Tensor([0.0]), norm=norm,
+                                out_norm=None)
 
     @pytest.mark.parametrize("shapes", [
-        pytest.param([(4, 3), (4, 6), (6,), (6, 5)], id="inner-extents"),
-        pytest.param([(4, 3), ((4, 2), (6, 2)), (6,), (6, 5)], id="factored-inner-extents"),
-        pytest.param([(4, 3), ((3, 2), (6, 3)), (6,), (6, 5)], id="factor-ranks-differ"),
-        pytest.param([(4, 3), ((3, 2), (6,)), (6,), (6, 5)], id="factor-not-2-d"),
-        pytest.param([(4, 3), (3, 6), (4,), (6, 5)], id="hidden-bias"),
-        pytest.param([(4, 3), ((3, 2), (6, 2)), (4,), (6, 5)], id="factored-hidden-bias"),
-        pytest.param([(4, 3), (3, 6), (6,), (5, 6)], id="second-product"),
-        pytest.param([(4, 3), (3, 6), (6,), ((5, 2), (5, 2))], id="factored-second-product"),
-        pytest.param([(2, 4, 3), (3, 6), (6,), (6, 5)], id="3-d"),
-        pytest.param([(4, 3), (3, 6), (6,), (6, 5), (4,)], id="bias")])
+        pytest.param([(4, 5), (4, 6), (6,), (6, 5)], id="inner-extents"),
+        pytest.param([(4, 5), ((4, 2), (6, 2)), (6,), ((6, 2), (5, 2))],
+                     id="factored-inner-extents"),
+        pytest.param([(4, 5), ((5, 2), (6, 3)), (6,), ((6, 2), (5, 2))],
+                     id="factor-ranks-differ"),
+        pytest.param([(4, 5), ((5, 2), (6,)), (6,), ((6, 2), (5, 2))], id="factor-not-2-d"),
+        pytest.param([(4, 5), (5, 6), (4,), (6, 5)], id="hidden-bias"),
+        pytest.param([(4, 5), ((5, 2), (6, 2)), (4,), ((6, 2), (5, 2))],
+                     id="factored-hidden-bias"),
+        pytest.param([(4, 5), (5, 6), (6,), (5, 6)], id="second-product"),
+        pytest.param([(4, 5), ((5, 2), (6, 2)), (6,), ((5, 2), (5, 2))],
+                     id="factored-second-product"),
+        # the output is added to a: it must be a's width
+        pytest.param([(4, 5), (5, 6), (6,), (6, 4)], id="output-width"),
+        pytest.param([(4, 5), ((5, 2), (6, 2)), (6,), ((6, 2), (4, 2))],
+                     id="factored-output-width"),
+        # w and b are both matrices or both pairs
+        pytest.param([(4, 5), ((5, 2), (6, 2)), (6,), (6, 5)], id="factored-w-only"),
+        pytest.param([(4, 5), (5, 6), (6,), ((6, 2), (5, 2))], id="factored-b-only"),
+        pytest.param([(2, 4, 5), (5, 6), (6,), (6, 5)], id="3-d"),
+        pytest.param([(4, 5), (5, 6), (6,), (6, 5), (4,)], id="bias")])
     def test_linear_swish_matmul_rejects_shapes_that_do_not_multiply(self, rng, shapes):
-        a, w, c, b, *bias = (tuple(rand_tensor(rng, s) for s in shape)
-                             if isinstance(shape[0], tuple) else rand_tensor(rng, shape)
-                             for shape in shapes)
+        a, w, c, b, bias = (tuple(rand_tensor(rng, s) for s in shape)
+                            if isinstance(shape[0], tuple) else rand_tensor(rng, shape)
+                            for shape in shapes + [(5,)] * (5 - len(shapes)))
         message = ("linear_swish_matmul: bias (4,) does not fit product (4, 5) (2-d operands "
-                   "only)" if bias else
+                   "only)" if len(shapes) == 5 else
                    "linear_swish_matmul: expected 2-d a @ w + c of equal inner extents, then @ "
-                   "b, with w and b each a matrix or a (U, V) pair of one rank, got "
-                   f"{shapes[0]}, {shapes[1]}, {shapes[2]} and {shapes[3]}")
+                   "b back to a's width, with w and b both matrices or both (U, V) pairs of one "
+                   f"rank, got {shapes[0]}, {shapes[1]}, {shapes[2]} and {shapes[3]}")
         with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
-            linear_swish_matmul(a, w, c, b, *bias)
+            linear_swish_matmul(a, w, c, b, bias, norm=(rand_tensor(rng, (5,)),) * 2,
+                                out_norm=None)
 
     @pytest.mark.parametrize("scaled,op", [
-        pytest.param({"a": 1e200, "w": 1e200}, "matmul", id="pre-activation"),
+        pytest.param({"norm": 1e200, "w": 1e200}, "matmul", id="pre-activation"),
         pytest.param({"w": 1e10, "kernel": 1e308}, "glu_conv1d", id="convolution"),
         pytest.param({"gamma": 1e308, "beta": 1e308}, "layer_norm", id="inner-norm")])
     def test_glu_conv_swish_matmul_rejects_a_non_finite_stage_as_its_chain_node(self, scaled,
@@ -623,33 +635,38 @@ class TestActivations:
         operands = {"a": [[1.0, -1.0], [-1.0, 1.0]],
                     "w": [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]], "c": [0.0] * 4,
                     "kernel": [[1.0, 1.0]], "gamma": [1.0, 1.0], "beta": [1.0, 1.0],
-                    "b": [[1.0], [1.0]]}
+                    "b": [[1.0, 1.0], [1.0, 1.0]]}
         args = [Tensor(np.multiply(value, scaled.get(name, 1.0)))
                 for name, value in operands.items()]
+        # the outer norm's gamma scales the normalized rows, about ±1
+        norm = (Tensor(np.full(2, scaled.get("norm", 1.0))), Tensor(np.zeros(2)))
         with np.errstate(all="ignore"), \
                 pytest.raises(NonFiniteError, match=f"^{op} produced non-finite values"):
-            glu_conv_swish_matmul(*args, 2, bias=None, residual=None, norm=None)
+            glu_conv_swish_matmul(*args, 2, bias=Tensor(np.zeros(2)), norm=norm)
 
     @pytest.mark.parametrize("shapes,frames,problem", [
-        pytest.param([(2, 4, 4), (4, 6), (6,), (3, 3), (3, 5)], 4,
+        pytest.param([(2, 4, 4), (4, 6), (6,), (3, 3), (3, 4)], 4,
                      "expects 2-d a, w, kernel and b", id="3-d"),
-        pytest.param([(8, 4), (4, 6), (6,), (3,), (3, 5)], 4,
+        pytest.param([(8, 4), (4, 6), (6,), (3,), (3, 4)], 4,
                      "expects 2-d a, w, kernel and b", id="1-d-kernel"),
-        pytest.param([(8, 4), (5, 6), (6,), (3, 3), (3, 5)], 4, "shapes do not chain",
+        pytest.param([(8, 4), (5, 6), (6,), (3, 3), (3, 4)], 4, "shapes do not chain",
                      id="w-rows"),
-        pytest.param([(8, 4), (4, 5), (5,), (3, 3), (3, 5)], 4, "shapes do not chain",
+        pytest.param([(8, 4), (4, 5), (5,), (3, 3), (3, 4)], 4, "shapes do not chain",
                      id="gate-width"),
-        pytest.param([(8, 4), (4, 6), (3,), (3, 3), (3, 5)], 4, "shapes do not chain",
+        pytest.param([(8, 4), (4, 6), (3,), (3, 3), (3, 4)], 4, "shapes do not chain",
                      id="pre-bias"),
-        pytest.param([(8, 4), (4, 6), (6,), (3, 3), (5, 3)], 4, "shapes do not chain",
+        pytest.param([(8, 4), (4, 6), (6,), (3, 3), (4, 3)], 4, "shapes do not chain",
                      id="post-rows"),
-        pytest.param([(8, 4), (4, 6), (6,), (2, 3), (3, 5)], 4, "kernel width must be odd",
+        # the output is added to a: it must be a's width
+        pytest.param([(8, 4), (4, 6), (6,), (3, 3), (3, 5)], 4, "shapes do not chain",
+                     id="post-columns"),
+        pytest.param([(8, 4), (4, 6), (6,), (2, 3), (3, 4)], 4, "kernel width must be odd",
                      id="even-kernel"),
-        pytest.param([(7, 4), (4, 6), (6,), (3, 3), (3, 5)], 3,
+        pytest.param([(7, 4), (4, 6), (6,), (3, 3), (3, 4)], 3,
                      "rows are not whole utterances of 3 frames", id="partial-utterance"),
-        pytest.param([(2, 4), (4, 6), (6,), (3, 3), (3, 5)], 3,
+        pytest.param([(2, 4), (4, 6), (6,), (3, 3), (3, 4)], 3,
                      "rows are not whole utterances of 3 frames", id="too-few-rows"),
-        pytest.param([(8, 4), (4, 6), (6,), (3, 3), (3, 5)], 0,
+        pytest.param([(8, 4), (4, 6), (6,), (3, 3), (3, 4)], 0,
                      "rows are not whole utterances of 0 frames", id="no-frames")])
     def test_glu_conv_swish_matmul_rejects_shapes_that_do_not_chain(self, shapes, frames,
                                                                     problem):
@@ -658,15 +675,15 @@ class TestActivations:
             + f" and {shapes[4]}"
         with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
             glu_conv_swish_matmul(a, w, c, k, Tensor(np.ones(3)), Tensor(np.ones(3)), b, frames,
-                                  bias=None, residual=None, norm=None)
+                                  bias=Tensor(np.ones(4)), norm=(Tensor(np.ones(4)),) * 2)
 
     def test_glu_conv_swish_matmul_rejects_an_inner_norm_that_does_not_fit(self):
         a, w, c, k, b = (Tensor(np.ones(shape)) for shape in ((8, 4), (4, 6), (6,), (3, 3),
-                                                              (3, 5)))
+                                                              (3, 4)))
         with pytest.raises(ShapeError, match=r"^glu_conv_swish_matmul: gamma/beta must be "
                                              r"shape \(3,\)"):
             glu_conv_swish_matmul(a, w, c, k, Tensor(np.ones(3)), Tensor(np.ones(4)), b, 4,
-                                  bias=None, residual=None, norm=None)
+                                  bias=Tensor(np.ones(4)), norm=(Tensor(np.ones(4)),) * 2)
 
 
 class TestPlumbing:
@@ -716,55 +733,54 @@ class TestPlumbing:
             add(rand_tensor(rng, (2, 3)), rand_tensor(rng, (3, 2)), s)
 
 
-def _residual_operands(op: str, rows: int, draw):
-    """The operands of one product ``op`` over ``rows`` rows of width 6,
-    each as the model calls it: a bias on every product, the
-    feed-forward's low-rank form for ``linear_swish_matmul``, whose
-    (rows, 7) and (rows, 8) low-rank products are wider than its own, so
-    a kept one would show, and utterances of 4 frames, where the rows
-    allow, for ``glu_conv_swish_matmul``."""
+def _module_operands(op: str, rows: int, draw, factored: bool = True):
+    """The positional and keyword arguments of one product ``op`` over
+    ``rows`` rows of width 6, as the model calls it, drawn in the order
+    of its parents. Every product takes a bias. The feed-forward's and
+    the convolution module's op take x, which is also their residual,
+    its ``norm=`` (gamma, beta), their operands and the bias, the
+    feed-forward no ``out_norm`` and its low-rank form if ``factored``;
+    ``attention_matmul`` takes utterances of 4 frames and a residual.
+    What a module op builds inside is wider than its product, so a kept
+    one would show: the feed-forward's (rows, 9) pre-activation and
+    (rows, 7) and (rows, 8) low-rank products, and the convolution
+    module's (rows, 14) pre-activation and (rows, 7) gate, convolution
+    and inner norm, over utterances of 4 frames where the rows allow."""
     if op == "matmul":
         return (draw(rows, 5), draw(6, 5)), {"transpose_b": True, "bias": draw(6)}
+    if op == "attention_matmul":
+        *args, pos, v = _attention_matmul_operands(draw, rows // 4, n=6)
+        return (*args, pos, v, draw(6, 6)), {"bias": draw(6), "residual": draw(rows, 6)}
+    x, norm = draw(rows, 6), (draw(6), draw(6))
     if op == "glu_conv_swish_matmul":
-        return _conv_operands(draw(rows, 4), draw, 6), {"bias": draw(6)}
-    return (draw(rows, 4), (draw(4, 7), draw(9, 7)), draw(9), (draw(9, 8), draw(6, 8))), \
-        {"bias": draw(6)}
+        args = (x, draw(6, 14), draw(14), draw(3, 7), draw(7), draw(7), draw(7, 6),
+                4 if rows % 4 == 0 else rows)
+        return args, {"bias": draw(6), "norm": norm}
+    w = (draw(6, 7), draw(9, 7)) if factored else draw(6, 9)
+    args = x, w, draw(9), (draw(9, 8), draw(6, 8)) if factored else draw(9, 6)
+    return args, {"bias": draw(6), "norm": norm, "out_norm": None}
 
 
-def _conv_operands(x, draw, width):
-    """x and the operands after it of a ``glu_conv_swish_matmul`` of
-    ``width`` columns: a (rows, 14) pre-activation and a (rows, 7) gate,
-    convolution and inner norm, wider than the product, so a kept one
-    would show, and utterances of 4 frames where the rows allow."""
-    rows, n = x.shape
-    return (x, draw(n, 14), draw(14), draw(3, 7), draw(7), draw(7), draw(7, width),
-            4 if rows % 4 == 0 else rows)
-
-
-# glu_conv_swish_matmul's bias, residual and norm take no defaults
 _PRODUCTS = {"matmul": matmul, "linear_swish_matmul": linear_swish_matmul,
-             "glu_conv_swish_matmul": partial(glu_conv_swish_matmul, bias=None, residual=None,
-                                              norm=None)}
-# the products that take a residual and a norm prologue
+             "glu_conv_swish_matmul": glu_conv_swish_matmul,
+             "attention_matmul": attention_matmul}
+# the module ops whose residual is their input, after a norm prologue
 _FRAMED = ["linear_swish_matmul", "glu_conv_swish_matmul"]
 
 
-def _scaled_products(*scales):
-    """(product, s) pairs for every product that takes a residual and
-    every scale, and ``s=None`` only for ``glu_conv_swish_matmul``, which
-    takes no scale: the conv module adds its residual unscaled."""
-    return [(op, s) for op in _FRAMED for s in scales
-            if s is None or op != "glu_conv_swish_matmul"]
+def _distinct(parents) -> list:
+    """``parents`` without a repeat, in the order of first use."""
+    return list(dict.fromkeys(parents))
 
 
-def _scale_kwargs(op: str, s) -> dict:
-    return {} if op == "glu_conv_swish_matmul" else {"s": s}
-
-
-def _leaves(operands) -> list:
-    """The tensors among ``operands``, a low-rank pair's two in turn."""
-    return [t for x in operands for t in (x if isinstance(x, tuple) else (x,))
-            if isinstance(t, Tensor)]
+def _per_operand(parents, grads) -> list:
+    """A rule's results, one per parent, as one per distinct parent: a
+    repeated parent's results summed in parent order, as ``rule_grads``
+    sums what a chain's rules hand one input."""
+    summed = {}
+    for parent, grad in zip(parents, grads, strict=True):
+        summed[parent] = grad if parent not in summed else summed[parent] + grad
+    return list(summed.values())
 
 
 class TestBias:
@@ -776,7 +792,7 @@ class TestBias:
         def draw(*shape):
             return rand_tensor(rng, shape)
 
-        args, kwargs = _residual_operands(op, 4, draw)
+        args, kwargs = _module_operands(op, 4, draw)
         for shape in ((5,), (7,), (1, 6), (4, 6)):
             kwargs["bias"] = draw(*shape)
             with pytest.raises(ShapeError, match=rf"^{op}: bias \({shape[0]},.*\) does not fit "
@@ -791,144 +807,115 @@ class TestBias:
 
 
 class TestResidual:
-    """A product with ``residual`` and ``s`` is residual + s·(product + bias):
-    the bytes of the unfused ``add(residual, product, s)`` (the
-    ``*-residual-*`` rows of ``FUSIONS``)."""
+    """A module op adds its residual after its bias, as the unfused
+    ``add(residual, product, s)`` would (the ``FUSIONS`` rows give the
+    bytes): the feed-forward's and the convolution module's their own
+    input, ``attention_matmul`` the one it is handed."""
 
-    @pytest.mark.parametrize("op,s", _scaled_products(None, -0.5))
-    def test_gradients(self, rng, op, s):
-        def draw(*shape):
-            return rand_tensor(rng, shape, requires_grad=True, scale=2.0)
+    @pytest.mark.parametrize("op,out_norm", [
+        pytest.param("linear_swish_matmul", False, id="linear_swish_matmul"),
+        pytest.param("linear_swish_matmul", True, id="linear_swish_matmul-out_norm"),
+        pytest.param("glu_conv_swish_matmul", False, id="glu_conv_swish_matmul")])
+    def test_the_input_is_a_parent_again_after_the_bias(self, rng, op, out_norm):
+        # (x, gamma, beta, ..., bias, x, gamma', beta'), and without an
+        # epilogue the rule hands the second x the output's gradient as it is
+        drawn = []
+        draw = _drawer(rng, drawn)
+        args, kwargs = _module_operands(op, 4, draw)
+        operands = tuple(drawn)
+        if out_norm:
+            kwargs["out_norm"] = (draw(6), draw(6))
+        node = _PRODUCTS[op](*args, **kwargs)
+        assert node._parents == (*operands, args[0], *drawn[len(operands):])
+        g = rng.uniform(-1.0, 1.0, node.shape)
+        grads = node._backward(g)
+        assert len(grads) == len(node._parents)
+        assert (grads[len(operands)] is g) != out_norm
 
-        args, kwargs = _residual_operands(op, 3, draw)
-        x = draw(3, 6)
-        # not glu_conv_swish_matmul's frames
-        named = {f"x{i}": t for i, t in enumerate(_leaves((*args, kwargs["bias"])))}
-        named["residual"] = x
-        c = Tensor(rng.uniform(-1, 1, (3, 6)))
-
-        def make_loss():
-            return sum_all(mul(_PRODUCTS[op](*args, **kwargs, residual=x,
-                                             **_scale_kwargs(op, s)), c))
-
-        assert_params_match_fd(named, make_loss)
-
-    @pytest.mark.parametrize("op", _FRAMED)
-    def test_rejects_a_residual_that_does_not_fit(self, rng, op):
+    def test_attention_matmul_rejects_a_residual_that_does_not_fit(self, rng):
         def draw(*shape):
             return rand_tensor(rng, shape)
 
-        args, kwargs = _residual_operands(op, 4, draw)
-        scale = _scale_kwargs(op, 0.5)
+        args, kwargs = _module_operands("attention_matmul", 4, draw)
         for shape in ((4, 5), (3, 6), (6,), (1, 4, 6)):
-            with pytest.raises(ShapeError, match=rf"^{op}: residual \({shape[0]},"):
-                _PRODUCTS[op](*args, **kwargs, residual=draw(*shape), **scale)
-        if scale:
-            with pytest.raises(ValueError, match=f"^{op}: a scale s needs a residual"):
-                _PRODUCTS[op](*args, **kwargs, **scale)
-
-
-# the forms of a linear_swish_matmul: w and b each a matrix or a low-rank pair
-_FORMS = ["w", "factored_w", "factored_b", "factored"]
-
-
-def _pairs(form: str) -> tuple[bool, bool]:
-    """Whether w, and whether b, is a low-rank pair in ``form``."""
-    return form in ("factored_w", "factored"), form in ("factored_b", "factored")
-
-
-def _norm_operands(op: str, rows: int, draw, form: str, with_bias: bool,
-                   with_norm: bool = True):
-    """The operands of one product ``op`` that takes a ``norm=`` prologue
-    (with none, and a norm of None, if not ``with_norm``), drawn in the
-    order of its parents: x of width 5, the prologue's (gamma, beta), the
-    rest, w and b in the ``_FORMS`` entry ``form``, and a bias if asked.
-    The product is narrower than x, 4 wide, so a kept LN(x) would show,
-    and narrower than the (rows, 6) and (rows, 7) low-rank products."""
-    x, kwargs = draw(rows, 5), {}
-    norm = (draw(5), draw(5)) if with_norm else None
-    if op == "glu_conv_swish_matmul":  # one form
-        _, *rest = _conv_operands(x, draw, 4)
-    else:
-        pair_w, pair_b = _pairs(form)
-        w = (draw(5, 6), draw(9, 6)) if pair_w else draw(5, 9)
-        c = draw(9)
-        rest = (w, c, (draw(9, 7), draw(4, 7)) if pair_b else draw(9, 4))
-    if with_bias:
-        kwargs["bias"] = draw(4)
-    return (x, *rest), kwargs, norm
+            kwargs["residual"] = draw(*shape)
+            with pytest.raises(ShapeError, match=rf"^attention_matmul: residual \({shape[0]},"):
+                attention_matmul(*args, **kwargs)
 
 
 class TestNormPrologue:
-    """A product with ``norm=(gamma, beta)`` multiplies layer_norm(x, gamma,
+    """A module op's ``norm=(gamma, beta)`` multiplies layer_norm(x, gamma,
     beta) as one node: the bytes of ``layer_norm`` followed by the plain
     product, with x, gamma and beta first among the parents (the
-    ``*-norm-*`` rows of ``FUSIONS``)."""
+    ``FUSIONS`` rows give the bytes)."""
 
     @pytest.mark.parametrize("op", _FRAMED)
     def test_rejects_a_norm_that_does_not_fit(self, rng, op):
         def draw(*shape):
             return rand_tensor(rng, shape)
 
-        args, kwargs, (gamma, beta) = _norm_operands(op, 4, draw, "w", True)
-        for bad in ((draw(4), beta), (gamma, draw(6)), (draw(5, 1), beta)):
-            with pytest.raises(ShapeError, match=rf"^{op}: gamma/beta must be shape \(5,\)"):
-                _PRODUCTS[op](*args, **kwargs, norm=bad)
+        args, kwargs = _module_operands(op, 4, draw)
+        gamma, beta = kwargs["norm"]
+        for bad in ((draw(5), beta), (gamma, draw(7)), (draw(6, 1), beta)):
+            kwargs["norm"] = bad
+            with pytest.raises(ShapeError, match=rf"^{op}: gamma/beta must be shape \(6,\)"):
+                _PRODUCTS[op](*args, **kwargs)
 
     @pytest.mark.parametrize("op", _FRAMED)
     def test_non_finite_normalized_operand_raises_as_a_layer_norm(self, op):
         # a finite gamma scales the normalized rows past the largest double
-        args, kwargs, _ = _norm_operands(op, 2, lambda *shape: Tensor(np.ones(shape)),
-                                         "w", False)
-        x = Tensor(np.tile([1.0, -1.0, 1.0, -1.0, 1.0], (2, 1)))
-        norm = (Tensor(np.full(5, 1e308)), Tensor(np.full(5, 1e308)))
+        args, kwargs = _module_operands(op, 2, lambda *shape: Tensor(np.ones(shape)))
+        x = Tensor(np.tile([1.0, -1.0, 1.0, -1.0, 1.0, -1.0], (2, 1)))
+        kwargs["norm"] = (Tensor(np.full(6, 1e308)), Tensor(np.full(6, 1e308)))
         with np.errstate(all="ignore"), \
                 pytest.raises(NonFiniteError, match="^layer_norm produced non-finite values"):
-            _PRODUCTS[op](x, *args[1:], **kwargs, norm=norm)
+            _PRODUCTS[op](x, *args[1:], **kwargs)
 
 
 # the feed-forward's node, which ends a block with the out_norm epilogue
-_EPILOGUE_FORMS = [pytest.param("w", id="linear_swish_matmul"),
-                   pytest.param("factored", id="linear_swish_matmul-factored")]
+_EPILOGUE_FORMS = [pytest.param(False, id="linear_swish_matmul"),
+                   pytest.param(True, id="linear_swish_matmul-factored")]
 
 
 class TestNormEpilogue:
-    """A product with ``out_norm=(gamma, beta)`` is layer_norm(residual +
-    s·(product + bias), gamma, beta) as one node: the bytes of the
-    product node followed by ``layer_norm``, with gamma and beta last
-    among the parents (the ``*-out_norm-*`` rows of ``FUSIONS``)."""
+    """A feed-forward with ``out_norm=(gamma, beta)`` is layer_norm(x +
+    ½·(product + bias), gamma, beta) as one node: the bytes of the
+    feed-forward followed by ``layer_norm``, with gamma and beta last
+    among the parents (the ``linear_swish_matmul-*-out_norm-*`` rows of
+    ``FUSIONS``)."""
 
-    @pytest.mark.parametrize("form", _EPILOGUE_FORMS)
-    def test_rejects_a_norm_that_does_not_fit(self, rng, form):
+    @pytest.mark.parametrize("factored", _EPILOGUE_FORMS)
+    def test_rejects_a_norm_that_does_not_fit(self, rng, factored):
         def draw(*shape):
             return rand_tensor(rng, shape)
 
-        args, kwargs, _ = _norm_operands("linear_swish_matmul", 4, draw, form, True,
-                                         with_norm=False)
-        for bad in ((draw(5), draw(4)), (draw(4), draw(3)), (draw(4, 1), draw(4))):
+        args, kwargs = _module_operands("linear_swish_matmul", 4, draw, factored)
+        for bad in ((draw(5), draw(6)), (draw(6), draw(3)), (draw(6, 1), draw(6))):
             with pytest.raises(ShapeError, match=r"^linear_swish_matmul: gamma/beta must be "
-                                                 r"shape \(4,\)"):
-                linear_swish_matmul(*args, **kwargs, out_norm=bad)
+                                                 r"shape \(6,\)"):
+                linear_swish_matmul(*args, **{**kwargs, "out_norm": bad})
 
-    @pytest.mark.parametrize("form", _EPILOGUE_FORMS)
+    @pytest.mark.parametrize("factored", _EPILOGUE_FORMS)
     @pytest.mark.parametrize("stage,scaled", [
-        pytest.param(None, {"residual": 1e308, "bias": 1e308}, id="pre-norm-sum"),
+        pytest.param(None, {"b": 3e304, "bias": 1.79e308}, id="pre-norm-sum"),
         pytest.param("layer_norm", {"gamma": 1e308, "beta": 1e308}, id="norm")])
-    def test_rejects_a_non_finite_stage_as_its_chain_node(self, form, stage, scaled):
+    def test_rejects_a_non_finite_stage_as_its_chain_node(self, factored, stage, scaled):
         # finite operands whose pre-norm sum, or whose normalized sum times
         # gamma plus beta, passes the largest double: unchecked, the sum's
-        # infinity would raise as the norm, as a NaN. The factored form's
-        # sum raises as this op, where its chain's V2 matmul would
-        args, kwargs, _ = _norm_operands("linear_swish_matmul", 2,
-                                         lambda *shape: Tensor(np.ones(shape)), form, True,
-                                         with_norm=False)
-        kwargs["bias"] = Tensor(kwargs["bias"].data * scaled.get("bias", 1.0))
-        residual = Tensor(np.tile([1.0, -1.0, 1.0, -1.0], (2, 1)) * scaled.get("residual", 1.0))
-        out_norm = tuple(Tensor(np.full(4, scaled.get(name, 1.0))) for name in ("gamma", "beta"))
+        # infinity would raise as the norm, as a NaN. A finite product of
+        # about 2e306 (9e307 factored) plus the bias passes it
+        (x, w, c, b), kwargs = _module_operands("linear_swish_matmul", 2,
+                                                lambda *shape: Tensor(np.ones(shape)), factored)
+        x = Tensor(np.tile([1.0, -1.0, 1.0, -1.0, 1.0, -1.0], (2, 1)))
+        last = Tensor(np.full((b[-1] if factored else b).shape, scaled.get("b", 1.0)))
+        b = (b[0], last) if factored else last
+        kwargs["bias"] = Tensor(np.full(6, scaled.get("bias", 1.0)))
+        kwargs["out_norm"] = tuple(Tensor(np.full(6, scaled.get(name, 1.0)))
+                                   for name in ("gamma", "beta"))
         with np.errstate(all="ignore"), pytest.raises(
                 NonFiniteError, match=f"^{stage or 'linear_swish_matmul'} produced non-finite "
                                       "values$"):
-            linear_swish_matmul(*args, **kwargs, residual=residual, out_norm=out_norm)
+            linear_swish_matmul(x, w, c, b, **kwargs)
 
 
 class TestDepthwiseConv:
@@ -1064,51 +1051,32 @@ def _attention_context_row(draw, grow, B):
     return attention_context(q, k, pos, v), attention_chain(q, k, pos, v, 1.0 / math.sqrt(3))
 
 
-def _attention_matmul_row(draw, grow, B, with_bias, residual):
+def _attention_matmul_row(draw, grow, B):
     # the (rows, 6) q, k and context are wider than the (rows, 4) product,
     # so a kept one would show
     xn, wq, bq, wk, bk, pos, v = _attention_matmul_operands(draw, B + grow)  # dh = 3
-    w = draw(6, 4)
-    bias = draw(4) if with_bias else None
-    residual = draw(xn.shape[0], 4) if residual else None
+    w, bias = draw(6, 4), draw(4)
+    residual = draw(xn.shape[0], 4)
     out = matmul(attention_context(*_projected(xn, wq, bq, wk, bk), pos, v), w, bias=bias)
     return (attention_matmul(xn, wq, bq, wk, bk, pos, v, w, bias=bias, residual=residual),
-            out if residual is None else add(residual, out))
+            add(residual, out))
 
 
-def _unfused(op, a, *rest, bias=None, residual=None, s=None):
-    """The product ``op`` of ``_FRAMED`` as the plain ``matmul`` and the
-    oracles it fuses."""
-    if op == "glu_conv_swish_matmul":
-        w, c, k, gamma, beta, b, frames = rest
-        h = swish(layer_norm(depthwise_conv1d(glu(matmul(a, w, bias=c)), k, frames), gamma,
-                             beta))
-        out = matmul(h, b, bias=bias)
-    else:
-        w, c, b = rest
-        out = linear(swish(linear(a, w, c)), b, bias)
-    return out if residual is None else add(residual, out, s)
-
-
-def _linear_swish_matmul_row(draw, grow, with_bias, form):
-    # the (rows, 10) pre-activation, and the (rows, 8) and (rows, 9)
-    # low-rank products, are wider than the product
-    pair_w, pair_b = _pairs(form)
-    a = draw(12 + grow, 6)
-    w = (draw(6, 8), draw(10, 8)) if pair_w else draw(6, 10)
+def _linear_swish_matmul_row(draw, grow, factored, out_norm, B):
+    # the feed-forward over B utterances of 4 frames, the block's last with
+    # the final norm if ``out_norm``; the (rows, 10) pre-activation, and the
+    # (rows, 8) and (rows, 9) low-rank products, are wider than the (rows,
+    # 7) product, and so a kept one would show
+    rows = 4 * (B + grow)
+    x, norm = draw(rows, 7), (draw(7), draw(7))
+    w = (draw(7, 8), draw(10, 8)) if factored else draw(7, 10)
     c = draw(10)
-    b = (draw(10, 9), draw(7, 9)) if pair_b else draw(10, 7)
-    bias = draw(7) if with_bias else None
-    return (linear_swish_matmul(a, w, c, b, bias),
-            _unfused("linear_swish_matmul", a, w, c, b, bias=bias))
-
-
-def _glu_conv_swish_matmul_core_row(draw, grow, with_bias):
-    # no prologue and no residual: one utterance, grow frames longer
-    x, *rest = _conv_operands(draw(6 + grow, 5), draw, 4)
-    bias = draw(4) if with_bias else None
-    return (glu_conv_swish_matmul(x, *rest, bias=bias, residual=None, norm=None),
-            _unfused("glu_conv_swish_matmul", x, *rest, bias=bias))
+    b = (draw(10, 9), draw(7, 9)) if factored else draw(10, 7)
+    bias = draw(7)
+    end = (draw(7), draw(7)) if out_norm else None
+    chain = add(x, linear(swish(linear(layer_norm(x, *norm), w, c)), b, bias), HALF_STEP)
+    return (linear_swish_matmul(x, w, c, b, bias, norm=norm, out_norm=end),
+            chain if end is None else layer_norm(chain, *end))
 
 
 def _split_heads_row(draw, grow, h, start, stop):
@@ -1127,99 +1095,38 @@ def _scaled_add_row(draw, grow, s):
     return add(a, b, s), add(a, scale(b, s))
 
 
-def _residual_row(draw, grow, op, s, B):
-    rows = 4 * (B + grow)
-    args, kwargs = _residual_operands(op, rows, draw)
-    kwargs.update(residual=draw(rows, 6), **_scale_kwargs(op, s))
-    return _PRODUCTS[op](*args, **kwargs), _unfused(op, *args, **kwargs)
-
-
-def _norm_row(draw, grow, op, form, with_bias, residual, s, B):
-    rows = 4 * (B + grow)
-    (x, *rest), kwargs, norm = _norm_operands(op, rows, draw, form, with_bias)
-    if residual:
-        kwargs.update(residual=draw(rows, 4), **_scale_kwargs(op, s))
-    return (_PRODUCTS[op](x, *rest, **kwargs, norm=norm),
-            _unfused(op, layer_norm(x, *norm), *rest, **kwargs))
-
-
-def _out_norm_row(draw, grow, norm, form, with_bias, residual, s, B):
-    # the feed-forward's node, as the block's last
-    rows = 4 * (B + grow)
-    (x, *rest), kwargs, norm = _norm_operands("linear_swish_matmul", rows, draw, form,
-                                              with_bias, norm)
-    if residual:
-        kwargs.update(residual=draw(rows, 4), s=s)
-    out_norm = (draw(4), draw(4))
-    return (linear_swish_matmul(x, *rest, **kwargs, norm=norm, out_norm=out_norm),
-            layer_norm(_unfused("linear_swish_matmul",
-                                x if norm is None else layer_norm(x, *norm), *rest, **kwargs),
-                       *out_norm))
-
-
 def _glu_conv_swish_matmul_row(draw, grow, B, w, T):
     # the conv module over B utterances of T frames; the (rows, 12)
     # pre-activation and the (rows, 6) gate, convolution and inner norm are
-    # wider than the (rows, 4) product, so a kept one would show
+    # wider than the (rows, 5) product, so a kept one would show
     rows = (B + grow) * T
     x, norm = draw(rows, 5), (draw(5), draw(5))
     pre_w, pre_c, k, gamma, beta, b = draw(5, 12), draw(12), draw(w, 6), draw(6), draw(6), \
-        draw(6, 4)
-    bias, residual = draw(4), draw(rows, 4)
+        draw(6, 5)
+    bias = draw(5)
     pre = matmul(layer_norm(x, *norm), pre_w, bias=pre_c)
     h = swish(layer_norm(depthwise_conv1d(glu(pre), k, T), gamma, beta))
-    return (glu_conv_swish_matmul(x, pre_w, pre_c, k, gamma, beta, b, T, bias=bias,
-                                  residual=residual, norm=norm),
-            add(residual, matmul(h, b, bias=bias)))
+    return (glu_conv_swish_matmul(x, pre_w, pre_c, k, gamma, beta, b, T, bias=bias, norm=norm),
+            add(x, matmul(h, b, bias=bias)))
 
 
 def _row(id, family, **params):
     return pytest.param(partial(family, **params), id=id)
 
 
-_BIAS = [(False, "no-bias"), (True, "bias")]
-_RESIDUALS = [(False, None, "no-residual"), (True, None, "residual"), (True, 0.5, "residual-s")]
 FUSIONS = [
     *(_row(f"attention_weights-T{T}", _attention_weights_row, T=T) for T in (1, 2, 5, 16)),
     *(_row(f"attention_context-B{B}", _attention_context_row, B=B) for B in (1, 3)),
-    *(_row(f"attention_matmul-{bias_id}-{residual_id}-B{B}", _attention_matmul_row, B=B,
-           with_bias=bias, residual=residual)
-      for bias, bias_id in _BIAS for residual, residual_id in [(False, "no-residual"),
-                                                               (True, "residual")]
-      for B in (1, 3)),
-    *(_row(f"glu_conv_swish_matmul-{bias_id}", _glu_conv_swish_matmul_core_row,
-           with_bias=bias)
-      for bias, bias_id in _BIAS),
-    # w and b each a matrix or a low-rank pair
-    *(_row(f"linear_swish_matmul-{bias_id}-{form}", _linear_swish_matmul_row,
-           with_bias=bias, form=form)
-      for bias, bias_id in _BIAS for form in _FORMS),
+    *(_row(f"attention_matmul-B{B}", _attention_matmul_row, B=B) for B in (1, 3)),
     *(_row(f"split_heads-h{h}-{range_id}", _split_heads_row, h=h, start=start, stop=stop)
       for h in (1, 3)
       for start, stop, range_id in [(2, 5, "middle"), (0, 3, "from-0"), (0, None, "all")]),
     *(_row(f"add-s{s}", _scaled_add_row, s=s) for s in (0.5, -3.0)),
-    *(_row(f"{op}-residual{'' if s is None else f'-s{s}'}-B{B}", _residual_row, op=op, s=s, B=B)
-      for op, s in _scaled_products(None, 0.5) for B in (1, 3)),
-    # each product with and without a bias, and with no residual, a
-    # residual, and a scaled one where the product takes a scale
-    *(_row(f"{op}-norm{'' if form == 'w' else f'-{form}'}-{bias_id}-{residual_id}-B{B}",
-           _norm_row, op=op, form=form, with_bias=bias, residual=residual, s=s, B=B)
-      for op in _FRAMED
-      for form in (("w",) if op == "glu_conv_swish_matmul" else ("w", "factored"))
-      for bias, bias_id in _BIAS
-      for residual, s, residual_id in _RESIDUALS
-      if s is None or op != "glu_conv_swish_matmul"
-      for B in (1, 3)),
-    # the same over the feed-forward's node in each form, with an out_norm
-    # epilogue, with and without a prologue
-    *(_row(f"linear_swish_matmul-out_norm{'-norm' if norm else ''}"
-           f"{'' if form == 'w' else f'-{form}'}-{bias_id}-{residual_id}-B{B}",
-           _out_norm_row, norm=norm, form=form, with_bias=bias, residual=residual, s=s, B=B)
-      for norm in (False, True)
-      for form in _FORMS
-      for bias, bias_id in _BIAS
-      for residual, s, residual_id in _RESIDUALS
-      for B in (1, 3)),
+    # the feed-forward in either form, with and without the final norm
+    *(_row(f"linear_swish_matmul{'-factored' if factored else ''}"
+           f"{'-out_norm' if out_norm else ''}-B{B}", _linear_swish_matmul_row,
+           factored=factored, out_norm=out_norm, B=B)
+      for factored in (False, True) for out_norm in (False, True) for B in (1, 3)),
     # T = 2 is shorter than the pad at w = 11
     *(_row(f"glu_conv_swish_matmul-B{B}-w{w}-T{T}", _glu_conv_swish_matmul_row, B=B, w=w, T=T)
       for B in (1, 3) for w in (1, 3, 11) for T in (2, 4, 40)),
@@ -1256,13 +1163,14 @@ def test_fused_op_gives_the_bytes_of_its_chain(build):
     wider = run_wider()
     fused, chain, operands, g = _draw_row(build)
     assert wider.op == fused.op
-    assert sum(t.size for t in wider._parents) > sum(t.size for t in operands)
-    assert fused._parents == tuple(operands)
+    assert sum(t.size for t in wider._parents) > sum(t.size for t in fused._parents)
+    # a module op whose residual is its input has it among its parents twice
+    assert _distinct(fused._parents) == operands
     assert fused.data.tobytes() == chain.data.tobytes()
     want = rule_grads(chain, operands, g)
-    _assert_same_bytes(fused._backward(g), want)
+    _assert_same_bytes(_per_operand(fused._parents, fused._backward(g)), want)
     run_wider()
-    _assert_same_bytes(fused._backward(g), want)
+    _assert_same_bytes(_per_operand(fused._parents, fused._backward(g)), want)
     # and through backward, which copies each leaf's first gradient
     leaf_grads = []
     for out in (fused, chain):
@@ -1840,41 +1748,48 @@ class TestScratch:
             assert not any(np.shares_memory(arr, buf) for buf in scratch), \
                 f"{what} shares memory with a scratch buffer"
 
+    @staticmethod
+    def _assert_warm_rule_allocates_only_its_gradients(node, g, held):
+        """Beyond the gradients it returns, the rule of a module op holds
+        only ``held`` arrays of its input's size: LN(a)'s gradient, which
+        the core hands the norm prologue's rule, one temporary of that
+        rule's arithmetic at a time, and for a scaled residual g·s, which
+        the bias's gradient reads last. The residual's gradient is g
+        itself."""
+        node._backward(g)  # the scratch slots take their size
+        grads, peak = traced_peak(lambda: node._backward(g))
+        allocated = sum(x.nbytes for x in grads if x is not g)
+        assert peak <= allocated + held * node._parents[0].data.nbytes + 64 * 1024, \
+            f"the rule held {peak} bytes for {allocated} bytes of gradients"
+
     def test_warm_glu_conv_swish_matmul_rule_allocates_only_its_gradients(self):
         # the LRS3 convolution module, one T=128 utterance: the rule rebuilds
         # the pre-activation, the padded gate, the convolution and the inner
         # norm in scratch, and writes each of their gradients there too
         rng = Rng(3)
-        a, w, c, k, gamma, beta, b, bias = (
+        a, gamma0, beta0, w, c, k, gamma, beta, b, bias = (
             Tensor(rng.uniform(-0.5, 0.5, shape), requires_grad=True)
-            for shape in ((128, 144), (144, 288), (288,), (11, 144), (144,), (144,),
-                          (144, 144), (144,)))
-        node = glu_conv_swish_matmul(a, w, c, k, gamma, beta, b, 128, bias=bias, residual=None,
-                                     norm=None)
-        g = rng.uniform(-1.0, 1.0, (128, 144))
-        node._backward(g)  # the scratch slots take their size
-        grads, peak = traced_peak(lambda: node._backward(g))
-        returned = sum(x.nbytes for x in grads)
-        assert peak <= returned + 64 * 1024, \
-            f"the rule held {peak} bytes for {returned} bytes of gradients"
+            for shape in ((128, 144), (144,), (144,), (144, 288), (288,), (11, 144), (144,),
+                          (144,), (144, 144), (144,)))
+        node = glu_conv_swish_matmul(a, w, c, k, gamma, beta, b, 128, bias=bias,
+                                     norm=(gamma0, beta0))
+        self._assert_warm_rule_allocates_only_its_gradients(
+            node, rng.uniform(-1.0, 1.0, (128, 144)), held=2)
 
     def test_warm_linear_swish_matmul_rule_allocates_only_its_gradients(self):
-        # the LRS3 low-rank feed-forward, one T=128 utterance, without its
-        # norm and residual: the rule rebuilds x @ U1, the (128, 1044)
-        # pre-activation and act @ U2 in scratch, and writes each one's
-        # gradient over it
+        # the LRS3 low-rank feed-forward, one T=128 utterance: the rule
+        # rebuilds x @ U1, the (128, 1044) pre-activation and act @ U2 in
+        # scratch, and writes each one's gradient over it
         rng = Rng(3)
         a = Tensor(rng.uniform(-1.0, 1.0, (128, 144)), requires_grad=True)
-        u1, v1, c, u2, v2, bias = (
+        gamma, beta, u1, v1, c, u2, v2, bias = (
             Tensor(rng.uniform(-0.2, 0.2, shape), requires_grad=True)
-            for shape in ((144, 50), (1044, 50), (1044,), (1044, 50), (144, 50), (144,)))
-        node = linear_swish_matmul(a, (u1, v1), c, (u2, v2), bias)
-        g = rng.uniform(-1.0, 1.0, (128, 144))
-        node._backward(g)  # the scratch slots take their size
-        grads, peak = traced_peak(lambda: node._backward(g))
-        returned = sum(x.nbytes for x in grads)
-        assert peak <= returned + 64 * 1024, \
-            f"the rule held {peak} bytes for {returned} bytes of gradients"
+            for shape in ((144,), (144,), (144, 50), (1044, 50), (1044,), (1044, 50), (144, 50),
+                          (144,)))
+        node = linear_swish_matmul(a, (u1, v1), c, (u2, v2), bias, norm=(gamma, beta),
+                                   out_norm=None)
+        self._assert_warm_rule_allocates_only_its_gradients(
+            node, rng.uniform(-1.0, 1.0, (128, 144)), held=3)
 
     @staticmethod
     def _swish_product_oracle(a, b, bias, g):
@@ -1914,8 +1829,8 @@ class TestScratch:
         return xhat * gamma + beta, rule
 
     def _conv_module_oracle(self, x, norm, w, c, k, gamma, beta, b, bias, g, frames):
-        """``glu_conv_swish_matmul`` with a norm and a bias, its output and
-        its rule results, chained from the oracles above."""
+        """``glu_conv_swish_matmul``'s output and its rule results, chained
+        from the oracles above."""
         B, d = x.shape[0] // frames, k.shape[1]
         y, outer_rule = self._layer_norm_oracle(x, *norm)
         pre = y @ w + c
@@ -1926,28 +1841,31 @@ class TestScratch:
         gconv, ggamma, gbeta = inner_rule(gh)
         _, ggate, gk = TestDepthwiseConv._per_tap_oracle(gate, k, gconv, B)
         gpre = self._glu_oracle(pre, ggate)[1]
-        return [out, *outer_rule(gpre @ w.T), y.T @ gpre, gpre.sum(axis=0), gk, ggamma, gbeta,
-                gb, gbias]
+        return [out + x, *outer_rule(gpre @ w.T), y.T @ gpre, gpre.sum(axis=0), gk, ggamma,
+                gbeta, gb, gbias, g]
 
-    def _feed_forward_oracle(self, a, w, c, b, bias, g):
-        """``linear_swish_matmul`` with a bias, w and b each a matrix or a
-        (U, V) pair, its output and its rule results, in the fused rule's
+    def _feed_forward_oracle(self, a, norm, w, c, b, bias, g):
+        """``linear_swish_matmul``, w and b both matrices or both (U, V)
+        pairs, its output and its rule results, in the fused rule's
         operation order."""
-        xu = a @ w[0] if isinstance(w, tuple) else a
-        pre = (xu @ w[1].T if isinstance(w, tuple) else a @ w) + c
+        y, outer_rule = self._layer_norm_oracle(a, *norm)
+        gp = g * HALF_STEP  # the product's gradient
+        xu = y @ w[0] if isinstance(w, tuple) else y
+        pre = (xu @ w[1].T if isinstance(w, tuple) else y @ w) + c
         if isinstance(b, tuple):
             u2, v2 = b
-            au, gpre, gu2 = self._swish_product_oracle(pre, u2, None, g @ v2)
-            out, gb = au @ v2.T + bias, [gu2, g.T @ au]
+            au, gpre, gu2 = self._swish_product_oracle(pre, u2, None, gp @ v2)
+            out, gb = au @ v2.T + bias, [gu2, gp.T @ au]
         else:
-            out, gpre, gb = self._swish_product_oracle(pre, b, bias, g)[:3]
+            out, gpre, gb = self._swish_product_oracle(pre, b, bias, gp)[:3]
             gb = [gb]
         if isinstance(w, tuple):
             gxu = gpre @ w[1]
-            ga, gw = gxu @ w[0].T, [a.T @ gxu, gpre.T @ xu]
+            gy, gw = gxu @ w[0].T, [y.T @ gxu, gpre.T @ xu]
         else:
-            ga, gw = gpre @ w.T, [a.T @ gpre]
-        return [out, ga, *gw, gpre.sum(axis=0), *gb, g.sum(axis=0)]
+            gy, gw = gpre @ w.T, [y.T @ gpre]
+        out *= HALF_STEP
+        return [out + a, *outer_rule(gy), *gw, gpre.sum(axis=0), *gb, gp.sum(axis=0), g]
 
     def _check_fd_gradcheck_shapes(self, d: int, lowrank: bool):
         """linear_swish_matmul, glu, depthwise_conv1d and
@@ -1967,25 +1885,23 @@ class TestScratch:
             return tuple(map(tensors, x)) if isinstance(x, tuple) else \
                 Tensor(x, requires_grad=True)
 
-        # the feed-forward, without its norm and residual: the low-rank
-        # model's factors both linears at rank 4
-        a = draw(rows, d)
+        # the feed-forward: the low-rank model's factors both linears at rank 4
+        a, norm = draw(rows, d), (draw(d), draw(d))
         w1 = (draw(d, 4), draw(ffn, 4)) if lowrank else draw(d, ffn)
         c = draw(ffn)
         b = (draw(ffn, 4), draw(d, 4)) if lowrank else draw(ffn, d)
         bias = draw(d)
-        node = linear_swish_matmul(*map(tensors, (a, w1, c, b, bias)))
+        node = linear_swish_matmul(*map(tensors, (a, w1, c, b, bias)), norm=tensors(norm),
+                                   out_norm=None)
         g = draw(*node.shape)
         got = [node.data, *node._backward(g)]
-        want = self._feed_forward_oracle(a, w1, c, b, bias, g)
-        # the convolution module, without its residual
+        want = self._feed_forward_oracle(a, norm, w1, c, b, bias, g)
+        # the convolution module
         x, norm = draw(rows, d), (draw(d), draw(d))
         rest = draw(d, 2 * d), draw(2 * d), draw(w, d), draw(d), draw(d), draw(d, d)
         bias = draw(d)
-        node = glu_conv_swish_matmul(
-            Tensor(x, requires_grad=True), *(Tensor(t, requires_grad=True) for t in rest),
-            frames, bias=Tensor(bias, requires_grad=True), residual=None,
-            norm=tuple(Tensor(t, requires_grad=True) for t in norm))
+        node = glu_conv_swish_matmul(tensors(x), *map(tensors, rest), frames, bias=tensors(bias),
+                                     norm=tensors(norm))
         g = draw(*node.shape)
         got += [node.data, *node._backward(g)]
         want += self._conv_module_oracle(x, norm, *rest, bias, g, frames)

@@ -957,9 +957,12 @@ def test_every_function_has_a_caller():
 
     Every defaulted parameter of such a function is also passed, by
     keyword or by position, at some such call, so no setting is one that
-    only its default serves. Functions that ``bench/`` imports are exempt
-    (it calls them through ``Tracer.call``), and so is ``cli.main``'s
-    ``argv``, which the console entry point leaves unset.
+    only its default serves, and left out at another, so no default is
+    one that no call takes: a call that splats ``*`` or ``**`` arguments
+    counts as passing it in the first rule and as leaving it out in the
+    second. Functions that ``bench/`` imports are exempt (it calls them
+    through ``Tracer.call``), and so is ``cli.main``'s ``argv``, which
+    the console entry point leaves unset.
 
     Likewise every ``@dataclass`` field with a default (and ``init`` left
     on) is passed at some ``src/`` construction of its class, where a
@@ -1018,9 +1021,12 @@ def test_every_function_has_a_caller():
         return [call for callee, where, owner, call in calls
                 if callee == name and (where, owner) != (module, name)]
 
-    def passes(call, parameter, position):
+    def passes(call, parameter, position, splat=True):
+        """Whether ``call`` passes ``parameter``; a splat counts as ``splat``."""
         if any(isinstance(a, ast.Starred) for a in call.args) or \
-                any(kw.arg in (None, parameter) for kw in call.keywords):
+                any(kw.arg is None for kw in call.keywords):
+            return splat
+        if any(kw.arg == parameter for kw in call.keywords):
             return True
         return position is not None and position < len(call.args)
 
@@ -1033,6 +1039,11 @@ def test_every_function_has_a_caller():
                 if name not in bench_imports and (module, name, parameter) not in exempt
                 and not any(passes(call, parameter, position) for call in callers(module, name))]
     assert unpassed == []
+    always = [f"{module}.{name}({parameter})" for module, name, parameter, position in defaults
+              if name not in bench_imports and (module, name, parameter) not in exempt
+              and all(passes(call, parameter, position, splat=False)
+                      for call in callers(module, name))]
+    assert always == []
     checked = [entry for entry in defaulted if entry[1] not in bench_imports]
     assert checked, "no defaulted dataclass field was checked"
     # a replace call's class is not known from its name, so only a keyword

@@ -225,20 +225,24 @@ class TestSoftmax:
         assert_params_match_fd({"x": x}, make_loss)
 
 
+def _gather_indices(T):
+    """The (T, 1) rows and (T, T) columns that ``gather_oracle`` reads."""
+    return np.arange(T)[:, None], np.arange(T)[None, :] - np.arange(T)[:, None] + (T - 1)
+
+
 def gather_oracle(full: Tensor) -> Tensor:
     """out[h, t, s] = full[h, t, s - t + T - 1] by index arrays, as a tape
-    node whose rule scatters the gradient back through the same indices."""
-    T = full.shape[1]
-    rows = np.arange(T)[:, None]
-    cols = np.arange(T)[None, :] - np.arange(T)[:, None] + (T - 1)
-
+    node whose rule scatters the gradient back through the same indices,
+    rebuilt from the input's shape: a (T, T) index is a whole one-head
+    output, and a rule keeps none of its own."""
     def rule(g):
         gf = np.zeros_like(full.data)
-        gf[:, rows, cols] = g
+        gf[(slice(None), *_gather_indices(full.shape[1]))] = g
         return (gf,)
 
-    return Tensor(full.data[:, rows, cols], requires_grad=full.requires_grad,
-                  op="gather", parents=(full,), backward=rule)
+    return Tensor(full.data[(slice(None), *_gather_indices(full.shape[1]))],
+                  requires_grad=full.requires_grad, op="gather", parents=(full,),
+                  backward=rule)
 
 
 class TestAttentionWeights:
@@ -1038,23 +1042,24 @@ class TestDepthwiseConv:
 # the same builder makes a wider row of the same op.
 
 
-def _attention_weights_row(draw, grow, T):
+def _attention_weights_row(draw, grow, T, H):
     T += grow
-    content, pos_full = draw(2, T, T), draw(2, T, 2 * T - 1)
+    content, pos_full = draw(H, T, T), draw(H, T, 2 * T - 1)
     s = 1.0 / math.sqrt(5)
     return (attention_weights(content, pos_full, s),
             softmax(scale(add(content, gather_oracle(pos_full)), s)))
 
 
-def _attention_context_row(draw, grow, B):
-    q, k, pos, v = _attention_operands(draw, B + grow)  # dh = 3
-    return attention_context(q, k, pos, v), attention_chain(q, k, pos, v, 1.0 / math.sqrt(3))
+def _attention_context_row(draw, grow, B, T, H):
+    dh = 6 // H
+    q, k, pos, v = _attention_operands(draw, B + grow, T, H, dh)
+    return attention_context(q, k, pos, v), attention_chain(q, k, pos, v, 1.0 / math.sqrt(dh))
 
 
-def _attention_matmul_row(draw, grow, B):
+def _attention_matmul_row(draw, grow, B, T, H):
     # the (rows, 6) q, k and context are wider than the (rows, 4) product,
     # so a kept one would show
-    xn, wq, bq, wk, bk, pos, v = _attention_matmul_operands(draw, B + grow)  # dh = 3
+    xn, wq, bq, wk, bk, pos, v = _attention_matmul_operands(draw, B + grow, T, H, 6 // H)
     w, bias = draw(6, 4), draw(4)
     residual = draw(xn.shape[0], 4)
     out = matmul(attention_context(*_projected(xn, wq, bq, wk, bk), pos, v), w, bias=bias)
@@ -1062,16 +1067,16 @@ def _attention_matmul_row(draw, grow, B):
             add(residual, out))
 
 
-def _linear_swish_matmul_row(draw, grow, factored, out_norm, B):
-    # the feed-forward over B utterances of 4 frames, the block's last with
-    # the final norm if ``out_norm``; the (rows, 10) pre-activation, and the
-    # (rows, 8) and (rows, 9) low-rank products, are wider than the (rows,
-    # 7) product, and so a kept one would show
-    rows = 4 * (B + grow)
+def _linear_swish_matmul_row(draw, grow, factored, out_norm, B, T, hidden):
+    # the feed-forward over B utterances of T frames, the block's last with
+    # the final norm if ``out_norm``; the (rows, hidden) pre-activation, and
+    # the (rows, 8) and (rows, 9) low-rank products, are wider than the
+    # (rows, 7) product, and so a kept one would show
+    rows = T * (B + grow)
     x, norm = draw(rows, 7), (draw(7), draw(7))
-    w = (draw(7, 8), draw(10, 8)) if factored else draw(7, 10)
-    c = draw(10)
-    b = (draw(10, 9), draw(7, 9)) if factored else draw(10, 7)
+    w = (draw(7, 8), draw(hidden, 8)) if factored else draw(7, hidden)
+    c = draw(hidden)
+    b = (draw(hidden, 9), draw(7, 9)) if factored else draw(hidden, 7)
     bias = draw(7)
     end = (draw(7), draw(7)) if out_norm else None
     chain = add(x, linear(swish(linear(layer_norm(x, *norm), w, c)), b, bias), HALF_STEP)
@@ -1114,22 +1119,32 @@ def _row(id, family, **params):
     return pytest.param(partial(family, **params), id=id)
 
 
+# Beside each op's options, the rows span the shapes the model makes: B
+# utterances, T frames (one frame is a single-row product), heads of
+# width dh = 6 / H (dh >= 2; see ``attention_chain`` for dh = 1), the
+# feed-forward's hidden width (e = 10/7 and 4) and the kernel width.
 FUSIONS = [
-    *(_row(f"attention_weights-T{T}", _attention_weights_row, T=T) for T in (1, 2, 5, 16)),
-    *(_row(f"attention_context-B{B}", _attention_context_row, B=B) for B in (1, 3)),
-    *(_row(f"attention_matmul-B{B}", _attention_matmul_row, B=B) for B in (1, 3)),
+    *(_row(f"attention_weights-T{T}-H{H}", _attention_weights_row, T=T, H=H)
+      for T in (1, 2, 5, 7, 16) for H in (1, 2, 3, 4)),
+    *(_row(f"attention_context-B{B}-T{T}-H{H}", _attention_context_row, B=B, T=T, H=H)
+      for B in (1, 3) for T in (1, 2, 5, 7, 16) for H in (1, 2, 3)),
+    *(_row(f"attention_matmul-B{B}-T{T}-H{H}", _attention_matmul_row, B=B, T=T, H=H)
+      for B in (1, 3) for T in (1, 2, 5, 7, 16) for H in (1, 2, 3)),
     *(_row(f"split_heads-h{h}-{range_id}", _split_heads_row, h=h, start=start, stop=stop)
-      for h in (1, 3)
+      for h in (1, 2, 3, 6)
       for start, stop, range_id in [(2, 5, "middle"), (0, 3, "from-0"), (0, None, "all")]),
     *(_row(f"add-s{s}", _scaled_add_row, s=s) for s in (0.5, -3.0)),
     # the feed-forward in either form, with and without the final norm
     *(_row(f"linear_swish_matmul{'-factored' if factored else ''}"
-           f"{'-out_norm' if out_norm else ''}-B{B}", _linear_swish_matmul_row,
-           factored=factored, out_norm=out_norm, B=B)
-      for factored in (False, True) for out_norm in (False, True) for B in (1, 3)),
-    # T = 2 is shorter than the pad at w = 11
+           f"{'-out_norm' if out_norm else ''}-B{B}-T{T}-hidden{hidden}",
+           _linear_swish_matmul_row, factored=factored, out_norm=out_norm, B=B, T=T,
+           hidden=hidden)
+      for factored in (False, True) for out_norm in (False, True) for B in (1, 3)
+      for T in (1, 4, 40) for hidden in (10, 28)),
+    # the pad (w - 1) / 2 is longer than an utterance of T frames at w = 11 and 31
+    # for T up to 4, and at w = 5 for T = 1
     *(_row(f"glu_conv_swish_matmul-B{B}-w{w}-T{T}", _glu_conv_swish_matmul_row, B=B, w=w, T=T)
-      for B in (1, 3) for w in (1, 3, 11) for T in (2, 4, 40)),
+      for B in (1, 3) for w in (1, 3, 5, 11, 31) for T in (1, 2, 4, 16, 40)),
 ]
 
 

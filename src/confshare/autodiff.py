@@ -100,40 +100,24 @@ four passes over its output. Row and column sums call
 wrapper's per-call cost. All of it gives the same bytes as the plain
 formulas.
 
-A temporary that a kernel fills and drops within one call lives in a
-scratch buffer (``_scratch``): one per named slot, grown to the largest
-size asked for and reused by every later call, so a warm step faults no
-pages in for it (the idea of PyTorch's caching allocator). The slots:
-
-* ``norm.y`` and ``norm.xhat``: a ``norm`` prologue's LN(a), built in the
-  forward and rebuilt in the rule, and the x̂ that its rule and
-  ``layer_norm``'s rebuild;
-* ``swish.act``: the activation of a swish product, in the forward of
-  ``linear_swish_matmul`` and of ``glu_conv_swish_matmul``;
-* ``swish.s`` and ``swish.ga``: the sigmoid and g @ bᵀ of both ops'
-  rules (1 − s sits in the latter until the product needs it);
-* ``linear_swish_matmul``'s, each built in the forward and rebuilt in
-  the rule, which writes its gradient over it: ``.xu``, a pair w's
-  LN(a) @ U1; ``.pre``, the pre-activation; and ``.au``, a pair b's
-  act @ U2;
-* ``glu_conv_swish_matmul``'s, each in the forward and again in the
-  rule: ``conv.pre``, the (rows, 2d) pre-activation, whose gradient
-  the rule writes over it; ``glu.s``, the gate's sigmoid; ``conv.xp``,
-  the padded gate; ``conv.tap``, every per-tap product; ``conv.out``,
-  the convolution, normalized in place to x̂; ``conv.y``, the inner
-  norm's output, whose gradient the rule writes over it; and, in the
-  rule only, ``conv.gxp``, the padded gate's gradient;
-* ``attention_matmul``'s, each in the forward and again in the rule:
-  ``attention_matmul.q`` and ``attention_matmul.k``, the q and k
-  projections; ``attention_context.p``, the scores and then the softmax
-  weights; and ``attention_context.out``, the context, which the
-  post-projection's weight gradient reads;
-* ``softmax_grad.gp``: the g·p product of ``attention_matmul``'s rule;
-* ``adam.step`` and ``adam.den``: ``training.OptimizerState``'s update.
-
-A scratch view never escapes its call: no op output, rule result,
-stored gradient or rule closure holds one. The buffers are held per
-thread (``threading.local``), so two threads never share one.
+A temporary that a kernel fills and drops within one call is a view of
+the calling thread's scratch arena (``_scratch``), one flat buffer from
+which each take is the next ``shape``-sized view. The takes start at the
+arena's head again (``_scratch_reset``) at the start of each call that
+takes any: a product's forward and its rule (``_product``),
+``layer_norm``'s rule and each tensor of
+``training.OptimizerState.step``. Ops never nest, nor do rules, so a
+view is valid until the next such call, and buffers whose lifetimes
+never overlap share memory (Chen et al. 2016, arXiv:1604.06174, §3):
+the arena grows only to the largest single call's takes and is reused
+by every later call, so a warm step faults no pages in for it. At
+LRS3's T=128 that call is the low-rank feed-forward's rule, three
+(128, 1044) arrays and four of (128, 144) or (128, 50), 3.4 MiB. If the
+arena grows within a call, that call's earlier views stay on the old
+buffer, which they keep alive until they go. A scratch view never
+escapes its call: no op output, rule result, stored gradient or rule
+closure holds one. The arena is held per thread (``threading.local``),
+so two threads never share one.
 """
 
 from __future__ import annotations
@@ -154,8 +138,9 @@ class NonFiniteError(FloatingPointError):
 
 def _finite(arr: np.ndarray, op: str):
     """Raise ``NonFiniteError`` naming ``op`` if ``arr`` holds a NaN or an
-    infinity."""
-    if not np.isfinite(arr).all():
+    infinity. The reduce is the ufunc that ``ndarray.all`` wraps, without
+    the wrapper's per-call cost; it is True for an empty array too."""
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NonFiniteError(f"{op} produced non-finite values")
 
 
@@ -408,53 +393,73 @@ def zero_grads(tensors):
 
 
 # ---------------------------------------------------------------------------
-# scratch buffers
+# the scratch arena
 
 
-class _Scratch(threading.local):
-    """One thread's scratch buffers: ``buffers`` maps a slot to its flat
-    buffer, ``views`` maps (slot, shape) to a view of that buffer's
-    head, so a warm lookup is one dict probe."""
+class _Arena:
+    """One thread's scratch arena: ``buffer``, the flat buffer; ``offset``,
+    where the next take starts; and ``views``, which maps (offset, shape)
+    to the view there and the offset after it, so a warm take is one dict
+    probe."""
+
+    __slots__ = ("buffer", "offset", "views")
 
     def __init__(self):
-        self.buffers: dict[str, np.ndarray] = {}
-        self.views: dict[tuple, np.ndarray] = {}
+        self.buffer = np.empty(0)
+        self.offset = 0
+        self.views: dict[tuple, tuple[np.ndarray, int]] = {}
 
 
-_SCRATCH = _Scratch()
+class _ThreadArena(threading.local):
+    """The calling thread's ``arena``, so two threads never share one. A
+    take reads it once; the arena's own fields are plain slots, cheaper
+    to read and write than a thread-local's."""
+
+    def __init__(self):
+        self.arena = _Arena()
+
+
+_THREAD = _ThreadArena()
 # a bound on the cached views, for a process that runs many shapes
-_SCRATCH_VIEWS = 256
+_ARENA_VIEWS = 256
 
 
-def _scratch(slot: str, shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialised float64 ``shape`` array in the calling thread's
-    buffer for ``slot``, for a temporary that a kernel fills and drops
-    within one call. The buffer grows to the largest size asked for and
-    is reused by every later call, so a warm kernel faults no pages in
-    for it.
+def _scratch_reset():
+    """Start a call that takes scratch: its takes begin at the arena's head
+    again, over the views of the call before, which are no longer read."""
+    _THREAD.arena.offset = 0
 
-    The view is valid until the next call that asks for the same slot:
-    it must never become an op output, a rule result, a stored gradient
-    or anything a closure keeps.
+
+def _scratch(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float64 ``shape`` array, the next view of the
+    calling thread's scratch arena, for a temporary that a kernel fills
+    and drops within one call (see the module docstring). The arena
+    grows to the largest call's takes and is reused by every later call,
+    so a warm kernel faults no pages in for it.
+
+    The view is valid until the next ``_scratch_reset``: it must never
+    become an op output, a rule result, a stored gradient or anything a
+    closure keeps.
     """
-    view = _SCRATCH.views.get((slot, shape))
-    if view is None:
-        view = _scratch_view(slot, shape)
+    own = _THREAD.arena
+    hit = own.views.get((own.offset, shape))
+    if hit is None:
+        hit = _scratch_view(own, shape)
+    view, own.offset = hit
     return view
 
 
-def _scratch_view(slot: str, shape: tuple[int, ...]) -> np.ndarray:
-    own = _SCRATCH
-    n = math.prod(shape)
-    buf = own.buffers.get(slot)
-    if buf is None or buf.size < n:
-        buf = own.buffers[slot] = np.empty(n)
-        # the old buffer's views go with it
-        own.views = {k: v for k, v in own.views.items() if k[0] != slot}
-    if len(own.views) >= _SCRATCH_VIEWS:
+def _scratch_view(own: _Arena, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    start = own.offset
+    end = start + math.prod(shape)
+    if own.buffer.size < end:
+        # the call's earlier views keep the old buffer alive until they go
+        own.buffer = np.empty(end)
+        own.views = {}
+    if len(own.views) >= _ARENA_VIEWS:
         own.views.clear()
-    view = own.views[(slot, shape)] = buf[:n].reshape(shape)
-    return view
+    hit = own.views[(start, shape)] = own.buffer[start:end].reshape(shape), end
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -475,11 +480,14 @@ def _product(op: str, a: Tensor, rest: tuple, forward, grads, bias: Tensor | Non
     ``forward(A)`` returns a fresh product of A and the operands ``rest``,
     and ``grads(A, gp)`` the gradients of A and of ``rest`` for the
     product's gradient gp. A is ``a``'s data or, with a ``norm``, LN(a)
-    in the ``norm.y`` scratch slot, checked as a ``layer_norm`` output
-    would be, which ``grads`` may overwrite. With an ``out_norm``, gp is a
-    function instead: the core calls it on its product P, rebuilt by its
-    last product alone, and gets P's gradient back; the frame rebuilds
-    the pre-norm sum over P's memory. An ``out_norm`` is the
+    in scratch, checked as a ``layer_norm`` output would be, which
+    ``grads`` only reads: the rule rebuilds x̂ over it once ``grads``
+    returns. The forward and the rule each start a scratch call
+    (``_scratch_reset``), and a scaled gp is scratch too. With an
+    ``out_norm``, gp is a function instead: the core calls it on its
+    product P, rebuilt by its last product alone, and gets P's gradient
+    back; the frame rebuilds the pre-norm sum over P's memory. An
+    ``out_norm`` is the
     feed-forward's, which also passes a bias, a residual and ``s``, so
     the rebuild takes all three. The bias takes 2-d products only,
     ``s`` scales only with a residual, and ``out *= s; out += residual``
@@ -489,12 +497,13 @@ def _product(op: str, a: Tensor, rest: tuple, forward, grads, bias: Tensor | Non
     ``layer_norm``'s, by the one check that every node's output gets
     (``Tensor``).
     """
+    _scratch_reset()
     if norm is None:
         ad, parents, gamma, beta, mu, inv = a.data, (a,), None, None, None, None
     else:
         gamma, beta = norm
         _check_norm_params(op, a.shape[1], gamma, beta)
-        ad = _scratch("norm.y", a.shape)
+        ad = _scratch(a.shape)
         mu, inv = _normalize(a.data, ad)
         ad *= gamma.data
         ad += beta.data
@@ -526,6 +535,7 @@ def _product(op: str, a: Tensor, rest: tuple, forward, grads, bias: Tensor | Non
         parents += (out_gamma, out_beta)
 
     def rule(g):
+        _scratch_reset()
         gp = None  # the product's gradient
         g_out_norm = ()  # the epilogue's gamma and beta gradients
 
@@ -540,17 +550,19 @@ def _product(op: str, a: Tensor, rest: tuple, forward, grads, bias: Tensor | Non
                 product += residual.data
                 xhat = _rebuild_xhat(product, out_mu, out_inv, product)
                 g, *g_out_norm = _layer_norm_grad(g, xhat, out_gamma.data, out_inv)
-            gp = g if s is None else g * s
+            gp = g if s is None else np.multiply(g, s, out=_scratch(g.shape))
             return gp
 
         core_gp = product_grad if out_norm is not None else product_grad()
         if mu is None:
             result = grads(a.data, core_gp)
         else:
-            xhat = _rebuild_xhat(a.data, mu, inv, _scratch("norm.xhat", a.shape))
-            y = np.multiply(xhat, gamma.data, out=_scratch("norm.y", a.shape))
+            y = _rebuild_xhat(a.data, mu, inv, _scratch(a.shape))
+            y *= gamma.data
             y += beta.data
             gy, *others = grads(y, core_gp)
+            # y is read no more, so x̂ is rebuilt over it
+            xhat = _rebuild_xhat(a.data, mu, inv, y)
             result = (*_layer_norm_grad(gy, xhat, gamma.data, inv), *others)
         if bias is not None:
             result = (*result, np.add.reduce(gp, axis=0))
@@ -644,7 +656,7 @@ def _sigmoid_into(x: np.ndarray, num: np.ndarray) -> np.ndarray:
 def _swish_product(x: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """swish(x) @ b, the activation held only in scratch; the product in
     ``out`` if given, else in a fresh array."""
-    act = _sigmoid_into(x, _scratch("swish.act", x.shape))
+    act = _sigmoid_into(x, _scratch(x.shape))
     act *= x
     return np.matmul(act, b, out=out)
 
@@ -662,12 +674,12 @@ def _swish_product_grad(x: np.ndarray, b: np.ndarray, g, out: np.ndarray, produc
     called on the rebuilt product act @ b, in ``product`` if given, for
     the array.
     """
-    s = _sigmoid_into(x, _scratch("swish.s", x.shape))
+    s = _sigmoid_into(x, _scratch(x.shape))
     act = np.multiply(s, x, out=out)
     if callable(g):
         g = g(np.matmul(act, b, out=product))
     gb = act.T @ g
-    ga = _scratch("swish.ga", x.shape)
+    ga = _scratch(x.shape)
     act *= np.subtract(1.0, s, out=ga)
     act += s
     act *= np.matmul(g, b.T, out=ga)
@@ -696,11 +708,10 @@ def linear_swish_matmul(a: Tensor, w, c: Tensor, b, bias: Tensor, *,
     w and b are both matrices or both low-rank pairs (U, V) that stand
     for U @ Vᵀ, applied as (x @ U) @ Vᵀ, with U and then V among the
     parents; b maps back to a's width. The forward builds in scratch, and
-    drops once the product is taken, the (rows, k) x @ U1 of a pair w
-    (``linear_swish_matmul.xu``), the (rows, n) pre-activation x @ w + c
-    (``linear_swish_matmul.pre``), checked as a matmul, the activation,
-    and the (rows, k) act @ U2 of a pair b (``linear_swish_matmul.au``).
-    So the tape keeps only ``a``. Neither x @ U1 nor act @ U2 gets a
+    drops once the product is taken, the (rows, k) x @ U1 of a pair w,
+    the (rows, n) pre-activation x @ w + c, checked as a matmul, the
+    activation, and the (rows, k) act @ U2 of a pair b. So the tape
+    keeps only ``a``. Neither x @ U1 nor act @ U2 gets a
     check of its own: a non-finite one makes the next product
     non-finite, the pre-activation or the output, and that is checked.
 
@@ -730,14 +741,13 @@ def linear_swish_matmul(a: Tensor, w, c: Tensor, b, bias: Tensor, *,
 
     def pre_activation(x):  # x @ U1 for a pair w, and x @ w + c
         if factored:
-            x = np.matmul(x, w1.data, out=_scratch("linear_swish_matmul.xu", (rows, w1.shape[1])))
-        pre = np.matmul(x, v1.data.T if factored else w1.data,
-                        out=_scratch("linear_swish_matmul.pre", (rows, n)))
+            x = np.matmul(x, w1.data, out=_scratch((rows, w1.shape[1])))
+        pre = np.matmul(x, v1.data.T if factored else w1.data, out=_scratch((rows, n)))
         pre += c.data
         return x, pre
 
     def au():
-        return _scratch("linear_swish_matmul.au", (rows, w2.shape[1]))
+        return _scratch((rows, w2.shape[1]))
 
     def forward(x):
         _, pre = pre_activation(x)
@@ -829,7 +839,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     out += beta.data
 
     def rule(g):
-        xhat = _rebuild_xhat(x.data, mu, inv, _scratch("norm.xhat", x.shape))
+        _scratch_reset()
+        xhat = _rebuild_xhat(x.data, mu, inv, _scratch(x.shape))
         return _layer_norm_grad(g, xhat, gamma.data, inv)
 
     return _result(out, "layer_norm", (x, gamma, beta), rule)
@@ -843,10 +854,11 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The input gradient of a softmax with output p: p * (g - sum(g * p))."""
-    gp = np.multiply(g, p, out=_scratch("softmax_grad.gp", p.shape))
-    gx = g - gp.sum(axis=-1, keepdims=True)
+def _softmax_grad(p: np.ndarray, g: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """The input gradient of a softmax with output p: p * (g - sum(g * p)),
+    in ``out`` (which may be g), or in a fresh array for None."""
+    gp = np.multiply(g, p, out=_scratch(p.shape))
+    gx = np.subtract(g, gp.sum(axis=-1, keepdims=True), out=out)
     gx *= p
     return gx
 
@@ -882,7 +894,9 @@ def glu_conv_swish_matmul(a: Tensor, w: Tensor, c: Tensor, kernel: Tensor, gamma
     * the pre-activation a @ w + c, checked as a matmul;
     * the gate x = u * sigmoid(v) of its halves (u, v), written straight
       into the padded convolution input, each utterance padded on its
-      own, so no frame sees another's;
+      own, so no frame sees another's; every op writes the same scratch
+      arena, so both pads are zeroed again on every call, forward and
+      rule;
     * the depthwise convolution out[b·T + t, ch] = sum_j kernel[j, ch] *
       x[b·T + t + j - (k-1)/2, ch], terms outside 0 <= t + j - (k-1)/2 < T
       zero, checked as ``glu_conv1d`` was;
@@ -916,26 +930,26 @@ def glu_conv_swish_matmul(a: Tensor, w: Tensor, c: Tensor, kernel: Tensor, gamma
     mu = inv = None  # the inner norm's per-row statistics, from the forward
 
     def pre_activation(x):
-        pre = np.matmul(x, w.data, out=_scratch("conv.pre", (rows, 2 * d)))
+        pre = np.matmul(x, w.data, out=_scratch((rows, 2 * d)))
         pre += c.data
         return pre
 
     def convolved(pre):  # the sigmoid, the padded gate and the convolution
-        xp = _scratch("conv.xp", (B, T + width - 1, d))
+        xp = _scratch((B, T + width - 1, d))
         xp[:, :half] = 0.0
         xp[:, half + T:] = 0.0
-        s = _sigmoid_into(pre[:, d:], _scratch("glu.s", (rows, d)))
+        s = _sigmoid_into(pre[:, d:], _scratch((rows, d)))
         np.multiply(s.reshape(B, T, d), pre[:, :d].reshape(B, T, d),
                     out=xp[:, half:half + T])
-        out = _scratch("conv.out", (B, T, d))
+        out = _scratch((B, T, d))
         out.fill(0.0)
-        tap = _scratch("conv.tap", (B, T, d))  # every per-tap product
+        tap = _scratch((B, T, d))  # every per-tap product
         for j in range(width):
             out += np.multiply(kernel.data[j], xp[:, j:j + T], out=tap)
         return s, xp, out.reshape(rows, d)
 
     def normalized(xhat):  # gamma * x̂ + beta
-        y = np.multiply(xhat, gamma.data, out=_scratch("conv.y", (rows, d)))
+        y = np.multiply(xhat, gamma.data, out=_scratch((rows, d)))
         y += beta.data
         return y
 
@@ -959,10 +973,10 @@ def glu_conv_swish_matmul(a: Tensor, w: Tensor, c: Tensor, kernel: Tensor, gamma
         gy, gb = _swish_product_grad(y, b.data, gout, out=y)
         gconv, ggamma, gbeta = _layer_norm_grad(gy, xhat, gamma.data, inv)
         gconv = gconv.reshape(B, T, d)
-        gxp = _scratch("conv.gxp", xp.shape)
+        gxp = _scratch(xp.shape)
         gxp.fill(0.0)
         gk = np.empty_like(kernel.data)
-        tap = _scratch("conv.tap", (B, T, d))
+        tap = _scratch((B, T, d))
         products = tap.reshape(rows, d)
         for j in range(width):
             gxp[:, j:j + T] += np.multiply(gconv, kernel.data[j], out=tap)
@@ -1015,19 +1029,19 @@ def attention_matmul(xn: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
     The q kᵀ product is checked as a matmul, and the weights and the
     context as the ``attention_context`` node of the chain this op
     replaces, so a score that overflows raises even where the softmax
-    would hide it. The q and k projections (``attention_matmul.q`` and
-    ``.k``) get no check of their own: a non-finite entry in either makes
-    the scores it enters non-finite, and those raise under the name that
-    the chain's q and k nodes would, ``matmul``. The projections, the
-    weights (``attention_context.p``) and the context
-    (``attention_context.out``) are scratch, dropped once the product is
-    taken, so the node keeps no array of its own: the rule rebuilds them
-    by the forward's ops in the forward's order (the two projections, the
-    q kᵀ product, each utterance's skew add, the scale, ``_softmax``, the
-    product with v), at two more projections, a q kᵀ product, a softmax
-    and a context product in backward. It runs ``matmul``'s rule
-    arithmetic for w's gradient and the context's, then the attention's
-    on the latter: it writes the gradients of q, k and v through the head
+    would hide it. The q and k projections get no check of their own: a
+    non-finite entry in either makes the scores it enters non-finite,
+    and those raise under the name that the chain's q and k nodes would,
+    ``matmul``. The projections, the weights and the context are
+    scratch, dropped once the product is taken, so the node keeps no
+    array of its own: the rule rebuilds them by the forward's ops in the
+    forward's order (the two projections, the q kᵀ product, each
+    utterance's skew add, the scale, ``_softmax``, the product with v),
+    at two more projections, a q kᵀ product, a softmax and a context
+    product in backward. It runs ``matmul``'s rule arithmetic for w's
+    gradient and the context's, then the attention's on the latter: the
+    weights' gradient g vᵀ, and the softmax's written over it, are
+    scratch too; it writes the gradients of q, k and v through the head
     views and each utterance's positional gradient into a zeroed (H, T,
     2T - 1) array through the skew view. Last come the projections'
     rules: xn's gradient is q's gradient times wqᵀ, then plus k's times
@@ -1056,13 +1070,13 @@ def attention_matmul(xn: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
     def head_view(a):  # (B·T, d) -> (B, H, T, dh), a view
         return a.reshape(B, T, H, dh).transpose(0, 2, 1, 3)
 
-    def projection(x, wt, bt, slot):  # x @ wt + bt, in scratch
-        out = np.matmul(x, wt.data, out=_scratch(slot, (rows, d)))
+    def projection(x, wt, bt):  # x @ wt + bt, in scratch
+        out = np.matmul(x, wt.data, out=_scratch((rows, d)))
         out += bt.data
         return out
 
     def scores(q, k):  # q kᵀ, in scratch
-        z = _scratch("attention_context.p", (B, H, T, T))
+        z = _scratch((B, H, T, T))
         return np.matmul(head_view(q), np.swapaxes(head_view(k), -1, -2), out=z)
 
     def weights(z):  # the softmax of the scaled scores, over z
@@ -1072,13 +1086,13 @@ def attention_matmul(xn: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
         return _softmax(z)
 
     def context(p):  # the weights times v, in scratch
-        ctx = _scratch("attention_context.out", (rows, d))
+        ctx = _scratch((rows, d))
         np.matmul(p, head_view(v.data), out=head_view(ctx))
         return ctx
 
     def forward(x):
-        q = projection(x, wq, bq, "attention_matmul.q")
-        k = projection(x, wk, bk, "attention_matmul.k")
+        q = projection(x, wq, bq)
+        k = projection(x, wk, bk)
         z = scores(q, k)
         _finite(z, "matmul")
         p = weights(z)
@@ -1088,8 +1102,8 @@ def attention_matmul(xn: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
         return ctx @ w.data
 
     def grads(x, gp):
-        q = projection(x, wq, bq, "attention_matmul.q")
-        k = projection(x, wk, bk, "attention_matmul.k")
+        q = projection(x, wq, bq)
+        k = projection(x, wk, bk)
         p = weights(scores(q, k))
         ctx = context(p)
         gw = ctx.T @ gp
@@ -1097,8 +1111,9 @@ def attention_matmul(xn: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
         gh = head_view(g)
         gq, gk, gv = (np.empty((rows, d)) for _ in range(3))
         np.matmul(np.swapaxes(p, -1, -2), gh, out=head_view(gv))
-        # the weights' gradient g vᵀ lives only until the softmax's is taken
-        gz = _softmax_grad(p, np.matmul(gh, np.swapaxes(head_view(v.data), -1, -2)))
+        # the weights' gradient g vᵀ, in scratch, and the softmax's over it
+        gpv = np.matmul(gh, np.swapaxes(head_view(v.data), -1, -2), out=_scratch(p.shape))
+        gz = _softmax_grad(p, gpv, gpv)
         gz *= scale
         gpos = [np.zeros((H, T, W)) for _ in range(B)]
         for gfull, gzb in zip(gpos, gz):

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (NonFiniteError, Rng, ShapeError, Tensor, _scratch, backward,
-                       cross_entropy_mean, finite_diff_grad, fnv1a64, mix64,
+from .autodiff import (NonFiniteError, Rng, ShapeError, Tensor, _scratch, _scratch_reset,
+                       backward, cross_entropy_mean, finite_diff_grad, fnv1a64, mix64,
                        relative_error, zero_grads)
 from .blocks import ModelConfig
 from .configio import serialize_config
@@ -66,12 +66,12 @@ class OptimizerState:
     ``BETA2`` and ``EPS``. The moments mirror parameter shapes, and every
     update is in place, so bound views stay valid.
 
-    A step allocates no parameter-sized array: per tensor it works in two
-    of the calling thread's scratch buffers (``autodiff._scratch``) in the
-    op order of the plain formulas, so it gives their bytes:
-    m·β₁ + g·(1−β₁) and v·β₂ + (g·g)·(1−β₂), then m/(1−β₁ᵗ) and
-    sqrt(v/(1−β₂ᵗ)) + eps, then the first times lr over the second,
-    subtracted from the data. A tensor whose ``grad`` is None is skipped.
+    A step allocates no parameter-sized array: each tensor's update is
+    one scratch call, two views of the calling thread's scratch arena
+    (``autodiff._scratch``), in the op order of the plain formulas, so
+    it gives their bytes: m·β₁ + g·(1−β₁) and v·β₂ + (g·g)·(1−β₂), then
+    m/(1−β₁ᵗ) and sqrt(v/(1−β₂ᵗ)) + eps, then the first times lr over
+    the second, subtracted from the data. A tensor whose ``grad`` is None is skipped.
     """
 
     step_count: int = field(default=0, init=False)
@@ -90,8 +90,9 @@ class OptimizerState:
                 self.v[key] = np.zeros_like(tensor.data)
             m = self.m[key]
             v = self.v[key]
-            step = _scratch("adam.step", g.shape)
-            den = _scratch("adam.den", g.shape)
+            _scratch_reset()
+            step = _scratch(g.shape)
+            den = _scratch(g.shape)
             m *= BETA1
             m += np.multiply(g, 1.0 - BETA1, out=step)
             v *= BETA2

@@ -123,7 +123,7 @@ def glu(a: Tensor) -> Tensor:
     out *= a.data[..., :n]
 
     def rule(g):
-        s = _sigmoid_into(a.data[..., n:], _scratch("glu.s", g.shape))
+        s = _sigmoid_into(a.data[..., n:], _scratch(g.shape))
         ga = np.empty_like(a.data)
         np.multiply(g, s, out=ga[..., :n])
         gv = np.multiply(g, a.data[..., :n], out=ga[..., n:])
@@ -157,7 +157,7 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, frames: int | None = None) -> Te
     half = (w - 1) // 2
 
     def padded():
-        xp = _scratch("conv.xp", (B, T + w - 1, d))
+        xp = _scratch((B, T + w - 1, d))
         xp[:, :half] = 0.0
         xp[:, half + T:] = 0.0
         xp[:, half:half + T] = x.data.reshape(B, T, d)
@@ -165,7 +165,7 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, frames: int | None = None) -> Te
 
     xp = padded()
     out = np.zeros((B, T, d))
-    tap = _scratch("conv.tap", (B, T, d))  # every per-tap product
+    tap = _scratch((B, T, d))  # every per-tap product
     for j in range(w):
         out += np.multiply(kernel.data[j], xp[:, j:j + T], out=tap)
 
@@ -176,7 +176,7 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, frames: int | None = None) -> Te
         # not scratch: for B = 1 the returned slice is a view of gxp
         gxp = np.zeros_like(xp)
         gk = np.empty_like(kernel.data)
-        tap = _scratch("conv.tap", (B, T, d))
+        tap = _scratch((B, T, d))
         products = tap.reshape(rows, d)
         for j in range(w):
             gxp[:, j:j + T] += np.multiply(g, kernel.data[j], out=tap)
@@ -190,7 +190,7 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, frames: int | None = None) -> Te
 def softmax(x: Tensor) -> Tensor:
     """Max-subtracted softmax over the last axis; rows sum to one."""
     p = _softmax(x.data.copy())
-    return _result(p, "softmax", (x,), lambda g: (_softmax_grad(p, g),))
+    return _result(p, "softmax", (x,), lambda g: (_softmax_grad(p, g, None),))
 
 
 def attention_weights(content: Tensor, pos_full: Tensor, scale: float) -> Tensor:
@@ -212,7 +212,7 @@ def attention_weights(content: Tensor, pos_full: Tensor, scale: float) -> Tensor
     p = _softmax(z)
 
     def rule(g):
-        gz = _softmax_grad(p, g)
+        gz = _softmax_grad(p, g, None)
         gz *= scale
         gfull = np.zeros_like(pos_full.data)
         _skew(gfull)[...] = gz
@@ -275,11 +275,11 @@ def attention_context(q: Tensor, k: Tensor, pos, v: Tensor) -> Tensor:
     the B utterances' (H, T, 2T - 1) positional scores, and the scale is
     1/sqrt(d/H). The parents are (q, k, *pos, v). The q kᵀ product is
     checked as a matmul and the weights as this op. The weights are
-    built in the ``attention_context.p`` scratch slot, and the rule
-    rebuilds them there by the forward's ops, so the node keeps no array
-    of its own; the rule writes the gradients of q, k and v through the
-    head views and each utterance's positional gradient into a zeroed
-    (H, T, 2T - 1) array through the skew view.
+    built in scratch, and the rule rebuilds them in scratch by the
+    forward's ops, so the node keeps no array of its own; the rule
+    writes the gradients of q, k and v through the head views and each
+    utterance's positional gradient into a zeroed (H, T, 2T - 1) array
+    through the skew view.
     """
     pos = tuple(pos)
     rows, d = q.shape
@@ -292,7 +292,7 @@ def attention_context(q: Tensor, k: Tensor, pos, v: Tensor) -> Tensor:
         return a.reshape(B, T, H, dh).transpose(0, 2, 1, 3)
 
     def scores():  # q kᵀ, in scratch
-        z = _scratch("attention_context.p", (B, H, T, T))
+        z = _scratch((B, H, T, T))
         return np.matmul(head_view(q.data), np.swapaxes(head_view(k.data), -1, -2), out=z)
 
     def weights(z):  # the softmax of the scaled scores, over z
@@ -314,7 +314,7 @@ def attention_context(q: Tensor, k: Tensor, pos, v: Tensor) -> Tensor:
         gq, gk, gv = (np.empty((rows, d)) for _ in range(3))
         np.matmul(np.swapaxes(p, -1, -2), gh, out=head_view(gv))
         # the weights' gradient g vᵀ lives only until the softmax's is taken
-        gz = _softmax_grad(p, np.matmul(gh, np.swapaxes(head_view(v.data), -1, -2)))
+        gz = _softmax_grad(p, np.matmul(gh, np.swapaxes(head_view(v.data), -1, -2)), None)
         gz *= scale
         gpos = [np.zeros((H, T, W)) for _ in range(B)]
         for gfull, gzb in zip(gpos, gz):

@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from confshare.autodiff import (_SCRATCH, HALF_STEP, LN_EPS, ZERO_FLOOR, NonFiniteError, Rng,
+from confshare.autodiff import (_THREAD, HALF_STEP, LN_EPS, ZERO_FLOOR, NonFiniteError, Rng,
                                 ShapeError, Tape, Tensor, _skew, attention_matmul, backward,
                                 cross_entropy_mean, finite_diff_grad, glu_conv_swish_matmul,
                                 layer_norm, linear_swish_matmul, matmul, relative_error,
@@ -1167,7 +1167,7 @@ def _assert_same_bytes(got, want):
 @pytest.mark.parametrize("build", FUSIONS)
 def test_fused_op_gives_the_bytes_of_its_chain(build):
     # a wider row's forward and rule, run before the row and again between
-    # its two rule calls, grow every scratch slot and then overwrite it in
+    # its two rule calls, grow the scratch arena and then overwrite it in
     # place, so a rule that read what its forward left there would give
     # other bytes the second time
     def run_wider():
@@ -1628,7 +1628,7 @@ class TestRetainedMemory:
         from confshare.training import batch_loss
 
         model, data = _lrs3(frames, batch)
-        batch_loss(model, *data)  # the scratch slots take their size
+        batch_loss(model, *data)  # the scratch arena takes its size
         loss, held = traced_held(lambda: batch_loss(model, *data))
         nodes = Tape.trace(loss).nodes
         closures = self._held_arrays(nodes)
@@ -1695,22 +1695,60 @@ def _flattened(value) -> list:
 
 
 def _scratch_buffers() -> list[np.ndarray]:
-    """The calling thread's scratch buffers."""
-    return list(_SCRATCH.buffers.values())
+    """The calling thread's scratch arena, its one buffer."""
+    return [_THREAD.arena.buffer]
 
 
 class TestScratch:
-    """A scratch buffer holds only temporaries that a kernel fills and drops
-    within one call, and each thread has its own."""
+    """The scratch arena holds only temporaries that a kernel fills and
+    drops within one call, it is as large as the largest call's takes,
+    and each thread has its own."""
 
-    SLOTS = {"swish.act", "swish.s", "swish.ga", "linear_swish_matmul.xu",
-             "linear_swish_matmul.pre", "linear_swish_matmul.au", "conv.pre",
-             "glu.s", "conv.xp", "conv.tap", "conv.out", "conv.y", "conv.gxp",
-             "softmax_grad.gp", "attention_matmul.q", "attention_matmul.k",
-             "attention_context.p", "attention_context.out", "norm.y", "norm.xhat", "adam.step",
-             "adam.den"}
-    # the slots that only a low-rank feed-forward takes
-    LOWRANK_SLOTS = {"linear_swish_matmul.xu", "linear_swish_matmul.au"}
+    @staticmethod
+    def _counted_calls(monkeypatch) -> list[int]:
+        """Count what each scratch call takes: the list gains a 0 at every
+        ``_scratch_reset`` and its last entry grows by each take's size,
+        so its first entry counts the takes before any reset."""
+        from confshare import autodiff, training
+
+        calls = [0]
+        take, reset = autodiff._scratch, autodiff._scratch_reset
+
+        def counted_take(shape):
+            calls[-1] += math.prod(shape)
+            return take(shape)
+
+        def counted_reset():
+            calls.append(0)
+            reset()
+
+        for module in (autodiff, training):
+            monkeypatch.setattr(module, "_scratch", counted_take)
+            monkeypatch.setattr(module, "_scratch_reset", counted_reset)
+        return calls
+
+    @staticmethod
+    def _fresh_thread_steps(model, batch, opt):
+        """One training step on a new thread, whose arena starts empty,
+        then a second: the first step's tape and the arena's buffer after
+        it, checked to be the one buffer that every cached view is of and
+        to be the buffer still after the second step."""
+        from confshare.training import batch_loss
+
+        def steps():
+            assert _THREAD.arena.buffer.size == 0
+            tape = backward(batch_loss(model, *batch))
+            opt.step(model.store)
+            buffer = _THREAD.arena.buffer
+            assert all(view.base is buffer for view, _ in _THREAD.arena.views.values())
+            zero_grads(model.parameters())
+            backward(batch_loss(model, *batch))
+            opt.step(model.store)
+            assert _THREAD.arena.buffer is buffer, "a second step grew the arena"
+            return tape, buffer
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            return pool.submit(steps).result(timeout=120)
 
     @staticmethod
     def _model(name):
@@ -1727,29 +1765,21 @@ class TestScratch:
 
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("name", ["toy_train", "LRS3-small"])
-    def test_no_array_a_step_keeps_shares_memory_with_a_scratch_buffer(self, name, batch):
+    def test_no_array_a_step_keeps_shares_memory_with_a_scratch_buffer(self, name, batch,
+                                                                       monkeypatch):
         from confshare.sharing import key_str
-        from confshare.training import (OptimizerState, ToyTaskSpec, batch_loss,
-                                        generate_toy_batch)
+        from confshare.training import OptimizerState, ToyTaskSpec, generate_toy_batch
 
         model, frames = self._model(name)
         spec = ToyTaskSpec(feature_dim=model.config.input_dim,
                            num_classes=model.config.num_classes, frames=frames, batch=batch)
         opt = OptimizerState()
-
-        def step():
-            # a new thread starts with no buffers, so what it holds after
-            # the step are the slots of the step's kernels alone
-            assert not _SCRATCH.buffers
-            tape = backward(batch_loss(model, *generate_toy_batch(spec, 5, 0)))
-            opt.step(model.store)
-            return tape, set(_SCRATCH.buffers), _scratch_buffers()
-
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            tape, slots, scratch = pool.submit(step).result(timeout=120)
-        # every kernel that takes scratch ran, so there is something to
-        # check against, and every slot a step takes is documented here
-        assert slots == self.SLOTS - (set() if model.plan.lowrank else self.LOWRANK_SLOTS)
+        calls = self._counted_calls(monkeypatch)
+        tape, buffer = self._fresh_thread_steps(model, generate_toy_batch(spec, 5, 0), opt)
+        # every take lies in a call that starts at the arena's head, and the
+        # arena is as large as the largest call's takes
+        assert calls[0] == 0
+        assert buffer.size == max(calls) > 0
         assert (name == "LRS3-small") == bool(model.plan.lowrank)
         kept = [(f"{n.op or 'leaf'} node", n.data) for n in tape.nodes]
         kept += [(f"{n.op} rule closure", v) for n in tape.nodes if n._backward is not None
@@ -1760,21 +1790,35 @@ class TestScratch:
             kept += [(f"{name} data", t.data), (f"{name} grad", t.grad),
                      (f"{name} m", opt.m[key]), (f"{name} v", opt.v[key])]
         for what, arr in kept:
-            assert not any(np.shares_memory(arr, buf) for buf in scratch), \
-                f"{what} shares memory with a scratch buffer"
+            assert not np.shares_memory(arr, buffer), f"{what} shares memory with the arena"
+
+    def test_lrs3_step_arena_is_the_low_rank_feed_forward_rule(self, monkeypatch):
+        # LRS3's d=144 and k=50 at one T=128 utterance: the largest call is
+        # the low-rank feed-forward's rule, three (rows, n) arrays (the
+        # pre-activation, the sigmoid and g @ bᵀ) and two each of (rows, d)
+        # (g·s and LN(a), over which x̂ is rebuilt) and (rows, k) (x @ U1
+        # and act @ U2), 3.4 MiB
+        from confshare.training import OptimizerState
+
+        model, features, labels = TestRetainedMemory._two_layer_lrs3()
+        calls = self._counted_calls(monkeypatch)
+        _, buffer = self._fresh_thread_steps(model, (features[None], labels[None]),
+                                             OptimizerState())
+        rows, d, n, k = 128, 144, model.config.ffn_width, 50
+        assert buffer.size == max(calls) == 3 * rows * n + 2 * rows * d + 2 * rows * k
+        assert buffer.nbytes <= 3.5 * 2**20
 
     @staticmethod
-    def _assert_warm_rule_allocates_only_its_gradients(node, g, held):
+    def _assert_warm_rule_allocates_only_its_gradients(node, g):
         """Beyond the gradients it returns, the rule of a module op holds
-        only ``held`` arrays of its input's size: LN(a)'s gradient, which
-        the core hands the norm prologue's rule, one temporary of that
-        rule's arithmetic at a time, and for a scaled residual g·s, which
-        the bias's gradient reads last. The residual's gradient is g
-        itself."""
-        node._backward(g)  # the scratch slots take their size
+        only two arrays of its input's size: LN(a)'s gradient, which the
+        core hands the norm prologue's rule, and one temporary of that
+        rule's arithmetic at a time. The residual's gradient is g itself,
+        and a scaled residual's g·s is scratch."""
+        node._backward(g)  # the scratch arena takes its size
         grads, peak = traced_peak(lambda: node._backward(g))
         allocated = sum(x.nbytes for x in grads if x is not g)
-        assert peak <= allocated + held * node._parents[0].data.nbytes + 64 * 1024, \
+        assert peak <= allocated + 2 * node._parents[0].data.nbytes + 64 * 1024, \
             f"the rule held {peak} bytes for {allocated} bytes of gradients"
 
     def test_warm_glu_conv_swish_matmul_rule_allocates_only_its_gradients(self):
@@ -1789,7 +1833,7 @@ class TestScratch:
         node = glu_conv_swish_matmul(a, w, c, k, gamma, beta, b, 128, bias=bias,
                                      norm=(gamma0, beta0))
         self._assert_warm_rule_allocates_only_its_gradients(
-            node, rng.uniform(-1.0, 1.0, (128, 144)), held=2)
+            node, rng.uniform(-1.0, 1.0, (128, 144)))
 
     def test_warm_linear_swish_matmul_rule_allocates_only_its_gradients(self):
         # the LRS3 low-rank feed-forward, one T=128 utterance: the rule
@@ -1804,7 +1848,7 @@ class TestScratch:
         node = linear_swish_matmul(a, (u1, v1), c, (u2, v2), bias, norm=(gamma, beta),
                                    out_norm=None)
         self._assert_warm_rule_allocates_only_its_gradients(
-            node, rng.uniform(-1.0, 1.0, (128, 144)), held=3)
+            node, rng.uniform(-1.0, 1.0, (128, 144)))
 
     @staticmethod
     def _swish_product_oracle(a, b, bias, g):
@@ -1886,7 +1930,7 @@ class TestScratch:
         """linear_swish_matmul, glu, depthwise_conv1d and
         glu_conv_swish_matmul at the shapes of the fd_gradcheck model of
         width d (2 utterances of 6 frames), each byte-compared with a
-        fresh-buffer oracle."""
+        fresh-buffer oracle; returns the scratch arena's buffer."""
         from confshare.blocks import ModelConfig
 
         ffn = ModelConfig(d=d, e=7.25, heads=4, kernel_width=11).ffn_width
@@ -1932,17 +1976,17 @@ class TestScratch:
         assert len(got) == len(want)
         for i, (x, y) in enumerate(zip(got, want)):
             assert x.shape == y.shape and x.tobytes() == y.tobytes(), f"array {i} at d={d}"
-        return {slot: buf.size for slot, buf in _SCRATCH.buffers.items()}
+        return _THREAD.arena.buffer
 
-    def test_alternating_shapes_through_the_same_slots_match_fresh_buffer_oracles(self):
+    def test_alternating_shapes_through_one_arena_match_fresh_buffer_oracles(self):
         def alternate():
-            # a new thread starts with no buffers, so the d=16 shapes grow
-            # every slot and the second d=8 pass runs in their heads
-            assert not _SCRATCH.buffers
-            sizes = [self._check_fd_gradcheck_shapes(d, lowrank)
-                     for d, lowrank in ((8, False), (16, True), (8, False), (16, True))]
-            assert all(sizes[1][slot] > sizes[0][slot] for slot in sizes[0])
-            assert sizes[1] == sizes[2] == sizes[3]
+            # a new thread starts with an empty arena, so the d=16 shapes
+            # grow it and the second d=8 pass runs in its head
+            assert _THREAD.arena.buffer.size == 0
+            buffers = [self._check_fd_gradcheck_shapes(d, lowrank)
+                       for d, lowrank in ((8, False), (16, True), (8, False), (16, True))]
+            assert buffers[1].size > buffers[0].size
+            assert buffers[1] is buffers[2] is buffers[3]
             return _scratch_buffers()
 
         with ThreadPoolExecutor(max_workers=1) as pool:

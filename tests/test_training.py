@@ -119,7 +119,7 @@ class TestAdam:
         for t in store.values():
             t.grad = rng.uniform(-1.0, 1.0, t.shape)
         opt = OptimizerState()
-        opt.step(store)  # the moments and the scratch slots take their size
+        opt.step(store)  # the moments and the scratch arena take their size
         _, peak = traced_peak(lambda: opt.step(store))
         assert peak < 64 * 1024, \
             f"a step over {store['w'].data.nbytes} bytes of weight held {peak} bytes"

@@ -24,7 +24,8 @@ range of rows split into heads, one node and no copy) and
 ``cross_entropy_mean``.
 
 The products are ``matmul`` (2-d with an optional bias, or 3-d
-batched for the positional scores) and the three module ops, each of
+batched, which for an utterance's positional scores keeps only their
+(H, T, T) band) and the three module ops, each of
 which takes only the call that its block makes, since every module of
 the paper's block is pre-normed, biased and residual:
 ``linear_swish_matmul`` (a whole feed-forward, a + ½·(swish(LN(a) @ w
@@ -37,10 +38,10 @@ each utterance of a packed batch on its own, and the inner layer norm
 between its two products) and ``attention_matmul`` (the residual plus
 the attention context times the post-projection plus its bias: from the
 attention's layer-norm output, whose q and k projections it builds
-itself, the v projection and each utterance's relative-position scores,
-one node per layer over all heads of a batch, which reads the heads as
-strided views). One frame, ``_product``, makes each of them the one
-node LN'(residual + s·(P(LN(a)) + bias)), P the product's core, so no
+itself, the v projection and each utterance's band of relative-position
+scores, one node per layer over all heads of a batch, which reads the
+heads as strided views). One frame, ``_product``, makes each of them the
+one node LN'(residual + s·(P(LN(a)) + bias)), P the product's core, so no
 step is a node of its own: a ``norm=(gamma, beta)`` prologue that
 multiplies layer_norm(a, gamma, beta) instead of ``a``, a bias added to
 every row, a residual and scale ``s``, applied as ``out *= s; out +=
@@ -73,6 +74,9 @@ so its bytes are those of keeping them:
 * a product keeps nothing of its own beyond a prologue's and an
   epilogue's per-row mean and inverse deviation: of the sum that an
   epilogue normalizes, the tape keeps only the normalized output;
+* a band ``matmul`` keeps only the (H, T, T) band of its (H, T, 2T − 1)
+  product, whose other half no score reads: the full product lives in
+  scratch, in the forward and again, zeroed off the band, in the rule;
 * ``linear_swish_matmul`` keeps neither the activation, the
   pre-activation nor a low-rank pair's (rows, k) products LN(a) @ U1
   and act @ U2: it rebuilds LN(a) @ U1 and the pre-activation by the
@@ -580,7 +584,7 @@ def _product(op: str, a: Tensor, rest: tuple, forward, grads, bias: Tensor | Non
 
 
 def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
-           bias: Tensor | None = None) -> Tensor:
+           bias: Tensor | None = None, band: bool = False) -> Tensor:
     """Matrix product. 2-d x 2-d, or 3-d x 3-d batched over the leading axis.
 
     ``transpose_b=True`` computes ``a @ swap(b)`` without materializing the
@@ -588,6 +592,15 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
     V factor). ``bias``, for 2-d operands, is added to every row
     (``_product``). The rule computes no gradient for a constant ``a``
     (the frontend's packed features): ``backward`` would drop it.
+
+    ``band=True`` keeps only the (H, T, T) band ``_skew(a @ bᵀ)`` of the
+    product of an (H, T, dh) ``a`` and an (H, 2T − 1, dh) ``b`` with
+    ``transpose_b``, an utterance's positional scores: the full (H, T,
+    2T − 1) product is built in scratch and checked there, and its skew
+    view copied out, so the node holds H·T·T scalars, not H·T·(2T − 1).
+    The rule writes the band's gradient through the skew view of a
+    zeroed scratch (H, T, 2T − 1) array and runs the same two products
+    on it, so the bytes are those of ``_skew`` of the full product.
     """
     ad, bd = a.data, b.data
     if ad.ndim != bd.ndim or ad.ndim not in (2, 3):
@@ -596,11 +609,25 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
     if ad.shape[-1] != b_eff_inner or (ad.ndim == 3 and ad.shape[0] != bd.shape[0]):
         raise ShapeError(f"matmul: inner extents differ: {ad.shape} @ {bd.shape}"
                          f"{' (transposed)' if transpose_b else ''}")
+    if band and not (ad.ndim == 3 and transpose_b and bd.shape[1] == 2 * ad.shape[1] - 1):
+        raise ShapeError(f"matmul: a band takes (H, T, dh) @ (H, 2T - 1, dh) transposed, got "
+                         f"{ad.shape} @ {bd.shape}{' (transposed)' if transpose_b else ''}")
+    full_shape = ad.shape[:2] + bd.shape[1:2]  # a band's (H, T, 2T - 1)
 
     def forward(x):
-        return x @ (np.swapaxes(b.data, -1, -2) if transpose_b else b.data)
+        product = np.matmul(x, np.swapaxes(b.data, -1, -2) if transpose_b else b.data,
+                            out=_scratch(full_shape) if band else None)
+        if not band:
+            return product
+        _finite(product, "matmul")
+        return _skew(product).copy()
 
     def grads(x, gp):
+        if band:
+            full = _scratch(full_shape)
+            full.fill(0.0)
+            _skew(full)[...] = gp
+            gp = full
         # d_x = g @ bᵀ and d_b = xᵀ @ g, or g @ b and gᵀ @ x for x @ bᵀ; no d_x
         # for a constant a
         bt = b.data if transpose_b else np.swapaxes(b.data, -1, -2)
@@ -865,7 +892,9 @@ def _softmax_grad(p: np.ndarray, g: np.ndarray, out: np.ndarray | None) -> np.nd
 
 def _skew(full: np.ndarray) -> np.ndarray:
     """The (H, T, T) view out[h, t, s] = full[h, t, s - t + T - 1] of a
-    C-contiguous (H, T, 2T - 1) array, with no index arrays.
+    C-contiguous (H, T, 2T - 1) array, with no index arrays: the band of
+    positional scores, key s against query t, that a band ``matmul``
+    copies out of its full product, and its rule's gradient written back.
 
     In the (H, T·(2T−1)) flattening, out[h, t, s] is element
     (T − 1) + t·(2T − 2) + s of row h (the skew of Huang et al. 2018,
@@ -1007,7 +1036,7 @@ def utterance_count(rows: int, frames: int) -> int:
 
 def attention_matmul(xn: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor, pos, v: Tensor,
                      w: Tensor, *, bias: Tensor, residual: Tensor) -> Tensor:
-    """residual + softmax((q kᵀ + skew(pos)) / sqrt(d/H)) v @ w + bias,
+    """residual + softmax((q kᵀ + pos) / sqrt(d/H)) v @ w + bias,
     with q = xn @ wq + bq and k = xn @ wk + bk: every head's context times
     the post-projection, plus its bias and the residual, as one node
     (``_product``).
@@ -1018,10 +1047,10 @@ def attention_matmul(xn: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
     heads are read as strided (B, H, T, dh) views, with no copies, and
     the context is written through the same view into a (B·T, d) array,
     the heads of each frame side by side. ``pos`` holds the B
-    utterances' (H, T, 2T - 1) positional scores, in packing order:
-    column c holds the score for key offset c - (T - 1) relative to the
-    query, and skew(pos[b])[h, t, s] = pos[b][h, t, s - t + T - 1] (a
-    strided view, see ``_skew``). B is ``len(pos)``, and H and T are
+    utterances' (H, T, T) positional scores, in packing order: pos[b][h,
+    t, s] is the score of key s against query t, the band that a band
+    ``matmul`` keeps of its (H, T, 2T − 1) product (``_skew``), added to
+    the content scores as it is. B is ``len(pos)``, and H and T are
     read from the parts' shape, and so the scale 1/sqrt(d/H) of Vaswani
     et al. 2017 (arXiv:1706.03762). The parents are (xn, wq, bq, wk, bk,
     *pos, v, w, bias, residual).
@@ -1036,31 +1065,31 @@ def attention_matmul(xn: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
     scratch, dropped once the product is taken, so the node keeps no
     array of its own: the rule rebuilds them by the forward's ops in the
     forward's order (the two projections, the q kᵀ product, each
-    utterance's skew add, the scale, ``_softmax``, the product with v),
+    utterance's band add, the scale, ``_softmax``, the product with v),
     at two more projections, a q kᵀ product, a softmax and a context
     product in backward. It runs ``matmul``'s rule arithmetic for w's
     gradient and the context's, then the attention's on the latter: the
     weights' gradient g vᵀ, and the softmax's written over it, are
     scratch too; it writes the gradients of q, k and v through the head
-    views and each utterance's positional gradient into a zeroed (H, T,
-    2T - 1) array through the skew view. Last come the projections'
-    rules: xn's gradient is q's gradient times wqᵀ, then plus k's times
-    wkᵀ, and the weights' and biases' are xnᵀ and row sums times each. So
-    the bytes are those of ``add(residual, matmul(attention_context(
-    matmul(xn, wq, bias=bq), matmul(xn, wk, bias=bk), pos, v), w,
-    bias=bias))`` in ``tests/oracles.py``.
+    views and returns each utterance's (H, T, T) positional gradient as
+    a fresh copy of its part of the scores' gradient. Last come the
+    projections' rules: xn's gradient is q's gradient times wqᵀ, then
+    plus k's times wkᵀ, and the weights' and biases' are xnᵀ and row sums
+    times each. So the bytes are those of ``add(residual,
+    matmul(attention_context(matmul(xn, wq, bias=bq), matmul(xn, wk,
+    bias=bk), pos, v), w, bias=bias))`` in ``tests/oracles.py``.
     """
     pos = tuple(pos)
     rows = xn.shape[0] if xn.ndim == 2 else 0
     d = w.shape[0] if w.ndim == 2 else 0
     B = len(pos)
     H, T, W = pos[0].shape if B and pos[0].ndim == 3 else (0, 0, 0)
-    if (not H or not d or d % H or W != 2 * T - 1 or rows != B * T
+    if (not H or not d or d % H or W != T or rows != B * T
             or any(part.shape != pos[0].shape for part in pos)
             or wq.shape != (xn.shape[1], d) or wk.shape != wq.shape
             or bq.shape != (d,) or bk.shape != (d,) or v.shape != (rows, d)):
         raise ShapeError(f"attention_matmul: expected a (B·T, n) xn, (n, d) wq and wk, (d,) bq "
-                         f"and bk, B (H, T, 2T - 1) positional scores with H dividing d, a "
+                         f"and bk, B (H, T, T) positional scores with H dividing d, a "
                          f"(B·T, d) v and a (d, m) w, got {xn.shape}, {wq.shape}, {bq.shape}, "
                          f"{wk.shape}, {bk.shape}, {[part.shape for part in pos]}, {v.shape} "
                          f"and {w.shape}")
@@ -1081,7 +1110,7 @@ def attention_matmul(xn: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
 
     def weights(z):  # the softmax of the scaled scores, over z
         for zb, part in zip(z, pos):
-            zb += _skew(part.data)
+            zb += part.data
         z *= scale
         return _softmax(z)
 
@@ -1115,9 +1144,7 @@ def attention_matmul(xn: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
         gpv = np.matmul(gh, np.swapaxes(head_view(v.data), -1, -2), out=_scratch(p.shape))
         gz = _softmax_grad(p, gpv, gpv)
         gz *= scale
-        gpos = [np.zeros((H, T, W)) for _ in range(B)]
-        for gfull, gzb in zip(gpos, gz):
-            _skew(gfull)[...] = gzb
+        gpos = [gzb.copy() for gzb in gz]
         np.matmul(gz, head_view(k), out=head_view(gq))
         np.matmul(np.swapaxes(gz, -1, -2), head_view(q), out=head_view(gk))
         gx = gq @ wq.data.T

@@ -207,14 +207,18 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None,
     utterance after utterance, so no head sees another utterance's frames,
     and keeps neither q, k, a (B·H, T, T) array nor the (B·T, d) context:
     its rule rebuilds the projections, the softmax weights and the
-    context. Only the positional product runs per utterance, (H, T,
-    2T − 1) each, on the utterance's pos-query rows, split into heads by
-    one ``split_heads`` node, a view with no copy, against ``table``, the
-    ``table_heads`` of ``p`` for T frames (built here when not given), a
-    view of the table's rows too; ``attention_matmul`` takes the B
-    products as they are, with no join. The layer norm, which v, pq and
-    the attention node read, stays a ``layer_norm`` node, and v and pq
-    stay ``matmul`` nodes; q and k are no node. So a step records one
+    context. Only the positional product runs per utterance, on the
+    utterance's pos-query rows, split into heads by one ``split_heads``
+    node, a view with no copy, against ``table``, the ``table_heads`` of
+    ``p`` for T frames (built here when not given), a view of the
+    table's rows too. It is a band ``matmul``: of the (H, T, 2T − 1)
+    product over every offset the window holds, it keeps the (H, T, T)
+    band that scores each key against each query (the skew of Huang et
+    al. 2018, arXiv:1809.04281), H·T·T scalars per utterance, and
+    ``attention_matmul`` takes the B bands as they are, with no join.
+    The layer norm, which v, pq and the attention node read, stays a
+    ``layer_norm`` node, and v and pq stay ``matmul`` nodes; q and k are
+    no node. So a step records one
     ``split_heads`` per utterance and layer, and one for the table
     (``TAPE_OPS`` in ``tests/test_autodiff.py`` counts every op).
     """
@@ -229,8 +233,8 @@ def attention(x: Tensor, p: AttentionParams, frames: int | None = None,
     v = matmul(xn, p.wv, bias=p.bv)
     pq = matmul(xn, p.wpos_query, bias=p.bpos_query)
 
-    pos = [matmul(split_heads(pq, b * T, (b + 1) * T, H), table, transpose_b=True)
-           for b in range(B)]                                # B × (H, T, 2T - 1)
+    pos = [matmul(split_heads(pq, b * T, (b + 1) * T, H), table, transpose_b=True, band=True)
+           for b in range(B)]                                # B × (H, T, T)
     return attention_matmul(xn, p.wq, p.bq, p.wk, p.bk, pos, v, p.wpost, bias=p.bpost,
                             residual=x)
 

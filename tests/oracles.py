@@ -17,10 +17,12 @@ is checked against ``attention_chain``: head splits, the content matmul,
 ``concat_rows`` of the per-utterance positional scores,
 ``attention_weights`` (itself checked against ``softmax`` of the summed
 scores), the context matmul and the merge. ``split_heads`` is checked
-against ``transpose`` of ``slice_rows``. Each op is built from the same
+against ``transpose`` of ``slice_rows``, and a band ``matmul`` against
+``skew`` of the full product. Each op is built from the same
 ``autodiff`` kernels the package uses (``_result``, ``_sigmoid_into``,
-``_scratch``, ``_skew``, ``_softmax`` and ``_softmax_grad``), so a byte
-comparison against a fused op checks the fusion and nothing else.
+``_scratch``, ``_softmax`` and ``_softmax_grad``), so a byte
+comparison against a fused op checks the fusion and nothing else;
+``skew`` gathers by index arrays, and so checks ``_skew`` too.
 ``rule_grads`` replays such a chain's rules, so each fused op's rule is
 compared with what its chain's rules hand on (``FUSIONS`` in
 ``tests/test_autodiff.py``).
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from confshare.autodiff import (ShapeError, Tape, Tensor, _finite, _result, _scratch,
-                                _sigmoid_into, _skew, _softmax, _softmax_grad, cross_entropy_mean,
+                                _sigmoid_into, _softmax, _softmax_grad, cross_entropy_mean,
                                 layer_norm, matmul, utterance_count)
 from confshare.blocks import MODULE_TYPES, module_tensor_specs
 from confshare.encoder import pack_features
@@ -193,32 +195,52 @@ def softmax(x: Tensor) -> Tensor:
     return _result(p, "softmax", (x,), lambda g: (_softmax_grad(p, g, None),))
 
 
-def attention_weights(content: Tensor, pos_full: Tensor, scale: float) -> Tensor:
-    """softmax((content + skew(pos_full)) * scale) over the last axis.
+def skew(full: Tensor) -> Tensor:
+    """out[h, t, s] = full[h, t, s - t + T - 1] of an (H, T, 2T - 1)
+    ``full``, gathered by index arrays: the (H, T, T) band of positional
+    scores that ``matmul(..., band=True)`` keeps, where column c of
+    ``full`` holds the score for key offset c - (T - 1) relative to the
+    query. One node, a copy, whose rule scatters the gradient into zeros
+    through the same indices, rebuilt from the input's shape: a (T, T)
+    index is a whole one-head output, and a rule keeps none of its own."""
+    if full.ndim != 3 or full.shape[2] != 2 * full.shape[1] - 1:
+        raise ShapeError(f"skew: expected (H, T, 2T - 1) scores, got {full.shape}")
 
-    content is (H, T, T) query-key scores. pos_full is (H, T, 2T - 1)
-    positional scores where column c holds the score for key offset
-    c - (T - 1) relative to the query, and skew(pos_full)[h, t, s] =
-    pos_full[h, t, s - t + T - 1] (a strided view, see ``_skew``). One
-    node, which keeps only the weights; its rule writes the positional
-    gradient into a zeroed (H, T, 2T - 1) array through the same view.
+    def rule(g):
+        gf = np.zeros_like(full.data)
+        gf[(slice(None), *_band_indices(full.shape[1]))] = g
+        return (gf,)
+
+    return _result(full.data[(slice(None), *_band_indices(full.shape[1]))], "skew", (full,),
+                   rule)
+
+
+def _band_indices(T):
+    """The (T, 1) rows and (T, T) columns of the band that ``skew`` reads."""
+    return np.arange(T)[:, None], np.arange(T)[None, :] - np.arange(T)[:, None] + (T - 1)
+
+
+def attention_weights(content: Tensor, pos: Tensor, scale: float) -> Tensor:
+    """softmax((content + pos) * scale) over the last axis.
+
+    content is (H, T, T) query-key scores and pos the (H, T, T) band of
+    positional scores, pos[h, t, s] for key s and query t (``skew``).
+    One node, which keeps only the weights; its rule hands both scores
+    the summed scores' gradient, pos a copy of it.
     """
-    if (pos_full.ndim != 3 or pos_full.shape[2] != 2 * pos_full.shape[1] - 1
-            or content.shape != pos_full.shape[:2] + (pos_full.shape[1],)):
-        raise ShapeError(f"attention_weights: expected (H, T, T) and (H, T, 2T - 1) "
-                         f"scores, got {content.shape} and {pos_full.shape}")
-    z = content.data + _skew(pos_full.data)
+    if content.ndim != 3 or content.shape[1] != content.shape[2] or pos.shape != content.shape:
+        raise ShapeError(f"attention_weights: expected two (H, T, T) scores, got "
+                         f"{content.shape} and {pos.shape}")
+    z = content.data + pos.data
     z *= scale
     p = _softmax(z)
 
     def rule(g):
         gz = _softmax_grad(p, g, None)
         gz *= scale
-        gfull = np.zeros_like(pos_full.data)
-        _skew(gfull)[...] = gz
-        return gz, gfull
+        return gz, gz.copy()
 
-    return _result(p, "attention_weights", (content, pos_full), rule)
+    return _result(p, "attention_weights", (content, pos), rule)
 
 
 def transpose(a: Tensor, view, shape) -> Tensor:
@@ -265,26 +287,25 @@ def concat_rows(parts) -> Tensor:
 
 
 def attention_context(q: Tensor, k: Tensor, pos, v: Tensor) -> Tensor:
-    """softmax((q kᵀ + skew(pos)) / sqrt(d/H)) v for every head, as one
+    """softmax((q kᵀ + pos) / sqrt(d/H)) v for every head, as one
     node: ``attention_matmul`` without its q and k projections and its
     post-projection, the link of its chain between them, and itself
     checked against ``attention_chain``.
 
     q, k and v are the (B·T, d) projections of B utterances of T frames,
     whose H heads it reads as strided (B, H, T, dh) views; ``pos`` holds
-    the B utterances' (H, T, 2T - 1) positional scores, and the scale is
-    1/sqrt(d/H). The parents are (q, k, *pos, v). The q kᵀ product is
-    checked as a matmul and the weights as this op. The weights are
-    built in scratch, and the rule rebuilds them in scratch by the
-    forward's ops, so the node keeps no array of its own; the rule
-    writes the gradients of q, k and v through the head views and each
-    utterance's positional gradient into a zeroed (H, T, 2T - 1) array
-    through the skew view.
+    the B utterances' (H, T, T) bands of positional scores (``skew``),
+    and the scale is 1/sqrt(d/H). The parents are (q, k, *pos, v). The
+    q kᵀ product is checked as a matmul and the weights as this op. The
+    weights are built in scratch, and the rule rebuilds them in scratch
+    by the forward's ops, so the node keeps no array of its own; the rule
+    writes the gradients of q, k and v through the head views and hands
+    each utterance's band its part of the summed scores' gradient.
     """
     pos = tuple(pos)
     rows, d = q.shape
     B = len(pos)
-    H, T, W = pos[0].shape
+    H, T, _ = pos[0].shape
     dh = d // H
     scale = 1.0 / math.sqrt(dh)
 
@@ -297,7 +318,7 @@ def attention_context(q: Tensor, k: Tensor, pos, v: Tensor) -> Tensor:
 
     def weights(z):  # the softmax of the scaled scores, over z
         for zb, part in zip(z, pos):
-            zb += _skew(part.data)
+            zb += part.data
         z *= scale
         return _softmax(z)
 
@@ -316,12 +337,9 @@ def attention_context(q: Tensor, k: Tensor, pos, v: Tensor) -> Tensor:
         # the weights' gradient g vᵀ lives only until the softmax's is taken
         gz = _softmax_grad(p, np.matmul(gh, np.swapaxes(head_view(v.data), -1, -2)), None)
         gz *= scale
-        gpos = [np.zeros((H, T, W)) for _ in range(B)]
-        for gfull, gzb in zip(gpos, gz):
-            _skew(gfull)[...] = gzb
         np.matmul(gz, head_view(k.data), out=head_view(gq))
         np.matmul(np.swapaxes(gz, -1, -2), head_view(q.data), out=head_view(gk))
-        return gq, gk, *gpos, gv
+        return gq, gk, *gz, gv
 
     return _result(out, "attention_context", (q, k, *pos, v), rule)
 
@@ -329,7 +347,7 @@ def attention_context(q: Tensor, k: Tensor, pos, v: Tensor) -> Tensor:
 def attention_chain(q: Tensor, k: Tensor, pos, v: Tensor, scale: float) -> Tensor:
     """``attention_context`` as the nodes it stands for: the q, k and v head
     splits into contiguous (B·H, T, dh) copies, q kᵀ, the B utterances'
-    (H, T, 2T - 1) positional scores joined by ``concat_rows``, the
+    (H, T, T) positional bands joined by ``concat_rows``, the
     weights, their product with v, and the merge back to (B·T, d).
 
     The bytes are ``attention_context``'s for head width dh ≥ 2. At
@@ -409,7 +427,7 @@ def reference_loss(model, features, labels) -> Tensor:
     def attention(x, t, table):
         xn = norm(x, t, "ln")
         q, k, v, pq = (linear_of(xn, t, stem) for stem in ("query", "key", "value", "pos_query"))
-        pos = [matmul(heads(pq, b * T, T), table, transpose_b=True) for b in range(B)]
+        pos = [skew(matmul(heads(pq, b * T, T), table, transpose_b=True)) for b in range(B)]
         return add(x, linear_of(attention_chain(q, k, pos, v, 1.0 / math.sqrt(dh)), t, "post"))
 
     def conv(x, t):

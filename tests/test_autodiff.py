@@ -19,7 +19,7 @@ from confshare.autodiff import (_THREAD, HALF_STEP, LN_EPS, ZERO_FLOOR, NonFinit
 from conftest import (assert_params_match_fd, bound_block, rand_tensor, traced_held,
                       traced_peak)
 from oracles import (_sigmoid, add, attention_chain, attention_context, attention_weights,
-                     concat_rows, depthwise_conv1d, glu, linear, mul, rule_grads, scale,
+                     concat_rows, depthwise_conv1d, glu, linear, mul, rule_grads, scale, skew,
                      slice_rows, softmax, swish, transpose)
 
 
@@ -162,6 +162,26 @@ class TestMatmul:
         out = matmul(a, b, bias=bias)
         assert out.data.tobytes() == (a.data @ b.data + bias.data).tobytes()
 
+    @pytest.mark.parametrize("a,b,transpose_b", [
+        pytest.param((2, 3, 4), (2, 6, 4), True, id="width-not-2T-1"),
+        pytest.param((2, 3, 4), (2, 4, 5), False, id="not-transposed"),
+        pytest.param((3, 4), (5, 4), True, id="2-d")])
+    def test_band_takes_only_a_positional_product(self, a, b, transpose_b):
+        message = (f"matmul: a band takes (H, T, dh) @ (H, 2T - 1, dh) transposed, got {a} @ "
+                   f"{b}{' (transposed)' if transpose_b else ''}")
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            matmul(Tensor(np.zeros(a)), Tensor(np.zeros(b)), transpose_b=transpose_b, band=True)
+
+    def test_band_checks_the_whole_product(self):
+        # full[0, 0, 0], offset -1 from the first query, is outside the band:
+        # it overflows while every score the band keeps is finite
+        a, b = np.ones((1, 2, 1)), np.ones((1, 3, 1))
+        a[0, 0, 0] = b[0, 0, 0] = 1e200
+        with np.errstate(over="ignore"):
+            assert np.all(np.isfinite(_skew(a @ np.swapaxes(b, -1, -2))))
+            with pytest.raises(NonFiniteError, match="^matmul produced non-finite values$"):
+                matmul(Tensor(a), Tensor(b), transpose_b=True, band=True)
+
 
 class TestLayerNorm:
     def test_zero_variance(self):
@@ -225,73 +245,54 @@ class TestSoftmax:
         assert_params_match_fd({"x": x}, make_loss)
 
 
-def _gather_indices(T):
-    """The (T, 1) rows and (T, T) columns that ``gather_oracle`` reads."""
-    return np.arange(T)[:, None], np.arange(T)[None, :] - np.arange(T)[:, None] + (T - 1)
-
-
-def gather_oracle(full: Tensor) -> Tensor:
-    """out[h, t, s] = full[h, t, s - t + T - 1] by index arrays, as a tape
-    node whose rule scatters the gradient back through the same indices,
-    rebuilt from the input's shape: a (T, T) index is a whole one-head
-    output, and a rule keeps none of its own."""
-    def rule(g):
-        gf = np.zeros_like(full.data)
-        gf[(slice(None), *_gather_indices(full.shape[1]))] = g
-        return (gf,)
-
-    return Tensor(full.data[(slice(None), *_gather_indices(full.shape[1]))],
-                  requires_grad=full.requires_grad, op="gather", parents=(full,),
-                  backward=rule)
-
-
 class TestAttentionWeights:
     @pytest.mark.parametrize("T", [1, 2, 3, 5, 16, 128])
     def test_skew_equals_index_gather(self, T):
-        full = Tensor(Rng(T).uniform(-1, 1, (3, T, 2 * T - 1)))
-        assert _skew(full.data).tobytes() == gather_oracle(full).data.tobytes()
+        full = Tensor(Rng(T).uniform(-1, 1, (3, T, 2 * T - 1)), requires_grad=True)
+        assert _skew(full.data).tobytes() == skew(full).data.tobytes()
         # writing through the view is the oracle's scatter
         g = Rng(T + 1).uniform(-1, 1, (3, T, T))
         scattered = np.zeros(full.shape)
         _skew(scattered)[...] = g
-        assert scattered.tobytes() == gather_oracle(full)._backward(g)[0].tobytes()
+        assert scattered.tobytes() == skew(full)._backward(g)[0].tobytes()
 
     def test_gradients(self, rng):
         T = 4
         content = rand_tensor(rng, (2, T, T), requires_grad=True, scale=2.0)
-        pos_full = rand_tensor(rng, (2, T, 2 * T - 1), requires_grad=True, scale=2.0)
+        pos = rand_tensor(rng, (2, T, T), requires_grad=True, scale=2.0)
         c = Tensor(rng.uniform(-1, 1, (2, T, T)))
 
         def make_loss():
-            return sum_all(mul(attention_weights(content, pos_full, 0.5), c))
+            return sum_all(mul(attention_weights(content, pos, 0.5), c))
 
-        assert_params_match_fd({"content": content, "pos_full": pos_full}, make_loss)
+        assert_params_match_fd({"content": content, "pos": pos}, make_loss)
 
-    @pytest.mark.parametrize("content,pos_full", [((2, 3, 3), (2, 3, 6)),
-                                                  ((2, 3, 3), (2, 4, 7)),
-                                                  ((2, 3, 4), (2, 3, 5)),
-                                                  ((3, 3), (3, 5))])
-    def test_rejects_scores_that_do_not_pair_up(self, content, pos_full):
+    @pytest.mark.parametrize("content,pos", [((2, 3, 3), (2, 3, 5)),
+                                             ((2, 3, 3), (2, 4, 4)),
+                                             ((2, 3, 4), (2, 3, 4)),
+                                             ((3, 3), (3, 3))])
+    def test_rejects_scores_that_do_not_pair_up(self, content, pos):
         with pytest.raises(ShapeError, match="attention_weights"):
-            attention_weights(Tensor(np.zeros(content)), Tensor(np.zeros(pos_full)), 1.0)
+            attention_weights(Tensor(np.zeros(content)), Tensor(np.zeros(pos)), 1.0)
 
 
 def _attention_operands(draw, B, T=4, H=2, dh=3):
-    """(B·T, H·dh) q, k and v and B utterances' (H, T, 2T - 1) positional
-    scores, in the order of ``attention_context``'s parents, each from
-    ``draw`` (see ``_drawer``)."""
+    """(B·T, H·dh) q, k and v and B utterances' (H, T, T) bands of
+    positional scores, in the order of ``attention_context``'s parents,
+    each from ``draw`` (see ``_drawer``)."""
     d = H * dh
     q, k = draw(B * T, d), draw(B * T, d)
-    return q, k, [draw(H, T, 2 * T - 1) for _ in range(B)], draw(B * T, d)
+    return q, k, [draw(H, T, T) for _ in range(B)], draw(B * T, d)
 
 
 def _attention_matmul_operands(draw, B, T=4, H=2, dh=3, n=2):
     """A (B·T, n) xn, the (n, H·dh) wq and its (H·dh,) bq, the same for k,
-    B utterances' (H, T, 2T - 1) positional scores and a (B·T, H·dh) v,
-    in the order of ``attention_matmul``'s parents, each from ``draw``."""
+    B utterances' (H, T, T) bands of positional scores and a (B·T, H·dh)
+    v, in the order of ``attention_matmul``'s parents, each from
+    ``draw``."""
     d = H * dh
     xn, wq, bq, wk, bk = draw(B * T, n), draw(n, d), draw(d), draw(n, d), draw(d)
-    return xn, wq, bq, wk, bk, [draw(H, T, 2 * T - 1) for _ in range(B)], draw(B * T, d)
+    return xn, wq, bq, wk, bk, [draw(H, T, T) for _ in range(B)], draw(B * T, d)
 
 
 def _projected(xn, wq, bq, wk, bk):
@@ -332,22 +333,22 @@ class TestAttentionMatmul:
         assert_params_match_fd(named, make_loss)
 
     _SHAPES = {"xn": (8, 5), "wq": (5, 6), "bq": (6,), "wk": (5, 6), "bk": (6,),
-               "pos": [(2, 4, 7)] * 2, "v": (8, 6), "w": (6, 5)}
+               "pos": [(2, 4, 4)] * 2, "v": (8, 6), "w": (6, 5)}
 
     @pytest.mark.parametrize("bad", [
-        # 2T - 1 = 7 wide, not 6
-        pytest.param({"pos": [(2, 4, 6)] * 2}, id="pos-width"),
+        # the band is T = 4 wide, not the full product's 2T - 1 = 7
+        pytest.param({"pos": [(2, 4, 7)] * 2}, id="pos-width"),
         # 8 rows are not 2 utterances of 3 frames
-        pytest.param({"pos": [(2, 3, 5)] * 2}, id="pos-frames"),
+        pytest.param({"pos": [(2, 3, 3)] * 2}, id="pos-frames"),
         # 3 utterances of 4 frames are 12 rows, and 1 is 4, not 8
-        pytest.param({"pos": [(2, 4, 7)] * 3}, id="three-utterances"),
-        pytest.param({"pos": [(2, 4, 7)]}, id="one-utterance"),
-        pytest.param({"pos": [(4, 4, 7)] * 2}, id="heads-do-not-divide-d"),
-        pytest.param({"pos": [(2, 4, 7), (3, 4, 7)]}, id="parts-heads-differ"),
-        pytest.param({"pos": [(2, 4, 7), (2, 4, 6)]}, id="parts-widths-differ"),
-        pytest.param({"pos": [(2, 4, 7), (2, 4)]}, id="part-not-3-d"),
+        pytest.param({"pos": [(2, 4, 4)] * 3}, id="three-utterances"),
+        pytest.param({"pos": [(2, 4, 4)]}, id="one-utterance"),
+        pytest.param({"pos": [(4, 4, 4)] * 2}, id="heads-do-not-divide-d"),
+        pytest.param({"pos": [(2, 4, 4), (3, 4, 4)]}, id="parts-heads-differ"),
+        pytest.param({"pos": [(2, 4, 4), (2, 4, 7)]}, id="parts-widths-differ"),
+        pytest.param({"pos": [(2, 4, 4), (2, 4)]}, id="part-not-3-d"),
         pytest.param({"pos": []}, id="no-utterance"),
-        pytest.param({"pos": [(4, 7)] * 2}, id="parts-not-3-d"),
+        pytest.param({"pos": [(4, 4)] * 2}, id="parts-not-3-d"),
         pytest.param({"v": (8, 4)}, id="v-narrower"),
         pytest.param({"v": (4, 6)}, id="v-rows"),
         pytest.param({"wk": (5, 4)}, id="k-narrower-than-q"),
@@ -361,7 +362,7 @@ class TestAttentionMatmul:
     def test_rejects_operands_that_do_not_pair_up(self, bad):
         shapes = {**self._SHAPES, **bad}
         message = (f"attention_matmul: expected a (B·T, n) xn, (n, d) wq and wk, (d,) bq and "
-                   f"bk, B (H, T, 2T - 1) positional scores with H dividing d, a (B·T, d) v "
+                   f"bk, B (H, T, T) positional scores with H dividing d, a (B·T, d) v "
                    f"and a (d, m) w, got {shapes['xn']}, {shapes['wq']}, {shapes['bq']}, "
                    f"{shapes['wk']}, {shapes['bk']}, {shapes['pos']}, {shapes['v']} and "
                    f"{shapes['w']}")
@@ -1044,10 +1045,18 @@ class TestDepthwiseConv:
 
 def _attention_weights_row(draw, grow, T, H):
     T += grow
-    content, pos_full = draw(H, T, T), draw(H, T, 2 * T - 1)
+    content, pos = draw(H, T, T), draw(H, T, T)
     s = 1.0 / math.sqrt(5)
-    return (attention_weights(content, pos_full, s),
-            softmax(scale(add(content, gather_oracle(pos_full)), s)))
+    return attention_weights(content, pos, s), softmax(scale(add(content, pos), s))
+
+
+def _band_matmul_row(draw, grow, T, H):
+    # one utterance's positional scores: the (H, T, T) band of the
+    # (H, T, 2T - 1) product, which is wider, so a kept one would show
+    T += grow
+    pq, table = draw(H, T, 3), draw(H, 2 * T - 1, 3)
+    return (matmul(pq, table, transpose_b=True, band=True),
+            skew(matmul(pq, table, transpose_b=True)))
 
 
 def _attention_context_row(draw, grow, B, T, H):
@@ -1126,6 +1135,8 @@ def _row(id, family, **params):
 FUSIONS = [
     *(_row(f"attention_weights-T{T}-H{H}", _attention_weights_row, T=T, H=H)
       for T in (1, 2, 5, 7, 16) for H in (1, 2, 3, 4)),
+    *(_row(f"band_matmul-T{T}-H{H}", _band_matmul_row, T=T, H=H)
+      for T in (1, 2, 5, 7, 16) for H in (1, 2, 3)),
     *(_row(f"attention_context-B{B}-T{T}-H{H}", _attention_context_row, B=B, T=T, H=H)
       for B in (1, 3) for T in (1, 2, 5, 7, 16) for H in (1, 2, 3)),
     *(_row(f"attention_matmul-B{B}-T{T}-H{H}", _attention_matmul_row, B=B, T=T, H=H)
@@ -1408,6 +1419,7 @@ class TestBackward:
         pytest.param([(3, 4), (5, 4)], {"transpose_b": True}, id="transpose_b"),
         pytest.param([(2, 3, 4), (2, 4, 5)], {}, id="batched"),
         pytest.param([(3, 4), (4, 5)], {"bias": (5,)}, id="bias"),
+        pytest.param([(2, 3, 4), (2, 5, 4)], {"transpose_b": True, "band": True}, id="band"),
     ])
     def test_matmul_rule_computes_no_gradient_for_a_constant_input(self, shapes, kwargs):
         # the frontend's packed features: a gradient for them is never stored,
@@ -1416,7 +1428,7 @@ class TestBackward:
             rng = Rng(5)
             a, b = (Tensor(rng.uniform(-1, 1, shape), requires_grad=trainable or i > 0)
                     for i, shape in enumerate(shapes))
-            extra = {key: value if key == "transpose_b"
+            extra = {key: value if key in ("transpose_b", "band")
                      else Tensor(rng.uniform(-1, 1, value), requires_grad=True)
                      for key, value in kwargs.items()}
             out = matmul(a, b, **extra)
@@ -1491,16 +1503,18 @@ class TestRetainedMemory:
         p = bound_block(ModelConfig(d=8, e=4, heads=H, kernel_width=3, t_max=16), 8).attn
         out = attention(rand_tensor(rng, (B * T, 8), requires_grad=True), p, frames=T)
         nodes = Tape.trace(sum_all(out)).nodes
-        # each utterance's positional scores are one (H, T, 2T - 1) node,
+        # each utterance's positional scores are one (H, T, T) band node,
         # which the attention node reads as it is
-        scores = [n for n in nodes if n.ndim == 3 and n.shape[-1] == 2 * T - 1]
-        assert [n.shape for n in scores] == [(H, T, 2 * T - 1)] * B
+        scores = [n for n in nodes if n.op == "matmul" and n.ndim == 3]
+        assert [n.shape for n in scores] == [(H, T, T)] * B
         # its parents are (xn, wq, bq, wk, bk, *pos, v, wpost, bpost, x)
         (node,) = [n for n in nodes if n.op == "attention_matmul"]
         assert {id(n) for n in node._parents[5:-4]} == {id(n) for n in scores}
-        # and neither a node nor a rule closure holds them joined
+        # and neither a node nor a rule closure holds them joined, nor a
+        # full (H, T, 2T - 1) product
         kept = [n.data for n in nodes] + self._held_arrays(nodes)
-        assert not [a.shape for a in kept if a.shape == (B * H, T, 2 * T - 1)]
+        assert not [a.shape for a in kept
+                    if a.shape in [(B * H, T, T), (B * H, T, 2 * T - 1), (H, T, 2 * T - 1)]]
 
     @staticmethod
     def _two_layer_lrs3(lowrank=True):
@@ -1621,16 +1635,21 @@ class TestRetainedMemory:
                     and a.tobytes() in normalized]
 
     @pytest.mark.parametrize("frames,batch,mib", [
-        pytest.param(128, 1, 85, id="128x1"),
-        pytest.param(64, 2, 65, id="64x2")])
+        pytest.param(128, 1, 65, id="128x1"),
+        pytest.param(64, 2, 55, id="64x2"),
+        pytest.param(256, 1, 170, id="256x1")])
     def test_lrs3_forward_tape_layout_and_held_bytes(self, frames, batch, mib):
-        # its op counts are TAPE_OPS' lrs3 rows
+        # its op counts at 128x1 and 64x2 are TAPE_OPS' lrs3 rows
         from confshare.training import batch_loss
 
         model, data = _lrs3(frames, batch)
         batch_loss(model, *data)  # the scratch arena takes its size
         loss, held = traced_held(lambda: batch_loss(model, *data))
         nodes = Tape.trace(loss).nodes
+        # each layer's positional scores are one (H, T, T) band per
+        # utterance, H·T·T scalars, not the full product's H·T·(2T − 1)
+        bands = [n.size for n in nodes if n.op == "matmul" and n.ndim == 3]
+        assert bands == [4 * frames * frames] * (40 * batch)
         closures = self._held_arrays(nodes)
         assert not [a.shape for a in closures if a.shape[-2:] == (frames,) * 2]
         # the convolution module rebuilds its (rows, 2d) pre-activation

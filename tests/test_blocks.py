@@ -136,7 +136,11 @@ class TestAttention:
         p = bound_block(cfg, 8).attn
         T = 5
         tape = backward(sum_all(attention(rand_tensor(rng, (T, 8)), p)))
-        assert max(n.shape[2] for n in tape.nodes if n.op and n.ndim == 3) == 2 * T - 1
+        # the positional product reads the 2T - 1 table rows that T frames
+        # reach, and keeps the (H, T, T) band of its product with them
+        (product,) = [n for n in tape.nodes if n.op == "matmul" and n.ndim == 3]
+        assert product._parents[1].shape == (cfg.heads, 2 * T - 1, 4)
+        assert product.shape == (cfg.heads, T, T)
         grad = p.rel_emb.grad
         window = slice(cfg.t_max - T, cfg.t_max + T - 1)
         outside = np.delete(grad, np.arange(cfg.rel_table_len)[window], axis=0)
@@ -150,10 +154,10 @@ class TestAttention:
         own = attention(x, p, frames=5)
         given = attention(x, p, frames=5, table=table_heads(p, 5))
         assert own.data.tobytes() == given.data.tobytes()
-        # three utterances' (H, T, 2T - 1) scores, 7 wide where T = 5 needs 9
+        # a table window of 7 rows, where the band of T = 5 frames needs 9
         with pytest.raises(ShapeError,
-                           match=r"^attention_matmul: .*, \[(\(2, 5, 7\)(, )?){3}\], \(15, 8\) "
-                                 r"and \(8, 8\)$"):
+                           match=r"^matmul: a band takes \(H, T, dh\) @ \(H, 2T - 1, dh\) "
+                                 r"transposed, got \(2, 5, 4\) @ \(2, 7, 4\) \(transposed\)$"):
             attention(x, p, frames=5, table=table_heads(p, 4))
 
     def test_packed_utterances_match_separate_calls(self, rng):
@@ -171,10 +175,10 @@ class TestAttention:
         T, H = 5, cfg.heads
         tape = backward(sum_all(attention(rand_tensor(rng, (utts * T, 8)), p, frames=T)))
         products = [n.shape for n in tape.nodes if n.op == "matmul"]
-        # the only 3-d products: one positional score block per utterance,
+        # the only 3-d products: one positional score band per utterance,
         # which the one attention_matmul node reads as they are (its op
         # counts are test_tape_op_counts' attention rows)
-        assert [s for s in products if len(s) == 3] == [(H, T, 2 * T - 1)] * utts
+        assert [s for s in products if len(s) == 3] == [(H, T, T)] * utts
 
     @pytest.mark.parametrize("utts", [1, 3])
     def test_tape_holds_no_per_head_scores_or_contexts(self, rng, utts):
@@ -182,7 +186,18 @@ class TestAttention:
         p = bound_block(cfg, 8).attn
         T, H, dh = 5, cfg.heads, 6
         tape = backward(sum_all(attention(rand_tensor(rng, (utts * T, 12)), p, frames=T)))
-        assert not [n for n in tape.nodes if n.shape == (utts * H, T, T)]
+        # the 3-d products are the positional bands, one (H, T, T) per
+        # utterance, each of a positional-query split and the table's; at
+        # one utterance a (B·H, T, T) array is that shape too, so scores
+        # are told apart from the bands by op and parents
+        bands = [n for n in tape.nodes if n.op == "matmul" and n.ndim == 3]
+        assert [n.shape for n in bands] == [(H, T, T)] * utts
+        for band in bands:
+            pq_heads, table = band._parents
+            assert pq_heads.op == table.op == "split_heads"
+            assert table._parents[0] is p.rel_emb
+        assert not [n for n in tape.nodes
+                    if n.shape == (utts * H, T, T) and all(n is not b for b in bands)]
         # the B (H, T, dh) nodes are the positional-query splits, one per
         # utterance, not q, k, v or a context
         splits = [n for n in tape.nodes if n.shape == (H, T, dh)]
